@@ -8,8 +8,10 @@
 #include "common/rng.h"
 #include "eval/query_gen.h"
 #include "graph/datasets.h"
+#include "graph/graph_builder.h"
 #include "graph/possible_world.h"
 #include "reliability/estimator_factory.h"
+#include "reliability/lazy_sampling_bfs.h"
 
 namespace relcomp {
 namespace {
@@ -73,6 +75,30 @@ BENCHMARK_CAPTURE(BM_Estimator, RHH, EstimatorKind::kRecursive)
     ->Arg(250)->Arg(1000);
 BENCHMARK_CAPTURE(BM_Estimator, RSS, EstimatorKind::kRecursiveStratified)
     ->Arg(250)->Arg(1000);
+
+// The lazy-sampling BFS under every MC estimator, alone: full sweeps (no
+// target, no hop bound) from the fixture's sources, 100 samples per
+// iteration, in both storage layouts. Compare against BM_SampleWorld: a
+// sweep draws only the arcs its BFS reaches.
+void BM_LazySamplingBfs(benchmark::State& state, StorageLayout layout) {
+  const Fixture& fixture = Fixture::Get();
+  const UncertainGraph graph =
+      GraphBuilder::FromGraph(fixture.dataset.graph).Build(layout).MoveValue();
+  LazySamplingBfs sampler(graph);
+  std::vector<uint32_t> hits(graph.num_nodes(), 0);
+  Rng rng(5);
+  size_t qi = 0;
+  for (auto _ : state) {
+    const NodeId source = fixture.queries[qi++ % fixture.queries.size()].source;
+    benchmark::DoNotOptimize(
+        sampler.AccumulateReached({.source = source}, 100, rng, hits));
+  }
+  state.counters["samples_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 100,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_LazySamplingBfs, Raw, StorageLayout::kRaw);
+BENCHMARK_CAPTURE(BM_LazySamplingBfs, Compact, StorageLayout::kCompact);
 
 void BM_SampleWorld(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

@@ -38,30 +38,10 @@ uint32_t StratumSampleOffset(uint32_t num_samples, uint32_t num_strata,
   return stratum * base + (stratum < extra ? stratum : extra);
 }
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 void Rng::Reseed(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(sm);
   has_cached_normal_ = false;
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 uint64_t Rng::UniformInt(uint64_t n) {
@@ -83,12 +63,6 @@ uint64_t Rng::UniformInt(uint64_t n) {
 int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(
                   UniformInt(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 uint64_t Rng::Geometric(double p) {

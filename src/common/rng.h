@@ -66,11 +66,24 @@ class Rng {
   /// Re-initializes the state from `seed` (SplitMix64 expansion).
   void Reseed(uint64_t seed);
 
-  /// Next raw 64-bit value.
-  uint64_t NextU64();
+  /// Next raw 64-bit value. Inline (like NextDouble and Bernoulli): the
+  /// sampling kernels draw once per visited edge.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, n). Precondition: n > 0.
   uint64_t UniformInt(uint64_t n);
@@ -78,8 +91,14 @@ class Rng {
   /// Uniform integer in [lo, hi]. Precondition: lo <= hi.
   int64_t UniformRange(int64_t lo, int64_t hi);
 
-  /// Bernoulli trial: true with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  /// Bernoulli trial: true with probability p (clamped to [0, 1]). Draws
+  /// one value iff p is in (0, 1) (or NaN): p <= 0 and p >= 1 decide
+  /// without consuming randomness.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Number of failures before the first success of a Bernoulli(p) process
   /// (support {0, 1, 2, ...}). Precondition: 0 < p <= 1.
@@ -100,6 +119,8 @@ class Rng {
   Rng Split();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -96,6 +96,10 @@ class UncertainGraph {
     size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
 
+    /// The entries as a contiguous array in the raw layout (hot loops walk
+    /// it directly); nullptr in the compact layout, which decodes per entry.
+    const AdjEntry* data() const { return raw_; }
+
     AdjEntry operator[](size_t i) const {
       if (raw_ != nullptr) return raw_[i];
       return compact_->EntryAt(*dir_, begin_slot_ + i);

@@ -2,6 +2,7 @@
 
 #include "common/format.h"
 #include "common/rng.h"
+#include "reliability/lazy_sampling_bfs.h"
 
 namespace relcomp {
 
@@ -45,33 +46,10 @@ Result<double> ConditionalReliabilityMonteCarlo(
   if (s == t) return 1.0;
 
   Rng rng(seed);
-  std::vector<uint32_t> visit_epoch(graph.num_nodes(), 0);
-  std::vector<NodeId> queue;
-  queue.reserve(graph.num_nodes());
-  uint32_t epoch = 0;
-  uint32_t hits = 0;
-  for (uint32_t i = 0; i < num_samples; ++i) {
-    ++epoch;
-    queue.clear();
-    queue.push_back(s);
-    visit_epoch[s] = epoch;
-    bool reached = false;
-    for (size_t head = 0; head < queue.size() && !reached; ++head) {
-      for (const AdjEntry& a : graph.OutEdges(queue[head])) {
-        if (visit_epoch[a.neighbor] == epoch) continue;
-        const EdgeState st = states[a.edge];
-        if (st == EdgeState::kExcluded) continue;
-        if (st == EdgeState::kUndetermined && !rng.Bernoulli(a.prob)) continue;
-        if (a.neighbor == t) {
-          reached = true;
-          break;
-        }
-        visit_epoch[a.neighbor] = epoch;
-        queue.push_back(a.neighbor);
-      }
-    }
-    if (reached) ++hits;
-  }
+  LazySamplingBfs sampler(graph);
+  const uint32_t hits =
+      sampler.CountHits({.source = s, .target = t, .states = states.data()},
+                        num_samples, rng);
   return static_cast<double>(hits) / static_cast<double>(num_samples);
 }
 

@@ -29,47 +29,19 @@ Status ValidateQuery(const UncertainGraph& graph,
 
 DistanceConstrainedMonteCarlo::DistanceConstrainedMonteCarlo(
     const UncertainGraph& graph)
-    : graph_(graph), visit_epoch_(graph.num_nodes(), 0) {}
+    : graph_(graph), sampler_(graph) {}
 
 Result<double> DistanceConstrainedMonteCarlo::Estimate(
     const DistanceConstrainedQuery& query, uint32_t num_samples, uint64_t seed,
     MemoryTracker* memory) {
   RELCOMP_RETURN_NOT_OK(ValidateQuery(graph_, query, num_samples));
-  // Online structures: epoch marks plus the depth-annotated BFS queue.
-  ScopedAllocation working(
-      memory,
-      graph_.num_nodes() * (sizeof(uint32_t) * 2 + sizeof(NodeId)));
+  // Online structures: the sampler's reached marks and BFS queue.
+  ScopedAllocation working(memory, sampler_.WorkingBytes());
   if (query.source == query.target) return 1.0;
   if (query.max_hops == 0) return 0.0;
   Rng rng(seed);
-
-  uint32_t hits = 0;
-  for (uint32_t i = 0; i < num_samples; ++i) {
-    ++epoch_;
-    queue_.clear();
-    depth_.clear();
-    queue_.push_back(query.source);
-    depth_.push_back(0);
-    visit_epoch_[query.source] = epoch_;
-    bool reached = false;
-    for (size_t head = 0; head < queue_.size() && !reached; ++head) {
-      const NodeId v = queue_[head];
-      const uint32_t d = depth_[head];
-      if (d >= query.max_hops) continue;  // cannot expand further
-      for (const AdjEntry& a : graph_.OutEdges(v)) {
-        if (visit_epoch_[a.neighbor] == epoch_) continue;
-        if (!rng.Bernoulli(a.prob)) continue;
-        if (a.neighbor == query.target) {
-          reached = true;
-          break;
-        }
-        visit_epoch_[a.neighbor] = epoch_;
-        queue_.push_back(a.neighbor);
-        depth_.push_back(d + 1);
-      }
-    }
-    if (reached) ++hits;
-  }
+  const uint32_t hits = sampler_.CountHits(
+      {query.source, query.target, query.max_hops}, num_samples, rng);
   return static_cast<double>(hits) / static_cast<double>(num_samples);
 }
 
@@ -79,7 +51,10 @@ Result<double> DistanceConstrainedMonteCarlo::Estimate(
 
 DistanceConstrainedRecursive::DistanceConstrainedRecursive(
     const UncertainGraph& graph, uint32_t threshold)
-    : graph_(graph), threshold_(threshold), visit_epoch_(graph.num_nodes(), 0) {}
+    : graph_(graph),
+      threshold_(threshold),
+      visit_epoch_(graph.num_nodes(), 0),
+      sampler_(graph) {}
 
 template <typename KeepFn>
 uint32_t DistanceConstrainedRecursive::BoundedDistance(
@@ -178,35 +153,8 @@ double DistanceConstrainedRecursive::BaseMonteCarlo(
     const DistanceConstrainedQuery& query, uint32_t k,
     const std::vector<EdgeState>& states, Rng& rng) {
   if (k == 0) return 0.0;
-  uint32_t hits = 0;
-  for (uint32_t i = 0; i < k; ++i) {
-    ++epoch_;
-    queue_.clear();
-    depth_.clear();
-    queue_.push_back(query.source);
-    depth_.push_back(0);
-    visit_epoch_[query.source] = epoch_;
-    bool reached = false;
-    for (size_t head = 0; head < queue_.size() && !reached; ++head) {
-      const NodeId v = queue_[head];
-      const uint32_t d = depth_[head];
-      if (d >= query.max_hops) continue;
-      for (const AdjEntry& a : graph_.OutEdges(v)) {
-        if (visit_epoch_[a.neighbor] == epoch_) continue;
-        const EdgeState st = states[a.edge];
-        if (st == EdgeState::kExcluded) continue;
-        if (st == EdgeState::kUndetermined && !rng.Bernoulli(a.prob)) continue;
-        if (a.neighbor == query.target) {
-          reached = true;
-          break;
-        }
-        visit_epoch_[a.neighbor] = epoch_;
-        queue_.push_back(a.neighbor);
-        depth_.push_back(d + 1);
-      }
-    }
-    if (reached) ++hits;
-  }
+  const uint32_t hits = sampler_.CountHits(
+      {query.source, query.target, query.max_hops, states.data()}, k, rng);
   return static_cast<double>(hits) / static_cast<double>(k);
 }
 
@@ -215,11 +163,12 @@ Result<double> DistanceConstrainedRecursive::Estimate(
     MemoryTracker* memory) {
   RELCOMP_RETURN_NOT_OK(ValidateQuery(graph_, query, num_samples));
   // Online structures: the edge-state vector dominates, plus the epoch /
-  // queue / depth arrays shared with the bounded-distance checks.
+  // queue / depth arrays of the bounded-distance checks and the sampler.
   ScopedAllocation working(
       memory,
       graph_.num_edges() * sizeof(EdgeState) +
-          graph_.num_nodes() * (sizeof(uint32_t) * 2 + sizeof(NodeId)));
+          graph_.num_nodes() * (sizeof(uint32_t) * 2 + sizeof(NodeId)) +
+          sampler_.WorkingBytes());
   if (query.source == query.target) return 1.0;
   if (query.max_hops == 0) return 0.0;
   Rng rng(seed);

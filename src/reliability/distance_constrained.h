@@ -4,6 +4,7 @@
 
 #include "graph/subgraph.h"
 #include "reliability/estimator.h"
+#include "reliability/lazy_sampling_bfs.h"
 
 namespace relcomp {
 
@@ -30,18 +31,14 @@ class DistanceConstrainedMonteCarlo {
   explicit DistanceConstrainedMonteCarlo(const UncertainGraph& graph);
 
   /// Estimates R_d(s, t) with `num_samples` samples. `memory`, when given,
-  /// receives the call's working-set accounting (epoch marks, BFS queue,
-  /// depth array).
+  /// receives the call's working-set accounting (the sampler's scratch).
   Result<double> Estimate(const DistanceConstrainedQuery& query,
                           uint32_t num_samples, uint64_t seed,
                           MemoryTracker* memory = nullptr);
 
  private:
   const UncertainGraph& graph_;
-  std::vector<uint32_t> visit_epoch_;
-  std::vector<NodeId> queue_;
-  std::vector<uint32_t> depth_;
-  uint32_t epoch_ = 0;
+  LazySamplingBfs sampler_;
 };
 
 /// \brief Recursive (RHH-style) estimator for R_d(s, t): conditions on
@@ -53,7 +50,7 @@ class DistanceConstrainedRecursive {
                                uint32_t threshold = 5);
 
   /// `memory`, when given, receives the call's working-set accounting (edge
-  /// states, epoch marks, BFS queue, depth array).
+  /// states, epoch marks, BFS queue, depth array, sampler scratch).
   Result<double> Estimate(const DistanceConstrainedQuery& query,
                           uint32_t num_samples, uint64_t seed,
                           MemoryTracker* memory = nullptr);
@@ -79,6 +76,8 @@ class DistanceConstrainedRecursive {
   std::vector<NodeId> queue_;
   std::vector<uint32_t> depth_;
   uint32_t epoch_ = 0;
+  // Conditioned, depth-bounded base-case sampling.
+  LazySamplingBfs sampler_;
 };
 
 /// \brief Exact R_d(s, t) by enumerating all 2^m worlds (tiny graphs; test

@@ -1,58 +1,10 @@
 #include "reliability/mc_sampling.h"
 
-#include <limits>
-
-#include "common/cancel.h"
 #include "common/rng.h"
 
 namespace relcomp {
 
 namespace {
-
-/// How many samples run between cooperative-cancellation polls. A poll is
-/// one predicted branch plus (rarely) a clock read; results are identical
-/// for any poll cadence because a cancelled call abandons everything.
-constexpr uint32_t kCancelPollStride = 64;
-
-/// One stratum of the sweep core: `num_samples` sampled worlds drawn from
-/// Rng(seed), one full BFS each, hits *accumulated* into `hit_count`
-/// (caller zeroes it once per sweep, then strata add in). Visited marks use
-/// absolute epochs (epoch_base + 1 .. epoch_base + num_samples), so a caller
-/// reusing `visit_epoch` across sweeps skips the O(n) clear; the RNG
-/// consumption — and thus the counts — is identical either way. Polls
-/// `cancel` (may be null) every kCancelPollStride samples; a cancelled call
-/// leaves `hit_count` partially accumulated, so the caller must discard it.
-Status AccumulateSweepHits(const UncertainGraph& graph, NodeId source,
-                           uint32_t num_samples, uint64_t seed,
-                           std::vector<uint32_t>& hit_count,
-                           std::vector<uint32_t>& visit_epoch,
-                           std::vector<NodeId>& queue, uint32_t epoch_base,
-                           const CancelToken* cancel) {
-  Rng rng(seed);
-  visit_epoch.resize(graph.num_nodes(), 0);
-  queue.reserve(graph.num_nodes());
-  for (uint32_t i = 1; i <= num_samples; ++i) {
-    if (cancel != nullptr && (i % kCancelPollStride) == 1 &&
-        cancel->Cancelled()) {
-      return cancel->ToStatus();
-    }
-    const uint32_t epoch = epoch_base + i;
-    queue.clear();
-    queue.push_back(source);
-    visit_epoch[source] = epoch;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const NodeId v = queue[head];
-      for (const AdjEntry& a : graph.OutEdges(v)) {
-        if (visit_epoch[a.neighbor] == epoch) continue;
-        if (!rng.Bernoulli(a.prob)) continue;
-        visit_epoch[a.neighbor] = epoch;
-        ++hit_count[a.neighbor];
-        queue.push_back(a.neighbor);
-      }
-    }
-  }
-  return Status::OK();
-}
 
 Status ValidateSweep(const UncertainGraph& graph, NodeId source,
                      uint32_t num_samples) {
@@ -66,31 +18,26 @@ Status ValidateSweep(const UncertainGraph& graph, NodeId source,
   return Status::OK();
 }
 
-/// Full stratified sweep into `hit_count` (zeroed here): strata accumulate
-/// in index order, which is what the engine's stratum merge replays. Polls
-/// `cancel` at every stratum boundary (and, inside AccumulateSweepHits,
-/// every few dozen samples); a cancelled sweep's counts must be discarded.
-Status StratifiedSweepHits(const UncertainGraph& graph, NodeId source,
+/// Full stratified sweep into `hit_count` (zeroed here): stratum j samples
+/// StratumSampleCount(K, S, j) worlds from Rng(StratumSeed(seed, j, S)) and
+/// strata accumulate in index order, which is what the engine's stratum
+/// merge replays. Polls `cancel` at every stratum boundary (and, inside the
+/// sampler, every few dozen samples); a cancelled sweep's counts must be
+/// discarded.
+Status StratifiedSweepHits(LazySamplingBfs& sampler, NodeId source,
                            uint32_t num_samples, uint64_t seed,
                            uint32_t num_strata,
                            std::vector<uint32_t>& hit_count,
-                           std::vector<uint32_t>& visit_epoch,
-                           std::vector<NodeId>& queue, uint32_t epoch_base,
                            const CancelToken* cancel) {
-  hit_count.assign(graph.num_nodes(), 0);
-  if (num_strata <= 1) {
-    return AccumulateSweepHits(graph, source, num_samples, seed, hit_count,
-                               visit_epoch, queue, epoch_base, cancel);
-  }
-  uint32_t consumed = 0;
-  for (uint32_t j = 0; j < num_strata; ++j) {
+  hit_count.assign(hit_count.size(), 0);
+  const uint32_t strata = num_strata == 0 ? 1 : num_strata;
+  for (uint32_t j = 0; j < strata; ++j) {
     if (cancel != nullptr && cancel->Cancelled()) return cancel->ToStatus();
-    const uint32_t samples = StratumSampleCount(num_samples, num_strata, j);
+    const uint32_t samples = StratumSampleCount(num_samples, strata, j);
     if (samples == 0) continue;
-    RELCOMP_RETURN_NOT_OK(AccumulateSweepHits(
-        graph, source, samples, StratumSeed(seed, j, num_strata), hit_count,
-        visit_epoch, queue, epoch_base + consumed, cancel));
-    consumed += samples;
+    Rng rng(StratumSeed(seed, j, strata));
+    RELCOMP_RETURN_NOT_OK(sampler.AccumulateReached(
+        {.source = source}, samples, rng, hit_count, cancel));
   }
   return Status::OK();
 }
@@ -111,48 +58,32 @@ Result<std::vector<double>> MonteCarloReliabilityFromSource(
     const UncertainGraph& graph, NodeId source, uint32_t num_samples,
     uint64_t seed, uint32_t num_strata) {
   RELCOMP_RETURN_NOT_OK(ValidateSweep(graph, source, num_samples));
-  std::vector<uint32_t> hit_count;
-  std::vector<uint32_t> visit_epoch;
-  std::vector<NodeId> queue;
-  RELCOMP_RETURN_NOT_OK(StratifiedSweepHits(graph, source, num_samples, seed,
-                                            num_strata, hit_count, visit_epoch,
-                                            queue, /*epoch_base=*/0,
+  LazySamplingBfs sampler(graph);
+  std::vector<uint32_t> hit_count(graph.num_nodes());
+  RELCOMP_RETURN_NOT_OK(StratifiedSweepHits(sampler, source, num_samples, seed,
+                                            num_strata, hit_count,
                                             /*cancel=*/nullptr));
   return HitsToReliability(hit_count, num_samples);
 }
 
 MonteCarloEstimator::MonteCarloEstimator(const UncertainGraph& graph)
-    : graph_(graph), visit_epoch_(graph.num_nodes(), 0) {
-  queue_.reserve(graph.num_nodes());
-}
-
-void MonteCarloEstimator::ReserveSweepEpochs(uint32_t samples) {
-  if (sweep_epoch_base_ > std::numeric_limits<uint32_t>::max() - samples) {
-    sweep_epoch_.assign(sweep_epoch_.size(), 0);
-    sweep_epoch_base_ = 0;
-  }
-}
+    : graph_(graph), sampler_(graph) {}
 
 Result<std::vector<double>> MonteCarloEstimator::EstimateFromSource(
     NodeId source, const EstimateOptions& options) {
   RELCOMP_RETURN_NOT_OK(ValidateSweep(graph_, source, options.num_samples));
-  // Working state: hit counts, epoch marks, BFS queue, result vector.
+  // Working state: sampler scratch, hit counts, result vector.
   ScopedAllocation working(
       options.memory,
-      graph_.num_nodes() * (3 * sizeof(uint32_t) + sizeof(double)));
-  ReserveSweepEpochs(options.num_samples);
+      sampler_.WorkingBytes() +
+          graph_.num_nodes() * (sizeof(uint32_t) + sizeof(double)));
+  sweep_hits_.resize(graph_.num_nodes());
   // Trace the sampling loop itself (validation and scratch setup excluded).
   obs::ScopedSpan sample_span(options.trace, obs::SpanKind::kSample,
                               options.trace_parent, options.num_strata);
-  const Status swept = StratifiedSweepHits(
-      graph_, source, options.num_samples, options.seed, options.num_strata,
-      sweep_hits_, sweep_epoch_, sweep_queue_, sweep_epoch_base_,
-      options.cancel);
-  // Epochs advance even for a cancelled sweep: the partially used epoch
-  // range must never be reused, or stale visit marks could leak into the
-  // next sweep's counts.
-  sweep_epoch_base_ += options.num_samples;
-  RELCOMP_RETURN_NOT_OK(swept);
+  RELCOMP_RETURN_NOT_OK(StratifiedSweepHits(
+      sampler_, source, options.num_samples, options.seed, options.num_strata,
+      sweep_hits_, options.cancel));
   return HitsToReliability(sweep_hits_, options.num_samples);
 }
 
@@ -163,21 +94,19 @@ Result<std::vector<uint32_t>> MonteCarloEstimator::EstimateSweepStratumHits(
   if (num_strata == 0 || stratum >= num_strata) {
     return Status::InvalidArgument("sweep stratum: index out of range");
   }
-  // Working state: the hit-count result, epoch marks, BFS queue.
+  // Working state: sampler scratch plus the hit-count result.
   ScopedAllocation working(options.memory,
-                           graph_.num_nodes() * 3 * sizeof(uint32_t));
+                           sampler_.WorkingBytes() +
+                               graph_.num_nodes() * sizeof(uint32_t));
   std::vector<uint32_t> hits(graph_.num_nodes(), 0);
   const uint32_t samples =
       StratumSampleCount(options.num_samples, num_strata, stratum);
   if (samples > 0) {
-    ReserveSweepEpochs(samples);
     obs::ScopedSpan sample_span(options.trace, obs::SpanKind::kSample,
                                 options.trace_parent, stratum);
-    const Status run = AccumulateSweepHits(
-        graph_, source, samples, StratumSeed(options.seed, stratum, num_strata),
-        hits, sweep_epoch_, sweep_queue_, sweep_epoch_base_, options.cancel);
-    sweep_epoch_base_ += samples;  // never reuse a partially used epoch range
-    RELCOMP_RETURN_NOT_OK(run);
+    Rng rng(StratumSeed(options.seed, stratum, num_strata));
+    RELCOMP_RETURN_NOT_OK(sampler_.AccumulateReached(
+        {.source = source}, samples, rng, hits, options.cancel));
   }
   return hits;
 }
@@ -196,52 +125,25 @@ Result<double> MonteCarloEstimator::EstimateDistanceConstrained(
 Result<double> MonteCarloEstimator::DoEstimate(const ReliabilityQuery& query,
                                                const EstimateOptions& options,
                                                MemoryTracker* memory) {
-  const NodeId s = query.source;
-  const NodeId t = query.target;
-  const uint32_t k = options.num_samples;
-  const uint32_t num_strata = options.num_strata == 0 ? 1 : options.num_strata;
-
-  // Online structures: the epoch array and the BFS queue.
-  ScopedAllocation working(
-      memory, visit_epoch_.size() * sizeof(uint32_t) +
-                  graph_.num_nodes() * sizeof(NodeId));
-
-  if (s == t) return 1.0;
+  ScopedAllocation working(memory, sampler_.WorkingBytes());
+  if (query.source == query.target) return 1.0;
 
   // Stratified hit-and-miss: stratum j draws its budget slice from its own
   // derived stream, hits sum across strata — the same canonical-in-(content,
   // S) core as the source sweep (num_strata == 1 is the legacy loop,
   // bit-identical to the pre-strata path).
+  const uint32_t k = options.num_samples;
+  const uint32_t num_strata = options.num_strata == 0 ? 1 : options.num_strata;
   uint32_t hits = 0;
   for (uint32_t j = 0; j < num_strata; ++j) {
     const uint32_t stratum_samples = StratumSampleCount(k, num_strata, j);
     if (stratum_samples == 0) continue;
     Rng rng(StratumSeed(options.seed, j, num_strata));
-    for (uint32_t i = 0; i < stratum_samples; ++i) {
-      ++epoch_;
-      queue_.clear();
-      queue_.push_back(s);
-      visit_epoch_[s] = epoch_;
-      bool reached = false;
-      for (size_t head = 0; head < queue_.size() && !reached; ++head) {
-        const NodeId v = queue_[head];
-        for (const AdjEntry& a : graph_.OutEdges(v)) {
-          if (visit_epoch_[a.neighbor] == epoch_) continue;
-          if (!rng.Bernoulli(a.prob)) continue;  // lazy sampling on request
-          if (a.neighbor == t) {                 // early stop at current round
-            reached = true;
-            break;
-          }
-          visit_epoch_[a.neighbor] = epoch_;
-          queue_.push_back(a.neighbor);
-        }
-      }
-      if (reached) ++hits;
-      if (options.cancel != nullptr && (i % 64) == 0 &&
-          options.cancel->Cancelled()) {
-        return options.cancel->ToStatus();
-      }
-    }
+    RELCOMP_ASSIGN_OR_RETURN(
+        const uint32_t stratum_hits,
+        sampler_.CountHits({.source = query.source, .target = query.target},
+                           stratum_samples, rng, options.cancel));
+    hits += stratum_hits;
   }
   return static_cast<double>(hits) / static_cast<double>(k);
 }

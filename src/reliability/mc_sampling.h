@@ -5,12 +5,13 @@
 
 #include "reliability/distance_constrained.h"
 #include "reliability/estimator.h"
+#include "reliability/lazy_sampling_bfs.h"
 
 namespace relcomp {
 
-/// \brief Per-node reliability from `source`: K sampled worlds, one full BFS
-/// each (no early target exit), per-node hit counting. O(K (m + n)), no
-/// index.
+/// \brief Per-node reliability from `source`: K sampled worlds, one full
+/// lazy-sampling BFS each (LazySamplingBfs, no early target exit), per-node
+/// hit counting. O(K (m + n)), no index.
 ///
 /// This is the single sweep core behind TopKReliableTargetsMonteCarlo,
 /// ReliableSetMonteCarlo, and MonteCarloEstimator::EstimateFromSource (the
@@ -80,21 +81,12 @@ class MonteCarloEstimator : public Estimator {
                             MemoryTracker* memory) override;
 
  private:
-  /// Advances the sweep epoch window for `samples` more marks, re-zeroing
-  /// the epoch array only when the counter would wrap.
-  void ReserveSweepEpochs(uint32_t samples);
-
   const UncertainGraph& graph_;
-  // Epoch-marked visited array: reused across samples without clearing.
-  std::vector<uint32_t> visit_epoch_;
-  std::vector<NodeId> queue_;
-  uint32_t epoch_ = 0;
-  // Sweep scratch, epoch-reused across EstimateFromSource calls (allocated
-  // on the first sweep; hot serving paths never re-allocate).
+  // The lazy-sampling BFS behind both the s-t estimate and the sweeps.
+  LazySamplingBfs sampler_;
+  // Sweep hit counts, reused across EstimateFromSource calls (hot serving
+  // paths never re-allocate).
   std::vector<uint32_t> sweep_hits_;
-  std::vector<uint32_t> sweep_epoch_;
-  std::vector<NodeId> sweep_queue_;
-  uint32_t sweep_epoch_base_ = 0;
   // Depth-bounded sampler for distance queries, built on first use so pure
   // s-t / sweep replicas pay nothing for it.
   std::unique_ptr<DistanceConstrainedMonteCarlo> distance_;

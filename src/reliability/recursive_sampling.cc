@@ -15,7 +15,10 @@ constexpr size_t kFrameBytes = 64;
 
 RecursiveEstimator::RecursiveEstimator(const UncertainGraph& graph,
                                        const RecursiveSamplingOptions& options)
-    : graph_(graph), options_(options), visit_epoch_(graph.num_nodes(), 0) {
+    : graph_(graph),
+      options_(options),
+      visit_epoch_(graph.num_nodes(), 0),
+      sampler_(graph) {
   queue_.reserve(graph.num_nodes());
 }
 
@@ -28,7 +31,8 @@ Result<double> RecursiveEstimator::DoEstimate(const ReliabilityQuery& query,
   ScopedAllocation working(
       memory, states.size() * sizeof(EdgeState) +
                   visit_epoch_.size() * sizeof(uint32_t) +
-                  graph_.num_nodes() * sizeof(NodeId));
+                  graph_.num_nodes() * sizeof(NodeId) +
+                  sampler_.WorkingBytes());
   max_depth_seen_ = 0;
   const double r = Recurse(query.source, query.target, options.num_samples,
                            states, rng, memory, /*depth=*/0);
@@ -145,30 +149,8 @@ double RecursiveEstimator::BaseMonteCarlo(NodeId s, NodeId t, uint32_t k,
                                           const std::vector<EdgeState>& states,
                                           Rng& rng) {
   if (k == 0) return 0.0;
-  uint32_t hits = 0;
-  for (uint32_t i = 0; i < k; ++i) {
-    ++epoch_;
-    queue_.clear();
-    queue_.push_back(s);
-    visit_epoch_[s] = epoch_;
-    bool reached = false;
-    for (size_t head = 0; head < queue_.size() && !reached; ++head) {
-      const NodeId v = queue_[head];
-      for (const AdjEntry& a : graph_.OutEdges(v)) {
-        if (visit_epoch_[a.neighbor] == epoch_) continue;
-        const EdgeState st = states[a.edge];
-        if (st == EdgeState::kExcluded) continue;
-        if (st == EdgeState::kUndetermined && !rng.Bernoulli(a.prob)) continue;
-        if (a.neighbor == t) {
-          reached = true;
-          break;
-        }
-        visit_epoch_[a.neighbor] = epoch_;
-        queue_.push_back(a.neighbor);
-      }
-    }
-    if (reached) ++hits;
-  }
+  const uint32_t hits = sampler_.CountHits(
+      {.source = s, .target = t, .states = states.data()}, k, rng);
   return static_cast<double>(hits) / static_cast<double>(k);
 }
 

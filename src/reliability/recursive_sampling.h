@@ -6,6 +6,7 @@
 #include "graph/subgraph.h"
 #include "reliability/distance_constrained.h"
 #include "reliability/estimator.h"
+#include "reliability/lazy_sampling_bfs.h"
 
 namespace relcomp {
 
@@ -89,12 +90,14 @@ class RecursiveEstimator : public Estimator {
   const UncertainGraph& graph_;
   RecursiveSamplingOptions options_;
   std::unique_ptr<DistanceConstrainedRecursive> distance_;
-  // Scratch shared by reachability checks / edge selection / base MC.
+  // Scratch shared by the reachability checks and edge selection.
   std::vector<uint32_t> visit_epoch_;
   std::vector<NodeId> queue_;
   std::vector<EdgeId> candidates_;  // kRandom strategy candidate pool
   uint32_t epoch_ = 0;
   size_t max_depth_seen_ = 0;
+  // Base-case sampling over the conditioned residual graph.
+  LazySamplingBfs sampler_;
 };
 
 }  // namespace relcomp

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "reliability/lazy_sampling_bfs.h"
 
 namespace relcomp {
 
@@ -138,36 +139,9 @@ double RecursiveStratifiedEstimator::ConditionedMonteCarlo(
     const std::vector<EdgeState>& states, Rng& rng) {
   if (k == 0) return 0.0;
   if (s == t) return 1.0;
-  std::vector<uint32_t> visit_epoch(g.num_nodes(), 0);
-  std::vector<NodeId> queue;
-  uint32_t epoch = 0;
-  uint32_t hits = 0;
-  for (uint32_t i = 0; i < k; ++i) {
-    ++epoch;
-    queue.clear();
-    queue.push_back(s);
-    visit_epoch[s] = epoch;
-    bool reached = false;
-    for (size_t head = 0; head < queue.size() && !reached; ++head) {
-      const NodeId v = queue[head];
-      for (const AdjEntry& a : g.OutEdges(v)) {
-        if (visit_epoch[a.neighbor] == epoch) continue;
-        const EdgeState st = states[a.edge];
-        if (st == EdgeState::kExcluded) continue;
-        if (st == EdgeState::kUndetermined && a.prob < 1.0 &&
-            !rng.Bernoulli(a.prob)) {
-          continue;
-        }
-        if (a.neighbor == t) {
-          reached = true;
-          break;
-        }
-        visit_epoch[a.neighbor] = epoch;
-        queue.push_back(a.neighbor);
-      }
-    }
-    if (reached) ++hits;
-  }
+  LazySamplingBfs sampler(g);
+  const uint32_t hits = sampler.CountHits(
+      {.source = s, .target = t, .states = states.data()}, k, rng);
   return static_cast<double>(hits) / static_cast<double>(k);
 }
 
@@ -175,32 +149,8 @@ double RecursiveStratifiedEstimator::PlainMonteCarlo(const UncertainGraph& g,
                                                      NodeId s, NodeId t,
                                                      uint32_t k, Rng& rng) {
   if (k == 0 || s == t) return s == t ? 1.0 : 0.0;
-  std::vector<uint32_t> visit_epoch(g.num_nodes(), 0);
-  std::vector<NodeId> queue;
-  queue.reserve(g.num_nodes());
-  uint32_t epoch = 0;
-  uint32_t hits = 0;
-  for (uint32_t i = 0; i < k; ++i) {
-    ++epoch;
-    queue.clear();
-    queue.push_back(s);
-    visit_epoch[s] = epoch;
-    bool reached = false;
-    for (size_t head = 0; head < queue.size() && !reached; ++head) {
-      const NodeId v = queue[head];
-      for (const AdjEntry& a : g.OutEdges(v)) {
-        if (visit_epoch[a.neighbor] == epoch) continue;
-        if (a.prob < 1.0 && !rng.Bernoulli(a.prob)) continue;
-        if (a.neighbor == t) {
-          reached = true;
-          break;
-        }
-        visit_epoch[a.neighbor] = epoch;
-        queue.push_back(a.neighbor);
-      }
-    }
-    if (reached) ++hits;
-  }
+  LazySamplingBfs sampler(g);
+  const uint32_t hits = sampler.CountHits({.source = s, .target = t}, k, rng);
   return static_cast<double>(hits) / static_cast<double>(k);
 }
 

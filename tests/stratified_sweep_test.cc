@@ -261,7 +261,7 @@ TEST(StratifiedSweepTest, BfsSharingSweepsIgnoreStratumCount) {
 TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
   const UncertainGraph graph = RandomSmallGraph(40, 150, 0.3, 0.9, 77);
   EngineOptions options = BaseOptions(8, EstimatorKind::kMonteCarlo, 16);
-  options.num_samples = 2000;   // a sweep heavy enough to overlap claims
+  options.num_samples = 10000;  // a sweep heavy enough to overlap claims
   options.enable_cache = false;
   options.enable_sweep_scout = false;  // isolate query-driven stealing
   auto engine = QueryEngine::Create(graph, options).MoveValue();
