@@ -10,6 +10,7 @@
 #include "graph/datasets.h"
 #include "graph/graph_builder.h"
 #include "graph/possible_world.h"
+#include "reliability/bfs_sharing.h"
 #include "reliability/estimator_factory.h"
 #include "reliability/lazy_sampling_bfs.h"
 
@@ -99,6 +100,34 @@ void BM_LazySamplingBfs(benchmark::State& state, StorageLayout layout) {
 }
 BENCHMARK_CAPTURE(BM_LazySamplingBfs, Raw, StorageLayout::kRaw);
 BENCHMARK_CAPTURE(BM_LazySamplingBfs, Compact, StorageLayout::kCompact);
+
+// BFS Sharing's per-query index update (the paper's Table 15 cost) alone:
+// one in-place resample of all L = 1500 worlds of every edge on
+// LastFM-small, in both storage layouts. `time_per_world_bit` divides the
+// time by m * L.
+void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout) {
+  static const Dataset* dataset = new Dataset(
+      MakeDataset(DatasetId::kLastFm, Scale::kSmall, 7).MoveValue());
+  const UncertainGraph graph =
+      GraphBuilder::FromGraph(dataset->graph).Build(layout).MoveValue();
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  const auto index = BfsSharingIndex::Build(graph, options, 1).MoveValue();
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    index->Resample(graph, ++seed);
+    benchmark::DoNotOptimize(index->edge_words(0));
+    benchmark::ClobberMemory();
+  }
+  state.counters["time_per_world_bit"] = benchmark::Counter(
+      static_cast<double>(graph.num_edges()) * options.index_samples,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_BfsSharingResample, Raw, StorageLayout::kRaw)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BfsSharingResample, Compact, StorageLayout::kCompact)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SampleWorld(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

@@ -1,6 +1,8 @@
 #include "common/bitvector.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/rng.h"
 
@@ -127,28 +129,39 @@ void BitVector::FillBernoulli(double p, Rng& rng) {
 void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                    Rng& rng) {
   const size_t num_words = WordsFor(num_bits);
-  for (size_t w = 0; w < num_words; ++w) words[w] = 0;
-  if (num_bits == 0 || p <= 0.0) return;
+  const size_t rem = num_bits % kWordBits;
   if (p >= 1.0) {
-    for (size_t w = 0; w < num_words; ++w) words[w] = ~0ULL;
-    const size_t rem = num_bits % kWordBits;
-    if (rem != 0) words[num_words - 1] &= (1ULL << rem) - 1;
+    std::fill(words, words + num_words, ~0ULL);
+    if (rem != 0) words[num_words - 1] = (1ULL << rem) - 1;
     return;
   }
-  auto set = [&](size_t i) { words[i / kWordBits] |= 1ULL << (i % kWordBits); };
   // Geometric skipping: expected work O(p * num_bits) instead of O(num_bits),
   // matching how sparse most uncertain-graph edges are.
   if (p < 0.25) {
-    size_t i = rng.Geometric(p);
-    while (i < num_bits) {
-      set(i);
-      i += 1 + rng.Geometric(p);
+    std::fill(words, words + num_words, 0);
+    if (num_bits == 0 || p <= 0.0) return;
+    const double log1m_p = std::log1p(-p);
+    for (size_t i = rng.GeometricFromLog1mP(log1m_p); i < num_bits;
+         i += 1 + rng.GeometricFromLog1mP(log1m_p)) {
+      words[i / kWordBits] |= 1ULL << (i % kWordBits);
     }
     return;
   }
-  for (size_t i = 0; i < num_bits; ++i) {
-    if (rng.Bernoulli(p)) set(i);
-  }
+  // One coin per bit, compared as integers: NextDouble() < p iff
+  // (x >> 11) < ceil(p * 2^53), since p * 2^53 is exact. NaN keeps
+  // threshold 0: it draws every coin and sets none, like Rng::Bernoulli.
+  const uint64_t threshold =
+      std::isnan(p) ? 0 : static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+  auto coins = [&](size_t count) {
+    uint64_t word = 0;
+    for (size_t b = 0; b < count; ++b) {
+      word |= static_cast<uint64_t>((rng.NextU64() >> 11) < threshold) << b;
+    }
+    return word;
+  };
+  const size_t full_words = num_bits / kWordBits;
+  for (size_t w = 0; w < full_words; ++w) words[w] = coins(kWordBits);
+  if (rem != 0) words[full_words] = coins(rem);
 }
 
 bool BitVector::operator==(const BitVector& other) const {

@@ -134,14 +134,28 @@ class BitVector {
   bool OrWithAndWords(const BitVector& a, const uint64_t* b_words,
                       size_t b_num_words, size_t b_offset);
 
-  /// Fills each bit with an independent Bernoulli(p) draw (index sampling).
+  /// Fills each bit with an independent Bernoulli(p) draw (index sampling):
+  /// FillBernoulliWords over this vector's words.
   void FillBernoulli(double p, Rng& rng);
 
-  /// Raw-word form of FillBernoulli, writing `num_bits` draws into `words`
-  /// (which must span at least ceil(num_bits / 64) words; the tail of the
-  /// last word is zeroed). Consumes the identical RNG stream as
-  /// FillBernoulli, so packed and per-vector storage sample bit-identical
-  /// worlds from equal seeds.
+  /// Writes `num_bits` independent Bernoulli(p) draws into `words`, which
+  /// must span at least ceil(num_bits / 64) words; the tail of the last
+  /// word is zeroed. The words written and the RNG position afterwards
+  /// equal those of this reference loop, which is the sampler's
+  /// determinism contract (BFS Sharing worlds depend on it):
+  ///
+  ///   clear all words;
+  ///   if (num_bits > 0 && 0 < p && p < 0.25) {       // geometric skipping
+  ///     for (i = rng.Geometric(p); i < num_bits; i += 1 + rng.Geometric(p))
+  ///       set bit i;
+  ///   } else {                                        // one coin per bit
+  ///     for (i = 0; i < num_bits; ++i) if (rng.Bernoulli(p)) set bit i;
+  ///   }
+  ///
+  /// So p <= 0 and p >= 1 draw nothing, NaN draws num_bits coins and sets
+  /// none, and the 0.25 cut-off fixes how many draws each edge consumes.
+  /// The loop itself never branches on a coin (see
+  /// src/reliability/README.md, "BFS Sharing world sampling").
   static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                  Rng& rng);
 

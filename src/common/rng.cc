@@ -67,14 +67,7 @@ int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
 
 uint64_t Rng::Geometric(double p) {
   if (p >= 1.0) return 0;
-  // Inversion: X = floor(log(U) / log(1 - p)), U in (0, 1).
-  double u = NextDouble();
-  while (u <= 0.0) u = NextDouble();
-  double x = std::floor(std::log(u) / std::log1p(-p));
-  if (x < 0.0) x = 0.0;
-  constexpr double kMax = 9.0e18;
-  if (x > kMax) x = kMax;
-  return static_cast<uint64_t>(x);
+  return GeometricFromLog1mP(std::log1p(-p));
 }
 
 double Rng::Exponential(double lambda) {

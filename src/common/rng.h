@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -107,6 +108,20 @@ class Rng {
   /// the value X means the edge stays absent for X probes and exists on
   /// probe X+1.
   uint64_t Geometric(double p);
+
+  /// The inversion step of Geometric(p), given `log1m_p` = log1p(-p): X =
+  /// floor(log(U) / log1m_p) for U in (0, 1), clamped to [0, 9e18]. Equal
+  /// to Geometric(p) for p < 1, draw for draw; loops that draw many
+  /// variates of one p compute log1p(-p) once and call this.
+  uint64_t GeometricFromLog1mP(double log1m_p) {
+    double u = NextDouble();
+    while (u <= 0.0) u = NextDouble();
+    double x = std::floor(std::log(u) / log1m_p);
+    if (x < 0.0) x = 0.0;
+    constexpr double kMax = 9.0e18;
+    if (x > kMax) x = kMax;
+    return static_cast<uint64_t>(x);
+  }
 
   /// Exponential variate with rate lambda. Precondition: lambda > 0.
   double Exponential(double lambda);

@@ -1,5 +1,6 @@
 #include "reliability/bfs_sharing.h"
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -73,10 +74,10 @@ void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed) {
     backing_.reset();
   }
   Rng rng(seed);
-  // FillBernoulliWords consumes the identical RNG stream as the historical
-  // per-edge BitVector fill, so generations stay bit-identical across the
-  // storage change (and across graph storage layouts, which preserve edge
-  // ids and bitwise probabilities).
+  // One RNG stream over the edges in id order; FillBernoulliWords draws
+  // exactly what its reference loop draws, so generations are a fixed
+  // function of (graph, L, seed) in both graph storage layouts, which
+  // preserve edge ids and bitwise probabilities.
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     BitVector::FillBernoulliWords(words_.data() + e * words_per_edge_,
                                   num_samples_, graph.prob(e), rng);
@@ -422,7 +423,13 @@ Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
                   "worlds L=%u",
                   world_offset, world_offset + k, index.num_samples()));
   }
-  ++epoch_;
+  if (++epoch_ == 0) {
+    // Wrapped: unstamped nodes (0) and nodes stamped 2^32 BFSs ago would
+    // read as visited, with stale node_bits_ sizes. Start over from 1.
+    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0);
+    std::fill(in_queue_epoch_.begin(), in_queue_epoch_.end(), 0);
+    epoch_ = 1;
+  }
   auto visit = [&](NodeId v) {
     visit_epoch_[v] = epoch_;
     BitVector& bv = node_bits_[v];

@@ -281,6 +281,8 @@ class BfsSharingEstimator : public Estimator {
                             MemoryTracker* memory) override;
 
  private:
+  friend class BfsSharingEstimatorTestPeer;  // sets epoch_ to test the wrap
+
   BfsSharingEstimator(const UncertainGraph& graph,
                       std::shared_ptr<const BfsSharingIndex> index);
 

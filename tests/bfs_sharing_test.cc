@@ -1,5 +1,6 @@
 #include "reliability/bfs_sharing.h"
 
+#include <cstdint>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,15 @@
 #include "test_util.h"
 
 namespace relcomp {
+
+/// Test-only access to the estimator's BFS visit epoch.
+class BfsSharingEstimatorTestPeer {
+ public:
+  static void SetEpoch(BfsSharingEstimator& estimator, uint32_t epoch) {
+    estimator.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 using testing::DiamondGraph;
@@ -230,6 +240,32 @@ TEST(BfsSharing, SharedIndexCreateRejectsMismatchedGraph) {
   const UncertainGraph other = RandomSmallGraph(15, 44, 0.2, 0.8, 44);
   EXPECT_FALSE(BfsSharingEstimator::Create(other, index).ok());
   EXPECT_FALSE(BfsSharingEstimator::Create(g, nullptr).ok());
+}
+
+TEST(BfsSharing, EpochWrapAnswersLikeAFreshEstimator) {
+  // Past the uint32 wrap of the visit epoch, neither unstamped nodes nor
+  // nodes stamped before the wrap may read as visited: every answer equals
+  // a fresh estimator's over the same worlds.
+  const UncertainGraph g = RandomSmallGraph(30, 120, 0.3, 0.9, 45);
+  BfsSharingOptions options;
+  options.index_samples = 300;
+  auto index = BfsSharingIndex::Build(g, options, 9).MoveValue();
+  auto wrapped = BfsSharingEstimator::Create(g, index).MoveValue();
+  EstimateOptions opts;
+  opts.num_samples = 300;
+  // Stamp the nodes reachable from 0 at epoch 1, then jump to the end of
+  // the range: the BFSs below run at epochs UINT32_MAX, 1, 2 and 3.
+  ASSERT_TRUE(wrapped->Estimate({0, 15}, opts).ok());
+  BfsSharingEstimatorTestPeer::SetEpoch(*wrapped, UINT32_MAX - 1);
+  for (const NodeId source : {3u, 7u, 0u, 5u}) {
+    auto fresh = BfsSharingEstimator::Create(g, index).MoveValue();
+    EXPECT_EQ(wrapped->ReliabilityFromSource(source, 300).MoveValue(),
+              fresh->ReliabilityFromSource(source, 300).MoveValue())
+        << source;
+  }
+  auto fresh = BfsSharingEstimator::Create(g, index).MoveValue();
+  EXPECT_EQ(wrapped->Estimate({9, 20}, opts)->reliability,
+            fresh->Estimate({9, 20}, opts)->reliability);
 }
 
 TEST(BfsSharing, StatisticallyMatchesMonteCarlo) {

@@ -1,5 +1,9 @@
 #include "common/bitvector.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -268,19 +272,52 @@ TEST(BitVector, OrWithAndWordsMatchesOrWithAndOffset) {
   }
 }
 
-TEST(BitVector, FillBernoulliWordsMatchesMemberFill) {
-  // Identical RNG stream contract: the packed index's word-block fill must
-  // sample exactly the worlds the per-vector fill sampled.
-  for (const double p : {0.05, 0.3, 0.8, 1.0}) {
-    for (const size_t len : {1u, 64u, 100u, 1500u}) {
-      Rng rng_a(99);
-      Rng rng_b(99);
-      BitVector bv(len);
-      bv.FillBernoulli(p, rng_a);
-      std::vector<uint64_t> words((len + 63) / 64, ~uint64_t{0});
-      BitVector::FillBernoulliWords(words.data(), len, p, rng_b);
-      EXPECT_EQ(words, bv.words()) << p << "/" << len;
-      EXPECT_EQ(rng_a.NextU64(), rng_b.NextU64()) << "stream diverged";
+/// The textbook world fill FillBernoulliWords must reproduce draw for draw:
+/// geometric skipping below p = 0.25, one Rng::Bernoulli per bit otherwise
+/// (which draws nothing for p <= 0 or p >= 1, and draws but never sets for
+/// NaN). A zero-length fill draws nothing.
+std::vector<uint64_t> ReferenceFill(size_t num_bits, double p, Rng& rng) {
+  std::vector<uint64_t> words((num_bits + 63) / 64, 0);
+  auto set = [&](size_t i) { words[i / 64] |= uint64_t{1} << (i % 64); };
+  if (num_bits > 0 && p > 0.0 && p < 0.25) {
+    for (size_t i = rng.Geometric(p); i < num_bits; i += 1 + rng.Geometric(p)) {
+      set(i);
+    }
+  } else {
+    for (size_t i = 0; i < num_bits; ++i) {
+      if (rng.Bernoulli(p)) set(i);
+    }
+  }
+  return words;
+}
+
+TEST(BitVector, FillBernoulliWordsMatchesReferenceLoop) {
+  // The worlds, the zeroed tail of the last word (the output starts all
+  // ones) and the RNG position afterwards must all match the reference.
+  const double probs[] = {0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          1e-300,
+                          std::nextafter(0.25, 0.0),
+                          0.25,
+                          1.0 / 3.0,
+                          0.5,
+                          std::nextafter(1.0, 0.0),
+                          1.0,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          -0.5,
+                          1.5};
+  for (const double p : probs) {
+    for (const size_t len : {0u, 1u, 63u, 64u, 65u, 1500u}) {
+      for (const uint64_t seed : {1ULL, 99ULL, 0x5EEDULL}) {
+        Rng rng_ref(seed);
+        Rng rng_fill(seed);
+        const std::vector<uint64_t> expected = ReferenceFill(len, p, rng_ref);
+        std::vector<uint64_t> words((len + 63) / 64, ~uint64_t{0});
+        BitVector::FillBernoulliWords(words.data(), len, p, rng_fill);
+        EXPECT_EQ(words, expected) << p << "/" << len << "/" << seed;
+        EXPECT_EQ(rng_fill.NextU64(), rng_ref.NextU64())
+            << "stream diverged at " << p << "/" << len << "/" << seed;
+      }
     }
   }
 }

@@ -6,7 +6,6 @@
 // conditioning changes a digest. Both storage layouts must reproduce the
 // same digests.
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -22,31 +21,12 @@
 #include "reliability/mc_sampling.h"
 #include "reliability/reliable_set.h"
 #include "reliability/top_k.h"
+#include "test_util.h"
 
 namespace relcomp {
 namespace {
 
-/// FNV-1a over 64-bit words.
-class Digest {
- public:
-  void Add(uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      state_ ^= (word >> (8 * i)) & 0xFF;
-      state_ *= 0x100000001B3ULL;
-    }
-  }
-  void Add(double value) { Add(std::bit_cast<uint64_t>(value)); }
-  void Add(const std::vector<double>& values) {
-    for (double v : values) Add(v);
-  }
-  void Add(const std::vector<uint32_t>& values) {
-    for (uint32_t v : values) Add(static_cast<uint64_t>(v));
-  }
-  uint64_t value() const { return state_; }
-
- private:
-  uint64_t state_ = 0xCBF29CE484222325ULL;
-};
+using testing::Digest;
 
 /// 160 nodes, four random out-edges each, including self-loops and parallel
 /// edges; about a fifth of the edges are certain (p = 1), the rest spread

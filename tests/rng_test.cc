@@ -1,6 +1,8 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +120,32 @@ TEST(Rng, GeometricMeanMatchesTheory) {
 TEST(Rng, GeometricOfOneIsZero) {
   Rng rng(11);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.Geometric(1.0), 0u);
+}
+
+TEST(Rng, GeometricIsTheInversionFormula) {
+  // Geometric(p) and GeometricFromLog1mP(log1p(-p)) are both exactly
+  // floor(log(U) / log1p(-p)) over a nonzero uniform U, clamped to
+  // [0, 9e18] — including for probabilities so small the quotient
+  // overflows to the clamp.
+  for (const double p : {std::numeric_limits<double>::denorm_min(), 1e-300,
+                         1e-3, 0.1, std::nextafter(0.25, 0.0), 0.5}) {
+    Rng reference(17);
+    Rng by_p(17);
+    Rng by_log(17);
+    const double log1m_p = std::log1p(-p);
+    for (int i = 0; i < 500; ++i) {
+      double u = reference.NextDouble();
+      while (u <= 0.0) u = reference.NextDouble();
+      const double x = std::min(
+          std::max(std::floor(std::log(u) / std::log1p(-p)), 0.0), 9.0e18);
+      const uint64_t expected = static_cast<uint64_t>(x);
+      ASSERT_EQ(by_p.Geometric(p), expected) << p;
+      ASSERT_EQ(by_log.GeometricFromLog1mP(log1m_p), expected) << p;
+    }
+    const uint64_t next = reference.NextU64();
+    EXPECT_EQ(by_p.NextU64(), next) << p;
+    EXPECT_EQ(by_log.NextU64(), next) << p;
+  }
 }
 
 TEST(Rng, GeometricChiSquareGoodnessOfFit) {

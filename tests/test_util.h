@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -90,5 +92,28 @@ inline double SamplingTolerance(double truth, uint32_t k, double z = 4.0) {
   const double variance = truth * (1.0 - truth) / static_cast<double>(k);
   return z * std::sqrt(variance) + 1e-9;
 }
+
+/// FNV-1a over 64-bit words: the golden-answer tests pin the exact bits of
+/// estimator outputs and sampled worlds through it.
+class Digest {
+ public:
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      state_ ^= (word >> (8 * i)) & 0xFF;
+      state_ *= 0x100000001B3ULL;
+    }
+  }
+  void Add(double value) { Add(std::bit_cast<uint64_t>(value)); }
+  void Add(const std::vector<double>& values) {
+    for (double v : values) Add(v);
+  }
+  void Add(const std::vector<uint32_t>& values) {
+    for (uint32_t v : values) Add(static_cast<uint64_t>(v));
+  }
+  uint64_t value() const { return state_; }
+
+ private:
+  uint64_t state_ = 0xCBF29CE484222325ULL;
+};
 
 }  // namespace relcomp::testing
