@@ -101,6 +101,100 @@ void BM_LazySamplingBfs(benchmark::State& state, StorageLayout layout) {
 BENCHMARK_CAPTURE(BM_LazySamplingBfs, Raw, StorageLayout::kRaw);
 BENCHMARK_CAPTURE(BM_LazySamplingBfs, Compact, StorageLayout::kCompact);
 
+/// Arcs examined and coins drawn by lazy-sampling BFS samples from s to t.
+struct KernelWork {
+  uint64_t hits = 0;
+  uint64_t arcs = 0;
+  uint64_t draws = 0;
+};
+
+/// A plain loop that draws exactly like LazySamplingBfs::CountHits and
+/// counts its work, so the timed kernel itself carries no counters.
+KernelWork CountKernelWork(const UncertainGraph& graph, NodeId s, NodeId t,
+                           uint32_t samples, Rng& rng) {
+  KernelWork work;
+  std::vector<uint8_t> reached(graph.num_nodes(), 0);
+  std::vector<NodeId> queue;
+  for (uint32_t i = 0; i < samples; ++i) {
+    queue.assign(1, s);
+    reached[s] = 1;
+    bool hit = false;
+    for (size_t head = 0; head < queue.size() && !hit; ++head) {
+      for (const AdjEntry& a : graph.OutEdges(queue[head])) {
+        ++work.arcs;
+        if (reached[a.neighbor]) continue;
+        work.draws += !(a.prob <= 0.0 || a.prob >= 1.0);
+        if (!rng.Bernoulli(a.prob)) continue;
+        if (a.neighbor == t) {
+          hit = true;
+          break;
+        }
+        reached[a.neighbor] = 1;
+        queue.push_back(a.neighbor);
+      }
+    }
+    for (const NodeId v : queue) reached[v] = 0;
+    work.hits += hit;
+  }
+  return work;
+}
+
+// MC s-t shaped like relbench's st_mc_biomine: 8 h = 2 pairs on the BioMine
+// medium analogue at K = 1000, each from its own seed, all 8 per iteration.
+// `time_per_arc` and `time_per_draw` divide the time by the arcs examined
+// and the coins drawn, which CountKernelWork counts before timing starts.
+void BM_LazySamplingBfsSt(benchmark::State& state, StorageLayout layout) {
+  constexpr uint32_t kSamples = 1000;
+  static const Dataset* dataset = new Dataset(
+      MakeDataset(DatasetId::kBioMine, Scale::kMedium, 7).MoveValue());
+  static const std::vector<ReliabilityQuery>* pairs = [] {
+    QueryGenOptions options;
+    options.num_pairs = 8;
+    options.hop_distance = 2;
+    options.seed = 11;
+    return new std::vector<ReliabilityQuery>(
+        GenerateQueries(dataset->graph, options).MoveValue());
+  }();
+  const UncertainGraph graph =
+      GraphBuilder::FromGraph(dataset->graph).Build(layout).MoveValue();
+  LazySamplingBfs sampler(graph);
+  KernelWork work;
+  uint64_t kernel_hits = 0;
+  for (size_t i = 0; i < pairs->size(); ++i) {
+    const ReliabilityQuery& q = (*pairs)[i];
+    Rng reference_rng(i);
+    const KernelWork pair =
+        CountKernelWork(graph, q.source, q.target, kSamples, reference_rng);
+    work.hits += pair.hits;
+    work.arcs += pair.arcs;
+    work.draws += pair.draws;
+    Rng rng(i);
+    kernel_hits += sampler.CountHits({q.source, q.target}, kSamples, rng);
+  }
+  if (kernel_hits != work.hits) {
+    state.SkipWithError("the counting loop disagrees with the kernel");
+    return;
+  }
+  for (auto _ : state) {
+    for (size_t i = 0; i < pairs->size(); ++i) {
+      Rng rng(i);
+      benchmark::DoNotOptimize(sampler.CountHits(
+          {(*pairs)[i].source, (*pairs)[i].target}, kSamples, rng));
+    }
+  }
+  const auto per = [](uint64_t count) {
+    return benchmark::Counter(static_cast<double>(count),
+                              benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+  };
+  state.counters["time_per_arc"] = per(work.arcs);
+  state.counters["time_per_draw"] = per(work.draws);
+}
+BENCHMARK_CAPTURE(BM_LazySamplingBfsSt, Raw, StorageLayout::kRaw)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LazySamplingBfsSt, Compact, StorageLayout::kCompact)
+    ->Unit(benchmark::kMillisecond);
+
 // BFS Sharing's per-query index update (the paper's Table 15 cost) alone:
 // one in-place resample of all L = 1500 worlds of every edge on
 // LastFM-small, in both storage layouts. `time_per_world_bit` divides the

@@ -135,14 +135,19 @@ void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
     if (rem != 0) words[num_words - 1] = (1ULL << rem) - 1;
     return;
   }
+  // The draws go through a local copy of the generator state: a word store
+  // may alias the caller's Rng, so drawing through it would reload and store
+  // the state around every store. The copy goes back on return.
+  ScopedRngState local(rng);
+  RngState& state = local.state();
   // Geometric skipping: expected work O(p * num_bits) instead of O(num_bits),
   // matching how sparse most uncertain-graph edges are.
   if (p < 0.25) {
     std::fill(words, words + num_words, 0);
     if (num_bits == 0 || p <= 0.0) return;
     const double log1m_p = std::log1p(-p);
-    for (size_t i = rng.GeometricFromLog1mP(log1m_p); i < num_bits;
-         i += 1 + rng.GeometricFromLog1mP(log1m_p)) {
+    for (size_t i = state.GeometricFromLog1mP(log1m_p); i < num_bits;
+         i += 1 + state.GeometricFromLog1mP(log1m_p)) {
       words[i / kWordBits] |= 1ULL << (i % kWordBits);
     }
     return;
@@ -155,7 +160,7 @@ void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
   auto coins = [&](size_t count) {
     uint64_t word = 0;
     for (size_t b = 0; b < count; ++b) {
-      word |= static_cast<uint64_t>((rng.NextU64() >> 11) < threshold) << b;
+      word |= static_cast<uint64_t>((state.Next() >> 11) < threshold) << b;
     }
     return word;
   };

@@ -40,7 +40,7 @@ uint32_t StratumSampleOffset(uint32_t num_samples, uint32_t num_strata,
 
 void Rng::Reseed(uint64_t seed) {
   uint64_t sm = seed;
-  for (auto& word : s_) word = SplitMix64(sm);
+  for (auto& word : state_.s) word = SplitMix64(sm);
   has_cached_normal_ = false;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -53,6 +54,60 @@ uint32_t StratumSampleOffset(uint32_t num_samples, uint32_t num_strata,
                              uint32_t stratum);
 /// @}
 
+/// \brief The xoshiro256** generator as a plain value: its four state words
+/// and the draws the sampling kernels make from them.
+///
+/// `Rng` steps through one of these, so the generator is written once. It is
+/// trivially copyable so that a kernel can draw from a local copy
+/// (ScopedRngState). A local whose address never escapes stays in registers.
+/// The caller's `Rng`, reached through a reference, does not: a store through
+/// a `uint8_t*` or `uint64_t*` may alias it, so the compiler reloads and
+/// stores its state around every such store.
+struct RngState {
+  uint64_t s[4] = {};
+
+  /// Next raw 64-bit value.
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+    return result;
+  }
+
+  /// Uniform double in [0, 1) with 53 bits of randomness.
+  double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+
+  /// Bernoulli trial: true with probability p (clamped to [0, 1]). Draws
+  /// one value iff p is in (0, 1) (or NaN): p <= 0 and p >= 1 decide
+  /// without consuming randomness.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
+
+  /// Inversion step of a geometric variate, given `log1m_p` = log1p(-p):
+  /// X = floor(log(U) / log1m_p) for U in (0, 1), clamped to [0, 9e18]. A
+  /// NaN quotient reads as 9e18.
+  uint64_t GeometricFromLog1mP(double log1m_p) {
+    double u = NextDouble();
+    while (u <= 0.0) u = NextDouble();
+    // For q >= 0, truncation toward zero is floor, so the clamped q converts
+    // with one signed truncation; 9e18 < 2^63 keeps it in range. The first
+    // clamp also catches +inf and NaN, which must not reach the conversion.
+    constexpr double kMax = 9.0e18;
+    double q = std::log(u) / log1m_p;
+    q = q < kMax ? q : kMax;
+    q = q > 0.0 ? q : 0.0;
+    return static_cast<uint64_t>(static_cast<int64_t>(q));
+  }
+};
+
 /// \brief Deterministic pseudo-random number generator (xoshiro256**).
 ///
 /// All stochastic components of the library draw from this class so that
@@ -67,24 +122,11 @@ class Rng {
   /// Re-initializes the state from `seed` (SplitMix64 expansion).
   void Reseed(uint64_t seed);
 
-  /// Next raw 64-bit value. Inline (like NextDouble and Bernoulli): the
-  /// sampling kernels draw once per visited edge.
-  uint64_t NextU64() {
-    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = Rotl(s_[3], 45);
-    return result;
-  }
+  /// Next raw 64-bit value. Inline, like every draw RngState makes.
+  uint64_t NextU64() { return state_.Next(); }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
-  double NextDouble() {
-    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-  }
+  double NextDouble() { return state_.NextDouble(); }
 
   /// Uniform integer in [0, n). Precondition: n > 0.
   uint64_t UniformInt(uint64_t n);
@@ -95,11 +137,7 @@ class Rng {
   /// Bernoulli trial: true with probability p (clamped to [0, 1]). Draws
   /// one value iff p is in (0, 1) (or NaN): p <= 0 and p >= 1 decide
   /// without consuming randomness.
-  bool Bernoulli(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return NextDouble() < p;
-  }
+  bool Bernoulli(double p) { return state_.Bernoulli(p); }
 
   /// Number of failures before the first success of a Bernoulli(p) process
   /// (support {0, 1, 2, ...}). Precondition: 0 < p <= 1.
@@ -114,13 +152,7 @@ class Rng {
   /// to Geometric(p) for p < 1, draw for draw; loops that draw many
   /// variates of one p compute log1p(-p) once and call this.
   uint64_t GeometricFromLog1mP(double log1m_p) {
-    double u = NextDouble();
-    while (u <= 0.0) u = NextDouble();
-    double x = std::floor(std::log(u) / log1m_p);
-    if (x < 0.0) x = 0.0;
-    constexpr double kMax = 9.0e18;
-    if (x > kMax) x = kMax;
-    return static_cast<uint64_t>(x);
+    return state_.GeometricFromLog1mP(log1m_p);
   }
 
   /// Exponential variate with rate lambda. Precondition: lambda > 0.
@@ -134,11 +166,30 @@ class Rng {
   Rng Split();
 
  private:
-  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+  friend class ScopedRngState;
 
-  uint64_t s_[4];
+  RngState state_;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// \brief Draws from a local copy of an `Rng`'s state for the length of a
+/// scope: the constructor copies the state out and the destructor writes it
+/// back, so the `Rng` ends where the draws through state() left it, on every
+/// exit, early returns included. The sampling kernels' hot loops draw
+/// through one (see RngState). Do not use the `Rng` itself while one lives.
+class ScopedRngState {
+ public:
+  explicit ScopedRngState(Rng& rng) : rng_(rng), state_(rng.state_) {}
+  ~ScopedRngState() { rng_.state_ = state_; }
+  ScopedRngState(const ScopedRngState&) = delete;
+  ScopedRngState& operator=(const ScopedRngState&) = delete;
+
+  RngState& state() { return state_; }
+
+ private:
+  Rng& rng_;
+  RngState state_;
 };
 
 }  // namespace relcomp

@@ -96,10 +96,6 @@ class UncertainGraph {
     size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
 
-    /// The entries as a contiguous array in the raw layout (hot loops walk
-    /// it directly); nullptr in the compact layout, which decodes per entry.
-    const AdjEntry* data() const { return raw_; }
-
     AdjEntry operator[](size_t i) const {
       if (raw_ != nullptr) return raw_[i];
       return compact_->EntryAt(*dir_, begin_slot_ + i);
@@ -144,6 +140,21 @@ class UncertainGraph {
     return AdjacencyRange(&compact_, &compact_.out(), begin,
                           compact_.OutOffset(v + 1) - begin);
   }
+
+  /// \brief Base pointers of the raw layout's outgoing CSR: the out-edges
+  /// of v are adj[offsets[v]] up to, not including, adj[offsets[v + 1]].
+  struct RawOutCsr {
+    const uint32_t* offsets = nullptr;
+    const AdjEntry* adj = nullptr;
+  };
+  /// The raw layout's outgoing CSR, for hot loops that keep its base
+  /// pointers in registers rather than calling OutEdges per node. Both
+  /// pointers are null in the compact layout.
+  RawOutCsr raw_out_csr() const {
+    if (layout_ != StorageLayout::kRaw) return {};
+    return {out_offsets_.data(), out_adj_.data()};
+  }
+
   /// Incoming adjacency of `v` (AdjEntry::neighbor is the edge tail).
   AdjacencyRange InEdges(NodeId v) const {
     if (layout_ == StorageLayout::kRaw) {

@@ -56,12 +56,21 @@ DistanceConstrainedRecursive::DistanceConstrainedRecursive(
       visit_epoch_(graph.num_nodes(), 0),
       sampler_(graph) {}
 
+void DistanceConstrainedRecursive::NextEpoch() {
+  if (++epoch_ == 0) {
+    // Wrapped: unstamped nodes (0) and nodes stamped 2^32 searches ago would
+    // read as visited. Start over from 1.
+    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0);
+    epoch_ = 1;
+  }
+}
+
 template <typename KeepFn>
 uint32_t DistanceConstrainedRecursive::BoundedDistance(
     NodeId s, NodeId t, uint32_t max_hops, const std::vector<EdgeState>& states,
     KeepFn keep) {
   if (s == t) return 0;
-  ++epoch_;
+  NextEpoch();
   queue_.clear();
   depth_.clear();
   queue_.push_back(s);
@@ -87,7 +96,7 @@ EdgeId DistanceConstrainedRecursive::SelectEdge(
     const std::vector<EdgeState>& states) {
   // DFS over included edges, depth-bounded; first undetermined out-edge of a
   // node still within the hop budget wins.
-  ++epoch_;
+  NextEpoch();
   std::vector<std::pair<NodeId, uint32_t>> stack;
   stack.emplace_back(query.source, 0);
   visit_epoch_[query.source] = epoch_;

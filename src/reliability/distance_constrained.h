@@ -56,8 +56,13 @@ class DistanceConstrainedRecursive {
                           MemoryTracker* memory = nullptr);
 
  private:
+  friend class DistanceConstrainedRecursiveTestPeer;  // sets epoch_
+
   double Recurse(const DistanceConstrainedQuery& query, uint32_t k,
                  std::vector<EdgeState>& states, Rng& rng);
+  /// Starts a new bounded search: advances epoch_, clearing the marks when
+  /// it wraps.
+  void NextEpoch();
   double BaseMonteCarlo(const DistanceConstrainedQuery& query, uint32_t k,
                         const std::vector<EdgeState>& states, Rng& rng);
   /// Hop distance from s to t over edges whose state passes `keep`;

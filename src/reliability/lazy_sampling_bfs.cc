@@ -1,5 +1,7 @@
 #include "reliability/lazy_sampling_bfs.h"
 
+#include <span>
+
 namespace relcomp {
 
 namespace {
@@ -8,39 +10,53 @@ namespace {
 /// identical for any cadence: a cancelled call abandons everything.
 constexpr uint32_t kCancelPollStride = 64;
 
-/// Raw layout: the adjacency is one contiguous AdjEntry array per node.
-struct RawArcs {
-  template <typename Visit>
-  static bool ForEach(const UncertainGraph& graph, NodeId v, Visit& visit) {
-    const UncertainGraph::AdjacencyRange range = graph.OutEdges(v);
-    for (const AdjEntry *a = range.data(), *end = a + range.size(); a != end;
-         ++a) {
-      if (visit(*a)) return true;
-    }
-    return false;
+/// Raw layout: each node's arcs are a pointer range into one AdjEntry
+/// array, found from the CSR base pointers the kernel holds in registers.
+class RawArcs {
+ public:
+  explicit RawArcs(const UncertainGraph& graph) : csr_(graph.raw_out_csr()) {}
+
+  std::span<const AdjEntry> Of(NodeId v) const {
+    return {csr_.adj + csr_.offsets[v], csr_.adj + csr_.offsets[v + 1]};
   }
+
+  /// Starts loading the first line of v's arcs, so a node expanded next is
+  /// not a cache miss.
+  void Prefetch(NodeId v) const {
+    __builtin_prefetch(csr_.adj + csr_.offsets[v]);
+  }
+
+ private:
+  const UncertainGraph::RawOutCsr csr_;
 };
 
 /// Compact layout: entries are decoded one at a time.
-struct DecodedArcs {
-  template <typename Visit>
-  static bool ForEach(const UncertainGraph& graph, NodeId v, Visit& visit) {
-    for (const AdjEntry& a : graph.OutEdges(v)) {
-      if (visit(a)) return true;
-    }
-    return false;
+class DecodedArcs {
+ public:
+  explicit DecodedArcs(const UncertainGraph& graph) : graph_(graph) {}
+
+  UncertainGraph::AdjacencyRange Of(NodeId v) const {
+    return graph_.OutEdges(v);
   }
+
+  /// Nothing to warm: a decode reads several packed columns.
+  void Prefetch(NodeId) const {}
+
+ private:
+  const UncertainGraph& graph_;
 };
 
-/// Plain sampling: Rng::Bernoulli, which draws only for 0 < P(e) < 1.
+/// Plain sampling: Bernoulli(P(e)), which draws only for 0 < P(e) < 1.
 struct EdgeCoin {
-  bool Toss(Rng& rng, const AdjEntry& a) const { return rng.Bernoulli(a.prob); }
+  bool Toss(RngState& rng, const AdjEntry& a) const {
+    return rng.Bernoulli(a.prob);
+  }
 };
 
 /// Conditioned sampling: kIncluded / kExcluded edges decide without a draw.
 struct ConditionedCoin {
   const EdgeState* states;
-  bool Toss(Rng& rng, const AdjEntry& a) const {
+  bool Toss(RngState& rng, const AdjEntry& a) const {
     switch (states[a.edge]) {
       case EdgeState::kIncluded:
         return true;
@@ -68,39 +84,50 @@ template <typename Arcs, typename Coin, typename Sink>
 bool LazySamplingBfs::Run(const Walk& walk, uint32_t num_samples, Rng& rng,
                           const Coin& coin, const CancelToken* cancel,
                           Sink& sink) {
+  // Everything the loop reads per arc or per node lives in locals, the RNG
+  // state included: a byte store to `reached` may alias any object, so
+  // fields read through `this`, `walk` or `rng` would be reloaded around it.
   uint8_t* const reached = reached_.data();
   NodeId* const queue = queue_.data();
-  size_t tail = 0;
-  // One arc of the BFS frontier; returns true iff the toss reached the
-  // target (the sample ends there, its draws consumed up to this one).
-  auto visit = [&](const AdjEntry& a) {
-    const NodeId w = a.neighbor;
-    if (reached[w]) return false;
-    const bool take = coin.Toss(rng, a);
-    if (take & (w == walk.target)) return true;
-    reached[w] = take;
-    queue[tail] = w;
-    tail += take;
-    return false;
-  };
+  const NodeId source = walk.source;
+  const NodeId target = walk.target;
+  const uint32_t max_hops = walk.max_hops;
+  const Arcs arcs(graph_);
+  ScopedRngState local(rng);
+  RngState& state = local.state();
   for (uint32_t i = 0; i < num_samples; ++i) {
     if (cancel != nullptr && i % kCancelPollStride == 0 &&
         cancel->Cancelled()) {
       return false;
     }
-    queue[0] = walk.source;
-    reached[walk.source] = 1;
-    tail = 1;
+    queue[0] = source;
+    reached[source] = 1;
+    size_t tail = 1;
     bool hit = false;
     uint32_t depth = 0;
     size_t level_end = 1;
-    for (size_t head = 0; head < tail && !hit; ++head) {
+    for (size_t head = 0; head < tail; ++head) {
       if (head == level_end) {
         ++depth;
         level_end = tail;
       }
-      if (depth >= walk.max_hops) break;
-      hit = Arcs::ForEach(graph_, queue[head], visit);
+      if (depth >= max_hops) break;
+      if (head + 1 < tail) arcs.Prefetch(queue[head + 1]);
+      for (const AdjEntry& a : arcs.Of(queue[head])) {
+        const NodeId w = a.neighbor;
+        if (reached[w]) continue;
+        const bool take = coin.Toss(state, a);
+        // The toss that reaches the target ends the sample: the next one
+        // continues the stream from the draw after it.
+        if (take & (w == target)) {
+          hit = true;
+          break;
+        }
+        reached[w] = take;
+        queue[tail] = w;
+        tail += take;
+      }
+      if (hit) break;
     }
     for (size_t j = 0; j < tail; ++j) reached[queue[j]] = 0;
     sink(hit, queue, tail);

@@ -35,10 +35,13 @@ namespace relcomp {
 /// Hot-loop shape: the coin outcome never steers a branch. A tossed arc is
 /// appended to the BFS queue unconditionally and the queue tail advances by
 /// the 0/1 outcome, and the reached mark is stored the same way, so a coin
-/// near 50/50 never mispredicts. The raw layout walks its adjacency arrays
-/// by pointer. Reached marks are one byte per node, reset after each sample
-/// through the queue that recorded them, so they need no epoch counter
-/// (nor a wrap-around clear).
+/// near 50/50 never mispredicts. The RNG state, the walk and the raw CSR
+/// base pointers are copied into locals, so they stay in registers across
+/// the byte stores (a ScopedRngState writes the state back on every exit);
+/// in the raw layout the next queued node's arcs are prefetched. Reached
+/// marks are one byte per node, reset after each sample through the queue
+/// that recorded them, so they need no epoch counter (nor a wrap-around
+/// clear). See src/reliability/README.md, "Hot-loop shape".
 ///
 /// Not thread-safe: one instance per thread (estimators own one each).
 class LazySamplingBfs {

@@ -39,6 +39,15 @@ Result<double> RecursiveEstimator::DoEstimate(const ReliabilityQuery& query,
   return r;
 }
 
+void RecursiveEstimator::NextEpoch() {
+  if (++epoch_ == 0) {
+    // Wrapped: unstamped nodes (0) and nodes stamped 2^32 checks ago would
+    // read as visited. Start over from 1.
+    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0);
+    epoch_ = 1;
+  }
+}
+
 double RecursiveEstimator::Recurse(NodeId s, NodeId t, uint32_t k,
                                    std::vector<EdgeState>& states, Rng& rng,
                                    MemoryTracker* memory, size_t depth) {
@@ -57,7 +66,7 @@ double RecursiveEstimator::Recurse(NodeId s, NodeId t, uint32_t k,
   // pick the next expandable edge (an undetermined out-edge of the
   // certainly-reached component) per the configured strategy — depth-first
   // expansion is [20]'s experimentally best choice and the default.
-  ++epoch_;
+  NextEpoch();
   queue_.clear();
   queue_.push_back(s);
   visit_epoch_[s] = epoch_;
@@ -99,7 +108,7 @@ double RecursiveEstimator::Recurse(NodeId s, NodeId t, uint32_t k,
   }
 
   // Cut check: is t still reachable when only excluded edges are removed?
-  ++epoch_;
+  NextEpoch();
   queue_.clear();
   queue_.push_back(s);
   visit_epoch_[s] = epoch_;

@@ -80,8 +80,13 @@ class RecursiveEstimator : public Estimator {
                             MemoryTracker* memory) override;
 
  private:
+  friend class RecursiveEstimatorTestPeer;  // sets epoch_ to test the wrap
+
   double Recurse(NodeId s, NodeId t, uint32_t k, std::vector<EdgeState>& states,
                  Rng& rng, MemoryTracker* memory, size_t depth);
+  /// Starts a new reachability check: advances epoch_, clearing the marks
+  /// when it wraps.
+  void NextEpoch();
   /// Non-recursive base case: MC over the residual graph conditioned on
   /// `states` (included edges always exist, excluded never, the rest tossed).
   double BaseMonteCarlo(NodeId s, NodeId t, uint32_t k,

@@ -1,11 +1,23 @@
 #include "reliability/distance_constrained.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "reliability/exact.h"
 #include "test_util.h"
 
 namespace relcomp {
+
+/// Test-only access to the recursive estimator's search epoch.
+class DistanceConstrainedRecursiveTestPeer {
+ public:
+  static void SetEpoch(DistanceConstrainedRecursive& estimator,
+                       uint32_t epoch) {
+    estimator.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 using testing::DiamondGraph;
@@ -111,6 +123,39 @@ TEST(DistanceConstrained, PaperWorkloadDistanceTwo) {
   DistanceConstrainedMonteCarlo mc(g);
   EXPECT_NEAR(*mc.Estimate({0, 2, 2}, 30000, 5), bounded,
               SamplingTolerance(bounded, 30000, 4.5));
+}
+
+TEST(DistanceConstrainedRecursive, EpochWrapAnswersLikeAFreshEstimator) {
+  // Past the uint32 wrap of the search epoch, neither unstamped nodes nor
+  // nodes stamped before the wrap may read as visited by the bounded path
+  // and cut searches: every answer equals a fresh estimator's. The wrap
+  // lands on the first query's path search (UINT32_MAX) or on its cut
+  // search (UINT32_MAX - 1). A warm-up query one sample over the base-case
+  // threshold (5) runs one path, one cut and one edge search, leaving stale
+  // stamps at epochs 1 to 3. No target is adjacent to its source, so every
+  // search walks.
+  const UncertainGraph g = GraphFromString(
+      "0 1 0.6\n0 2 0.5\n1 3 0.7\n1 4 0.4\n2 3 0.5\n2 4 0.8\n"
+      "3 5 0.6\n3 6 0.5\n4 5 0.5\n4 6 0.7\n5 7 0.6\n6 7 0.5\n");
+  const DistanceConstrainedQuery queries[] = {
+      {0, 7, 4}, {1, 7, 3}, {0, 6, 3}, {0, 7, 5}};
+  for (const bool warm : {false, true}) {
+    for (const uint32_t start : {UINT32_MAX - 1, UINT32_MAX}) {
+      DistanceConstrainedRecursive wrapped(g);
+      if (warm) {
+        ASSERT_TRUE(wrapped.Estimate({0, 7, 4}, 6, 1).ok());
+      }
+      DistanceConstrainedRecursiveTestPeer::SetEpoch(wrapped, start);
+      DistanceConstrainedRecursive fresh(g);
+      for (const DistanceConstrainedQuery& q : queries) {
+        const uint64_t seed = q.source * 100 + q.target;
+        EXPECT_EQ(*wrapped.Estimate(q, 400, seed),
+                  *fresh.Estimate(q, 400, seed))
+            << "warm=" << warm << " start=" << start << " s=" << q.source
+            << " t=" << q.target;
+      }
+    }
+  }
 }
 
 }  // namespace

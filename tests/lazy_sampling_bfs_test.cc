@@ -183,6 +183,7 @@ TEST(LazySamplingBfsEdgeTest, CancelledTokenReturnsStatusAndNoCount) {
   CancelToken token;
   token.Cancel();
   Rng rng(1);
+  Rng untouched(1);
   const Result<uint32_t> hits =
       sampler.CountHits({.source = 0, .target = 5}, 100, rng, &token);
   EXPECT_EQ(hits.status().code(), StatusCode::kCancelled);
@@ -190,12 +191,15 @@ TEST(LazySamplingBfsEdgeTest, CancelledTokenReturnsStatusAndNoCount) {
   EXPECT_EQ(
       sampler.AccumulateReached({.source = 0}, 100, rng, reach, &token).code(),
       StatusCode::kCancelled);
-  // A live token changes nothing.
+  // Cancelled before the first sample: nothing was drawn.
+  EXPECT_EQ(rng.NextU64(), untouched.NextU64());
+  // A live token changes nothing, the RNG position included.
   CancelToken live;
   Rng a(2);
   Rng b(2);
   EXPECT_EQ(*sampler.CountHits({.source = 0, .target = 5}, 300, a, &live),
             sampler.CountHits({.source = 0, .target = 5}, 300, b));
+  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 TEST(LazySamplingBfsEdgeTest, WorkingBytesIsOneBytePlusOneNodeIdPerNode) {

@@ -1,5 +1,7 @@
 #include "reliability/recursive_sampling.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
@@ -8,6 +10,15 @@
 #include "test_util.h"
 
 namespace relcomp {
+
+/// Test-only access to the estimator's reachability-check epoch.
+class RecursiveEstimatorTestPeer {
+ public:
+  static void SetEpoch(RecursiveEstimator& estimator, uint32_t epoch) {
+    estimator.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 using testing::DiamondGraph;
@@ -180,6 +191,42 @@ TEST(Recursive, DeterministicPerSeed) {
   opts.seed = 42;
   EXPECT_DOUBLE_EQ(rhh.Estimate({0, 9}, opts)->reliability,
                    rhh.Estimate({0, 9}, opts)->reliability);
+}
+
+TEST(Recursive, EpochWrapAnswersLikeAFreshEstimator) {
+  // Past the uint32 wrap of the check epoch, neither unstamped nodes nor
+  // nodes stamped before the wrap may read as visited by the path and cut
+  // checks: every answer equals a fresh estimator's. The wrap lands on the
+  // first query's path check (UINT32_MAX) or on its cut check
+  // (UINT32_MAX - 1). A warm-up query one sample over the base-case
+  // threshold runs one path and one cut check, leaving stale stamps at
+  // epochs 1 and 2. No target is adjacent to its source, so both checks
+  // must walk.
+  const UncertainGraph g = GraphFromString(
+      "0 1 0.6\n0 2 0.5\n1 3 0.7\n1 4 0.4\n2 3 0.5\n2 4 0.8\n"
+      "3 5 0.6\n3 6 0.5\n4 5 0.5\n4 6 0.7\n5 7 0.6\n6 7 0.5\n");
+  const ReliabilityQuery queries[] = {{0, 7}, {1, 7}, {0, 6}, {0, 7}};
+  EstimateOptions opts;
+  opts.num_samples = 400;
+  for (const bool warm : {false, true}) {
+    for (const uint32_t start : {UINT32_MAX - 1, UINT32_MAX}) {
+      RecursiveEstimator wrapped(g);
+      if (warm) {
+        EstimateOptions warm_up;
+        warm_up.num_samples = RecursiveSamplingOptions().threshold + 1;
+        ASSERT_TRUE(wrapped.Estimate({0, 7}, warm_up).ok());
+      }
+      RecursiveEstimatorTestPeer::SetEpoch(wrapped, start);
+      RecursiveEstimator fresh(g);
+      for (const ReliabilityQuery& q : queries) {
+        opts.seed = q.source * 100 + q.target;
+        EXPECT_EQ(wrapped.Estimate(q, opts)->reliability,
+                  fresh.Estimate(q, opts)->reliability)
+            << "warm=" << warm << " start=" << start << " s=" << q.source
+            << " t=" << q.target;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -146,6 +146,22 @@ TEST(Rng, GeometricIsTheInversionFormula) {
     EXPECT_EQ(by_p.NextU64(), next) << p;
     EXPECT_EQ(by_log.NextU64(), next) << p;
   }
+  // p = 1: log1m_p = -inf, so every quotient is +0. The inversion still
+  // draws one uniform per variate (Geometric(1) itself draws nothing).
+  Rng reference(18);
+  Rng by_log(18);
+  for (int i = 0; i < 500; ++i) {
+    double u = reference.NextDouble();
+    while (u <= 0.0) u = reference.NextDouble();
+    ASSERT_EQ(by_log.GeometricFromLog1mP(
+                  -std::numeric_limits<double>::infinity()),
+              0u);
+  }
+  EXPECT_EQ(by_log.NextU64(), reference.NextU64());
+  // A NaN quotient reads as the upper clamp; it never reaches the integer
+  // conversion.
+  EXPECT_EQ(by_log.GeometricFromLog1mP(std::nan("")),
+            uint64_t{9'000'000'000'000'000'000});
 }
 
 TEST(Rng, GeometricChiSquareGoodnessOfFit) {
