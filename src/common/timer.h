@@ -40,6 +40,19 @@ class StopwatchNs {
   uint64_t start_ns_;
 };
 
+/// Absolute StopwatchNs deadline `seconds` after `start_ns`, or 0 — never —
+/// when `seconds` is not positive, is NaN or infinite, or puts the deadline
+/// past the clock's range. Every seconds-to-deadline conversion goes through
+/// here: a bare `static_cast<uint64_t>(seconds * 1e9)` is undefined from
+/// about 1.8e10 s up, and in practice yields a deadline already passed.
+inline uint64_t DeadlineAfter(uint64_t start_ns, double seconds) {
+  if (!(seconds > 0.0)) return 0;
+  const double ns = seconds * 1e9;
+  if (!(ns < 0x1p64)) return 0;
+  const uint64_t delta = static_cast<uint64_t>(ns);
+  return delta >= ~start_ns ? 0 : start_ns + delta;
+}
+
 /// \brief Monotonic wall-clock stopwatch used by all experiment code.
 /// A seconds-facing view over the same steady clock as StopwatchNs.
 class Timer {

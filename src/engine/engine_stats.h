@@ -9,8 +9,7 @@
 #include "common/fault_injection.h"
 #include "common/memory_tracker.h"
 #include "engine/generation_prebuilder.h"
-#include "engine/result_cache.h"
-#include "engine/sweep_cache.h"
+#include "engine/ttl_cache.h"
 #include "eval/table.h"
 #include "obs/metrics.h"
 #include "reliability/workload.h"
@@ -47,11 +46,9 @@ struct EngineStatsSnapshot {
   /// Queries that missed their deadline or were cancelled (these DO count:
   /// they are a subset of `failures`).
   uint64_t deadline_exceeded = 0;
-  /// Queries answered from a TTL-expired cache entry inside the stale
-  /// window. Orthogonal to the outcome partition: a stale result-cache hit
-  /// counts in cache hits, a query *derived* from a stale sweep counts in
-  /// executed / coalesced. The per-cache split is in `cache` /
-  /// `sweep_cache` stale_served.
+  /// Queries answered from a TTL-expired result-cache entry inside the stale
+  /// window (they also count in cache hits). Sweeps are cached immortal, so
+  /// `sweep_cache.stale_served` stays 0.
   uint64_t stale_served = 0;
   /// Faults injected by the active FaultInjector plan (all sites summed;
   /// zero in production where the injector is disabled).
@@ -131,9 +128,9 @@ struct EngineStatsSnapshot {
   /// Resident index footprint of the engine's replica set, shared indexes
   /// counted once (see IndexMemoryReport).
   IndexMemoryReport index_memory;
-  ResultCacheStats cache;
+  CacheStats cache;
   /// Sweep memoization effectiveness (zeros when the sweep cache is off).
-  SweepCacheStats sweep_cache;
+  CacheStats sweep_cache;
   /// Background generation prebuilding (zeros when the prebuilder is off or
   /// the estimator kind has no prepared-generation support).
   GenerationPrebuilderStats prebuilder;

@@ -80,7 +80,7 @@ class StageTimer {
 /// configuration (or another master seed) can never resurface a wrong
 /// answer. Decoders return false on any truncation or shape violation.
 /// @{
-std::string EncodeSweepRecord(const SweepCacheExport& entry) {
+std::string EncodeSweepRecord(const SweepCache::Export& entry) {
   std::string out;
   WireWriter writer(&out);
   writer.PutU8(static_cast<uint8_t>(entry.key.kind));
@@ -88,8 +88,8 @@ std::string EncodeSweepRecord(const SweepCacheExport& entry) {
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
   writer.PutF64(entry.ttl_seconds);
-  writer.PutU64(entry.sweep->size());
-  for (const double v : *entry.sweep) writer.PutF64(v);
+  writer.PutU64(entry.value->size());
+  for (const double v : *entry.value) writer.PutF64(v);
   return out;
 }
 
@@ -115,7 +115,7 @@ bool DecodeSweepRecord(const std::string& payload, SweepCacheKey* key,
   return true;
 }
 
-std::string EncodeResultRecord(const ResultCacheExport& entry) {
+std::string EncodeResultRecord(const ResultCache::Export& entry) {
   std::string out;
   WireWriter writer(&out);
   const EngineQuery& q = entry.key.query;
@@ -216,8 +216,9 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
         options_.cache_max_bytes, registry_.get());
   }
   if (options_.enable_sweep_cache) {
-    sweep_cache_ = std::make_unique<SweepCache>(options_.sweep_cache_max_bytes,
-                                                registry_.get());
+    sweep_cache_ = std::make_unique<SweepCache>(
+        SweepCache::kNoEntryLimit, /*num_shards=*/1,
+        options_.sweep_cache_max_bytes, registry_.get());
   }
   if (options_.enable_generation_prebuild && !replicas_.empty() &&
       replicas_.front()->SupportsPreparedGenerations()) {
@@ -282,8 +283,7 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   if (opts.num_samples == 0) {
     return Status::InvalidArgument("EngineOptions::num_samples must be > 0");
   }
-  if (opts.cache_ttl < 0.0 || opts.negative_cache_ttl < 0.0 ||
-      opts.scout_warm_ttl < 0.0) {
+  if (opts.cache_ttl < 0.0 || opts.negative_cache_ttl < 0.0) {
     return Status::InvalidArgument("EngineOptions TTLs must be >= 0");
   }
   // The registry exists before anything else so the persistence tier's
@@ -424,7 +424,7 @@ Status QueryEngine::FlushWarmState() {
   std::lock_guard<std::mutex> lock(journal_mutex_);
   size_t appended = 0;
   if (sweep_cache_ != nullptr) {
-    for (const SweepCacheExport& entry : sweep_cache_->ExportEntries()) {
+    for (const SweepCache::Export& entry : sweep_cache_->ExportEntries()) {
       if (!journaled_sweeps_.insert(entry.key.Hash()).second) continue;
       RELCOMP_RETURN_NOT_OK(
           store_->AppendWarm(kJournalRecordSweep, EncodeSweepRecord(entry)));
@@ -432,7 +432,7 @@ Status QueryEngine::FlushWarmState() {
     }
   }
   if (cache_ != nullptr) {
-    for (const ResultCacheExport& entry : cache_->ExportEntries()) {
+    for (const ResultCache::Export& entry : cache_->ExportEntries()) {
       if (!journaled_results_.insert(entry.key.Hash()).second) continue;
       RELCOMP_RETURN_NOT_OK(
           store_->AppendWarm(kJournalRecordResult, EncodeResultRecord(entry)));
@@ -702,28 +702,19 @@ bool QueryEngine::TryServeWithoutCompute(
   // an already-computed answer is strictly more useful than a deadline
   // error, even to a late caller.
   if (cache_ != nullptr) {
-    std::optional<ResultCacheValue> hit;
-    bool stale = false;
-    bool refresh_owner = false;
+    // With max_stale_seconds == 0 this is a plain Lookup.
+    ResultCache::StaleLookup hit;
     {
       StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
                        parent, /*detail=*/0);
-      if (options_.max_stale_seconds > 0.0) {
-        StaleLookupResult swr =
-            cache_->LookupStale(key, options_.max_stale_seconds);
-        hit = std::move(swr.value);
-        stale = swr.stale;
-        refresh_owner = swr.refresh_owner;
-      } else {
-        hit = cache_->Lookup(key);
-      }
+      hit = cache_->LookupStale(key, options_.max_stale_seconds);
     }
-    if (hit) {
-      const bool negative = hit->negative();
-      FillFromValue(std::move(*hit), slot);
+    if (hit.value) {
+      const bool negative = hit.value->negative();
+      FillFromValue(std::move(*hit.value), slot);
       slot->seconds = 0.0;
       slot->cache_hit = true;
-      slot->served_stale = stale;
+      slot->served_stale = hit.stale;
       if (negative) {
         // Failure backoff: the cached error is served without recomputing.
         // Counted as a failure (and as a cache negative_hit), never as a
@@ -732,9 +723,9 @@ bool QueryEngine::TryServeWithoutCompute(
         stats_.RecordFailure(0.0);
       } else {
         stats_.RecordCacheHit();
-        if (stale) stats_.RecordStaleServed();
+        if (hit.stale) stats_.RecordStaleServed();
       }
-      if (refresh_owner) ScheduleResultRefresh(key);
+      if (hit.refresh_owner) ScheduleResultRefresh(key);
       return true;
     }
   }
@@ -863,28 +854,13 @@ void QueryEngine::FinishFlight(const ResultCacheKey& key,
 }
 
 void QueryEngine::RequestPrebuild(const EngineQuery& query) {
-  const QueryPlan plan = PlanFor(query);
   // The prebuilder's build prototype is a static-kind replica: generations
-  // it resamples only fit static-kind plans. A query routed onto another
-  // backend will never adopt one, so don't build it.
-  if (plan.kind != options_.kind) return;
-  const uint64_t query_seed = SeedForPlan(query, plan);
-  // A query the caches will serve never prepares a replica — building its
-  // generation would be pure waste (and would strand index-sized memory in
-  // the builder's ready pool). That covers result-cache hits for any kind,
-  // and sweep-kind queries whose source's sweep is already memoized (they
-  // derive without touching an estimator, whatever their k / eta).
-  if (cache_ != nullptr &&
-      cache_->Contains(ResultCacheKey{query, plan.kind, plan.num_samples,
-                                      query_seed})) {
-    return;
-  }
-  if (sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
-      sweep_cache_->Contains(SweepCacheKey{plan.kind, query.source,
-                                           plan.num_samples, query_seed})) {
-    return;
-  }
-  prebuilder_->Request(HashCombineSeed(query_seed, kPrepareSeedTag));
+  // it resamples only fit static-kind plans, so a query routed onto another
+  // backend will never adopt one. A query the caches will serve never
+  // prepares a replica at all — building its generation would be pure waste
+  // (and would strand index-sized memory in the builder's ready pool).
+  if (PlanFor(query).kind != options_.kind || ServableFromCache(query)) return;
+  prebuilder_->Request(PrepareSeed(query));
 }
 
 Status QueryEngine::PrepareReplica(Estimator& estimator,
@@ -1041,7 +1017,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
       prepared = run.ok();
     }
     std::vector<uint32_t> hits;
-    std::shared_ptr<const std::vector<double>> whole;
+    SweepVector whole;
     if (run.ok()) {
       StageTimer stratum_stage(stage_stratum_, trace, obs::SpanKind::kStratum,
                                parent, stratum);
@@ -1111,7 +1087,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
   // with no stratum still in execution — finalizes: merges, publishes, and
   // wakes everyone. That may be the leader or any thief; the merge itself is
   // order-fixed, so the finalizer's identity is invisible in the result.
-  std::shared_ptr<const std::vector<double>> vector;
+  SweepVector vector;
   Status status;
   bool finalize = false;
   {
@@ -1154,15 +1130,10 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
   if (finalize) {
     // Publish order: SweepCache first, then retire the flight entry, then
     // set ready and wake — a concurrent miss always finds the key in the
-    // cache or the flight table, never neither. A sweep only the scout ever
-    // touched publishes under the warm TTL (a Lookup hit promotes it to
-    // immortal if a query derives from it later); one query joining the
-    // flight already cleared the mark.
+    // cache or the flight table, never neither. Sweeps are published
+    // immortal and leave only by byte-budget LRU eviction.
     if (status.ok() && sweep_cache_ != nullptr) {
-      const bool scout_only =
-          flight->scout_only.load(std::memory_order_relaxed);
-      sweep_cache_->Insert(key, vector,
-                           scout_only ? options_.scout_warm_ttl : 0.0);
+      sweep_cache_->Insert(key, vector);
     }
     {
       std::lock_guard<std::mutex> lock(sweep_inflight_mutex_);
@@ -1199,13 +1170,9 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
 
 std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
     size_t worker_id, const QueryPlan& plan, const SweepCacheKey& key,
-    bool scout, bool* leader,
-    std::shared_ptr<const std::vector<double>>* cached, bool* stale,
-    bool* refresh_owner) {
+    bool* leader, SweepVector* cached) {
   *leader = false;
   cached->reset();
-  if (stale != nullptr) *stale = false;
-  if (refresh_owner != nullptr) *refresh_owner = false;
   std::lock_guard<std::mutex> lock(sweep_inflight_mutex_);
   // Double-check under the flight lock (same protocol as the query-level
   // rendezvous): a sweep's finalizer publishes to the SweepCache *before*
@@ -1218,24 +1185,9 @@ std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
   // coalescing without the result cache. Uncounted probe (callers decide
   // how to account it).
   if (sweep_cache_ != nullptr) {
-    if (options_.max_stale_seconds > 0.0) {
-      // Stale-while-revalidate double-check: a TTL-expired vector inside
-      // the stale window still serves queries — but a refresh pass (the
-      // scout ScheduleSweepRefresh dispatched) must NOT be satisfied by the
-      // very entry it came to replace, so a scout observing a stale hit
-      // falls through and leads the replacing flight.
-      StaleSweepLookup probe =
-          sweep_cache_->LookupStale(key, options_.max_stale_seconds,
-                                    /*record_stats=*/false);
-      if (probe.sweep != nullptr && !(scout && probe.stale)) {
-        *cached = std::move(probe.sweep);
-        if (stale != nullptr) *stale = probe.stale;
-        if (refresh_owner != nullptr) *refresh_owner = probe.refresh_owner;
-        return nullptr;
-      }
-    } else if (std::shared_ptr<const std::vector<double>> vector =
-                   sweep_cache_->Lookup(key, /*record_stats=*/false)) {
-      *cached = std::move(vector);
+    if (std::optional<SweepVector> hit =
+            sweep_cache_->Lookup(key, /*record_stats=*/false)) {
+      *cached = std::move(*hit);
       return nullptr;
     }
   }
@@ -1250,12 +1202,7 @@ std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
     fresh.num_samples = plan.num_samples;
     fresh.whole_sweep = !stratified;
     fresh.stratum_hits.resize(fresh.num_strata);
-    fresh.scout_only.store(scout, std::memory_order_relaxed);
     fresh.timer.Restart();
-  } else if (!scout) {
-    // A real query joined a scout-led flight: its sweep is wanted, so the
-    // publish must be immortal.
-    it->second->scout_only.store(false, std::memory_order_relaxed);
   }
   return it->second;
 }
@@ -1266,26 +1213,17 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     uint32_t parent) {
   const SweepCacheKey key{plan.kind, query.source, plan.num_samples,
                           sweep_seed};
-  // Fast path: memoized sweep (with the stale window open, a TTL-expired
-  // vector still serves; the first stale observer owns kicking off the
-  // background re-warm).
+  // Fast path: memoized sweep.
   if (sweep_cache_ != nullptr) {
-    StaleSweepLookup probe;
+    std::optional<SweepVector> hit;
     {
       StageTimer probe_stage(stage_cache_probe_, trace,
                              obs::SpanKind::kCacheProbe, parent, /*detail=*/1);
-      if (options_.max_stale_seconds > 0.0) {
-        probe = sweep_cache_->LookupStale(key, options_.max_stale_seconds);
-      } else {
-        probe.sweep = sweep_cache_->Lookup(key);
-      }
+      hit = sweep_cache_->Lookup(key);
     }
-    if (probe.sweep != nullptr) {
+    if (hit) {
       stats_.RecordSweepHit();
-      if (probe.refresh_owner) ScheduleSweepRefresh(key, query.source);
-      SweepShare share{std::move(probe.sweep), 0};
-      share.stale = probe.stale;
-      return share;
+      return SweepShare{std::move(*hit), 0};
     }
   }
   if (!options_.enable_coalescing) {
@@ -1293,21 +1231,15 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
                               trace, parent);
   }
   bool leader = false;
-  bool stale = false;
-  bool refresh_owner = false;
-  std::shared_ptr<const std::vector<double>> cached;
+  SweepVector cached;
   std::shared_ptr<SweepFlight> flight =
-      JoinOrCreateSweepFlight(worker_id, plan, key, /*scout=*/false, &leader,
-                              &cached, &stale, &refresh_owner);
+      JoinOrCreateSweepFlight(worker_id, plan, key, &leader, &cached);
   if (flight == nullptr) {
     // The sweep finished between our fast-path miss and taking the flight
     // lock: this query shared its work (accounted as sweep_coalesced, not a
     // hit — the fast-path miss is already in the cache stats).
     stats_.RecordSweepCoalesced();
-    if (refresh_owner) ScheduleSweepRefresh(key, query.source);
-    SweepShare share{std::move(cached), 0};
-    share.stale = stale;
-    return share;
+    return SweepShare{std::move(cached), 0};
   }
   // One sweep_executed per sweep, recorded by its leader: the "<= 1
   // EstimateFromSource per distinct (source, generation)" gate currency.
@@ -1324,7 +1256,7 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
   }
 
   Status status;
-  std::shared_ptr<const std::vector<double>> vector;
+  SweepVector vector;
   size_t peak = 0;
   {
     std::lock_guard<std::mutex> lock(flight->mutex);
@@ -1354,9 +1286,9 @@ void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
   const SweepCacheKey key{plan.kind, source, plan.num_samples, sweep_seed};
   if (sweep_cache_ == nullptr || sweep_cache_->Contains(key)) return;
   bool leader = false;
-  std::shared_ptr<const std::vector<double>> cached;
-  std::shared_ptr<SweepFlight> flight = JoinOrCreateSweepFlight(
-      worker_id, plan, key, /*scout=*/true, &leader, &cached);
+  SweepVector cached;
+  std::shared_ptr<SweepFlight> flight =
+      JoinOrCreateSweepFlight(worker_id, plan, key, &leader, &cached);
   // Nothing to warm unless this scout won the flight outright: a memoized
   // sweep needs no warming and an open flight already has a leader.
   if (flight == nullptr || !leader) return;
@@ -1446,7 +1378,6 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
     if (share.peak_memory_bytes > derived.peak_memory_bytes) {
       derived.peak_memory_bytes = share.peak_memory_bytes;
     }
-    derived.served_stale = share.stale;
     return derived;
   }
   FaultInjector& injector = FaultInjector::Global();
@@ -1507,16 +1438,14 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
   // clock starts at Submit time (enqueue_ns), so queue wait counts against
   // the budget — a query that starved in the queue is already expired when
   // its worker picks it up. The token chains to any caller-provided handle,
-  // so either source of cancellation trips it.
+  // so either source of cancellation trips it. An infinite or out-of-range
+  // deadline means none at all.
   const double deadline_ms =
       query.deadline_ms > 0.0 ? query.deadline_ms : options_.default_deadline_ms;
-  const CancelToken token(
-      deadline_ms > 0.0
-          ? enqueue_ns + static_cast<uint64_t>(deadline_ms * 1e6)
-          : 0,
-      query.cancel);
+  const CancelToken token(DeadlineAfter(enqueue_ns, deadline_ms * 1e-3),
+                          query.cancel);
   const CancelToken* cancel =
-      (deadline_ms > 0.0 || query.cancel != nullptr) ? &token : nullptr;
+      (token.deadline_ns() != 0 || query.cancel != nullptr) ? &token : nullptr;
 
   const ResultCacheKey key{query, plan.kind, plan.num_samples, query_seed};
   std::shared_ptr<InFlight> flight;
@@ -1560,10 +1489,8 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     slot->reliability = value.reliability;
     slot->num_samples = value.num_samples;
     slot->targets = value.targets;
-    slot->served_stale = result->served_stale;
     slot->seconds = timer.ElapsedSeconds();
     stats_.RecordExecuted(slot->seconds, result->peak_memory_bytes);
-    if (result->served_stale) stats_.RecordStaleServed();
     // Feed the fallback gate: one observation per estimator-executed routed
     // query (cache hits and coalesced waiters observed someone else's
     // latency and were filtered out above).
@@ -1742,19 +1669,6 @@ void QueryEngine::ScheduleResultRefresh(const ResultCacheKey& key) {
   });
   // Best-effort: a full lane/pool means no refresh this episode — re-arm.
   if (!submitted.ok()) cache_->ClearRefreshPending(key);
-}
-
-void QueryEngine::ScheduleSweepRefresh(const SweepCacheKey& key,
-                                       NodeId source) {
-  // The scout pass IS a sweep refresh: it leads a fresh flight for the
-  // source's current plan and publishes through the normal finalize path
-  // (whose Insert re-arms refresh_pending). JoinOrCreateSweepFlight
-  // deliberately refuses to serve the scout the stale entry it came to
-  // replace.
-  const Status submitted = SubmitRefreshTask([this, source](size_t worker_id) {
-    ScoutSweep(worker_id, source);
-  });
-  if (!submitted.ok()) sweep_cache_->ClearRefreshPending(key);
 }
 
 Status QueryEngine::Submit(const EngineQuery& query) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -14,10 +13,9 @@
 #include "common/timer.h"
 #include "engine/engine_stats.h"
 #include "engine/generation_prebuilder.h"
-#include "engine/result_cache.h"
 #include "engine/router.h"
-#include "engine/sweep_cache.h"
 #include "engine/thread_pool.h"
+#include "engine/ttl_cache.h"
 #include "graph/uncertain_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -70,7 +68,7 @@ struct EngineOptions {
   size_t cache_max_bytes = 0;
   /// TTL in seconds for successful cache entries; 0 = never expire. Expired
   /// entries are dropped on the lookup that discovers them and counted in
-  /// ResultCacheStats::expired. Content-deterministic answers make expiry
+  /// CacheStats::expired. Content-deterministic answers make expiry
   /// semantically invisible: a recompute returns the identical result.
   double cache_ttl = 0.0;
   /// Failure backoff: estimator errors are cached for this many seconds
@@ -110,13 +108,6 @@ struct EngineOptions {
   /// Most-frequent sources the scout pass warms per batch; a source must
   /// appear at least twice to be worth a scout task.
   uint32_t scout_max_sources = 4;
-  /// TTL in seconds on sweep-cache entries published by a scout-led sweep
-  /// *no query joined*: a speculative warm that turned out cold expires
-  /// instead of pinning sweep-cache bytes until eviction. A real query
-  /// joining the flight (or deriving from the entry later — Lookup promotes
-  /// on hit) makes the sweep immortal again. 0 = scout warms never expire
-  /// (the pre-TTL behavior).
-  double scout_warm_ttl = 30.0;
   /// Background generation prebuilding: when the estimator kind supports
   /// prepared generations (BFS Sharing), a builder thread constructs the
   /// next queries' PrepareForNextQuery artifacts (world resampling)
@@ -164,11 +155,12 @@ struct EngineOptions {
   /// completely full. Cache-servable queries are always admitted — they
   /// resolve in O(1) without a worker.
   size_t shed_queue_depth = 0;
-  /// Stale-while-revalidate window in seconds: a TTL-expired cache entry
-  /// (result or sweep) whose deadline elapsed less than this long ago is
-  /// served immediately — flagged in EngineResult::served_stale — while one
+  /// Stale-while-revalidate window in seconds: a TTL-expired result-cache
+  /// entry whose deadline elapsed less than this long ago is served
+  /// immediately — flagged in EngineResult::served_stale — while one
   /// background task recomputes it through the normal single-flight
-  /// machinery. 0 (the default) disables SWR: expired entries are recomputed
+  /// machinery. Sweeps are cached immortal, so the sweep cache never serves
+  /// stale. 0 (the default) disables SWR: expired entries are recomputed
   /// synchronously, the pre-SWR behavior. Content-determinism makes a stale
   /// entry byte-identical to its recomputation, so SWR trades only metadata
   /// freshness (TTL bookkeeping), never answer correctness.
@@ -199,12 +191,13 @@ struct EngineOptions {
   /// runs at engine destruction.
   double persist_flush_seconds = 1.0;
   /// Width of the dedicated low-priority refresh lane: an auxiliary pool
-  /// (with its own estimator replicas) that runs stale-while-revalidate
-  /// refreshes and journal flushes so background work never competes with
-  /// serving queries for the main pool. Engaged only when there is
-  /// background work to run (max_stale_seconds > 0 or persist_dir set);
-  /// 0 falls back to the serving pool (the pre-lane behavior). Queue +
-  /// in-flight depth is exported as the `refresh_lane_depth` gauge.
+  /// (with its own estimator replicas) that runs result-cache
+  /// stale-while-revalidate refreshes (the sweep cache has none) and journal
+  /// flushes so background work never competes with serving queries for the
+  /// main pool. Engaged only when there is background work to run
+  /// (max_stale_seconds > 0 or persist_dir set); 0 falls back to the serving
+  /// pool (the pre-lane behavior). Queue + in-flight depth is exported as
+  /// the `refresh_lane_depth` gauge.
   size_t refresh_lane_threads = 1;
   /// @}
   /// \name Observability (see src/obs/README.md)
@@ -492,12 +485,6 @@ class QueryEngine {
     /// divisor). Every participant reached this flight through the same
     /// plan-derived key, so the plan knobs are flight invariants.
     uint32_t num_samples = 0;
-    /// True while only the warm-ahead scout leads this flight (no query has
-    /// joined): the publish then carries the scout-warm TTL, so a sweep no
-    /// query ever wanted cannot pin sweep-cache bytes indefinitely. Cleared
-    /// the moment a query joins or steals (relaxed atomic: set/cleared under
-    /// the rendezvous lock, read once by the finalizer).
-    std::atomic<bool> scout_only{false};
     /// True when the estimator has no stratified core: the single "stratum"
     /// runs the whole EstimateFromSource into `whole`.
     bool whole_sweep = false;
@@ -509,7 +496,7 @@ class QueryEngine {
     /// Per-stratum hit counts, deposited by whichever worker ran each.
     std::vector<std::vector<uint32_t>> stratum_hits;
     /// Whole-sweep result for the no-stratified-core fallback.
-    std::shared_ptr<const std::vector<double>> whole;
+    SweepVector whole;
     /// Read-only snapshot of the first preparer's prepared state
     /// (ShareCurrentPreparedState), when the estimator supports it:
     /// later-arriving thieves adopt it in O(1) instead of re-running the
@@ -518,20 +505,17 @@ class QueryEngine {
     Status status;  ///< first stratum / prepare failure wins
     size_t peak_memory_bytes = 0;
     bool ready = false;
-    std::shared_ptr<const std::vector<double>> vector;
+    SweepVector vector;
   };
 
   /// How a worker obtained a per-source sweep vector.
   struct SweepShare {
-    std::shared_ptr<const std::vector<double>> vector;
+    SweepVector vector;
     /// The sweep's tracked working-set peak (max over every participant's
     /// strata) for flight participants — leaders and joiners alike, so the
     /// sweep's footprint is attributed to its queries even when the
     /// warm-ahead scout led it. 0 for SweepCache hits.
     size_t peak_memory_bytes = 0;
-    /// The vector came from a TTL-expired SweepCache entry served inside the
-    /// stale window (stale-while-revalidate).
-    bool stale = false;
   };
 
   /// Executes one query on `worker_id`'s replica (or serves it from cache /
@@ -610,17 +594,10 @@ class QueryEngine {
   /// Returns nullptr when the double-check served the sweep (`*cached`
   /// holds the vector); otherwise the flight, with `*leader` true iff this
   /// caller created it. Shared by the query path and the scout pass so the
-  /// two can never drift in flight setup. `scout` marks a warm-ahead
-  /// creation (flight starts scout_only, its publish carries the warm TTL);
-  /// a non-scout join clears the mark. With stale-while-revalidate on, the
-  /// double-check serves stale entries to queries (`*stale` / `*refresh_owner`
-  /// report the episode, both nullable) — but never to the scout, which came
-  /// precisely to lead the flight that replaces the stale entry.
+  /// two can never drift in flight setup.
   std::shared_ptr<SweepFlight> JoinOrCreateSweepFlight(
       size_t worker_id, const QueryPlan& plan, const SweepCacheKey& key,
-      bool scout, bool* leader,
-      std::shared_ptr<const std::vector<double>>* cached,
-      bool* stale = nullptr, bool* refresh_owner = nullptr);
+      bool* leader, SweepVector* cached);
 
   /// Warm-ahead scout task for `source`: if its sweep is neither memoized
   /// nor in flight, leads a stratified sweep through the same single-flight
@@ -663,9 +640,9 @@ class QueryEngine {
   /// the inline PrepareForNextQuery otherwise (bit-identical either way).
   Status PrepareReplica(Estimator& estimator, uint64_t prepare_seed);
 
-  /// Hands `query`'s prepare seed to the background builder — unless the
-  /// result cache will serve the query anyway (prebuilder_ must be
-  /// non-null).
+  /// Hands `query`'s prepare seed to the background builder — unless a
+  /// cache will serve the query anyway (ServableFromCache) or its plan runs
+  /// on another backend (prebuilder_ must be non-null).
   void RequestPrebuild(const EngineQuery& query);
 
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
@@ -697,7 +674,6 @@ class QueryEngine {
   /// nothing into per-query stats — no query is behind it — mirroring how
   /// scout warms stay outside the query partition.
   void ScheduleResultRefresh(const ResultCacheKey& key);
-  void ScheduleSweepRefresh(const SweepCacheKey& key, NodeId source);
 
   /// Width of the auxiliary refresh lane this configuration runs (0 = no
   /// lane; refreshes fall back to the serving pool).

@@ -4,6 +4,7 @@
 // standalone-equivalence contracts of src/engine/README.md.
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -369,7 +370,7 @@ TEST(EngineWorkloadTest, NegativeCachingServesFailuresWithoutRecompute) {
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
   }
-  const ResultCacheStats stats = engine->cache()->Stats();
+  const CacheStats stats = engine->cache()->Stats();
   // The first miss computed and cached the error; the repeats hit it.
   EXPECT_GE(stats.negative_hits, 1u);
   const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
@@ -400,6 +401,57 @@ TEST(EngineWorkloadTest, NegativeCachingOffRecomputesEveryFailure) {
   ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
   EXPECT_EQ(engine->cache()->Stats().negative_hits, 0u);
   EXPECT_EQ(engine->StatsSnapshot().failures, queries.size());
+}
+
+TEST(EngineWorkloadTest, InfiniteCacheTtlStillCaches) {
+  // Regression: an infinite or huge cache_ttl overflowed the seconds to
+  // nanoseconds conversion, so every entry expired on insert and the cache
+  // was silently off.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 44);
+  for (const double ttl : {std::numeric_limits<double>::infinity(), 1e12}) {
+    SCOPED_TRACE(ttl);
+    EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
+    options.cache_ttl = ttl;
+    auto engine = QueryEngine::Create(graph, options).MoveValue();
+    const std::vector<EngineQuery> query = {EngineQuery::St(0, 5)};
+    ASSERT_TRUE(engine->RunBatch(query).MoveValue()[0].ok());
+    const EngineResult second = engine->RunBatch(query).MoveValue()[0];
+    ASSERT_TRUE(second.ok()) << second.status;
+    EXPECT_TRUE(second.cache_hit);
+    EXPECT_EQ(engine->cache()->Stats().hits, 1u);
+    EXPECT_EQ(engine->cache()->Stats().expired, 0u);
+  }
+}
+
+TEST(EngineWorkloadTest, InfiniteDeadlineAnswersLikeNoDeadline) {
+  // Regression: deadline_ms = inf or 1e300 overflowed the milliseconds to
+  // nanoseconds conversion and failed the query at once.
+  const UncertainGraph graph = RandomSmallGraph(30, 100, 0.2, 0.9, 45);
+  EngineOptions options =
+      BaseOptions(2, EstimatorKind::kMonteCarlo, /*cache=*/false);
+  const std::vector<EngineQuery> plain = MixedBatch(graph, 24);
+  const std::vector<EngineResult> reference =
+      QueryEngine::Create(graph, options).MoveValue()->RunBatch(plain)
+          .MoveValue();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double deadline_ms : {kInf, 1e300}) {
+    SCOPED_TRACE(deadline_ms);
+    std::vector<EngineQuery> bounded = plain;
+    for (EngineQuery& query : bounded) query.deadline_ms = deadline_ms;
+    const std::vector<EngineResult> results =
+        QueryEngine::Create(graph, options).MoveValue()->RunBatch(bounded)
+            .MoveValue();
+    for (const EngineResult& result : results) {
+      EXPECT_TRUE(result.ok()) << result.status;
+    }
+    ExpectBitIdenticalResults(reference, results);
+  }
+  // The same through the engine-wide default.
+  options.default_deadline_ms = kInf;
+  ExpectBitIdenticalResults(
+      reference,
+      QueryEngine::Create(graph, options).MoveValue()->RunBatch(plain)
+          .MoveValue());
 }
 
 TEST(EngineWorkloadTest, MixedWorkloadGeneratorIsDeterministicAndValid) {

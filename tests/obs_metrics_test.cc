@@ -327,5 +327,34 @@ TEST(EngineScrapeTest, SnapshotArithmeticStillHolds) {
   EXPECT_EQ(snapshot.queries, queries.size());
 }
 
+TEST(EngineScrapeTest, FreshEngineExportsEveryCacheInstrument) {
+  // Scrapers (relbench among them) read the cache instruments by name; its
+  // query-partition check sums result_cache_hits_total. A renamed or
+  // unregistered instrument must fail here rather than silently there.
+  const UncertainGraph graph = RandomSmallGraph(8, 16, 0.3, 0.9, 1);
+  auto engine = QueryEngine::Create(graph, EngineOptions{}).MoveValue();
+  const std::string json = engine->metrics().ExportJson();
+  for (const char* name :
+       {"result_cache_hits_total", "result_cache_negative_hits_total",
+        "result_cache_misses_total", "result_cache_insertions_total",
+        "result_cache_evictions_total", "result_cache_expired_total",
+        "result_cache_rejected_total", "result_cache_bytes",
+        "sweep_cache_hits_total", "sweep_cache_misses_total",
+        "sweep_cache_insertions_total", "sweep_cache_evictions_total",
+        "sweep_cache_rejected_total", "sweep_cache_expired_total",
+        "sweep_cache_bytes", "sweep_cache_entries"}) {
+    EXPECT_NE(json.find("{\"name\":\"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
+  for (const char* cache : {"result", "sweep"}) {
+    EXPECT_NE(json.find("{\"name\":\"cache_stale_served_total\",\"labels\":{"
+                        "\"cache\":\"" +
+                        std::string(cache) + "\"}"),
+              std::string::npos)
+        << cache;
+  }
+}
+
 }  // namespace
 }  // namespace relcomp::obs

@@ -312,7 +312,7 @@ TEST(QueryEngineTest, CacheDoesNotChangeResults) {
   ASSERT_NE(cached->cache(), nullptr);
   // Every distinct query missed once; every repeat could hit (a repeat only
   // misses if it raced its twin's first execution).
-  const ResultCacheStats stats = cached->cache()->Stats();
+  const CacheStats stats = cached->cache()->Stats();
   EXPECT_EQ(stats.lookups(), queries.size());
   EXPECT_GE(stats.misses, distinct);
 }

@@ -1,91 +1,76 @@
-#include "engine/result_cache.h"
+// Unit coverage for the result cache, the ResultCache instantiation of the
+// engine's one LRU/TTL cache (engine/ttl_cache.h): the behaviours it shares
+// with the sweep memo run as the TtlCacheTest suite (ttl_cache_suite.h);
+// the result-only cases (keys, workload tags, negative entries, transient
+// refusal, ranked-payload charge) and the saturating seconds -> deadline
+// conversion behind every TTL are plain tests.
 
-#include <thread>
-#include <vector>
+#include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
+
+#include "common/timer.h"
+#include "engine/ttl_cache.h"
+#include "ttl_cache_suite.h"
 
 namespace relcomp {
 namespace {
 
-ResultCacheKey Key(NodeId s, NodeId t, uint64_t seed = 7,
-                   uint32_t k = 1000,
-                   EstimatorKind kind = EstimatorKind::kMonteCarlo) {
+using testing::kExpiredTtl;
+using testing::kInf;
+using testing::kLongTtl;
+
+/// The result cache under test: a value of `units` payload units carries
+/// that many ranked targets (its charge grows with them like a sweep's).
+struct ResultSide {
+  using Cache = ResultCache;
+  static ResultCacheKey Key(uint32_t i) {
+    return ResultCacheKey{EngineQuery::TopK(i, 5), EstimatorKind::kMonteCarlo,
+                          100, 7};
+  }
+  static ResultCacheValue Value(size_t units, double fill = 0.5) {
+    ResultCacheValue value(fill, 100);
+    value.targets.resize(units);
+    for (size_t i = 0; i < units; ++i) {
+      value.targets[i] = ReliableTarget{static_cast<NodeId>(i), fill};
+    }
+    return value;
+  }
+  static double Fill(const ResultCacheValue& value) {
+    return value.reliability;
+  }
+  static size_t Units(const ResultCacheValue& value) {
+    return value.targets.size();
+  }
+};
+
+}  // namespace
+
+namespace testing {
+INSTANTIATE_TYPED_TEST_SUITE_P(Result, TtlCacheTest, ResultSide);
+}  // namespace testing
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Keys, negative entries, transient refusal, ranked charge
+// ---------------------------------------------------------------------------
+
+ResultCacheKey StKey(NodeId s, NodeId t, uint64_t seed = 7, uint32_t k = 1000,
+                     EstimatorKind kind = EstimatorKind::kMonteCarlo) {
   return ResultCacheKey{EngineQuery::St(s, t), kind, k, seed};
-}
-
-TEST(ResultCacheTest, MissThenHit) {
-  ResultCache cache(8, 1);
-  EXPECT_FALSE(cache.Lookup(Key(0, 1)).has_value());
-  cache.Insert(Key(0, 1), {0.5, 1000});
-  const auto hit = cache.Lookup(Key(0, 1));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->reliability, 0.5);
-  EXPECT_EQ(hit->num_samples, 1000u);
-
-  const ResultCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
 TEST(ResultCacheTest, KeyDistinguishesEveryField) {
   ResultCache cache(16, 1);
-  cache.Insert(Key(0, 1), {0.5, 1000});
-  EXPECT_FALSE(cache.Lookup(Key(1, 0)).has_value());         // swapped s-t
-  EXPECT_FALSE(cache.Lookup(Key(0, 1, 8)).has_value());      // other seed
-  EXPECT_FALSE(cache.Lookup(Key(0, 1, 7, 500)).has_value()); // other K
-  EXPECT_FALSE(
-      cache.Lookup(Key(0, 1, 7, 1000, EstimatorKind::kRecursive)).has_value());
-  EXPECT_TRUE(cache.Lookup(Key(0, 1)).has_value());
-}
-
-TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
-  ResultCache cache(2, 1);  // one shard so the LRU order is global
-  cache.Insert(Key(0, 1), {0.1, 10});
-  cache.Insert(Key(0, 2), {0.2, 10});
-  ASSERT_TRUE(cache.Lookup(Key(0, 1)).has_value());  // refresh (0,1)
-  cache.Insert(Key(0, 3), {0.3, 10});                // evicts (0,2)
-  EXPECT_TRUE(cache.Lookup(Key(0, 1)).has_value());
-  EXPECT_FALSE(cache.Lookup(Key(0, 2)).has_value());
-  EXPECT_TRUE(cache.Lookup(Key(0, 3)).has_value());
-  EXPECT_EQ(cache.Stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ResultCacheTest, ReinsertRefreshesInsteadOfDuplicating) {
-  ResultCache cache(2, 1);
-  cache.Insert(Key(0, 1), {0.1, 10});
-  cache.Insert(Key(0, 1), {0.9, 20});
-  EXPECT_EQ(cache.size(), 1u);
-  const auto hit = cache.Lookup(Key(0, 1));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->reliability, 0.9);
-}
-
-TEST(ResultCacheTest, ClearDropsEntriesKeepsStats) {
-  ResultCache cache(8, 2);
-  cache.Insert(Key(0, 1), {0.1, 10});
-  ASSERT_TRUE(cache.Lookup(Key(0, 1)).has_value());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(Key(0, 1)).has_value());
-  EXPECT_EQ(cache.Stats().hits, 1u);
-}
-
-TEST(ResultCacheTest, ShardCountRoundsUpAndCapsAtCapacity) {
-  EXPECT_EQ(ResultCache(100, 3).num_shards(), 4u);
-  EXPECT_EQ(ResultCache(2, 8).num_shards(), 2u);   // shards <= capacity
-  EXPECT_EQ(ResultCache(0, 0).num_shards(), 1u);   // degenerate clamps
-  EXPECT_EQ(ResultCache(0, 0).capacity(), 1u);
-}
-
-TEST(ResultCacheTest, CapacityHoldsAcrossShards) {
-  ResultCache cache(64, 8);
-  for (NodeId i = 0; i < 1000; ++i) cache.Insert(Key(i, i + 1), {0.5, 10});
-  EXPECT_LE(cache.size(), 64u);
-  EXPECT_GE(cache.Stats().evictions, 1000u - 64u);
+  cache.Insert(StKey(0, 1), {0.5, 1000});
+  EXPECT_FALSE(cache.Lookup(StKey(1, 0)).has_value());          // swapped
+  EXPECT_FALSE(cache.Lookup(StKey(0, 1, 8)).has_value());       // other seed
+  EXPECT_FALSE(cache.Lookup(StKey(0, 1, 7, 500)).has_value());  // other K
+  EXPECT_FALSE(cache.Lookup(StKey(0, 1, 7, 1000, EstimatorKind::kRecursive))
+                   .has_value());
+  EXPECT_TRUE(cache.Lookup(StKey(0, 1)).has_value());
 }
 
 TEST(ResultCacheTest, WorkloadTagIsolatesKeys) {
@@ -111,43 +96,22 @@ TEST(ResultCacheTest, WorkloadTagIsolatesKeys) {
   EXPECT_DOUBLE_EQ(cache.Lookup(dist)->reliability, 0.4);
 }
 
-TEST(ResultCacheTest, EntriesExpireAfterTtl) {
-  ResultCache cache(8, 1);
-  cache.Insert(Key(0, 1), {0.5, 10}, /*ttl_seconds=*/1e-9);
-  cache.Insert(Key(0, 2), {0.7, 10});  // immortal
-  // The tiny TTL has certainly elapsed by now: the entry is dropped on the
-  // lookup that discovers it and the lookup is a miss.
-  EXPECT_FALSE(cache.Lookup(Key(0, 1)).has_value());
-  EXPECT_TRUE(cache.Lookup(Key(0, 2)).has_value());
-  const ResultCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // A long TTL keeps the entry alive.
-  cache.Insert(Key(0, 3), {0.9, 10}, /*ttl_seconds=*/3600.0);
-  EXPECT_TRUE(cache.Lookup(Key(0, 3)).has_value());
-  // Reinsert refreshes the deadline (and can remove it).
-  cache.Insert(Key(0, 1), {0.5, 10}, /*ttl_seconds=*/3600.0);
-  cache.Insert(Key(0, 1), {0.6, 10});
-  EXPECT_DOUBLE_EQ(cache.Lookup(Key(0, 1))->reliability, 0.6);
-}
-
 TEST(ResultCacheTest, NegativeEntriesCountSeparately) {
   ResultCache cache(8, 1);
   ResultCacheValue failure;
   failure.status = Status::InvalidArgument("K exceeds L");
-  cache.Insert(Key(0, 1), failure);
-  const auto hit = cache.Lookup(Key(0, 1));
+  cache.Insert(StKey(0, 1), failure);
+  const auto hit = cache.Lookup(StKey(0, 1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->negative());
   EXPECT_EQ(hit->status.code(), StatusCode::kInvalidArgument);
-  const ResultCacheStats stats = cache.Stats();
+  const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.negative_hits, 1u);
   EXPECT_EQ(stats.lookups(), 1u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);
+  // A restart must not resurrect a cached failure.
+  EXPECT_TRUE(cache.ExportEntries().empty());
 }
 
 TEST(ResultCacheTest, CachesRankedTargetPayloads) {
@@ -166,6 +130,17 @@ TEST(ResultCacheTest, CachesRankedTargetPayloads) {
   EXPECT_EQ(hit->targets[1].node, 7u);
 }
 
+TEST(ResultCacheTest, RankedPayloadChargedRealBytes) {
+  const ResultCacheValue scalar(0.5, 100);
+  const ResultCacheValue ranked = ResultSide::Value(50);
+  EXPECT_EQ(ResultCache::Charge(ranked) - ResultCache::Charge(scalar),
+            50 * sizeof(ReliableTarget));
+
+  ResultCache cache(1024, 1, /*max_bytes=*/1 << 20);
+  cache.Insert(ResultSide::Key(0), ranked);
+  EXPECT_EQ(cache.bytes_in_use(), ResultCache::Charge(ranked));
+}
+
 TEST(ResultCacheTest, TransientStatusesAreNeverCached) {
   // Regression: kUnavailable / kDeadlineExceeded / kCancelled describe the
   // *submission* (shed, expired, cancelled), not the answer. Negative-caching
@@ -176,8 +151,8 @@ TEST(ResultCacheTest, TransientStatusesAreNeverCached) {
         Status::Cancelled("caller gave up")}) {
     ResultCacheValue value;
     value.status = transient;
-    cache.Insert(Key(0, 1), value, /*ttl_seconds=*/3600.0);
-    EXPECT_FALSE(cache.Lookup(Key(0, 1)).has_value())
+    cache.Insert(StKey(0, 1), value, kLongTtl);
+    EXPECT_FALSE(cache.Lookup(StKey(0, 1)).has_value())
         << StatusCodeName(transient.code());
   }
   EXPECT_EQ(cache.Stats().insertions, 0u);
@@ -187,41 +162,17 @@ TEST(ResultCacheTest, TransientStatusesAreNeverCached) {
   // depends on kInvalidArgument backoff).
   ResultCacheValue invalid;
   invalid.status = Status::InvalidArgument("K exceeds L");
-  cache.Insert(Key(0, 1), invalid, /*ttl_seconds=*/3600.0);
-  ASSERT_TRUE(cache.Lookup(Key(0, 1)).has_value());
+  cache.Insert(StKey(0, 1), invalid, kLongTtl);
+  ASSERT_TRUE(cache.Lookup(StKey(0, 1)).has_value());
 }
 
-TEST(ResultCacheTest, StaleWindowServesExpiredEntriesOnce) {
-  ResultCache cache(8, 1);
-  cache.Insert(Key(0, 1), {0.5, 10}, /*ttl_seconds=*/1e-9);  // already expired
-
-  // Plain Lookup reaps; LookupStale inside the window serves instead.
-  StaleLookupResult first = cache.LookupStale(Key(0, 1), /*max_stale=*/3600.0);
-  ASSERT_TRUE(first.value.has_value());
-  EXPECT_TRUE(first.stale);
-  EXPECT_TRUE(first.refresh_owner) << "first stale observer owns the refresh";
-  EXPECT_DOUBLE_EQ(first.value->reliability, 0.5);
-
-  // The refresh is debounced: later stale observers serve but do not own.
-  StaleLookupResult second = cache.LookupStale(Key(0, 1), 3600.0);
-  ASSERT_TRUE(second.value.has_value());
-  EXPECT_TRUE(second.stale);
-  EXPECT_FALSE(second.refresh_owner);
-
-  // A failed refresh re-arms the episode; the next observer owns again.
-  cache.ClearRefreshPending(Key(0, 1));
-  EXPECT_TRUE(cache.LookupStale(Key(0, 1), 3600.0).refresh_owner);
-
-  // A landed refresh resets everything: live entry, no stale flag.
-  cache.Insert(Key(0, 1), {0.5, 10}, /*ttl_seconds=*/3600.0);
-  StaleLookupResult fresh = cache.LookupStale(Key(0, 1), 3600.0);
-  ASSERT_TRUE(fresh.value.has_value());
-  EXPECT_FALSE(fresh.stale);
-  EXPECT_FALSE(fresh.refresh_owner);
-
-  const ResultCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.stale_served, 3u);
-  EXPECT_EQ(stats.hits, 4u);  // stale serves still count as hits
+TEST(ResultCacheTest, TinyShardBudgetHoldsOneSmallestEntry) {
+  // The per-shard byte floor is one scalar entry's charge, so a budget too
+  // small for any entry degrades instead of refusing everything.
+  ResultCache cache(8, 1, /*max_bytes=*/1);
+  cache.Insert(StKey(0, 1), {0.5, 10});
+  EXPECT_TRUE(cache.Lookup(StKey(0, 1)).has_value());
+  EXPECT_EQ(cache.Stats().rejected, 0u);
 }
 
 TEST(ResultCacheTest, StaleWindowNeverServesNegativesOrAncientEntries) {
@@ -230,37 +181,41 @@ TEST(ResultCacheTest, StaleWindowNeverServesNegativesOrAncientEntries) {
   // extend the backoff past its TTL. They reap exactly as without SWR.
   ResultCacheValue failure;
   failure.status = Status::InvalidArgument("bad K");
-  cache.Insert(Key(0, 1), failure, /*ttl_seconds=*/1e-9);
-  StaleLookupResult negative = cache.LookupStale(Key(0, 1), 3600.0);
+  cache.Insert(StKey(0, 1), failure, kExpiredTtl);
+  ResultCache::StaleLookup negative = cache.LookupStale(StKey(0, 1), kLongTtl);
   EXPECT_FALSE(negative.value.has_value());
   EXPECT_FALSE(negative.stale);
 
   // Past the stale window the entry reaps too.
-  cache.Insert(Key(0, 2), {0.5, 10}, /*ttl_seconds=*/1e-9);
-  StaleLookupResult ancient = cache.LookupStale(Key(0, 2), /*max_stale=*/1e-9);
+  cache.Insert(StKey(0, 2), {0.5, 10}, kExpiredTtl);
+  ResultCache::StaleLookup ancient =
+      cache.LookupStale(StKey(0, 2), /*max_stale=*/kExpiredTtl);
   EXPECT_FALSE(ancient.value.has_value());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Stats().expired, 2u);
 }
 
-TEST(ResultCacheTest, ConcurrentMixedWorkloadIsSafe) {
-  ResultCache cache(256, 8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (NodeId i = 0; i < 2000; ++i) {
-        const NodeId s = (i + static_cast<NodeId>(t)) % 97;
-        cache.Insert(Key(s, s + 1), {static_cast<double>(s) / 97.0, 10});
-        const auto hit = cache.Lookup(Key(s, s + 1));
-        if (hit.has_value()) {
-          EXPECT_DOUBLE_EQ(hit->reliability, static_cast<double>(s) / 97.0);
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_LE(cache.size(), 256u);
-  EXPECT_EQ(cache.Stats().lookups(), 8u * 2000u);
+// ---------------------------------------------------------------------------
+// The saturating seconds -> deadline conversion behind every TTL
+// ---------------------------------------------------------------------------
+
+TEST(DeadlineAfterTest, FiniteSecondsAddNanoseconds) {
+  EXPECT_EQ(DeadlineAfter(100, 1.0), 100u + 1000000000u);
+  EXPECT_EQ(DeadlineAfter(100, 0.25), 100u + 250000000u);
+  EXPECT_EQ(DeadlineAfter(100, 1e9), 100u + 1000000000000000000u);
+}
+
+TEST(DeadlineAfterTest, NonPositiveAndOutOfRangeMeanNever) {
+  EXPECT_EQ(DeadlineAfter(100, 0.0), 0u);
+  EXPECT_EQ(DeadlineAfter(100, -1.0), 0u);
+  EXPECT_EQ(DeadlineAfter(100, std::nan("")), 0u);
+  EXPECT_EQ(DeadlineAfter(100, kInf), 0u);
+  EXPECT_EQ(DeadlineAfter(100, 1e12), 0u);   // 1e21 ns > 2^64
+  EXPECT_EQ(DeadlineAfter(100, 1e300), 0u);
+  // In range as a duration (2^-20 s is exactly 953.67 ns), but past the
+  // clock's range from this start.
+  EXPECT_EQ(DeadlineAfter(~uint64_t{0} - 953, 0x1p-20), 0u);
+  EXPECT_EQ(DeadlineAfter(~uint64_t{0} - 954, 0x1p-20), ~uint64_t{0} - 1);
 }
 
 }  // namespace

@@ -228,7 +228,7 @@ TEST(SweepSharingTest, SweepCacheEvictionUnderBytePressureKeepsAnswers) {
   tight.sweep_cache_max_bytes = 240;
   auto tight_engine = QueryEngine::Create(graph, tight).MoveValue();
   ExpectBitIdentical(expected, tight_engine->RunBatch(queries).MoveValue());
-  const SweepCacheStats stats = tight_engine->sweep_cache()->Stats();
+  const CacheStats stats = tight_engine->sweep_cache()->Stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes_in_use, tight.sweep_cache_max_bytes);
   // Churn costs sweeps: more than one per source, but still every answer
