@@ -68,7 +68,8 @@ bool GenerationPrebuilder::Request(uint64_t seed) {
   return true;
 }
 
-std::unique_ptr<PreparedGeneration> GenerationPrebuilder::Take(uint64_t seed) {
+std::shared_ptr<const PreparedGeneration> GenerationPrebuilder::Take(
+    uint64_t seed) {
   std::unique_lock<std::mutex> lock(mutex_);
   // In-flight on some builder: wait it out — finishing a half-done O(L m)
   // build beats starting the same build from scratch inline.
@@ -76,7 +77,7 @@ std::unique_ptr<PreparedGeneration> GenerationPrebuilder::Take(uint64_t seed) {
                        [this, seed] { return building_.count(seed) == 0; });
   auto it = ready_.find(seed);
   if (it != ready_.end()) {
-    std::unique_ptr<PreparedGeneration> generation =
+    std::shared_ptr<const PreparedGeneration> generation =
         std::move(it->second.generation);
     ready_bytes_ -= it->second.bytes;
     ready_bytes_gauge_->Set(static_cast<double>(ready_bytes_));
@@ -153,7 +154,7 @@ void GenerationPrebuilder::BuilderLoop() {
     lock.unlock();
     // Off-lock build: BuildPreparedGeneration is thread-safe by contract
     // (reads only construction-time immutable state of the prototype).
-    Result<std::unique_ptr<PreparedGeneration>> generation =
+    Result<std::shared_ptr<const PreparedGeneration>> generation =
         prototype_.BuildPreparedGeneration(seed);
     lock.lock();
     building_.erase(seed);

@@ -36,13 +36,17 @@ struct GenerationPrebuilderStats {
 /// \brief Background builder of PrepareForNextQuery artifacts.
 ///
 /// BFS Sharing resamples L possible worlds per edge between successive
-/// queries — O(L m) work that PR 3 ran inline on the serving path. This
-/// builder moves it onto dedicated threads: the engine Request()s the
-/// prepare seeds of enqueued queries as they are submitted, the builders
+/// queries — O(L m) work that would otherwise run inline on the serving
+/// path. This builder moves it onto dedicated threads: the engine Request()s
+/// the prepare seeds of enqueued queries as they are submitted, the builders
 /// construct each generation via Estimator::BuildPreparedGeneration
 /// (thread-safe by that contract) while workers run the *previous* queries'
 /// BFS, and the worker that eventually needs a seed Take()s the finished
-/// artifact and installs it in O(1) with AdoptPreparedGeneration.
+/// generation and installs it in O(1) with AdoptPreparedGeneration. The pool
+/// stores the same `shared_ptr<const PreparedGeneration>` handle replicas
+/// pass to each other; Take() hands over the pool's only reference, so once
+/// the adopting caller drops it the replica owns the generation outright and
+/// refills it in place on its next inline prepare.
 ///
 /// With `num_builders` >= 2 the L·m resampling for several *distinct*
 /// prepare seeds fans out concurrently — each seed is built exactly once by
@@ -92,7 +96,7 @@ class GenerationPrebuilder {
   /// Claims the generation for `seed` (see class comment for the per-state
   /// behaviour). A failed background build surfaces here as nullptr — the
   /// caller's inline PrepareForNextQuery will re-raise the error.
-  std::unique_ptr<PreparedGeneration> Take(uint64_t seed);
+  std::shared_ptr<const PreparedGeneration> Take(uint64_t seed);
 
   GenerationPrebuilderStats Stats() const;
 
@@ -109,7 +113,7 @@ class GenerationPrebuilder {
 
  private:
   struct ReadyGeneration {
-    std::unique_ptr<PreparedGeneration> generation;
+    std::shared_ptr<const PreparedGeneration> generation;
     size_t bytes = 0;
   };
 

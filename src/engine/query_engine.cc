@@ -21,11 +21,6 @@ constexpr uint64_t kPrepareSeedTag = 0x707265ULL;  // "pre"
 /// alias an st/distance query seed structurally.
 constexpr uint64_t kSweepSeedTag = 0x73776570ULL;  // "swep"
 
-/// How long a cancellable waiter sleeps between token polls while blocked on
-/// a flight. Purely a latency/CPU trade: the poll consumes no randomness and
-/// a completed flight still wakes waiters via notify_all immediately.
-constexpr std::chrono::milliseconds kCancelWaitSlice{5};
-
 /// True when `status` is the deadline/cancellation family — the failures
 /// that also count in engine_deadline_exceeded_total.
 bool IsCancellation(const Status& status) {
@@ -189,10 +184,11 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       replicas_(std::move(replicas)),
       extra_replicas_(std::move(extra_replicas)),
       stats_(registry_.get()) {
-  sweep_capable_ = !replicas_.empty() && replicas_.front()->SupportsSourceSweep();
+  sweep_capable_ =
+      !replicas_.empty() && replicas_.front()->capabilities().sweep;
   for (const CandidateReplicas& candidate : extra_replicas_) {
     if (!candidate.replicas.empty() &&
-        candidate.replicas.front()->SupportsSourceSweep()) {
+        candidate.replicas.front()->capabilities().sweep) {
       sweep_capable_ = true;
     }
   }
@@ -221,7 +217,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
         options_.sweep_cache_max_bytes, registry_.get());
   }
   if (options_.enable_generation_prebuild && !replicas_.empty() &&
-      replicas_.front()->SupportsPreparedGenerations()) {
+      replicas_.front()->capabilities().prepared_generations) {
     prebuilder_ = std::make_unique<GenerationPrebuilder>(
         *replicas_.front(), options_.prebuild_max_pending,
         options_.prebuild_threads, options_.prebuild_max_bytes,
@@ -511,9 +507,8 @@ Status QueryEngine::InitRouter() {
   const auto probe = [](EstimatorKind kind, const Estimator& estimator) {
     BackendCapabilities caps;
     caps.kind = kind;
-    caps.source_sweep = estimator.SupportsSourceSweep();
-    caps.stratified_sweep = estimator.SupportsStratifiedSweep();
-    caps.distance = estimator.SupportsDistanceConstrained();
+    caps.sweep = estimator.capabilities().sweep;
+    caps.distance = estimator.capabilities().distance;
     caps.hints = estimator.cost_hints();
     return caps;
   };
@@ -695,7 +690,7 @@ void QueryEngine::FillFromValue(ResultCacheValue value, EngineResult* slot) {
 
 bool QueryEngine::TryServeWithoutCompute(
     const ResultCacheKey& key, EngineResult* slot,
-    std::shared_ptr<InFlight>* leader_flight, const CancelToken* cancel,
+    std::shared_ptr<QueryFlight>* leader_flight, const CancelToken* cancel,
     obs::TraceBuffer* trace, uint32_t parent) {
   // Fast path: lock-free-ish cache probe before touching the flight table.
   // Deliberately NOT gated on the cancel token: a cache hit costs O(1) and
@@ -731,70 +726,39 @@ bool QueryEngine::TryServeWithoutCompute(
   }
   if (!options_.enable_coalescing) return false;
 
-  std::shared_ptr<InFlight> flight;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    // Re-check the cache under the flight lock: a leader publishes to the
-    // cache *before* retiring its flight entry, so this double-check makes
-    // "N concurrent identical misses -> 1 estimator invocation" exact
-    // rather than best-effort (no window where neither table covers a key).
-    // Uncounted probe (the user-level lookup was already recorded above, as
-    // a miss) — and accounted as *coalesced*, not a cache hit: the leader
-    // finished between our fast-path miss and taking the flight lock, so
-    // this query shared a twin's computation, and counting it as a hit
-    // would contradict the miss already in the cache stats
-    // (executed + coalesced + failures + cache.hits must equal queries).
-    if (cache_ != nullptr) {
-      if (std::optional<ResultCacheValue> hit =
-              cache_->Lookup(key, /*record_stats=*/false)) {
-        const bool negative = hit->negative();
-        FillFromValue(std::move(*hit), slot);
-        slot->seconds = 0.0;
-        slot->coalesced = true;
-        if (negative) {
-          stats_.RecordFailure(0.0);
-        } else {
-          stats_.RecordCoalesced(0.0);
-        }
-        return true;
-      }
+  auto joined = query_flights_.JoinOrCreate(key, cache_.get());
+  if (joined.cached) {
+    // The leader finished between our fast-path miss and the re-probe: this
+    // query shared a twin's computation. Accounted as *coalesced*, not a
+    // cache hit — the fast-path miss is already in the cache stats, and
+    // executed + coalesced + failures + cache.hits must equal queries.
+    const bool negative = joined.cached->negative();
+    FillFromValue(std::move(*joined.cached), slot);
+    slot->seconds = 0.0;
+    slot->coalesced = true;
+    if (negative) {
+      stats_.RecordFailure(0.0);
+    } else {
+      stats_.RecordCoalesced(0.0);
     }
-    auto [it, inserted] = inflight_.try_emplace(key);
-    if (inserted) {
-      it->second = std::make_shared<InFlight>();
-      *leader_flight = it->second;
-      return false;  // we are the leader; compute and FinishFlight
-    }
-    flight = it->second;
+    return true;
+  }
+  if (joined.leader) {
+    *leader_flight = std::move(joined.flight);
+    return false;  // we are the leader; compute and FinishFlight
   }
 
-  // Follower: wait for the leader (always actively computing on another
-  // worker — entries only exist while a leader runs, so this cannot
-  // deadlock) and copy its outcome. A follower carrying a cancel token
-  // polls it between wait slices: on expiry it stops waiting and fails with
-  // the token's status — the leader's flight is untouched and completes
-  // normally for everyone else.
+  // Follower: wait for the leader and copy its outcome. A follower whose
+  // token trips stops waiting and fails with the token's status; the
+  // leader's flight completes normally for everyone else.
   Timer wait_timer;
-  bool expired = false;
+  bool ready = false;
   {
     obs::ScopedSpan wait_span(trace, obs::SpanKind::kCoalescedWait, parent);
-    std::unique_lock<std::mutex> lock(flight->mutex);
-    if (cancel == nullptr) {
-      flight->done.wait(lock, [&flight] { return flight->ready; });
-    } else {
-      while (!flight->ready) {
-        if (cancel->Cancelled()) {
-          expired = true;
-          break;
-        }
-        flight->done.wait_for(lock, kCancelWaitSlice,
-                              [&flight] { return flight->ready; });
-      }
-    }
-    if (!expired) FillFromValue(flight->value, slot);
+    ready = query_flights_.Await(*joined.flight, cancel);
   }
   slot->seconds = wait_timer.ElapsedSeconds();
-  if (expired) {
+  if (!ready) {
     // Not coalesced: this query shared nothing — it gave up. Transient
     // status, so nothing here is negative-cached (the leader's own publish
     // is independent and unaffected).
@@ -803,6 +767,7 @@ bool QueryEngine::TryServeWithoutCompute(
     stats_.RecordDeadlineExceeded();
     return true;
   }
+  FillFromValue(joined.flight->value, slot);
   slot->coalesced = true;
   if (slot->status.ok()) {
     stats_.RecordCoalesced(slot->seconds);
@@ -834,23 +799,11 @@ void QueryEngine::PublishToCache(const ResultCacheKey& key,
   }
 }
 
-void QueryEngine::FinishFlight(const ResultCacheKey& key,
-                               const std::shared_ptr<InFlight>& flight,
+void QueryEngine::FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
                                const ResultCacheValue& value) {
-  // Publish order matters: cache first, then retire the flight entry, then
-  // wake the waiters. A concurrent miss thus always finds the key in the
-  // cache or the flight table (never neither).
-  PublishToCache(key, value);
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(key);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flight->mutex);
-    flight->value = value;
-    flight->ready = true;
-  }
-  flight->done.notify_all();
+  query_flights_.Finish(
+      key, flight, [&] { PublishToCache(key, value); },
+      [&](QueryFlight& settled) { settled.value = value; });
 }
 
 void QueryEngine::RequestPrebuild(const EngineQuery& query) {
@@ -863,19 +816,21 @@ void QueryEngine::RequestPrebuild(const EngineQuery& query) {
   prebuilder_->Request(PrepareSeed(query));
 }
 
-Status QueryEngine::PrepareReplica(Estimator& estimator,
-                                   uint64_t prepare_seed) {
-  if (prebuilder_ != nullptr && estimator.SupportsPreparedGenerations()) {
-    if (std::unique_ptr<PreparedGeneration> generation =
-            prebuilder_->Take(prepare_seed)) {
-      if (estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
-        stats_.RecordPrebuiltUsed();
-        return Status::OK();
-      }
-      // Adoption refused (shape mismatch — cannot happen for replicas of
-      // this engine): fall through to the inline path, which is
-      // bit-identical by the PreparedGeneration contract.
+Status QueryEngine::PrepareReplica(
+    Estimator& estimator, uint64_t prepare_seed,
+    std::shared_ptr<const PreparedGeneration> generation) {
+  if (estimator.capabilities().prepared_generations) {
+    const bool prebuilt = generation == nullptr;
+    if (prebuilt && prebuilder_ != nullptr) {
+      generation = prebuilder_->Take(prepare_seed);
     }
+    if (generation != nullptr &&
+        estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
+      if (prebuilt) stats_.RecordPrebuiltUsed();
+      return Status::OK();
+    }
+    // Nothing to adopt, or adoption refused (shape mismatch — cannot happen
+    // for replicas of this engine): the inline prepare is bit-identical.
   }
   return estimator.PrepareForNextQuery(prepare_seed);
 }
@@ -980,44 +935,33 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
       // this source — the derivation RequestPrebuild also uses, so prebuilt
       // generations match. Every participant ends up reading bit-identical
       // worlds: the first preparer pays the full prepare (adopting a
-      // prebuilt generation when one is ready) and publishes a read-only
-      // snapshot; later thieves adopt that snapshot in O(1) instead of
-      // re-running the same O(L·m) resample per worker (estimators without
-      // shared prepared state — MC, whose prepare is a no-op — just
-      // prepare directly).
+      // prebuilt generation when one is ready) and hands its generation to
+      // the flight; later thieves adopt it in O(1) instead of re-running the
+      // same O(L·m) resample per worker (MC, whose prepare is a no-op, has
+      // no generations and just prepares directly).
       StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                                parent);
-      std::shared_ptr<const PreparedGeneration> shared_state;
+      std::shared_ptr<const PreparedGeneration> generation;
       {
         std::lock_guard<std::mutex> lock(flight->mutex);
-        shared_state = flight->prepared_state;
+        generation = flight->generation;
       }
-      if (shared_state != nullptr) {
-        run = estimator.AdoptSharedPreparedState(std::move(shared_state));
-        if (!run.ok()) {
-          // Adoption refused (shape mismatch — cannot happen for replicas
-          // of this engine): the inline prepare is bit-identical anyway.
-          run = PrepareReplica(estimator,
-                               HashCombineSeed(sweep_seed, kPrepareSeedTag));
-        }
-      } else {
-        run = PrepareReplica(estimator,
-                             HashCombineSeed(sweep_seed, kPrepareSeedTag));
-        if (run.ok() && estimator.SupportsSharedPreparedState()) {
-          Result<std::shared_ptr<const PreparedGeneration>> snapshot =
-              estimator.ShareCurrentPreparedState();
-          if (snapshot.ok()) {
-            std::lock_guard<std::mutex> lock(flight->mutex);
-            if (flight->prepared_state == nullptr) {
-              flight->prepared_state = snapshot.MoveValue();
-            }
-          }
+      const bool first_preparer = generation == nullptr;
+      run = PrepareReplica(estimator,
+                           HashCombineSeed(sweep_seed, kPrepareSeedTag),
+                           std::move(generation));
+      if (run.ok() && first_preparer &&
+          estimator.capabilities().prepared_generations) {
+        Result<std::shared_ptr<const PreparedGeneration>> current =
+            estimator.CurrentPreparedGeneration();
+        std::lock_guard<std::mutex> lock(flight->mutex);
+        if (current.ok() && flight->generation == nullptr) {
+          flight->generation = current.MoveValue();
         }
       }
       prepared = run.ok();
     }
     std::vector<uint32_t> hits;
-    SweepVector whole;
     if (run.ok()) {
       StageTimer stratum_stage(stage_stratum_, trace, obs::SpanKind::kStratum,
                                parent, stratum);
@@ -1029,25 +973,14 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
       estimate_options.cancel = cancel;
       estimate_options.trace = trace;
       estimate_options.trace_parent = stratum_stage.id();
-      if (flight->whole_sweep) {
-        // No stratified core: the single "stratum" is the whole sweep.
-        Result<std::vector<double>> swept =
-            estimator.EstimateFromSource(source, estimate_options);
-        if (swept.ok()) {
-          whole =
-              std::make_shared<const std::vector<double>>(swept.MoveValue());
-        } else {
-          run = swept.status();
-        }
+      Result<std::vector<uint32_t>> stratum_hits =
+          estimator.EstimateSweepStratumHits(source, stratum,
+                                             flight->num_strata,
+                                             estimate_options);
+      if (stratum_hits.ok()) {
+        hits = stratum_hits.MoveValue();
       } else {
-        Result<std::vector<uint32_t>> stratum_hits =
-            estimator.EstimateSweepStratumHits(
-                source, stratum, flight->num_strata, estimate_options);
-        if (stratum_hits.ok()) {
-          hits = stratum_hits.MoveValue();
-        } else {
-          run = stratum_hits.status();
-        }
+        run = stratum_hits.status();
       }
     }
     stats_.RecordStratum(/*stolen=*/!leader);
@@ -1056,11 +989,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
       --flight->active;
       ++flight->completed;
       if (run.ok()) {
-        if (flight->whole_sweep) {
-          flight->whole = std::move(whole);
-        } else {
-          flight->stratum_hits[stratum] = std::move(hits);
-        }
+        flight->stratum_hits[stratum] = std::move(hits);
         if (tracker.peak_bytes() > flight->peak_memory_bytes) {
           flight->peak_memory_bytes = tracker.peak_bytes();
         }
@@ -1100,111 +1029,55 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
       finalize = true;
       status = flight->status;
       if (status.ok()) {
-        if (flight->whole_sweep) {
-          vector = flight->whole;
-        } else {
-          // Deterministic merge in stratum order: per-node hit totals over
-          // the fixed stratum slices, divided by the full budget K —
-          // bit-identical to the serial stratified sweep regardless of
-          // which workers ran which strata.
-          StageTimer merge_stage(stage_merge_, trace, obs::SpanKind::kMerge,
-                                 parent);
-          auto merged =
-              std::make_shared<std::vector<double>>(graph_.num_nodes(), 0.0);
-          std::vector<uint32_t> totals(graph_.num_nodes(), 0);
-          for (const std::vector<uint32_t>& stratum_hits :
-               flight->stratum_hits) {
-            for (size_t v = 0; v < stratum_hits.size(); ++v) {
-              totals[v] += stratum_hits[v];
-            }
+        // Deterministic merge in stratum order: per-node hit totals over the
+        // fixed stratum slices, divided by the full budget K — bit-identical
+        // to the serial stratified sweep regardless of which workers ran
+        // which strata.
+        StageTimer merge_stage(stage_merge_, trace, obs::SpanKind::kMerge,
+                               parent);
+        auto merged =
+            std::make_shared<std::vector<double>>(graph_.num_nodes(), 0.0);
+        std::vector<uint32_t> totals(graph_.num_nodes(), 0);
+        for (const std::vector<uint32_t>& stratum_hits :
+             flight->stratum_hits) {
+          for (size_t v = 0; v < stratum_hits.size(); ++v) {
+            totals[v] += stratum_hits[v];
           }
-          const double k = static_cast<double>(flight->num_samples);
-          for (size_t v = 0; v < totals.size(); ++v) {
-            (*merged)[v] = static_cast<double>(totals[v]) / k;
-          }
-          vector = std::move(merged);
         }
+        const double k = static_cast<double>(flight->num_samples);
+        for (size_t v = 0; v < totals.size(); ++v) {
+          (*merged)[v] = static_cast<double>(totals[v]) / k;
+        }
+        vector = std::move(merged);
       }
     }
   }
   if (finalize) {
-    // Publish order: SweepCache first, then retire the flight entry, then
-    // set ready and wake — a concurrent miss always finds the key in the
-    // cache or the flight table, never neither. Sweeps are published
-    // immortal and leave only by byte-budget LRU eviction.
-    if (status.ok() && sweep_cache_ != nullptr) {
-      sweep_cache_->Insert(key, vector);
-    }
-    {
-      std::lock_guard<std::mutex> lock(sweep_inflight_mutex_);
-      sweep_inflight_.erase(key);
-    }
-    stats_.RecordSweepLatency(flight->timer.ElapsedSeconds());
-    {
-      std::lock_guard<std::mutex> lock(flight->mutex);
-      flight->vector = std::move(vector);
-      flight->ready = true;
-    }
-    flight->done.notify_all();
+    // Sweeps are published immortal and leave the SweepCache only by
+    // byte-budget LRU eviction.
+    sweep_flights_.Finish(
+        key, *flight,
+        [&] {
+          if (status.ok() && sweep_cache_ != nullptr) {
+            sweep_cache_->Insert(key, vector);
+          }
+          stats_.RecordSweepLatency(flight->timer.ElapsedSeconds());
+        },
+        [&](SweepFlight& settled) {
+          settled.vector = std::move(vector);
+          settled.generation.reset();
+        });
     return Status::OK();
   }
   // Not the finalizer: some other participant is still executing a stratum
   // (or merging); wait for the publish. This terminates — the flight always
-  // has at least one active participant until ready. A participant carrying
-  // a cancel token polls it between wait slices and abandons the flight on
-  // expiry (same contract as above: the flight itself is untouched).
+  // has at least one active participant until ready. A participant whose
+  // token trips abandons the flight (same contract as above: the flight
+  // itself is untouched).
   StageTimer wait_stage(stage_sweep_wait_, trace, obs::SpanKind::kSweepWait,
                         parent);
-  std::unique_lock<std::mutex> lock(flight->mutex);
-  if (cancel == nullptr) {
-    flight->done.wait(lock, [&flight] { return flight->ready; });
-  } else {
-    while (!flight->ready) {
-      if (cancel->Cancelled()) return cancel->ToStatus();
-      flight->done.wait_for(lock, kCancelWaitSlice,
-                            [&flight] { return flight->ready; });
-    }
-  }
+  if (!sweep_flights_.Await(*flight, cancel)) return cancel->ToStatus();
   return Status::OK();
-}
-
-std::shared_ptr<QueryEngine::SweepFlight> QueryEngine::JoinOrCreateSweepFlight(
-    size_t worker_id, const QueryPlan& plan, const SweepCacheKey& key,
-    bool* leader, SweepVector* cached) {
-  *leader = false;
-  cached->reset();
-  std::lock_guard<std::mutex> lock(sweep_inflight_mutex_);
-  // Double-check under the flight lock (same protocol as the query-level
-  // rendezvous): a sweep's finalizer publishes to the SweepCache *before*
-  // retiring its flight entry, so with the sweep cache on a concurrent
-  // miss always finds the key in the cache or the flight table — never
-  // neither — making "N concurrent same-source misses -> 1 sweep" exact.
-  // With the sweep cache off (or an oversized sweep rejected by it) there
-  // is no memory of finished sweeps, and flights only collapse
-  // *overlapping* twins — same best-effort caveat as query-level
-  // coalescing without the result cache. Uncounted probe (callers decide
-  // how to account it).
-  if (sweep_cache_ != nullptr) {
-    if (std::optional<SweepVector> hit =
-            sweep_cache_->Lookup(key, /*record_stats=*/false)) {
-      *cached = std::move(*hit);
-      return nullptr;
-    }
-  }
-  auto [it, inserted] = sweep_inflight_.try_emplace(key);
-  if (inserted) {
-    it->second = std::make_shared<SweepFlight>();
-    *leader = true;
-    SweepFlight& fresh = *it->second;
-    const bool stratified =
-        ReplicaFor(plan.kind, worker_id).SupportsStratifiedSweep();
-    fresh.num_strata = stratified ? plan.num_strata : 1;
-    fresh.num_samples = plan.num_samples;
-    fresh.whole_sweep = !stratified;
-    fresh.stratum_hits.resize(fresh.num_strata);
-    fresh.timer.Restart();
-  }
-  return it->second;
 }
 
 Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
@@ -1230,17 +1103,17 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     return ComputeSweepSerial(worker_id, query, plan, sweep_seed, key, cancel,
                               trace, parent);
   }
-  bool leader = false;
-  SweepVector cached;
-  std::shared_ptr<SweepFlight> flight =
-      JoinOrCreateSweepFlight(worker_id, plan, key, &leader, &cached);
-  if (flight == nullptr) {
-    // The sweep finished between our fast-path miss and taking the flight
-    // lock: this query shared its work (accounted as sweep_coalesced, not a
-    // hit — the fast-path miss is already in the cache stats).
+  auto joined = sweep_flights_.JoinOrCreate(key, sweep_cache_.get(),
+                                           plan.num_strata, plan.num_samples);
+  if (joined.cached) {
+    // The sweep finished between our fast-path miss and the re-probe: this
+    // query shared its work (accounted as sweep_coalesced, not a hit — the
+    // fast-path miss is already in the cache stats).
     stats_.RecordSweepCoalesced();
-    return SweepShare{std::move(cached), 0};
+    return SweepShare{std::move(*joined.cached), 0};
   }
+  const std::shared_ptr<SweepFlight>& flight = joined.flight;
+  const bool leader = joined.leader;
   // One sweep_executed per sweep, recorded by its leader: the "<= 1
   // EstimateFromSource per distinct (source, generation)" gate currency.
   if (leader) stats_.RecordSweepExecuted();
@@ -1281,17 +1154,15 @@ void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
   // A plan routed onto a kind with no sweep core cannot be warmed (the
   // queries it belongs to fail with NotSupported; scouting them would only
   // burn a pool slot re-raising the error).
-  if (!ReplicaFor(plan.kind, worker_id).SupportsSourceSweep()) return;
+  if (!ReplicaFor(plan.kind, worker_id).capabilities().sweep) return;
   const uint64_t sweep_seed = SweepSeedForPlan(source, plan);
   const SweepCacheKey key{plan.kind, source, plan.num_samples, sweep_seed};
   if (sweep_cache_ == nullptr || sweep_cache_->Contains(key)) return;
-  bool leader = false;
-  SweepVector cached;
-  std::shared_ptr<SweepFlight> flight =
-      JoinOrCreateSweepFlight(worker_id, plan, key, &leader, &cached);
+  auto joined = sweep_flights_.JoinOrCreate(key, sweep_cache_.get(),
+                                           plan.num_strata, plan.num_samples);
   // Nothing to warm unless this scout won the flight outright: a memoized
   // sweep needs no warming and an open flight already has a leader.
-  if (flight == nullptr || !leader) return;
+  if (!joined.leader) return;
   // The scout IS this sweep's leader — same seed, same strata, same
   // single-flight entry the queries join (and steal from). It counts in
   // sweep_executed (the invocation currency) and in scout_warms (the
@@ -1314,8 +1185,9 @@ void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
   }
   // A scout carries no deadline (cancel=nullptr) and always drains its
   // flight, so the OK status is discardable: failures live in the flight.
-  (void)RunSweepFlight(worker_id, source, plan, sweep_seed, key, flight,
-                       /*leader=*/true, /*cancel=*/nullptr, trace, root);
+  (void)RunSweepFlight(worker_id, source, plan, sweep_seed, key,
+                       joined.flight, /*leader=*/true, /*cancel=*/nullptr,
+                       trace, root);
   if (trace != nullptr) {
     buffer.End(root);
     tracer_->Finish(buffer);
@@ -1364,7 +1236,7 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
     uint64_t query_seed, const CancelToken* cancel, obs::TraceBuffer* trace,
     uint32_t parent) {
   Estimator& estimator = ReplicaFor(plan.kind, worker_id);
-  if (IsSweepWorkload(query.workload) && estimator.SupportsSourceSweep()) {
+  if (IsSweepWorkload(query.workload) && estimator.capabilities().sweep) {
     // Sweep sharing: obtain the per-source vector once (memoized, coalesced,
     // or computed) and derive this query's view of it. Bit-identical to a
     // direct dispatch because the seed is the same sweep seed either way.
@@ -1448,7 +1320,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
       (token.deadline_ns() != 0 || query.cancel != nullptr) ? &token : nullptr;
 
   const ResultCacheKey key{query, plan.kind, plan.num_samples, query_seed};
-  std::shared_ptr<InFlight> flight;
+  std::shared_ptr<QueryFlight> flight;
   if (TryServeWithoutCompute(key, slot, &flight, cancel, trace, root)) {
     if (trace != nullptr) {
       buffer.End(root);
@@ -1469,7 +1341,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     slot->seconds = 0.0;
     stats_.RecordFailure(0.0);
     stats_.RecordDeadlineExceeded();
-    if (flight != nullptr) FinishFlight(key, flight, expired_value);
+    if (flight != nullptr) FinishFlight(key, *flight, expired_value);
     if (trace != nullptr) {
       buffer.End(root);
       tracer_->Finish(buffer);
@@ -1506,7 +1378,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     StageTimer publish_stage(stage_publish_, trace, obs::SpanKind::kPublish,
                              root);
     if (flight != nullptr) {
-      FinishFlight(key, flight, value);
+      FinishFlight(key, *flight, value);
     } else {
       PublishToCache(key, value);
     }

@@ -14,6 +14,7 @@
 #include "engine/engine_stats.h"
 #include "engine/generation_prebuilder.h"
 #include "engine/router.h"
+#include "engine/single_flight.h"
 #include "engine/thread_pool.h"
 #include "engine/ttl_cache.h"
 #include "graph/uncertain_graph.h"
@@ -456,55 +457,44 @@ class QueryEngine {
     size_t pending = 0;  ///< tasks submitted but not yet finished
   };
 
-  /// One single-flight computation in progress: the first worker to miss the
-  /// cache for a key becomes the leader and computes; concurrent misses for
-  /// the same key wait here and copy the leader's outcome.
-  struct InFlight {
-    std::mutex mutex;
-    std::condition_variable done;
-    bool ready = false;
+  /// A query-level flight: the first worker to miss the cache for a key
+  /// leads and computes; concurrent misses for the same key copy its value.
+  struct QueryFlight : FlightState {
     ResultCacheValue value;  ///< carries the Status (negative on failure)
   };
 
-  /// One sweep-level single-flight, reworked into a *stratum scheduler*:
-  /// the first worker to need a source's sweep becomes the leader, but the
-  /// sweep's S strata are a shared work-list — workers needing the same
-  /// sweep under *different* query keys (other k, other eta, other workload
-  /// kind) steal unclaimed strata instead of blocking on the leader. Each
-  /// stratum is a canonical function of (sweep seed, stratum index), so the
-  /// merged vector is bit-identical however the strata were distributed.
-  /// Per-stratum hit-count vectors merge deterministically in stratum order
-  /// once every stratum has deposited.
-  struct SweepFlight {
-    std::mutex mutex;
-    std::condition_variable done;
-    /// Strata of this sweep (fixed at creation: the sweep plan's num_strata
-    /// when the estimator has a stratified core, else 1).
-    uint32_t num_strata = 1;
-    /// The sweep plan's total budget K (fixed at creation; the merge
-    /// divisor). Every participant reached this flight through the same
-    /// plan-derived key, so the plan knobs are flight invariants.
-    uint32_t num_samples = 0;
-    /// True when the estimator has no stratified core: the single "stratum"
-    /// runs the whole EstimateFromSource into `whole`.
-    bool whole_sweep = false;
-    uint32_t next_stratum = 0;  ///< next unclaimed stratum
-    uint32_t active = 0;        ///< claimed but not yet deposited
-    uint32_t completed = 0;     ///< deposited strata (ok or failed)
-    bool finalizing = false;    ///< one participant merges and publishes
-    Timer timer;                ///< leader start -> publish (sweep latency)
+  /// A sweep-level flight, run as a *stratum scheduler*: the first worker to
+  /// need a source's sweep leads, but the sweep's S strata are a shared
+  /// work-list — workers needing the same sweep under *different* query keys
+  /// (other k, other eta, other workload kind) steal unclaimed strata instead
+  /// of blocking on the leader. Each stratum is a canonical function of
+  /// (sweep seed, stratum index), and the per-stratum hit counts merge in
+  /// stratum order once every stratum has deposited, so the merged vector is
+  /// bit-identical however the strata were distributed.
+  struct SweepFlight : FlightState {
+    /// Every participant reached this flight through the same plan-derived
+    /// key, so the plan's S and K are flight invariants.
+    SweepFlight(uint32_t num_strata, uint32_t num_samples)
+        : num_strata(num_strata),
+          num_samples(num_samples),
+          stratum_hits(num_strata) {}
+    const uint32_t num_strata;
+    const uint32_t num_samples;  ///< the total budget K: the merge divisor
+    uint32_t next_stratum = 0;   ///< next unclaimed stratum
+    uint32_t active = 0;         ///< claimed but not yet deposited
+    uint32_t completed = 0;      ///< deposited strata (ok or failed)
+    bool finalizing = false;     ///< one participant merges and publishes
+    Timer timer;                 ///< leader start -> publish (sweep latency)
     /// Per-stratum hit counts, deposited by whichever worker ran each.
     std::vector<std::vector<uint32_t>> stratum_hits;
-    /// Whole-sweep result for the no-stratified-core fallback.
-    SweepVector whole;
-    /// Read-only snapshot of the first preparer's prepared state
-    /// (ShareCurrentPreparedState), when the estimator supports it:
-    /// later-arriving thieves adopt it in O(1) instead of re-running the
-    /// same O(L·m) prepare on their own replica.
-    std::shared_ptr<const PreparedGeneration> prepared_state;
+    /// The first preparer's generation (Estimator::CurrentPreparedGeneration)
+    /// when the replica kind has prepared generations: later thieves adopt
+    /// it through PrepareReplica in O(1) instead of re-running the same
+    /// O(L·m) prepare. Dropped when the flight finishes, so the flight pins
+    /// it no longer than its strata need it.
+    std::shared_ptr<const PreparedGeneration> generation;
     Status status;  ///< first stratum / prepare failure wins
     size_t peak_memory_bytes = 0;
-    bool ready = false;
     SweepVector vector;
   };
 
@@ -588,17 +578,6 @@ class QueryEngine {
                                         obs::TraceBuffer* trace,
                                         uint32_t parent);
 
-  /// Single-flight rendezvous for `key` under sweep_inflight_mutex_:
-  /// re-probes the SweepCache (publish-then-retire makes this exact),
-  /// then joins the existing flight or creates-and-initializes a fresh one.
-  /// Returns nullptr when the double-check served the sweep (`*cached`
-  /// holds the vector); otherwise the flight, with `*leader` true iff this
-  /// caller created it. Shared by the query path and the scout pass so the
-  /// two can never drift in flight setup.
-  std::shared_ptr<SweepFlight> JoinOrCreateSweepFlight(
-      size_t worker_id, const QueryPlan& plan, const SweepCacheKey& key,
-      bool* leader, SweepVector* cached);
-
   /// Warm-ahead scout task for `source`: if its sweep is neither memoized
   /// nor in flight, leads a stratified sweep through the same single-flight
   /// protocol queries use (the queries it outran steal its strata / derive
@@ -635,10 +614,13 @@ class QueryEngine {
   /// batch's own tasks in the pool's FIFO.
   void ScoutBatch(const std::vector<EngineQuery>& queries);
 
-  /// Re-arms `estimator` for a query with `prepare_seed`: adopts a prebuilt
-  /// generation when the background prebuilder has one ready, falls back to
-  /// the inline PrepareForNextQuery otherwise (bit-identical either way).
-  Status PrepareReplica(Estimator& estimator, uint64_t prepare_seed);
+  /// Re-arms `estimator` for a query with `prepare_seed`, bit-identically
+  /// whichever way: adopts `generation` (a sweep flight's, prepared for the
+  /// same seed) when given, else a prebuilt generation when the background
+  /// prebuilder has one ready, else runs the inline PrepareForNextQuery.
+  Status PrepareReplica(
+      Estimator& estimator, uint64_t prepare_seed,
+      std::shared_ptr<const PreparedGeneration> generation = nullptr);
 
   /// Hands `query`'s prepare seed to the background builder — unless a
   /// cache will serve the query anyway (ServableFromCache) or its plan runs
@@ -654,7 +636,7 @@ class QueryEngine {
   /// status (counted as a failure, not coalesced); the flight completes
   /// normally for everyone else.
   bool TryServeWithoutCompute(const ResultCacheKey& key, EngineResult* slot,
-                              std::shared_ptr<InFlight>* leader_flight,
+                              std::shared_ptr<QueryFlight>* leader_flight,
                               const CancelToken* cancel,
                               obs::TraceBuffer* trace, uint32_t parent);
 
@@ -694,10 +676,9 @@ class QueryEngine {
   void RestoreWarmState();
 
   /// Publishes the leader's outcome: inserts into the cache (successes under
-  /// cache_ttl, failures under negative_cache_ttl when enabled), removes the
-  /// in-flight entry, and wakes the waiters.
-  void FinishFlight(const ResultCacheKey& key,
-                    const std::shared_ptr<InFlight>& flight,
+  /// cache_ttl, failures under negative_cache_ttl when enabled), retires the
+  /// flight, and wakes the waiters.
+  void FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
                     const ResultCacheValue& value);
 
   /// Cache insertion policy shared by the leader and non-coalescing paths.
@@ -755,34 +736,11 @@ class QueryEngine {
   obs::Histogram* stage_derive_;
   obs::Histogram* stage_sweep_wait_;
 
-  struct KeyHash {
-    size_t operator()(const ResultCacheKey& key) const {
-      return static_cast<size_t>(key.Hash());
-    }
-  };
-
-  /// Single-flight table: full cache key -> in-flight computation (full key,
-  /// not hash — hash collisions must never coalesce distinct queries).
-  /// Guarded by inflight_mutex_; entries exist only while a leader computes.
-  std::mutex inflight_mutex_;
-  std::unordered_map<ResultCacheKey, std::shared_ptr<InFlight>, KeyHash>
-      inflight_;
-
-  struct SweepKeyHash {
-    size_t operator()(const SweepCacheKey& key) const {
-      return static_cast<size_t>(key.Hash());
-    }
-  };
-
-  /// Sweep-level single-flight table, same invariants as inflight_: entries
-  /// exist only while at least one participant actively runs the sweep's
-  /// strata on a worker, so a waiter never waits on queued-but-unstarted
-  /// work. A query-level leader may wait on (or steal strata of) a sweep
-  /// flight, never the other way around — the wait graph is a depth-2 DAG,
-  /// no cycles.
-  std::mutex sweep_inflight_mutex_;
-  std::unordered_map<SweepCacheKey, std::shared_ptr<SweepFlight>, SweepKeyHash>
-      sweep_inflight_;
+  /// The two single-flight tables. A query-level leader may wait on (or
+  /// steal strata of) a sweep flight, never the other way around, so the
+  /// wait graph is a depth-2 DAG with no cycles.
+  FlightTable<ResultCacheKey, QueryFlight> query_flights_;
+  FlightTable<SweepCacheKey, SweepFlight> sweep_flights_;
 
   /// Memoized per-source sweeps; nullptr when disabled.
   std::unique_ptr<SweepCache> sweep_cache_;

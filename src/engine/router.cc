@@ -384,7 +384,7 @@ const BackendCapabilities* EstimatorRouter::FindCandidate(
 
 bool EstimatorRouter::Capable(const BackendCapabilities& candidate,
                               WorkloadKind workload, bool is_sweep) const {
-  if (is_sweep) return candidate.source_sweep;
+  if (is_sweep) return candidate.sweep;
   if (workload == WorkloadKind::kDistance) return candidate.distance;
   return true;  // every kind answers st
 }
@@ -495,7 +495,7 @@ QueryPlan EstimatorRouter::Compute(const QueryFeatures& features, double eps,
   plan.num_strata = static_.num_strata;
   if (is_sweep) {
     const BackendCapabilities* chosen_candidate = FindCandidate(chosen);
-    if (chosen_candidate != nullptr && chosen_candidate->stratified_sweep &&
+    if (chosen_candidate != nullptr && chosen_candidate->sweep &&
         num_threads_ > 1 && chosen_seconds > options_.stratify_min_seconds) {
       const uint32_t strata =
           std::max(static_.num_strata,

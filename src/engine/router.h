@@ -111,8 +111,8 @@ struct QueryFeatures {
 /// QueryEngine::Create, plus its self-reported cost hints.
 struct BackendCapabilities {
   EstimatorKind kind = EstimatorKind::kMonteCarlo;
-  bool source_sweep = false;
-  bool stratified_sweep = false;
+  /// Estimator::capabilities().sweep and .distance of the backend.
+  bool sweep = false;
   bool distance = false;
   CostHints hints;
 };

@@ -14,31 +14,6 @@ namespace relcomp {
 
 namespace {
 constexpr char kIndexMagic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', 'X'};
-
-/// The background-prepare artifact: a fully sampled generation, held mutable
-/// so the adopting replica regains in-place-resample ownership.
-class PreparedBfsGeneration : public PreparedGeneration {
- public:
-  explicit PreparedBfsGeneration(std::shared_ptr<BfsSharingIndex> index)
-      : index(std::move(index)) {}
-  size_t MemoryBytes() const override {
-    return index == nullptr ? 0 : index->MemoryBytes();
-  }
-  std::shared_ptr<BfsSharingIndex> index;
-};
-
-/// The shared-prepared-state snapshot: a read-only view of an already
-/// prepared replica's generation, adoptable in O(1) by stratum thieves.
-class SharedBfsGeneration : public PreparedGeneration {
- public:
-  explicit SharedBfsGeneration(std::shared_ptr<const BfsSharingIndex> index)
-      : index(std::move(index)) {}
-  size_t MemoryBytes() const override {
-    return index == nullptr ? 0 : index->MemoryBytes();
-  }
-  std::shared_ptr<const BfsSharingIndex> index;
-};
-
 }  // namespace
 
 std::atomic<uint64_t> BfsSharingIndex::build_count_{0};
@@ -238,11 +213,15 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
 Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
   // Exclusive ownership (owned_ + the copy inside index_): refill the
   // worlds in place — bit-identical to a fresh build, zero allocation. This
-  // is the steady state on the serving path, where every query re-arms. A
-  // transient snapshot held elsewhere (e.g. a stats reader) pushes the count
-  // above 2 and falls through to one fresh build; either path yields the
-  // same worlds.
+  // is the steady state on the serving path, where every query re-arms. Any
+  // other handle — a sibling that adopted this generation, a sweep flight
+  // or a transient stats reader — pushes the count above 2 and falls through
+  // to one fresh build; either path yields the same worlds.
   if (owned_ != nullptr && owned_.use_count() == 2) {
+    // use_count() is a relaxed load. The fence orders this replica's writes
+    // after the reads of every holder whose release brought the count to 2
+    // (e.g. the sweep leader whose generation a stratum thief adopted).
+    std::atomic_thread_fence(std::memory_order_acquire);
     owned_->Resample(graph_, seed);
     return Status::OK();
   }
@@ -257,7 +236,7 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<PreparedGeneration>>
+Result<std::shared_ptr<const PreparedGeneration>>
 BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed) const {
   // Reads only graph_ and options_ (both frozen at construction), so a
   // builder thread may run this while the serving thread is mid-BFS on the
@@ -265,57 +244,34 @@ BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed) const {
   // installs, and the in-place Resample path is bit-identical to it.
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
                            BfsSharingIndex::Build(graph_, options_, seed));
-  return std::unique_ptr<PreparedGeneration>(
-      new PreparedBfsGeneration(std::move(fresh)));
+  return std::shared_ptr<const PreparedGeneration>(std::move(fresh));
+}
+
+Result<std::shared_ptr<const PreparedGeneration>>
+BfsSharingEstimator::CurrentPreparedGeneration() const {
+  return std::shared_ptr<const PreparedGeneration>(shared_index());
 }
 
 Status BfsSharingEstimator::AdoptPreparedGeneration(
-    std::unique_ptr<PreparedGeneration> generation) {
-  auto* prepared = dynamic_cast<PreparedBfsGeneration*>(generation.get());
-  if (prepared == nullptr || prepared->index == nullptr) {
+    std::shared_ptr<const PreparedGeneration> generation) {
+  std::shared_ptr<const BfsSharingIndex> index =
+      std::dynamic_pointer_cast<const BfsSharingIndex>(std::move(generation));
+  if (index == nullptr) {
     return Status::InvalidArgument(
         "BFS Sharing: not a prepared BFS Sharing generation");
   }
-  if (prepared->index->num_edges() != graph_.num_edges() ||
-      prepared->index->num_samples() != options_.index_samples) {
+  if (index->num_edges() != graph_.num_edges() ||
+      index->num_samples() != options_.index_samples) {
     return Status::InvalidArgument(
         "BFS Sharing: prepared generation shape mismatch");
   }
   // Same publication order as PrepareForNextQuery's swap path: readers of
-  // index_ move to the fresh worlds; the generation is exclusively ours, so
-  // later inline prepares resample it in place.
-  index_.store(std::shared_ptr<const BfsSharingIndex>(prepared->index),
-               std::memory_order_release);
-  owned_ = std::move(prepared->index);
-  return Status::OK();
-}
-
-Result<std::shared_ptr<const PreparedGeneration>>
-BfsSharingEstimator::ShareCurrentPreparedState() const {
-  // The current generation, read-only. Safe to hand out mid-serving: the
-  // serving path never mutates a generation, and the sharer's next inline
-  // PrepareForNextQuery sees the extra reference (owned_ use_count > 2) and
-  // swaps to a fresh generation instead of resampling under the reader.
-  return std::shared_ptr<const PreparedGeneration>(
-      new SharedBfsGeneration(shared_index()));
-}
-
-Status BfsSharingEstimator::AdoptSharedPreparedState(
-    std::shared_ptr<const PreparedGeneration> state) {
-  const auto* shared = dynamic_cast<const SharedBfsGeneration*>(state.get());
-  if (shared == nullptr || shared->index == nullptr) {
-    return Status::InvalidArgument(
-        "BFS Sharing: not a shared BFS Sharing generation");
-  }
-  if (shared->index->num_edges() != graph_.num_edges() ||
-      shared->index->num_samples() != options_.index_samples) {
-    return Status::InvalidArgument(
-        "BFS Sharing: shared generation shape mismatch");
-  }
-  // Read-only share: this replica reads the sharer's worlds and gives up
-  // in-place-resample ownership (its next inline prepare builds or swaps).
-  index_.store(shared->index, std::memory_order_release);
-  owned_.reset();
+  // index_ move to the adopted worlds. Every generation is constructed
+  // mutable (Build, LoadFromFile, FromBlock), so the writable handle is
+  // sound; PrepareForNextQuery's use_count guard decides whether it may be
+  // written, so adopting never makes a generation writable under a reader.
+  owned_ = std::const_pointer_cast<BfsSharingIndex>(index);
+  index_.store(std::move(index), std::memory_order_release);
   return Status::OK();
 }
 

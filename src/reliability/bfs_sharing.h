@@ -17,17 +17,18 @@ struct BfsSharingOptions {
   uint32_t index_samples = 1500;
 };
 
-/// \brief One immutable generation of the BFS Sharing index: the L-bit edge
-/// vectors of Figure 3 (bit i = "edge exists in pre-sampled world i").
+/// \brief One generation of the BFS Sharing index: the L-bit edge vectors of
+/// Figure 3 (bit i = "edge exists in pre-sampled world i").
 ///
-/// A generation is frozen at Build()/LoadFromFile() and never mutated, so any
-/// number of estimator replicas may read it concurrently through a
-/// `shared_ptr<const BfsSharingIndex>` — the engine builds the index once for
-/// all worker threads instead of once per replica. Resampling
-/// (BfsSharingEstimator::PrepareForNextQuery) creates a *new* generation and
-/// swaps the pointer; the old generation is freed when its last reader drops
-/// it.
-class BfsSharingIndex {
+/// Any number of estimator replicas may read a generation concurrently
+/// through a `shared_ptr<const BfsSharingIndex>` — the engine builds the
+/// index once for all worker threads instead of once per replica. A
+/// generation is also the PreparedGeneration replicas hand to each other.
+/// Resampling (BfsSharingEstimator::PrepareForNextQuery) refills a generation
+/// in place only while its replica is the last holder; otherwise it creates a
+/// *new* generation and swaps the pointer, and the old one is freed when its
+/// last reader drops it.
+class BfsSharingIndex : public PreparedGeneration {
  public:
   /// Samples a fresh generation: O(L m) time, O(L m) space. Deterministic in
   /// `seed` (bit-identical worlds for equal seeds and options). The returned
@@ -88,7 +89,7 @@ class BfsSharingIndex {
   }
 
   /// Edge bit-vector bytes resident in memory.
-  size_t MemoryBytes() const;
+  size_t MemoryBytes() const override;
 
   /// Seconds spent sampling (or loading) this generation.
   double build_seconds() const { return build_seconds_; }
@@ -194,29 +195,24 @@ class BfsSharingEstimator : public Estimator {
   /// leaving generations still referenced by other replicas untouched.
   Status PrepareForNextQuery(uint64_t seed) override;
 
-  /// Background-prepare surface: BuildPreparedGeneration samples the worlds
-  /// PrepareForNextQuery(seed) would install — bit-identical, reading only
-  /// the graph and the options, so a builder thread can overlap it with this
-  /// replica's in-flight BFS. AdoptPreparedGeneration swaps it in as an
-  /// exclusively-owned generation (subsequent inline prepares resample it in
-  /// place again).
-  bool SupportsPreparedGenerations() const override { return true; }
-  Result<std::unique_ptr<PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed) const override;
-  Status AdoptPreparedGeneration(
-      std::unique_ptr<PreparedGeneration> generation) override;
+  EstimatorCapabilities capabilities() const override {
+    return {.sweep = true, .prepared_generations = true};
+  }
 
-  /// Shared-prepared-state surface: a prepared replica hands its current
-  /// generation to sibling replicas as a read-only snapshot, adopted in
-  /// O(1) — how stratum thieves skip re-running the sharer's O(L·m)
-  /// resample. The ownership discipline of PrepareForNextQuery (in-place
-  /// resampling only at use_count == 2) makes the share race-free: a
-  /// generation with outstanding readers is never refilled in place.
-  bool SupportsSharedPreparedState() const override { return true; }
-  Result<std::shared_ptr<const PreparedGeneration>> ShareCurrentPreparedState()
+  /// Prepared-generation handoff: the handle is the BfsSharingIndex itself.
+  /// BuildPreparedGeneration samples the worlds PrepareForNextQuery(seed)
+  /// would install — bit-identical, reading only the graph and the options,
+  /// so a builder thread can overlap it with this replica's in-flight BFS.
+  /// CurrentPreparedGeneration hands out the generation this replica reads,
+  /// and AdoptPreparedGeneration makes it this replica's own. The replica
+  /// that ends up its last holder refills it in place on its next inline
+  /// prepare; while any other handle is alive, nobody does.
+  Result<std::shared_ptr<const PreparedGeneration>> BuildPreparedGeneration(
+      uint64_t seed) const override;
+  Result<std::shared_ptr<const PreparedGeneration>> CurrentPreparedGeneration()
       const override;
-  Status AdoptSharedPreparedState(
-      std::shared_ptr<const PreparedGeneration> state) override;
+  Status AdoptPreparedGeneration(
+      std::shared_ptr<const PreparedGeneration> generation) override;
 
   /// The generation this replica currently reads (atomic snapshot).
   std::shared_ptr<const BfsSharingIndex> shared_index() const {
@@ -254,7 +250,6 @@ class BfsSharingEstimator : public Estimator {
   /// (the engine does this with a content-derived seed before every query).
   /// options.num_strata is ignored: slices sum exactly, so the sweep is
   /// stratification-invariant (see SourceHitCountsInWorldRange).
-  bool SupportsSourceSweep() const override { return true; }
   Result<std::vector<double>> EstimateFromSource(
       NodeId source, const EstimateOptions& options) override {
     // Cancellation point: BFS Sharing's sweep is one bit-parallel BFS over
@@ -270,7 +265,6 @@ class BfsSharingEstimator : public Estimator {
   }
 
   /// One stratum = one world slice of the budget's [0, K) range.
-  bool SupportsStratifiedSweep() const override { return true; }
   Result<std::vector<uint32_t>> EstimateSweepStratumHits(
       NodeId source, uint32_t stratum, uint32_t num_strata,
       const EstimateOptions& options) override;
@@ -301,11 +295,11 @@ class BfsSharingEstimator : public Estimator {
   /// pointer while this replica's worker swaps generations; readers never
   /// touch bit content (sizes only).
   std::atomic<std::shared_ptr<const BfsSharingIndex>> index_;
-  /// Mutable handle to the current generation IFF this replica built it
-  /// privately (Create-with-options, LoadFromFile, or a past generation
-  /// swap); nullptr while reading a generation handed in from outside that
-  /// other replicas may share. Exclusive ownership (use_count == 2: this +
-  /// the copy inside index_) enables in-place resampling.
+  /// Mutable handle to the current generation once this replica has
+  /// prepared or adopted it (Create-with-options, LoadFromFile, a generation
+  /// swap, or AdoptPreparedGeneration); nullptr while it still reads the
+  /// construction-time index the factory shares across replicas. In-place
+  /// resampling needs use_count == 2: this handle plus the copy in index_.
   std::shared_ptr<BfsSharingIndex> owned_;
 
   /// Per-query scratch, epoch-reused: node bit-vectors I_v and visited marks.

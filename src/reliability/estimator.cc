@@ -5,6 +5,14 @@
 
 namespace relcomp {
 
+namespace {
+Status NoPreparedGenerations(std::string_view name) {
+  return Status::NotSupported(
+      StrFormat("%.*s has no prepared-generation support",
+                static_cast<int>(name.size()), name.data()));
+}
+}  // namespace
+
 Result<EstimateResult> Estimator::Estimate(const ReliabilityQuery& query,
                                            const EstimateOptions& options) {
   const UncertainGraph& g = graph();
@@ -29,20 +37,21 @@ Result<EstimateResult> Estimator::Estimate(const ReliabilityQuery& query,
   return result;
 }
 
-Result<std::unique_ptr<PreparedGeneration>> Estimator::BuildPreparedGeneration(
-    uint64_t seed) const {
+Result<std::shared_ptr<const PreparedGeneration>>
+Estimator::BuildPreparedGeneration(uint64_t seed) const {
   (void)seed;
-  return Status::NotSupported(
-      StrFormat("%.*s has no prepared-generation support",
-                static_cast<int>(name().size()), name().data()));
+  return NoPreparedGenerations(name());
+}
+
+Result<std::shared_ptr<const PreparedGeneration>>
+Estimator::CurrentPreparedGeneration() const {
+  return NoPreparedGenerations(name());
 }
 
 Status Estimator::AdoptPreparedGeneration(
-    std::unique_ptr<PreparedGeneration> generation) {
+    std::shared_ptr<const PreparedGeneration> generation) {
   (void)generation;
-  return Status::NotSupported(
-      StrFormat("%.*s has no prepared-generation support",
-                static_cast<int>(name().size()), name().data()));
+  return NoPreparedGenerations(name());
 }
 
 Result<std::vector<double>> Estimator::EstimateFromSource(
@@ -52,21 +61,6 @@ Result<std::vector<double>> Estimator::EstimateFromSource(
   return Status::NotSupported(
       StrFormat("%.*s does not support source-sweep workloads "
                 "(top-k / reliable-set need MC or BFSSharing)",
-                static_cast<int>(name().size()), name().data()));
-}
-
-Result<std::shared_ptr<const PreparedGeneration>>
-Estimator::ShareCurrentPreparedState() const {
-  return Status::NotSupported(
-      StrFormat("%.*s has no shared-prepared-state support",
-                static_cast<int>(name().size()), name().data()));
-}
-
-Status Estimator::AdoptSharedPreparedState(
-    std::shared_ptr<const PreparedGeneration> state) {
-  (void)state;
-  return Status::NotSupported(
-      StrFormat("%.*s has no shared-prepared-state support",
                 static_cast<int>(name().size()), name().data()));
 }
 

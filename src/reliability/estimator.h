@@ -100,24 +100,44 @@ struct CostHints {
   bool sweep_amortized = false;
 };
 
-/// \brief Opaque artifact of an inter-query maintenance step performed off
-/// the serving path.
+/// \brief Opaque artifact of an inter-query maintenance step: one prepared
+/// generation (BFS Sharing's resampled worlds, Table 15's per-query cost).
 ///
-/// Estimators whose PrepareForNextQuery does real work (BFS Sharing's world
-/// resampling) can split it in two: BuildPreparedGeneration constructs the
-/// exact artifact PrepareForNextQuery(seed) would install — on any thread,
-/// overlapping the previous query's BFS — and AdoptPreparedGeneration
-/// installs it on the serving thread in O(1). The concrete payload is
-/// estimator-specific; callers only move the handle between the two calls.
+/// Replicas hand generations to each other one way, as a
+/// `std::shared_ptr<const PreparedGeneration>`:
+/// - BuildPreparedGeneration builds one off-thread (the prebuilder);
+/// - CurrentPreparedGeneration reads one off a prepared replica (a sweep
+///   flight's first preparer, for its stratum thieves);
+/// - AdoptPreparedGeneration installs either kind in O(1).
+///
+/// Ownership rule: a replica refills its generation in place on its next
+/// inline PrepareForNextQuery only when no other handle references it (the
+/// adopting replica is the last holder); otherwise it moves to a fresh
+/// generation and leaves the shared one untouched. So a generation is never
+/// written while anyone else can read it, and a caller that adopts and then
+/// drops its handle hands the replica in-place ownership.
 class PreparedGeneration {
  public:
   virtual ~PreparedGeneration() = default;
 
-  /// Logical bytes this ready-but-unadopted artifact keeps resident (a BFS
-  /// Sharing generation is index-sized: the full L-bit-per-edge vectors).
-  /// Lets the GenerationPrebuilder bound its ready pool by bytes and memory
-  /// reports account prebuilt generations alongside the live index.
+  /// Logical bytes this generation keeps resident (a BFS Sharing generation
+  /// is index-sized: the full L-bit-per-edge vectors). Lets the
+  /// GenerationPrebuilder bound its ready pool by bytes and memory reports
+  /// account prebuilt generations alongside the live index.
   virtual size_t MemoryBytes() const { return 0; }
+};
+
+/// \brief What an estimator answers beyond the core s-t Estimate. Every
+/// caller that needs more than s-t (DispatchWorkload, the engine, the
+/// router's BackendCapabilities) reads this one set.
+struct EstimatorCapabilities {
+  /// Source sweeps: EstimateFromSource and its stratified core
+  /// EstimateSweepStratumHits (MC and BFS Sharing).
+  bool sweep = false;
+  /// EstimateDistanceConstrained (MC and RHH).
+  bool distance = false;
+  /// Build/Current/AdoptPreparedGeneration (BFS Sharing).
+  bool prepared_generations = false;
 };
 
 /// \brief Common interface of the six s-t reliability estimators.
@@ -130,8 +150,8 @@ class PreparedGeneration {
 /// Beyond the core s-t Estimate, the interface carries an optional workload
 /// dispatch surface (source sweeps for top-k / reliable-set, distance-
 /// constrained estimation) so engine replicas can answer the whole workload
-/// family of reliability/workload.h. Kinds that cannot answer a workload
-/// return NotSupported from the defaults.
+/// family of reliability/workload.h. capabilities() says which of those calls
+/// a kind implements; the others return NotSupported from the defaults.
 class Estimator {
  public:
   virtual ~Estimator() = default;
@@ -177,56 +197,39 @@ class Estimator {
     return Status::OK();
   }
 
-  /// \name Background-prepare surface (generation prebuilding)
+  /// What this estimator answers beyond s-t (see EstimatorCapabilities).
+  /// Kinds that lack a capability return NotSupported from its calls.
+  virtual EstimatorCapabilities capabilities() const { return {}; }
+
+  /// \name Prepared-generation handoff (see PreparedGeneration)
   /// @{
 
-  /// True when PrepareForNextQuery's work can be built off-thread through
-  /// BuildPreparedGeneration / AdoptPreparedGeneration (BFS Sharing).
-  virtual bool SupportsPreparedGenerations() const { return false; }
-
-  /// Builds, without touching this instance's mutable state, the artifact
+  /// Builds, without touching this instance's mutable state, the generation
   /// PrepareForNextQuery(seed) would install — bit-identical by contract.
   /// Must be safe to call from a background thread while this instance
   /// concurrently serves queries (it may only read construction-time
   /// immutable state: the graph and the options). Default: NotSupported.
-  virtual Result<std::unique_ptr<PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed) const;
-
-  /// Installs a generation built by BuildPreparedGeneration on *any* replica
-  /// bound to the same graph and options (replicas are interchangeable).
-  /// Serving-thread only, like PrepareForNextQuery. Default: NotSupported.
-  virtual Status AdoptPreparedGeneration(
-      std::unique_ptr<PreparedGeneration> generation);
-
-  /// True when a *prepared* replica can hand its per-query prepared state
-  /// to sibling replicas in O(1) (BFS Sharing: the freshly resampled
-  /// generation, shared read-only), so workers stealing strata of one
-  /// sweep skip re-running the O(L·m) prepare the leader already did.
-  virtual bool SupportsSharedPreparedState() const { return false; }
-
-  /// Read-only snapshot of this replica's current prepared state,
-  /// adoptable by any replica of the same graph and options.
-  /// Precondition: PrepareForNextQuery (or an adoption) ran for the
-  /// current query. Default: NotSupported.
   virtual Result<std::shared_ptr<const PreparedGeneration>>
-  ShareCurrentPreparedState() const;
+  BuildPreparedGeneration(uint64_t seed) const;
 
-  /// Points this replica at `state` (a ShareCurrentPreparedState snapshot):
-  /// bit-identical to having run PrepareForNextQuery with the sharer's
-  /// seed, in O(1). The replica yields any in-place-resample ownership
-  /// until its next inline prepare (shared generations are never mutated
-  /// under a reader). Serving-thread only. Default: NotSupported.
-  virtual Status AdoptSharedPreparedState(
-      std::shared_ptr<const PreparedGeneration> state);
+  /// The generation this replica currently reads. Precondition:
+  /// PrepareForNextQuery or an adoption ran for the current query.
+  /// Serving-thread only. Default: NotSupported.
+  virtual Result<std::shared_ptr<const PreparedGeneration>>
+  CurrentPreparedGeneration() const;
+
+  /// Installs `generation` — built by BuildPreparedGeneration or read by
+  /// CurrentPreparedGeneration on *any* replica bound to the same graph and
+  /// options (replicas are interchangeable) — in O(1): bit-identical to
+  /// having run PrepareForNextQuery with its seed. Serving-thread only.
+  /// Default: NotSupported.
+  virtual Status AdoptPreparedGeneration(
+      std::shared_ptr<const PreparedGeneration> generation);
 
   /// @}
 
   /// \name Workload dispatch surface (source sweeps, distance bounds)
   /// @{
-
-  /// True when EstimateFromSource is implemented natively (one sweep
-  /// amortized across every candidate target — MC and BFS Sharing).
-  virtual bool SupportsSourceSweep() const { return false; }
 
   /// Source sweep: the reliability of every node from `source` (index =
   /// node id; 0 for unreachable nodes, including any value for the source
@@ -234,11 +237,6 @@ class Estimator {
   /// like Estimate. Default: NotSupported.
   virtual Result<std::vector<double>> EstimateFromSource(
       NodeId source, const EstimateOptions& options);
-
-  /// True when one source sweep can execute as independent strata through
-  /// EstimateSweepStratumHits (MC and BFS Sharing). Implies
-  /// SupportsSourceSweep.
-  virtual bool SupportsStratifiedSweep() const { return false; }
 
   /// Runs stratum `stratum` of the `num_strata`-way partition of the source
   /// sweep defined by (source, options.num_samples, options.seed): per-node
@@ -256,11 +254,6 @@ class Estimator {
   virtual Result<std::vector<uint32_t>> EstimateSweepStratumHits(
       NodeId source, uint32_t stratum, uint32_t num_strata,
       const EstimateOptions& options);
-
-  /// True when EstimateDistanceConstrained is implemented natively (MC and
-  /// RHH, the estimators the distance-constrained variants of
-  /// reliability/distance_constrained.h are built on).
-  virtual bool SupportsDistanceConstrained() const { return false; }
 
   /// Distance-constrained reliability R_d(s, t): reachable within at most
   /// `max_hops` hops. Deterministic in `options.seed`. Default: NotSupported.

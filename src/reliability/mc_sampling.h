@@ -53,24 +53,25 @@ class MonteCarloEstimator : public Estimator {
     return hints;
   }
 
+  EstimatorCapabilities capabilities() const override {
+    return {.sweep = true, .distance = true};
+  }
+
   /// Source sweep for top-k / reliable-set dispatch (the shared
   /// MonteCarloReliabilityFromSource core, stratified when
   /// options.num_strata > 1).
-  bool SupportsSourceSweep() const override { return true; }
   Result<std::vector<double>> EstimateFromSource(
       NodeId source, const EstimateOptions& options) override;
 
   /// One stratum of the sweep above, as raw hit counts: the engine's
   /// work-stealing currency. Merging all strata == EstimateFromSource with
   /// the same num_strata, bit for bit.
-  bool SupportsStratifiedSweep() const override { return true; }
   Result<std::vector<uint32_t>> EstimateSweepStratumHits(
       NodeId source, uint32_t stratum, uint32_t num_strata,
       const EstimateOptions& options) override;
 
   /// Distance-constrained dispatch via the depth-bounded sampler of
   /// distance_constrained.h (per-replica scratch, reused across queries).
-  bool SupportsDistanceConstrained() const override { return true; }
   Result<double> EstimateDistanceConstrained(
       const ReliabilityQuery& query, uint32_t max_hops,
       const EstimateOptions& options) override;

@@ -61,7 +61,9 @@ class RecursiveEstimator : public Estimator {
   /// of distance_constrained.h — the query this algorithm was originally
   /// designed for [20] (same threshold as the s-t configuration; the
   /// sampler is built on first use so s-t-only replicas pay nothing).
-  bool SupportsDistanceConstrained() const override { return true; }
+  EstimatorCapabilities capabilities() const override {
+    return {.distance = true};
+  }
   Result<double> EstimateDistanceConstrained(
       const ReliabilityQuery& query, uint32_t max_hops,
       const EstimateOptions& options) override {

@@ -187,7 +187,7 @@ Result<WorkloadResult> DispatchWorkload(Estimator& replica,
       return result;
     }
     case WorkloadKind::kDistance: {
-      if (!replica.SupportsDistanceConstrained()) {
+      if (!replica.capabilities().distance) {
         return Status::NotSupported(
             StrFormat("%s: estimator has no distance-constrained support "
                       "(use MC or RHH)",
@@ -206,7 +206,7 @@ Result<WorkloadResult> DispatchWorkload(Estimator& replica,
     }
     case WorkloadKind::kTopK:
     case WorkloadKind::kReliableSet: {
-      if (!replica.SupportsSourceSweep()) {
+      if (!replica.capabilities().sweep) {
         return Status::NotSupported(
             StrFormat("%s: estimator has no source-sweep support "
                       "(use MC or BFSSharing)",

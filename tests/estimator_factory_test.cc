@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reliability/workload.h"
 #include "test_util.h"
 
 namespace relcomp {
@@ -33,6 +34,54 @@ TEST(Factory, TheSixAreInPaperOrder) {
   EXPECT_EQ(six[3], EstimatorKind::kLazyPropagationPlus);
   EXPECT_EQ(six[4], EstimatorKind::kRecursive);
   EXPECT_EQ(six[5], EstimatorKind::kRecursiveStratified);
+}
+
+TEST(Factory, CapabilitiesMatchDispatchForEachOfTheSix) {
+  // One capability set per kind, and the dispatch surface agrees with it:
+  // a top-k query (a source sweep) and a distance query fail with
+  // NotSupported exactly where the kind's bit is false.
+  const UncertainGraph g = testing::RandomSmallGraph(20, 60, 0.2, 0.8, 5);
+  struct Row {
+    EstimatorKind kind;
+    bool sweep;
+    bool distance;
+    bool prepared_generations;
+  };
+  const std::vector<Row> rows = {
+      {EstimatorKind::kMonteCarlo, true, true, false},
+      {EstimatorKind::kBfsSharing, true, false, true},
+      {EstimatorKind::kProbTree, false, false, false},
+      {EstimatorKind::kLazyPropagationPlus, false, false, false},
+      {EstimatorKind::kRecursive, false, true, false},
+      {EstimatorKind::kRecursiveStratified, false, false, false},
+  };
+  ASSERT_EQ(rows.size(), TheSixEstimators().size());
+  for (const Row& row : rows) {
+    SCOPED_TRACE(EstimatorKindName(row.kind));
+    std::unique_ptr<Estimator> est = MakeEstimator(row.kind, g).MoveValue();
+    const EstimatorCapabilities caps = est->capabilities();
+    EXPECT_EQ(caps.sweep, row.sweep);
+    EXPECT_EQ(caps.distance, row.distance);
+    EXPECT_EQ(caps.prepared_generations, row.prepared_generations);
+
+    EstimateOptions options;
+    options.num_samples = 64;
+    options.seed = 9;
+    const Result<WorkloadResult> top_k =
+        DispatchWorkload(*est, EngineQuery::TopK(0, 3), options);
+    EXPECT_EQ(top_k.ok(), row.sweep) << top_k.status();
+    EXPECT_EQ(top_k.status().code() == StatusCode::kNotSupported, !row.sweep);
+    const Result<WorkloadResult> distance =
+        DispatchWorkload(*est, EngineQuery::Distance(0, 1, 3), options);
+    EXPECT_EQ(distance.ok(), row.distance) << distance.status();
+    EXPECT_EQ(distance.status().code() == StatusCode::kNotSupported,
+              !row.distance);
+    const Result<std::shared_ptr<const PreparedGeneration>> generation =
+        est->BuildPreparedGeneration(1);
+    EXPECT_EQ(generation.ok(), row.prepared_generations);
+    EXPECT_EQ(generation.status().code() == StatusCode::kNotSupported,
+              !row.prepared_generations);
+  }
 }
 
 TEST(Factory, OptionsArePropagated) {

@@ -102,8 +102,7 @@ TEST(RouterModelTest, DefaultPriorOrdersBackendsByHints) {
 std::vector<BackendCapabilities> McOnlyCandidates() {
   BackendCapabilities mc;
   mc.kind = EstimatorKind::kMonteCarlo;
-  mc.source_sweep = true;
-  mc.stratified_sweep = true;
+  mc.sweep = true;
   mc.distance = true;
   return {mc};
 }

@@ -3,8 +3,10 @@
 // serial stratified calls; BFS Sharing slice-invariance), the engine's
 // stratum scheduler (bit-identical at 1/2/8 threads x S in {1, 4, 16},
 // stealing-vs-blocking parity, steal counters), the warm-ahead scout pass
-// (deterministic on/off, counted), stratified-vs-unstratified accuracy, and
-// the multi-threaded byte-budgeted generation prebuilder.
+// (deterministic on/off, counted), stratified-vs-unstratified accuracy, the
+// one generation handoff (its ownership rule, and a stratum thief adopting
+// its leader's generation inside the engine), and the multi-threaded
+// byte-budgeted generation prebuilder.
 
 #include <cstring>
 #include <thread>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
@@ -387,11 +390,11 @@ TEST(StratifiedSweepTest, SharedPreparedStateReproducesSweepBitwise) {
       leader->ReliabilityFromSource(2, 100).MoveValue();
 
   auto thief = BfsSharingEstimator::Create(graph, bfs, 99).MoveValue();
-  ASSERT_TRUE(thief->SupportsSharedPreparedState());
+  ASSERT_TRUE(thief->capabilities().prepared_generations);
   std::shared_ptr<const PreparedGeneration> state =
-      leader->ShareCurrentPreparedState().MoveValue();
+      leader->CurrentPreparedGeneration().MoveValue();
   EXPECT_GT(state->MemoryBytes(), 0u);
-  ASSERT_TRUE(thief->AdoptSharedPreparedState(state).ok());
+  ASSERT_TRUE(thief->AdoptPreparedGeneration(state).ok());
   // Literally the same generation object, not a bit-identical rebuild.
   EXPECT_EQ(thief->SharedIndexIdentity(), leader->SharedIndexIdentity());
   const std::vector<double> adopted =
@@ -409,7 +412,129 @@ TEST(StratifiedSweepTest, SharedPreparedStateReproducesSweepBitwise) {
 
   // MC has no shared prepared state (its prepare is a no-op already).
   MonteCarloEstimator mc(graph);
-  EXPECT_FALSE(mc.SupportsSharedPreparedState());
+  EXPECT_FALSE(mc.capabilities().prepared_generations);
+}
+
+/// Every world bit of `index`, edge blocks back to back.
+std::vector<uint64_t> WorldWords(const BfsSharingIndex& index) {
+  const uint64_t* words = index.edge_words(0);
+  return std::vector<uint64_t>(
+      words, words + index.num_edges() * index.words_per_edge());
+}
+
+TEST(StratifiedSweepTest, AdoptedGenerationRefillsInPlaceOnceHandleDropped) {
+  // The prebuilt case: the engine adopts a BuildPreparedGeneration result
+  // and drops its handle, so the replica is the generation's last holder.
+  // Its next inline prepare must refill that generation in place — same
+  // object, no build — with the worlds a fresh replica draws for the seed.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 85);
+  BfsSharingOptions bfs;
+  bfs.index_samples = 128;
+  auto replica = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
+  ASSERT_TRUE(replica
+                  ->AdoptPreparedGeneration(
+                      replica->BuildPreparedGeneration(0xA11CE).MoveValue())
+                  .ok());
+  const void* adopted = replica->SharedIndexIdentity();
+  const uint64_t builds = BfsSharingIndex::BuildCount();
+  ASSERT_TRUE(replica->PrepareForNextQuery(0xB0B).ok());
+  EXPECT_EQ(replica->SharedIndexIdentity(), adopted);
+  EXPECT_EQ(BfsSharingIndex::BuildCount(), builds);
+
+  auto fresh = BfsSharingEstimator::Create(graph, bfs, 7).MoveValue();
+  ASSERT_TRUE(fresh->PrepareForNextQuery(0xB0B).ok());
+  EXPECT_EQ(WorldWords(*replica->shared_index()),
+            WorldWords(*fresh->shared_index()));
+}
+
+TEST(StratifiedSweepTest, GenerationAnotherReplicaHoldsIsNeverRefilledInPlace) {
+  // A sweep leader and its stratum thief read one generation. Whichever
+  // prepares next moves to a new generation and leaves the other's worlds
+  // untouched. The one left behind is then the last holder, so its own next
+  // prepare refills in place again.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 86);
+  BfsSharingOptions bfs;
+  bfs.index_samples = 128;
+  for (const bool leader_moves_first : {true, false}) {
+    SCOPED_TRACE(leader_moves_first);
+    auto leader = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
+    auto thief = BfsSharingEstimator::Create(graph, bfs, 99).MoveValue();
+    ASSERT_TRUE(leader
+                    ->AdoptPreparedGeneration(
+                        leader->BuildPreparedGeneration(0xBEEF).MoveValue())
+                    .ok());
+    ASSERT_TRUE(thief
+                    ->AdoptPreparedGeneration(
+                        leader->CurrentPreparedGeneration().MoveValue())
+                    .ok());
+    const void* shared = leader->SharedIndexIdentity();
+    ASSERT_EQ(thief->SharedIndexIdentity(), shared);
+    const std::vector<uint64_t> shared_worlds =
+        WorldWords(*leader->shared_index());
+
+    BfsSharingEstimator& mover = leader_moves_first ? *leader : *thief;
+    BfsSharingEstimator& sibling = leader_moves_first ? *thief : *leader;
+    ASSERT_TRUE(mover.PrepareForNextQuery(0xF00D).ok());
+    EXPECT_NE(mover.SharedIndexIdentity(), shared);
+    EXPECT_EQ(sibling.SharedIndexIdentity(), shared);
+    EXPECT_EQ(WorldWords(*sibling.shared_index()), shared_worlds);
+
+    const uint64_t builds = BfsSharingIndex::BuildCount();
+    ASSERT_TRUE(sibling.PrepareForNextQuery(0xF00D).ok());
+    EXPECT_EQ(sibling.SharedIndexIdentity(), shared);
+    EXPECT_EQ(BfsSharingIndex::BuildCount(), builds);
+    EXPECT_EQ(WorldWords(*sibling.shared_index()),
+              WorldWords(*mover.shared_index()));
+  }
+}
+
+TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
+  // A thief that re-prepared its own replica instead of adopting the
+  // flight's generation would answer identically, so only the generations
+  // the replicas end up reading can tell. Two workers, prebuilder and scout
+  // off: one worker leads top-k(0, 5)'s sweep; the other first runs an s-t
+  // query, which leaves it a generation of its own, then joins the sweep
+  // with top-k(0, 10) and steals strata. Induced latency on every stratum
+  // and on the s-t query makes the leader prepare long before the thief
+  // arrives. Afterwards both replicas must read the leader's generation.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 87);
+  const std::vector<EngineQuery> queries = {
+      EngineQuery::TopK(0, 5), EngineQuery::St(1, 2), EngineQuery::TopK(0, 10)};
+
+  EngineOptions reference = BaseOptions(1, EstimatorKind::kBfsSharing, 8);
+  reference.enable_coalescing = false;
+  const std::vector<EngineResult> expected =
+      QueryEngine::Create(graph, reference)
+          .MoveValue()
+          ->RunBatch(queries)
+          .MoveValue();
+
+  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing, 8);
+  options.enable_generation_prebuild = false;
+  options.enable_sweep_scout = false;
+  FaultPlan plan;
+  plan.seed = 0xC0FFEE;
+  plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 1.0;
+  plan.latency_us = 20000;
+  FaultInjector::Global().Configure(plan);
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const IndexMemoryReport before = engine->IndexMemory();
+  Result<std::vector<EngineResult>> results = engine->RunBatch(queries);
+  const EngineStatsSnapshot stats = engine->StatsSnapshot();
+  const IndexMemoryReport after = engine->IndexMemory();
+  engine.reset();
+  FaultInjector::Global().Disable();
+
+  ASSERT_TRUE(results.ok()) << results.status();
+  for (const EngineResult& r : *results) ASSERT_TRUE(r.ok()) << r.status;
+  ExpectBitIdentical(*results, expected);
+  EXPECT_GT(stats.strata_stolen, 0u);
+  // Create shares one generation across the replicas; each has prepared
+  // since, and a thief that adopted reads the very generation its leader
+  // resampled, so there is still exactly one.
+  ASSERT_EQ(before.shared_indexes, 1u);
+  EXPECT_EQ(after.shared_indexes, 1u);
+  EXPECT_EQ(after.shared_bytes, before.shared_bytes);
 }
 
 TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
@@ -449,7 +574,8 @@ TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
   // index-sized bytes until the takes drain it.
   EXPECT_GT(prebuilder.ReadyBytes(), 0u);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::unique_ptr<PreparedGeneration> generation = prebuilder.Take(seed);
+    std::shared_ptr<const PreparedGeneration> generation =
+        prebuilder.Take(seed);
     ASSERT_NE(generation, nullptr) << "seed " << seed;
     EXPECT_GT(generation->MemoryBytes(), 0u);
   }
