@@ -124,6 +124,19 @@ void PrintResponse(const EngineResult& r) {
   }
 }
 
+/// One counter of `registry`, the same instrument the scrape exports; a
+/// labelled family member names its label pair. Typed for printf's %llu.
+unsigned long long Count(obs::MetricsRegistry& registry, const char* name,
+                         const char* label_key = "",
+                         const char* label_value = "") {
+  return registry.GetCounter(name, label_key, label_value)->Value();
+}
+
+unsigned long long Shed(obs::MetricsRegistry& registry) {
+  return Count(registry, "engine_shed_total", "reason", "queue_full") +
+         Count(registry, "engine_shed_total", "reason", "overload");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -319,21 +332,27 @@ int main(int argc, char** argv) {
     responses.insert(responses.end(),
                      std::make_move_iterator(cycle.begin()),
                      std::make_move_iterator(cycle.end()));
-    const EngineStatsSnapshot s = engine->StatsSnapshot();
+    obs::MetricsRegistry& metrics = engine->metrics();
+    const obs::HistogramSnapshot latency =
+        metrics.GetHistogram("engine_query_latency_ns")->Snapshot();
+    const double span = metrics.GetGauge("engine_span_seconds")->Value();
     std::printf(
         "[stats] queries=%llu qps=%.0f p50=%.2fms p99=%.2fms cache=%.0f%% "
         "sweeps x/h/c=%llu/%llu/%llu shed=%llu retried=%llu dropped=%llu "
         "deadline=%llu stale=%llu slow=%llu\n",
-        static_cast<unsigned long long>(s.queries), s.span_qps, s.p50_ms,
-        s.p99_ms, s.cache.hit_rate() * 100.0,
-        static_cast<unsigned long long>(s.sweep_executed),
-        static_cast<unsigned long long>(s.sweep_hits),
-        static_cast<unsigned long long>(s.sweep_coalesced),
-        static_cast<unsigned long long>(s.shed),
+        static_cast<unsigned long long>(latency.count),
+        span > 0.0 ? static_cast<double>(latency.count) / span : 0.0,
+        static_cast<double>(latency.Quantile(0.50)) * 1e-6,
+        static_cast<double>(latency.Quantile(0.99)) * 1e-6,
+        engine->cache()->Stats().hit_rate() * 100.0,
+        Count(metrics, "engine_sweep_executed_total"),
+        Count(metrics, "engine_sweep_hits_total"),
+        Count(metrics, "engine_sweep_coalesced_total"),
+        Shed(metrics),
         static_cast<unsigned long long>(retried_counter->Value()),
         static_cast<unsigned long long>(dropped_counter->Value()),
-        static_cast<unsigned long long>(s.deadline_exceeded),
-        static_cast<unsigned long long>(s.stale_served),
+        Count(metrics, "engine_deadline_exceeded_total"),
+        Count(metrics, "engine_stale_served_total"),
         static_cast<unsigned long long>(engine->tracer().slow_queries()));
   }
   std::printf("\nreplayed %zu requests over %zu distinct queries\n\n",
@@ -348,46 +367,47 @@ int main(int argc, char** argv) {
     done = true;
     PrintResponse(r);
   }
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  std::printf("\n%s\n",
-              EngineStatsTable({{StrFormat("%zu threads", threads), snapshot}})
-                  .ToString()
-                  .c_str());
-  const uint64_t sweep_queries = snapshot.queries_of(WorkloadKind::kTopK) +
-                                 snapshot.queries_of(WorkloadKind::kReliableSet);
+  obs::MetricsRegistry& metrics = engine->metrics();
+  const unsigned long long sweep_queries =
+      Count(metrics, "engine_queries_total", "workload", "top-k") +
+      Count(metrics, "engine_queries_total", "workload", "reliable-set");
+  const CacheStats sweep_cache = engine->sweep_cache()->Stats();
   std::printf(
-      "sweep sharing: %llu top-k/reliable-set queries -> %llu sweeps "
+      "\nsweep sharing: %llu top-k/reliable-set queries -> %llu sweeps "
       "executed, %llu memo hits, %llu coalesced (%zu vectors / %zu KB "
       "resident)\n",
-      static_cast<unsigned long long>(sweep_queries),
-      static_cast<unsigned long long>(snapshot.sweep_executed),
-      static_cast<unsigned long long>(snapshot.sweep_hits),
-      static_cast<unsigned long long>(snapshot.sweep_coalesced),
-      snapshot.sweep_cache.entries, snapshot.sweep_cache.bytes_in_use >> 10);
+      sweep_queries,
+      Count(metrics, "engine_sweep_executed_total"),
+      Count(metrics, "engine_sweep_hits_total"),
+      Count(metrics, "engine_sweep_coalesced_total"),
+      sweep_cache.entries, sweep_cache.bytes_in_use >> 10);
+  const obs::HistogramSnapshot sweep_latency =
+      metrics.GetHistogram("engine_sweep_latency_ns")->Snapshot();
   std::printf(
       "stratified sweeps: %llu strata executed (%llu stolen by coalesced "
       "waiters), %llu scout warms, per-sweep p50/p95 %.2f/%.2f ms\n",
-      static_cast<unsigned long long>(snapshot.strata_executed),
-      static_cast<unsigned long long>(snapshot.strata_stolen),
-      static_cast<unsigned long long>(snapshot.scout_warms),
-      snapshot.sweep_p50_ms, snapshot.sweep_p95_ms);
+      Count(metrics, "engine_strata_executed_total"),
+      Count(metrics, "engine_strata_stolen_total"),
+      Count(metrics, "engine_scout_warms_total"),
+      static_cast<double>(sweep_latency.Quantile(0.50)) * 1e-6,
+      static_cast<double>(sweep_latency.Quantile(0.95)) * 1e-6);
   std::printf(
       "fault tolerance: %llu shed at admission, %llu client retries, %llu "
       "dropped after backoff, %llu deadline-exceeded, %llu stale served\n",
-      static_cast<unsigned long long>(snapshot.shed),
+      Shed(metrics),
       static_cast<unsigned long long>(retried_counter->Value()),
       static_cast<unsigned long long>(dropped_counter->Value()),
-      static_cast<unsigned long long>(snapshot.deadline_exceeded),
-      static_cast<unsigned long long>(snapshot.stale_served));
+      Count(metrics, "engine_deadline_exceeded_total"),
+      Count(metrics, "engine_stale_served_total"));
   if (engine->prebuilder() != nullptr) {
     std::printf(
         "generation prebuild: %llu requested, %llu built on %zu background "
         "builders, %llu adopted by workers (%zu KB ready pool)\n",
-        static_cast<unsigned long long>(snapshot.prebuilder.requested),
-        static_cast<unsigned long long>(snapshot.prebuilder.built),
-        snapshot.prebuilder.builders,
-        static_cast<unsigned long long>(snapshot.prebuilt_used),
-        snapshot.prebuilder.ready_bytes >> 10);
+        Count(metrics, "prebuilder_requested_total"),
+        Count(metrics, "prebuilder_built_total"),
+        engine->prebuilder()->num_builders(),
+        Count(metrics, "engine_prebuilt_used_total"),
+        engine->prebuilder()->ReadyBytes() >> 10);
   }
 
   // Span trees of the slowest requests (only when --slow-query-ms armed the
@@ -447,7 +467,7 @@ int main(int argc, char** argv) {
     for (const EngineResult& r : replay_results) {
       if (!r.ok()) ++replay_failures;
     }
-    const EngineStatsSnapshot rs = restarted->StatsSnapshot();
+    const CacheStats cache = restarted->cache()->Stats();
     std::printf(
         "\nkill-and-restart cycle: cold start %.1f ms (%s), %llu results + "
         "%llu sweeps restored (%llu skipped%s); %zu-request replay -> "
@@ -460,10 +480,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(report.sweep_entries),
         static_cast<unsigned long long>(report.skipped),
         report.torn_tail ? ", torn journal tail discarded" : "", replayed,
-        rs.cache.hit_rate() * 100.0,
-        static_cast<unsigned long long>(rs.cache.hits),
-        static_cast<unsigned long long>(rs.cache.lookups()),
-        static_cast<unsigned long long>(rs.sweep_hits), replay_failures);
+        cache.hit_rate() * 100.0, static_cast<unsigned long long>(cache.hits),
+        static_cast<unsigned long long>(cache.lookups()),
+        Count(restarted->metrics(), "engine_sweep_hits_total"),
+        replay_failures);
   }
   return 0;
 }

@@ -2,54 +2,37 @@
 
 #include <string_view>
 
-#include "common/format.h"
 #include "common/timer.h"
 
 namespace relcomp {
 
-namespace {
-/// ns -> ms for the snapshot's double fields.
-double NsToMs(uint64_t ns) { return static_cast<double>(ns) * 1e-6; }
-}  // namespace
-
-EngineStats::EngineStats(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::MetricsRegistry>();
-    registry = owned_registry_.get();
-  }
-  registry_ = registry;
-  query_latency_ns_ = registry_->GetHistogram("engine_query_latency_ns");
-  sweep_latency_ns_ = registry_->GetHistogram("engine_sweep_latency_ns");
-  executed_ = registry_->GetCounter("engine_executed_total");
-  coalesced_ = registry_->GetCounter("engine_coalesced_total");
-  failures_ = registry_->GetCounter("engine_failures_total");
+EngineStats::EngineStats(obs::MetricsRegistry& registry) {
+  query_latency_ns_ = registry.GetHistogram("engine_query_latency_ns");
+  sweep_latency_ns_ = registry.GetHistogram("engine_sweep_latency_ns");
+  executed_ = registry.GetCounter("engine_executed_total");
+  coalesced_ = registry.GetCounter("engine_coalesced_total");
+  failures_ = registry.GetCounter("engine_failures_total");
   shed_queue_full_ =
-      registry_->GetCounter("engine_shed_total", "reason", "queue_full");
+      registry.GetCounter("engine_shed_total", "reason", "queue_full");
   shed_overload_ =
-      registry_->GetCounter("engine_shed_total", "reason", "overload");
-  deadline_exceeded_ =
-      registry_->GetCounter("engine_deadline_exceeded_total");
-  stale_served_ = registry_->GetCounter("engine_stale_served_total");
-  for (size_t i = 0; i < kNumFaultSites; ++i) {
-    fault_injected_[i] =
-        registry_->GetGauge("fault_injected_total", "site",
-                            FaultSiteName(static_cast<FaultSite>(i)));
-  }
+      registry.GetCounter("engine_shed_total", "reason", "overload");
+  deadline_exceeded_ = registry.GetCounter("engine_deadline_exceeded_total");
+  stale_served_ = registry.GetCounter("engine_stale_served_total");
   for (size_t i = 0; i < kNumWorkloadKinds; ++i) {
     workload_queries_[i] =
-        registry_->GetCounter("engine_queries_total", "workload",
-                              WorkloadKindName(static_cast<WorkloadKind>(i)));
+        registry.GetCounter("engine_queries_total", "workload",
+                            WorkloadKindName(static_cast<WorkloadKind>(i)));
   }
-  sweep_executed_ = registry_->GetCounter("engine_sweep_executed_total");
-  sweep_hits_ = registry_->GetCounter("engine_sweep_hits_total");
-  sweep_coalesced_ = registry_->GetCounter("engine_sweep_coalesced_total");
-  strata_executed_ = registry_->GetCounter("engine_strata_executed_total");
-  strata_stolen_ = registry_->GetCounter("engine_strata_stolen_total");
-  scout_warms_ = registry_->GetCounter("engine_scout_warms_total");
-  prebuilt_used_ = registry_->GetCounter("engine_prebuilt_used_total");
-  wall_seconds_ = registry_->GetGauge("engine_wall_seconds");
-  span_seconds_ = registry_->GetGauge("engine_span_seconds");
-  peak_memory_bytes_ = registry_->GetGauge("engine_peak_memory_bytes");
+  sweep_executed_ = registry.GetCounter("engine_sweep_executed_total");
+  sweep_hits_ = registry.GetCounter("engine_sweep_hits_total");
+  sweep_coalesced_ = registry.GetCounter("engine_sweep_coalesced_total");
+  strata_executed_ = registry.GetCounter("engine_strata_executed_total");
+  strata_stolen_ = registry.GetCounter("engine_strata_stolen_total");
+  scout_warms_ = registry.GetCounter("engine_scout_warms_total");
+  prebuilt_used_ = registry.GetCounter("engine_prebuilt_used_total");
+  wall_seconds_ = registry.GetGauge("engine_wall_seconds");
+  span_seconds_ = registry.GetGauge("engine_span_seconds");
+  peak_memory_bytes_ = registry.GetGauge("engine_peak_memory_bytes");
 }
 
 void EngineStats::RecordExecuted(double seconds, size_t peak_memory_bytes) {
@@ -123,76 +106,13 @@ void EngineStats::MarkCallEnd() {
   while (now > seen && !span_last_end_ns_.compare_exchange_weak(
                            seen, now, std::memory_order_relaxed)) {
   }
-  // Keep the scrapeable gauge live (Snapshot recomputes from the stamps).
+  // SetMax, not Set: a call preempted between reading the stamps and
+  // publishing must not overwrite a later call's longer span.
   const uint64_t first = span_first_start_ns_.load(std::memory_order_relaxed);
   const uint64_t last = span_last_end_ns_.load(std::memory_order_relaxed);
   if (first != kNoStamp && last > first) {
-    span_seconds_->Set(static_cast<double>(last - first) * 1e-9);
+    span_seconds_->SetMax(static_cast<double>(last - first) * 1e-9);
   }
-}
-
-EngineStatsSnapshot EngineStats::Snapshot(const ResultCache* cache,
-                                          const SweepCache* sweep_cache) const {
-  EngineStatsSnapshot snapshot;
-  const obs::HistogramSnapshot latency = query_latency_ns_->Snapshot();
-  const obs::HistogramSnapshot sweep_latency = sweep_latency_ns_->Snapshot();
-  snapshot.queries = latency.count;
-  snapshot.executed = executed_->Value();
-  snapshot.coalesced = coalesced_->Value();
-  snapshot.failures = failures_->Value();
-  snapshot.shed = shed_queue_full_->Value() + shed_overload_->Value();
-  snapshot.deadline_exceeded = deadline_exceeded_->Value();
-  snapshot.stale_served = stale_served_->Value();
-  {
-    FaultInjector& injector = FaultInjector::Global();
-    uint64_t total = 0;
-    for (size_t i = 0; i < kNumFaultSites; ++i) {
-      const uint64_t n = injector.injected(static_cast<FaultSite>(i));
-      fault_injected_[i]->Set(static_cast<double>(n));
-      total += n;
-    }
-    snapshot.faults_injected = total;
-  }
-  for (size_t i = 0; i < kNumWorkloadKinds; ++i) {
-    snapshot.workload_queries[i] = workload_queries_[i]->Value();
-  }
-  snapshot.sweep_executed = sweep_executed_->Value();
-  snapshot.sweep_hits = sweep_hits_->Value();
-  snapshot.sweep_coalesced = sweep_coalesced_->Value();
-  snapshot.strata_executed = strata_executed_->Value();
-  snapshot.strata_stolen = strata_stolen_->Value();
-  snapshot.scout_warms = scout_warms_->Value();
-  snapshot.prebuilt_used = prebuilt_used_->Value();
-  snapshot.wall_seconds = wall_seconds_->Value();
-  snapshot.peak_memory_bytes =
-      static_cast<size_t>(peak_memory_bytes_->Value());
-  const uint64_t first = span_first_start_ns_.load(std::memory_order_relaxed);
-  const uint64_t last = span_last_end_ns_.load(std::memory_order_relaxed);
-  if (first != kNoStamp && last > first) {
-    snapshot.span_seconds = static_cast<double>(last - first) * 1e-9;
-  }
-  if (snapshot.wall_seconds > 0.0) {
-    snapshot.throughput_qps =
-        static_cast<double>(snapshot.queries) / snapshot.wall_seconds;
-  }
-  if (snapshot.span_seconds > 0.0) {
-    snapshot.span_qps =
-        static_cast<double>(snapshot.queries) / snapshot.span_seconds;
-  }
-  if (latency.count > 0) {
-    snapshot.mean_ms = latency.mean() * 1e-6;
-    snapshot.p50_ms = NsToMs(latency.Quantile(0.50));
-    snapshot.p90_ms = NsToMs(latency.Quantile(0.90));
-    snapshot.p99_ms = NsToMs(latency.Quantile(0.99));
-    snapshot.max_ms = NsToMs(latency.max);  // extremes are tracked exactly
-  }
-  if (sweep_latency.count > 0) {
-    snapshot.sweep_p50_ms = NsToMs(sweep_latency.Quantile(0.50));
-    snapshot.sweep_p95_ms = NsToMs(sweep_latency.Quantile(0.95));
-  }
-  if (cache != nullptr) snapshot.cache = cache->Stats();
-  if (sweep_cache != nullptr) snapshot.sweep_cache = sweep_cache->Stats();
-  return snapshot;
 }
 
 void EngineStats::Reset() {
@@ -218,46 +138,6 @@ void EngineStats::Reset() {
   peak_memory_bytes_->Reset();
   span_first_start_ns_.store(kNoStamp, std::memory_order_relaxed);
   span_last_end_ns_.store(0, std::memory_order_relaxed);
-}
-
-TextTable EngineStatsTable(
-    const std::vector<std::pair<std::string, EngineStatsSnapshot>>& rows) {
-  TextTable table({"config", "queries", "st/k/set/d", "exec", "coal",
-                   "swp x/h/c", "strata x/s", "scout", "swp p50/p95", "pre",
-                   "wall s", "span s", "qps", "mean ms", "p50 ms", "p90 ms",
-                   "p99 ms", "max ms", "hit rate", "peak mem", "index mem"});
-  for (const auto& [label, s] : rows) {
-    table.AddRow(
-        {label, StrFormat("%llu", static_cast<unsigned long long>(s.queries)),
-         StrFormat(
-             "%llu/%llu/%llu/%llu",
-             static_cast<unsigned long long>(s.queries_of(WorkloadKind::kSt)),
-             static_cast<unsigned long long>(s.queries_of(WorkloadKind::kTopK)),
-             static_cast<unsigned long long>(
-                 s.queries_of(WorkloadKind::kReliableSet)),
-             static_cast<unsigned long long>(
-                 s.queries_of(WorkloadKind::kDistance))),
-         StrFormat("%llu", static_cast<unsigned long long>(s.executed)),
-         StrFormat("%llu", static_cast<unsigned long long>(s.coalesced)),
-         StrFormat("%llu/%llu/%llu",
-                   static_cast<unsigned long long>(s.sweep_executed),
-                   static_cast<unsigned long long>(s.sweep_hits),
-                   static_cast<unsigned long long>(s.sweep_coalesced)),
-         StrFormat("%llu/%llu",
-                   static_cast<unsigned long long>(s.strata_executed),
-                   static_cast<unsigned long long>(s.strata_stolen)),
-         StrFormat("%llu", static_cast<unsigned long long>(s.scout_warms)),
-         StrFormat("%.2f/%.2f", s.sweep_p50_ms, s.sweep_p95_ms),
-         StrFormat("%llu", static_cast<unsigned long long>(s.prebuilt_used)),
-         StrFormat("%.3f", s.wall_seconds), StrFormat("%.3f", s.span_seconds),
-         StrFormat("%.1f", s.throughput_qps), StrFormat("%.3f", s.mean_ms),
-         StrFormat("%.3f", s.p50_ms), StrFormat("%.3f", s.p90_ms),
-         StrFormat("%.3f", s.p99_ms), StrFormat("%.3f", s.max_ms),
-         StrFormat("%.1f%%", s.cache.hit_rate() * 100.0),
-         HumanBytes(s.peak_memory_bytes),
-         HumanBytes(s.index_memory.total_bytes())});
-  }
-  return table;
 }
 
 }  // namespace relcomp

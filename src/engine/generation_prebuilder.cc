@@ -5,23 +5,19 @@
 namespace relcomp {
 
 GenerationPrebuilder::GenerationPrebuilder(const Estimator& prototype,
+                                           obs::MetricsRegistry& registry,
                                            size_t max_pending,
                                            size_t num_builders,
-                                           size_t max_ready_bytes,
-                                           obs::MetricsRegistry* registry)
+                                           size_t max_ready_bytes)
     : prototype_(prototype),
       max_pending_(max_pending == 0 ? 1 : max_pending),
-      max_ready_bytes_(max_ready_bytes) {
-  if (registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::MetricsRegistry>();
-    registry = owned_registry_.get();
-  }
-  requested_ = registry->GetCounter("prebuilder_requested_total");
-  built_ = registry->GetCounter("prebuilder_built_total");
-  taken_ = registry->GetCounter("prebuilder_taken_total");
-  dropped_ = registry->GetCounter("prebuilder_dropped_total");
-  evicted_ = registry->GetCounter("prebuilder_evicted_total");
-  ready_bytes_gauge_ = registry->GetGauge("prebuilder_ready_bytes");
+      max_ready_bytes_(max_ready_bytes),
+      requested_(registry.GetCounter("prebuilder_requested_total")),
+      built_(registry.GetCounter("prebuilder_built_total")),
+      taken_(registry.GetCounter("prebuilder_taken_total")),
+      dropped_(registry.GetCounter("prebuilder_dropped_total")),
+      evicted_(registry.GetCounter("prebuilder_evicted_total")),
+      ready_bytes_gauge_(registry.GetGauge("prebuilder_ready_bytes")) {
   if (num_builders == 0) num_builders = 1;
   builders_.reserve(num_builders);
   for (size_t i = 0; i < num_builders; ++i) {
@@ -107,19 +103,6 @@ std::shared_ptr<const PreparedGeneration> GenerationPrebuilder::Take(
     }
   }
   return nullptr;
-}
-
-GenerationPrebuilderStats GenerationPrebuilder::Stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  GenerationPrebuilderStats stats;
-  stats.requested = requested_->Value();
-  stats.built = built_->Value();
-  stats.taken = taken_->Value();
-  stats.dropped = dropped_->Value();
-  stats.evicted = evicted_->Value();
-  stats.ready_bytes = ready_bytes_;
-  stats.builders = builders_.size();
-  return stats;
 }
 
 size_t GenerationPrebuilder::ReadyBytes() const {

@@ -15,24 +15,6 @@
 
 namespace relcomp {
 
-/// Monotonic counters plus point-in-time occupancy; a snapshot type.
-struct GenerationPrebuilderStats {
-  uint64_t requested = 0;  ///< Request() calls accepted into the queue
-  uint64_t built = 0;      ///< generations finished by the builder threads
-  uint64_t taken = 0;      ///< generations handed to a serving thread
-  uint64_t dropped = 0;    ///< Request() calls refused (pending bound hit)
-  /// Ready-but-unclaimed generations discarded (oldest first) to make room
-  /// for newer requests or to honor the ready-pool byte budget — stranded
-  /// work, e.g. for queries that were served from the result cache after
-  /// their seed was requested.
-  uint64_t evicted = 0;
-  /// Bytes currently resident in the ready pool (each ready generation is
-  /// index-sized; see PreparedGeneration::MemoryBytes).
-  size_t ready_bytes = 0;
-  /// Builder threads constructing generations.
-  size_t builders = 0;
-};
-
 /// \brief Background builder of PrepareForNextQuery artifacts.
 ///
 /// BFS Sharing resamples L possible worlds per edge between successive
@@ -76,11 +58,11 @@ class GenerationPrebuilder {
   /// memory, so the count bound alone can pin max_pending spare indexes.
   /// Over either bound the oldest ready generation is evicted.
   /// `num_builders` (clamped to >= 1) is the number of builder threads.
-  /// `registry` (optional, not owned, must outlive this object) receives the
-  /// prebuilder_* instruments; when nullptr a private registry is owned.
-  GenerationPrebuilder(const Estimator& prototype, size_t max_pending,
-                       size_t num_builders = 1, size_t max_ready_bytes = 0,
-                       obs::MetricsRegistry* registry = nullptr);
+  /// `registry` (not owned, must outlive this object) receives the
+  /// prebuilder_* instruments.
+  GenerationPrebuilder(const Estimator& prototype,
+                       obs::MetricsRegistry& registry, size_t max_pending,
+                       size_t num_builders = 1, size_t max_ready_bytes = 0);
   ~GenerationPrebuilder();
 
   GenerationPrebuilder(const GenerationPrebuilder&) = delete;
@@ -97,8 +79,6 @@ class GenerationPrebuilder {
   /// behaviour). A failed background build surfaces here as nullptr — the
   /// caller's inline PrepareForNextQuery will re-raise the error.
   std::shared_ptr<const PreparedGeneration> Take(uint64_t seed);
-
-  GenerationPrebuilderStats Stats() const;
 
   /// Bytes resident in the ready pool right now (counted toward the
   /// engine's IndexMemoryReport::prebuilt_bytes).
@@ -140,8 +120,6 @@ class GenerationPrebuilder {
   std::unordered_set<uint64_t> building_;
   bool shutdown_ = false;
 
-  /// Private fallback when no shared registry was handed in.
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* requested_;
   obs::Counter* built_;
   obs::Counter* taken_;

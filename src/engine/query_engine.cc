@@ -183,7 +183,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       store_(std::move(store)),
       replicas_(std::move(replicas)),
       extra_replicas_(std::move(extra_replicas)),
-      stats_(registry_.get()) {
+      stats_(*registry_) {
   sweep_capable_ =
       !replicas_.empty() && replicas_.front()->capabilities().sweep;
   for (const CandidateReplicas& candidate : extra_replicas_) {
@@ -219,9 +219,8 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
   if (options_.enable_generation_prebuild && !replicas_.empty() &&
       replicas_.front()->capabilities().prepared_generations) {
     prebuilder_ = std::make_unique<GenerationPrebuilder>(
-        *replicas_.front(), options_.prebuild_max_pending,
-        options_.prebuild_threads, options_.prebuild_max_bytes,
-        registry_.get());
+        *replicas_.front(), *registry_, options_.prebuild_max_pending,
+        options_.prebuild_threads, options_.prebuild_max_bytes);
   }
   // Serving pool: exactly num_threads workers. replicas_ may hold more —
   // the tail replicas belong to the auxiliary refresh lane below.
@@ -653,18 +652,6 @@ QueryPlan QueryEngine::SweepPlan(NodeId source) const {
   features.escape_prob = escape_prob_[source];
   features.param = 0;
   return router_->Decide(features);
-}
-
-EngineStatsSnapshot QueryEngine::StatsSnapshot() const {
-  EngineStatsSnapshot snapshot =
-      stats_.Snapshot(cache_.get(), sweep_cache_.get());
-  snapshot.index_memory = IndexMemory();
-  if (prebuilder_ != nullptr) snapshot.prebuilder = prebuilder_->Stats();
-  if (router_ != nullptr) {
-    snapshot.router_decisions = router_->decisions();
-    snapshot.router_fallbacks = router_->fallbacks();
-  }
-  return snapshot;
 }
 
 IndexMemoryReport QueryEngine::IndexMemory() const {
@@ -1495,7 +1482,7 @@ Status QueryEngine::AdmitQuery(const EngineQuery& query) {
   // query latency per worker. Floor of 1ms keeps the hint meaningful when
   // the histogram is empty (cold engine).
   const double p50_ms = static_cast<double>(
-      stats_.registry().GetHistogram("engine_query_latency_ns")
+      registry_->GetHistogram("engine_query_latency_ns")
           ->Snapshot()
           .Quantile(0.5)) / 1e6;
   const double waves =

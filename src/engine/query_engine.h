@@ -383,14 +383,14 @@ class QueryEngine {
   /// index is counted once, not once per replica) plus the prebuilder's
   /// ready pool of spare generations (IndexMemoryReport::prebuilt_bytes).
   IndexMemoryReport IndexMemory() const;
-  /// Cumulative since construction (RunBatch and stream both feed it).
-  EngineStatsSnapshot StatsSnapshot() const;
+  /// Resets the engine_* instruments EngineStats owns (see EngineStats::Reset).
   void ResetStats() { stats_.Reset(); }
 
-  /// Engine-wide instrument registry: the stats recorder, both caches, the
-  /// pool's queue-wait histogram, the stage histograms, and the prebuilder
-  /// all record into this one registry, so a single ExportJson() /
-  /// ExportText() scrape reports everything the engine measures.
+  /// Engine-wide instrument registry, the engine's only stats account: the
+  /// stats recorder, both caches, the pool, the stage histograms, the
+  /// router, the store and the prebuilder all record into it, cumulatively
+  /// since construction, so one ExportJson() / ExportText() scrape reports
+  /// everything the engine measures.
   obs::MetricsRegistry& metrics() const { return *registry_; }
 
   /// Per-query tracing sink: the span ring (trace_sample_rate) and the

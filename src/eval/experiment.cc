@@ -27,8 +27,6 @@ BenchConfig BenchConfig::FromEnv() {
   config.repeats = static_cast<uint32_t>(EnvU64("RELCOMP_REPEATS", config.repeats));
   config.max_k = static_cast<uint32_t>(EnvU64("RELCOMP_MAX_K", config.max_k));
   config.seed = EnvU64("RELCOMP_SEED", config.seed);
-  config.num_threads =
-      static_cast<uint32_t>(EnvU64("RELCOMP_THREADS", config.num_threads));
   if (const char* dir = std::getenv("RELCOMP_CACHE_DIR"); dir != nullptr) {
     config.cache_dir = dir;
   }

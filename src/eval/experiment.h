@@ -18,7 +18,6 @@ namespace relcomp {
 ///
 /// Environment variables: RELCOMP_SCALE (tiny|small|medium|large),
 /// RELCOMP_PAIRS, RELCOMP_REPEATS, RELCOMP_MAX_K, RELCOMP_SEED,
-/// RELCOMP_THREADS (worker-thread ceiling for the engine benches),
 /// RELCOMP_CACHE_DIR (convergence-scan cache shared by the bench binaries;
 /// set to empty to disable), RELCOMP_QUIET (suppress progress on stderr).
 struct BenchConfig {
@@ -35,9 +34,6 @@ struct BenchConfig {
   uint32_t max_k = 2000;
   double dispersion_threshold = 1e-3;
   uint64_t seed = 20190410;  ///< arXiv date of the paper
-  /// Largest worker-thread count the engine benches sweep to (the sweep is
-  /// 1, 2, 4, ... up to this); 0 = hardware concurrency.
-  uint32_t num_threads = 0;
   /// Directory for cached convergence scans ("" = no cache). Benches share
   /// one matrix of scans; the first binary pays, the rest reuse.
   std::string cache_dir = ".relcomp_cache";

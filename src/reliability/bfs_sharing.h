@@ -94,10 +94,10 @@ class BfsSharingIndex : public PreparedGeneration {
   /// Seconds spent sampling (or loading) this generation.
   double build_seconds() const { return build_seconds_; }
 
-  /// Process-wide count of Build()/LoadFromFile() completions (in-place
-  /// Resample()s allocate nothing and are not counted). Lets tests and the
-  /// CI smoke bench assert that N engine replicas triggered exactly one
-  /// index construction.
+  /// Process-wide count of Build()/LoadFromFile()/FromBlock() completions
+  /// (in-place Resample()s allocate nothing and are not counted). Lets
+  /// tests assert that N engine replicas triggered exactly one index
+  /// construction: a FromBlock when the engine restored a snapshot.
   static uint64_t BuildCount() {
     return build_count_.load(std::memory_order_relaxed);
   }
@@ -291,9 +291,9 @@ class BfsSharingEstimator : public Estimator {
 
   const UncertainGraph& graph_;
   BfsSharingOptions options_;
-  /// Current generation. Atomic so StatsSnapshot readers may observe the
-  /// pointer while this replica's worker swaps generations; readers never
-  /// touch bit content (sizes only).
+  /// Current generation. Atomic so QueryEngine::IndexMemory() readers may
+  /// observe the pointer while this replica's worker swaps generations;
+  /// readers never touch bit content (sizes only).
   std::atomic<std::shared_ptr<const BfsSharingIndex>> index_;
   /// Mutable handle to the current generation once this replica has
   /// prepared or adopted it (Create-with-options, LoadFromFile, a generation

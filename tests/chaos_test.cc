@@ -3,8 +3,9 @@
 //
 // The core assertions, for every injection mix at 1 / 2 / 8 threads:
 //   - the engine never hangs (a watchdog aborts the run if it stalls),
-//   - the outcome partition holds: executed + coalesced + failures +
-//     cache.hits == queries,
+//   - the outcome partition holds: engine_executed_total +
+//     engine_coalesced_total + engine_failures_total +
+//     result_cache_hits_total == the engine_query_latency_ns count,
 //   - every query that *succeeds* under injection is bit-identical to the
 //     fault-free run (injection decisions are content-derived, so the failed
 //     set is also identical across thread counts).
@@ -29,6 +30,8 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::CounterValue;
+using ::relcomp::testing::QueriesRecorded;
 using ::relcomp::testing::RandomSmallGraph;
 
 /// Aborts the whole process if the guarded scope outlives `limit` — a hung
@@ -102,29 +105,38 @@ EngineOptions ChaosOptions(size_t threads, EstimatorKind kind) {
 
 struct RunOutcome {
   std::vector<EngineResult> results;
-  EngineStatsSnapshot stats;
+  /// Kept alive so the caller can read its registry.
+  std::unique_ptr<QueryEngine> engine;
 };
 
 RunOutcome RunChaosBatch(const UncertainGraph& graph,
                          const EngineOptions& options,
                          const std::vector<EngineQuery>& queries) {
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
   RunOutcome outcome;
-  outcome.results = engine->RunBatch(queries).MoveValue();
-  outcome.stats = engine->StatsSnapshot();
+  outcome.engine = QueryEngine::Create(graph, options).MoveValue();
+  outcome.results = outcome.engine->RunBatch(queries).MoveValue();
   return outcome;
 }
 
 /// The engine's outcome-partition invariant: every query resolved exactly
-/// one way. Holds in every degraded mode — shed queries never enter
-/// `queries`, deadline misses are failures, stale serves are cache hits.
-void ExpectPartitionHolds(const EngineStatsSnapshot& stats) {
-  EXPECT_EQ(stats.executed + stats.coalesced + stats.failures +
-                stats.cache.hits,
-            stats.queries)
-      << "executed=" << stats.executed << " coalesced=" << stats.coalesced
-      << " failures=" << stats.failures << " cache_hits=" << stats.cache.hits
-      << " queries=" << stats.queries;
+/// one way. Holds in every degraded mode — shed queries are never recorded
+/// as queries, deadline misses are failures, stale serves are cache hits.
+void ExpectPartitionHolds(const QueryEngine& engine) {
+  obs::MetricsRegistry& metrics = engine.metrics();
+  const uint64_t executed = CounterValue(metrics, "engine_executed_total");
+  const uint64_t coalesced = CounterValue(metrics, "engine_coalesced_total");
+  const uint64_t failures = CounterValue(metrics, "engine_failures_total");
+  const uint64_t cache_hits = CounterValue(metrics, "result_cache_hits_total");
+  const uint64_t queries = QueriesRecorded(metrics);
+  EXPECT_EQ(executed + coalesced + failures + cache_hits, queries)
+      << "executed=" << executed << " coalesced=" << coalesced
+      << " failures=" << failures << " cache_hits=" << cache_hits
+      << " queries=" << queries;
+}
+
+uint64_t ShedTotal(obs::MetricsRegistry& metrics) {
+  return CounterValue(metrics, "engine_shed_total", "reason", "queue_full") +
+         CounterValue(metrics, "engine_shed_total", "reason", "overload");
 }
 
 void ExpectSameTargets(const EngineResult& a, const EngineResult& b,
@@ -232,7 +244,7 @@ TEST(ChaosTest, EveryInjectionMixEveryThreadCount) {
             << result.status;
       }
     }
-    ExpectPartitionHolds(baseline.stats);
+    ExpectPartitionHolds(*baseline.engine);
 
     for (const PlanSpec& spec : ChaosPlans()) {
       SCOPED_TRACE(spec.name);
@@ -242,7 +254,7 @@ TEST(ChaosTest, EveryInjectionMixEveryThreadCount) {
         ScopedFaultPlan armed(spec.plan);
         const RunOutcome chaos =
             RunChaosBatch(graph, ChaosOptions(threads, kind), queries);
-        ExpectPartitionHolds(chaos.stats);
+        ExpectPartitionHolds(*chaos.engine);
         // Non-failing plans (latency, dropped inserts, pool rejections) are
         // semantically invisible: the failed set must equal the baseline's
         // (its NotSupported queries and nothing else). Failing plans may
@@ -345,9 +357,9 @@ TEST(ChaosTest, ExpiredDeadlineFailsWithoutPoisoningTheCache) {
     EXPECT_EQ(expired[i].status.code(), StatusCode::kDeadlineExceeded)
         << "query " << i << ": " << expired[i].status;
   }
-  const EngineStatsSnapshot after_expiry = engine->StatsSnapshot();
-  ExpectPartitionHolds(after_expiry);
-  EXPECT_EQ(after_expiry.deadline_exceeded, doomed.size());
+  ExpectPartitionHolds(*engine);
+  EXPECT_EQ(CounterValue(engine->metrics(), "engine_deadline_exceeded_total"),
+            doomed.size());
 
   // kDeadlineExceeded is transient: it must never have entered the negative
   // cache, so the same queries without deadlines succeed — bit-identical to
@@ -367,7 +379,7 @@ TEST(ChaosTest, ExpiredDeadlineFailsWithoutPoisoningTheCache) {
         << "query " << i;
     ExpectSameTargets(retried[i], reference.results[i], i);
   }
-  ExpectPartitionHolds(engine->StatsSnapshot());
+  ExpectPartitionHolds(*engine);
 }
 
 TEST(ChaosTest, GenerousDeadlineIsBitIdenticalToNoDeadline) {
@@ -395,8 +407,14 @@ TEST(ChaosTest, GenerousDeadlineIsBitIdenticalToNoDeadline) {
           << "query " << i;
       ExpectSameTargets(guarded.results[i], plain.results[i], i);
     }
-    ExpectPartitionHolds(guarded.stats);
-    EXPECT_EQ(guarded.stats.deadline_exceeded, 0u);
+    ExpectPartitionHolds(*guarded.engine);
+    obs::MetricsRegistry& guarded_metrics = guarded.engine->metrics();
+    EXPECT_EQ(CounterValue(guarded_metrics, "engine_deadline_exceeded_total"),
+              0u);
+    // The unused deadline costs no work: both engines ran the estimator
+    // exactly as often.
+    EXPECT_EQ(CounterValue(guarded_metrics, "engine_executed_total"),
+              CounterValue(plain.engine->metrics(), "engine_executed_total"));
   }
 }
 
@@ -416,7 +434,7 @@ TEST(ChaosTest, PreCancelledTokenFailsEveryQueryImmediately) {
     EXPECT_EQ(results[i].status.code(), StatusCode::kCancelled)
         << "query " << i << ": " << results[i].status;
   }
-  ExpectPartitionHolds(engine->StatsSnapshot());
+  ExpectPartitionHolds(*engine);
 }
 
 TEST(ChaosTest, CallerCancelMidStreamDrainsCleanly) {
@@ -444,7 +462,7 @@ TEST(ChaosTest, CallerCancelMidStreamDrainsCleanly) {
           << result.status;
     }
   }
-  ExpectPartitionHolds(engine->StatsSnapshot());
+  ExpectPartitionHolds(*engine);
 }
 
 TEST(ChaosTest, EngineDestructionMidStreamNeverHangs) {
@@ -494,12 +512,11 @@ TEST(ChaosTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   const std::vector<EngineResult> results = engine->Drain().MoveValue();
   EXPECT_EQ(results.size(), admitted);
   EXPECT_GT(shed, 0u) << "a 1-thread engine fed 64 slow queries must shed";
-  const EngineStatsSnapshot stats = engine->StatsSnapshot();
-  EXPECT_EQ(stats.shed, shed);
+  EXPECT_EQ(ShedTotal(engine->metrics()), shed);
   // Shed queries never entered the engine: the partition covers exactly the
   // admitted ones.
-  EXPECT_EQ(stats.queries, admitted);
-  ExpectPartitionHolds(stats);
+  EXPECT_EQ(QueriesRecorded(engine->metrics()), admitted);
+  ExpectPartitionHolds(*engine);
   for (const EngineResult& result : results) {
     EXPECT_TRUE(result.ok()) << result.status;
   }
@@ -541,9 +558,8 @@ TEST(ChaosTest, StaleWhileRevalidateServesThenRefreshes) {
         << "query " << i;
     ExpectSameTargets(stale[i], first[i], i);
   }
-  const EngineStatsSnapshot stats = engine->StatsSnapshot();
-  EXPECT_GT(stats.stale_served, 0u);
-  ExpectPartitionHolds(stats);
+  EXPECT_GT(CounterValue(engine->metrics(), "engine_stale_served_total"), 0u);
+  ExpectPartitionHolds(*engine);
 
   // The stale serve kicked off a background refresh; once it lands, the
   // same queries serve fresh again.
@@ -564,7 +580,7 @@ TEST(ChaosTest, StaleWhileRevalidateServesThenRefreshes) {
     }
   }
   EXPECT_TRUE(refreshed) << "background refresh never landed";
-  ExpectPartitionHolds(engine->StatsSnapshot());
+  ExpectPartitionHolds(*engine);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::CounterValue;
+using ::relcomp::testing::QueriesRecorded;
 using ::relcomp::testing::RandomSmallGraph;
 
 EngineOptions BaseOptions(size_t threads, EstimatorKind kind,
@@ -234,8 +236,8 @@ TEST(EngineWorkloadTest, CacheKeysIsolateWorkloadKinds) {
       engine->RunBatch(queries).MoveValue();
   for (const EngineResult& r : second) EXPECT_TRUE(r.cache_hit);
   ExpectBitIdenticalResults(first, second);
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.executed, queries.size());
+  obs::MetricsRegistry& metrics = engine->metrics();
+  EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), queries.size());
   EXPECT_EQ(engine->cache()->Stats().hits, queries.size());
   // Exactly one EstimateFromSource ran for source 0's sweep — led either by
   // the warm-ahead scout (source 0 appears twice among the sweep kinds, so
@@ -244,9 +246,10 @@ TEST(EngineWorkloadTest, CacheKeysIsolateWorkloadKinds) {
   // arithmetic: each of the two sweep queries resolved as a hit/coalesced
   // share unless it led the sweep itself, and a scout-led sweep adds one
   // scout_warms to account for the leaderless execution.
-  EXPECT_EQ(snapshot.sweep_executed, 1u);
-  EXPECT_EQ(snapshot.sweep_hits + snapshot.sweep_coalesced,
-            1u + snapshot.scout_warms);
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
+                CounterValue(metrics, "engine_sweep_coalesced_total"),
+            1u + CounterValue(metrics, "engine_scout_warms_total"));
 }
 
 TEST(EngineWorkloadTest, StaleUnusedFieldsDoNotChangeQueryIdentity) {
@@ -293,12 +296,16 @@ TEST(EngineWorkloadTest, PerWorkloadStatsCountEveryKind) {
   }
   queries.push_back(EngineQuery::Distance(3, 9, 2));
   ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.queries_of(WorkloadKind::kSt), 4u);
-  EXPECT_EQ(snapshot.queries_of(WorkloadKind::kTopK), 3u);
-  EXPECT_EQ(snapshot.queries_of(WorkloadKind::kReliableSet), 2u);
-  EXPECT_EQ(snapshot.queries_of(WorkloadKind::kDistance), 1u);
-  EXPECT_EQ(snapshot.queries, queries.size());
+  obs::MetricsRegistry& metrics = engine->metrics();
+  const auto queries_of = [&metrics](WorkloadKind kind) {
+    return CounterValue(metrics, "engine_queries_total", "workload",
+                        WorkloadKindName(kind));
+  };
+  EXPECT_EQ(queries_of(WorkloadKind::kSt), 4u);
+  EXPECT_EQ(queries_of(WorkloadKind::kTopK), 3u);
+  EXPECT_EQ(queries_of(WorkloadKind::kReliableSet), 2u);
+  EXPECT_EQ(queries_of(WorkloadKind::kDistance), 1u);
+  EXPECT_EQ(QueriesRecorded(metrics), queries.size());
 }
 
 TEST(EngineWorkloadTest, UnsupportedWorkloadFailsPerQueryNotPerBatch) {
@@ -317,7 +324,7 @@ TEST(EngineWorkloadTest, UnsupportedWorkloadFailsPerQueryNotPerBatch) {
   EXPECT_FALSE(results[1].ok());
   EXPECT_EQ(results[1].status.code(), StatusCode::kNotSupported);
   EXPECT_TRUE(results[2].ok());
-  EXPECT_EQ(engine->StatsSnapshot().failures, 1u);
+  EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"), 1u);
 }
 
 TEST(EngineWorkloadTest, RhhAnswersDistanceQueries) {
@@ -373,13 +380,15 @@ TEST(EngineWorkloadTest, NegativeCachingServesFailuresWithoutRecompute) {
   const CacheStats stats = engine->cache()->Stats();
   // The first miss computed and cached the error; the repeats hit it.
   EXPECT_GE(stats.negative_hits, 1u);
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.executed, 0u);
-  EXPECT_EQ(snapshot.failures, queries.size());
+  obs::MetricsRegistry& metrics = engine->metrics();
+  EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 0u);
+  EXPECT_EQ(CounterValue(metrics, "engine_failures_total"), queries.size());
   // Every query resolved exactly once across the outcome counters.
-  EXPECT_EQ(snapshot.executed + snapshot.coalesced + snapshot.failures +
-                snapshot.cache.hits,
-            snapshot.queries);
+  EXPECT_EQ(CounterValue(metrics, "engine_executed_total") +
+                CounterValue(metrics, "engine_coalesced_total") +
+                CounterValue(metrics, "engine_failures_total") +
+                CounterValue(metrics, "result_cache_hits_total"),
+            QueriesRecorded(metrics));
 
   // Backoff expires: with a tiny TTL the failure is recomputed on re-ask.
   EngineOptions expiring = options;
@@ -400,7 +409,8 @@ TEST(EngineWorkloadTest, NegativeCachingOffRecomputesEveryFailure) {
   const std::vector<EngineQuery> queries(3, EngineQuery::St(0, 5));
   ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
   EXPECT_EQ(engine->cache()->Stats().negative_hits, 0u);
-  EXPECT_EQ(engine->StatsSnapshot().failures, queries.size());
+  EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"),
+            queries.size());
 }
 
 TEST(EngineWorkloadTest, InfiniteCacheTtlStillCaches) {

@@ -16,7 +16,43 @@
 namespace relcomp::obs {
 namespace {
 
+using ::relcomp::testing::CounterValue;
+using ::relcomp::testing::QueriesRecorded;
 using ::relcomp::testing::RandomSmallGraph;
+
+/// The registry's outcome counters match the results' cache_hit /
+/// coalesced / ok flags one for one, and partition the
+/// engine_query_latency_ns count.
+void ExpectOutcomeCountersMatch(MetricsRegistry& registry,
+                                const std::vector<EngineResult>& results) {
+  uint64_t flagged_executed = 0;
+  uint64_t flagged_coalesced = 0;
+  uint64_t flagged_failures = 0;
+  uint64_t flagged_hits = 0;
+  for (const EngineResult& r : results) {
+    if (!r.ok()) {
+      ++flagged_failures;
+    } else if (r.cache_hit) {
+      ++flagged_hits;
+    } else if (r.coalesced) {
+      ++flagged_coalesced;
+    } else {
+      ++flagged_executed;
+    }
+  }
+  const uint64_t executed = CounterValue(registry, "engine_executed_total");
+  const uint64_t coalesced = CounterValue(registry, "engine_coalesced_total");
+  const uint64_t failures = CounterValue(registry, "engine_failures_total");
+  const uint64_t cache_hits =
+      CounterValue(registry, "result_cache_hits_total");
+  EXPECT_EQ(executed, flagged_executed);
+  EXPECT_EQ(coalesced, flagged_coalesced);
+  EXPECT_EQ(failures, flagged_failures);
+  EXPECT_EQ(cache_hits, flagged_hits);
+  EXPECT_EQ(executed + coalesced + failures + cache_hits,
+            QueriesRecorded(registry));
+  EXPECT_EQ(QueriesRecorded(registry), results.size());
+}
 
 TEST(CounterTest, StartsAtZeroAndCounts) {
   Counter counter;
@@ -215,11 +251,11 @@ TEST(ExportTest, PrometheusTextShape) {
   EXPECT_NE(text.find("latency_ns_sum 5"), std::string::npos);
 }
 
-TEST(EngineScrapeTest, OneScrapeReportsEveryLegacyStatsField) {
-  // The single-scrape acceptance contract: the engine's registry must carry
-  // every counter the legacy EngineStatsSnapshot reports, with the same
-  // values, plus the per-stage latency family — all reachable from one
-  // metrics() handle.
+TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
+  // The single-scrape acceptance contract: the engine's registry carries
+  // every outcome, workload and sweep counter, agreeing with the answers
+  // the batch returned, plus the per-stage latency family — all reachable
+  // from one metrics() handle.
   const UncertainGraph graph = RandomSmallGraph(20, 50, 0.2, 0.9, 7);
   EngineOptions options;
   options.num_threads = 4;
@@ -237,50 +273,45 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryLegacyStatsField) {
   auto results = engine->RunBatch(queries);
   ASSERT_TRUE(results.ok()) << results.status().message();
 
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
   MetricsRegistry& registry = engine->metrics();
-  EXPECT_EQ(registry.GetCounter("engine_executed_total")->Value(),
-            snapshot.executed);
-  EXPECT_EQ(registry.GetCounter("engine_coalesced_total")->Value(),
-            snapshot.coalesced);
-  EXPECT_EQ(registry.GetCounter("engine_failures_total")->Value(),
-            snapshot.failures);
-  EXPECT_EQ(registry.GetCounter("engine_sweep_executed_total")->Value(),
-            snapshot.sweep_executed);
-  EXPECT_EQ(registry.GetCounter("engine_sweep_hits_total")->Value(),
-            snapshot.sweep_hits);
-  EXPECT_EQ(registry.GetCounter("engine_sweep_coalesced_total")->Value(),
-            snapshot.sweep_coalesced);
-  EXPECT_EQ(registry.GetCounter("engine_strata_executed_total")->Value(),
-            snapshot.strata_executed);
-  EXPECT_EQ(registry.GetCounter("engine_strata_stolen_total")->Value(),
-            snapshot.strata_stolen);
-  EXPECT_EQ(registry.GetCounter("engine_scout_warms_total")->Value(),
-            snapshot.scout_warms);
-  EXPECT_EQ(registry.GetCounter("engine_prebuilt_used_total")->Value(),
-            snapshot.prebuilt_used);
+  ExpectOutcomeCountersMatch(registry, *results);
+  EXPECT_EQ(CounterValue(registry, "engine_queries_total", "workload", "st"),
+            10u);
   EXPECT_EQ(
-      registry.GetCounter("engine_queries_total", "workload", "st")->Value(),
-      snapshot.queries_of(WorkloadKind::kSt));
-  EXPECT_EQ(
-      registry.GetCounter("engine_queries_total", "workload", "top-k")->Value(),
-      snapshot.queries_of(WorkloadKind::kTopK));
-  EXPECT_EQ(registry.GetHistogram("engine_query_latency_ns")->Snapshot().count,
-            snapshot.queries);
-  // Cache counters share the same registry (one scrape covers them too).
-  EXPECT_EQ(registry.GetCounter("result_cache_hits_total")->Value(),
-            snapshot.cache.hits);
-  EXPECT_EQ(registry.GetCounter("result_cache_misses_total")->Value(),
-            snapshot.cache.misses);
-  EXPECT_EQ(registry.GetCounter("sweep_cache_hits_total")->Value(),
-            snapshot.sweep_cache.hits);
+      CounterValue(registry, "engine_queries_total", "workload", "top-k"), 3u);
+  // Every query probed the result cache exactly once.
+  EXPECT_EQ(CounterValue(registry, "result_cache_hits_total") +
+                CounterValue(registry, "result_cache_misses_total"),
+            queries.size());
+  // Sweep partition: every top-k that reached the compute path resolved
+  // through exactly one sweep outcome, plus one sweep executed per
+  // scout-led warm; the one sweep of each source ran its 4 strata.
+  uint64_t compute_path_sweeps = 0;
+  for (const EngineResult& r : *results) {
+    if (IsSweepWorkload(r.query.workload) && !r.cache_hit && !r.coalesced) {
+      ++compute_path_sweeps;
+    }
+  }
+  const uint64_t sweep_executed =
+      CounterValue(registry, "engine_sweep_executed_total");
+  EXPECT_EQ(CounterValue(registry, "engine_sweep_hits_total") +
+                CounterValue(registry, "engine_sweep_coalesced_total") +
+                sweep_executed,
+            compute_path_sweeps +
+                CounterValue(registry, "engine_scout_warms_total"));
+  EXPECT_EQ(CounterValue(registry, "engine_strata_executed_total"),
+            4 * sweep_executed);
+  EXPECT_LE(CounterValue(registry, "engine_strata_stolen_total"),
+            CounterValue(registry, "engine_strata_executed_total"));
+  // MC has no prepared generations: nothing is adopted from a prebuilder.
+  EXPECT_EQ(CounterValue(registry, "engine_prebuilt_used_total"), 0u);
   // Every query rode the pool once (scout warm tasks may add more), and the
   // executed ones went through cache probe + stratum + publish.
   EXPECT_GE(registry.GetHistogram("engine_stage_latency_ns", "stage",
                                   "queue_wait")
                 ->Snapshot()
                 .count,
-            snapshot.queries);
+            QueriesRecorded(registry));
   EXPECT_GT(registry.GetHistogram("engine_stage_latency_ns", "stage",
                                   "cache_probe")
                 ->Snapshot()
@@ -303,9 +334,10 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryLegacyStatsField) {
   EXPECT_NE(json.find("sweep_cache_bytes"), std::string::npos);
 }
 
-TEST(EngineScrapeTest, SnapshotArithmeticStillHolds) {
-  // The legacy invariant executed + coalesced + failures + cache.hits ==
-  // queries must survive the registry migration.
+TEST(EngineScrapeTest, OutcomeCountersPartitionTheQueries) {
+  // executed + coalesced + failures + cache hits == queries, each counter
+  // equal to the results flagged that way; a repeat resolves as a cache hit
+  // or, when it races its twin, as a coalesced share.
   const UncertainGraph graph = RandomSmallGraph(16, 40, 0.3, 0.9, 3);
   EngineOptions options;
   options.num_threads = 4;
@@ -319,12 +351,9 @@ TEST(EngineScrapeTest, SnapshotArithmeticStillHolds) {
     }
   }
   queries.insert(queries.end(), queries.begin(), queries.begin() + 10);
-  ASSERT_TRUE(engine->RunBatch(queries).ok());
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.executed + snapshot.coalesced + snapshot.failures +
-                snapshot.cache.hits,
-            snapshot.queries);
-  EXPECT_EQ(snapshot.queries, queries.size());
+  auto results = engine->RunBatch(queries);
+  ASSERT_TRUE(results.ok()) << results.status().message();
+  ExpectOutcomeCountersMatch(engine->metrics(), *results);
 }
 
 TEST(EngineScrapeTest, FreshEngineExportsEveryCacheInstrument) {

@@ -27,6 +27,7 @@ namespace relcomp {
 namespace {
 
 namespace fs = std::filesystem;
+using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
 
 /// Fresh scratch directory per test; removed on destruction.
@@ -444,24 +445,68 @@ TEST(PersistRestart, WarmRestoreServesFirstQueryFromCache) {
     ASSERT_TRUE(engine.value()->FlushWarmState().ok());
   }  // destructor also runs the final flush
 
-  Result<std::unique_ptr<QueryEngine>> restarted =
-      QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 2));
-  ASSERT_TRUE(restarted.ok()) << restarted.status();
-  const auto& report = restarted.value()->warm_restore_report();
-  EXPECT_TRUE(report.attempted);
-  EXPECT_GT(report.result_entries, 0u);
-  EXPECT_GT(report.sweep_entries, 0u);
-  EXPECT_EQ(report.skipped, 0u);
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    Result<std::unique_ptr<QueryEngine>> restarted =
+        QueryEngine::Create(graph, PersistEngineOptions(dir.path(), threads));
+    ASSERT_TRUE(restarted.ok()) << restarted.status();
+    const auto& report = restarted.value()->warm_restore_report();
+    EXPECT_TRUE(report.attempted);
+    EXPECT_GT(report.result_entries, 0u);
+    EXPECT_GT(report.sweep_entries, 0u);
+    EXPECT_EQ(report.skipped, 0u);
 
-  // The very first query after restart hits the restored cache — and the
-  // restored answer is bit-identical to the pre-restart computation.
-  Result<std::vector<EngineResult>> replayed =
-      restarted.value()->RunBatch(queries);
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-  EXPECT_TRUE((*replayed)[0].cache_hit);
-  for (size_t i = 0; i < replayed->size(); ++i) {
-    ExpectBitIdentical(first_run[i], (*replayed)[i]);
+    // The very first query after restart hits the restored cache — and the
+    // restored answer is bit-identical to the pre-restart computation.
+    Result<std::vector<EngineResult>> replayed =
+        restarted.value()->RunBatch(queries);
+    ASSERT_TRUE(replayed.ok()) << replayed.status();
+    EXPECT_TRUE((*replayed)[0].cache_hit);
+    for (size_t i = 0; i < replayed->size(); ++i) {
+      ExpectBitIdentical(first_run[i], (*replayed)[i]);
+    }
   }
+}
+
+TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
+  ScratchDir dir("relcomp_persist_restore_count");
+  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
+  const EngineOptions options = PersistEngineOptions(dir.path(), 2);
+  {
+    // Publish: the first engine rebuilds and auto-snapshots.
+    Result<std::unique_ptr<QueryEngine>> first =
+        QueryEngine::Create(graph, options);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_FALSE(first.value()->warm_restore_report().snapshot_restored);
+  }
+
+  const uint64_t builds_before = BfsSharingIndex::BuildCount();
+  Result<std::unique_ptr<QueryEngine>> restored =
+      QueryEngine::Create(graph, options);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  // Exactly one generation came into being across Create: the FromBlock
+  // over the snapshot. A Build (a rebuild that samples L worlds per edge)
+  // would be a second.
+  EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 1u);
+  EXPECT_TRUE(restored.value()->warm_restore_report().snapshot_restored);
+  obs::MetricsRegistry& metrics = restored.value()->metrics();
+  EXPECT_EQ(
+      CounterValue(metrics, "persist_recovered_total", "source", "snapshot"),
+      1u);
+  EXPECT_EQ(
+      CounterValue(metrics, "persist_recovered_total", "source", "rebuild"),
+      0u);
+
+  // The artifact the snapshot yields reads its words out of the mapping:
+  // restore is O(1) in L and m, not a copy.
+  Result<std::unique_ptr<PersistentStore>> store =
+      PersistentStore::Open(dir.path(), nullptr);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const SnapshotArtifacts artifacts =
+      store.value()->OpenSnapshot(graph, options.factory);
+  ASSERT_TRUE(artifacts.valid);
+  ASSERT_NE(artifacts.bfs_index, nullptr);
+  EXPECT_TRUE(artifacts.bfs_index->mapped());
 }
 
 TEST(PersistRestart, JournalFromOtherSeedIsSkippedNotServed) {

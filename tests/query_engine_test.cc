@@ -12,7 +12,9 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::DiamondGraph;
+using ::relcomp::testing::QueriesRecorded;
 using ::relcomp::testing::RandomSmallGraph;
 
 std::vector<ReliabilityQuery> AllPairsWorkload(const UncertainGraph& graph,
@@ -155,8 +157,6 @@ TEST(QueryEngineTest, SharedIndexIsReportedOnceAcrossReplicas) {
     EXPECT_EQ(report.shared_bytes, single->IndexMemoryBytes());
     EXPECT_EQ(report.replica_bytes, 0u);
     EXPECT_EQ(report.total_bytes(), single->IndexMemoryBytes());
-    EXPECT_EQ(engine->StatsSnapshot().index_memory.total_bytes(),
-              report.total_bytes());
   }
   // Index-free kinds report an empty footprint.
   auto mc_engine =
@@ -189,10 +189,12 @@ TEST(QueryEngineTest, CoalescingCollapsesConcurrentIdenticalMisses) {
   const std::vector<EngineResult> results =
       engine->RunBatch(queries).MoveValue();
   ASSERT_EQ(results.size(), queries.size());
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.queries, queries.size());
-  EXPECT_EQ(snapshot.executed, 1u);
-  EXPECT_EQ(snapshot.coalesced + snapshot.cache.hits, queries.size() - 1);
+  obs::MetricsRegistry& metrics = engine->metrics();
+  EXPECT_EQ(QueriesRecorded(metrics), queries.size());
+  EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "engine_coalesced_total") +
+                CounterValue(metrics, "result_cache_hits_total"),
+            queries.size() - 1);
   size_t leaders = 0;
   for (const EngineResult& result : results) {
     EXPECT_TRUE(result.ok());
@@ -235,7 +237,7 @@ TEST(QueryEngineTest, PerQueryStatusIsolatesFailures) {
   EXPECT_FALSE(results[2].ok());
   EXPECT_TRUE(results[3].ok());
   EXPECT_DOUBLE_EQ(results[3].reliability, 1.0);
-  EXPECT_EQ(engine->StatsSnapshot().failures, 2u);
+  EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"), 2u);
 
   // Stream cycle: finished answers survive failing neighbors the same way.
   for (const ReliabilityQuery& query : queries) {
@@ -254,16 +256,18 @@ TEST(QueryEngineTest, TrueSpanTracksFirstStartToLastEnd) {
   EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
   options.num_samples = 64;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
+  obs::MetricsRegistry& metrics = engine->metrics();
+  const obs::Gauge& span = *metrics.GetGauge("engine_span_seconds");
+  const obs::Gauge& wall = *metrics.GetGauge("engine_wall_seconds");
 
-  EXPECT_EQ(engine->StatsSnapshot().span_seconds, 0.0);
+  EXPECT_EQ(span.Value(), 0.0);
   ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
   ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
-  const EngineStatsSnapshot solo = engine->StatsSnapshot();
-  EXPECT_GT(solo.span_seconds, 0.0);
+  EXPECT_GT(span.Value(), 0.0);
   // One client, two sequential batches: the span covers both calls plus the
   // gap between them, so it is at least the summed per-call wall time.
-  EXPECT_GE(solo.span_seconds, solo.wall_seconds * 0.99);
-  EXPECT_GT(solo.span_qps, 0.0);
+  EXPECT_GE(span.Value(), wall.Value() * 0.99);
+  EXPECT_EQ(QueriesRecorded(metrics), 2 * queries.size());
 
   // Two clients: each batch contributes its full duration to wall_seconds
   // (over-counting under overlap), while the span measures real elapsed
@@ -275,13 +279,11 @@ TEST(QueryEngineTest, TrueSpanTracksFirstStartToLastEnd) {
   std::thread client_b([&] { engine->RunBatch(queries).MoveValue(); });
   client_a.join();
   client_b.join();
-  const EngineStatsSnapshot overlapped = engine->StatsSnapshot();
-  EXPECT_EQ(overlapped.queries, 2 * queries.size());
-  EXPECT_GT(overlapped.span_seconds, 0.0);
-  EXPECT_GT(overlapped.span_qps, 0.0);
-  EXPECT_GE(overlapped.span_seconds, overlapped.wall_seconds * 0.49);
+  EXPECT_EQ(QueriesRecorded(metrics), 2 * queries.size());
+  EXPECT_GT(span.Value(), 0.0);
+  EXPECT_GE(span.Value(), wall.Value() * 0.49);
   engine->ResetStats();
-  EXPECT_EQ(engine->StatsSnapshot().span_seconds, 0.0);
+  EXPECT_EQ(span.Value(), 0.0);
 }
 
 TEST(QueryEngineTest, CacheDoesNotChangeResults) {
@@ -378,14 +380,15 @@ TEST(QueryEngineTest, StatsTrackThroughputAndLatency) {
       QueryEngine::Create(graph, BaseOptions(2, EstimatorKind::kMonteCarlo))
           .MoveValue();
   ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.queries, queries.size());
-  EXPECT_GT(snapshot.wall_seconds, 0.0);
-  EXPECT_GT(snapshot.throughput_qps, 0.0);
-  EXPECT_GE(snapshot.p99_ms, snapshot.p50_ms);
-  EXPECT_GE(snapshot.max_ms, snapshot.p99_ms);
+  obs::MetricsRegistry& metrics = engine->metrics();
+  const obs::HistogramSnapshot latency =
+      metrics.GetHistogram("engine_query_latency_ns")->Snapshot();
+  EXPECT_EQ(latency.count, queries.size());
+  EXPECT_GT(metrics.GetGauge("engine_wall_seconds")->Value(), 0.0);
+  EXPECT_GE(latency.Quantile(0.99), latency.Quantile(0.50));
+  EXPECT_GE(latency.max, latency.Quantile(0.99));
   engine->ResetStats();
-  EXPECT_EQ(engine->StatsSnapshot().queries, 0u);
+  EXPECT_EQ(QueriesRecorded(metrics), 0u);
 }
 
 TEST(QueryEngineTest, ConcurrentClientsShareOneEngine) {
@@ -453,9 +456,8 @@ TEST(QueryEngineTest, StressTenThousandQueries) {
       rerun_engine->RunBatch(queries).MoveValue();
   ExpectBitIdentical(first, second);
 
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.queries, 10000u);
-  EXPECT_GT(snapshot.cache.hits, 0u);
+  EXPECT_EQ(QueriesRecorded(engine->metrics()), 10000u);
+  EXPECT_GT(CounterValue(engine->metrics(), "result_cache_hits_total"), 0u);
 }
 
 }  // namespace

@@ -336,6 +336,82 @@ TEST(RouterEngineTest, RoutedAnswersBitIdenticalAcrossThreadsAndCaches) {
   EXPECT_TRUE(any_routed);
 }
 
+TEST(RouterEngineTest, BottleneckSourcesGetACutBudgetAtEqualAccuracy) {
+  // Fringe sources whose one out-arc has p = 0.05 into a well-connected
+  // core: every fringe answer is bounded by eps(s) = 0.05, so the router's
+  // equal-accuracy cut (K' ~ 4 eps (1 - eps) K) answers the same queries
+  // at a fraction of the static budget.
+  constexpr NodeId kCore = 48;
+  constexpr NodeId kFringe = 96;
+  GraphBuilder builder(kCore + kFringe);
+  for (NodeId i = 0; i < kCore; ++i) {
+    builder.AddEdge(i, (i + 1) % kCore, 0.9).CheckOK();
+    builder.AddEdge(i, (i + 7) % kCore, 0.7).CheckOK();
+  }
+  for (NodeId f = 0; f < kFringe; ++f) {
+    builder.AddEdge(kCore + f, f % kCore, 0.05).CheckOK();
+  }
+  const UncertainGraph graph = builder.Build().MoveValue();
+  std::vector<EngineQuery> queries;
+  for (uint32_t repeat = 0; repeat < 6; ++repeat) {
+    for (NodeId f = 0; f < kFringe; ++f) {
+      queries.push_back(
+          EngineQuery::St(kCore + f, (f * 13 + repeat * 17 + 5) % kCore));
+    }
+  }
+
+  constexpr uint32_t kStaticK = 2000;
+  std::vector<EngineResult> static_reference;
+  std::vector<EngineResult> routed_reference;
+  for (const bool routed : {false, true}) {
+    SCOPED_TRACE(routed);
+    std::vector<EngineResult>& reference =
+        routed ? routed_reference : static_reference;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(threads);
+      EngineOptions options;
+      options.num_threads = threads;
+      options.kind = EstimatorKind::kMonteCarlo;
+      options.num_samples = kStaticK;
+      options.seed = 20190410;
+      options.enable_cache = false;
+      options.enable_router = routed;
+      auto engine = QueryEngine::Create(graph, options).MoveValue();
+      std::vector<EngineResult> results = engine->RunBatch(queries).MoveValue();
+      for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
+      if (routed) {
+        EXPECT_GT(engine->router()->decisions(), 0u);
+        EXPECT_EQ(engine->metrics().GetCounter("router_fallbacks")->Value(),
+                  0u);
+        EXPECT_FALSE(engine->router()->fallback_engaged());
+      }
+      // Decisions are pure functions of the query, never of the schedule.
+      if (threads == 1) {
+        reference = std::move(results);
+      } else {
+        ExpectSameResults(reference, results);
+      }
+    }
+  }
+
+  // Equal accuracy: every routed estimate within 0.1 of the static one
+  // (>> 6 sigma at the routed budget, while a broken cut overshoots it).
+  // The cut is real: some plan runs under K, and the routed budget sums to
+  // less than the static one.
+  uint64_t routed_budget = 0;
+  bool any_cut = false;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_NEAR(routed_reference[i].reliability,
+                static_reference[i].reliability, 0.1)
+        << "query " << i;
+    EXPECT_TRUE(routed_reference[i].plan.routed) << "query " << i;
+    routed_budget += routed_reference[i].plan.num_samples;
+    any_cut = any_cut || routed_reference[i].plan.num_samples < kStaticK;
+  }
+  EXPECT_TRUE(any_cut);
+  EXPECT_LT(routed_budget, uint64_t{kStaticK} * queries.size());
+}
+
 TEST(RouterEngineTest, RouterOffReproducesLegacySeedsByteForByte) {
   const UncertainGraph graph = RandomSmallGraph(20, 50, 0.3, 0.8, 7);
   EngineOptions options = RoutedOptions(2, /*cache=*/true);
@@ -450,9 +526,9 @@ TEST(RouterEngineTest, ForcedRegressionExercisesRouterFallbacksMetric) {
     EXPECT_EQ(result.plan.kind, options.kind);
     EXPECT_EQ(result.plan.num_samples, options.num_samples);
   }
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_GE(snapshot.router_fallbacks, second.size());
-  EXPECT_GE(snapshot.router_decisions,
+  EXPECT_GE(engine->metrics().GetCounter("router_fallbacks")->Value(),
+            second.size());
+  EXPECT_GE(engine->router()->decisions(),
             static_cast<uint64_t>(first.size() + second.size()));
 }
 

@@ -156,8 +156,8 @@ TEST(StorageLayout, CompactShrinksBytesOnDataset) {
   const UncertainGraph compact = Rebuild(d.graph, StorageLayout::kCompact);
   EXPECT_EQ(d.graph.MemoryBytes(),
             Rebuild(d.graph, StorageLayout::kRaw).MemoryBytes());
-  // The bench gate enforces <= 0.6x on every bundled dataset; structurally
-  // the compact layout should land far below that.
+  // The storage gate: compact <= 0.6x raw resident bytes; structurally the
+  // compact layout should land far below that.
   EXPECT_LT(static_cast<double>(compact.MemoryBytes()),
             0.6 * static_cast<double>(d.graph.MemoryBytes()))
       << "compact=" << compact.MemoryBytes()

@@ -27,6 +27,7 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
 
 EngineOptions BaseOptions(size_t threads, EstimatorKind kind,
@@ -271,17 +272,24 @@ TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
   const std::vector<EngineResult> results =
       engine->RunBatch(HotSourceMix(1, 16)).MoveValue();
   for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
+  obs::MetricsRegistry& metrics = engine->metrics();
+  const uint64_t strata_executed =
+      CounterValue(metrics, "engine_strata_executed_total");
+  const uint64_t strata_stolen =
+      CounterValue(metrics, "engine_strata_stolen_total");
   // One sweep, all 16 strata executed through the scheduler.
-  EXPECT_EQ(snapshot.sweep_executed, 1u);
-  EXPECT_EQ(snapshot.strata_executed, 16u);
-  EXPECT_LE(snapshot.strata_stolen, snapshot.strata_executed);
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 1u);
+  EXPECT_EQ(strata_executed, 16u);
+  EXPECT_LE(strata_stolen, strata_executed);
   // Per-sweep latency was sampled.
-  EXPECT_GT(snapshot.sweep_p95_ms, 0.0);
+  EXPECT_GT(metrics.GetHistogram("engine_sweep_latency_ns")
+                ->Snapshot()
+                .Quantile(0.95),
+            0u);
   if (std::thread::hardware_concurrency() >= 2) {
     // With real parallelism the 15 coalesced waiters overwhelmingly steal
     // at least one of the 16 strata instead of all blocking.
-    EXPECT_GT(snapshot.strata_stolen, 0u);
+    EXPECT_GT(strata_stolen, 0u);
   }
 }
 
@@ -300,18 +308,21 @@ TEST(StratifiedSweepTest, ScoutWarmsHotBatchSourcesDeterministically) {
   const std::vector<EngineResult> results =
       engine->RunBatch(queries).MoveValue();
   for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.scout_warms, 1u);       // source 6 only
-  EXPECT_EQ(snapshot.sweep_executed, 2u);    // scout(6) + query-led (13)
+  obs::MetricsRegistry& metrics = engine->metrics();
+  // Source 6 only.
+  EXPECT_EQ(CounterValue(metrics, "engine_scout_warms_total"), 1u);
+  // Scout(6) + query-led (13).
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 2u);
   // Every source-6 query derived from the scout's memoized vector.
-  EXPECT_EQ(snapshot.sweep_hits, 5u);
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total"), 5u);
 
   // Scout off: same answers (the scout only changes who computes).
   EngineOptions off = options;
   off.enable_sweep_scout = false;
   auto engine_off = QueryEngine::Create(graph, off).MoveValue();
   ExpectBitIdentical(results, engine_off->RunBatch(queries).MoveValue());
-  EXPECT_EQ(engine_off->StatsSnapshot().scout_warms, 0u);
+  EXPECT_EQ(CounterValue(engine_off->metrics(), "engine_scout_warms_total"),
+            0u);
 }
 
 TEST(StratifiedSweepTest, StreamScoutsRepeatedSourcesPerCycle) {
@@ -324,7 +335,7 @@ TEST(StratifiedSweepTest, StreamScoutsRepeatedSourcesPerCycle) {
   ASSERT_TRUE(engine->Submit(EngineQuery::ReliableSet(9, 0.4)).ok());
   const std::vector<EngineResult> first = engine->Drain().MoveValue();
   for (const EngineResult& r : first) ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_LE(engine->StatsSnapshot().sweep_executed, 2u);
+  EXPECT_LE(CounterValue(engine->metrics(), "engine_sweep_executed_total"), 2u);
 
   // Batch twin answers bit-identically (stream scouting is invisible too).
   auto batch_engine = QueryEngine::Create(graph, options).MoveValue();
@@ -520,7 +531,8 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   const IndexMemoryReport before = engine->IndexMemory();
   Result<std::vector<EngineResult>> results = engine->RunBatch(queries);
-  const EngineStatsSnapshot stats = engine->StatsSnapshot();
+  const uint64_t strata_stolen =
+      CounterValue(engine->metrics(), "engine_strata_stolen_total");
   const IndexMemoryReport after = engine->IndexMemory();
   engine.reset();
   FaultInjector::Global().Disable();
@@ -528,7 +540,7 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   ASSERT_TRUE(results.ok()) << results.status();
   for (const EngineResult& r : *results) ASSERT_TRUE(r.ok()) << r.status;
   ExpectBitIdentical(*results, expected);
-  EXPECT_GT(stats.strata_stolen, 0u);
+  EXPECT_GT(strata_stolen, 0u);
   // Create shares one generation across the replicas; each has prepared
   // since, and a thief that adopted reads the very generation its leader
   // resampled, so there is still exactly one.
@@ -555,7 +567,8 @@ TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
   // The MC stratum working set (hit counts + epoch marks + BFS queue,
   // 3 x uint32 per node) exceeds the bare derivation scan (n doubles).
   const size_t derive_only = graph.num_nodes() * sizeof(double);
-  EXPECT_GT(engine->StatsSnapshot().peak_memory_bytes, derive_only);
+  EXPECT_GT(engine->metrics().GetGauge("engine_peak_memory_bytes")->Value(),
+            static_cast<double>(derive_only));
 }
 
 TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
@@ -563,13 +576,16 @@ TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
   BfsSharingOptions bfs;
   bfs.index_samples = 64;
   auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/8,
+  obs::MetricsRegistry metrics;
+  GenerationPrebuilder prebuilder(*estimator, metrics, /*max_pending=*/8,
                                   /*num_builders=*/3);
   EXPECT_EQ(prebuilder.num_builders(), 3u);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     EXPECT_TRUE(prebuilder.Request(seed));
   }
-  while (prebuilder.Stats().built < 6) std::this_thread::yield();
+  while (CounterValue(metrics, "prebuilder_built_total") < 6) {
+    std::this_thread::yield();
+  }
   // Every seed built exactly once and adoptable; the ready pool accounts
   // index-sized bytes until the takes drain it.
   EXPECT_GT(prebuilder.ReadyBytes(), 0u);
@@ -580,7 +596,7 @@ TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
     EXPECT_GT(generation->MemoryBytes(), 0u);
   }
   EXPECT_EQ(prebuilder.ReadyBytes(), 0u);
-  EXPECT_EQ(prebuilder.Stats().taken, 6u);
+  EXPECT_EQ(CounterValue(metrics, "prebuilder_taken_total"), 6u);
 }
 
 TEST(StratifiedSweepTest, PrebuilderHonorsReadyPoolByteBudget) {
@@ -593,16 +609,18 @@ TEST(StratifiedSweepTest, PrebuilderHonorsReadyPoolByteBudget) {
   ASSERT_GT(one_generation, 0u);
   // Budget for ~1.5 generations: the pool may hold one ready generation,
   // never two; older ones are evicted as new builds land.
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/8,
+  obs::MetricsRegistry metrics;
+  GenerationPrebuilder prebuilder(*estimator, metrics, /*max_pending=*/8,
                                   /*num_builders=*/1,
                                   /*max_ready_bytes=*/one_generation * 3 / 2);
   EXPECT_TRUE(prebuilder.Request(10));
   EXPECT_TRUE(prebuilder.Request(11));
   EXPECT_TRUE(prebuilder.Request(12));
-  while (prebuilder.Stats().built < 3) std::this_thread::yield();
-  const GenerationPrebuilderStats stats = prebuilder.Stats();
-  EXPECT_GE(stats.evicted, 2u);
-  EXPECT_LE(stats.ready_bytes, one_generation * 3 / 2);
+  while (CounterValue(metrics, "prebuilder_built_total") < 3) {
+    std::this_thread::yield();
+  }
+  EXPECT_GE(CounterValue(metrics, "prebuilder_evicted_total"), 2u);
+  EXPECT_LE(prebuilder.ReadyBytes(), one_generation * 3 / 2);
   // The newest generation survived the byte evictions.
   EXPECT_NE(prebuilder.Take(12), nullptr);
 }

@@ -21,6 +21,7 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
 
 EngineOptions BaseOptions(size_t threads, EstimatorKind kind) {
@@ -77,39 +78,57 @@ TEST(SweepSharingTest, SameSourceMixedBatchRunsOneSweepPerSource) {
   for (const EstimatorKind kind :
        {EstimatorKind::kMonteCarlo, EstimatorKind::kBfsSharing}) {
     SCOPED_TRACE(EstimatorKindName(kind));
-    for (const bool cache : {true, false}) {
-      SCOPED_TRACE(cache);
-      EngineOptions options = BaseOptions(4, kind);
-      options.enable_cache = cache;
-      auto engine = QueryEngine::Create(graph, options).MoveValue();
-      const std::vector<EngineResult> results =
-          engine->RunBatch(queries).MoveValue();
-      for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-
-      // The gate: with the sweep memo on, at most one EstimateFromSource
-      // per distinct (source, generation) — generations are per-source here,
-      // so per distinct source — no matter how many k / eta / repeats ask.
-      const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-      EXPECT_LE(snapshot.sweep_executed, sources.size());
-      const uint64_t sweep_queries =
-          snapshot.queries_of(WorkloadKind::kTopK) +
-          snapshot.queries_of(WorkloadKind::kReliableSet);
-      EXPECT_EQ(sweep_queries, 16 * sources.size());
-      // Partition invariant: every sweep-kind query that reached the
-      // compute path (neither a cache hit nor query-level coalesced)
-      // resolved through exactly one of the three sweep outcomes — plus one
-      // sweep_executed per scout-led warm, which has no query behind it
-      // (its queries land in sweep_hits / sweep_coalesced).
-      uint64_t compute_path_sweeps = 0;
-      for (const EngineResult& r : results) {
-        if (IsSweepWorkload(r.query.workload) && !r.cache_hit &&
-            !r.coalesced) {
-          ++compute_path_sweeps;
+    std::vector<EngineResult> reference;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      SCOPED_TRACE(threads);
+      for (const bool cache : {true, false}) {
+        SCOPED_TRACE(cache);
+        EngineOptions options = BaseOptions(threads, kind);
+        options.enable_cache = cache;
+        auto engine = QueryEngine::Create(graph, options).MoveValue();
+        const std::vector<EngineResult> results =
+            engine->RunBatch(queries).MoveValue();
+        for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
+        // Same bits at every thread count, result cache on or off.
+        if (reference.empty()) {
+          reference = results;
+        } else {
+          ExpectBitIdentical(reference, results);
         }
+
+        // The gate: with the sweep memo on, at most one EstimateFromSource
+        // per distinct (source, generation) — generations are per-source
+        // here, so per distinct source — no matter how many k / eta /
+        // repeats ask.
+        obs::MetricsRegistry& metrics = engine->metrics();
+        const uint64_t sweep_executed =
+            CounterValue(metrics, "engine_sweep_executed_total");
+        const uint64_t scout_warms =
+            CounterValue(metrics, "engine_scout_warms_total");
+        EXPECT_LE(sweep_executed, sources.size());
+        const uint64_t sweep_queries =
+            CounterValue(metrics, "engine_queries_total", "workload",
+                         WorkloadKindName(WorkloadKind::kTopK)) +
+            CounterValue(metrics, "engine_queries_total", "workload",
+                         WorkloadKindName(WorkloadKind::kReliableSet));
+        EXPECT_EQ(sweep_queries, 16 * sources.size());
+        // Partition invariant: every sweep-kind query that reached the
+        // compute path (neither a cache hit nor query-level coalesced)
+        // resolved through exactly one of the three sweep outcomes — plus
+        // one sweep executed per scout-led warm, which has no query behind
+        // it (its queries land in the hits / coalesced counters).
+        uint64_t compute_path_sweeps = 0;
+        for (const EngineResult& r : results) {
+          if (IsSweepWorkload(r.query.workload) && !r.cache_hit &&
+              !r.coalesced) {
+            ++compute_path_sweeps;
+          }
+        }
+        EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
+                      CounterValue(metrics, "engine_sweep_coalesced_total") +
+                      sweep_executed,
+                  compute_path_sweeps + scout_warms);
       }
-      EXPECT_EQ(snapshot.sweep_hits + snapshot.sweep_coalesced +
-                    snapshot.sweep_executed,
-                compute_path_sweeps + snapshot.scout_warms);
     }
   }
 }
@@ -155,7 +174,7 @@ TEST(SweepSharingTest, DerivedAnswersMatchStandaloneApisBitwise) {
   }
   // The sharing actually happened (not just correct answers): 2 sources,
   // many parameterizations, <= 2 sweeps.
-  EXPECT_LE(engine->StatsSnapshot().sweep_executed, 2u);
+  EXPECT_LE(CounterValue(engine->metrics(), "engine_sweep_executed_total"), 2u);
 }
 
 TEST(SweepSharingTest, SweepSeedIgnoresParametersButNotSourceOrBudget) {
@@ -233,7 +252,9 @@ TEST(SweepSharingTest, SweepCacheEvictionUnderBytePressureKeepsAnswers) {
   EXPECT_LE(stats.bytes_in_use, tight.sweep_cache_max_bytes);
   // Churn costs sweeps: more than one per source, but still every answer
   // bit-identical (checked above).
-  EXPECT_GE(tight_engine->StatsSnapshot().sweep_executed, 4u);
+  EXPECT_GE(
+      CounterValue(tight_engine->metrics(), "engine_sweep_executed_total"),
+      4u);
 }
 
 TEST(SweepSharingTest, ConcurrentDistinctParamsCoalesceAtSweepLevel) {
@@ -253,13 +274,15 @@ TEST(SweepSharingTest, ConcurrentDistinctParamsCoalesceAtSweepLevel) {
   const std::vector<EngineResult> results =
       engine->RunBatch(queries).MoveValue();
   for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
-  EXPECT_EQ(snapshot.sweep_executed, 1u);
+  obs::MetricsRegistry& metrics = engine->metrics();
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 1u);
   // 63 queries shared the one sweep — 64 when the scout led it (then no
   // query was the leader and all of them derived).
-  EXPECT_EQ(snapshot.sweep_hits + snapshot.sweep_coalesced,
-            63u + snapshot.scout_warms);
-  EXPECT_EQ(snapshot.executed, 64u);  // every query derived its own payload
+  EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
+                CounterValue(metrics, "engine_sweep_coalesced_total"),
+            63u + CounterValue(metrics, "engine_scout_warms_total"));
+  // Every query derived its own payload.
+  EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 64u);
 }
 
 TEST(SweepSharingTest, PrebuilderAdoptsBackgroundGenerations) {
@@ -277,13 +300,14 @@ TEST(SweepSharingTest, PrebuilderAdoptsBackgroundGenerations) {
   const std::vector<EngineResult> results =
       engine->RunBatch(queries).MoveValue();
   for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  const EngineStatsSnapshot snapshot = engine->StatsSnapshot();
+  obs::MetricsRegistry& metrics = engine->metrics();
   // Some generations were adopted from the background builder (the first
   // query may race ahead of the builder and resample inline; later ones
   // overlap). Requested/built/taken counters stay consistent.
-  EXPECT_GT(snapshot.prebuilder.requested, 0u);
-  EXPECT_EQ(snapshot.prebuilt_used, snapshot.prebuilder.taken);
-  EXPECT_LE(snapshot.prebuilder.taken, snapshot.prebuilder.built);
+  const uint64_t taken = CounterValue(metrics, "prebuilder_taken_total");
+  EXPECT_GT(CounterValue(metrics, "prebuilder_requested_total"), 0u);
+  EXPECT_EQ(CounterValue(metrics, "engine_prebuilt_used_total"), taken);
+  EXPECT_LE(taken, CounterValue(metrics, "prebuilder_built_total"));
 
   // MC has no prepared-generation surface: no prebuilder is spun up.
   auto mc_engine =
@@ -300,13 +324,16 @@ TEST(SweepSharingTest, PrebuilderEvictsStrandedReadyGenerations) {
   BfsSharingOptions bfs;
   bfs.index_samples = 64;
   auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  GenerationPrebuilder prebuilder(*estimator, /*max_pending=*/2);
+  obs::MetricsRegistry metrics;
+  GenerationPrebuilder prebuilder(*estimator, metrics, /*max_pending=*/2);
   EXPECT_TRUE(prebuilder.Request(101));
   EXPECT_TRUE(prebuilder.Request(102));
-  while (prebuilder.Stats().built < 2) std::this_thread::yield();
+  while (CounterValue(metrics, "prebuilder_built_total") < 2) {
+    std::this_thread::yield();
+  }
   // At the bound with both slots ready: a new request evicts the oldest.
   EXPECT_TRUE(prebuilder.Request(103));
-  EXPECT_EQ(prebuilder.Stats().evicted, 1u);
+  EXPECT_EQ(CounterValue(metrics, "prebuilder_evicted_total"), 1u);
   EXPECT_EQ(prebuilder.Take(101), nullptr);  // the evicted one
   EXPECT_NE(prebuilder.Take(102), nullptr);  // survivor, still adoptable
 }
@@ -328,7 +355,8 @@ TEST(SweepSharingTest, SweepAndDistanceQueriesReportPeakMemory) {
     const std::vector<EngineResult> results =
         engine->RunBatch(queries).MoveValue();
     for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-    EXPECT_GT(engine->StatsSnapshot().peak_memory_bytes, 0u);
+    EXPECT_GT(engine->metrics().GetGauge("engine_peak_memory_bytes")->Value(),
+              0.0);
   }
 }
 
@@ -347,7 +375,9 @@ TEST(SweepSharingTest, StreamSharesSweepsLikeBatches) {
     ASSERT_TRUE(stream_engine->Submit(query).ok());
   }
   ExpectBitIdentical(batch, stream_engine->Drain().MoveValue());
-  EXPECT_LE(stream_engine->StatsSnapshot().sweep_executed, 2u);
+  EXPECT_LE(
+      CounterValue(stream_engine->metrics(), "engine_sweep_executed_total"),
+      2u);
 }
 
 }  // namespace

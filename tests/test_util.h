@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/uncertain_graph.h"
+#include "obs/metrics.h"
 
 namespace relcomp::testing {
 
@@ -91,6 +93,21 @@ inline UncertainGraph RandomSmallGraph(uint32_t n, uint32_t m, double p_lo,
 inline double SamplingTolerance(double truth, uint32_t k, double z = 4.0) {
   const double variance = truth * (1.0 - truth) / static_cast<double>(k);
   return z * std::sqrt(variance) + 1e-9;
+}
+
+/// Value of the registry counter `name` (one labelled member of its family
+/// when `label_key` is set): tests read the instruments a scrape exports.
+inline uint64_t CounterValue(obs::MetricsRegistry& registry,
+                             std::string_view name,
+                             std::string_view label_key = {},
+                             std::string_view label_value = {}) {
+  return registry.GetCounter(name, label_key, label_value)->Value();
+}
+
+/// Queries an engine recorded, however each resolved: the count of its
+/// engine_query_latency_ns histogram.
+inline uint64_t QueriesRecorded(obs::MetricsRegistry& registry) {
+  return registry.GetHistogram("engine_query_latency_ns")->Snapshot().count;
 }
 
 /// FNV-1a over 64-bit words: the golden-answer tests pin the exact bits of
