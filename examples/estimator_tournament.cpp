@@ -3,14 +3,8 @@
 // tree (Figure 18) for a recommendation. A miniature version of the whole
 // benchmark, runnable in seconds.
 //
-// Usage: estimator_tournament [dataset] [--json] — dataset in
+// Usage: estimator_tournament [dataset] — dataset in
 //   {lastfm, nethept, as_topology, dblp02, dblp005, biomine}, default lastfm.
-//
-// --json emits the machine-readable calibration profile instead of the
-// table: per-backend latency/accuracy curves in the sample budget K, in
-// exactly the document shape RouterModel::FromJson consumes — feed it to
-// EngineOptions::router_profile_json to run the engine's adaptive router on
-// measured curves instead of the CostHints prior.
 
 #include <cstdio>
 #include <cstring>
@@ -29,12 +23,7 @@ using namespace relcomp;
 
 int main(int argc, char** argv) {
   DatasetId id = DatasetId::kLastFm;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      continue;
-    }
     bool found = false;
     for (DatasetId candidate : AllDatasetIds()) {
       if (std::strcmp(argv[i], DatasetName(candidate)) == 0) {
@@ -49,10 +38,8 @@ int main(int argc, char** argv) {
   }
 
   const Dataset dataset = MakeDataset(id, Scale::kTiny, /*seed=*/1).MoveValue();
-  if (!json) {
-    std::printf("Tournament on %s: %s\n\n", DatasetDisplayName(id),
-                dataset.graph.Describe().c_str());
-  }
+  std::printf("Tournament on %s: %s\n\n", DatasetDisplayName(id),
+              dataset.graph.Describe().c_str());
 
   QueryGenOptions qopts;
   qopts.num_pairs = 10;
@@ -70,7 +57,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"Estimator", "K@conv", "Reliability", "Variance (x1e-4)",
                    "Query time (ms)", "Memory (KB)"});
-  std::string profiles;  // the "backends" array body in --json mode
   FactoryOptions factory;
   factory.bfs_sharing.index_samples = copts.max_k;
   for (const EstimatorKind kind : TheSixEstimators()) {
@@ -78,21 +64,6 @@ int main(int argc, char** argv) {
     const ConvergenceReport report =
         RunConvergence(*estimator, queries, copts).MoveValue();
     const KPoint& conv = report.FinalPoint();
-    if (json) {
-      std::string curve;
-      for (const KPoint& point : report.points) {
-        curve += StrFormat(
-            "%s\n        {\"k\": %u, \"seconds\": %.9g, \"variance\": %.9g}",
-            curve.empty() ? "" : ",", point.k, point.avg_query_seconds,
-            point.avg_variance);
-      }
-      profiles += StrFormat(
-          "%s\n    {\n      \"kind\": \"%s\",\n      \"converged_k\": %u,\n"
-          "      \"curve\": [%s\n      ]\n    }",
-          profiles.empty() ? "" : ",", EstimatorKindName(kind),
-          report.converged() ? report.converged_k : copts.max_k, curve.c_str());
-      continue;
-    }
     table.AddRow(
         {std::string(estimator->name()),
          report.converged() ? StrFormat("%u", report.converged_k) : ">max",
@@ -102,13 +73,6 @@ int main(int argc, char** argv) {
          StrFormat("%.1f", static_cast<double>(conv.peak_memory_bytes +
                                                estimator->IndexMemoryBytes()) /
                                1024.0)});
-  }
-  if (json) {
-    std::printf(
-        "{\n  \"dataset\": \"%s\",\n  \"workload\": \"st\",\n"
-        "  \"backends\": [%s\n  ]\n}\n",
-        DatasetName(id), profiles.c_str());
-    return 0;
   }
   std::printf("%s\n", table.ToString().c_str());
 

@@ -4,15 +4,17 @@
 #include <cstring>
 #include <string>
 
+#include "common/status.h"
+
 namespace relcomp {
 
 /// \brief Append-only byte writer over a std::string — the serialization
 /// primitive of the persistence tier's section payloads and journal records.
 ///
-/// Fixed-width fields are written by memcpy in host byte order, matching the
-/// repo's existing binary formats (RELCOMPG, RELBFSIX): snapshots are
-/// restart artifacts for the machine that wrote them, not an interchange
-/// format.
+/// Fixed-width fields are written by memcpy in host byte order, as in the
+/// repo's standalone binary files (graph, BFS Sharing and ProbTree indexes),
+/// which are a magic followed by the same blocks: snapshots and those files
+/// are artifacts for the machine that wrote them, not an interchange format.
 class WireWriter {
  public:
   explicit WireWriter(std::string* out) : out_(out) {}
@@ -74,5 +76,10 @@ class WireReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+/// Whole-file I/O for the standalone binary files: each is a magic followed
+/// by one block, parsed in memory by the block's bounds-checked reader.
+Status ReadFileBytes(const std::string& path, std::string* out);
+Status WriteFileBytes(const std::string& path, const std::string& bytes);
 
 }  // namespace relcomp

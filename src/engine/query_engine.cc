@@ -69,15 +69,19 @@ class StageTimer {
 };
 
 /// \name Warm-journal record payloads (see src/persist/README.md)
-/// Records carry everything needed to re-derive the cache key on restore;
-/// the restoring engine validates kind / budget / seed against *its own*
-/// plans and skips mismatches, so a journal written under another
-/// configuration (or another master seed) can never resurface a wrong
-/// answer. Decoders return false on any truncation or shape violation.
+/// Every record opens with the writing engine's WarmJournalDigest (graph,
+/// index configuration, S) and carries everything needed to re-derive its
+/// cache key on restore; the restoring engine checks the digest and the
+/// kind / budget / seed against *its own* and skips mismatches, so a journal
+/// written for another graph or configuration (or another master seed) can
+/// never resurface a wrong answer. Decoders return false on any truncation
+/// or shape violation.
 /// @{
-std::string EncodeSweepRecord(const SweepCache::Export& entry) {
+std::string EncodeSweepRecord(uint64_t digest,
+                              const SweepCache::Export& entry) {
   std::string out;
   WireWriter writer(&out);
+  writer.PutU64(digest);
   writer.PutU8(static_cast<uint8_t>(entry.key.kind));
   writer.PutU32(entry.key.source);
   writer.PutU32(entry.key.num_samples);
@@ -88,12 +92,14 @@ std::string EncodeSweepRecord(const SweepCache::Export& entry) {
   return out;
 }
 
-bool DecodeSweepRecord(const std::string& payload, SweepCacheKey* key,
-                       std::vector<double>* sweep, double* ttl_seconds) {
+bool DecodeSweepRecord(const std::string& payload, uint64_t* digest,
+                       SweepCacheKey* key, std::vector<double>* sweep,
+                       double* ttl_seconds) {
   WireReader reader(payload.data(), payload.size());
   uint8_t kind = 0;
   uint64_t n = 0;
-  if (!reader.ReadU8(&kind) || !reader.ReadU32(&key->source) ||
+  if (!reader.ReadU64(digest) || !reader.ReadU8(&kind) ||
+      !reader.ReadU32(&key->source) ||
       !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
       !reader.ReadF64(ttl_seconds) || !reader.ReadU64(&n)) {
     return false;
@@ -110,10 +116,12 @@ bool DecodeSweepRecord(const std::string& payload, SweepCacheKey* key,
   return true;
 }
 
-std::string EncodeResultRecord(const ResultCache::Export& entry) {
+std::string EncodeResultRecord(uint64_t digest,
+                               const ResultCache::Export& entry) {
   std::string out;
   WireWriter writer(&out);
   const EngineQuery& q = entry.key.query;
+  writer.PutU64(digest);
   writer.PutU8(static_cast<uint8_t>(q.workload));
   writer.PutU32(q.source);
   writer.PutU32(q.target);
@@ -134,13 +142,15 @@ std::string EncodeResultRecord(const ResultCache::Export& entry) {
   return out;
 }
 
-bool DecodeResultRecord(const std::string& payload, ResultCacheKey* key,
-                        ResultCacheValue* value, double* ttl_seconds) {
+bool DecodeResultRecord(const std::string& payload, uint64_t* digest,
+                        ResultCacheKey* key, ResultCacheValue* value,
+                        double* ttl_seconds) {
   WireReader reader(payload.data(), payload.size());
   uint8_t workload = 0;
   uint8_t kind = 0;
   uint64_t num_targets = 0;
-  if (!reader.ReadU8(&workload) || !reader.ReadU32(&key->query.source) ||
+  if (!reader.ReadU64(digest) || !reader.ReadU8(&workload) ||
+      !reader.ReadU32(&key->query.source) ||
       !reader.ReadU32(&key->query.target) || !reader.ReadU32(&key->query.k) ||
       !reader.ReadF64(&key->query.eta) ||
       !reader.ReadU32(&key->query.max_hops) || !reader.ReadU8(&kind) ||
@@ -172,8 +182,7 @@ bool DecodeResultRecord(const std::string& payload, ResultCacheKey* key,
 QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
                          std::unique_ptr<obs::MetricsRegistry> registry,
                          std::unique_ptr<PersistentStore> store,
-                         std::vector<std::unique_ptr<Estimator>> replicas,
-                         std::vector<CandidateReplicas> extra_replicas)
+                         std::vector<std::unique_ptr<Estimator>> replicas)
     : graph_(graph),
       options_(std::move(options)),
       registry_(std::move(registry)),
@@ -182,16 +191,13 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
           options_.trace_ring_capacity})),
       store_(std::move(store)),
       replicas_(std::move(replicas)),
-      extra_replicas_(std::move(extra_replicas)),
-      stats_(*registry_) {
+      stats_(*registry_),
+      journal_digest_(store_ == nullptr
+                          ? 0
+                          : WarmJournalDigest(graph_, options_.factory,
+                                              options_.num_strata)) {
   sweep_capable_ =
       !replicas_.empty() && replicas_.front()->capabilities().sweep;
-  for (const CandidateReplicas& candidate : extra_replicas_) {
-    if (!candidate.replicas.empty() &&
-        candidate.replicas.front()->capabilities().sweep) {
-      sweep_capable_ = true;
-    }
-  }
   stage_cache_probe_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "cache_probe");
   stage_prepare_ =
@@ -318,31 +324,15 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<Estimator>> replicas,
       MakeEstimatorReplicas(opts.kind, graph, replica_count, opts.factory));
-  // Routing candidates: the static kind plus plain MC — the cheap,
-  // capability-complete baseline every backend is measured against (and the
-  // enabler for workloads the static kind cannot answer). Each candidate
-  // gets the same per-worker replica discipline as the primary set.
-  std::vector<CandidateReplicas> extra;
-  if (opts.enable_router && opts.kind != EstimatorKind::kMonteCarlo) {
-    RELCOMP_ASSIGN_OR_RETURN(
-        std::vector<std::unique_ptr<Estimator>> mc_replicas,
-        MakeEstimatorReplicas(EstimatorKind::kMonteCarlo, graph,
-                              replica_count, opts.factory));
-    CandidateReplicas candidate;
-    candidate.kind = EstimatorKind::kMonteCarlo;
-    candidate.replicas = std::move(mc_replicas);
-    extra.push_back(std::move(candidate));
-  }
   // The preloaded artifacts were consumed by the replica build; the engine
   // keeps its options free of them (they pin the snapshot mapping).
   const bool auto_snapshot = opts.persist_auto_snapshot;
   const bool warm_restore = opts.warm_restore;
   opts.factory.preloaded_bfs_index.reset();
   opts.factory.preloaded_prob_tree.reset();
-  std::unique_ptr<QueryEngine> engine(new QueryEngine(
-      graph, std::move(opts), std::move(registry), std::move(store),
-      std::move(replicas), std::move(extra)));
-  RELCOMP_RETURN_NOT_OK(engine->InitRouter());
+  std::unique_ptr<QueryEngine> engine(
+      new QueryEngine(graph, std::move(opts), std::move(registry),
+                      std::move(store), std::move(replicas)));
   if (engine->store_ != nullptr) {
     engine->warm_report_.snapshot_restored = snapshot_restored;
     if (!snapshot_restored && auto_snapshot) {
@@ -422,7 +412,8 @@ Status QueryEngine::FlushWarmState() {
     for (const SweepCache::Export& entry : sweep_cache_->ExportEntries()) {
       if (!journaled_sweeps_.insert(entry.key.Hash()).second) continue;
       RELCOMP_RETURN_NOT_OK(
-          store_->AppendWarm(kJournalRecordSweep, EncodeSweepRecord(entry)));
+          store_->AppendWarm(kJournalRecordSweep,
+                             EncodeSweepRecord(journal_digest_, entry)));
       ++appended;
     }
   }
@@ -430,7 +421,8 @@ Status QueryEngine::FlushWarmState() {
     for (const ResultCache::Export& entry : cache_->ExportEntries()) {
       if (!journaled_results_.insert(entry.key.Hash()).second) continue;
       RELCOMP_RETURN_NOT_OK(
-          store_->AppendWarm(kJournalRecordResult, EncodeResultRecord(entry)));
+          store_->AppendWarm(kJournalRecordResult,
+                             EncodeResultRecord(journal_digest_, entry)));
       ++appended;
     }
   }
@@ -445,24 +437,20 @@ void QueryEngine::RestoreWarmState() {
   const JournalReplay replay = replayed.MoveValue();
   warm_report_.torn_tail = replay.torn_tail;
   uint64_t recovered = 0;
+  uint64_t digest = 0;
   for (const JournalRecord& record : replay.records) {
     if (record.type == kJournalRecordSweep && sweep_cache_ != nullptr) {
       SweepCacheKey key;
       auto sweep = std::make_shared<std::vector<double>>();
       double ttl_seconds = 0.0;
-      if (!DecodeSweepRecord(record.payload, &key, sweep.get(),
+      // A record journaled for another graph, index configuration or S
+      // carries another digest; one under another kind, budget or master
+      // seed re-derives to another key. Either is skipped — never served.
+      if (!DecodeSweepRecord(record.payload, &digest, &key, sweep.get(),
                              &ttl_seconds) ||
-          key.source >= graph_.num_nodes() ||
-          sweep->size() != graph_.num_nodes()) {
-        ++warm_report_.skipped;
-        continue;
-      }
-      // Re-derive the key this engine would use for the record's source: a
-      // record journaled under another kind, budget, master seed, or plan
-      // re-derives differently and is skipped — never served.
-      const QueryPlan plan = SweepPlan(key.source);
-      if (plan.kind != key.kind || plan.num_samples != key.num_samples ||
-          SweepSeedForPlan(key.source, plan) != key.seed) {
+          digest != journal_digest_ || key.source >= graph_.num_nodes() ||
+          sweep->size() != graph_.num_nodes() ||
+          !(key == SweepKeyFor(key.source))) {
         ++warm_report_.skipped;
         continue;
       }
@@ -473,14 +461,11 @@ void QueryEngine::RestoreWarmState() {
       ResultCacheKey key;
       ResultCacheValue value;
       double ttl_seconds = 0.0;
-      if (!DecodeResultRecord(record.payload, &key, &value, &ttl_seconds) ||
-          !ValidateWorkload(graph_, key.query).ok()) {
-        ++warm_report_.skipped;
-        continue;
-      }
-      const QueryPlan plan = PlanFor(key.query);
-      if (plan.kind != key.kind || plan.num_samples != key.num_samples ||
-          SeedForPlan(key.query, plan) != key.seed) {
+      if (!DecodeResultRecord(record.payload, &digest, &key, &value,
+                              &ttl_seconds) ||
+          digest != journal_digest_ ||
+          !ValidateWorkload(graph_, key.query).ok() ||
+          !(key == ResultKeyFor(key.query))) {
         ++warm_report_.skipped;
         continue;
       }
@@ -498,70 +483,6 @@ void QueryEngine::RestoreWarmState() {
   (void)store_->ResetJournal();
 }
 
-Status QueryEngine::InitRouter() {
-  if (!options_.enable_router) return Status::OK();
-  // Capabilities are probed from live replicas (worker 0 of each set), never
-  // hard-coded per kind — a backend gaining a sweep core is picked up here
-  // automatically.
-  const auto probe = [](EstimatorKind kind, const Estimator& estimator) {
-    BackendCapabilities caps;
-    caps.kind = kind;
-    caps.sweep = estimator.capabilities().sweep;
-    caps.distance = estimator.capabilities().distance;
-    caps.hints = estimator.cost_hints();
-    return caps;
-  };
-  std::vector<BackendCapabilities> candidates;
-  candidates.push_back(probe(options_.kind, *replicas_.front()));
-  for (const CandidateReplicas& extra : extra_replicas_) {
-    candidates.push_back(probe(extra.kind, *extra.replicas.front()));
-  }
-  GraphFeatures features;
-  features.num_nodes = graph_.num_nodes();
-  features.num_edges = graph_.num_edges();
-  features.avg_out_degree =
-      features.num_nodes == 0
-          ? 0.0
-          : static_cast<double>(features.num_edges) /
-                static_cast<double>(features.num_nodes);
-  features.mean_edge_prob = graph_.ProbStats().mean;
-  RouterModel model;
-  if (!options_.router_profile_json.empty()) {
-    RELCOMP_ASSIGN_OR_RETURN(
-        model, RouterModel::FromJson(options_.router_profile_json));
-  } else {
-    model = RouterModel::Default(candidates, features, options_.router);
-  }
-  // eps(s) per node: the per-source reachability upper bound the budget
-  // lever rests on (QueryFeatures::escape_prob). One pass over the edges.
-  escape_prob_.assign(graph_.num_nodes(), 0.0);
-  for (size_t v = 0; v < graph_.num_nodes(); ++v) {
-    double survive = 1.0;
-    for (const AdjEntry& entry : graph_.OutEdges(static_cast<NodeId>(v))) {
-      survive *= 1.0 - entry.prob;
-    }
-    escape_prob_[v] = 1.0 - survive;
-  }
-  RouterStaticConfig static_config;
-  static_config.kind = options_.kind;
-  static_config.num_samples = options_.num_samples;
-  static_config.num_strata = options_.num_strata;
-  router_ = std::make_unique<EstimatorRouter>(
-      std::move(model), options_.router, static_config, features,
-      std::move(candidates), options_.num_threads, registry_.get());
-  return Status::OK();
-}
-
-Estimator& QueryEngine::ReplicaFor(EstimatorKind kind, size_t worker_id) {
-  if (kind == options_.kind) return *replicas_[worker_id];
-  for (CandidateReplicas& candidate : extra_replicas_) {
-    if (candidate.kind == kind) return *candidate.replicas[worker_id];
-  }
-  // Unreachable by construction: the router only decides kinds a replica
-  // set was built for. Degrade to the primary set rather than crash.
-  return *replicas_[worker_id];
-}
-
 uint64_t QueryEngine::QuerySeed(const EngineQuery& query) const {
   // Content-derived, not index-derived: the seed depends on what is asked,
   // never on when or where it runs. Repeats of a query inside one engine get
@@ -575,83 +496,33 @@ uint64_t QueryEngine::QuerySeed(const EngineQuery& query) const {
   // workload tag. That is what lets top-k(s, 5), top-k(s, 10) and
   // reliable-set(s, eta) share one EstimateFromSource — and it keeps the
   // standalone-API equivalence exact, because the standalone helpers given
-  // this seed run the identical sweep.
-  return SeedForPlan(query, PlanFor(query));
+  // this seed run the identical sweep. num_strata is not folded: it splits
+  // the budget, and the seed it splits is the same.
+  if (IsSweepWorkload(query.workload)) return SweepSeed(query.source);
+  uint64_t seed = HashWorkloadQuery(options_.seed, query);
+  seed = HashCombineSeed(seed, static_cast<uint64_t>(options_.kind));
+  return HashCombineSeed(seed, options_.num_samples);
 }
 
 uint64_t QueryEngine::SweepSeed(NodeId source) const {
-  return SweepSeedForPlan(source, SweepPlan(source));
-}
-
-uint64_t QueryEngine::SeedForPlan(const EngineQuery& query,
-                                  const QueryPlan& plan) const {
-  // The plan's knobs fold in the exact positions the static knobs occupy in
-  // the pre-router derivation, so enable_router == false (where plan echoes
-  // the static knobs and the num_strata fold is skipped) reproduces the
-  // historical seeds byte-for-byte. With the router on, num_strata folds
-  // too: it is part of the sampling plan for stratified kinds, and two plans
-  // differing only in S must never share a seed (or a cache key).
-  if (IsSweepWorkload(query.workload)) {
-    return SweepSeedForPlan(query.source, plan);
-  }
-  uint64_t seed = HashWorkloadQuery(options_.seed, query);
-  seed = HashCombineSeed(seed, static_cast<uint64_t>(plan.kind));
-  seed = HashCombineSeed(seed, plan.num_samples);
-  if (router_ != nullptr) seed = HashCombineSeed(seed, plan.num_strata);
-  return seed;
-}
-
-uint64_t QueryEngine::SweepSeedForPlan(NodeId source,
-                                       const QueryPlan& plan) const {
   uint64_t seed = HashCombineSeed(options_.seed, kSweepSeedTag);
   seed = HashCombineSeed(seed, source);
-  seed = HashCombineSeed(seed, static_cast<uint64_t>(plan.kind));
-  seed = HashCombineSeed(seed, plan.num_samples);
-  if (router_ != nullptr) seed = HashCombineSeed(seed, plan.num_strata);
-  return seed;
+  seed = HashCombineSeed(seed, static_cast<uint64_t>(options_.kind));
+  return HashCombineSeed(seed, options_.num_samples);
 }
 
 uint64_t QueryEngine::PrepareSeed(const EngineQuery& query) const {
   return HashCombineSeed(QuerySeed(query), kPrepareSeedTag);
 }
 
-QueryPlan QueryEngine::PlanFor(const EngineQuery& query) const {
-  // Sweep kinds take their source's plan — one plan per source whatever the
-  // k / eta / workload tag, mirroring the sweep-seed coarsening that makes
-  // sweep sharing possible.
-  if (IsSweepWorkload(query.workload)) return SweepPlan(query.source);
-  if (router_ == nullptr) {
-    QueryPlan plan;
-    plan.kind = options_.kind;
-    plan.num_samples = options_.num_samples;
-    plan.num_strata = options_.num_strata;
-    return plan;
-  }
-  QueryFeatures features;
-  features.workload = query.workload;
-  features.out_degree = static_cast<uint32_t>(graph_.OutDegree(query.source));
-  features.escape_prob = escape_prob_[query.source];
-  features.param =
-      query.workload == WorkloadKind::kDistance ? query.max_hops : 0;
-  return router_->Decide(features);
+ResultCacheKey QueryEngine::ResultKeyFor(const EngineQuery& query) const {
+  return ResultCacheKey{query, options_.kind, options_.num_samples,
+                        QuerySeed(query)};
 }
 
-QueryPlan QueryEngine::SweepPlan(NodeId source) const {
-  if (router_ == nullptr) {
-    QueryPlan plan;
-    plan.kind = options_.kind;
-    plan.num_samples = options_.num_samples;
-    plan.num_strata = options_.num_strata;
-    return plan;
-  }
-  QueryFeatures features;
-  // Any sweep workload tag: the router quantizes every sweep kind onto one
-  // plan bucket per source (param ignored), the sweep-sharing contract.
-  features.workload = WorkloadKind::kTopK;
-  features.out_degree = static_cast<uint32_t>(graph_.OutDegree(source));
-  features.escape_prob = escape_prob_[source];
-  features.param = 0;
-  return router_->Decide(features);
+SweepCacheKey QueryEngine::SweepKeyFor(NodeId source) const {
+  return SweepCacheKey{options_.kind, source, options_.num_samples,
+                       SweepSeed(source)};
 }
 
 IndexMemoryReport QueryEngine::IndexMemory() const {
@@ -794,12 +665,10 @@ void QueryEngine::FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
 }
 
 void QueryEngine::RequestPrebuild(const EngineQuery& query) {
-  // The prebuilder's build prototype is a static-kind replica: generations
-  // it resamples only fit static-kind plans, so a query routed onto another
-  // backend will never adopt one. A query the caches will serve never
-  // prepares a replica at all — building its generation would be pure waste
-  // (and would strand index-sized memory in the builder's ready pool).
-  if (PlanFor(query).kind != options_.kind || ServableFromCache(query)) return;
+  // A query the caches will serve never prepares a replica at all — building
+  // its generation would be pure waste (and would strand index-sized memory
+  // in the builder's ready pool).
+  if (ServableFromCache(query)) return;
   prebuilder_->Request(PrepareSeed(query));
 }
 
@@ -823,14 +692,14 @@ Status QueryEngine::PrepareReplica(
 }
 
 Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
-    size_t worker_id, const EngineQuery& query, const QueryPlan& plan,
-    uint64_t sweep_seed, const SweepCacheKey& key, const CancelToken* cancel,
+    size_t worker_id, const SweepCacheKey& key, const CancelToken* cancel,
     obs::TraceBuffer* trace, uint32_t parent) {
   // Coalescing-off path: one worker runs the whole stratified sweep
-  // back-to-back. EstimateFromSource with the plan's num_strata merges
+  // back-to-back. EstimateFromSource with the engine's num_strata merges
   // strata in index order — the exact merge the stratum scheduler replays —
   // so serial and stolen-strata execution are bit-identical.
-  Estimator& estimator = ReplicaFor(plan.kind, worker_id);
+  Estimator& estimator = *replicas_[worker_id];
+  const uint64_t sweep_seed = key.seed;
   MemoryTracker tracker;
   Timer timer;
   stats_.RecordSweepExecuted();
@@ -846,16 +715,16 @@ Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
         estimator, HashCombineSeed(sweep_seed, kPrepareSeedTag)));
   }
   EstimateOptions estimate_options;
-  estimate_options.num_samples = plan.num_samples;
+  estimate_options.num_samples = options_.num_samples;
   estimate_options.seed = sweep_seed;
-  estimate_options.num_strata = plan.num_strata;
+  estimate_options.num_strata = options_.num_strata;
   estimate_options.memory = &tracker;
   estimate_options.cancel = cancel;
   estimate_options.trace = trace;
   estimate_options.trace_parent = parent;
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<double> swept,
-      estimator.EstimateFromSource(query.source, estimate_options));
+      estimator.EstimateFromSource(key.source, estimate_options));
   auto vector = std::make_shared<const std::vector<double>>(std::move(swept));
   if (sweep_cache_ != nullptr) sweep_cache_->Insert(key, vector);
   stats_.RecordSweepLatency(timer.ElapsedSeconds());
@@ -865,13 +734,12 @@ Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
   return share;
 }
 
-Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
-                                   const QueryPlan& plan, uint64_t sweep_seed,
-                                   const SweepCacheKey& key,
+Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
                                    const std::shared_ptr<SweepFlight>& flight,
                                    bool leader, const CancelToken* cancel,
                                    obs::TraceBuffer* trace, uint32_t parent) {
-  Estimator& estimator = ReplicaFor(plan.kind, worker_id);
+  Estimator& estimator = *replicas_[worker_id];
+  const uint64_t sweep_seed = key.seed;
   FaultInjector& injector = FaultInjector::Global();
   MemoryTracker tracker;
   bool prepared = false;
@@ -910,7 +778,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
     if (injector.enabled()) {
       // Content-derived injection key: the stratum's own seed, identical at
       // any thread count and for any claimant, so the set of injected
-      // strata is deterministic per plan.
+      // strata is deterministic per sweep.
       const uint64_t stratum_key =
           StratumSeed(sweep_seed, stratum, flight->num_strata);
       injector.MaybeDelay(stratum_key);
@@ -961,7 +829,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
       estimate_options.trace = trace;
       estimate_options.trace_parent = stratum_stage.id();
       Result<std::vector<uint32_t>> stratum_hits =
-          estimator.EstimateSweepStratumHits(source, stratum,
+          estimator.EstimateSweepStratumHits(key.source, stratum,
                                              flight->num_strata,
                                              estimate_options);
       if (stratum_hits.ok()) {
@@ -1068,11 +936,8 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, NodeId source,
 }
 
 Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
-    size_t worker_id, const EngineQuery& query, const QueryPlan& plan,
-    uint64_t sweep_seed, const CancelToken* cancel, obs::TraceBuffer* trace,
-    uint32_t parent) {
-  const SweepCacheKey key{plan.kind, query.source, plan.num_samples,
-                          sweep_seed};
+    size_t worker_id, const SweepCacheKey& key, const CancelToken* cancel,
+    obs::TraceBuffer* trace, uint32_t parent) {
   // Fast path: memoized sweep.
   if (sweep_cache_ != nullptr) {
     std::optional<SweepVector> hit;
@@ -1087,11 +952,10 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     }
   }
   if (!options_.enable_coalescing) {
-    return ComputeSweepSerial(worker_id, query, plan, sweep_seed, key, cancel,
-                              trace, parent);
+    return ComputeSweepSerial(worker_id, key, cancel, trace, parent);
   }
-  auto joined = sweep_flights_.JoinOrCreate(key, sweep_cache_.get(),
-                                           plan.num_strata, plan.num_samples);
+  auto joined = sweep_flights_.JoinOrCreate(
+      key, sweep_cache_.get(), options_.num_strata, options_.num_samples);
   if (joined.cached) {
     // The sweep finished between our fast-path miss and the re-probe: this
     // query shared its work (accounted as sweep_coalesced, not a hit — the
@@ -1108,8 +972,8 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     obs::ScopedSpan flight_span(trace, obs::SpanKind::kSweepFlight, parent,
                                 leader ? 1 : 0);
     const Status flight_status =
-        RunSweepFlight(worker_id, query.source, plan, sweep_seed, key, flight,
-                       leader, cancel, trace, flight_span.id());
+        RunSweepFlight(worker_id, key, flight, leader, cancel, trace,
+                       flight_span.id());
     // Abandoned mid-flight (deadline): the flight publishes without us; do
     // not read its fields — fail this query with the transient status.
     if (!flight_status.ok()) return flight_status;
@@ -1137,16 +1001,10 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
 }
 
 void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
-  const QueryPlan plan = SweepPlan(source);
-  // A plan routed onto a kind with no sweep core cannot be warmed (the
-  // queries it belongs to fail with NotSupported; scouting them would only
-  // burn a pool slot re-raising the error).
-  if (!ReplicaFor(plan.kind, worker_id).capabilities().sweep) return;
-  const uint64_t sweep_seed = SweepSeedForPlan(source, plan);
-  const SweepCacheKey key{plan.kind, source, plan.num_samples, sweep_seed};
+  const SweepCacheKey key = SweepKeyFor(source);
   if (sweep_cache_ == nullptr || sweep_cache_->Contains(key)) return;
-  auto joined = sweep_flights_.JoinOrCreate(key, sweep_cache_.get(),
-                                           plan.num_strata, plan.num_samples);
+  auto joined = sweep_flights_.JoinOrCreate(
+      key, sweep_cache_.get(), options_.num_strata, options_.num_samples);
   // Nothing to warm unless this scout won the flight outright: a memoized
   // sweep needs no warming and an open flight already has a leader.
   if (!joined.leader) return;
@@ -1172,9 +1030,8 @@ void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
   }
   // A scout carries no deadline (cancel=nullptr) and always drains its
   // flight, so the OK status is discardable: failures live in the flight.
-  (void)RunSweepFlight(worker_id, source, plan, sweep_seed, key,
-                       joined.flight, /*leader=*/true, /*cancel=*/nullptr,
-                       trace, root);
+  (void)RunSweepFlight(worker_id, key, joined.flight, /*leader=*/true,
+                       /*cancel=*/nullptr, trace, root);
   if (trace != nullptr) {
     buffer.End(root);
     tracer_->Finish(buffer);
@@ -1205,12 +1062,7 @@ void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
   }
   for (const auto& [source, count] : ranked) {
     (void)count;
-    const QueryPlan plan = SweepPlan(source);
-    if (sweep_cache_->Contains(SweepCacheKey{plan.kind, source,
-                                             plan.num_samples,
-                                             SweepSeedForPlan(source, plan)})) {
-      continue;
-    }
+    if (sweep_cache_->Contains(SweepKeyFor(source))) continue;
     // Best-effort: a full queue just means no warm-ahead for this source.
     (void)pool_->TrySubmit([this, source](size_t worker_id) {
       ScoutSweep(worker_id, source);
@@ -1219,21 +1071,21 @@ void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
 }
 
 Result<WorkloadResult> QueryEngine::ComputeWorkload(
-    size_t worker_id, const EngineQuery& query, const QueryPlan& plan,
-    uint64_t query_seed, const CancelToken* cancel, obs::TraceBuffer* trace,
-    uint32_t parent) {
-  Estimator& estimator = ReplicaFor(plan.kind, worker_id);
-  if (IsSweepWorkload(query.workload) && estimator.capabilities().sweep) {
+    size_t worker_id, const EngineQuery& query, uint64_t query_seed,
+    const CancelToken* cancel, obs::TraceBuffer* trace, uint32_t parent) {
+  Estimator& estimator = *replicas_[worker_id];
+  if (IsSweepWorkload(query.workload) && sweep_capable_) {
     // Sweep sharing: obtain the per-source vector once (memoized, coalesced,
     // or computed) and derive this query's view of it. Bit-identical to a
     // direct dispatch because the seed is the same sweep seed either way.
     RELCOMP_ASSIGN_OR_RETURN(
-        SweepShare share, GetSweepVector(worker_id, query, plan, query_seed,
-                                         cancel, trace, parent));
+        SweepShare share,
+        GetSweepVector(worker_id, SweepKeyFor(query.source), cancel, trace,
+                       parent));
     StageTimer derive_stage(stage_derive_, trace, obs::SpanKind::kDerive,
                             parent);
     WorkloadResult derived =
-        DeriveFromSweep(query, *share.vector, plan.num_samples);
+        DeriveFromSweep(query, *share.vector, options_.num_samples);
     if (share.peak_memory_bytes > derived.peak_memory_bytes) {
       derived.peak_memory_bytes = share.peak_memory_bytes;
     }
@@ -1254,12 +1106,12 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
         estimator, HashCombineSeed(query_seed, kPrepareSeedTag)));
   }
   EstimateOptions estimate_options;
-  estimate_options.num_samples = plan.num_samples;
+  estimate_options.num_samples = options_.num_samples;
   estimate_options.seed = query_seed;
   // Stratified partitioning applies to every kind with a stratified core:
   // s-t MC estimates split their budget the same canonical way sweeps do
   // (estimators without one ignore the knob).
-  estimate_options.num_strata = plan.num_strata;
+  estimate_options.num_strata = options_.num_strata;
   estimate_options.cancel = cancel;
   obs::ScopedSpan estimate_span(trace, obs::SpanKind::kEstimate, parent);
   estimate_options.trace = trace;
@@ -1286,11 +1138,9 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     buffer.End(buffer.BeginAt(obs::SpanKind::kQueueWait, enqueue_ns, root));
   }
 
-  const QueryPlan plan = PlanFor(query);
-  const uint64_t query_seed = SeedForPlan(query, plan);
+  const ResultCacheKey key = ResultKeyFor(query);
   slot->query = query;
-  slot->seed = query_seed;
-  slot->plan = plan;
+  slot->seed = key.seed;
   stats_.RecordWorkload(query.workload);
 
   // Deadline: per-query override, else the engine default; 0 = none. The
@@ -1306,7 +1156,6 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
   const CancelToken* cancel =
       (token.deadline_ns() != 0 || query.cancel != nullptr) ? &token : nullptr;
 
-  const ResultCacheKey key{query, plan.kind, plan.num_samples, query_seed};
   std::shared_ptr<QueryFlight> flight;
   if (TryServeWithoutCompute(key, slot, &flight, cancel, trace, root)) {
     if (trace != nullptr) {
@@ -1340,7 +1189,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
   Timer timer;
   ResultCacheValue value;
   Result<WorkloadResult> result =
-      ComputeWorkload(worker_id, query, plan, query_seed, cancel, trace, root);
+      ComputeWorkload(worker_id, query, key.seed, cancel, trace, root);
   if (result.ok()) {
     value.reliability = result->reliability;
     value.num_samples = result->num_samples;
@@ -1350,10 +1199,6 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     slot->targets = value.targets;
     slot->seconds = timer.ElapsedSeconds();
     stats_.RecordExecuted(slot->seconds, result->peak_memory_bytes);
-    // Feed the fallback gate: one observation per estimator-executed routed
-    // query (cache hits and coalesced waiters observed someone else's
-    // latency and were filtered out above).
-    if (router_ != nullptr) router_->RecordObserved(plan, slot->seconds);
   } else {
     value.status = result.status();
     slot->status = result.status();
@@ -1442,21 +1287,11 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
 }
 
 bool QueryEngine::ServableFromCache(const EngineQuery& query) const {
-  const QueryPlan plan = PlanFor(query);
-  const uint64_t query_seed = SeedForPlan(query, plan);
-  if (cache_ != nullptr &&
-      cache_->Contains(ResultCacheKey{query, plan.kind, plan.num_samples,
-                                      query_seed})) {
-    return true;
-  }
+  if (cache_ != nullptr && cache_->Contains(ResultKeyFor(query))) return true;
   // A memoized sweep answers any k / eta over its source without an
   // estimator — deriving is a rank/filter pass, cheap enough to admit.
-  if (sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
-      sweep_cache_->Contains(SweepCacheKey{plan.kind, query.source,
-                                           plan.num_samples, query_seed})) {
-    return true;
-  }
-  return false;
+  return sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
+         sweep_cache_->Contains(SweepKeyFor(query.source));
 }
 
 Status QueryEngine::AdmitQuery(const EngineQuery& query) {
@@ -1498,21 +1333,9 @@ void QueryEngine::ScheduleResultRefresh(const ResultCacheKey& key) {
   // Refreshes ride the dedicated low-priority lane when one exists, so a
   // stale burst never competes with serving queries for the main pool.
   const Status submitted = SubmitRefreshTask([this, key](size_t worker_id) {
-    // The plan is recomputed, not trusted from the key: a router may have
-    // drifted since the stale entry was cached. A refresh can only honor
-    // the *same* key it owns — on any mismatch it re-arms the entry and
-    // lets it age out at the stale deadline instead of publishing an
-    // answer under a key it does not match.
-    const QueryPlan plan = PlanFor(key.query);
-    if (plan.kind != key.kind || plan.num_samples != key.num_samples ||
-        SeedForPlan(key.query, plan) != key.seed) {
-      cache_->ClearRefreshPending(key);
-      return;
-    }
     Result<WorkloadResult> result =
-        ComputeWorkload(worker_id, key.query, plan, key.seed,
-                        /*cancel=*/nullptr, /*trace=*/nullptr,
-                        obs::TraceBuffer::kNone);
+        ComputeWorkload(worker_id, key.query, key.seed, /*cancel=*/nullptr,
+                        /*trace=*/nullptr, obs::TraceBuffer::kNone);
     if (!result.ok()) {
       // A failed refresh must not mask the still-servable stale answer (and
       // transient failures must not be cached at all): re-arm so a later

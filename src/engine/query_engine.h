@@ -13,7 +13,6 @@
 #include "common/timer.h"
 #include "engine/engine_stats.h"
 #include "engine/generation_prebuilder.h"
-#include "engine/router.h"
 #include "engine/single_flight.h"
 #include "engine/thread_pool.h"
 #include "engine/ttl_cache.h"
@@ -21,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "persist/store.h"
+#include "reliability/estimator.h"
 #include "reliability/estimator_factory.h"
 #include "reliability/workload.h"
 
@@ -217,28 +217,18 @@ struct EngineOptions {
   /// Span capacity of the trace ring (rounded up to a power of two).
   size_t trace_ring_capacity = 4096;
   /// @}
-  /// \name Adaptive estimator routing (see src/engine/router.h)
-  /// @{
-  /// Per-query (backend, budget, strata) selection from a calibrated cost
-  /// model. Off by default: `false` reproduces the static-knob engine
-  /// byte-for-byte (same seeds, same cache keys, same answers). On, every
-  /// query's plan comes from EstimatorRouter::Decide — a deterministic
-  /// function of the query's content features — and the chosen
-  /// (kind, K, S) folds into the query's seed and cache keys exactly as the
-  /// static knobs do, so routed answers are bit-identical at any thread
-  /// count while the fallback latch stays disengaged.
-  bool enable_router = false;
-  /// Routing knobs: fallback gate, hysteresis margin, budget floor, strata
-  /// ceiling (only consulted when enable_router).
-  RouterOptions router;
-  /// Calibrated per-backend latency/accuracy profile — the JSON document
-  /// `examples/estimator_tournament --json` emits — as a string. Empty: the
-  /// router builds RouterModel::Default from each candidate backend's
-  /// CostHints. Malformed JSON fails Create.
-  std::string router_profile_json;
-  /// @}
   /// Estimator construction knobs (index parameters, index seed).
   FactoryOptions factory;
+};
+
+/// \brief The sampling plan a query runs under: the engine's static
+/// (kind, num_samples, num_strata) knobs, the same for every query.
+struct QueryPlan {
+  EstimatorKind kind = EstimatorKind::kMonteCarlo;
+  /// Sample budget K.
+  uint32_t num_samples = 1000;
+  /// Stratified partitioning S of the budget (see EngineOptions::num_strata).
+  uint32_t num_strata = 1;
 };
 
 /// \brief Outcome of one engine query (any workload kind).
@@ -255,10 +245,6 @@ struct EngineResult {
   /// reliability, ties toward smaller node ids, source excluded).
   std::vector<ReliableTarget> targets;
   uint32_t num_samples = 0;
-  /// The execution plan this query ran under: the static knobs echoed when
-  /// the router is off, the routing decision when it is on (plan.routed /
-  /// plan.fallback tell which).
-  QueryPlan plan;
   /// Seconds from dispatch on a worker to completion (0 for cache hits, which
   /// never reach a worker's estimator; wait time for coalesced queries).
   double seconds = 0.0;
@@ -357,18 +343,12 @@ class QueryEngine {
     return PrepareSeed(EngineQuery(query));
   }
 
-  /// The execution plan `query` runs under. Router off: the static knobs
-  /// (kind, num_samples, num_strata) echoed back, plan.routed == false.
-  /// Router on: the EstimatorRouter decision — with QuerySeed this fully
-  /// reproduces a routed engine answer on a bare estimator of plan.kind.
-  /// Sweep-kind queries get their source's SweepPlan (identical for every
-  /// k / eta / sweep-workload tag over one source, the sweep-sharing
-  /// contract).
-  QueryPlan PlanFor(const EngineQuery& query) const;
-
-  /// The per-source sweep plan (see PlanFor). `SweepPlan(s)` ==
-  /// `PlanFor(q)` for every sweep-kind q with source s.
-  QueryPlan SweepPlan(NodeId source) const;
+  /// The sampling plan `query` runs under: the static knobs (kind,
+  /// num_samples, num_strata), whatever the query. With QuerySeed and
+  /// PrepareSeed this fully reproduces an engine answer on a bare estimator.
+  QueryPlan PlanFor(const EngineQuery& /*query*/) const {
+    return QueryPlan{options_.kind, options_.num_samples, options_.num_strata};
+  }
 
   const EngineOptions& options() const { return options_; }
   size_t num_threads() const { return pool_->num_threads(); }
@@ -387,8 +367,8 @@ class QueryEngine {
   void ResetStats() { stats_.Reset(); }
 
   /// Engine-wide instrument registry, the engine's only stats account: the
-  /// stats recorder, both caches, the pool, the stage histograms, the
-  /// router, the store and the prebuilder all record into it, cumulatively
+  /// stats recorder, both caches, the pool, the stage histograms, the store
+  /// and the prebuilder all record into it, cumulatively
   /// since construction, so one ExportJson() / ExportText() scrape reports
   /// everything the engine measures.
   obs::MetricsRegistry& metrics() const { return *registry_; }
@@ -396,9 +376,6 @@ class QueryEngine {
   /// Per-query tracing sink: the span ring (trace_sample_rate) and the
   /// slow-query log (slow_query_ms).
   obs::Tracer& tracer() const { return *tracer_; }
-
-  /// The adaptive router; nullptr when enable_router is false.
-  const EstimatorRouter* router() const { return router_.get(); }
 
   /// \name Crash-safe persistence (EngineOptions::persist_dir)
   /// @{
@@ -411,7 +388,9 @@ class QueryEngine {
     bool torn_tail = false;         ///< journal ended in a torn frame
     uint64_t sweep_entries = 0;     ///< sweeps folded back into the cache
     uint64_t result_entries = 0;    ///< results folded back into the cache
-    uint64_t skipped = 0;           ///< records for a different config/seed
+    /// Records skipped: undecodable, or journaled for another graph, index
+    /// configuration, stratum count, kind, budget or master seed.
+    uint64_t skipped = 0;
   };
   const WarmRestoreReport& warm_restore_report() const { return warm_report_; }
 
@@ -431,22 +410,13 @@ class QueryEngine {
   /// @}
 
  private:
-  /// One routing candidate's replica set: every candidate kind gets one
-  /// replica per worker, exactly like the primary set (index-carrying kinds
-  /// share one index across their set).
-  struct CandidateReplicas {
-    EstimatorKind kind;
-    std::vector<std::unique_ptr<Estimator>> replicas;
-  };
-
   /// `registry` and `store` are created in Create (the store needs the
   /// registry for its recovery counters *before* replicas exist, so the
   /// snapshot restore they feed into is counted).
   QueryEngine(const UncertainGraph& graph, EngineOptions options,
               std::unique_ptr<obs::MetricsRegistry> registry,
               std::unique_ptr<PersistentStore> store,
-              std::vector<std::unique_ptr<Estimator>> replicas,
-              std::vector<CandidateReplicas> extra_replicas);
+              std::vector<std::unique_ptr<Estimator>> replicas);
 
   /// Per-call completion state, shared only by that call's worker tasks:
   /// each call waits on its own counter instead of global pool idleness (so
@@ -472,8 +442,7 @@ class QueryEngine {
   /// stratum order once every stratum has deposited, so the merged vector is
   /// bit-identical however the strata were distributed.
   struct SweepFlight : FlightState {
-    /// Every participant reached this flight through the same plan-derived
-    /// key, so the plan's S and K are flight invariants.
+    /// The engine's S and K, fixed for the flight's lifetime.
     SweepFlight(uint32_t num_strata, uint32_t num_samples)
         : num_strata(num_strata),
           num_samples(num_samples),
@@ -525,19 +494,17 @@ class QueryEngine {
   /// cooperatively by the estimator loops and the flight machinery below.
   Result<WorkloadResult> ComputeWorkload(size_t worker_id,
                                          const EngineQuery& query,
-                                         const QueryPlan& plan,
                                          uint64_t query_seed,
                                          const CancelToken* cancel,
                                          obs::TraceBuffer* trace,
                                          uint32_t parent);
 
-  /// Obtains `query.source`'s sweep vector: from the SweepCache, by joining
-  /// a sweep-level flight (stealing unclaimed strata, then waiting for the
-  /// merge), or by leading one — publishing to the SweepCache and the
-  /// flight's participants. Records exactly one of sweep_hit /
-  /// sweep_coalesced / sweep_executed per call.
-  Result<SweepShare> GetSweepVector(size_t worker_id, const EngineQuery& query,
-                                    const QueryPlan& plan, uint64_t sweep_seed,
+  /// Obtains the sweep vector of `key` (SweepKeyFor a source): from the
+  /// SweepCache, by joining a sweep-level flight (stealing unclaimed strata,
+  /// then waiting for the merge), or by leading one — publishing to the
+  /// SweepCache and the flight's participants. Records exactly one of
+  /// sweep_hit / sweep_coalesced / sweep_executed per call.
+  Result<SweepShare> GetSweepVector(size_t worker_id, const SweepCacheKey& key,
                                     const CancelToken* cancel,
                                     obs::TraceBuffer* trace, uint32_t parent);
 
@@ -561,8 +528,7 @@ class QueryEngine {
   ///   with the same transient status, no torn vector is ever published.
   /// OK means the flight reached `ready` (flight->status tells how it
   /// ended); non-OK is the abandoning participant's own transient status.
-  Status RunSweepFlight(size_t worker_id, NodeId source, const QueryPlan& plan,
-                        uint64_t sweep_seed, const SweepCacheKey& key,
+  Status RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
                         const std::shared_ptr<SweepFlight>& flight, bool leader,
                         const CancelToken* cancel, obs::TraceBuffer* trace,
                         uint32_t parent);
@@ -570,9 +536,6 @@ class QueryEngine {
   /// Serial sweep for the coalescing-off path: one EstimateFromSource with
   /// the engine's stratum count (bit-identical to a stolen-strata merge).
   Result<SweepShare> ComputeSweepSerial(size_t worker_id,
-                                        const EngineQuery& query,
-                                        const QueryPlan& plan,
-                                        uint64_t sweep_seed,
                                         const SweepCacheKey& key,
                                         const CancelToken* cancel,
                                         obs::TraceBuffer* trace,
@@ -585,29 +548,15 @@ class QueryEngine {
   void ScoutSweep(size_t worker_id, NodeId source);
 
   /// True when scout warm tasks make sense under the current configuration.
-  /// `sweep_capable_` already accounts for routing: a router may plan sweeps
-  /// onto a candidate kind even when the static kind cannot run them.
   bool ScoutingEnabled() const {
     return options_.enable_sweep_scout && options_.enable_coalescing &&
            sweep_cache_ != nullptr && sweep_capable_;
   }
 
-  /// Seed derivation under an explicit plan: plan.kind / plan.num_samples
-  /// fold in the exact positions the static knobs occupy today, and
-  /// plan.num_strata folds additionally — but only when the router is on,
-  /// so enable_router == false reproduces the static seeds byte-for-byte.
-  uint64_t SeedForPlan(const EngineQuery& query, const QueryPlan& plan) const;
-  uint64_t SweepSeedForPlan(NodeId source, const QueryPlan& plan) const;
-
-  /// The `worker_id` replica of `kind`: the primary set when kind matches
-  /// the engine's static kind, the candidate set otherwise. The router only
-  /// ever decides kinds a replica set exists for.
-  Estimator& ReplicaFor(EstimatorKind kind, size_t worker_id);
-
-  /// Builds router_ and escape_prob_ when enable_router (called from Create
-  /// right after construction; a malformed router_profile_json fails engine
-  /// creation). No-op when the router is off.
-  Status InitRouter();
+  /// The cache keys `query` (and `source`'s sweep) are stored under: the
+  /// plan's kind and budget plus the derived seed.
+  ResultCacheKey ResultKeyFor(const EngineQuery& query) const;
+  SweepCacheKey SweepKeyFor(NodeId source) const;
 
   /// Enqueues scout warm tasks for the most frequent sweep sources of
   /// `queries` (frequency >= 2, capped at scout_max_sources), ahead of the
@@ -623,8 +572,8 @@ class QueryEngine {
       std::shared_ptr<const PreparedGeneration> generation = nullptr);
 
   /// Hands `query`'s prepare seed to the background builder — unless a
-  /// cache will serve the query anyway (ServableFromCache) or its plan runs
-  /// on another backend (prebuilder_ must be non-null).
+  /// cache will serve the query anyway (ServableFromCache). prebuilder_ must
+  /// be non-null.
   void RequestPrebuild(const EngineQuery& query);
 
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
@@ -671,8 +620,9 @@ class QueryEngine {
   /// FlushWarmState rounds (routed through the refresh lane) until shutdown.
   void FlusherLoop();
 
-  /// Replays the warm journal into the caches (Create-time, after the
-  /// router exists — restored keys re-derive from this engine's plans).
+  /// Replays the warm journal into the caches (Create-time). A record is
+  /// folded back only when it carries this engine's journal_digest_ and its
+  /// key re-derives from this engine's plan and seeds.
   void RestoreWarmState();
 
   /// Publishes the leader's outcome: inserts into the cache (successes under
@@ -704,16 +654,7 @@ class QueryEngine {
   /// that may journal into it during shutdown.
   std::unique_ptr<PersistentStore> store_;
   std::vector<std::unique_ptr<Estimator>> replicas_;
-  /// Routing candidates beyond the static kind (empty when the router is
-  /// off): one replica set per candidate kind, same per-worker discipline as
-  /// replicas_.
-  std::vector<CandidateReplicas> extra_replicas_;
-  /// nullptr when enable_router is false.
-  std::unique_ptr<EstimatorRouter> router_;
-  /// Escape probability eps(s) per node (see QueryFeatures::escape_prob),
-  /// precomputed once at construction; empty when the router is off.
-  std::vector<double> escape_prob_;
-  /// Some replica set (primary or candidate) answers source sweeps.
+  /// The estimator kind answers source sweeps.
   bool sweep_capable_ = false;
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<ThreadPool> pool_;
@@ -757,6 +698,10 @@ class QueryEngine {
   /// which can only shorten its restored life — conservative by design).
   std::unordered_set<uint64_t> journaled_sweeps_;
   std::unordered_set<uint64_t> journaled_results_;
+  /// WarmJournalDigest of this engine (graph, index configuration, S),
+  /// stamped on every journal record; computed only when persist_dir is set
+  /// (0 otherwise), before the flusher thread starts.
+  const uint64_t journal_digest_;
   WarmRestoreReport warm_report_;
   /// Periodic flusher thread (persist_flush_seconds); stopped first in the
   /// destructor, before either pool shuts down.

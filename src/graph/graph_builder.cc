@@ -49,6 +49,10 @@ void GraphBuilder::CombineParallelEdges() {
 }
 
 Result<UncertainGraph> GraphBuilder::Build(StorageLayout layout) const {
+  if (num_nodes_ > kInvalidNode) {
+    return Status::InvalidArgument(
+        StrFormat("%zu nodes exceed the 32-bit node id space", num_nodes_));
+  }
   UncertainGraph g;
   g.num_nodes_ = num_nodes_;
   g.num_edges_ = edges_.size();

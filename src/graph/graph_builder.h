@@ -58,7 +58,8 @@ class GraphBuilder {
   size_t num_edges() const { return edges_.size(); }
 
   /// Finalizes the CSR structure in the configured layout. The builder stays
-  /// reusable afterwards (Build copies the edge set).
+  /// reusable afterwards (Build copies the edge set). InvalidArgument when
+  /// num_nodes() exceeds kInvalidNode (ids would not fit a NodeId).
   Result<UncertainGraph> Build() const { return Build(layout_); }
 
   /// Finalizes with an explicit layout, ignoring SetStorageLayout().

@@ -15,7 +15,9 @@ namespace relcomp {
 namespace {
 
 constexpr char kBinaryMagic[8] = {'R', 'E', 'L', 'C', 'O', 'M', 'P', 'G'};
-constexpr uint32_t kBinaryVersion = 1;
+/// Version 2: the magic and version are followed by the AppendGraphBlock
+/// payload.
+constexpr uint32_t kBinaryVersion = 2;
 
 Result<UncertainGraph> ParseEdgeListStream(std::istream& in) {
   GraphBuilder builder;
@@ -88,62 +90,27 @@ Status SaveEdgeListText(const UncertainGraph& graph, const std::string& path) {
 }
 
 Result<UncertainGraph> LoadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open for reading: " + path);
-  }
-  char magic[8];
+  std::string bytes;
+  RELCOMP_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  WireReader reader(bytes.data(), bytes.size());
+  char magic[sizeof(kBinaryMagic)];
   uint32_t version = 0;
-  uint64_t n = 0;
-  uint64_t m = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  if (!in.good() || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
+  if (!reader.ReadBytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0 ||
+      !reader.ReadU32(&version)) {
     return Status::IOError("not a relcomp binary graph: " + path);
   }
   if (version != kBinaryVersion) {
     return Status::IOError(StrFormat("unsupported binary version %u", version));
   }
-  GraphBuilder builder(n);
-  builder.ReserveEdges(m);
-  for (uint64_t i = 0; i < m; ++i) {
-    uint32_t tail = 0;
-    uint32_t head = 0;
-    double prob = 0.0;
-    in.read(reinterpret_cast<char*>(&tail), sizeof(tail));
-    in.read(reinterpret_cast<char*>(&head), sizeof(head));
-    in.read(reinterpret_cast<char*>(&prob), sizeof(prob));
-    if (!in.good()) {
-      return Status::IOError(StrFormat("truncated binary graph at edge %llu",
-                                       static_cast<unsigned long long>(i)));
-    }
-    RELCOMP_RETURN_NOT_OK(builder.AddEdge(tail, head, prob));
-  }
-  return builder.Build();
+  return ParseGraphBlock(reader.cursor(), reader.remaining());
 }
 
 Status SaveBinary(const UncertainGraph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  const uint32_t version = kBinaryVersion;
-  const uint64_t n = graph.num_nodes();
-  const uint64_t m = graph.num_edges();
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const EdgeRecord& rec = graph.edge(e);
-    out.write(reinterpret_cast<const char*>(&rec.tail), sizeof(rec.tail));
-    out.write(reinterpret_cast<const char*>(&rec.head), sizeof(rec.head));
-    out.write(reinterpret_cast<const char*>(&rec.prob), sizeof(rec.prob));
-  }
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  std::string bytes(kBinaryMagic, sizeof(kBinaryMagic));
+  WireWriter(&bytes).PutU32(kBinaryVersion);
+  AppendGraphBlock(graph, &bytes);
+  return WriteFileBytes(path, bytes);
 }
 
 void AppendGraphBlock(const UncertainGraph& graph, std::string* out) {

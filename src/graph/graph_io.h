@@ -28,9 +28,9 @@ Status SaveEdgeListText(const UncertainGraph& graph, const std::string& path);
 
 /// \name Binary format
 ///
-/// Compact snapshot: magic "RELCOMPG", version, n, m, then m EdgeRecord
-/// triples (tail:u32, head:u32, prob:f64), little-endian. Used to persist
-/// generated datasets and index artifacts.
+/// A standalone graph file: magic "RELCOMPG", version u32 = 2, then the
+/// AppendGraphBlock payload (host byte order), parsed by ParseGraphBlock's
+/// bounds checks.
 /// @{
 Result<UncertainGraph> LoadBinary(const std::string& path);
 Status SaveBinary(const UncertainGraph& graph, const std::string& path);

@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "common/format.h"
+#include "common/rng.h"
 #include "common/wire.h"
 #include "graph/graph_io.h"
 #include "persist/snapshot.h"
@@ -97,6 +98,21 @@ bool ManifestMatches(const Manifest& have, const Manifest& want) {
 }
 
 }  // namespace
+
+uint64_t WarmJournalDigest(const UncertainGraph& graph,
+                           const FactoryOptions& options,
+                           uint32_t num_strata) {
+  const std::string manifest = SerializeManifest(
+      ManifestFor(graph, options, /*with_bfs=*/true, /*with_prob_tree=*/true));
+  uint64_t digest = HashCombineSeed(0x6a726e6cULL, num_strata);  // "jrnl"
+  for (size_t i = 0; i + sizeof(uint64_t) <= manifest.size();
+       i += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, manifest.data() + i, sizeof(word));
+    digest = HashCombineSeed(digest, word);
+  }
+  return digest;
+}
 
 PersistentStore::PersistentStore(std::string dir,
                                  obs::MetricsRegistry* metrics)

@@ -25,6 +25,14 @@ struct SnapshotArtifacts {
   std::shared_ptr<const ProbTreeIndex> prob_tree;
 };
 
+/// Digest of everything beyond a warm-journal record's cache key that decides
+/// its answer: the graph fingerprint and the factory's index configuration
+/// (the identity the snapshot manifest records) plus the engine's stratum
+/// count. The engine stamps it on every record it journals and replays only
+/// records that carry its own.
+uint64_t WarmJournalDigest(const UncertainGraph& graph,
+                           const FactoryOptions& options, uint32_t num_strata);
+
 /// \brief The engine's crash-safe persistence root: one checksummed snapshot
 /// (`<dir>/snapshot.relsnap`) plus one append-only warm-state journal
 /// (`<dir>/warm.journal`).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <fstream>
 
 #include "common/format.h"
 #include "common/rng.h"
@@ -13,7 +12,13 @@
 namespace relcomp {
 
 namespace {
-constexpr char kIndexMagic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', 'X'};
+/// The file is this magic followed by the AppendBlock payload.
+constexpr char kIndexMagic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', '2'};
+
+/// ceil(L / 64) in size_t: L + 63 would wrap in uint32 for L near 2^32.
+size_t WordsPerEdge(uint32_t num_samples) {
+  return (static_cast<size_t>(num_samples) + 63) / 64;
+}
 }  // namespace
 
 std::atomic<uint64_t> BfsSharingIndex::build_count_{0};
@@ -27,7 +32,7 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
   std::shared_ptr<BfsSharingIndex> index(new BfsSharingIndex());
   index->num_samples_ = options.index_samples;
   index->num_edges_ = graph.num_edges();
-  index->words_per_edge_ = (options.index_samples + 63) / 64;
+  index->words_per_edge_ = WordsPerEdge(options.index_samples);
   index->words_.assign(index->num_edges_ * index->words_per_edge_, 0);
   index->words_data_ = index->words_.data();
   index->num_words_ = index->words_.size();
@@ -89,7 +94,7 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
         StrFormat("BFS Sharing block: index has %llu edges, graph has %zu",
                   static_cast<unsigned long long>(m), graph.num_edges()));
   }
-  const size_t words_per_edge = (l + 63) / 64;
+  const size_t words_per_edge = WordsPerEdge(l);
   const size_t num_words = static_cast<size_t>(m) * words_per_edge;
   if (reader.remaining() != num_words * sizeof(uint64_t)) {
     return Status::IOError(
@@ -120,57 +125,23 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
 }
 
 Status BfsSharingIndex::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return Status::IOError("cannot open for writing: " + path);
-  out.write(kIndexMagic, sizeof(kIndexMagic));
-  const uint64_t m = num_edges_;
-  const uint32_t l = num_samples_;
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  out.write(reinterpret_cast<const char*>(&l), sizeof(l));
-  // The packed block IS the historical per-edge layout (ceil(L/64) words per
-  // edge, edge-id order), so one bulk write preserves the on-disk format
-  // byte for byte.
-  out.write(reinterpret_cast<const char*>(words_data_),
-            static_cast<std::streamsize>(num_words_ * sizeof(uint64_t)));
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  std::string bytes(kIndexMagic, sizeof(kIndexMagic));
+  AppendBlock(&bytes);
+  return WriteFileBytes(path, bytes);
 }
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::LoadFromFile(
     const UncertainGraph& graph, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open for reading: " + path);
-  char magic[8];
-  uint64_t m = 0;
-  uint32_t l = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&m), sizeof(m));
-  in.read(reinterpret_cast<char*>(&l), sizeof(l));
-  if (!in.good() || std::memcmp(magic, kIndexMagic, sizeof(magic)) != 0) {
+  auto bytes = std::make_shared<std::string>();
+  RELCOMP_RETURN_NOT_OK(ReadFileBytes(path, bytes.get()));
+  if (bytes->size() < sizeof(kIndexMagic) ||
+      std::memcmp(bytes->data(), kIndexMagic, sizeof(kIndexMagic)) != 0) {
     return Status::IOError("not a BFS Sharing index: " + path);
   }
-  if (m != graph.num_edges()) {
-    return Status::InvalidArgument(
-        StrFormat("index has %llu edges, graph has %zu",
-                  static_cast<unsigned long long>(m), graph.num_edges()));
-  }
-  if (l == 0) {
-    return Status::IOError("BFS Sharing index has zero samples: " + path);
-  }
-  Timer timer;
-  std::shared_ptr<BfsSharingIndex> index(new BfsSharingIndex());
-  index->num_samples_ = l;
-  index->num_edges_ = m;
-  index->words_per_edge_ = (l + 63) / 64;
-  index->words_.assign(m * index->words_per_edge_, 0);
-  index->words_data_ = index->words_.data();
-  index->num_words_ = index->words_.size();
-  in.read(reinterpret_cast<char*>(index->words_.data()),
-          static_cast<std::streamsize>(index->words_.size() * sizeof(uint64_t)));
-  if (!in.good()) return Status::IOError("truncated BFS Sharing index: " + path);
-  index->build_seconds_ = timer.ElapsedSeconds();
-  build_count_.fetch_add(1, std::memory_order_relaxed);
-  return index;
+  // The generation reads its words in place out of the file buffer it keeps
+  // alive, so a load holds one copy of them (Figure 13c times this).
+  return FromBlock(graph, bytes->data() + sizeof(kIndexMagic),
+                   bytes->size() - sizeof(kIndexMagic), bytes);
 }
 
 BfsSharingEstimator::BfsSharingEstimator(

@@ -39,7 +39,8 @@ class BfsSharingIndex : public PreparedGeneration {
       uint64_t seed);
 
   /// Restores a generation persisted by SaveToFile (Figure 13c measures
-  /// this). The graph is needed only to validate the edge count.
+  /// this) through FromBlock's bounds checks, reading the words in place out
+  /// of the file buffer. The graph is needed only to validate the edge count.
   static Result<std::shared_ptr<BfsSharingIndex>> LoadFromFile(
       const UncertainGraph& graph, const std::string& path);
 
@@ -59,8 +60,8 @@ class BfsSharingIndex : public PreparedGeneration {
       const UncertainGraph& graph, const void* data, size_t size,
       std::shared_ptr<const void> backing);
 
-  /// True when the words are read out of an external (mmap'd) block rather
-  /// than owned memory.
+  /// True when the words are read out of an external block (a snapshot
+  /// mapping or a loaded file's buffer) rather than owned memory.
   bool mapped() const { return backing_ != nullptr; }
 
   /// Refills every edge's worlds in place — bit-identical to a fresh
@@ -71,7 +72,7 @@ class BfsSharingIndex : public PreparedGeneration {
   /// unaffected — refilling never changes shapes).
   void Resample(const UncertainGraph& graph, uint64_t seed);
 
-  /// Persists the edge bit-vectors to `path`.
+  /// Persists the edge bit-vectors to `path`: a magic, then AppendBlock.
   Status SaveToFile(const std::string& path) const;
 
   /// L, the number of worlds stored per edge.
@@ -163,21 +164,6 @@ class BfsSharingEstimator : public Estimator {
 
   std::string_view name() const override { return "BFSSharing"; }
   const UncertainGraph& graph() const override { return graph_; }
-
-  /// Cheap per sample (offline worlds, one shared BFS over bit-vector
-  /// words), but the inter-query resample rewrites L bits per edge — the
-  /// dominant per-query term the router must price in.
-  CostHints cost_hints() const override {
-    CostHints hints;
-    hints.per_sample_edge_cost = 0.25;
-    hints.per_query_edge_cost =
-        static_cast<double>(shared_index() == nullptr
-                                ? 0
-                                : shared_index()->num_samples()) /
-        64.0;  // resample writes L bits/edge = L/64 words/edge
-    hints.sweep_amortized = true;
-    return hints;
-  }
 
   /// Edge bit-vector bytes resident in memory (the current generation).
   size_t IndexMemoryBytes() const override;

@@ -77,29 +77,6 @@ struct EstimateResult {
   size_t peak_memory_bytes = 0;
 };
 
-/// \brief Per-kind asymptotic cost terms an estimator reports about itself.
-///
-/// Consumed by the engine's EstimatorRouter to seed its Default cost model
-/// (RouterModel::Default) when no calibrated tournament profile is loaded.
-/// These are rough *priors*, not measurements — the unit is "edge visits",
-/// normalized so plain MC costs 1.0 per sample per expected sampled edge;
-/// a calibrated profile (estimator_tournament --json) always overrides them.
-/// Never part of the determinism contract: changing a hint changes routing
-/// predictions, never the answer a given (kind, K, S, seed) produces.
-struct CostHints {
-  /// Edge-visit cost of one sample / possible world, relative to MC's BFS
-  /// over one sampled subgraph (multiplied by K and the expected sampled
-  /// edge count when predicting a call).
-  double per_sample_edge_cost = 1.0;
-  /// Fixed per-query edge-visit cost independent of K, in multiples of the
-  /// graph's edge count m (BFS Sharing's inter-query resample is L bits per
-  /// edge, so it reports ~L here; index-free kinds report 0).
-  double per_query_edge_cost = 0.0;
-  /// True when one EstimateFromSource amortizes the per-sample work across
-  /// every target, so a full sweep costs about the same as one s-t call.
-  bool sweep_amortized = false;
-};
-
 /// \brief Opaque artifact of an inter-query maintenance step: one prepared
 /// generation (BFS Sharing's resampled worlds, Table 15's per-query cost).
 ///
@@ -128,8 +105,8 @@ class PreparedGeneration {
 };
 
 /// \brief What an estimator answers beyond the core s-t Estimate. Every
-/// caller that needs more than s-t (DispatchWorkload, the engine, the
-/// router's BackendCapabilities) reads this one set.
+/// caller that needs more than s-t (DispatchWorkload, the engine) reads this
+/// one set.
 struct EstimatorCapabilities {
   /// Source sweeps: EstimateFromSource and its stratified core
   /// EstimateSweepStratumHits (MC and BFS Sharing).
@@ -167,11 +144,6 @@ class Estimator {
   /// the working memory; the algorithm itself is in DoEstimate.
   Result<EstimateResult> Estimate(const ReliabilityQuery& query,
                                   const EstimateOptions& options);
-
-  /// Asymptotic cost terms of this estimator (see CostHints): the router's
-  /// fallback priors when no calibrated profile is available. The default is
-  /// MC-shaped (1.0 per sample per edge, no fixed per-query work).
-  virtual CostHints cost_hints() const { return CostHints{}; }
 
   /// Logical bytes of any prebuilt index kept resident for queries
   /// (BFS Sharing edge bit-vectors, ProbTree bags); 0 for index-free

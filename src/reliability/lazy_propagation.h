@@ -32,14 +32,6 @@ class LazyPropagationEstimator : public Estimator {
   std::string_view name() const override { return options_.corrected ? "LP+" : "LP"; }
   const UncertainGraph& graph() const override { return graph_; }
 
-  /// Heap-ordered lazy edge arming: fewer edges fire per sample than MC
-  /// visits, but each firing pays a log-heap operation.
-  CostHints cost_hints() const override {
-    CostHints hints;
-    hints.per_sample_edge_cost = 1.5;
-    return hints;
-  }
-
  protected:
   Result<double> DoEstimate(const ReliabilityQuery& query,
                             const EstimateOptions& options,

@@ -44,15 +44,6 @@ class MonteCarloEstimator : public Estimator {
   std::string_view name() const override { return "MC"; }
   const UncertainGraph& graph() const override { return graph_; }
 
-  /// The router's cost baseline: one BFS over one sampled subgraph per
-  /// sample, no fixed per-query work, sweeps amortized.
-  CostHints cost_hints() const override {
-    CostHints hints;
-    hints.per_sample_edge_cost = 1.0;
-    hints.sweep_amortized = true;
-    return hints;
-  }
-
   EstimatorCapabilities capabilities() const override {
     return {.sweep = true, .distance = true};
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -344,96 +343,20 @@ size_t ProbTreeIndex::MemoryBytes() const {
 }
 
 Status ProbTreeIndex::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return Status::IOError("cannot open for writing: " + path);
-  auto write_u64 = [&out](uint64_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto write_i32 = [&out](int32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto write_edges = [&](const std::vector<ProbTreeEdge>& edges) {
-    write_u64(edges.size());
-    for (const ProbTreeEdge& e : edges) {
-      out.write(reinterpret_cast<const char*>(&e.tail), sizeof(e.tail));
-      out.write(reinterpret_cast<const char*>(&e.head), sizeof(e.head));
-      out.write(reinterpret_cast<const char*>(&e.prob), sizeof(e.prob));
-      write_i32(e.origin);
-    }
-  };
-  out.write(kIndexMagic, sizeof(kIndexMagic));
-  write_u64(num_nodes_);
-  write_u64(bags_.size());
-  for (const Bag& bag : bags_) {
-    out.write(reinterpret_cast<const char*>(&bag.covered), sizeof(bag.covered));
-    write_i32(bag.parent);
-    write_u64(bag.boundary.size());
-    for (NodeId u : bag.boundary) {
-      out.write(reinterpret_cast<const char*>(&u), sizeof(u));
-    }
-    write_edges(bag.edges);
-  }
-  write_edges(root_edges_);
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  std::string bytes(kIndexMagic, sizeof(kIndexMagic));
+  AppendBlock(&bytes);
+  return WriteFileBytes(path, bytes);
 }
 
 Result<ProbTreeIndex> ProbTreeIndex::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open for reading: " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kIndexMagic, sizeof(magic)) != 0) {
+  std::string bytes;
+  RELCOMP_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  if (bytes.size() < sizeof(kIndexMagic) ||
+      std::memcmp(bytes.data(), kIndexMagic, sizeof(kIndexMagic)) != 0) {
     return Status::IOError("not a ProbTree index: " + path);
   }
-  auto read_u64 = [&in]() {
-    uint64_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
-  };
-  auto read_i32 = [&in]() {
-    int32_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    return v;
-  };
-  auto read_edges = [&](std::vector<ProbTreeEdge>& edges) {
-    const uint64_t count = read_u64();
-    edges.resize(count);
-    for (auto& e : edges) {
-      in.read(reinterpret_cast<char*>(&e.tail), sizeof(e.tail));
-      in.read(reinterpret_cast<char*>(&e.head), sizeof(e.head));
-      in.read(reinterpret_cast<char*>(&e.prob), sizeof(e.prob));
-      e.origin = read_i32();
-    }
-  };
-  ProbTreeIndex index;
-  index.num_nodes_ = read_u64();
-  index.covered_in_.assign(index.num_nodes_, -1);
-  const uint64_t num_bags = read_u64();
-  index.bags_.resize(num_bags);
-  for (uint64_t b = 0; b < num_bags; ++b) {
-    Bag& bag = index.bags_[b];
-    in.read(reinterpret_cast<char*>(&bag.covered), sizeof(bag.covered));
-    bag.parent = read_i32();
-    const uint64_t boundary = read_u64();
-    bag.boundary.resize(boundary);
-    for (auto& u : bag.boundary) {
-      in.read(reinterpret_cast<char*>(&u), sizeof(u));
-    }
-    bag.nodes = bag.boundary;
-    bag.nodes.push_back(bag.covered);
-    read_edges(bag.edges);
-    if (!in.good()) return Status::IOError("truncated ProbTree index: " + path);
-    index.covered_in_[bag.covered] = static_cast<int32_t>(b);
-  }
-  read_edges(index.root_edges_);
-  if (!in.good()) return Status::IOError("truncated ProbTree index: " + path);
-  index.stats_.num_bags = index.bags_.size();
-  index.stats_.root_edges = index.root_edges_.size();
-  size_t covered = 0;
-  for (int32_t c : index.covered_in_) covered += (c >= 0);
-  index.stats_.root_nodes = index.num_nodes_ - covered;
-  return index;
+  return FromBlock(bytes.data() + sizeof(kIndexMagic),
+                   bytes.size() - sizeof(kIndexMagic));
 }
 
 void ProbTreeIndex::AppendBlock(std::string* out) const {

@@ -78,7 +78,9 @@ class ProbTreeIndex {
   static Result<std::shared_ptr<const ProbTreeIndex>> BuildShared(
       const UncertainGraph& graph, const ProbTreeOptions& options);
 
-  /// Persists / restores the index (Figure 13c measures loading time).
+  /// Persists / restores the index (Figure 13c measures loading time). The
+  /// file is a magic followed by the AppendBlock payload; LoadFromFile
+  /// parses it with FromBlock's bounds checks.
   Status SaveToFile(const std::string& path) const;
   static Result<ProbTreeIndex> LoadFromFile(const std::string& path);
 
@@ -154,14 +156,6 @@ class ProbTreeEstimator : public Estimator {
   std::string_view name() const override { return name_; }
   const UncertainGraph& graph() const override { return graph_; }
 
-  /// Samples run on the reduced query graph (cheaper than MC's full-graph
-  /// BFS), plus a small fixed query-graph extraction per query.
-  CostHints cost_hints() const override {
-    CostHints hints;
-    hints.per_sample_edge_cost = 0.8;
-    hints.per_query_edge_cost = 1.0;  // extraction walks the tree once
-    return hints;
-  }
   size_t IndexMemoryBytes() const override { return index_->MemoryBytes(); }
   /// The whole ProbTree index is held via a shareable immutable handle.
   size_t SharedIndexBytes() const override { return index_->MemoryBytes(); }

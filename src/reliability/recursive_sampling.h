@@ -49,14 +49,6 @@ class RecursiveEstimator : public Estimator {
   std::string_view name() const override { return "RHH"; }
   const UncertainGraph& graph() const override { return graph_; }
 
-  /// Recursion overhead on top of the residual MC runs (graph
-  /// simplification per branch), paid back in variance, not time.
-  CostHints cost_hints() const override {
-    CostHints hints;
-    hints.per_sample_edge_cost = 1.2;
-    return hints;
-  }
-
   /// Distance-constrained dispatch via the depth-bounded recursive sampler
   /// of distance_constrained.h — the query this algorithm was originally
   /// designed for [20] (same threshold as the s-t configuration; the

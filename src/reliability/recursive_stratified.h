@@ -36,14 +36,6 @@ class RecursiveStratifiedEstimator : public Estimator {
   std::string_view name() const override { return "RSS"; }
   const UncertainGraph& graph() const override { return graph_; }
 
-  /// Like RHH, with r-way stratification amortizing the per-branch
-  /// simplification a little better.
-  CostHints cost_hints() const override {
-    CostHints hints;
-    hints.per_sample_edge_cost = 1.1;
-    return hints;
-  }
-
  protected:
   Result<double> DoEstimate(const ReliabilityQuery& query,
                             const EstimateOptions& options,

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +159,33 @@ TEST(BfsSharing, LoadRejectsMismatchedGraph) {
   ASSERT_TRUE(est->SaveToFile(path).ok());
   const UncertainGraph other = RandomSmallGraph(15, 44, 0.2, 0.8, 36);
   EXPECT_FALSE(BfsSharingEstimator::LoadFromFile(other, path).ok());
+  std::filesystem::remove(path);
+}
+
+TEST(BfsSharing, LoadRejectsHostileWorldCount) {
+  const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 35);
+  auto est = Make(g, 100);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_bfs_hostile.bin")
+          .string();
+  // L = 2^32 - 1 right after the magic: ceil(L / 64) words per edge must be
+  // in the file, however the 32-bit L + 63 would wrap.
+  constexpr uint32_t kHugeL = 0xFFFFFFFFu;
+  ASSERT_TRUE(est->SaveToFile(path).ok());
+  testing::PatchFile(path, /*offset=*/8, kHugeL);
+  EXPECT_FALSE(BfsSharingIndex::LoadFromFile(g, path).ok());
+
+  // The retired layout ("RELBFSIX", m, L, then the words) sized its words
+  // from that unchecked L; a file in it is refused.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const uint64_t m = g.num_edges();
+    out.write("RELBFSIX", 8);
+    out.write(reinterpret_cast<const char*>(&m), sizeof(m));
+    out.write(reinterpret_cast<const char*>(&kHugeL), sizeof(kHugeL));
+    ASSERT_TRUE(out.good());
+  }
+  EXPECT_FALSE(BfsSharingIndex::LoadFromFile(g, path).ok());
   std::filesystem::remove(path);
 }
 

@@ -1,7 +1,9 @@
 #include "graph/graph_io.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,41 @@ TEST_F(GraphIoTest, LoadBinaryDetectsTruncation) {
   const auto full = std::filesystem::file_size(Path("t.bin"));
   std::filesystem::resize_file(Path("t.bin"), full / 2);
   EXPECT_FALSE(LoadBinary(Path("t.bin")).ok());
+}
+
+// Header offsets of a binary graph file: magic (8 bytes) and version (4),
+// then the graph block's n and m.
+constexpr size_t kNodeCountOffset = 12;
+constexpr size_t kEdgeCountOffset = 20;
+
+TEST_F(GraphIoTest, LoadBinaryRejectsEdgeCountBeyondThePayload) {
+  // 2^62 edges: checked against the payload's size, never reserved.
+  const UncertainGraph g = testing::RandomSmallGraph(10, 30, 0.2, 0.8, 13);
+  ASSERT_TRUE(SaveBinary(g, Path("m.bin")).ok());
+  testing::PatchFile(Path("m.bin"), kEdgeCountOffset, uint64_t{1} << 62);
+  EXPECT_FALSE(LoadBinary(Path("m.bin")).ok());
+}
+
+TEST_F(GraphIoTest, NodeCountBeyondTheIdSpaceIsRejected) {
+  // 2^64 - 1 nodes plus one edge: n + 1 wraps to 0, so the CSR offsets
+  // would be sized 0 and then written past. Every path to Build refuses it.
+  constexpr uint64_t kHugeNodes = std::numeric_limits<uint64_t>::max();
+  GraphBuilder builder(2);
+  ASSERT_TRUE(builder.AddEdge(0, 1, 0.5).ok());
+  const UncertainGraph g = builder.Build().MoveValue();
+
+  ASSERT_TRUE(SaveBinary(g, Path("n.bin")).ok());
+  testing::PatchFile(Path("n.bin"), kNodeCountOffset, kHugeNodes);
+  EXPECT_FALSE(LoadBinary(Path("n.bin")).ok());
+
+  std::string block;
+  AppendGraphBlock(g, &block);
+  std::memcpy(block.data(), &kHugeNodes, sizeof(kHugeNodes));
+  EXPECT_FALSE(ParseGraphBlock(block.data(), block.size()).ok());
+
+  GraphBuilder huge(kHugeNodes);
+  ASSERT_TRUE(huge.AddEdge(0, 1, 0.5).ok());
+  EXPECT_EQ(huge.Build().status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(GraphIoTest, WriteEdgeListStringHasHeaderComment) {

@@ -538,6 +538,64 @@ TEST(PersistRestart, JournalFromOtherSeedIsSkippedNotServed) {
   EXPECT_FALSE((*results)[0].cache_hit);
 }
 
+TEST(PersistRestart, JournalFromOtherGraphOrStrataIsSkippedNotServed) {
+  // Seeds fold neither the graph nor S, so only the journal digest tells
+  // these records apart from the restarted engine's own.
+  const UncertainGraph graph = RandomSmallGraph(40, 160, 0.3, 0.8, 11);
+  const UncertainGraph other = RandomSmallGraph(40, 160, 0.3, 0.8, 12);
+  const std::vector<EngineQuery> queries = {EngineQuery::St(0, 7),
+                                            EngineQuery::TopK(1, 5)};
+  const auto options = [](const std::string& dir, uint32_t strata) {
+    EngineOptions mc;
+    mc.kind = EstimatorKind::kMonteCarlo;
+    mc.num_threads = 2;
+    mc.num_samples = 400;
+    mc.num_strata = strata;
+    mc.persist_dir = dir;
+    mc.persist_flush_seconds = 0.0;
+    return mc;
+  };
+  struct Restart {
+    const char* name;
+    const UncertainGraph* graph;
+    uint32_t strata;
+  };
+  for (const Restart& restart :
+       {Restart{"other graph", &other, 1}, Restart{"S = 4", &graph, 4}}) {
+    SCOPED_TRACE(restart.name);
+    ScratchDir dir("relcomp_persist_other_identity");
+    {
+      // Journals 2 results (st, top-k) and 1 sweep (source 1) at S = 1.
+      Result<std::unique_ptr<QueryEngine>> engine =
+          QueryEngine::Create(graph, options(dir.path(), 1));
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      ASSERT_TRUE(engine.value()->RunBatch(queries).ok());
+      ASSERT_TRUE(engine.value()->FlushWarmState().ok());
+    }
+    Result<std::unique_ptr<QueryEngine>> restarted = QueryEngine::Create(
+        *restart.graph, options(dir.path(), restart.strata));
+    ASSERT_TRUE(restarted.ok()) << restarted.status();
+    const auto& report = restarted.value()->warm_restore_report();
+    EXPECT_EQ(report.result_entries, 0u);
+    EXPECT_EQ(report.sweep_entries, 0u);
+    EXPECT_EQ(report.skipped, 3u);
+    Result<std::vector<EngineResult>> served =
+        restarted.value()->RunBatch(queries);
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_FALSE((*served)[0].cache_hit);
+
+    Result<std::unique_ptr<QueryEngine>> fresh =
+        QueryEngine::Create(*restart.graph, options("", restart.strata));
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    Result<std::vector<EngineResult>> reference =
+        fresh.value()->RunBatch(queries);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectBitIdentical((*reference)[i], (*served)[i]);
+    }
+  }
+}
+
 TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {
   ScratchDir dir("relcomp_persist_create_crash");
   InjectorGuard guard;

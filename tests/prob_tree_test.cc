@@ -159,6 +159,20 @@ TEST(ProbTreeIndex, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(ProbTreeIndex, LoadFromFileRejectsHugeNodeCount) {
+  // 2^62 nodes right after the magic: refused by the block's bounds, never
+  // used to size the covered-bag table.
+  const UncertainGraph g = RandomSmallGraph(30, 80, 0.2, 0.8, 24);
+  const ProbTreeIndex index = BuildIndex(g);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_probtree_huge.bin")
+          .string();
+  ASSERT_TRUE(index.SaveToFile(path).ok());
+  testing::PatchFile(path, /*offset=*/8, uint64_t{1} << 62);
+  EXPECT_FALSE(ProbTreeIndex::LoadFromFile(path).ok());
+  std::filesystem::remove(path);
+}
+
 TEST(ProbTreeIndex, MemoryBytesPositiveAndBounded) {
   const UncertainGraph g = RandomSmallGraph(50, 150, 0.2, 0.8, 25);
   const ProbTreeIndex index = BuildIndex(g);

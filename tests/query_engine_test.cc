@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "reliability/estimator_factory.h"
 #include "test_util.h"
 
@@ -355,6 +356,42 @@ TEST(QueryEngineTest, StreamMatchesBatch) {
 
   // Drain is a reset: a second drain returns nothing.
   EXPECT_TRUE(stream_engine->Drain().MoveValue().empty());
+}
+
+TEST(QueryEngineTest, SeedsFollowTheLiteralDerivation) {
+  const UncertainGraph graph = RandomSmallGraph(20, 50, 0.3, 0.8, 7);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
+  // S splits the budget of one seed; it must not fold into the seed.
+  options.num_strata = 2;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+
+  // The derivation warm journals and bare-estimator replays depend on,
+  // reproduced literally: st / distance fold the query content then
+  // (kind, K); sweep kinds fold (sweep tag, source, kind, K); the prepare
+  // seed is the query seed under the "pre" tag.
+  const EngineQuery st = EngineQuery::St(1, 5);
+  uint64_t expected = HashWorkloadQuery(options.seed, st);
+  expected = HashCombineSeed(expected, static_cast<uint64_t>(options.kind));
+  expected = HashCombineSeed(expected, options.num_samples);
+  EXPECT_EQ(engine->QuerySeed(st), expected);
+  EXPECT_EQ(engine->PrepareSeed(st), HashCombineSeed(expected, 0x707265ULL));
+
+  const EngineQuery top_k = EngineQuery::TopK(3, 4);
+  uint64_t sweep = HashCombineSeed(options.seed, 0x73776570ULL);
+  sweep = HashCombineSeed(sweep, top_k.source);
+  sweep = HashCombineSeed(sweep, static_cast<uint64_t>(options.kind));
+  sweep = HashCombineSeed(sweep, options.num_samples);
+  EXPECT_EQ(engine->QuerySeed(top_k), sweep);
+  EXPECT_EQ(engine->SweepSeed(top_k.source), sweep);
+  EXPECT_EQ(engine->PrepareSeed(top_k), HashCombineSeed(sweep, 0x707265ULL));
+
+  // Every query runs the static plan.
+  for (const EngineQuery& query : {st, top_k}) {
+    const QueryPlan plan = engine->PlanFor(query);
+    EXPECT_EQ(plan.kind, options.kind);
+    EXPECT_EQ(plan.num_samples, options.num_samples);
+    EXPECT_EQ(plan.num_strata, options.num_strata);
+  }
 }
 
 TEST(QueryEngineTest, RejectsInvalidQueries) {

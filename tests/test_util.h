@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +17,17 @@
 #include "obs/metrics.h"
 
 namespace relcomp::testing {
+
+/// Overwrites sizeof(T) bytes of the file at `path` at `offset` with `value`
+/// (host byte order): forges one header field of a binary file.
+template <typename T>
+void PatchFile(const std::string& path, size_t offset, T value) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.is_open()) << path;
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(file.good()) << path;
+}
 
 /// Builds a graph from "u v p" lines; aborts the test on malformed input.
 inline UncertainGraph GraphFromString(const std::string& edge_list) {
