@@ -3,8 +3,11 @@
 // sampling, BFS Sharing bit-vector propagation, ProbTree query-graph
 // extraction). Complements the table benches with tight per-op numbers.
 
+#include <thread>
+
 #include <benchmark/benchmark.h>
 
+#include "common/coin_pass.h"
 #include "common/rng.h"
 #include "eval/query_gen.h"
 #include "graph/datasets.h"
@@ -198,8 +201,11 @@ BENCHMARK_CAPTURE(BM_LazySamplingBfsSt, Compact, StorageLayout::kCompact)
 // BFS Sharing's per-query index update (the paper's Table 15 cost) alone:
 // one in-place resample of all L = 1500 worlds of every edge on
 // LastFM-small, in both storage layouts. `time_per_world_bit` divides the
-// time by m * L.
-void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout) {
+// time by m * L. The Joined cases add one thread that helps fill the coin
+// pass from before the resample starts, as a worker waiting in
+// GenerationPrebuilder::Take does; the words are the same.
+void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout,
+                           bool joined) {
   static const Dataset* dataset = new Dataset(
       MakeDataset(DatasetId::kLastFm, Scale::kSmall, 7).MoveValue());
   const UncertainGraph graph =
@@ -209,7 +215,11 @@ void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout) {
   const auto index = BfsSharingIndex::Build(graph, options, 1).MoveValue();
   uint64_t seed = 1;
   for (auto _ : state) {
-    index->Resample(graph, ++seed);
+    CoinPass coins;
+    std::thread helper;
+    if (joined) helper = std::thread([&coins] { coins.Help(); });
+    index->Resample(graph, ++seed, &coins);
+    if (joined) helper.join();
     benchmark::DoNotOptimize(index->edge_words(0));
     benchmark::ClobberMemory();
   }
@@ -218,10 +228,18 @@ void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
-BENCHMARK_CAPTURE(BM_BfsSharingResample, Raw, StorageLayout::kRaw)
+BENCHMARK_CAPTURE(BM_BfsSharingResample, Raw, StorageLayout::kRaw, false)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_BfsSharingResample, Compact, StorageLayout::kCompact)
+BENCHMARK_CAPTURE(BM_BfsSharingResample, Compact, StorageLayout::kCompact,
+                  false)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BfsSharingResample, RawJoined, StorageLayout::kRaw, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_BfsSharingResample, CompactJoined,
+                  StorageLayout::kCompact, true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SampleWorld(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

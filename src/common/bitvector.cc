@@ -126,31 +126,32 @@ void BitVector::FillBernoulli(double p, Rng& rng) {
   FillBernoulliWords(words_.data(), num_bits_, p, rng);
 }
 
-void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
-                                   Rng& rng) {
+namespace {
+
+/// FillBernoulliWords' body. The draws go through `state`, a by-value copy
+/// of the caller's generator state, which is returned: a word store may
+/// alias the caller's state, so drawing through it would reload and store
+/// the state around every store.
+RngState FillWords(uint64_t* words, size_t num_bits, double p,
+                   RngState state) {
   const size_t num_words = WordsFor(num_bits);
   const size_t rem = num_bits % kWordBits;
   if (p >= 1.0) {
     std::fill(words, words + num_words, ~0ULL);
     if (rem != 0) words[num_words - 1] = (1ULL << rem) - 1;
-    return;
+    return state;
   }
-  // The draws go through a local copy of the generator state: a word store
-  // may alias the caller's Rng, so drawing through it would reload and store
-  // the state around every store. The copy goes back on return.
-  ScopedRngState local(rng);
-  RngState& state = local.state();
   // Geometric skipping: expected work O(p * num_bits) instead of O(num_bits),
   // matching how sparse most uncertain-graph edges are.
   if (p < 0.25) {
     std::fill(words, words + num_words, 0);
-    if (num_bits == 0 || p <= 0.0) return;
+    if (num_bits == 0 || p <= 0.0) return state;
     const double log1m_p = std::log1p(-p);
     for (size_t i = state.GeometricFromLog1mP(log1m_p); i < num_bits;
          i += 1 + state.GeometricFromLog1mP(log1m_p)) {
       words[i / kWordBits] |= 1ULL << (i % kWordBits);
     }
-    return;
+    return state;
   }
   // One coin per bit, compared as integers: NextDouble() < p iff
   // (x >> 11) < ceil(p * 2^53), since p * 2^53 is exact. NaN keeps
@@ -167,6 +168,20 @@ void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
   const size_t full_words = num_bits / kWordBits;
   for (size_t w = 0; w < full_words; ++w) words[w] = coins(kWordBits);
   if (rem != 0) words[full_words] = coins(rem);
+  return state;
+}
+
+}  // namespace
+
+void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
+                                   Rng& rng) {
+  ScopedRngState local(rng);
+  FillBernoulliWords(words, num_bits, p, local.state());
+}
+
+void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
+                                   RngState& state) {
+  state = FillWords(words, num_bits, p, state);
 }
 
 bool BitVector::operator==(const BitVector& other) const {

@@ -12,6 +12,7 @@
 namespace relcomp {
 
 class Rng;
+struct RngState;
 
 /// \name Word-level bit primitives
 /// Builtin-backed (std::popcount / BMI2 PDEP where available) with portable
@@ -158,6 +159,15 @@ class BitVector {
   /// src/reliability/README.md, "BFS Sharing world sampling").
   static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                  Rng& rng);
+
+  /// The same fill, drawing from `state`.
+  static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
+                                 RngState& state);
+
+  /// True when FillBernoulliWords draws exactly one value per bit, so that
+  /// its draw count is num_bits whatever the draws are: 0.25 <= p < 1, and
+  /// NaN.
+  static bool FillDrawsEveryBit(double p) { return !(p < 0.25 || p >= 1.0); }
 
   bool operator==(const BitVector& other) const;
   bool operator!=(const BitVector& other) const { return !(*this == other); }

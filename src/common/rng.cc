@@ -1,6 +1,8 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 
 namespace relcomp {
 
@@ -89,6 +91,35 @@ double Rng::Normal() {
   cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
   return r * std::cos(theta);
+}
+
+RngJump::RngJump(uint64_t steps) : table_(new RngState[64 * 16]) {
+  for (int d = 0; d < 64; ++d) {
+    RngState* digit = table_.get() + 16 * d;
+    // Images of the digit's four unit states, then every other value of the
+    // digit as the XOR of the image of its lowest set bit and of the rest.
+    for (int b = 0; b < 4; ++b) {
+      RngState unit;
+      unit.s[d / 16] = uint64_t{1} << (4 * (d % 16) + b);
+      for (uint64_t i = 0; i < steps; ++i) unit.Next();
+      digit[1 << b] = unit;
+    }
+    for (int v = 3; v < 16; ++v) {
+      if ((v & (v - 1)) == 0) continue;
+      const RngState& low = digit[v & -v];
+      const RngState& rest = digit[v & (v - 1)];
+      for (int i = 0; i < 4; ++i) digit[v].s[i] = low.s[i] ^ rest.s[i];
+    }
+  }
+}
+
+const RngJump& RngJump::ForSteps(uint64_t steps) {
+  static std::mutex mutex;
+  static std::map<uint64_t, std::unique_ptr<const RngJump>> jumps;
+  std::lock_guard<std::mutex> lock(mutex);
+  std::unique_ptr<const RngJump>& jump = jumps[steps];
+  if (jump == nullptr) jump = std::make_unique<const RngJump>(steps);
+  return *jump;
 }
 
 Rng Rng::Split() { return Rng(NextU64() ^ 0xD6E8FEB86659FD93ULL); }

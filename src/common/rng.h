@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 
 namespace relcomp {
 
@@ -106,6 +107,44 @@ struct RngState {
     q = q > 0.0 ? q : 0.0;
     return static_cast<uint64_t>(static_cast<int64_t>(q));
   }
+};
+
+/// \brief A jump of the xoshiro256** state over a fixed number of draws.
+///
+/// Next() changes the state by XORs, shifts and rotations only, so the state
+/// after n draws is a fixed GF(2)-linear map of the state before it: the XOR
+/// of the images of its set bits. The constructor steps each of the 256 unit
+/// states n times and folds the images into one table of 16 entries per
+/// 4-bit digit of the state (64 digits, 32 KiB). Apply then XORs one entry
+/// per digit instead of making n draws.
+class RngJump {
+ public:
+  /// Builds the tables: 256 * `steps` draws.
+  explicit RngJump(uint64_t steps);
+
+  /// The jump over `steps` draws, built on first use and kept for the life
+  /// of the process. Thread-safe.
+  static const RngJump& ForSteps(uint64_t steps);
+
+  /// Moves `state` to where the constructor's `steps` calls of Next() would
+  /// leave it.
+  void Apply(RngState& state) const {
+    RngState out;
+    const RngState* digit = table_.get();
+    for (const uint64_t word : state.s) {
+      uint64_t bits = word;
+      for (int d = 0; d < 16; ++d, bits >>= 4, digit += 16) {
+        const RngState& image = digit[bits & 15];
+        for (int i = 0; i < 4; ++i) out.s[i] ^= image.s[i];
+      }
+    }
+    state = out;
+  }
+
+ private:
+  /// Entry 16 * d + v: the image of the state whose digit d is v and whose
+  /// other digits are 0. Digit d is bits [4 (d % 16), +4) of word d / 16.
+  std::unique_ptr<RngState[]> table_;
 };
 
 /// \brief Deterministic pseudo-random number generator (xoshiro256**).

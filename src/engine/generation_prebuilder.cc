@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/coin_pass.h"
+
 namespace relcomp {
 
 GenerationPrebuilder::GenerationPrebuilder(const Estimator& prototype,
@@ -17,6 +19,7 @@ GenerationPrebuilder::GenerationPrebuilder(const Estimator& prototype,
       taken_(registry.GetCounter("prebuilder_taken_total")),
       dropped_(registry.GetCounter("prebuilder_dropped_total")),
       evicted_(registry.GetCounter("prebuilder_evicted_total")),
+      helped_fills_(registry.GetCounter("prebuilder_helped_fills_total")),
       ready_bytes_gauge_(registry.GetGauge("prebuilder_ready_bytes")) {
   if (num_builders == 0) num_builders = 1;
   builders_.reserve(num_builders);
@@ -67,8 +70,16 @@ bool GenerationPrebuilder::Request(uint64_t seed) {
 std::shared_ptr<const PreparedGeneration> GenerationPrebuilder::Take(
     uint64_t seed) {
   std::unique_lock<std::mutex> lock(mutex_);
-  // In-flight on some builder: wait it out — finishing a half-done O(L m)
-  // build beats starting the same build from scratch inline.
+  // In-flight on some builder: help fill its coin pass, then wait out the
+  // rest — finishing a half-done O(L m) build beats starting the same build
+  // from scratch inline. Help returns once nothing is left to claim, which
+  // may be before the builder's own last blocks are done.
+  if (auto building = building_.find(seed); building != building_.end()) {
+    const std::shared_ptr<CoinPass> coins = building->second;
+    lock.unlock();
+    helped_fills_->Inc(coins->Help());
+    lock.lock();
+  }
   build_finished_.wait(lock,
                        [this, seed] { return building_.count(seed) == 0; });
   auto it = ready_.find(seed);
@@ -133,12 +144,16 @@ void GenerationPrebuilder::BuilderLoop() {
     const uint64_t seed = queue_.front();
     queue_.pop_front();
     queued_.erase(seed);
-    building_.insert(seed);
+    const auto coins = std::make_shared<CoinPass>();
+    building_.emplace(seed, coins);
     lock.unlock();
     // Off-lock build: BuildPreparedGeneration is thread-safe by contract
-    // (reads only construction-time immutable state of the prototype).
+    // (reads only construction-time immutable state of the prototype). A
+    // Take of this seed meanwhile helps fill its coin pass.
     Result<std::shared_ptr<const PreparedGeneration>> generation =
-        prototype_.BuildPreparedGeneration(seed);
+        prototype_.BuildPreparedGeneration(seed, coins.get());
+    // A build that failed before its coin pass began never closed it.
+    coins->Close();
     lock.lock();
     building_.erase(seed);
     if (generation.ok() && !shutdown_) {

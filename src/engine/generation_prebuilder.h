@@ -15,6 +15,8 @@
 
 namespace relcomp {
 
+class CoinPass;
+
 /// \brief Background builder of PrepareForNextQuery artifacts.
 ///
 /// BFS Sharing resamples L possible worlds per edge between successive
@@ -38,8 +40,9 @@ namespace relcomp {
 ///
 /// Take() semantics make duplication impossible and waiting minimal:
 ///   - ready      -> returned immediately (the overlap win);
-///   - building   -> blocks until the in-flight build finishes (waiting on
-///                   a half-done build is never slower than redoing it);
+///   - building   -> helps fill the build's coin pass (CoinPass::Help), then
+///                   blocks until the build finishes (finishing a half-done
+///                   build is never slower than redoing it);
 ///   - queued     -> the request is cancelled and nullptr returned (the
 ///                   caller builds inline; the builder never duplicates it);
 ///   - unknown    -> nullptr (caller builds inline).
@@ -77,7 +80,8 @@ class GenerationPrebuilder {
 
   /// Claims the generation for `seed` (see class comment for the per-state
   /// behaviour). A failed background build surfaces here as nullptr — the
-  /// caller's inline PrepareForNextQuery will re-raise the error.
+  /// caller's inline PrepareForNextQuery will re-raise the error. Fills
+  /// tossed while helping count in prebuilder_helped_fills_total.
   std::shared_ptr<const PreparedGeneration> Take(uint64_t seed);
 
   /// Bytes resident in the ready pool right now (counted toward the
@@ -116,8 +120,9 @@ class GenerationPrebuilder {
   /// Completion order of ready_ entries, oldest first, for eviction.
   /// Mirrors ready_'s key set exactly (Take() and eviction both erase).
   std::deque<uint64_t> ready_order_;
-  /// Seeds currently being built, one per active builder thread at most.
-  std::unordered_set<uint64_t> building_;
+  /// Seeds currently being built, one per active builder thread at most,
+  /// each with the coin pass a Take() of it helps fill.
+  std::unordered_map<uint64_t, std::shared_ptr<CoinPass>> building_;
   bool shutdown_ = false;
 
   obs::Counter* requested_;
@@ -125,6 +130,7 @@ class GenerationPrebuilder {
   obs::Counter* taken_;
   obs::Counter* dropped_;
   obs::Counter* evicted_;
+  obs::Counter* helped_fills_;
   obs::Gauge* ready_bytes_gauge_;
   size_t ready_bytes_ = 0;
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 
+#include "common/coin_pass.h"
 #include "common/format.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -25,7 +26,7 @@ std::atomic<uint64_t> BfsSharingIndex::build_count_{0};
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
     const UncertainGraph& graph, const BfsSharingOptions& options,
-    uint64_t seed) {
+    uint64_t seed, CoinPass* coins) {
   if (options.index_samples == 0) {
     return Status::InvalidArgument("BFS Sharing: index_samples must be positive");
   }
@@ -36,12 +37,13 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
   index->words_.assign(index->num_edges_ * index->words_per_edge_, 0);
   index->words_data_ = index->words_.data();
   index->num_words_ = index->words_.size();
-  index->Resample(graph, seed);
+  index->Resample(graph, seed, coins);
   build_count_.fetch_add(1, std::memory_order_relaxed);
   return index;
 }
 
-void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed) {
+void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed,
+                               CoinPass* coins) {
   Timer timer;
   // A mapped generation reads its words out of a read-only snapshot
   // mapping; materialize a private copy before the first in-place refill.
@@ -53,15 +55,37 @@ void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed) {
     words_data_ = words_.data();
     backing_.reset();
   }
-  Rng rng(seed);
-  // One RNG stream over the edges in id order; FillBernoulliWords draws
-  // exactly what its reference loop draws, so generations are a fixed
-  // function of (graph, L, seed) in both graph storage layouts, which
+  // One RNG stream over the edges in id order, filled in two passes. The
+  // serial pass fills the edges whose draw count depends on the draws (the
+  // geometric ones) and, for each edge that draws exactly L coins, records
+  // the state its coins start from and jumps the stream L draws ahead. The
+  // coin pass then tosses those edges' coins from their recorded states, on
+  // this thread and on any helper's. Either way every edge gets exactly the
+  // draws FillBernoulliWords' reference loop gives it, so generations are a
+  // fixed function of (graph, L, seed) in both graph storage layouts, which
   // preserve edge ids and bitwise probabilities.
+  CoinPass own_coins;
+  CoinPass& pass = coins != nullptr ? *coins : own_coins;
+  size_t num_coin_edges = 0;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    BitVector::FillBernoulliWords(words_.data() + e * words_per_edge_,
-                                  num_samples_, graph.prob(e), rng);
+    num_coin_edges += BitVector::FillDrawsEveryBit(graph.prob(e));
   }
+  pass.Begin(num_coin_edges, num_samples_);
+  const RngJump& jump = RngJump::ForSteps(num_samples_);
+  Rng rng(seed);
+  ScopedRngState local(rng);
+  RngState& state = local.state();
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    uint64_t* words = words_.data() + e * words_per_edge_;
+    const double p = graph.prob(e);
+    if (BitVector::FillDrawsEveryBit(p)) {
+      pass.Defer(words, p, state);
+      jump.Apply(state);
+    } else {
+      BitVector::FillBernoulliWords(words, num_samples_, p, state);
+    }
+  }
+  pass.Finish();
   build_seconds_ = timer.ElapsedSeconds();
 }
 
@@ -183,7 +207,7 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
 
 Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
   // Exclusive ownership (owned_ + the copy inside index_): refill the
-  // worlds in place — bit-identical to a fresh build, zero allocation. This
+  // worlds in place — bit-identical to a fresh build, no new words. This
   // is the steady state on the serving path, where every query re-arms. Any
   // other handle — a sibling that adopted this generation, a sweep flight
   // or a transient stats reader — pushes the count above 2 and falls through
@@ -208,13 +232,15 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
 }
 
 Result<std::shared_ptr<const PreparedGeneration>>
-BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed) const {
+BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed,
+                                             CoinPass* coins) const {
   // Reads only graph_ and options_ (both frozen at construction), so a
   // builder thread may run this while the serving thread is mid-BFS on the
   // current generation. Build(seed) is what PrepareForNextQuery's swap path
   // installs, and the in-place Resample path is bit-identical to it.
-  RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
-                           BfsSharingIndex::Build(graph_, options_, seed));
+  RELCOMP_ASSIGN_OR_RETURN(
+      std::shared_ptr<BfsSharingIndex> fresh,
+      BfsSharingIndex::Build(graph_, options_, seed, coins));
   return std::shared_ptr<const PreparedGeneration>(std::move(fresh));
 }
 

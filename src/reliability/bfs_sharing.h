@@ -33,10 +33,11 @@ class BfsSharingIndex : public PreparedGeneration {
   /// Samples a fresh generation: O(L m) time, O(L m) space. Deterministic in
   /// `seed` (bit-identical worlds for equal seeds and options). The returned
   /// handle is the only mutable reference; share it onward as
-  /// `shared_ptr<const>`.
+  /// `shared_ptr<const>`. `coins`, when given, is the fill's coin pass, which
+  /// other threads may help fill (see Resample).
   static Result<std::shared_ptr<BfsSharingIndex>> Build(
       const UncertainGraph& graph, const BfsSharingOptions& options,
-      uint64_t seed);
+      uint64_t seed, CoinPass* coins = nullptr);
 
   /// Restores a generation persisted by SaveToFile (Figure 13c measures
   /// this) through FromBlock's bounds checks, reading the words in place out
@@ -65,12 +66,20 @@ class BfsSharingIndex : public PreparedGeneration {
   bool mapped() const { return backing_ != nullptr; }
 
   /// Refills every edge's worlds in place — bit-identical to a fresh
-  /// Build(graph, options, seed) with this generation's L, but with zero
-  /// allocation (the serving path's steady state: every query re-arms).
-  /// Caller must hold the generation exclusively: no other replica may read
-  /// the bit content concurrently (size-only readers like MemoryBytes are
-  /// unaffected — refilling never changes shapes).
-  void Resample(const UncertainGraph& graph, uint64_t seed);
+  /// Build(graph, options, seed) with this generation's L, allocating only
+  /// the coin pass's start states (the serving path's steady state: every
+  /// query re-arms). Caller must hold the generation exclusively: no other
+  /// replica may read the bit content concurrently (size-only readers like
+  /// MemoryBytes are unaffected — refilling never changes shapes).
+  ///
+  /// The fill runs in two passes over one RNG stream: a serial pass fills
+  /// the geometric edges (0 < p < 0.25) and jumps the stream over each edge
+  /// that tosses exactly L coins (BitVector::FillDrawsEveryBit), and a coin
+  /// pass tosses those from their recorded start states. The coin pass runs
+  /// on `coins` when given, so that threads calling coins->Help() fill part
+  /// of it; otherwise on a private pass. The words are the same either way.
+  void Resample(const UncertainGraph& graph, uint64_t seed,
+                CoinPass* coins = nullptr);
 
   /// Persists the edge bit-vectors to `path`: a magic, then AppendBlock.
   Status SaveToFile(const std::string& path) const;
@@ -96,7 +105,7 @@ class BfsSharingIndex : public PreparedGeneration {
   double build_seconds() const { return build_seconds_; }
 
   /// Process-wide count of Build()/LoadFromFile()/FromBlock() completions
-  /// (in-place Resample()s allocate nothing and are not counted). Lets
+  /// (in-place Resample()s make no new generation and are not counted). Lets
   /// tests assert that N engine replicas triggered exactly one index
   /// construction: a FromBlock when the engine restored a snapshot.
   static uint64_t BuildCount() {
@@ -188,13 +197,14 @@ class BfsSharingEstimator : public Estimator {
   /// Prepared-generation handoff: the handle is the BfsSharingIndex itself.
   /// BuildPreparedGeneration samples the worlds PrepareForNextQuery(seed)
   /// would install — bit-identical, reading only the graph and the options,
-  /// so a builder thread can overlap it with this replica's in-flight BFS.
+  /// so a builder thread can overlap it with this replica's in-flight BFS;
+  /// its coin pass runs on `coins` when given.
   /// CurrentPreparedGeneration hands out the generation this replica reads,
   /// and AdoptPreparedGeneration makes it this replica's own. The replica
   /// that ends up its last holder refills it in place on its next inline
   /// prepare; while any other handle is alive, nobody does.
   Result<std::shared_ptr<const PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed) const override;
+      uint64_t seed, CoinPass* coins) const override;
   Result<std::shared_ptr<const PreparedGeneration>> CurrentPreparedGeneration()
       const override;
   Status AdoptPreparedGeneration(

@@ -38,8 +38,9 @@ Result<EstimateResult> Estimator::Estimate(const ReliabilityQuery& query,
 }
 
 Result<std::shared_ptr<const PreparedGeneration>>
-Estimator::BuildPreparedGeneration(uint64_t seed) const {
+Estimator::BuildPreparedGeneration(uint64_t seed, CoinPass* coins) const {
   (void)seed;
+  (void)coins;
   return NoPreparedGenerations(name());
 }
 

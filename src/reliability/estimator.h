@@ -12,6 +12,8 @@
 
 namespace relcomp {
 
+class CoinPass;
+
 /// \brief An s-t reliability query: the probability R(s, t) that `target` is
 /// reachable from `source` under possible-world semantics (Eq. 2).
 struct ReliabilityQuery {
@@ -180,9 +182,13 @@ class Estimator {
   /// PrepareForNextQuery(seed) would install — bit-identical by contract.
   /// Must be safe to call from a background thread while this instance
   /// concurrently serves queries (it may only read construction-time
-  /// immutable state: the graph and the options). Default: NotSupported.
+  /// immutable state: the graph and the options). `coins`, when not null,
+  /// is a fresh pass the build runs its coin pass on, so that other threads
+  /// can help through CoinPass::Help (BFS Sharing); a kind with no coin pass
+  /// ignores it, and the caller closes it once the build returns. Default:
+  /// NotSupported.
   virtual Result<std::shared_ptr<const PreparedGeneration>>
-  BuildPreparedGeneration(uint64_t seed) const;
+  BuildPreparedGeneration(uint64_t seed, CoinPass* coins) const;
 
   /// The generation this replica currently reads. Precondition:
   /// PrepareForNextQuery or an adoption ran for the current query.

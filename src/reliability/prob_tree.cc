@@ -385,7 +385,13 @@ void ProbTreeIndex::AppendBlock(std::string* out) const {
 Result<ProbTreeIndex> ProbTreeIndex::FromBlock(const void* data, size_t size) {
   WireReader reader(data, size);
   bool ok = true;
-  auto read_edges = [&reader, &ok](std::vector<ProbTreeEdge>& edges) {
+  uint64_t num_nodes = 0, num_bags = 0;
+  // A bag reference (a parent, an edge's origin) is a bag id or -1 (none);
+  // anything else would index bags_ out of bounds in ExtractQueryGraph.
+  auto is_bag_or_none = [&num_bags](int32_t bag) {
+    return bag >= -1 && bag < static_cast<int64_t>(num_bags);
+  };
+  auto read_edges = [&](std::vector<ProbTreeEdge>& edges) {
     uint64_t count = 0;
     ok = ok && reader.ReadU64(&count);
     // 20 bytes per serialized edge: a declared count beyond the remaining
@@ -397,11 +403,11 @@ Result<ProbTreeIndex> ProbTreeIndex::FromBlock(const void* data, size_t size) {
     edges.resize(count);
     for (auto& e : edges) {
       ok = ok && reader.ReadU32(&e.tail) && reader.ReadU32(&e.head) &&
-           reader.ReadF64(&e.prob) && reader.ReadI32(&e.origin);
+           reader.ReadF64(&e.prob) && reader.ReadI32(&e.origin) &&
+           is_bag_or_none(e.origin);
     }
   };
   ProbTreeIndex index;
-  uint64_t num_nodes = 0, num_bags = 0;
   ok = reader.ReadU64(&num_nodes) && reader.ReadU64(&num_bags);
   // Sanity bounds before the allocations they size.
   if (!ok || num_bags > num_nodes || num_nodes > (size_t{1} << 40)) {
@@ -416,7 +422,7 @@ Result<ProbTreeIndex> ProbTreeIndex::FromBlock(const void* data, size_t size) {
     ok = reader.ReadU32(&bag.covered) && reader.ReadI32(&bag.parent) &&
          reader.ReadU64(&boundary);
     if (!ok || boundary > reader.remaining() / sizeof(NodeId) ||
-        bag.covered >= num_nodes) {
+        bag.covered >= num_nodes || !is_bag_or_none(bag.parent)) {
       ok = false;
       break;
     }

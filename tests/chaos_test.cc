@@ -33,36 +33,7 @@ namespace {
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::QueriesRecorded;
 using ::relcomp::testing::RandomSmallGraph;
-
-/// Aborts the whole process if the guarded scope outlives `limit` — a hung
-/// chaos run must fail loudly instead of wedging the test binary.
-class Watchdog {
- public:
-  explicit Watchdog(std::chrono::seconds limit)
-      : thread_([this, limit] {
-          std::unique_lock<std::mutex> lock(mutex_);
-          if (!done_.wait_for(lock, limit, [this] { return disarmed_; })) {
-            std::fprintf(stderr, "Watchdog: chaos scope hung for %llds\n",
-                         static_cast<long long>(limit.count()));
-            std::abort();
-          }
-        }) {}
-
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      disarmed_ = true;
-    }
-    done_.notify_all();
-    thread_.join();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable done_;
-  bool disarmed_ = false;
-  std::thread thread_;
-};
+using ::relcomp::testing::Watchdog;
 
 /// Configures the global injector for one scope; always disarms on exit so a
 /// failing assertion cannot leak an armed injector into later tests.

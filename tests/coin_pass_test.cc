@@ -1,0 +1,225 @@
+// The coin pass of BFS Sharing's world fill and the threads that join it:
+// CoinPass helpers next to a build, and GenerationPrebuilder::Take helping
+// the build of the seed it waits for. Whoever tosses the coins, the words
+// must equal a build on one thread. Every case runs under a watchdog, so a
+// lost wake-up fails fast instead of hanging the suite.
+
+#include "common/coin_pass.h"
+
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/bitvector.h"
+#include "engine/generation_prebuilder.h"
+#include "graph/graph_builder.h"
+#include "obs/metrics.h"
+#include "reliability/bfs_sharing.h"
+#include "test_util.h"
+
+namespace relcomp {
+namespace {
+
+using ::relcomp::testing::CounterValue;
+using ::relcomp::testing::Watchdog;
+
+enum class Mix { kNoCoinEdges, kOnlyCoinEdges, kMixed };
+
+const char* MixName(Mix mix) {
+  switch (mix) {
+    case Mix::kNoCoinEdges:
+      return "no coin edges";
+    case Mix::kOnlyCoinEdges:
+      return "only coin edges";
+    case Mix::kMixed:
+      return "mixed";
+  }
+  return "?";
+}
+
+/// A cycle of `m` edges whose probabilities sweep a range: below 0.25 (all
+/// geometric), in [0.25, 1) (all coin edges), or both alternating. 2,560
+/// coin edges are a whole number of coin-pass blocks at L = 1500 (10 fills
+/// per block) and at L = 64 (256), so the pass closes on a published count
+/// that ends a block.
+UncertainGraph CycleGraph(Mix mix) {
+  constexpr uint32_t kEdges = 2560;
+  const uint32_t m = mix == Mix::kMixed ? 2 * kEdges + 1 : kEdges;
+  GraphBuilder builder(m);
+  for (uint32_t e = 0; e < m; ++e) {
+    const double frac = static_cast<double>(e % 97) / 97.0;
+    const double geometric = 0.001 + 0.24 * frac;
+    const double coin = 0.25 + 0.7499 * frac;
+    double p = coin;
+    if (mix == Mix::kNoCoinEdges || (mix == Mix::kMixed && e % 2 == 0)) {
+      p = geometric;
+    }
+    builder.AddEdge(e, (e + 1) % m, p).CheckOK();
+  }
+  return builder.Build().MoveValue();
+}
+
+size_t CoinEdges(const UncertainGraph& graph) {
+  size_t count = 0;
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    count += BitVector::FillDrawsEveryBit(graph.prob(e));
+  }
+  return count;
+}
+
+std::vector<uint64_t> Words(const BfsSharingIndex& index) {
+  const uint64_t* begin = index.edge_words(0);
+  return std::vector<uint64_t>(
+      begin, begin + index.num_edges() * index.words_per_edge());
+}
+
+constexpr uint32_t kWorldCounts[] = {1, 64, 1500};
+constexpr Mix kMixes[] = {Mix::kNoCoinEdges, Mix::kOnlyCoinEdges, Mix::kMixed};
+
+TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  size_t helped_at_1500 = 0;
+  for (const Mix mix : kMixes) {
+    const UncertainGraph graph = CycleGraph(mix);
+    for (const uint32_t l : kWorldCounts) {
+      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l);
+      BfsSharingOptions options;
+      options.index_samples = l;
+      const auto alone = BfsSharingIndex::Build(graph, options, 17).MoveValue();
+      // Two helpers wait for the first block before the build has begun the
+      // pass; they return once it closes, also when it has no fill at all.
+      CoinPass coins;
+      std::vector<size_t> helped(2, 0);
+      std::vector<std::thread> helpers;
+      for (size_t& count : helped) {
+        helpers.emplace_back([&coins, &count] { count = coins.Help(); });
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const auto joined =
+          BfsSharingIndex::Build(graph, options, 17, &coins).MoveValue();
+      for (std::thread& helper : helpers) helper.join();
+      EXPECT_EQ(Words(*joined), Words(*alone));
+      EXPECT_LE(helped[0] + helped[1], CoinEdges(graph));
+      if (mix == Mix::kNoCoinEdges) {
+        EXPECT_EQ(helped[0] + helped[1], 0u);
+      }
+      if (l == 1500) helped_at_1500 += helped[0] + helped[1];
+      // A helper that arrives after the pass finished finds nothing to do.
+      EXPECT_EQ(coins.Help(), 0u);
+    }
+  }
+  // The helpers sat waiting while the serial pass started, so they took
+  // part of the coin pass.
+  EXPECT_GT(helped_at_1500, 0u);
+}
+
+TEST(CoinPassTest, CloseWithoutBeginReleasesWaitingHelpers) {
+  Watchdog watchdog(std::chrono::seconds(60));
+  CoinPass coins;
+  size_t helped = 1;
+  std::thread helper([&coins, &helped] { helped = coins.Help(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  coins.Close();
+  helper.join();
+  EXPECT_EQ(helped, 0u);
+  coins.Close();  // idempotent
+  EXPECT_EQ(coins.Help(), 0u);
+}
+
+/// Delegates BuildPreparedGeneration to a BFS Sharing estimator once the
+/// test opens its gate, so that the test can call Take while the seed is
+/// building.
+class GatedBuilds : public Estimator {
+ public:
+  explicit GatedBuilds(const BfsSharingEstimator& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return "GatedBuilds"; }
+  const UncertainGraph& graph() const override { return inner_.graph(); }
+
+  Result<std::shared_ptr<const PreparedGeneration>> BuildPreparedGeneration(
+      uint64_t seed, CoinPass* coins) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      started_ = true;
+      changed_.notify_all();
+      changed_.wait(lock, [this] { return open_; });
+    }
+    return inner_.BuildPreparedGeneration(seed, coins);
+  }
+
+  void AwaitStarted() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return started_; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ protected:
+  Result<double> DoEstimate(const ReliabilityQuery&, const EstimateOptions&,
+                            MemoryTracker*) override {
+    return Status::NotSupported("GatedBuilds answers no query");
+  }
+
+ private:
+  const BfsSharingEstimator& inner_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable changed_;
+  mutable bool started_ = false;
+  bool open_ = false;
+};
+
+TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  for (const Mix mix : kMixes) {
+    const UncertainGraph graph = CycleGraph(mix);
+    for (const uint32_t l : kWorldCounts) {
+      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l);
+      BfsSharingOptions options;
+      options.index_samples = l;
+      const auto prototype =
+          BfsSharingEstimator::Create(graph, options, 1).MoveValue();
+      GatedBuilds gated(*prototype);
+      obs::MetricsRegistry metrics;
+      GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
+      constexpr uint64_t kSeed = 0x5EED;
+      ASSERT_TRUE(prebuilder.Request(kSeed));
+      gated.AwaitStarted();
+      // The seed is building and cannot finish before the gate opens, so
+      // this Take joins the build instead of finding it queued or ready.
+      std::shared_ptr<const PreparedGeneration> taken;
+      std::thread taker([&] { taken = prebuilder.Take(kSeed); });
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gated.Open();
+      taker.join();
+      ASSERT_NE(taken, nullptr);
+      const auto* index = dynamic_cast<const BfsSharingIndex*>(taken.get());
+      ASSERT_NE(index, nullptr);
+
+      auto inline_replica =
+          BfsSharingEstimator::Create(graph, options, 2).MoveValue();
+      ASSERT_TRUE(inline_replica->PrepareForNextQuery(kSeed).ok());
+      EXPECT_EQ(Words(*index), Words(*inline_replica->shared_index()));
+
+      const uint64_t helped =
+          CounterValue(metrics, "prebuilder_helped_fills_total");
+      EXPECT_LE(helped, CoinEdges(graph));
+      if (mix == Mix::kNoCoinEdges) {
+        EXPECT_EQ(helped, 0u);
+      } else {
+        EXPECT_GT(helped, 0u);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace relcomp

@@ -77,7 +77,7 @@ TEST(Factory, CapabilitiesMatchDispatchForEachOfTheSix) {
     EXPECT_EQ(distance.status().code() == StatusCode::kNotSupported,
               !row.distance);
     const Result<std::shared_ptr<const PreparedGeneration>> generation =
-        est->BuildPreparedGeneration(1);
+        est->BuildPreparedGeneration(1, nullptr);
     EXPECT_EQ(generation.ok(), row.prepared_generations);
     EXPECT_EQ(generation.status().code() == StatusCode::kNotSupported,
               !row.prepared_generations);

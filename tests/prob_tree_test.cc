@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/datasets.h"
 #include "reliability/exact.h"
 #include "test_util.h"
 
@@ -170,6 +171,50 @@ TEST(ProbTreeIndex, LoadFromFileRejectsHugeNodeCount) {
   ASSERT_TRUE(index.SaveToFile(path).ok());
   testing::PatchFile(path, /*offset=*/8, uint64_t{1} << 62);
   EXPECT_FALSE(ProbTreeIndex::LoadFromFile(path).ok());
+  std::filesystem::remove(path);
+}
+
+TEST(ProbTreeIndex, LoadFromFileRejectsBagReferencesOutOfRange) {
+  // A bag's parent, or an edge's origin bag, forged to an id past the last
+  // bag (or below -1): refused, never followed by ExtractQueryGraph.
+  const Dataset dataset =
+      MakeDataset(DatasetId::kLastFm, Scale::kTiny, 7).MoveValue();
+  const ProbTreeIndex index = BuildIndex(dataset.graph);
+  ASSERT_GE(index.num_bags(), 1u);
+  const int32_t past_end = static_cast<int32_t>(index.num_bags()) + 100000;
+  // File layout: magic (8), num_nodes (8), num_bags (8), then per bag
+  // covered (4), parent (4), boundary count (8) and ids (4 each), edge count
+  // (8) and edges {tail 4, head 4, prob 8, origin 4}.
+  constexpr size_t kFirstBag = 24;
+  size_t edge_bag = kFirstBag;
+  size_t b = 0;
+  for (; b < index.num_bags() && index.bag(b).edges.empty(); ++b) {
+    edge_bag += 24 + 4 * index.bag(b).boundary.size();
+  }
+  ASSERT_LT(b, index.num_bags());
+  const size_t first_origin =
+      edge_bag + 16 + 4 * index.bag(b).boundary.size() + 8 + 16;
+  const struct {
+    size_t offset;
+    int32_t value;
+  } forgeries[] = {{kFirstBag + 4, past_end},
+                   {kFirstBag + 4, static_cast<int32_t>(index.num_bags())},
+                   {kFirstBag + 4, -2},
+                   {first_origin, past_end},
+                   {first_origin, -7}};
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_probtree_bags.bin")
+          .string();
+  for (const auto& forged : forgeries) {
+    SCOPED_TRACE(::testing::Message() << "offset " << forged.offset
+                                      << " := " << forged.value);
+    ASSERT_TRUE(index.SaveToFile(path).ok());
+    ASSERT_TRUE(ProbTreeIndex::LoadFromFile(path).ok());
+    testing::PatchFile(path, forged.offset, forged.value);
+    const Result<ProbTreeIndex> loaded = ProbTreeIndex::LoadFromFile(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  }
   std::filesystem::remove(path);
 }
 

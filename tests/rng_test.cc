@@ -226,5 +226,25 @@ TEST(SplitMix64, KnownSequenceIsStable) {
   EXPECT_EQ(SplitMix64(state2), a);
 }
 
+TEST(RngJump, EqualsSteppingTheStateOneDrawAtATime) {
+  // The golden suite's world counts plus the neighbours of a word boundary.
+  Rng seeds(0x7A11);
+  for (const uint64_t steps : {1ULL, 63ULL, 64ULL, 100ULL, 1500ULL}) {
+    SCOPED_TRACE(steps);
+    const RngJump& jump = RngJump::ForSteps(steps);
+    EXPECT_EQ(&RngJump::ForSteps(steps), &jump);  // built once per count
+    for (int trial = 0; trial < 20; ++trial) {
+      RngState stepped;
+      for (uint64_t& word : stepped.s) word = seeds.NextU64();
+      RngState jumped = stepped;
+      for (uint64_t i = 0; i < steps; ++i) stepped.Next();
+      jump.Apply(jumped);
+      for (int w = 0; w < 4; ++w) EXPECT_EQ(jumped.s[w], stepped.s[w]) << w;
+      // Both continue with the same draws.
+      EXPECT_EQ(jumped.Next(), stepped.Next());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace relcomp

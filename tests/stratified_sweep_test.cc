@@ -442,10 +442,11 @@ TEST(StratifiedSweepTest, AdoptedGenerationRefillsInPlaceOnceHandleDropped) {
   BfsSharingOptions bfs;
   bfs.index_samples = 128;
   auto replica = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  ASSERT_TRUE(replica
-                  ->AdoptPreparedGeneration(
-                      replica->BuildPreparedGeneration(0xA11CE).MoveValue())
-                  .ok());
+  ASSERT_TRUE(
+      replica
+          ->AdoptPreparedGeneration(
+              replica->BuildPreparedGeneration(0xA11CE, nullptr).MoveValue())
+          .ok());
   const void* adopted = replica->SharedIndexIdentity();
   const uint64_t builds = BfsSharingIndex::BuildCount();
   ASSERT_TRUE(replica->PrepareForNextQuery(0xB0B).ok());
@@ -470,10 +471,11 @@ TEST(StratifiedSweepTest, GenerationAnotherReplicaHoldsIsNeverRefilledInPlace) {
     SCOPED_TRACE(leader_moves_first);
     auto leader = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
     auto thief = BfsSharingEstimator::Create(graph, bfs, 99).MoveValue();
-    ASSERT_TRUE(leader
-                    ->AdoptPreparedGeneration(
-                        leader->BuildPreparedGeneration(0xBEEF).MoveValue())
-                    .ok());
+    ASSERT_TRUE(
+        leader
+            ->AdoptPreparedGeneration(
+                leader->BuildPreparedGeneration(0xBEEF, nullptr).MoveValue())
+            .ok());
     ASSERT_TRUE(thief
                     ->AdoptPreparedGeneration(
                         leader->CurrentPreparedGeneration().MoveValue())
@@ -605,7 +607,7 @@ TEST(StratifiedSweepTest, PrebuilderHonorsReadyPoolByteBudget) {
   bfs.index_samples = 64;
   auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
   const size_t one_generation =
-      estimator->BuildPreparedGeneration(1).MoveValue()->MemoryBytes();
+      estimator->BuildPreparedGeneration(1, nullptr).MoveValue()->MemoryBytes();
   ASSERT_GT(one_generation, 0u);
   // Budget for ~1.5 generations: the pool may hold one ready generation,
   // never two; older ones are evicted as new builds land.

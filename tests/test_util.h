@@ -1,11 +1,17 @@
 #pragma once
 
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +23,36 @@
 #include "obs/metrics.h"
 
 namespace relcomp::testing {
+
+/// Aborts the whole process if the guarded scope outlives `limit` — a hung
+/// concurrency test must fail loudly instead of wedging the test binary.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (!done_.wait_for(lock, limit, [this] { return disarmed_; })) {
+            std::fprintf(stderr, "Watchdog: scope hung for %llds\n",
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      disarmed_ = true;
+    }
+    done_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  bool disarmed_ = false;
+  std::thread thread_;
+};
 
 /// Overwrites sizeof(T) bytes of the file at `path` at `offset` with `value`
 /// (host byte order): forges one header field of a binary file.
