@@ -241,6 +241,69 @@ BENCHMARK_CAPTURE(BM_BfsSharingResample, CompactJoined,
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// The coin pass of that resample alone, on one thread: LastFM-small's coin
+// edges (BitVector::FillDrawsEveryBit; 4,903 at L = 1500) filled from the
+// start states the serial pass records for seed 1, one edge at a time
+// (Scalar, FillBernoulliWords) or four at a time (FourLane,
+// FillCoinWords4; the last one to three edges one at a time, as CoinPass
+// does). `time_per_coin` divides the time by the coins tossed.
+void BM_CoinFill(benchmark::State& state, bool four_lanes) {
+  constexpr uint32_t kWorlds = 1500;
+  constexpr size_t kWordsPerEdge = (kWorlds + 63) / 64;
+  static const Dataset* dataset = new Dataset(
+      MakeDataset(DatasetId::kLastFm, Scale::kSmall, 7).MoveValue());
+  const UncertainGraph& graph = dataset->graph;
+  std::vector<double> probs;
+  std::vector<RngState> starts;
+  {
+    const RngJump& jump = RngJump::ForSteps(kWorlds);
+    Rng rng(1);
+    ScopedRngState local(rng);
+    std::vector<uint64_t> geometric_words(kWordsPerEdge);
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      const double p = graph.prob(e);
+      if (BitVector::FillDrawsEveryBit(p)) {
+        probs.push_back(p);
+        starts.push_back(local.state());
+        jump.Apply(local.state());
+      } else {
+        BitVector::FillBernoulliWords(geometric_words.data(), kWorlds, p,
+                                      local.state());
+      }
+    }
+  }
+  const size_t num_fills = probs.size();
+  std::vector<uint64_t> words(num_fills * kWordsPerEdge);
+  for (auto _ : state) {
+    size_t i = 0;
+    if (four_lanes) {
+      for (; i + 4 <= num_fills; i += 4) {
+        uint64_t* lane_words[4];
+        RngState lane_states[4];
+        for (size_t lane = 0; lane < 4; ++lane) {
+          lane_words[lane] = &words[(i + lane) * kWordsPerEdge];
+          lane_states[lane] = starts[i + lane];
+        }
+        BitVector::FillCoinWords4(lane_words, kWorlds, &probs[i],
+                                  lane_states);
+      }
+    }
+    for (; i < num_fills; ++i) {
+      RngState start = starts[i];
+      BitVector::FillBernoulliWords(&words[i * kWordsPerEdge], kWorlds,
+                                    probs[i], start);
+    }
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["time_per_coin"] = benchmark::Counter(
+      static_cast<double>(num_fills) * kWorlds,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_CoinFill, Scalar, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CoinFill, FourLane, true)->Unit(benchmark::kMillisecond);
+
 void BM_SampleWorld(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   Rng rng(3);

@@ -169,6 +169,18 @@ class BitVector {
   /// NaN.
   static bool FillDrawsEveryBit(double p) { return !(p < 0.25 || p >= 1.0); }
 
+  /// Four coin fills at once: the same words (tail zeroed) and final states
+  /// as FillBernoulliWords(words[i], num_bits, p[i], states[i]) for i = 0..3.
+  /// Precondition: FillDrawsEveryBit(p[i]) for every i. On a host with AVX2
+  /// the four streams run in the lanes of one vector (see
+  /// src/reliability/README.md, "Four coin edges at a time"); elsewhere this
+  /// is those four calls.
+  static void FillCoinWords4(uint64_t* const words[4], size_t num_bits,
+                             const double p[4], RngState states[4]);
+
+  /// True when FillCoinWords4 runs on AVX2 on this host.
+  static bool FillCoinWords4UsesAvx2();
+
   bool operator==(const BitVector& other) const;
   bool operator!=(const BitVector& other) const { return !(*this == other); }
 

@@ -17,7 +17,9 @@ namespace relcomp {
 /// `num_bits` values, so the serial pass over a generator stream can record
 /// the state such a fill starts from, jump the state past it (RngJump) and
 /// go on; the coins are tossed later, from the recorded state, by whoever
-/// claims the fill's block. The words are the same whoever fills them.
+/// claims the fill's block. The words are the same whoever fills them. A
+/// block's fills are tossed four at a time (BitVector::FillCoinWords4), and
+/// the pass's last one to three one at a time.
 ///
 /// The owner (the fill's thread) calls Begin, then Defer for each fill in
 /// stream order, then Finish. Defer publishes a block each time one is full.

@@ -391,6 +391,10 @@ Result<ProbTreeIndex> ProbTreeIndex::FromBlock(const void* data, size_t size) {
   auto is_bag_or_none = [&num_bags](int32_t bag) {
     return bag >= -1 && bag < static_cast<int64_t>(num_bags);
   };
+  // A node id (a boundary node, an edge endpoint) names one of the index's
+  // nodes; ExtractQueryGraph would otherwise build graphs over nodes the
+  // index lacks.
+  auto is_node = [&num_nodes](NodeId node) { return node < num_nodes; };
   auto read_edges = [&](std::vector<ProbTreeEdge>& edges) {
     uint64_t count = 0;
     ok = ok && reader.ReadU64(&count);
@@ -404,7 +408,7 @@ Result<ProbTreeIndex> ProbTreeIndex::FromBlock(const void* data, size_t size) {
     for (auto& e : edges) {
       ok = ok && reader.ReadU32(&e.tail) && reader.ReadU32(&e.head) &&
            reader.ReadF64(&e.prob) && reader.ReadI32(&e.origin) &&
-           is_bag_or_none(e.origin);
+           is_node(e.tail) && is_node(e.head) && is_bag_or_none(e.origin);
     }
   };
   ProbTreeIndex index;
@@ -427,7 +431,7 @@ Result<ProbTreeIndex> ProbTreeIndex::FromBlock(const void* data, size_t size) {
       break;
     }
     bag.boundary.resize(boundary);
-    for (auto& u : bag.boundary) ok = ok && reader.ReadU32(&u);
+    for (auto& u : bag.boundary) ok = ok && reader.ReadU32(&u) && is_node(u);
     bag.nodes = bag.boundary;
     bag.nodes.push_back(bag.covered);
     read_edges(bag.edges);

@@ -322,6 +322,53 @@ TEST(BitVector, FillBernoulliWordsMatchesReferenceLoop) {
   }
 }
 
+TEST(BitVector, FillCoinWords4MatchesFourFills) {
+  // Each lane must write the words (the zeroed tail of the last word
+  // included: the output starts all ones) and leave the state that its own
+  // FillBernoulliWords call does, whatever the other lanes draw.
+  RecordProperty("fill_coin_words4_avx2",
+                 BitVector::FillCoinWords4UsesAvx2() ? "yes" : "no");
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(), 0.25,
+                            std::nextafter(1.0, 0.0)};
+  Rng rng(0xC0115);
+  for (const size_t len : {1u, 63u, 64u, 65u, 100u, 1500u}) {
+    const size_t num_words = (len + 63) / 64;
+    for (int trial = 0; trial < 8; ++trial) {
+      double p[4];
+      RngState states[4];
+      for (int lane = 0; lane < 4; ++lane) {
+        p[lane] = 0.25 + 0.75 * rng.NextDouble();
+        for (uint64_t& word : states[lane].s) word = rng.NextU64();
+      }
+      // Trials 0-2 put the three cut-off values in lanes that rotate with
+      // the trial; the rest draw every lane from [0.25, 1).
+      if (trial < 3) {
+        for (int k = 0; k < 3; ++k) p[(trial + k) % 4] = special[k];
+      }
+      std::vector<uint64_t> expected(4 * num_words, ~uint64_t{0});
+      std::vector<uint64_t> got(4 * num_words, ~uint64_t{0});
+      RngState expected_states[4];
+      uint64_t* got_words[4];
+      for (int lane = 0; lane < 4; ++lane) {
+        expected_states[lane] = states[lane];
+        BitVector::FillBernoulliWords(expected.data() + lane * num_words, len,
+                                      p[lane], expected_states[lane]);
+        got_words[lane] = got.data() + lane * num_words;
+      }
+      BitVector::FillCoinWords4(got_words, len, p, states);
+      SCOPED_TRACE(::testing::Message() << "L = " << len << ", trial "
+                                        << trial);
+      EXPECT_EQ(got, expected);
+      for (int lane = 0; lane < 4; ++lane) {
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(states[lane].s[i], expected_states[lane].s[i])
+              << "lane " << lane << " state word " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(BitVector, OrWithAndOffsetZeroEqualsOrWithAnd) {
   Rng rng(7);
   BitVector a(90);

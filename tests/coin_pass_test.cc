@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -43,12 +44,12 @@ const char* MixName(Mix mix) {
 }
 
 /// A cycle of `m` edges whose probabilities sweep a range: below 0.25 (all
-/// geometric), in [0.25, 1) (all coin edges), or both alternating. 2,560
-/// coin edges are a whole number of coin-pass blocks at L = 1500 (10 fills
+/// geometric), in [0.25, 1) (all coin edges), or both alternating. 3,072
+/// coin edges are a whole number of coin-pass blocks at L = 1500 (12 fills
 /// per block) and at L = 64 (256), so the pass closes on a published count
 /// that ends a block.
 UncertainGraph CycleGraph(Mix mix) {
-  constexpr uint32_t kEdges = 2560;
+  constexpr uint32_t kEdges = 3072;
   const uint32_t m = mix == Mix::kMixed ? 2 * kEdges + 1 : kEdges;
   GraphBuilder builder(m);
   for (uint32_t e = 0; e < m; ++e) {
@@ -116,6 +117,57 @@ TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
   // The helpers sat waiting while the serial pass started, so they took
   // part of the coin pass.
   EXPECT_GT(helped_at_1500, 0u);
+}
+
+TEST(CoinPassTest, PassSizesAroundTheLaneWidthMatchPerEdgeFills) {
+  // Passes of 1, 3, 4, 5 and 13 fills: none, one, or several four-lane
+  // fills, with zero to three fills left over for the one-at-a-time path;
+  // at L = 1500 (12 fills per block) 13 fills take two blocks. With or
+  // without a helper, each fill's words (the zeroed tail included: the
+  // output starts all ones) must equal its own FillBernoulliWords call.
+  Watchdog watchdog(std::chrono::seconds(60));
+  RecordProperty("fill_coin_words4_avx2",
+                 BitVector::FillCoinWords4UsesAvx2() ? "yes" : "no");
+  Rng rng(0xF111);
+  for (const uint32_t l : {1u, 65u, 1500u}) {
+    const size_t words_per_fill = (l + 63) / 64;
+    for (const size_t n : {1u, 3u, 4u, 5u, 13u}) {
+      for (const bool with_helper : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L = " << l << ", " << n
+                                          << " fills, helper "
+                                          << with_helper);
+        std::vector<double> p(n);
+        std::vector<RngState> starts(n);
+        for (size_t i = 0; i < n; ++i) {
+          p[i] = 0.25 + 0.75 * rng.NextDouble();
+          for (uint64_t& word : starts[i].s) word = rng.NextU64();
+        }
+        p[n / 2] = std::numeric_limits<double>::quiet_NaN();
+        p[n - 1] = 0.25;
+        std::vector<uint64_t> expected(n * words_per_fill, ~uint64_t{0});
+        for (size_t i = 0; i < n; ++i) {
+          RngState state = starts[i];
+          BitVector::FillBernoulliWords(&expected[i * words_per_fill], l, p[i],
+                                        state);
+        }
+        std::vector<uint64_t> got(n * words_per_fill, ~uint64_t{0});
+        CoinPass coins;
+        size_t helped = 0;
+        std::thread helper;
+        if (with_helper) {
+          helper = std::thread([&coins, &helped] { helped = coins.Help(); });
+        }
+        coins.Begin(n, l);
+        for (size_t i = 0; i < n; ++i) {
+          coins.Defer(&got[i * words_per_fill], p[i], starts[i]);
+        }
+        coins.Finish();
+        if (with_helper) helper.join();
+        EXPECT_EQ(got, expected);
+        EXPECT_LE(helped, n);
+      }
+    }
+  }
 }
 
 TEST(CoinPassTest, CloseWithoutBeginReleasesWaitingHelpers) {

@@ -218,6 +218,61 @@ TEST(ProbTreeIndex, LoadFromFileRejectsBagReferencesOutOfRange) {
   std::filesystem::remove(path);
 }
 
+TEST(ProbTreeIndex, LoadFromFileRejectsNodeIdsOutOfRange) {
+  // A bag's boundary node, or an edge's tail or head, forged to an id past
+  // the last node: refused, never turned into a query graph over nodes the
+  // index lacks.
+  const Dataset dataset =
+      MakeDataset(DatasetId::kLastFm, Scale::kTiny, 7).MoveValue();
+  const ProbTreeIndex index = BuildIndex(dataset.graph);
+  const auto num_nodes = static_cast<uint32_t>(dataset.graph.num_nodes());
+  // File layout as in LoadFromFileRejectsBagReferencesOutOfRange: a bag
+  // takes 24 bytes, 4 per boundary id and 20 per edge.
+  auto bag_offset = [&index](size_t b) {
+    size_t offset = 24;
+    for (size_t i = 0; i < b; ++i) {
+      offset += 24 + 4 * index.bag(i).boundary.size() +
+                20 * index.bag(i).edges.size();
+    }
+    return offset;
+  };
+  size_t boundary_bag = 0;
+  while (boundary_bag < index.num_bags() &&
+         index.bag(boundary_bag).boundary.empty()) {
+    ++boundary_bag;
+  }
+  size_t edge_bag = 0;
+  while (edge_bag < index.num_bags() && index.bag(edge_bag).edges.empty()) {
+    ++edge_bag;
+  }
+  ASSERT_LT(boundary_bag, index.num_bags());
+  ASSERT_LT(edge_bag, index.num_bags());
+  const size_t first_boundary = bag_offset(boundary_bag) + 16;
+  const size_t first_tail =
+      bag_offset(edge_bag) + 16 + 4 * index.bag(edge_bag).boundary.size() + 8;
+  const struct {
+    size_t offset;
+    uint32_t value;
+  } forgeries[] = {{first_boundary, num_nodes},
+                   {first_boundary, num_nodes + 100000},
+                   {first_tail, num_nodes},
+                   {first_tail + 4, 0xFFFFFFFFu}};
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_probtree_nodes.bin")
+          .string();
+  for (const auto& forged : forgeries) {
+    SCOPED_TRACE(::testing::Message() << "offset " << forged.offset
+                                      << " := " << forged.value);
+    ASSERT_TRUE(index.SaveToFile(path).ok());
+    ASSERT_TRUE(ProbTreeIndex::LoadFromFile(path).ok());
+    testing::PatchFile(path, forged.offset, forged.value);
+    const Result<ProbTreeIndex> loaded = ProbTreeIndex::LoadFromFile(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(ProbTreeIndex, MemoryBytesPositiveAndBounded) {
   const UncertainGraph g = RandomSmallGraph(50, 150, 0.2, 0.8, 25);
   const ProbTreeIndex index = BuildIndex(g);
