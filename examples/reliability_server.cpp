@@ -260,7 +260,9 @@ int main(int argc, char** argv) {
       options.sweep_cache_max_bytes >> 20,
       options.enable_sweep_scout ? "on" : "off",
       engine->prebuilder() != nullptr
-          ? StrFormat("on (%zu builders)", options.prebuild_threads).c_str()
+          ? StrFormat("on (%zu builders)",
+                      engine->prebuilder()->num_builders())
+                .c_str()
           : "off (kind has no prepared generations)",
       options.num_samples);
 
@@ -339,7 +341,7 @@ int main(int argc, char** argv) {
     std::printf(
         "[stats] queries=%llu qps=%.0f p50=%.2fms p99=%.2fms cache=%.0f%% "
         "sweeps x/h/c=%llu/%llu/%llu shed=%llu retried=%llu dropped=%llu "
-        "deadline=%llu stale=%llu slow=%llu\n",
+        "deadline=%llu slow=%llu\n",
         static_cast<unsigned long long>(latency.count),
         span > 0.0 ? static_cast<double>(latency.count) / span : 0.0,
         static_cast<double>(latency.Quantile(0.50)) * 1e-6,
@@ -352,7 +354,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(retried_counter->Value()),
         static_cast<unsigned long long>(dropped_counter->Value()),
         Count(metrics, "engine_deadline_exceeded_total"),
-        Count(metrics, "engine_stale_served_total"),
         static_cast<unsigned long long>(engine->tracer().slow_queries()));
   }
   std::printf("\nreplayed %zu requests over %zu distinct queries\n\n",
@@ -393,12 +394,11 @@ int main(int argc, char** argv) {
       static_cast<double>(sweep_latency.Quantile(0.95)) * 1e-6);
   std::printf(
       "fault tolerance: %llu shed at admission, %llu client retries, %llu "
-      "dropped after backoff, %llu deadline-exceeded, %llu stale served\n",
+      "dropped after backoff, %llu deadline-exceeded\n",
       Shed(metrics),
       static_cast<unsigned long long>(retried_counter->Value()),
       static_cast<unsigned long long>(dropped_counter->Value()),
-      Count(metrics, "engine_deadline_exceeded_total"),
-      Count(metrics, "engine_stale_served_total"));
+      Count(metrics, "engine_deadline_exceeded_total"));
   if (engine->prebuilder() != nullptr) {
     std::printf(
         "generation prebuild: %llu requested, %llu built on %zu background "

@@ -17,7 +17,6 @@ EngineStats::EngineStats(obs::MetricsRegistry& registry) {
   shed_overload_ =
       registry.GetCounter("engine_shed_total", "reason", "overload");
   deadline_exceeded_ = registry.GetCounter("engine_deadline_exceeded_total");
-  stale_served_ = registry.GetCounter("engine_stale_served_total");
   for (size_t i = 0; i < kNumWorkloadKinds; ++i) {
     workload_queries_[i] =
         registry.GetCounter("engine_queries_total", "workload",
@@ -62,8 +61,6 @@ void EngineStats::RecordShed(const char* reason) {
 }
 
 void EngineStats::RecordDeadlineExceeded() { deadline_exceeded_->Inc(); }
-
-void EngineStats::RecordStaleServed() { stale_served_->Inc(); }
 
 void EngineStats::RecordSweepExecuted() { sweep_executed_->Inc(); }
 
@@ -124,7 +121,6 @@ void EngineStats::Reset() {
   shed_queue_full_->Reset();
   shed_overload_->Reset();
   deadline_exceeded_->Reset();
-  stale_served_->Reset();
   for (obs::Counter* counter : workload_queries_) counter->Reset();
   sweep_executed_->Reset();
   sweep_hits_->Reset();

@@ -45,9 +45,6 @@ class EngineStats {
   /// CancelToken fired (called alongside RecordFailure).
   void RecordDeadlineExceeded();
 
-  /// Records one query answered stale (called alongside RecordCacheHit).
-  void RecordStaleServed();
-
   /// Classifies how one executed sweep-kind query obtained its per-source
   /// vector (called alongside RecordExecuted, at most once per query).
   void RecordSweepExecuted();
@@ -100,7 +97,6 @@ class EngineStats {
   obs::Counter* shed_queue_full_;
   obs::Counter* shed_overload_;
   obs::Counter* deadline_exceeded_;
-  obs::Counter* stale_served_;
   obs::Counter* workload_queries_[kNumWorkloadKinds];
   obs::Counter* sweep_executed_;
   obs::Counter* sweep_hits_;

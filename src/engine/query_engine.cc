@@ -21,6 +21,16 @@ constexpr uint64_t kPrepareSeedTag = 0x707265ULL;  // "pre"
 /// alias an st/distance query seed structurally.
 constexpr uint64_t kSweepSeedTag = 0x73776570ULL;  // "swep"
 
+/// Result-cache shards: concurrent lookups of different keys mostly take
+/// different locks.
+constexpr size_t kResultCacheShards = 8;
+/// Prebuilder threads: several distinct prepare seeds are resampled at once,
+/// each still built exactly once, closest to dispatch first.
+constexpr size_t kPrebuildThreads = 2;
+/// Most-frequent sources the scout pass warms per batch; a source must
+/// appear at least twice to be worth a scout task.
+constexpr size_t kScoutMaxSources = 4;
+
 /// True when `status` is the deadline/cancellation family — the failures
 /// that also count in engine_deadline_exceeded_total.
 bool IsCancellation(const Status& status) {
@@ -74,8 +84,9 @@ class StageTimer {
 /// cache key on restore; the restoring engine checks the digest and the
 /// kind / budget / seed against *its own* and skips mismatches, so a journal
 /// written for another graph or configuration (or another master seed) can
-/// never resurface a wrong answer. Decoders return false on any truncation
-/// or shape violation.
+/// never resurface a wrong answer. Records carry no TTL: only immortal
+/// entries are exported. Decoders return false on any truncation or shape
+/// violation.
 /// @{
 std::string EncodeSweepRecord(uint64_t digest,
                               const SweepCache::Export& entry) {
@@ -86,22 +97,20 @@ std::string EncodeSweepRecord(uint64_t digest,
   writer.PutU32(entry.key.source);
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
-  writer.PutF64(entry.ttl_seconds);
   writer.PutU64(entry.value->size());
   for (const double v : *entry.value) writer.PutF64(v);
   return out;
 }
 
 bool DecodeSweepRecord(const std::string& payload, uint64_t* digest,
-                       SweepCacheKey* key, std::vector<double>* sweep,
-                       double* ttl_seconds) {
+                       SweepCacheKey* key, std::vector<double>* sweep) {
   WireReader reader(payload.data(), payload.size());
   uint8_t kind = 0;
   uint64_t n = 0;
   if (!reader.ReadU64(digest) || !reader.ReadU8(&kind) ||
       !reader.ReadU32(&key->source) ||
       !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
-      !reader.ReadF64(ttl_seconds) || !reader.ReadU64(&n)) {
+      !reader.ReadU64(&n)) {
     return false;
   }
   key->kind = static_cast<EstimatorKind>(kind);
@@ -131,7 +140,6 @@ std::string EncodeResultRecord(uint64_t digest,
   writer.PutU8(static_cast<uint8_t>(entry.key.kind));
   writer.PutU32(entry.key.num_samples);
   writer.PutU64(entry.key.seed);
-  writer.PutF64(entry.ttl_seconds);
   writer.PutF64(entry.value.reliability);
   writer.PutU32(entry.value.num_samples);
   writer.PutU64(entry.value.targets.size());
@@ -143,8 +151,7 @@ std::string EncodeResultRecord(uint64_t digest,
 }
 
 bool DecodeResultRecord(const std::string& payload, uint64_t* digest,
-                        ResultCacheKey* key, ResultCacheValue* value,
-                        double* ttl_seconds) {
+                        ResultCacheKey* key, ResultCacheValue* value) {
   WireReader reader(payload.data(), payload.size());
   uint8_t workload = 0;
   uint8_t kind = 0;
@@ -155,7 +162,7 @@ bool DecodeResultRecord(const std::string& payload, uint64_t* digest,
       !reader.ReadF64(&key->query.eta) ||
       !reader.ReadU32(&key->query.max_hops) || !reader.ReadU8(&kind) ||
       !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
-      !reader.ReadF64(ttl_seconds) || !reader.ReadF64(&value->reliability) ||
+      !reader.ReadF64(&value->reliability) ||
       !reader.ReadU32(&value->num_samples) || !reader.ReadU64(&num_targets)) {
     return false;
   }
@@ -187,8 +194,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       options_(std::move(options)),
       registry_(std::move(registry)),
       tracer_(std::make_unique<obs::Tracer>(obs::TracerOptions{
-          options_.trace_sample_rate, options_.slow_query_ms,
-          options_.trace_ring_capacity})),
+          options_.trace_sample_rate, options_.slow_query_ms})),
       store_(std::move(store)),
       replicas_(std::move(replicas)),
       stats_(*registry_),
@@ -214,8 +220,8 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "sweep_wait");
   if (options_.enable_cache) {
     cache_ = std::make_unique<ResultCache>(
-        options_.cache_capacity, options_.cache_shards,
-        options_.cache_max_bytes, registry_.get());
+        options_.cache_capacity, kResultCacheShards, options_.cache_max_bytes,
+        registry_.get());
   }
   if (options_.enable_sweep_cache) {
     sweep_cache_ = std::make_unique<SweepCache>(
@@ -226,20 +232,12 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       replicas_.front()->capabilities().prepared_generations) {
     prebuilder_ = std::make_unique<GenerationPrebuilder>(
         *replicas_.front(), *registry_, options_.prebuild_max_pending,
-        options_.prebuild_threads, options_.prebuild_max_bytes);
+        kPrebuildThreads, options_.prebuild_max_bytes);
   }
-  // Serving pool: exactly num_threads workers. replicas_ may hold more —
-  // the tail replicas belong to the auxiliary refresh lane below.
   pool_ = std::make_unique<ThreadPool>(
       options_.num_threads, options_.queue_capacity,
       registry_->GetHistogram("engine_stage_latency_ns", "stage",
                               "queue_wait"));
-  const size_t lane_width = RefreshLaneWidth();
-  if (lane_width > 0) {
-    aux_pool_ = std::make_unique<ThreadPool>(lane_width,
-                                             options_.queue_capacity);
-  }
-  refresh_lane_depth_ = registry_->GetGauge("refresh_lane_depth");
   if (store_ != nullptr && options_.persist_flush_seconds > 0.0) {
     flusher_ = std::thread([this] { FlusherLoop(); });
   }
@@ -266,9 +264,8 @@ QueryEngine::~QueryEngine() {
     flusher_cv_.notify_all();
     flusher_.join();
   }
-  if (aux_pool_ != nullptr) aux_pool_->Shutdown();
   pool_->Shutdown();
-  // Clean-shutdown flush: both pools are quiescent, so this captures the
+  // Clean-shutdown flush: the pool is quiescent, so this captures the
   // final warm state (a crash instead simply loses what the last periodic
   // flush missed — never more).
   if (store_ != nullptr) (void)FlushWarmState();
@@ -284,8 +281,9 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   if (opts.num_samples == 0) {
     return Status::InvalidArgument("EngineOptions::num_samples must be > 0");
   }
-  if (opts.cache_ttl < 0.0 || opts.negative_cache_ttl < 0.0) {
-    return Status::InvalidArgument("EngineOptions TTLs must be >= 0");
+  if (opts.negative_cache_ttl < 0.0) {
+    return Status::InvalidArgument(
+        "EngineOptions::negative_cache_ttl must be >= 0");
   }
   // The registry exists before anything else so the persistence tier's
   // recovery counters capture the snapshot restore that happens *before*
@@ -310,24 +308,13 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
       store->CountRebuild();
     }
   }
-  // The refresh lane (when engaged) gets its own replicas appended after
-  // the serving set, so background refreshes never touch a serving
-  // worker's replica. Index-carrying kinds still share one index.
-  const size_t lane_width =
-      opts.refresh_lane_threads > 0 &&
-              (opts.max_stale_seconds > 0.0 || store != nullptr)
-          ? opts.refresh_lane_threads
-          : 0;
-  const size_t replica_count = opts.num_threads + lane_width;
   // One shared immutable index for all replicas of an index-carrying kind
   // (built inside the factory), private scratch per replica.
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<Estimator>> replicas,
-      MakeEstimatorReplicas(opts.kind, graph, replica_count, opts.factory));
+      MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory));
   // The preloaded artifacts were consumed by the replica build; the engine
   // keeps its options free of them (they pin the snapshot mapping).
-  const bool auto_snapshot = opts.persist_auto_snapshot;
-  const bool warm_restore = opts.warm_restore;
   opts.factory.preloaded_bfs_index.reset();
   opts.factory.preloaded_prob_tree.reset();
   std::unique_ptr<QueryEngine> engine(
@@ -335,37 +322,14 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
                       std::move(store), std::move(replicas)));
   if (engine->store_ != nullptr) {
     engine->warm_report_.snapshot_restored = snapshot_restored;
-    if (!snapshot_restored && auto_snapshot) {
+    if (!snapshot_restored) {
       // Best effort: a failed snapshot write (disk full, injected fault)
       // only costs the next restart its O(1) cold start.
       (void)engine->PersistSnapshot();
     }
-    if (warm_restore) engine->RestoreWarmState();
+    engine->RestoreWarmState();
   }
   return engine;
-}
-
-size_t QueryEngine::RefreshLaneWidth() const {
-  // The lane exists only when there is background work to put on it —
-  // stale-while-revalidate refreshes or journal flushes. Without either,
-  // configurations are byte-for-byte the pre-lane engine.
-  return options_.refresh_lane_threads > 0 &&
-                 (options_.max_stale_seconds > 0.0 || store_ != nullptr)
-             ? options_.refresh_lane_threads
-             : 0;
-}
-
-Status QueryEngine::SubmitRefreshTask(ThreadPool::Task task) {
-  if (aux_pool_ == nullptr) return pool_->TrySubmit(std::move(task));
-  refresh_lane_depth_->Add(1.0);
-  Status submitted = aux_pool_->TrySubmit(
-      [this, task = std::move(task)](size_t lane_worker) {
-        // Aux workers run on the appended replicas (never a serving one).
-        task(options_.num_threads + lane_worker);
-        refresh_lane_depth_->Add(-1.0);
-      });
-  if (!submitted.ok()) refresh_lane_depth_->Add(-1.0);
-  return submitted;
 }
 
 void QueryEngine::FlusherLoop() {
@@ -374,13 +338,9 @@ void QueryEngine::FlusherLoop() {
     flusher_cv_.wait_for(
         lock, std::chrono::duration<double>(options_.persist_flush_seconds));
     if (flusher_stop_) break;
+    // The flush runs on this thread, so it never takes a serving worker.
     lock.unlock();
-    const Status lane = SubmitRefreshTask([this](size_t) {
-      (void)FlushWarmState();
-    });
-    // Full lane: flush inline on this thread rather than skip the period
-    // (the flusher is itself off the serving pool).
-    if (!lane.ok()) (void)FlushWarmState();
+    (void)FlushWarmState();
     lock.lock();
   }
 }
@@ -431,7 +391,6 @@ Status QueryEngine::FlushWarmState() {
 }
 
 void QueryEngine::RestoreWarmState() {
-  warm_report_.attempted = true;
   Result<JournalReplay> replayed = store_->ReplayWarm();
   if (!replayed.ok()) return;  // unreadable journal: cold caches, not fatal
   const JournalReplay replay = replayed.MoveValue();
@@ -442,37 +401,35 @@ void QueryEngine::RestoreWarmState() {
     if (record.type == kJournalRecordSweep && sweep_cache_ != nullptr) {
       SweepCacheKey key;
       auto sweep = std::make_shared<std::vector<double>>();
-      double ttl_seconds = 0.0;
       // A record journaled for another graph, index configuration or S
       // carries another digest; one under another kind, budget or master
       // seed re-derives to another key. Either is skipped — never served.
-      if (!DecodeSweepRecord(record.payload, &digest, &key, sweep.get(),
-                             &ttl_seconds) ||
+      if (!DecodeSweepRecord(record.payload, &digest, &key, sweep.get()) ||
           digest != journal_digest_ || key.source >= graph_.num_nodes() ||
           sweep->size() != graph_.num_nodes() ||
           !(key == SweepKeyFor(key.source))) {
         ++warm_report_.skipped;
         continue;
       }
-      sweep_cache_->Insert(key, std::move(sweep), ttl_seconds);
+      sweep_cache_->Insert(key, std::move(sweep));
       ++warm_report_.sweep_entries;
       ++recovered;
     } else if (record.type == kJournalRecordResult && cache_ != nullptr) {
       ResultCacheKey key;
       ResultCacheValue value;
-      double ttl_seconds = 0.0;
-      if (!DecodeResultRecord(record.payload, &digest, &key, &value,
-                              &ttl_seconds) ||
+      if (!DecodeResultRecord(record.payload, &digest, &key, &value) ||
           digest != journal_digest_ ||
           !ValidateWorkload(graph_, key.query).ok() ||
           !(key == ResultKeyFor(key.query))) {
         ++warm_report_.skipped;
         continue;
       }
-      cache_->Insert(key, value, ttl_seconds);
+      cache_->Insert(key, value);
       ++warm_report_.result_entries;
       ++recovered;
     } else {
+      // An unknown type, such as the retired ids 1 and 2, whose layout
+      // carried a TTL field.
       ++warm_report_.skipped;
     }
   }
@@ -555,19 +512,17 @@ bool QueryEngine::TryServeWithoutCompute(
   // an already-computed answer is strictly more useful than a deadline
   // error, even to a late caller.
   if (cache_ != nullptr) {
-    // With max_stale_seconds == 0 this is a plain Lookup.
-    ResultCache::StaleLookup hit;
+    std::optional<ResultCacheValue> hit;
     {
       StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
                        parent, /*detail=*/0);
-      hit = cache_->LookupStale(key, options_.max_stale_seconds);
+      hit = cache_->Lookup(key);
     }
-    if (hit.value) {
-      const bool negative = hit.value->negative();
-      FillFromValue(std::move(*hit.value), slot);
+    if (hit) {
+      const bool negative = hit->negative();
+      FillFromValue(std::move(*hit), slot);
       slot->seconds = 0.0;
       slot->cache_hit = true;
-      slot->served_stale = hit.stale;
       if (negative) {
         // Failure backoff: the cached error is served without recomputing.
         // Counted as a failure (and as a cache negative_hit), never as a
@@ -576,9 +531,7 @@ bool QueryEngine::TryServeWithoutCompute(
         stats_.RecordFailure(0.0);
       } else {
         stats_.RecordCacheHit();
-        if (hit.stale) stats_.RecordStaleServed();
       }
-      if (hit.refresh_owner) ScheduleResultRefresh(key);
       return true;
     }
   }
@@ -642,7 +595,7 @@ void QueryEngine::PublishToCache(const ResultCacheKey& key,
                                  const ResultCacheValue& value) {
   if (cache_ == nullptr) return;
   if (value.status.ok()) {
-    cache_->Insert(key, value, options_.cache_ttl);
+    cache_->Insert(key, value);
   } else if (options_.negative_cache_ttl > 0.0 &&
              !IsTransientStatusCode(value.status.code())) {
     // Transient outcomes (deadline exceeded, cancelled, shed) describe the
@@ -1039,7 +992,7 @@ void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
 }
 
 void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
-  if (!ScoutingEnabled() || options_.scout_max_sources == 0) return;
+  if (!ScoutingEnabled()) return;
   std::unordered_map<NodeId, uint32_t> frequency;
   for (const EngineQuery& query : queries) {
     if (IsSweepWorkload(query.workload)) ++frequency[query.source];
@@ -1057,9 +1010,7 @@ void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
               if (a.second != b.second) return a.second > b.second;
               return a.first < b.first;
             });
-  if (ranked.size() > options_.scout_max_sources) {
-    ranked.resize(options_.scout_max_sources);
-  }
+  if (ranked.size() > kScoutMaxSources) ranked.resize(kScoutMaxSources);
   for (const auto& [source, count] : ranked) {
     (void)count;
     if (sweep_cache_->Contains(SweepKeyFor(source))) continue;
@@ -1327,30 +1278,6 @@ Status QueryEngine::AdmitQuery(const EngineQuery& query) {
   return Status::Unavailable(
       StrFormat("query shed (%s): queue depth %zu; retry after ~%.0f ms",
                 reason, depth, retry_after_ms));
-}
-
-void QueryEngine::ScheduleResultRefresh(const ResultCacheKey& key) {
-  // Refreshes ride the dedicated low-priority lane when one exists, so a
-  // stale burst never competes with serving queries for the main pool.
-  const Status submitted = SubmitRefreshTask([this, key](size_t worker_id) {
-    Result<WorkloadResult> result =
-        ComputeWorkload(worker_id, key.query, key.seed, /*cancel=*/nullptr,
-                        /*trace=*/nullptr, obs::TraceBuffer::kNone);
-    if (!result.ok()) {
-      // A failed refresh must not mask the still-servable stale answer (and
-      // transient failures must not be cached at all): re-arm so a later
-      // stale hit elects a new owner.
-      cache_->ClearRefreshPending(key);
-      return;
-    }
-    ResultCacheValue value;
-    value.reliability = result->reliability;
-    value.num_samples = result->num_samples;
-    value.targets = std::move(result->targets);
-    cache_->Insert(key, value, options_.cache_ttl);
-  });
-  // Best-effort: a full lane/pool means no refresh this episode — re-arm.
-  if (!submitted.ok()) cache_->ClearRefreshPending(key);
 }
 
 Status QueryEngine::Submit(const EngineQuery& query) {

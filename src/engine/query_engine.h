@@ -58,24 +58,20 @@ struct EngineOptions {
   /// (see README.md), so results are independent of thread count and
   /// scheduling order.
   uint64_t seed = 0;
-  /// Result cache on/off + sizing.
+  /// Result cache on/off + sizing. A successful answer stays cached until
+  /// LRU or byte-budget eviction: answers are content-deterministic, so an
+  /// expiry would only recompute identical bits.
   bool enable_cache = true;
   size_t cache_capacity = 1 << 16;
-  size_t cache_shards = 8;
   /// Byte budget for the result cache (0 = unlimited): entries are charged
   /// their real payload bytes — a top-k entry carrying k ranked targets
   /// costs ~k× an s-t scalar — and each shard evicts by bytes on top of the
   /// entry capacity. See ResultCache.
   size_t cache_max_bytes = 0;
-  /// TTL in seconds for successful cache entries; 0 = never expire. Expired
-  /// entries are dropped on the lookup that discovers them and counted in
-  /// CacheStats::expired. Content-deterministic answers make expiry
-  /// semantically invisible: a recompute returns the identical result.
-  double cache_ttl = 0.0;
   /// Failure backoff: estimator errors are cached for this many seconds
   /// (negative caching), so a hot failing key stops recomputing — and
   /// re-failing — on every miss; after the TTL it retries. 0 disables
-  /// negative caching. Requires enable_cache.
+  /// negative caching. Requires enable_cache. The only cache TTL.
   double negative_cache_ttl = 1.0;
   /// Single-flight request coalescing: concurrent cache misses for the same
   /// key share one in-flight computation instead of computing twins on
@@ -106,9 +102,6 @@ struct EngineOptions {
   /// Effective only with coalescing and the sweep cache on (it needs the
   /// single-flight table and the memo to hand its vector over).
   bool enable_sweep_scout = true;
-  /// Most-frequent sources the scout pass warms per batch; a source must
-  /// appear at least twice to be worth a scout task.
-  uint32_t scout_max_sources = 4;
   /// Background generation prebuilding: when the estimator kind supports
   /// prepared generations (BFS Sharing), a builder thread constructs the
   /// next queries' PrepareForNextQuery artifacts (world resampling)
@@ -125,10 +118,6 @@ struct EngineOptions {
   /// if all pending work is queued / in-flight, the request is dropped and
   /// the affected query simply resamples inline.
   size_t prebuild_max_pending = 16;
-  /// Builder threads fanning the L·m resampling of several distinct prepare
-  /// seeds concurrently (each seed still built exactly once, closest to
-  /// dispatch first). Clamped to >= 1.
-  size_t prebuild_threads = 2;
   /// Byte budget for the prebuilder's ready pool (0 = bounded by count
   /// only): ready generations are charged their real
   /// PreparedGeneration::MemoryBytes() — index-sized for BFS Sharing — and
@@ -156,50 +145,26 @@ struct EngineOptions {
   /// completely full. Cache-servable queries are always admitted — they
   /// resolve in O(1) without a worker.
   size_t shed_queue_depth = 0;
-  /// Stale-while-revalidate window in seconds: a TTL-expired result-cache
-  /// entry whose deadline elapsed less than this long ago is served
-  /// immediately — flagged in EngineResult::served_stale — while one
-  /// background task recomputes it through the normal single-flight
-  /// machinery. Sweeps are cached immortal, so the sweep cache never serves
-  /// stale. 0 (the default) disables SWR: expired entries are recomputed
-  /// synchronously, the pre-SWR behavior. Content-determinism makes a stale
-  /// entry byte-identical to its recomputation, so SWR trades only metadata
-  /// freshness (TTL bookkeeping), never answer correctness.
-  double max_stale_seconds = 0.0;
   /// @}
-  /// \name Crash-safe persistence (src/persist/) & background refresh lane
-  /// (see src/engine/README.md, "Restart semantics")
+  /// \name Crash-safe persistence (src/persist/; see src/engine/README.md,
+  /// "Restart semantics")
   /// @{
   /// Directory for the checksummed snapshot + warm-state journal; empty (the
   /// default) disables persistence entirely. With a valid snapshot present,
   /// Create cold-starts in O(1) by mmapping the index sections instead of
   /// rebuilding; a corrupt or mismatched snapshot degrades to
-  /// rebuild-from-source (detected, counted, never fatal). Answers are
-  /// bit-identical either way: restored artifacts feed the same
-  /// content-derived seed machinery as freshly built ones.
+  /// rebuild-from-source (detected, counted, never fatal) and a fresh
+  /// snapshot is published for the next restart. Create always replays the
+  /// warm-state journal into the caches; a record journaled under another
+  /// configuration is skipped, never served. Answers are bit-identical
+  /// either way: restored artifacts feed the same content-derived seed
+  /// machinery as freshly built ones.
   std::string persist_dir;
-  /// Replay the warm-state journal into the result and sweep caches at
-  /// Create (only with persist_dir set). Replayed entries re-derive their
-  /// cache keys from this engine's plans and seeds — a record journaled
-  /// under a different configuration is skipped, never served.
-  bool warm_restore = true;
-  /// Write a snapshot automatically when Create had to rebuild from source
-  /// (only with persist_dir set), so the *next* restart cold-starts O(1).
-  bool persist_auto_snapshot = true;
-  /// Period in seconds of the background warm-state flush (cache exports
-  /// appended to the journal, then fsynced); 0 disables the periodic flusher
-  /// (FlushWarmState can still be called manually). A final flush always
-  /// runs at engine destruction.
+  /// Period in seconds of the warm-state flush (cache exports appended to
+  /// the journal, then fsynced), run on a dedicated flusher thread; 0
+  /// disables it (FlushWarmState can still be called manually). A final
+  /// flush always runs at engine destruction.
   double persist_flush_seconds = 1.0;
-  /// Width of the dedicated low-priority refresh lane: an auxiliary pool
-  /// (with its own estimator replicas) that runs result-cache
-  /// stale-while-revalidate refreshes (the sweep cache has none) and journal
-  /// flushes so background work never competes with serving queries for the
-  /// main pool. Engaged only when there is background work to run
-  /// (max_stale_seconds > 0 or persist_dir set); 0 falls back to the serving
-  /// pool (the pre-lane behavior). Queue + in-flight depth is exported as
-  /// the `refresh_lane_depth` gauge.
-  size_t refresh_lane_threads = 1;
   /// @}
   /// \name Observability (see src/obs/README.md)
   /// Tracing is never part of the determinism contract: answers are
@@ -214,8 +179,6 @@ struct EngineOptions {
   /// formatted into the tracer's slow-query log, sampled or not. 0 disables
   /// the log.
   double slow_query_ms = 0.0;
-  /// Span capacity of the trace ring (rounded up to a power of two).
-  size_t trace_ring_capacity = 4096;
   /// @}
   /// Estimator construction knobs (index parameters, index seed).
   FactoryOptions factory;
@@ -254,11 +217,6 @@ struct EngineResult {
   /// True when this query shared an in-flight twin's computation instead of
   /// invoking an estimator itself (single-flight coalescing).
   bool coalesced = false;
-  /// True when the answer came from a TTL-expired cache entry served inside
-  /// the stale-while-revalidate window (EngineOptions::max_stale_seconds).
-  /// The payload is still bit-identical to a fresh recomputation — staleness
-  /// is a TTL-policy fact, surfaced so callers can observe degraded mode.
-  bool served_stale = false;
 
   bool ok() const { return status.ok(); }
 };
@@ -383,13 +341,13 @@ class QueryEngine {
   /// off. `snapshot_restored` means the index artifacts came from the mmap'd
   /// snapshot (O(1) cold start) instead of a rebuild.
   struct WarmRestoreReport {
-    bool attempted = false;         ///< persist_dir set and warm_restore on
     bool snapshot_restored = false; ///< indexes restored from the snapshot
     bool torn_tail = false;         ///< journal ended in a torn frame
     uint64_t sweep_entries = 0;     ///< sweeps folded back into the cache
     uint64_t result_entries = 0;    ///< results folded back into the cache
-    /// Records skipped: undecodable, or journaled for another graph, index
-    /// configuration, stratum count, kind, budget or master seed.
+    /// Records skipped: of an unknown type, undecodable, or journaled for
+    /// another graph, index configuration, stratum count, kind, budget or
+    /// master seed.
     uint64_t skipped = 0;
   };
   const WarmRestoreReport& warm_restore_report() const { return warm_report_; }
@@ -559,7 +517,7 @@ class QueryEngine {
   SweepCacheKey SweepKeyFor(NodeId source) const;
 
   /// Enqueues scout warm tasks for the most frequent sweep sources of
-  /// `queries` (frequency >= 2, capped at scout_max_sources), ahead of the
+  /// `queries` (frequency >= 2, capped at kScoutMaxSources), ahead of the
   /// batch's own tasks in the pool's FIFO.
   void ScoutBatch(const std::vector<EngineQuery>& queries);
 
@@ -599,25 +557,8 @@ class QueryEngine {
   /// occupying a worker — such queries are always admitted under overload.
   bool ServableFromCache(const EngineQuery& query) const;
 
-  /// Kicks off the background stale-while-revalidate recompute this caller
-  /// owns (LookupStale handed it refresh_owner). Best-effort: a full pool
-  /// re-arms the entry instead (ClearRefreshPending). The refresh records
-  /// nothing into per-query stats — no query is behind it — mirroring how
-  /// scout warms stay outside the query partition.
-  void ScheduleResultRefresh(const ResultCacheKey& key);
-
-  /// Width of the auxiliary refresh lane this configuration runs (0 = no
-  /// lane; refreshes fall back to the serving pool).
-  size_t RefreshLaneWidth() const;
-
-  /// Routes a background task onto the refresh lane when one exists (the
-  /// task then runs with an aux-replica worker id, num_threads + lane slot,
-  /// and moves the refresh_lane_depth gauge), else TrySubmits to the serving
-  /// pool — the pre-lane behavior.
-  Status SubmitRefreshTask(ThreadPool::Task task);
-
   /// Periodic flusher body: sleeps persist_flush_seconds between
-  /// FlushWarmState rounds (routed through the refresh lane) until shutdown.
+  /// FlushWarmState rounds, run on the flusher thread, until shutdown.
   void FlusherLoop();
 
   /// Replays the warm journal into the caches (Create-time). A record is
@@ -625,8 +566,8 @@ class QueryEngine {
   /// key re-derives from this engine's plan and seeds.
   void RestoreWarmState();
 
-  /// Publishes the leader's outcome: inserts into the cache (successes under
-  /// cache_ttl, failures under negative_cache_ttl when enabled), retires the
+  /// Publishes the leader's outcome: inserts into the cache (successes with
+  /// no TTL, failures under negative_cache_ttl when enabled), retires the
   /// flight, and wakes the waiters.
   void FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
                     const ResultCacheValue& value);
@@ -658,12 +599,6 @@ class QueryEngine {
   bool sweep_capable_ = false;
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Dedicated low-priority refresh lane (SWR refreshes, journal flushes);
-  /// nullptr when RefreshLaneWidth() == 0. Its workers run on the aux
-  /// replicas replicas_[num_threads ..], never the serving replicas.
-  std::unique_ptr<ThreadPool> aux_pool_;
-  /// Queued + in-flight refresh-lane tasks (`refresh_lane_depth`).
-  obs::Gauge* refresh_lane_depth_ = nullptr;
   EngineStats stats_;
 
   /// Always-on stage latency histograms, one labeled family
@@ -693,9 +628,8 @@ class QueryEngine {
   /// @{
   std::mutex journal_mutex_;
   /// Key hashes already appended to the journal this process lifetime —
-  /// the journal is append-only, so each warm entry is journaled once (a
-  /// later re-insert with a fresher TTL keeps its first-journaled TTL,
-  /// which can only shorten its restored life — conservative by design).
+  /// the journal is append-only, so each warm entry is journaled once (its
+  /// value is content-derived, so a re-insert carries the same bits).
   std::unordered_set<uint64_t> journaled_sweeps_;
   std::unordered_set<uint64_t> journaled_results_;
   /// WarmJournalDigest of this engine (graph, index configuration, S),
@@ -704,7 +638,7 @@ class QueryEngine {
   const uint64_t journal_digest_;
   WarmRestoreReport warm_report_;
   /// Periodic flusher thread (persist_flush_seconds); stopped first in the
-  /// destructor, before either pool shuts down.
+  /// destructor, before the pool shuts down.
   std::thread flusher_;
   std::mutex flusher_mutex_;
   std::condition_variable flusher_cv_;

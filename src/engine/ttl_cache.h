@@ -99,7 +99,6 @@ struct CacheValueTraits;
 template <>
 struct CacheValueTraits<ResultCacheValue> {
   static constexpr const char* kMetricPrefix = "result_cache";
-  static constexpr const char* kStaleLabel = "result";
   /// Entry framing plus the ranked-target payload and any status message: a
   /// top-k entry carrying k targets costs ~k× an s-t scalar.
   static size_t Charge(const ResultCacheValue& value, size_t framing) {
@@ -120,7 +119,6 @@ struct CacheValueTraits<ResultCacheValue> {
 template <>
 struct CacheValueTraits<SweepVector> {
   static constexpr const char* kMetricPrefix = "sweep_cache";
-  static constexpr const char* kStaleLabel = "sweep";
   /// Payload bytes only (n × 8): a sweep dwarfs any framing.
   static size_t Charge(const SweepVector& sweep, size_t /*framing*/) {
     return sweep == nullptr ? 0 : sweep->size() * sizeof(double);
@@ -139,9 +137,8 @@ struct CacheStats {
   uint64_t evictions = 0;
   uint64_t expired = 0;   ///< entries dropped because their TTL elapsed
   uint64_t rejected = 0;  ///< entries larger than a whole shard's byte budget
-  uint64_t stale_served = 0;  ///< expired entries served inside a stale window
-  size_t bytes_in_use = 0;    ///< charged bytes resident at snapshot time
-  size_t entries = 0;         ///< entries resident at snapshot time
+  size_t bytes_in_use = 0;  ///< charged bytes resident at snapshot time
+  size_t entries = 0;       ///< entries resident at snapshot time
 
   uint64_t lookups() const { return hits + negative_hits + misses; }
   double hit_rate() const {
@@ -150,9 +147,9 @@ struct CacheStats {
   }
 };
 
-/// \brief Sharded LRU cache with lazy TTL expiry, negative entries,
-/// stale-while-revalidate and a byte budget; the engine's result cache and
-/// sweep memo are its two instantiations (ResultCache, SweepCache below).
+/// \brief Sharded LRU cache with lazy TTL expiry, negative entries and a
+/// byte budget; the engine's result cache and sweep memo are its two
+/// instantiations (ResultCache, SweepCache below).
 ///
 /// Each shard owns a mutex, an LRU list and a hash map, so concurrent
 /// lookups on different keys mostly touch different locks. The entry
@@ -165,32 +162,17 @@ struct CacheStats {
 /// Entries may carry a TTL (0 = immortal): an expired entry is dropped on
 /// the lookup that discovers it (counted in `expired`) and the lookup
 /// proceeds as a miss. Negative entries (Traits::Negative) are served like
-/// hits but counted separately, are never stale-served and never exported.
-/// Values are copied out, so eviction never invalidates a reader.
+/// hits but counted separately and never exported. Values are copied out,
+/// so eviction never invalidates a reader.
 template <typename Key, typename Value>
 class TtlCache {
  public:
   using Traits = CacheValueTraits<Value>;
 
-  /// Outcome of a stale-tolerant lookup (LookupStale).
-  struct StaleLookup {
-    /// The entry (fresh or stale); nullopt on a true miss.
-    std::optional<Value> value;
-    /// True when `value` is TTL-expired but within the stale window — the
-    /// caller should surface it flagged as stale.
-    bool stale = false;
-    /// True for exactly one caller per stale episode: that caller owns kicking
-    /// off the background refresh. Reset by the next Insert on the key, or by
-    /// ClearRefreshPending if the refresh could not run.
-    bool refresh_owner = false;
-  };
-
-  /// One cached entry as exported for the persistence journal: the full key,
-  /// the value, and the TTL remaining at export time (0 = immortal).
+  /// One cached entry as exported for the persistence journal.
   struct Export {
     Key key;
     Value value;
-    double ttl_seconds = 0.0;
   };
 
   /// Entry capacity meaning "evict by bytes only".
@@ -218,8 +200,6 @@ class TtlCache {
     evictions_ = registry->GetCounter(prefix + "_evictions_total");
     expired_ = registry->GetCounter(prefix + "_expired_total");
     rejected_ = registry->GetCounter(prefix + "_rejected_total");
-    stale_served_ = registry->GetCounter("cache_stale_served_total", "cache",
-                                         Traits::kStaleLabel);
     bytes_gauge_ = registry->GetGauge(prefix + "_bytes");
     entries_gauge_ = registry->GetGauge(prefix + "_entries");
     size_t shards = 1;
@@ -254,57 +234,32 @@ class TtlCache {
   /// under its flight lock) that would otherwise count one user-level query
   /// as two lookups.
   std::optional<Value> Lookup(const Key& key, bool record_stats = true) {
-    return LookupStale(key, 0.0, record_stats).value;
-  }
-
-  /// Stale-while-revalidate lookup. Fresh entries behave exactly like
-  /// Lookup(). A TTL-expired *positive* entry whose deadline elapsed less
-  /// than `max_stale_seconds` ago is served anyway with `stale` set, and the
-  /// first such observer gets `refresh_owner` = true. Because every cached
-  /// payload is content-derived and immutable, a stale entry is
-  /// byte-identical to what recomputation would produce. Negative entries
-  /// and entries past the stale window are dropped as in Lookup().
-  StaleLookup LookupStale(const Key& key, double max_stale_seconds,
-                          bool record_stats = true) {
     const HashedKey hashed{key, key.Hash()};
     Shard& shard = ShardFor(hashed.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(hashed);
     if (it == shard.index.end()) {
       if (record_stats) misses_->Inc();
-      return {};
+      return std::nullopt;
     }
     Entry& entry = *it->second;
-    bool stale = false;
-    bool refresh_owner = false;
     if (Expired(entry)) {
-      const uint64_t stale_deadline_ns =
-          DeadlineAfter(entry.deadline_ns, max_stale_seconds);
-      if (Traits::Negative(entry.value) || max_stale_seconds <= 0.0 ||
-          (stale_deadline_ns != 0 && StopwatchNs::Now() >= stale_deadline_ns)) {
-        // Lazy expiry: a cached failure must not outlive its backoff, and an
-        // entry too old to serve is dead weight. Counted even on uncounted
-        // probes: the entry really is gone either way.
-        const size_t bytes_before = shard.bytes;
-        const size_t entries_before = shard.lru.size();
-        RemoveEntry(shard, it);
-        Publish(shard, bytes_before, entries_before);
-        expired_->Inc();
-        if (record_stats) misses_->Inc();
-        return {};
-      }
-      stale = true;
-      refresh_owner = !entry.refresh_pending;
-      entry.refresh_pending = true;
-      stale_served_->Inc();
+      // Lazy expiry: the lookup that finds an entry past its deadline drops
+      // it (a cached failure must not outlive its backoff). Counted even on
+      // uncounted probes: the entry really is gone either way.
+      const size_t bytes_before = shard.bytes;
+      const size_t entries_before = shard.lru.size();
+      RemoveEntry(shard, it);
+      Publish(shard, bytes_before, entries_before);
+      expired_->Inc();
+      if (record_stats) misses_->Inc();
+      return std::nullopt;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     if (record_stats) {
       (Traits::Negative(entry.value) ? negative_hits_ : hits_)->Inc();
     }
-    // Built in place: copying into a default-constructed result measured
-    // slower on the hit path than the single copy here.
-    return StaleLookup{entry.value, stale, refresh_owner};
+    return entry.value;
   }
 
   /// True when a live (unexpired) entry exists for `key`. Touches neither
@@ -318,21 +273,11 @@ class TtlCache {
     return it != shard.index.end() && !Expired(*it->second);
   }
 
-  /// Releases the refresh-pending flag on `key`, re-arming LookupStale to
-  /// elect a new refresh owner (for owners whose refresh could not run).
-  void ClearRefreshPending(const Key& key) {
-    const HashedKey hashed{key, key.Hash()};
-    Shard& shard = ShardFor(hashed.hash);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(hashed);
-    if (it != shard.index.end()) it->second->refresh_pending = false;
-  }
-
   /// Inserts (or refreshes) `value` under `key`, evicting the shard's LRU
   /// entries until both budgets hold. `ttl_seconds` > 0 puts a deadline on
   /// the entry (an infinite or out-of-range TTL means none); 0 means it
-  /// never expires. Re-inserting a key replaces its value and TTL and
-  /// re-arms stale-while-revalidate. Inadmissible values are refused.
+  /// never expires. Re-inserting a key replaces its value and TTL.
+  /// Inadmissible values are refused.
   void Insert(const Key& key, Value value, double ttl_seconds = 0.0) {
     if (!Traits::Admissible(value)) return;
     const HashedKey hashed{key, key.Hash()};
@@ -367,12 +312,10 @@ class TtlCache {
       shard.bytes = shard.bytes - entry.bytes + charge;
       entry.value = std::move(value);
       entry.deadline_ns = deadline_ns;
-      entry.refresh_pending = false;  // refresh landed; re-arm SWR
       entry.bytes = charge;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
-      shard.lru.push_front(Entry{hashed, std::move(value), deadline_ns,
-                                 /*refresh_pending=*/false, charge});
+      shard.lru.push_front(Entry{hashed, std::move(value), deadline_ns, charge});
       shard.index.emplace(hashed, shard.lru.begin());
       shard.bytes += charge;
       insertions_->Inc();
@@ -388,24 +331,18 @@ class TtlCache {
     Publish(shard, bytes_before, entries_before);
   }
 
-  /// Snapshot of every live *positive* entry for the persistence journal
-  /// (shard by shard, most-recent first within a shard). Negative entries
-  /// are excluded — their backoff must not survive a restart — and TTL'd
-  /// entries carry their remaining TTL; entries past their deadline are
-  /// skipped (a const probe; nothing is reaped).
+  /// Snapshot of every immortal *positive* entry for the persistence
+  /// journal (shard by shard, most-recent first within a shard). Negative
+  /// entries are excluded — their backoff must not survive a restart — and
+  /// so is any entry with a TTL, which an exported record could not carry
+  /// (a const probe; nothing is reaped).
   std::vector<Export> ExportEntries() const {
     std::vector<Export> out;
-    const uint64_t now_ns = StopwatchNs::Now();
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       for (const Entry& entry : shard->lru) {
-        if (Traits::Negative(entry.value)) continue;
-        double ttl_seconds = 0.0;
-        if (entry.deadline_ns != 0) {
-          if (now_ns >= entry.deadline_ns) continue;
-          ttl_seconds = static_cast<double>(entry.deadline_ns - now_ns) * 1e-9;
-        }
-        out.push_back(Export{entry.key.key, entry.value, ttl_seconds});
+        if (Traits::Negative(entry.value) || entry.deadline_ns != 0) continue;
+        out.push_back(Export{entry.key.key, entry.value});
       }
     }
     return out;
@@ -433,7 +370,6 @@ class TtlCache {
     stats.evictions = evictions_->Value();
     stats.expired = expired_->Value();
     stats.rejected = rejected_->Value();
-    stats.stale_served = stale_served_->Value();
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       stats.bytes_in_use += shard->bytes;
@@ -463,8 +399,6 @@ class TtlCache {
     /// Expiry deadline as an absolute StopwatchNs::Now() reading; 0 =
     /// immortal.
     uint64_t deadline_ns = 0;
-    /// A stale-while-revalidate refresh is already owned for this entry.
-    bool refresh_pending = false;
     /// Charged bytes (Charge at insertion), subtracted on removal.
     size_t bytes = 0;
   };
@@ -531,13 +465,12 @@ class TtlCache {
   obs::Counter* evictions_;
   obs::Counter* expired_;
   obs::Counter* rejected_;
-  obs::Counter* stale_served_;
   obs::Gauge* bytes_gauge_;
   obs::Gauge* entries_gauge_;
 };
 
-/// Workload results: sharded by `cache_shards`, bounded by `cache_capacity`
-/// entries and `cache_max_bytes`.
+/// Workload results: 8 shards, bounded by `cache_capacity` entries and
+/// `cache_max_bytes`.
 using ResultCache = TtlCache<ResultCacheKey, ResultCacheValue>;
 /// Per-source sweeps: one shard (a global LRU order), bounded by bytes only
 /// (construct with capacity kNoEntryLimit and one shard).

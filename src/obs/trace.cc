@@ -64,14 +64,40 @@ TraceRing::TraceRing(size_t capacity)
     : mask_(RoundUpToPowerOfTwo(capacity < 2 ? 2 : capacity) - 1),
       slots_(new Slot[mask_ + 1]) {}
 
+TraceRing::SpanWords TraceRing::Pack(const TraceSpan& span) {
+  return {span.query_id,
+          span.begin_ns,
+          span.end_ns,
+          span.span_id | uint64_t{span.parent_id} << 32,
+          span.detail | uint64_t{span.thread} << 32,
+          static_cast<uint64_t>(span.kind)};
+}
+
+TraceSpan TraceRing::Unpack(const SpanWords& words) {
+  TraceSpan span;
+  span.query_id = words[0];
+  span.begin_ns = words[1];
+  span.end_ns = words[2];
+  span.span_id = static_cast<uint32_t>(words[3]);
+  span.parent_id = static_cast<uint32_t>(words[3] >> 32);
+  span.detail = static_cast<uint32_t>(words[4]);
+  span.thread = static_cast<uint32_t>(words[4] >> 32);
+  span.kind = static_cast<SpanKind>(words[5]);
+  return span;
+}
+
 void TraceRing::Publish(const TraceSpan& span) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
   // Seqlock stamp: odd while the write is in flight, even (2*ticket + 2,
   // unique per ticket) once done. A reader seeing either an odd stamp or a
-  // stamp change across its copy skips the slot.
+  // stamp change across its copy skips the slot. Each word's release store
+  // carries the odd stamp before it to any reader that loads the word.
   slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  slot.span = span;
+  const SpanWords words = Pack(span);
+  for (size_t w = 0; w < kSpanWords; ++w) {
+    slot.words[w].store(words[w], std::memory_order_release);
+  }
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
 }
 
@@ -82,10 +108,15 @@ std::vector<TraceSpan> TraceRing::Snapshot() const {
     const Slot& slot = slots_[i];
     const uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before == 0 || (before & 1) != 0) continue;  // empty or mid-write
-    TraceSpan copy = slot.span;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    SpanWords words;
+    for (size_t w = 0; w < kSpanWords; ++w) {
+      words[w] = slot.words[w].load(std::memory_order_acquire);
+    }
+    // A word from a later write was loaded with acquire from its release
+    // store, so that write's odd stamp is visible here: the re-check sees
+    // the stamp change and skips the torn copy.
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;  // torn
-    spans.push_back(copy);
+    spans.push_back(Unpack(words));
   }
   // Oldest first across the wrap point: tickets grow monotonically, and the
   // begin timestamp orders spans within and across queries well enough for

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -149,6 +150,9 @@ class ScopedSpan {
 /// write); Snapshot is best-effort — a slot being overwritten mid-read is
 /// detected by its odd / changed sequence stamp and skipped. Telemetry
 /// semantics: readers may miss spans under heavy churn, never see torn ones.
+/// A slot holds its span as atomic words, stored with release and loaded
+/// with acquire, so the seqlock needs no fence (which ThreadSanitizer does
+/// not model) and a racing copy is never a data race.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity);
@@ -164,10 +168,17 @@ class TraceRing {
   size_t capacity() const { return mask_ + 1; }
 
  private:
+  /// A span as words: query_id, begin_ns, end_ns, then span_id | parent_id,
+  /// detail | thread and kind (two 32-bit fields to a word).
+  static constexpr size_t kSpanWords = 6;
+  using SpanWords = std::array<uint64_t, kSpanWords>;
+  static SpanWords Pack(const TraceSpan& span);
+  static TraceSpan Unpack(const SpanWords& words);
+
   struct alignas(64) Slot {
     /// 0 = never written; odd = write in progress; even = ticket*2+2.
     std::atomic<uint64_t> seq{0};
-    TraceSpan span;
+    std::atomic<uint64_t> words[kSpanWords];
   };
 
   size_t mask_;

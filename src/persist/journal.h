@@ -8,9 +8,11 @@
 
 namespace relcomp {
 
-/// Record types of the engine's warm-state journal.
-inline constexpr uint8_t kJournalRecordSweep = 1;
-inline constexpr uint8_t kJournalRecordResult = 2;
+/// Record types of the engine's warm-state journal. Ids 1 (sweep) and 2
+/// (result) were an older layout with a TTL field; they are retired, so
+/// such records replay as an unknown type and are skipped.
+inline constexpr uint8_t kJournalRecordSweep = 3;
+inline constexpr uint8_t kJournalRecordResult = 4;
 
 /// \brief Append-only, torn-tail-tolerant record log for warm state.
 ///

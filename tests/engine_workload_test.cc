@@ -414,21 +414,25 @@ TEST(EngineWorkloadTest, NegativeCachingOffRecomputesEveryFailure) {
 }
 
 TEST(EngineWorkloadTest, InfiniteCacheTtlStillCaches) {
-  // Regression: an infinite or huge cache_ttl overflowed the seconds to
+  // Regression: an infinite or huge TTL overflowed the seconds to
   // nanoseconds conversion, so every entry expired on insert and the cache
-  // was silently off.
+  // was silently off. negative_cache_ttl is the engine's one cache TTL: a
+  // failure cached under it must be served, not recomputed.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 44);
   for (const double ttl : {std::numeric_limits<double>::infinity(), 1e12}) {
     SCOPED_TRACE(ttl);
-    EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
-    options.cache_ttl = ttl;
+    // K = 300 exceeds L = 100 indexed worlds: the query fails every time.
+    EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
+    options.factory.bfs_sharing.index_samples = 100;
+    options.negative_cache_ttl = ttl;
     auto engine = QueryEngine::Create(graph, options).MoveValue();
     const std::vector<EngineQuery> query = {EngineQuery::St(0, 5)};
-    ASSERT_TRUE(engine->RunBatch(query).MoveValue()[0].ok());
+    ASSERT_EQ(engine->RunBatch(query).MoveValue()[0].status.code(),
+              StatusCode::kInvalidArgument);
     const EngineResult second = engine->RunBatch(query).MoveValue()[0];
-    ASSERT_TRUE(second.ok()) << second.status;
+    EXPECT_EQ(second.status.code(), StatusCode::kInvalidArgument);
     EXPECT_TRUE(second.cache_hit);
-    EXPECT_EQ(engine->cache()->Stats().hits, 1u);
+    EXPECT_EQ(engine->cache()->Stats().negative_hits, 1u);
     EXPECT_EQ(engine->cache()->Stats().expired, 0u);
   }
 }

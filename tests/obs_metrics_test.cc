@@ -376,13 +376,6 @@ TEST(EngineScrapeTest, FreshEngineExportsEveryCacheInstrument) {
               std::string::npos)
         << name;
   }
-  for (const char* cache : {"result", "sweep"}) {
-    EXPECT_NE(json.find("{\"name\":\"cache_stale_served_total\",\"labels\":{"
-                        "\"cache\":\"" +
-                        std::string(cache) + "\"}"),
-              std::string::npos)
-        << cache;
-  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include "obs/trace.h"
 
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +73,62 @@ TEST(TraceRingTest, WraparoundKeepsNewestSpans) {
   // Oldest first, and only the newest 8 survive the wraparound.
   for (size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(spans[i].query_id, 12 + i);
+  }
+}
+
+/// Span number `ticket`: every field is a function of the ticket, so a copy
+/// mixing two writes disagrees with the span its query_id names.
+TraceSpan TicketSpan(uint64_t ticket) {
+  TraceSpan span;
+  span.query_id = ticket;
+  span.begin_ns = 3 * ticket;
+  span.end_ns = 3 * ticket + 1;
+  span.span_id = static_cast<uint32_t>(ticket);
+  span.parent_id = static_cast<uint32_t>(ticket * 5);
+  span.detail = static_cast<uint32_t>(ticket * 7);
+  span.thread = static_cast<uint32_t>(ticket * 11);
+  span.kind = static_cast<SpanKind>(ticket % 15);
+  return span;
+}
+
+bool SameSpan(const TraceSpan& a, const TraceSpan& b) {
+  return a.query_id == b.query_id && a.begin_ns == b.begin_ns &&
+         a.end_ns == b.end_ns && a.span_id == b.span_id &&
+         a.parent_id == b.parent_id && a.detail == b.detail &&
+         a.thread == b.thread && a.kind == b.kind;
+}
+
+TEST(TraceRingTest, SnapshotRacingPublishReturnsOnlyWholeSpans) {
+  // One writer laps an 8-slot ring while a reader snapshots it in a loop:
+  // each returned span must be one whole write. Under ThreadSanitizer this
+  // also checks the slot hand-off for data races.
+  TraceRing ring(8);
+  constexpr uint64_t kSpans = 200000;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (uint64_t ticket = 1; ticket <= kSpans; ++ticket) {
+      ring.Publish(TicketSpan(ticket));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  uint64_t returned = 0;
+  uint64_t torn = 0;
+  reading.store(true, std::memory_order_release);
+  while (!done.load(std::memory_order_acquire)) {
+    for (const TraceSpan& span : ring.Snapshot()) {
+      ++returned;
+      if (!SameSpan(span, TicketSpan(span.query_id))) ++torn;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0u) << "of " << returned << " spans returned mid-write";
+  // Quiescent: the newest 8 spans, whole.
+  const std::vector<TraceSpan> last = ring.Snapshot();
+  ASSERT_EQ(last.size(), 8u);
+  for (size_t i = 0; i < last.size(); ++i) {
+    EXPECT_TRUE(SameSpan(last[i], TicketSpan(kSpans - 7 + i))) << i;
   }
 }
 

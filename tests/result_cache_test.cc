@@ -175,26 +175,6 @@ TEST(ResultCacheTest, TinyShardBudgetHoldsOneSmallestEntry) {
   EXPECT_EQ(cache.Stats().rejected, 0u);
 }
 
-TEST(ResultCacheTest, StaleWindowNeverServesNegativesOrAncientEntries) {
-  ResultCache cache(8, 1);
-  // Negative entries are a failure-backoff device: serving one stale would
-  // extend the backoff past its TTL. They reap exactly as without SWR.
-  ResultCacheValue failure;
-  failure.status = Status::InvalidArgument("bad K");
-  cache.Insert(StKey(0, 1), failure, kExpiredTtl);
-  ResultCache::StaleLookup negative = cache.LookupStale(StKey(0, 1), kLongTtl);
-  EXPECT_FALSE(negative.value.has_value());
-  EXPECT_FALSE(negative.stale);
-
-  // Past the stale window the entry reaps too.
-  cache.Insert(StKey(0, 2), {0.5, 10}, kExpiredTtl);
-  ResultCache::StaleLookup ancient =
-      cache.LookupStale(StKey(0, 2), /*max_stale=*/kExpiredTtl);
-  EXPECT_FALSE(ancient.value.has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Stats().expired, 2u);
-}
-
 // ---------------------------------------------------------------------------
 // The saturating seconds -> deadline conversion behind every TTL
 // ---------------------------------------------------------------------------

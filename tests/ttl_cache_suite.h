@@ -300,69 +300,22 @@ TYPED_TEST_P(TtlCacheTest, InfiniteAndHugeTtlsNeverExpire) {
   EXPECT_EQ(cache.Stats().hits, 3u);
 }
 
-TYPED_TEST_P(TtlCacheTest, StaleWindowServesExpiredEntriesOnce) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.5), kExpiredTtl);
-
-  // Plain Lookup reaps; LookupStale inside the window serves instead.
-  auto first = cache.LookupStale(TypeParam::Key(1), /*max_stale=*/kLongTtl);
-  ASSERT_TRUE(first.value.has_value());
-  EXPECT_TRUE(first.stale);
-  EXPECT_TRUE(first.refresh_owner) << "first stale observer owns the refresh";
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(*first.value), 0.5);
-
-  // The refresh is debounced: later stale observers serve but do not own.
-  auto second = cache.LookupStale(TypeParam::Key(1), kLongTtl);
-  ASSERT_TRUE(second.value.has_value());
-  EXPECT_TRUE(second.stale);
-  EXPECT_FALSE(second.refresh_owner);
-
-  // A failed refresh re-arms the episode; the next observer owns again.
-  cache.ClearRefreshPending(TypeParam::Key(1));
-  EXPECT_TRUE(cache.LookupStale(TypeParam::Key(1), kLongTtl).refresh_owner);
-
-  // A landed refresh resets everything: live entry, no stale flag.
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.5), kLongTtl);
-  auto fresh = cache.LookupStale(TypeParam::Key(1), kLongTtl);
-  ASSERT_TRUE(fresh.value.has_value());
-  EXPECT_FALSE(fresh.stale);
-  EXPECT_FALSE(fresh.refresh_owner);
-
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.stale_served, 3u);
-  EXPECT_EQ(stats.hits, 4u);  // stale serves still count as hits
-}
-
-TYPED_TEST_P(TtlCacheTest, StaleWindowBoundsServing) {
-  typename TypeParam::Cache cache(8, 1);
-  // Past the stale window the entry reaps.
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10), kExpiredTtl);
-  EXPECT_FALSE(
-      cache.LookupStale(TypeParam::Key(1), kExpiredTtl).value.has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Stats().expired, 1u);
-  // An infinite window never closes.
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(10), kExpiredTtl);
-  auto stale = cache.LookupStale(TypeParam::Key(2), kInf);
-  ASSERT_TRUE(stale.value.has_value());
-  EXPECT_TRUE(stale.stale);
-}
-
-TYPED_TEST_P(TtlCacheTest, ExportSkipsExpiredAndCarriesRemainingTtl) {
+TYPED_TEST_P(TtlCacheTest, ExportCarriesOnlyImmortalEntries) {
   typename TypeParam::Cache cache(8, 1);
   cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
   cache.Insert(TypeParam::Key(2), TypeParam::Value(10, 0.2), kLongTtl);
   cache.Insert(TypeParam::Key(3), TypeParam::Value(10, 0.3), kExpiredTtl);
+  cache.Insert(TypeParam::Key(4), TypeParam::Value(10, 0.4));
   const auto exported = cache.ExportEntries();
-  ASSERT_EQ(exported.size(), 2u);  // the expired entry is skipped
-  EXPECT_EQ(cache.size(), 3u);     // ...but not reaped
+  // An exported record carries no TTL, so entries with one, live or
+  // expired, stay out.
+  ASSERT_EQ(exported.size(), 2u);
+  EXPECT_EQ(cache.size(), 4u);  // nothing is reaped
   // Most-recent first.
-  EXPECT_TRUE(exported[0].key == TypeParam::Key(2));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[0].value), 0.2);
-  EXPECT_GT(exported[0].ttl_seconds, 0.0);
-  EXPECT_LE(exported[0].ttl_seconds, kLongTtl);
+  EXPECT_TRUE(exported[0].key == TypeParam::Key(4));
+  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[0].value), 0.4);
   EXPECT_TRUE(exported[1].key == TypeParam::Key(1));
-  EXPECT_EQ(exported[1].ttl_seconds, 0.0);  // immortal
+  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[1].value), 0.1);
 }
 
 TYPED_TEST_P(TtlCacheTest, ConcurrentMixedWorkloadIsSafe) {
@@ -407,9 +360,7 @@ REGISTER_TYPED_TEST_SUITE_P(
     ReinsertAppliesNewTtl,
     ImmortalDefaultNeverExpires,
     InfiniteAndHugeTtlsNeverExpire,
-    StaleWindowServesExpiredEntriesOnce,
-    StaleWindowBoundsServing,
-    ExportSkipsExpiredAndCarriesRemainingTtl,
+    ExportCarriesOnlyImmortalEntries,
     ConcurrentMixedWorkloadIsSafe);
 
 }  // namespace relcomp::testing
