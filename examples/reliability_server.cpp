@@ -1,7 +1,8 @@
 // reliability_server: replays a generated mixed workload through the
 // concurrent QueryEngine, the way a serving frontend would — a Zipf-skewed
-// stream of repeated parametrized requests spanning all four workload kinds
-// (s-t, top-k, reliable-set, distance-constrained), worker-thread estimator
+// stream of repeated parametrized requests spanning the workload kinds the
+// estimator answers (s-t, top-k and reliable-set, plus distance-constrained
+// for MC; BFS Sharing has no distance estimator), worker-thread estimator
 // replicas, a result cache absorbing the hot keys, and the sweep-sharing
 // layer collapsing every top-k / reliable-set parameterization of one hot
 // source into a single per-source sweep. The catalogue deliberately asks for
@@ -197,8 +198,10 @@ int main(int argc, char** argv) {
 
   // The catalogue of distinct queries users may ask — a mixed-workload
   // stream over the paper's h=2 pairs — hit with a skewed popularity
-  // distribution.
+  // distribution. BFS Sharing has no distance-constrained estimator, so its
+  // catalogue asks none: each would only fail NotSupported.
   MixedWorkloadOptions mix;
+  if (kind == EstimatorKind::kBfsSharing) mix.distance_weight = 0.0;
   mix.pairs.num_pairs = 100;
   mix.pairs.seed = 7;
   mix.num_queries = 200;
@@ -253,17 +256,15 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "engine up: %s estimator, %zu workers, S=%u strata per sweep, cache "
-      "%zu entries / %zu MB, sweep cache %zu MB, scout %s, prebuilder %s, "
-      "K=%u\n\n",
+      "%zu entries / %zu MB, sweep cache %zu MB, prebuilder %s, K=%u\n\n",
       EstimatorKindName(kind), engine->num_threads(), options.num_strata,
       options.cache_capacity, options.cache_max_bytes >> 20,
       options.sweep_cache_max_bytes >> 20,
-      options.enable_sweep_scout ? "on" : "off",
       engine->prebuilder() != nullptr
           ? StrFormat("on (%zu builders)",
                       engine->prebuilder()->num_builders())
                 .c_str()
-          : "off (kind has no prepared generations)",
+          : "none (kind has no prepared generations)",
       options.num_samples);
 
   // Replay: popularity ~ 1/rank over the catalogue, like repeated users
@@ -386,19 +387,19 @@ int main(int argc, char** argv) {
       metrics.GetHistogram("engine_sweep_latency_ns")->Snapshot();
   std::printf(
       "stratified sweeps: %llu strata executed (%llu stolen by coalesced "
-      "waiters), %llu scout warms, per-sweep p50/p95 %.2f/%.2f ms\n",
+      "waiters), per-sweep p50/p95 %.2f/%.2f ms\n",
       Count(metrics, "engine_strata_executed_total"),
       Count(metrics, "engine_strata_stolen_total"),
-      Count(metrics, "engine_scout_warms_total"),
       static_cast<double>(sweep_latency.Quantile(0.50)) * 1e-6,
       static_cast<double>(sweep_latency.Quantile(0.95)) * 1e-6);
   std::printf(
       "fault tolerance: %llu shed at admission, %llu client retries, %llu "
-      "dropped after backoff, %llu deadline-exceeded\n",
+      "dropped after backoff, %llu deadline-exceeded, %llu failed\n",
       Shed(metrics),
       static_cast<unsigned long long>(retried_counter->Value()),
       static_cast<unsigned long long>(dropped_counter->Value()),
-      Count(metrics, "engine_deadline_exceeded_total"));
+      Count(metrics, "engine_deadline_exceeded_total"),
+      Count(metrics, "engine_failures_total"));
   if (engine->prebuilder() != nullptr) {
     std::printf(
         "generation prebuild: %llu requested, %llu built on %zu background "

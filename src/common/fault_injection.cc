@@ -22,8 +22,6 @@ const char* FaultSiteName(FaultSite site) {
       return "induced_latency";
     case FaultSite::kAllocFailure:
       return "alloc_failure";
-    case FaultSite::kPoolReject:
-      return "pool_reject";
     case FaultSite::kFileShortWrite:
       return "file_short_write";
     case FaultSite::kFsyncFailure:

@@ -24,10 +24,6 @@ enum class FaultSite : uint32_t {
   /// allocation failed. Semantically invisible by the cache contract — the
   /// next miss recomputes the identical answer.
   kAllocFailure,
-  /// ThreadPool::TrySubmit reports a full queue. Hits best-effort work
-  /// (scout warms, background refreshes) and the load-shedding admission
-  /// path; blocking Submit is never injected (it has no rejection surface).
-  kPoolReject,
   /// \name File-I/O sites (the persistence tier's crash matrix)
   /// These three are keyed by FileOpKey(path, offset/ordinal) — derived from
   /// file *content identity* (basename + position), never from temp-dir
@@ -49,7 +45,7 @@ enum class FaultSite : uint32_t {
   /// @}
 };
 
-inline constexpr size_t kNumFaultSites = 7;
+inline constexpr size_t kNumFaultSites = 6;
 
 /// Short site name ("estimator_failure", "induced_latency", ...).
 const char* FaultSiteName(FaultSite site);

@@ -27,7 +27,6 @@ EngineStats::EngineStats(obs::MetricsRegistry& registry) {
   sweep_coalesced_ = registry.GetCounter("engine_sweep_coalesced_total");
   strata_executed_ = registry.GetCounter("engine_strata_executed_total");
   strata_stolen_ = registry.GetCounter("engine_strata_stolen_total");
-  scout_warms_ = registry.GetCounter("engine_scout_warms_total");
   prebuilt_used_ = registry.GetCounter("engine_prebuilt_used_total");
   wall_seconds_ = registry.GetGauge("engine_wall_seconds");
   span_seconds_ = registry.GetGauge("engine_span_seconds");
@@ -72,8 +71,6 @@ void EngineStats::RecordStratum(bool stolen) {
   strata_executed_->Inc();
   if (stolen) strata_stolen_->Inc();
 }
-
-void EngineStats::RecordScoutWarm() { scout_warms_->Inc(); }
 
 void EngineStats::RecordSweepLatency(double seconds) {
   sweep_latency_ns_->RecordSeconds(seconds);
@@ -127,7 +124,6 @@ void EngineStats::Reset() {
   sweep_coalesced_->Reset();
   strata_executed_->Reset();
   strata_stolen_->Reset();
-  scout_warms_->Reset();
   prebuilt_used_->Reset();
   wall_seconds_->Reset();
   span_seconds_->Reset();

@@ -56,9 +56,6 @@ class EngineStats {
   /// blocking).
   void RecordStratum(bool stolen);
 
-  /// Records one sweep led by the warm-ahead scout pass.
-  void RecordScoutWarm();
-
   /// Records one executed sweep's wall-clock (leader start to publish), the
   /// sample behind the per-sweep latency quantiles.
   void RecordSweepLatency(double seconds);
@@ -103,7 +100,6 @@ class EngineStats {
   obs::Counter* sweep_coalesced_;
   obs::Counter* strata_executed_;
   obs::Counter* strata_stolen_;
-  obs::Counter* scout_warms_;
   obs::Counter* prebuilt_used_;
   obs::Gauge* wall_seconds_;
   obs::Gauge* span_seconds_;

@@ -27,9 +27,6 @@ constexpr size_t kResultCacheShards = 8;
 /// Prebuilder threads: several distinct prepare seeds are resampled at once,
 /// each still built exactly once, closest to dispatch first.
 constexpr size_t kPrebuildThreads = 2;
-/// Most-frequent sources the scout pass warms per batch; a source must
-/// appear at least twice to be worth a scout task.
-constexpr size_t kScoutMaxSources = 4;
 
 /// True when `status` is the deadline/cancellation family — the failures
 /// that also count in engine_deadline_exceeded_total.
@@ -197,13 +194,16 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
           options_.trace_sample_rate, options_.slow_query_ms})),
       store_(std::move(store)),
       replicas_(std::move(replicas)),
+      capabilities_(replicas_.front()->capabilities()),
+      cache_(options_.cache_capacity, kResultCacheShards,
+             options_.cache_max_bytes, registry_.get()),
+      sweep_cache_(SweepCache::kNoEntryLimit, /*num_shards=*/1,
+                   options_.sweep_cache_max_bytes, registry_.get()),
       stats_(*registry_),
       journal_digest_(store_ == nullptr
                           ? 0
                           : WarmJournalDigest(graph_, options_.factory,
                                               options_.num_strata)) {
-  sweep_capable_ =
-      !replicas_.empty() && replicas_.front()->capabilities().sweep;
   stage_cache_probe_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "cache_probe");
   stage_prepare_ =
@@ -218,18 +218,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "derive");
   stage_sweep_wait_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "sweep_wait");
-  if (options_.enable_cache) {
-    cache_ = std::make_unique<ResultCache>(
-        options_.cache_capacity, kResultCacheShards, options_.cache_max_bytes,
-        registry_.get());
-  }
-  if (options_.enable_sweep_cache) {
-    sweep_cache_ = std::make_unique<SweepCache>(
-        SweepCache::kNoEntryLimit, /*num_shards=*/1,
-        options_.sweep_cache_max_bytes, registry_.get());
-  }
-  if (options_.enable_generation_prebuild && !replicas_.empty() &&
-      replicas_.front()->capabilities().prepared_generations) {
+  if (capabilities_.prepared_generations) {
     prebuilder_ = std::make_unique<GenerationPrebuilder>(
         *replicas_.front(), *registry_, options_.prebuild_max_pending,
         kPrebuildThreads, options_.prebuild_max_bytes);
@@ -368,23 +357,19 @@ Status QueryEngine::FlushWarmState() {
   }
   std::lock_guard<std::mutex> lock(journal_mutex_);
   size_t appended = 0;
-  if (sweep_cache_ != nullptr) {
-    for (const SweepCache::Export& entry : sweep_cache_->ExportEntries()) {
-      if (!journaled_sweeps_.insert(entry.key.Hash()).second) continue;
-      RELCOMP_RETURN_NOT_OK(
-          store_->AppendWarm(kJournalRecordSweep,
-                             EncodeSweepRecord(journal_digest_, entry)));
-      ++appended;
-    }
+  for (const SweepCache::Export& entry : sweep_cache_.ExportEntries()) {
+    if (!journaled_sweeps_.insert(entry.key.Hash()).second) continue;
+    RELCOMP_RETURN_NOT_OK(
+        store_->AppendWarm(kJournalRecordSweep,
+                           EncodeSweepRecord(journal_digest_, entry)));
+    ++appended;
   }
-  if (cache_ != nullptr) {
-    for (const ResultCache::Export& entry : cache_->ExportEntries()) {
-      if (!journaled_results_.insert(entry.key.Hash()).second) continue;
-      RELCOMP_RETURN_NOT_OK(
-          store_->AppendWarm(kJournalRecordResult,
-                             EncodeResultRecord(journal_digest_, entry)));
-      ++appended;
-    }
+  for (const ResultCache::Export& entry : cache_.ExportEntries()) {
+    if (!journaled_results_.insert(entry.key.Hash()).second) continue;
+    RELCOMP_RETURN_NOT_OK(
+        store_->AppendWarm(kJournalRecordResult,
+                           EncodeResultRecord(journal_digest_, entry)));
+    ++appended;
   }
   if (appended == 0) return Status::OK();
   return store_->SyncJournal();
@@ -398,7 +383,7 @@ void QueryEngine::RestoreWarmState() {
   uint64_t recovered = 0;
   uint64_t digest = 0;
   for (const JournalRecord& record : replay.records) {
-    if (record.type == kJournalRecordSweep && sweep_cache_ != nullptr) {
+    if (record.type == kJournalRecordSweep) {
       SweepCacheKey key;
       auto sweep = std::make_shared<std::vector<double>>();
       // A record journaled for another graph, index configuration or S
@@ -411,10 +396,10 @@ void QueryEngine::RestoreWarmState() {
         ++warm_report_.skipped;
         continue;
       }
-      sweep_cache_->Insert(key, std::move(sweep));
+      sweep_cache_.Insert(key, std::move(sweep));
       ++warm_report_.sweep_entries;
       ++recovered;
-    } else if (record.type == kJournalRecordResult && cache_ != nullptr) {
+    } else if (record.type == kJournalRecordResult) {
       ResultCacheKey key;
       ResultCacheValue value;
       if (!DecodeResultRecord(record.payload, &digest, &key, &value) ||
@@ -424,7 +409,7 @@ void QueryEngine::RestoreWarmState() {
         ++warm_report_.skipped;
         continue;
       }
-      cache_->Insert(key, value);
+      cache_.Insert(key, value);
       ++warm_report_.result_entries;
       ++recovered;
     } else {
@@ -511,33 +496,31 @@ bool QueryEngine::TryServeWithoutCompute(
   // Deliberately NOT gated on the cancel token: a cache hit costs O(1) and
   // an already-computed answer is strictly more useful than a deadline
   // error, even to a late caller.
-  if (cache_ != nullptr) {
-    std::optional<ResultCacheValue> hit;
-    {
-      StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
-                       parent, /*detail=*/0);
-      hit = cache_->Lookup(key);
+  std::optional<ResultCacheValue> hit;
+  {
+    StageTimer probe(stage_cache_probe_, trace, obs::SpanKind::kCacheProbe,
+                     parent, /*detail=*/0);
+    hit = cache_.Lookup(key);
+  }
+  if (hit) {
+    const bool negative = hit->negative();
+    FillFromValue(std::move(*hit), slot);
+    slot->seconds = 0.0;
+    slot->cache_hit = true;
+    if (negative) {
+      // Failure backoff: the cached error is served without recomputing.
+      // Counted as a failure (and as a cache negative_hit), never as a
+      // cache hit — executed + coalesced + failures + cache.hits must
+      // still equal queries.
+      stats_.RecordFailure(0.0);
+    } else {
+      stats_.RecordCacheHit();
     }
-    if (hit) {
-      const bool negative = hit->negative();
-      FillFromValue(std::move(*hit), slot);
-      slot->seconds = 0.0;
-      slot->cache_hit = true;
-      if (negative) {
-        // Failure backoff: the cached error is served without recomputing.
-        // Counted as a failure (and as a cache negative_hit), never as a
-        // cache hit — executed + coalesced + failures + cache.hits must
-        // still equal queries.
-        stats_.RecordFailure(0.0);
-      } else {
-        stats_.RecordCacheHit();
-      }
-      return true;
-    }
+    return true;
   }
   if (!options_.enable_coalescing) return false;
 
-  auto joined = query_flights_.JoinOrCreate(key, cache_.get());
+  auto joined = query_flights_.JoinOrCreate(key, cache_);
   if (joined.cached) {
     // The leader finished between our fast-path miss and the re-probe: this
     // query shared a twin's computation. Accounted as *coalesced*, not a
@@ -593,9 +576,8 @@ bool QueryEngine::TryServeWithoutCompute(
 
 void QueryEngine::PublishToCache(const ResultCacheKey& key,
                                  const ResultCacheValue& value) {
-  if (cache_ == nullptr) return;
   if (value.status.ok()) {
-    cache_->Insert(key, value);
+    cache_.Insert(key, value);
   } else if (options_.negative_cache_ttl > 0.0 &&
              !IsTransientStatusCode(value.status.code())) {
     // Transient outcomes (deadline exceeded, cancelled, shed) describe the
@@ -606,7 +588,7 @@ void QueryEngine::PublishToCache(const ResultCacheKey& key,
     // under the short backoff TTL so the key retries after it elapses.
     ResultCacheValue negative;
     negative.status = value.status;
-    cache_->Insert(key, negative, options_.negative_cache_ttl);
+    cache_.Insert(key, negative, options_.negative_cache_ttl);
   }
 }
 
@@ -618,10 +600,13 @@ void QueryEngine::FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
 }
 
 void QueryEngine::RequestPrebuild(const EngineQuery& query) {
-  // A query the caches will serve never prepares a replica at all — building
-  // its generation would be pure waste (and would strand index-sized memory
-  // in the builder's ready pool).
-  if (ServableFromCache(query)) return;
+  // A query this kind cannot answer, or one the caches will serve, never
+  // prepares a replica at all — building its generation would be pure waste
+  // (and would strand index-sized memory in the builder's ready pool).
+  if (!CheckWorkloadSupported(capabilities_, query).ok() ||
+      ServableFromCache(query)) {
+    return;
+  }
   prebuilder_->Request(PrepareSeed(query));
 }
 
@@ -679,7 +664,7 @@ Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
       std::vector<double> swept,
       estimator.EstimateFromSource(key.source, estimate_options));
   auto vector = std::make_shared<const std::vector<double>>(std::move(swept));
-  if (sweep_cache_ != nullptr) sweep_cache_->Insert(key, vector);
+  sweep_cache_.Insert(key, vector);
   stats_.RecordSweepLatency(timer.ElapsedSeconds());
   SweepShare share;
   share.vector = std::move(vector);
@@ -866,9 +851,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
     sweep_flights_.Finish(
         key, *flight,
         [&] {
-          if (status.ok() && sweep_cache_ != nullptr) {
-            sweep_cache_->Insert(key, vector);
-          }
+          if (status.ok()) sweep_cache_.Insert(key, vector);
           stats_.RecordSweepLatency(flight->timer.ElapsedSeconds());
         },
         [&](SweepFlight& settled) {
@@ -892,23 +875,21 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     size_t worker_id, const SweepCacheKey& key, const CancelToken* cancel,
     obs::TraceBuffer* trace, uint32_t parent) {
   // Fast path: memoized sweep.
-  if (sweep_cache_ != nullptr) {
-    std::optional<SweepVector> hit;
-    {
-      StageTimer probe_stage(stage_cache_probe_, trace,
-                             obs::SpanKind::kCacheProbe, parent, /*detail=*/1);
-      hit = sweep_cache_->Lookup(key);
-    }
-    if (hit) {
-      stats_.RecordSweepHit();
-      return SweepShare{std::move(*hit), 0};
-    }
+  std::optional<SweepVector> hit;
+  {
+    StageTimer probe_stage(stage_cache_probe_, trace,
+                           obs::SpanKind::kCacheProbe, parent, /*detail=*/1);
+    hit = sweep_cache_.Lookup(key);
+  }
+  if (hit) {
+    stats_.RecordSweepHit();
+    return SweepShare{std::move(*hit), 0};
   }
   if (!options_.enable_coalescing) {
     return ComputeSweepSerial(worker_id, key, cancel, trace, parent);
   }
   auto joined = sweep_flights_.JoinOrCreate(
-      key, sweep_cache_.get(), options_.num_strata, options_.num_samples);
+      key, sweep_cache_, options_.num_strata, options_.num_samples);
   if (joined.cached) {
     // The sweep finished between our fast-path miss and the re-probe: this
     // query shared its work (accounted as sweep_coalesced, not a hit — the
@@ -940,8 +921,7 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     status = flight->status;
     vector = flight->vector;
     // Every participant derived from this sweep: attribute its working-set
-    // peak to each of them (scout-led sweeps would otherwise attribute it
-    // to no query at all).
+    // peak to each of them.
     peak = flight->peak_memory_bytes;
   }
   if (!status.ok()) return status;
@@ -953,79 +933,14 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
   return SweepShare{std::move(vector), peak};
 }
 
-void QueryEngine::ScoutSweep(size_t worker_id, NodeId source) {
-  const SweepCacheKey key = SweepKeyFor(source);
-  if (sweep_cache_ == nullptr || sweep_cache_->Contains(key)) return;
-  auto joined = sweep_flights_.JoinOrCreate(
-      key, sweep_cache_.get(), options_.num_strata, options_.num_samples);
-  // Nothing to warm unless this scout won the flight outright: a memoized
-  // sweep needs no warming and an open flight already has a leader.
-  if (!joined.leader) return;
-  // The scout IS this sweep's leader — same seed, same strata, same
-  // single-flight entry the queries join (and steal from). It counts in
-  // sweep_executed (the invocation currency) and in scout_warms (the
-  // classifier that keeps the query-partition arithmetic honest). A failed
-  // scout sweep fails exactly as a query-led sweep would; the flight hands
-  // the error to any queries that joined, and the error is re-raised
-  // deterministically on recompute.
-  stats_.RecordSweepExecuted();
-  stats_.RecordScoutWarm();
-  // A scout sweep has no query behind it, so it gets its own trace root
-  // (kScout) when tracing is engaged; the strata it runs nest under it
-  // exactly like a query-led sweep's.
-  obs::TraceBuffer buffer;
-  obs::TraceBuffer* trace = nullptr;
-  uint32_t root = obs::TraceBuffer::kNone;
-  if (tracer_->engaged()) {
-    trace = &buffer;
-    buffer.Start(tracer_->NextQueryId(), static_cast<uint32_t>(worker_id));
-    root = buffer.Begin(obs::SpanKind::kScout);
-  }
-  // A scout carries no deadline (cancel=nullptr) and always drains its
-  // flight, so the OK status is discardable: failures live in the flight.
-  (void)RunSweepFlight(worker_id, key, joined.flight, /*leader=*/true,
-                       /*cancel=*/nullptr, trace, root);
-  if (trace != nullptr) {
-    buffer.End(root);
-    tracer_->Finish(buffer);
-  }
-}
-
-void QueryEngine::ScoutBatch(const std::vector<EngineQuery>& queries) {
-  if (!ScoutingEnabled()) return;
-  std::unordered_map<NodeId, uint32_t> frequency;
-  for (const EngineQuery& query : queries) {
-    if (IsSweepWorkload(query.workload)) ++frequency[query.source];
-  }
-  // Hottest first: a scout task is worth a pool slot only when several
-  // queries will derive from its sweep.
-  std::vector<std::pair<NodeId, uint32_t>> ranked;
-  ranked.reserve(frequency.size());
-  for (const auto& [source, count] : frequency) {
-    if (count >= 2) ranked.emplace_back(source, count);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const std::pair<NodeId, uint32_t>& a,
-               const std::pair<NodeId, uint32_t>& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (ranked.size() > kScoutMaxSources) ranked.resize(kScoutMaxSources);
-  for (const auto& [source, count] : ranked) {
-    (void)count;
-    if (sweep_cache_->Contains(SweepKeyFor(source))) continue;
-    // Best-effort: a full queue just means no warm-ahead for this source.
-    (void)pool_->TrySubmit([this, source](size_t worker_id) {
-      ScoutSweep(worker_id, source);
-    });
-  }
-}
-
 Result<WorkloadResult> QueryEngine::ComputeWorkload(
     size_t worker_id, const EngineQuery& query, uint64_t query_seed,
     const CancelToken* cancel, obs::TraceBuffer* trace, uint32_t parent) {
+  // An unsupported (kind, workload) pair fails before any injected fault,
+  // prepare or sweep: nothing would use what they cost.
+  RELCOMP_RETURN_NOT_OK(CheckWorkloadSupported(capabilities_, query));
   Estimator& estimator = *replicas_[worker_id];
-  if (IsSweepWorkload(query.workload) && sweep_capable_) {
+  if (IsSweepWorkload(query.workload)) {
     // Sweep sharing: obtain the per-source vector once (memoized, coalesced,
     // or computed) and derive this query's view of it. Bit-identical to a
     // direct dispatch because the seed is the same sweep seed either way.
@@ -1190,10 +1105,6 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
       RequestPrebuild(query);
     }
   }
-  // Warm-ahead scout pass: the batch's hottest sweep sources get stratified
-  // warm tasks enqueued ahead of the queries, so their sweeps are leading
-  // (and stealable) by the time the queries that need them dispatch.
-  ScoutBatch(queries);
   stats_.MarkCallStart();
   auto state = std::make_shared<CallState>();
   state->pending = queries.size();
@@ -1238,11 +1149,11 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
 }
 
 bool QueryEngine::ServableFromCache(const EngineQuery& query) const {
-  if (cache_ != nullptr && cache_->Contains(ResultKeyFor(query))) return true;
+  if (cache_.Contains(ResultKeyFor(query))) return true;
   // A memoized sweep answers any k / eta over its source without an
   // estimator — deriving is a rank/filter pass, cheap enough to admit.
-  return sweep_cache_ != nullptr && IsSweepWorkload(query.workload) &&
-         sweep_cache_->Contains(SweepKeyFor(query.source));
+  return IsSweepWorkload(query.workload) &&
+         sweep_cache_.Contains(SweepKeyFor(query.source));
 }
 
 Status QueryEngine::AdmitQuery(const EngineQuery& query) {
@@ -1296,17 +1207,6 @@ Status QueryEngine::Submit(const EngineQuery& query) {
     stream_timer_.Restart();
     stream_state_ = std::make_shared<CallState>();
   }
-  if (ScoutingEnabled() && IsSweepWorkload(query.workload)) {
-    // Stream-side warm-ahead: the second submission of a source in one
-    // cycle marks it hot; a scout task enqueued *before* this query's own
-    // task leads the sweep the repeats will derive from.
-    if (++stream_sweep_counts_[query.source] == 2) {
-      const NodeId source = query.source;
-      (void)pool_->TrySubmit([this, source](size_t worker_id) {
-        ScoutSweep(worker_id, source);
-      });
-    }
-  }
   stats_.MarkCallStart();
   stream_results_.push_back(std::make_unique<EngineResult>());
   EngineResult* slot = stream_results_.back().get();
@@ -1343,7 +1243,6 @@ Result<std::vector<EngineResult>> QueryEngine::Drain() {
     pending.swap(stream_results_);
     state = std::move(stream_state_);
     cycle_timer = stream_timer_;
-    stream_sweep_counts_.clear();  // scout frequencies are per-cycle
   }
   if (state != nullptr) AwaitCall(*state);
   if (pending.empty()) return std::vector<EngineResult>{};

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -58,10 +57,9 @@ struct EngineOptions {
   /// (see README.md), so results are independent of thread count and
   /// scheduling order.
   uint64_t seed = 0;
-  /// Result cache on/off + sizing. A successful answer stays cached until
-  /// LRU or byte-budget eviction: answers are content-deterministic, so an
-  /// expiry would only recompute identical bits.
-  bool enable_cache = true;
+  /// Result cache sizing. A successful answer stays cached until LRU or
+  /// byte-budget eviction: answers are content-deterministic, so an expiry
+  /// would only recompute identical bits.
   size_t cache_capacity = 1 << 16;
   /// Byte budget for the result cache (0 = unlimited): entries are charged
   /// their real payload bytes — a top-k entry carrying k ranked targets
@@ -71,7 +69,7 @@ struct EngineOptions {
   /// Failure backoff: estimator errors are cached for this many seconds
   /// (negative caching), so a hot failing key stops recomputing — and
   /// re-failing — on every miss; after the TTL it retries. 0 disables
-  /// negative caching. Requires enable_cache. The only cache TTL.
+  /// negative caching. The only cache TTL.
   double negative_cache_ttl = 1.0;
   /// Single-flight request coalescing: concurrent cache misses for the same
   /// key share one in-flight computation instead of computing twins on
@@ -80,43 +78,21 @@ struct EngineOptions {
   /// parameters, share one EstimateFromSource). Semantically invisible
   /// (results are content-deterministic); off only for A/B measurement.
   bool enable_coalescing = true;
-  /// Sweep memoization: keep the per-source reliability vector of top-k /
-  /// reliable-set queries in a size-aware SweepCache so later queries over
-  /// the same source — any k, any eta — derive their answers without
-  /// re-running the BFS. Independent of enable_cache (the result cache
-  /// memoizes derived answers per exact query; the sweep cache memoizes the
-  /// vector they derive from). Semantically invisible: the engine's sweep
-  /// seeds depend only on the source, so a derived answer is bit-identical
-  /// to a recomputation.
-  bool enable_sweep_cache = true;
-  /// Byte budget for the sweep cache (one sweep = num_nodes doubles).
+  /// Byte budget for the sweep cache, which keeps the per-source
+  /// reliability vector of top-k / reliable-set queries so later queries
+  /// over the same source — any k, any eta — derive their answers without
+  /// re-running the BFS (one sweep = num_nodes doubles).
   size_t sweep_cache_max_bytes = size_t{128} << 20;
-  /// Warm-ahead sweep scouting: RunBatch (and the stream path) sees a
-  /// batch's sweep sources up front, so before the queries drain, a scout
-  /// pass enqueues stratified warm tasks for the hottest sources (ranked by
-  /// batch frequency) — the way prepare seeds already feed the generation
-  /// prebuilder. A scout that wins the sweep's single-flight leads the very
-  /// sweep the queries would have led (same seed, same strata, stealable by
-  /// the queries it outran), so results are bit-identical with scouting on
-  /// or off; it only moves the hottest sweeps to the front of the pool.
-  /// Effective only with coalescing and the sweep cache on (it needs the
-  /// single-flight table and the memo to hand its vector over).
-  bool enable_sweep_scout = true;
-  /// Background generation prebuilding: when the estimator kind supports
-  /// prepared generations (BFS Sharing), a builder thread constructs the
-  /// next queries' PrepareForNextQuery artifacts (world resampling)
-  /// overlapping the previous queries' BFS, and workers adopt them in O(1)
-  /// instead of resampling inline on the serving path. Bit-identical on or
-  /// off.
-  bool enable_generation_prebuild = true;
-  /// Bound on queued + ready-but-unclaimed prebuilt generations. NOTE: the
-  /// bound is a *count*, and every ready generation holds a full index-sized
-  /// artifact (a BFS Sharing generation is the L-bit-per-edge vectors, the
-  /// same order as the shared index itself) that is not part of
-  /// IndexMemory() — size this knob as "how many spare indexes fit in RAM".
-  /// At the bound the oldest ready generation is evicted for a new request;
-  /// if all pending work is queued / in-flight, the request is dropped and
-  /// the affected query simply resamples inline.
+  /// Bound on queued + ready-but-unclaimed generations of the background
+  /// prebuilder, which resamples the worlds of kinds with prepared
+  /// generations (BFS Sharing) ahead of dispatch. NOTE: the bound is a
+  /// *count*, and every ready generation holds a full index-sized artifact
+  /// (a BFS Sharing generation is the L-bit-per-edge vectors, the same order
+  /// as the shared index itself; IndexMemory() reports the pool as
+  /// prebuilt_bytes) — size this knob as "how many spare indexes fit in
+  /// RAM". At the bound the oldest ready generation is evicted for a new
+  /// request; if all pending work is queued / in-flight, the request is
+  /// dropped and the affected query simply resamples inline.
   size_t prebuild_max_pending = 16;
   /// Byte budget for the prebuilder's ready pool (0 = bounded by count
   /// only): ready generations are charged their real
@@ -230,7 +206,7 @@ struct EngineResult {
 /// index-carrying replicas share one immutable index. Every query's seed is
 /// derived from the master seed and the query's content (workload tag
 /// included) — so a batch returns bit-identical results whether it runs on 1
-/// thread or 16, with the cache and coalescing on or off, and engine top-k /
+/// thread or 16, with coalescing on or off, and engine top-k /
 /// reliable-set answers match the standalone TopKReliableTargets* /
 /// ReliableSet* APIs exactly. See src/engine/README.md for the contract.
 ///
@@ -310,12 +286,11 @@ class QueryEngine {
 
   const EngineOptions& options() const { return options_; }
   size_t num_threads() const { return pool_->num_threads(); }
-  /// nullptr when the cache is disabled.
-  const ResultCache* cache() const { return cache_.get(); }
-  /// nullptr when sweep memoization is disabled.
-  const SweepCache* sweep_cache() const { return sweep_cache_.get(); }
-  /// nullptr when the prebuilder is off or the estimator kind has no
-  /// prepared-generation support.
+  /// Never null.
+  const ResultCache* cache() const { return &cache_; }
+  /// Never null.
+  const SweepCache* sweep_cache() const { return &sweep_cache_; }
+  /// nullptr when the estimator kind has no prepared-generation support.
   const GenerationPrebuilder* prebuilder() const { return prebuilder_.get(); }
   /// Deduplicated resident index footprint of the replica set (a shared
   /// index is counted once, not once per replica) plus the prebuilder's
@@ -429,9 +404,8 @@ class QueryEngine {
   struct SweepShare {
     SweepVector vector;
     /// The sweep's tracked working-set peak (max over every participant's
-    /// strata) for flight participants — leaders and joiners alike, so the
-    /// sweep's footprint is attributed to its queries even when the
-    /// warm-ahead scout led it. 0 for SweepCache hits.
+    /// strata) for flight participants — leaders and joiners alike. 0 for
+    /// SweepCache hits.
     size_t peak_memory_bytes = 0;
   };
 
@@ -446,8 +420,9 @@ class QueryEngine {
               uint64_t enqueue_ns);
 
   /// Compute path of one query (after the cache / query-level flight said
-  /// miss): sweep kinds go through the sweep-sharing layer, everything else
-  /// through PrepareReplica + DispatchWorkload.
+  /// miss): a pair the kind cannot answer fails first, with no prepare
+  /// (CheckWorkloadSupported); sweep kinds go through the sweep-sharing
+  /// layer, everything else through PrepareReplica + DispatchWorkload.
   /// `cancel` (nullable) is the query's deadline/cancellation token, polled
   /// cooperatively by the estimator loops and the flight machinery below.
   Result<WorkloadResult> ComputeWorkload(size_t worker_id,
@@ -499,27 +474,10 @@ class QueryEngine {
                                         obs::TraceBuffer* trace,
                                         uint32_t parent);
 
-  /// Warm-ahead scout task for `source`: if its sweep is neither memoized
-  /// nor in flight, leads a stratified sweep through the same single-flight
-  /// protocol queries use (the queries it outran steal its strata / derive
-  /// from its vector). Best-effort and semantically invisible.
-  void ScoutSweep(size_t worker_id, NodeId source);
-
-  /// True when scout warm tasks make sense under the current configuration.
-  bool ScoutingEnabled() const {
-    return options_.enable_sweep_scout && options_.enable_coalescing &&
-           sweep_cache_ != nullptr && sweep_capable_;
-  }
-
   /// The cache keys `query` (and `source`'s sweep) are stored under: the
   /// plan's kind and budget plus the derived seed.
   ResultCacheKey ResultKeyFor(const EngineQuery& query) const;
   SweepCacheKey SweepKeyFor(NodeId source) const;
-
-  /// Enqueues scout warm tasks for the most frequent sweep sources of
-  /// `queries` (frequency >= 2, capped at kScoutMaxSources), ahead of the
-  /// batch's own tasks in the pool's FIFO.
-  void ScoutBatch(const std::vector<EngineQuery>& queries);
 
   /// Re-arms `estimator` for a query with `prepare_seed`, bit-identically
   /// whichever way: adopts `generation` (a sweep flight's, prepared for the
@@ -529,9 +487,9 @@ class QueryEngine {
       Estimator& estimator, uint64_t prepare_seed,
       std::shared_ptr<const PreparedGeneration> generation = nullptr);
 
-  /// Hands `query`'s prepare seed to the background builder — unless a
-  /// cache will serve the query anyway (ServableFromCache). prebuilder_ must
-  /// be non-null.
+  /// Hands `query`'s prepare seed to the background builder — unless the
+  /// estimator kind cannot answer it (CheckWorkloadSupported) or a cache
+  /// will serve it anyway (ServableFromCache). prebuilder_ must be non-null.
   void RequestPrebuild(const EngineQuery& query);
 
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
@@ -595,9 +553,11 @@ class QueryEngine {
   /// that may journal into it during shutdown.
   std::unique_ptr<PersistentStore> store_;
   std::vector<std::unique_ptr<Estimator>> replicas_;
-  /// The estimator kind answers source sweeps.
-  bool sweep_capable_ = false;
-  std::unique_ptr<ResultCache> cache_;
+  /// What the replicas' estimator kind answers beyond s-t.
+  const EstimatorCapabilities capabilities_;
+  ResultCache cache_;
+  /// Memoized per-source sweeps.
+  SweepCache sweep_cache_;
   std::unique_ptr<ThreadPool> pool_;
   EngineStats stats_;
 
@@ -618,10 +578,9 @@ class QueryEngine {
   FlightTable<ResultCacheKey, QueryFlight> query_flights_;
   FlightTable<SweepCacheKey, SweepFlight> sweep_flights_;
 
-  /// Memoized per-source sweeps; nullptr when disabled.
-  std::unique_ptr<SweepCache> sweep_cache_;
-  /// Background generation builder; nullptr when off / unsupported. Declared
-  /// after replicas_ so it is destroyed (thread joined) before they are.
+  /// Background generation builder; nullptr when the kind has no prepared
+  /// generations. Declared after replicas_ so it is destroyed (thread
+  /// joined) before they are.
   std::unique_ptr<GenerationPrebuilder> prebuilder_;
 
   /// \name Warm-state journaling (guarded by journal_mutex_)
@@ -649,10 +608,6 @@ class QueryEngine {
   std::vector<std::unique_ptr<EngineResult>> stream_results_;
   std::shared_ptr<CallState> stream_state_;
   Timer stream_timer_;  ///< restarted on the first Submit of a stream cycle
-  /// Per-stream-cycle sweep-source frequencies (guarded by stream_mutex_,
-  /// cleared on Drain): the second submission of a source in one cycle
-  /// triggers a scout warm task ahead of that query.
-  std::unordered_map<NodeId, uint32_t> stream_sweep_counts_;
 };
 
 }  // namespace relcomp

@@ -49,19 +49,17 @@ class FlightTable {
   };
 
   /// Rendezvous for `key` under the table lock. It first re-probes `cache`
-  /// (nullable; uncounted, since the caller already counted its miss):
-  /// Finish publishes before it retires, so a miss finds the key in the
-  /// cache or in the table, never in neither. Otherwise it joins the key's
-  /// flight, or creates one from `args` and makes the caller its leader.
+  /// (uncounted, since the caller already counted its miss): Finish
+  /// publishes before it retires, so a miss finds the key in the cache or in
+  /// the table, never in neither. Otherwise it joins the key's flight, or
+  /// creates one from `args` and makes the caller its leader.
   template <typename Value, typename... Args>
-  Joined<Value> JoinOrCreate(const Key& key, TtlCache<Key, Value>* cache,
+  Joined<Value> JoinOrCreate(const Key& key, TtlCache<Key, Value>& cache,
                              Args&&... args) {
     Joined<Value> joined;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (cache != nullptr) {
-      joined.cached = cache->Lookup(key, /*record_stats=*/false);
-      if (joined.cached) return joined;
-    }
+    joined.cached = cache.Lookup(key, /*record_stats=*/false);
+    if (joined.cached) return joined;
     auto [it, inserted] = flights_.try_emplace(key);
     if (inserted) {
       it->second = std::make_shared<Flight>(std::forward<Args>(args)...);

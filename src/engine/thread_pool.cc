@@ -1,8 +1,5 @@
 #include "engine/thread_pool.h"
 
-#include <atomic>
-
-#include "common/fault_injection.h"
 #include "common/timer.h"
 
 namespace relcomp {
@@ -28,33 +25,6 @@ Status ThreadPool::Submit(Task task) {
     });
     if (shutdown_) {
       return Status::FailedPrecondition("ThreadPool is shut down");
-    }
-    queue_.push_back(QueuedTask{std::move(task), StopwatchNs::Now()});
-  }
-  task_ready_.notify_one();
-  return Status::OK();
-}
-
-Status ThreadPool::TrySubmit(Task task) {
-  // Fault-injection site: a spuriously "full" queue, exactly the rejection
-  // TrySubmit callers must already tolerate (best-effort warms skip, the
-  // admission gate sheds). Keyed by a process-wide counter — the callers'
-  // tolerance, not bit-identity, is what this site exercises.
-  if (FaultInjector::Global().enabled()) {
-    static std::atomic<uint64_t> reject_key{0};
-    if (FaultInjector::Global().ShouldInject(
-            FaultSite::kPoolReject,
-            reject_key.fetch_add(1, std::memory_order_relaxed))) {
-      return Status::Unavailable("ThreadPool queue is full (injected)");
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (shutdown_) {
-      return Status::FailedPrecondition("ThreadPool is shut down");
-    }
-    if (queue_.size() >= queue_capacity_) {
-      return Status::Unavailable("ThreadPool queue is full");
     }
     queue_.push_back(QueuedTask{std::move(task), StopwatchNs::Now()});
   }

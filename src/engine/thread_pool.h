@@ -45,11 +45,6 @@ class ThreadPool {
   /// FailedPrecondition after Shutdown().
   Status Submit(Task task);
 
-  /// Non-blocking Submit: returns Unavailable instead of waiting when the
-  /// queue is full. For best-effort work (the engine's scout warms) that
-  /// must never add backpressure latency to the submitting path.
-  Status TrySubmit(Task task);
-
   /// Blocks until all submitted tasks have finished.
   void Wait();
 

@@ -28,8 +28,6 @@ const char* SpanKindName(SpanKind kind) {
   switch (kind) {
     case SpanKind::kQuery:
       return "query";
-    case SpanKind::kScout:
-      return "scout";
     case SpanKind::kQueueWait:
       return "queue_wait";
     case SpanKind::kCacheProbe:

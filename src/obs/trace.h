@@ -19,7 +19,6 @@ namespace relcomp::obs {
 /// prepare / adopt -> per-stratum execute / steal -> merge -> publish.
 enum class SpanKind : uint8_t {
   kQuery,          ///< root: Submit (enqueue) to result publication
-  kScout,          ///< root of a warm-ahead scout sweep (no query behind it)
   kQueueWait,      ///< enqueue to dispatch on a worker
   kCacheProbe,     ///< result-cache (detail 0) / sweep-cache (detail 1) probe
   kCoalescedWait,  ///< waiting on a query-level single-flight leader

@@ -173,9 +173,27 @@ WorkloadResult DeriveFromSweep(const EngineQuery& query,
   return result;
 }
 
+Status CheckWorkloadSupported(const EstimatorCapabilities& capabilities,
+                              const EngineQuery& query) {
+  if (query.workload == WorkloadKind::kDistance && !capabilities.distance) {
+    return Status::NotSupported(
+        StrFormat("%s: estimator has no distance-constrained support "
+                  "(use MC or RHH)",
+                  query.Describe().c_str()));
+  }
+  if (IsSweepWorkload(query.workload) && !capabilities.sweep) {
+    return Status::NotSupported(
+        StrFormat("%s: estimator has no source-sweep support "
+                  "(use MC or BFSSharing)",
+                  query.Describe().c_str()));
+  }
+  return Status::OK();
+}
+
 Result<WorkloadResult> DispatchWorkload(Estimator& replica,
                                         const EngineQuery& query,
                                         const EstimateOptions& options) {
+  RELCOMP_RETURN_NOT_OK(CheckWorkloadSupported(replica.capabilities(), query));
   WorkloadResult result;
   switch (query.workload) {
     case WorkloadKind::kSt: {
@@ -187,12 +205,6 @@ Result<WorkloadResult> DispatchWorkload(Estimator& replica,
       return result;
     }
     case WorkloadKind::kDistance: {
-      if (!replica.capabilities().distance) {
-        return Status::NotSupported(
-            StrFormat("%s: estimator has no distance-constrained support "
-                      "(use MC or RHH)",
-                      query.Describe().c_str()));
-      }
       MemoryTracker tracker;
       EstimateOptions tracked = options;
       tracked.memory = &tracker;
@@ -206,12 +218,6 @@ Result<WorkloadResult> DispatchWorkload(Estimator& replica,
     }
     case WorkloadKind::kTopK:
     case WorkloadKind::kReliableSet: {
-      if (!replica.capabilities().sweep) {
-        return Status::NotSupported(
-            StrFormat("%s: estimator has no source-sweep support "
-                      "(use MC or BFSSharing)",
-                      query.Describe().c_str()));
-      }
       MemoryTracker tracker;
       EstimateOptions tracked = options;
       tracked.memory = &tracker;

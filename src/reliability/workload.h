@@ -104,6 +104,12 @@ uint64_t HashWorkloadQuery(uint64_t seed, const EngineQuery& query);
 /// top-k, eta in [0, 1] for reliable-set.
 Status ValidateWorkload(const UncertainGraph& graph, const EngineQuery& query);
 
+/// NotSupported when an estimator with `capabilities` cannot answer `query`'s
+/// workload kind (a sweep kind without sweep support, or distance without
+/// distance support); OK otherwise. Every kind answers st.
+Status CheckWorkloadSupported(const EstimatorCapabilities& capabilities,
+                              const EngineQuery& query);
+
 /// \brief Polymorphic outcome of one dispatched workload query.
 ///
 /// Scalar kinds (st, distance) fill `reliability`; sweep kinds (top-k,
@@ -139,8 +145,8 @@ WorkloadResult DeriveFromSweep(const EngineQuery& query,
 ///   equal (source, num_samples, seed). Supported by MC and BFS Sharing.
 /// - kDistance runs Estimator::EstimateDistanceConstrained (MC, RHH).
 ///
-/// Unsupported (kind, workload) combinations return NotSupported — a
-/// per-query failure, never a crash.
+/// Unsupported (kind, workload) combinations return NotSupported
+/// (CheckWorkloadSupported) — a per-query failure, never a crash.
 Result<WorkloadResult> DispatchWorkload(Estimator& replica,
                                         const EngineQuery& query,
                                         const EstimateOptions& options);

@@ -46,8 +46,8 @@ class ScopedFaultPlan {
 };
 
 /// Deterministic mixed workload touching every kind (st, top-k,
-/// reliable-set, distance) with repeated sources so coalescing, the sweep
-/// cache, and the scout pass all engage.
+/// reliable-set, distance) with repeated sources so coalescing and the sweep
+/// cache engage.
 std::vector<EngineQuery> ChaosBatch(const UncertainGraph& graph, size_t n) {
   std::vector<EngineQuery> queries;
   const NodeId nodes = graph.num_nodes();
@@ -178,16 +178,9 @@ std::vector<PlanSpec> ChaosPlans() {
   {
     FaultPlan plan;
     plan.seed = 0xC0FFEE;
-    plan.probability[static_cast<size_t>(FaultSite::kPoolReject)] = 0.7;
-    specs.push_back({"pool_reject", false, plan});
-  }
-  {
-    FaultPlan plan;
-    plan.seed = 0xC0FFEE;
     plan.probability[static_cast<size_t>(FaultSite::kEstimatorFailure)] = 0.2;
     plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 0.3;
     plan.probability[static_cast<size_t>(FaultSite::kAllocFailure)] = 0.5;
-    plan.probability[static_cast<size_t>(FaultSite::kPoolReject)] = 0.5;
     plan.latency_us = 100;
     specs.push_back({"all_sites", true, plan});
   }
@@ -226,8 +219,8 @@ TEST(ChaosTest, EveryInjectionMixEveryThreadCount) {
         const RunOutcome chaos =
             RunChaosBatch(graph, ChaosOptions(threads, kind), queries);
         ExpectPartitionHolds(*chaos.engine);
-        // Non-failing plans (latency, dropped inserts, pool rejections) are
-        // semantically invisible: the failed set must equal the baseline's
+        // Non-failing plans (latency, dropped inserts) are semantically
+        // invisible: the failed set must equal the baseline's
         // (its NotSupported queries and nothing else). Failing plans may
         // only *add* failures — whatever succeeds must match bitwise.
         ExpectDegradedMatchesBaseline(chaos.results, baseline.results,
@@ -413,7 +406,6 @@ TEST(ChaosTest, CallerCancelMidStreamDrainsCleanly) {
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.1, 0.9, 23);
   EngineOptions options = ChaosOptions(2, EstimatorKind::kMonteCarlo);
   options.num_samples = 60'000;  // slow enough for the cancel to land mid-run
-  options.enable_cache = false;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   CancelToken token;
   for (NodeId s = 0; s < 16; ++s) {
@@ -441,7 +433,6 @@ TEST(ChaosTest, EngineDestructionMidStreamNeverHangs) {
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.1, 0.9, 23);
   EngineOptions options = ChaosOptions(4, EstimatorKind::kMonteCarlo);
   options.num_samples = 20'000;
-  options.enable_cache = false;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   for (NodeId s = 0; s < 24; ++s) {
     ASSERT_TRUE(engine->Submit(EngineQuery::St(s, (s + 9) % 30)).ok());
@@ -462,8 +453,6 @@ TEST(ChaosTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   options.num_samples = 40'000;  // slow queries: the queue builds up
   options.enable_load_shedding = true;
   options.shed_queue_depth = 2;
-  options.enable_cache = false;
-  options.enable_sweep_cache = false;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
 
   size_t admitted = 0;

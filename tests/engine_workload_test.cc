@@ -21,18 +21,17 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::BareEstimatorAnswers;
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::QueriesRecorded;
 using ::relcomp::testing::RandomSmallGraph;
 
-EngineOptions BaseOptions(size_t threads, EstimatorKind kind,
-                          bool cache = true) {
+EngineOptions BaseOptions(size_t threads, EstimatorKind kind) {
   EngineOptions options;
   options.num_threads = threads;
   options.kind = kind;
   options.num_samples = 300;
   options.seed = 20190411;
-  options.enable_cache = cache;
   return options;
 }
 
@@ -81,23 +80,19 @@ TEST(EngineWorkloadTest, MixedBatchDeterministicAcrossThreadCounts) {
   for (const EstimatorKind kind :
        {EstimatorKind::kMonteCarlo, EstimatorKind::kBfsSharing}) {
     SCOPED_TRACE(EstimatorKindName(kind));
-    auto serial = QueryEngine::Create(graph, BaseOptions(1, kind)).MoveValue();
-    const std::vector<EngineResult> expected =
-        serial->RunBatch(queries).MoveValue();
-    // 1/2/8 threads x cache on/off x coalescing on/off: all bit-identical.
+    // 1/2/8 threads x coalescing on/off: every answer bit-identical to the
+    // bare estimator's (BFS Sharing's distance queries: NotSupported).
     for (const size_t threads : {1u, 2u, 8u}) {
-      for (const bool cache : {true, false}) {
-        for (const bool coalescing : {true, false}) {
-          SCOPED_TRACE(threads);
-          SCOPED_TRACE(cache);
-          SCOPED_TRACE(coalescing);
-          EngineOptions options = BaseOptions(threads, kind, cache);
-          options.enable_coalescing = coalescing;
-          auto engine = QueryEngine::Create(graph, options).MoveValue();
-          const std::vector<EngineResult> results =
-              engine->RunBatch(queries).MoveValue();
-          ExpectBitIdenticalResults(expected, results);
-        }
+      for (const bool coalescing : {true, false}) {
+        SCOPED_TRACE(threads);
+        SCOPED_TRACE(coalescing);
+        EngineOptions options = BaseOptions(threads, kind);
+        options.enable_coalescing = coalescing;
+        auto engine = QueryEngine::Create(graph, options).MoveValue();
+        const std::vector<EngineResult> results =
+            engine->RunBatch(queries).MoveValue();
+        ExpectBitIdenticalResults(BareEstimatorAnswers(*engine, graph, queries),
+                                  results);
       }
     }
   }
@@ -239,17 +234,13 @@ TEST(EngineWorkloadTest, CacheKeysIsolateWorkloadKinds) {
   obs::MetricsRegistry& metrics = engine->metrics();
   EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), queries.size());
   EXPECT_EQ(engine->cache()->Stats().hits, queries.size());
-  // Exactly one EstimateFromSource ran for source 0's sweep — led either by
-  // the warm-ahead scout (source 0 appears twice among the sweep kinds, so
-  // the scout pass warms it) or by the first sweep-kind query; the other
-  // sweep queries derived from the memo or the in-flight sweep. The
-  // arithmetic: each of the two sweep queries resolved as a hit/coalesced
-  // share unless it led the sweep itself, and a scout-led sweep adds one
-  // scout_warms to account for the leaderless execution.
+  // Exactly one EstimateFromSource ran for source 0's sweep, led by the
+  // first sweep-kind query; the other derived from the memo or the
+  // in-flight sweep.
   EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 1u);
   EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
                 CounterValue(metrics, "engine_sweep_coalesced_total"),
-            1u + CounterValue(metrics, "engine_scout_warms_total"));
+            1u);
 }
 
 TEST(EngineWorkloadTest, StaleUnusedFieldsDoNotChangeQueryIdentity) {
@@ -325,6 +316,68 @@ TEST(EngineWorkloadTest, UnsupportedWorkloadFailsPerQueryNotPerBatch) {
   EXPECT_EQ(results[1].status.code(), StatusCode::kNotSupported);
   EXPECT_TRUE(results[2].ok());
   EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"), 1u);
+}
+
+TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
+  // A (kind, workload) pair the kind cannot answer fails NotSupported before
+  // the engine pays for anything: no generation is requested from the
+  // prebuilder and no replica is prepared. BFS Sharing has no distance
+  // support (and would otherwise resample a whole generation per query);
+  // RSS has no sweep support. The statuses are DispatchWorkload's.
+  const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.9, 46);
+  for (const EstimatorKind kind :
+       {EstimatorKind::kBfsSharing, EstimatorKind::kRecursiveStratified}) {
+    SCOPED_TRACE(EstimatorKindName(kind));
+    std::vector<EngineQuery> queries;
+    for (NodeId s = 0; s < 12; ++s) {
+      queries.push_back(kind == EstimatorKind::kBfsSharing
+                            ? EngineQuery::Distance(s, (s + 5) % 30, 3)
+                            : EngineQuery::TopK(s, 5));
+    }
+    auto bare = MakeEstimator(kind, graph).MoveValue();
+    for (const bool stream : {false, true}) {
+      SCOPED_TRACE(stream);
+      EngineOptions options = BaseOptions(2, kind);
+      options.negative_cache_ttl = 60.0;  // long enough to span the test
+      auto engine = QueryEngine::Create(graph, options).MoveValue();
+      std::vector<EngineResult> results;
+      if (stream) {
+        for (const EngineQuery& query : queries) {
+          ASSERT_TRUE(engine->Submit(query).ok());
+        }
+        results = engine->Drain().MoveValue();
+      } else {
+        results = engine->RunBatch(queries).MoveValue();
+      }
+      ASSERT_EQ(results.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const Status expected =
+            DispatchWorkload(*bare, queries[i], EstimateOptions{}).status();
+        EXPECT_EQ(results[i].status.code(), StatusCode::kNotSupported);
+        EXPECT_EQ(results[i].status.ToString(), expected.ToString());
+      }
+      obs::MetricsRegistry& metrics = engine->metrics();
+      EXPECT_EQ(CounterValue(metrics, "prebuilder_requested_total"), 0u);
+      EXPECT_EQ(metrics.GetHistogram("engine_stage_latency_ns", "stage",
+                                     "prepare")
+                    ->Snapshot()
+                    .count,
+                0u);
+      EXPECT_EQ(CounterValue(metrics, "engine_failures_total"),
+                queries.size());
+
+      // The failures stay negative-cached: a repeat is served as a cached
+      // error, not recomputed.
+      const std::vector<EngineResult> again =
+          engine->RunBatch(queries).MoveValue();
+      for (const EngineResult& r : again) {
+        EXPECT_EQ(r.status.code(), StatusCode::kNotSupported);
+        EXPECT_TRUE(r.cache_hit);
+      }
+      EXPECT_EQ(CounterValue(metrics, "result_cache_negative_hits_total"),
+                queries.size());
+    }
+  }
 }
 
 TEST(EngineWorkloadTest, RhhAnswersDistanceQueries) {
@@ -441,8 +494,7 @@ TEST(EngineWorkloadTest, InfiniteDeadlineAnswersLikeNoDeadline) {
   // Regression: deadline_ms = inf or 1e300 overflowed the milliseconds to
   // nanoseconds conversion and failed the query at once.
   const UncertainGraph graph = RandomSmallGraph(30, 100, 0.2, 0.9, 45);
-  EngineOptions options =
-      BaseOptions(2, EstimatorKind::kMonteCarlo, /*cache=*/false);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo);
   const std::vector<EngineQuery> plain = MixedBatch(graph, 24);
   const std::vector<EngineResult> reference =
       QueryEngine::Create(graph, options).MoveValue()->RunBatch(plain)

@@ -284,8 +284,8 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
                 CounterValue(registry, "result_cache_misses_total"),
             queries.size());
   // Sweep partition: every top-k that reached the compute path resolved
-  // through exactly one sweep outcome, plus one sweep executed per
-  // scout-led warm; the one sweep of each source ran its 4 strata.
+  // through exactly one sweep outcome; the one sweep of each source ran its
+  // 4 strata.
   uint64_t compute_path_sweeps = 0;
   for (const EngineResult& r : *results) {
     if (IsSweepWorkload(r.query.workload) && !r.cache_hit && !r.coalesced) {
@@ -297,17 +297,16 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
   EXPECT_EQ(CounterValue(registry, "engine_sweep_hits_total") +
                 CounterValue(registry, "engine_sweep_coalesced_total") +
                 sweep_executed,
-            compute_path_sweeps +
-                CounterValue(registry, "engine_scout_warms_total"));
+            compute_path_sweeps);
   EXPECT_EQ(CounterValue(registry, "engine_strata_executed_total"),
             4 * sweep_executed);
   EXPECT_LE(CounterValue(registry, "engine_strata_stolen_total"),
             CounterValue(registry, "engine_strata_executed_total"));
   // MC has no prepared generations: nothing is adopted from a prebuilder.
   EXPECT_EQ(CounterValue(registry, "engine_prebuilt_used_total"), 0u);
-  // Every query rode the pool once (scout warm tasks may add more), and the
-  // executed ones went through cache probe + stratum + publish.
-  EXPECT_GE(registry.GetHistogram("engine_stage_latency_ns", "stage",
+  // Every query rode the pool exactly once, and the executed ones went
+  // through cache probe + stratum + publish.
+  EXPECT_EQ(registry.GetHistogram("engine_stage_latency_ns", "stage",
                                   "queue_wait")
                 ->Snapshot()
                 .count,

@@ -236,20 +236,20 @@ TEST(EngineTraceTest, SpanTreesAreWellFormedAtEveryThreadCount) {
         QueryEngine::Create(graph, TracedOptions(threads, 1.0)).MoveValue();
     const std::vector<EngineQuery> queries = MixedWorkload(20);
     ASSERT_TRUE(engine->RunBatch(queries).ok());
-    EXPECT_GE(engine->tracer().sampled_queries(), queries.size())
+    EXPECT_EQ(engine->tracer().sampled_queries(), queries.size())
         << threads << " threads";
     ASSERT_NE(engine->tracer().ring(), nullptr);
     const std::vector<TraceSpan> spans = engine->tracer().ring()->Snapshot();
     ASSERT_FALSE(spans.empty());
 
     // Group by query and index by span id; then every query's tree must have
-    // exactly one root (kQuery, or kScout for warm-ahead sweeps), every
-    // child must point at a resident parent, and time must be sane.
+    // exactly one kQuery root, every child must point at a resident parent,
+    // and time must be sane.
     std::map<uint64_t, std::map<uint32_t, TraceSpan>> by_query;
     for (const TraceSpan& span : spans) {
       by_query[span.query_id][span.span_id] = span;
     }
-    EXPECT_GE(by_query.size(), queries.size()) << threads << " threads";
+    EXPECT_EQ(by_query.size(), queries.size()) << threads << " threads";
     for (const auto& [query_id, tree] : by_query) {
       size_t roots = 0;
       for (const auto& [span_id, span] : tree) {
@@ -257,9 +257,7 @@ TEST(EngineTraceTest, SpanTreesAreWellFormedAtEveryThreadCount) {
             << "query " << query_id << " span " << span_id;
         if (span.parent_id == TraceBuffer::kNone) {
           ++roots;
-          EXPECT_TRUE(span.kind == SpanKind::kQuery ||
-                      span.kind == SpanKind::kScout)
-              << "query " << query_id;
+          EXPECT_EQ(span.kind, SpanKind::kQuery) << "query " << query_id;
         } else {
           ASSERT_TRUE(tree.count(span.parent_id) != 0)
               << "query " << query_id << " span " << span_id

@@ -2,11 +2,10 @@
 // the MC and BFS Sharing stratified cores (stratum merges bit-identical to
 // serial stratified calls; BFS Sharing slice-invariance), the engine's
 // stratum scheduler (bit-identical at 1/2/8 threads x S in {1, 4, 16},
-// stealing-vs-blocking parity, steal counters), the warm-ahead scout pass
-// (deterministic on/off, counted), stratified-vs-unstratified accuracy, the
-// one generation handoff (its ownership rule, and a stratum thief adopting
-// its leader's generation inside the engine), and the multi-threaded
-// byte-budgeted generation prebuilder.
+// stealing-vs-blocking parity, steal counters), stratified-vs-unstratified
+// accuracy, the one generation handoff (its ownership rule, and a stratum
+// thief adopting its leader's generation inside the engine), and the
+// multi-threaded byte-budgeted generation prebuilder.
 
 #include <cstring>
 #include <thread>
@@ -198,8 +197,8 @@ std::vector<EngineQuery> HotSourceMix(NodeId source, uint32_t queries) {
 
 TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
   // The acceptance matrix: threads in {1, 2, 8} x S in {1, 4, 16} x
-  // stealing-vs-blocking (coalescing on/off) x scout on/off — every config
-  // bit-identical to the 1-thread serial reference *for the same S*.
+  // stealing-vs-blocking (coalescing on/off) — every config bit-identical
+  // to the 1-thread serial reference *for the same S*.
   const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 75);
   std::vector<EngineQuery> queries = HotSourceMix(2, 6);
   const std::vector<EngineQuery> second_source = HotSourceMix(11, 4);
@@ -214,7 +213,6 @@ TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
       SCOPED_TRACE(strata);
       EngineOptions reference_options = BaseOptions(1, kind, strata);
       reference_options.enable_coalescing = false;
-      reference_options.enable_sweep_scout = false;
       auto reference_engine =
           QueryEngine::Create(graph, reference_options).MoveValue();
       const std::vector<EngineResult> reference =
@@ -223,17 +221,12 @@ TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
 
       for (const size_t threads : {1u, 2u, 8u}) {
         for (const bool coalescing : {true, false}) {
-          for (const bool scout : {true, false}) {
-            SCOPED_TRACE(threads);
-            SCOPED_TRACE(coalescing);
-            SCOPED_TRACE(scout);
-            EngineOptions options = BaseOptions(threads, kind, strata);
-            options.enable_coalescing = coalescing;
-            options.enable_sweep_scout = scout;
-            auto engine = QueryEngine::Create(graph, options).MoveValue();
-            ExpectBitIdentical(reference,
-                               engine->RunBatch(queries).MoveValue());
-          }
+          SCOPED_TRACE(threads);
+          SCOPED_TRACE(coalescing);
+          EngineOptions options = BaseOptions(threads, kind, strata);
+          options.enable_coalescing = coalescing;
+          auto engine = QueryEngine::Create(graph, options).MoveValue();
+          ExpectBitIdentical(reference, engine->RunBatch(queries).MoveValue());
         }
       }
     }
@@ -266,8 +259,6 @@ TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
   const UncertainGraph graph = RandomSmallGraph(40, 150, 0.3, 0.9, 77);
   EngineOptions options = BaseOptions(8, EstimatorKind::kMonteCarlo, 16);
   options.num_samples = 10000;  // a sweep heavy enough to overlap claims
-  options.enable_cache = false;
-  options.enable_sweep_scout = false;  // isolate query-driven stealing
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   const std::vector<EngineResult> results =
       engine->RunBatch(HotSourceMix(1, 16)).MoveValue();
@@ -291,61 +282,6 @@ TEST(StratifiedSweepTest, StrataAreCountedAndStolenUnderConcurrency) {
     // at least one of the 16 strata instead of all blocking.
     EXPECT_GT(strata_stolen, 0u);
   }
-}
-
-TEST(StratifiedSweepTest, ScoutWarmsHotBatchSourcesDeterministically) {
-  const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 78);
-  // Source 6 is hot (5 parameterizations), source 13 appears once (below
-  // the scout threshold), plus st noise.
-  std::vector<EngineQuery> queries = HotSourceMix(6, 5);
-  queries.push_back(EngineQuery::TopK(13, 3));
-  queries.push_back(EngineQuery::St(0, 9));
-
-  // 1 worker makes the scout's lead deterministic: its warm task is queued
-  // ahead of every query task, so it always wins the sweep's single-flight.
-  EngineOptions options = BaseOptions(1, EstimatorKind::kMonteCarlo, 4);
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  const std::vector<EngineResult> results =
-      engine->RunBatch(queries).MoveValue();
-  for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  obs::MetricsRegistry& metrics = engine->metrics();
-  // Source 6 only.
-  EXPECT_EQ(CounterValue(metrics, "engine_scout_warms_total"), 1u);
-  // Scout(6) + query-led (13).
-  EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 2u);
-  // Every source-6 query derived from the scout's memoized vector.
-  EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total"), 5u);
-
-  // Scout off: same answers (the scout only changes who computes).
-  EngineOptions off = options;
-  off.enable_sweep_scout = false;
-  auto engine_off = QueryEngine::Create(graph, off).MoveValue();
-  ExpectBitIdentical(results, engine_off->RunBatch(queries).MoveValue());
-  EXPECT_EQ(CounterValue(engine_off->metrics(), "engine_scout_warms_total"),
-            0u);
-}
-
-TEST(StratifiedSweepTest, StreamScoutsRepeatedSourcesPerCycle) {
-  const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 79);
-  EngineOptions options = BaseOptions(1, EstimatorKind::kMonteCarlo, 4);
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  // Second submission of source 9 in the cycle triggers the stream scout.
-  ASSERT_TRUE(engine->Submit(EngineQuery::TopK(9, 2)).ok());
-  ASSERT_TRUE(engine->Submit(EngineQuery::TopK(9, 7)).ok());
-  ASSERT_TRUE(engine->Submit(EngineQuery::ReliableSet(9, 0.4)).ok());
-  const std::vector<EngineResult> first = engine->Drain().MoveValue();
-  for (const EngineResult& r : first) ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_LE(CounterValue(engine->metrics(), "engine_sweep_executed_total"), 2u);
-
-  // Batch twin answers bit-identically (stream scouting is invisible too).
-  auto batch_engine = QueryEngine::Create(graph, options).MoveValue();
-  const std::vector<EngineResult> batch =
-      batch_engine
-          ->RunBatch(std::vector<EngineQuery>{EngineQuery::TopK(9, 2),
-                                              EngineQuery::TopK(9, 7),
-                                              EngineQuery::ReliableSet(9, 0.4)})
-          .MoveValue();
-  ExpectBitIdentical(first, batch);
 }
 
 TEST(StratifiedSweepTest, StratifiedMcMatchesUnstratifiedWithinTolerance) {
@@ -504,12 +440,14 @@ TEST(StratifiedSweepTest, GenerationAnotherReplicaHoldsIsNeverRefilledInPlace) {
 TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   // A thief that re-prepared its own replica instead of adopting the
   // flight's generation would answer identically, so only the generations
-  // the replicas end up reading can tell. Two workers, prebuilder and scout
-  // off: one worker leads top-k(0, 5)'s sweep; the other first runs an s-t
-  // query, which leaves it a generation of its own, then joins the sweep
-  // with top-k(0, 10) and steals strata. Induced latency on every stratum
-  // and on the s-t query makes the leader prepare long before the thief
-  // arrives. Afterwards both replicas must read the leader's generation.
+  // the replicas end up reading can tell. Two workers: one leads
+  // top-k(0, 5)'s sweep; the other first runs an s-t query, which leaves it
+  // a generation of its own, then joins the sweep with top-k(0, 10) and
+  // steals strata. Induced latency on every stratum and on the s-t query
+  // makes the leader prepare long before the thief arrives. The prebuilder
+  // hands a prepare seed's generation out at most once, so a thief that
+  // did not adopt would resample one of its own. Afterwards both replicas
+  // must read the leader's generation.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 87);
   const std::vector<EngineQuery> queries = {
       EngineQuery::TopK(0, 5), EngineQuery::St(1, 2), EngineQuery::TopK(0, 10)};
@@ -523,8 +461,6 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
           .MoveValue();
 
   EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing, 8);
-  options.enable_generation_prebuild = false;
-  options.enable_sweep_scout = false;
   FaultPlan plan;
   plan.seed = 0xC0FFEE;
   plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 1.0;
@@ -552,16 +488,13 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
 }
 
 TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
-  // Every flight participant — the leader and any joiner, including when
-  // the warm-ahead scout led the flight — reports the sweep's tracked
-  // working-set peak, not just its own derivation scan (PR 4 contract:
-  // sweep queries report the sweep's footprint). Sweep cache off forces
-  // every query through a flight (no memo hits), so at least the flight
-  // leaders carry the full peak whatever the thread interleaving.
+  // Every flight participant — the leader and any joiner — reports the
+  // sweep's tracked working-set peak, not just its own derivation scan
+  // (sweep queries report the sweep's footprint). Some query leads the one
+  // flight whatever the thread interleaving, so at least it carries the
+  // full peak.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 84);
   EngineOptions options = BaseOptions(2, EstimatorKind::kMonteCarlo, 4);
-  options.enable_cache = false;
-  options.enable_sweep_cache = false;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   const std::vector<EngineResult> results =
       engine->RunBatch(HotSourceMix(3, 8)).MoveValue();

@@ -2,8 +2,9 @@
 // batch executes exactly one EstimateFromSource per distinct source
 // (stats-verified), derived top-k / reliable-set answers are bit-identical to
 // the standalone APIs, the SweepCache evicts under byte pressure without
-// changing answers, and the background generation prebuilder is deterministic
-// on/off at 1/2/8 threads.
+// changing answers, and every answer at 1/2/8 threads, with coalescing on or
+// off and the background generation prebuilder running, equals a bare
+// estimator's.
 
 #include <cstring>
 #include <thread>
@@ -21,6 +22,7 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::BareEstimatorAnswers;
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
 
@@ -81,54 +83,45 @@ TEST(SweepSharingTest, SameSourceMixedBatchRunsOneSweepPerSource) {
     std::vector<EngineResult> reference;
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       SCOPED_TRACE(threads);
-      for (const bool cache : {true, false}) {
-        SCOPED_TRACE(cache);
-        EngineOptions options = BaseOptions(threads, kind);
-        options.enable_cache = cache;
-        auto engine = QueryEngine::Create(graph, options).MoveValue();
-        const std::vector<EngineResult> results =
-            engine->RunBatch(queries).MoveValue();
-        for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-        // Same bits at every thread count, result cache on or off.
-        if (reference.empty()) {
-          reference = results;
-        } else {
-          ExpectBitIdentical(reference, results);
-        }
-
-        // The gate: with the sweep memo on, at most one EstimateFromSource
-        // per distinct (source, generation) — generations are per-source
-        // here, so per distinct source — no matter how many k / eta /
-        // repeats ask.
-        obs::MetricsRegistry& metrics = engine->metrics();
-        const uint64_t sweep_executed =
-            CounterValue(metrics, "engine_sweep_executed_total");
-        const uint64_t scout_warms =
-            CounterValue(metrics, "engine_scout_warms_total");
-        EXPECT_LE(sweep_executed, sources.size());
-        const uint64_t sweep_queries =
-            CounterValue(metrics, "engine_queries_total", "workload",
-                         WorkloadKindName(WorkloadKind::kTopK)) +
-            CounterValue(metrics, "engine_queries_total", "workload",
-                         WorkloadKindName(WorkloadKind::kReliableSet));
-        EXPECT_EQ(sweep_queries, 16 * sources.size());
-        // Partition invariant: every sweep-kind query that reached the
-        // compute path (neither a cache hit nor query-level coalesced)
-        // resolved through exactly one of the three sweep outcomes — plus
-        // one sweep executed per scout-led warm, which has no query behind
-        // it (its queries land in the hits / coalesced counters).
-        uint64_t compute_path_sweeps = 0;
-        for (const EngineResult& r : results) {
-          if (IsSweepWorkload(r.query.workload) && !r.cache_hit &&
-              !r.coalesced) {
-            ++compute_path_sweeps;
-          }
-        }
-        EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
-                      CounterValue(metrics, "engine_sweep_coalesced_total") +
-                      sweep_executed,
-                  compute_path_sweeps + scout_warms);
+      auto engine =
+          QueryEngine::Create(graph, BaseOptions(threads, kind)).MoveValue();
+      const std::vector<EngineResult> results =
+          engine->RunBatch(queries).MoveValue();
+      for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
+      // Same bits at every thread count.
+      if (reference.empty()) {
+        reference = results;
+      } else {
+        ExpectBitIdentical(reference, results);
       }
+
+      // The gate: at most one EstimateFromSource per distinct (source,
+      // generation) — generations are per-source here, so per distinct
+      // source — no matter how many k / eta / repeats ask.
+      obs::MetricsRegistry& metrics = engine->metrics();
+      const uint64_t sweep_executed =
+          CounterValue(metrics, "engine_sweep_executed_total");
+      EXPECT_LE(sweep_executed, sources.size());
+      const uint64_t sweep_queries =
+          CounterValue(metrics, "engine_queries_total", "workload",
+                       WorkloadKindName(WorkloadKind::kTopK)) +
+          CounterValue(metrics, "engine_queries_total", "workload",
+                       WorkloadKindName(WorkloadKind::kReliableSet));
+      EXPECT_EQ(sweep_queries, 16 * sources.size());
+      // Partition invariant: every sweep-kind query that reached the
+      // compute path (neither a cache hit nor query-level coalesced)
+      // resolved through exactly one of the three sweep outcomes.
+      uint64_t compute_path_sweeps = 0;
+      for (const EngineResult& r : results) {
+        if (IsSweepWorkload(r.query.workload) && !r.cache_hit &&
+            !r.coalesced) {
+          ++compute_path_sweeps;
+        }
+      }
+      EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
+                    CounterValue(metrics, "engine_sweep_coalesced_total") +
+                    sweep_executed,
+                compute_path_sweeps);
     }
   }
 }
@@ -198,34 +191,27 @@ TEST(SweepSharingTest, SweepSeedIgnoresParametersButNotSourceOrBudget) {
 }
 
 TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
+  // Every answer — derived from the sweep memo, a sweep flight (led or
+  // stolen), the serial coalescing-off sweep, or for BFS Sharing a prebuilt
+  // or flight-handed generation — equals the bare estimator's.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 54);
   const std::vector<EngineQuery> queries = SameSourceMix({1, 6, 13}, 3);
 
   for (const EstimatorKind kind :
        {EstimatorKind::kMonteCarlo, EstimatorKind::kBfsSharing}) {
     SCOPED_TRACE(EstimatorKindName(kind));
-    EngineOptions reference_options = BaseOptions(1, kind);
-    reference_options.enable_sweep_cache = false;
-    reference_options.enable_coalescing = false;
-    reference_options.enable_generation_prebuild = false;
-    auto reference_engine =
-        QueryEngine::Create(graph, reference_options).MoveValue();
-    const std::vector<EngineResult> reference =
-        reference_engine->RunBatch(queries).MoveValue();
-
     for (const size_t threads : {1u, 2u, 8u}) {
-      for (const bool sweep_cache : {true, false}) {
-        for (const bool prebuild : {true, false}) {
-          SCOPED_TRACE(threads);
-          SCOPED_TRACE(sweep_cache);
-          SCOPED_TRACE(prebuild);
-          EngineOptions options = BaseOptions(threads, kind);
-          options.enable_sweep_cache = sweep_cache;
-          options.enable_generation_prebuild = prebuild;
-          auto engine = QueryEngine::Create(graph, options).MoveValue();
-          ExpectBitIdentical(reference,
-                             engine->RunBatch(queries).MoveValue());
-        }
+      for (const bool coalescing : {true, false}) {
+        SCOPED_TRACE(threads);
+        SCOPED_TRACE(coalescing);
+        EngineOptions options = BaseOptions(threads, kind);
+        options.enable_coalescing = coalescing;
+        auto engine = QueryEngine::Create(graph, options).MoveValue();
+        const std::vector<EngineResult> results =
+            engine->RunBatch(queries).MoveValue();
+        for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
+        ExpectBitIdentical(BareEstimatorAnswers(*engine, graph, queries),
+                           results);
       }
     }
   }
@@ -233,7 +219,13 @@ TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
 
 TEST(SweepSharingTest, SweepCacheEvictionUnderBytePressureKeepsAnswers) {
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 55);
-  const std::vector<EngineQuery> queries = SameSourceMix({0, 5, 10, 15}, 2);
+  // A second round over the same sources asks other k / eta: no result-cache
+  // entry answers it, so every one of its queries goes back to the memo.
+  std::vector<EngineQuery> queries = SameSourceMix({0, 5, 10, 15}, 1);
+  for (const NodeId s : {0u, 5u, 10u, 15u}) {
+    queries.push_back(EngineQuery::TopK(s, 7));
+    queries.push_back(EngineQuery::ReliableSet(s, 0.4));
+  }
 
   EngineOptions roomy = BaseOptions(2, EstimatorKind::kMonteCarlo);
   auto roomy_engine = QueryEngine::Create(graph, roomy).MoveValue();
@@ -243,14 +235,13 @@ TEST(SweepSharingTest, SweepCacheEvictionUnderBytePressureKeepsAnswers) {
   // Budget of ~1.5 sweeps (20 nodes * 8 bytes = 160 bytes each): constant
   // eviction churn across the 4 sources, answers unchanged.
   EngineOptions tight = roomy;
-  tight.enable_cache = false;  // force every repeat back through the memo
   tight.sweep_cache_max_bytes = 240;
   auto tight_engine = QueryEngine::Create(graph, tight).MoveValue();
   ExpectBitIdentical(expected, tight_engine->RunBatch(queries).MoveValue());
   const CacheStats stats = tight_engine->sweep_cache()->Stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes_in_use, tight.sweep_cache_max_bytes);
-  // Churn costs sweeps: more than one per source, but still every answer
+  // Churn costs sweeps: at least one per source, but still every answer
   // bit-identical (checked above).
   EXPECT_GE(
       CounterValue(tight_engine->metrics(), "engine_sweep_executed_total"),
@@ -276,11 +267,10 @@ TEST(SweepSharingTest, ConcurrentDistinctParamsCoalesceAtSweepLevel) {
   for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
   obs::MetricsRegistry& metrics = engine->metrics();
   EXPECT_EQ(CounterValue(metrics, "engine_sweep_executed_total"), 1u);
-  // 63 queries shared the one sweep — 64 when the scout led it (then no
-  // query was the leader and all of them derived).
+  // The query that led the sweep aside, all 63 shared it.
   EXPECT_EQ(CounterValue(metrics, "engine_sweep_hits_total") +
                 CounterValue(metrics, "engine_sweep_coalesced_total"),
-            63u + CounterValue(metrics, "engine_scout_warms_total"));
+            63u);
   // Every query derived its own payload.
   EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 64u);
 }
@@ -289,7 +279,6 @@ TEST(SweepSharingTest, PrebuilderAdoptsBackgroundGenerations) {
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 57);
   EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
   options.factory.bfs_sharing.index_samples = 256;
-  options.enable_cache = false;  // every query must prepare + compute
   auto engine = QueryEngine::Create(graph, options).MoveValue();
   ASSERT_NE(engine->prebuilder(), nullptr);
 

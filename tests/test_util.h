@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -17,10 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/query_engine.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/uncertain_graph.h"
 #include "obs/metrics.h"
+#include "reliability/estimator_factory.h"
+#include "reliability/workload.h"
 
 namespace relcomp::testing {
 
@@ -156,6 +160,68 @@ inline uint64_t CounterValue(obs::MetricsRegistry& registry,
 /// engine_query_latency_ns histogram.
 inline uint64_t QueriesRecorded(obs::MetricsRegistry& registry) {
   return registry.GetHistogram("engine_query_latency_ns")->Snapshot().count;
+}
+
+/// What a bare estimator answers for each of `queries` under `engine`'s plan
+/// and seeds — the replay rule relbench checks every computed query with. One
+/// estimator of the plan's kind, built apart from the engine's replicas, is
+/// re-armed with PrepareSeed before each query and answers it directly:
+/// s-t through Estimate, distance through EstimateDistanceConstrained, a
+/// sweep kind through EstimateFromSource with the plan's S and then
+/// DeriveFromSweep. A (kind, workload) pair the kind cannot answer gets the
+/// estimator's own NotSupported. Every engine answer, however the engine
+/// served it (computed, cached, coalesced, from stolen strata or a prebuilt
+/// generation), must equal this one: status code, payload bits,
+/// num_samples and seed.
+inline std::vector<EngineResult> BareEstimatorAnswers(
+    const QueryEngine& engine, const UncertainGraph& graph,
+    const std::vector<EngineQuery>& queries) {
+  std::vector<EngineResult> answers(queries.size());
+  Result<std::unique_ptr<Estimator>> made =
+      MakeEstimator(engine.options().kind, graph, engine.options().factory);
+  EXPECT_TRUE(made.ok()) << made.status();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const EngineQuery& query = queries[i];
+    EngineResult& answer = answers[i];
+    answer.query = query;
+    answer.seed = engine.QuerySeed(query);
+    if (!made.ok()) {
+      answer.status = made.status();
+      continue;
+    }
+    Estimator& estimator = **made;
+    const QueryPlan plan = engine.PlanFor(query);
+    EstimateOptions options;
+    options.num_samples = plan.num_samples;
+    options.seed = answer.seed;
+    options.num_strata = plan.num_strata;
+    answer.status = estimator.PrepareForNextQuery(engine.PrepareSeed(query));
+    if (!answer.status.ok()) continue;
+    if (IsSweepWorkload(query.workload)) {
+      Result<std::vector<double>> sweep =
+          estimator.EstimateFromSource(query.source, options);
+      answer.status = sweep.status();
+      if (!sweep.ok()) continue;
+      WorkloadResult derived =
+          DeriveFromSweep(query, *sweep, plan.num_samples);
+      answer.targets = std::move(derived.targets);
+      answer.num_samples = derived.num_samples;
+    } else if (query.workload == WorkloadKind::kDistance) {
+      Result<double> value = estimator.EstimateDistanceConstrained(
+          query.AsSt(), query.max_hops, options);
+      answer.status = value.status();
+      if (!value.ok()) continue;
+      answer.reliability = *value;
+      answer.num_samples = plan.num_samples;
+    } else {
+      Result<EstimateResult> value = estimator.Estimate(query.AsSt(), options);
+      answer.status = value.status();
+      if (!value.ok()) continue;
+      answer.reliability = value->reliability;
+      answer.num_samples = value->num_samples;
+    }
+  }
+  return answers;
 }
 
 /// FNV-1a over 64-bit words: the golden-answer tests pin the exact bits of
