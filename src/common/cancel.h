@@ -27,12 +27,11 @@ class CancelToken {
  public:
   CancelToken() = default;
 
-  /// A token that trips once StopwatchNs::Now() passes `deadline_ns`
+  /// A token that trips once StopwatchNs::Now() passes `deadline`
   /// (absolute steady-clock nanoseconds; 0 = no deadline), and whenever
   /// `parent` (optional, not owned) is cancelled.
-  explicit CancelToken(uint64_t deadline_ns,
-                       const CancelToken* parent = nullptr)
-      : deadline_ns_(deadline_ns), parent_(parent) {}
+  explicit CancelToken(uint64_t deadline, const CancelToken* parent = nullptr)
+      : deadline_(deadline), parent_(parent) {}
 
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
@@ -44,20 +43,15 @@ class CancelToken {
   /// token is cancelled. The poll estimator cores place in their loops.
   bool Cancelled() const {
     if (cancelled_.load(std::memory_order_relaxed)) return true;
-    if (deadline_ns_ != 0 && StopwatchNs::Now() >= deadline_ns_) return true;
+    if (deadline_ != 0 && StopwatchNs::Now() >= deadline_) return true;
     return parent_ != nullptr && parent_->Cancelled();
   }
-
-  /// Absolute deadline in StopwatchNs nanoseconds (0 = none). Does not
-  /// consult the parent; waiters combining a timed wait with a parent poll
-  /// read this for the wait bound and poll Cancelled() for the rest.
-  uint64_t deadline_ns() const { return deadline_ns_; }
 
   /// The Status a cancelled call reports: kDeadlineExceeded when the
   /// deadline tripped first, kCancelled for an explicit Cancel (directly or
   /// through the parent chain). Meaningful only once Cancelled() is true.
   Status ToStatus() const {
-    if (deadline_ns_ != 0 && StopwatchNs::Now() >= deadline_ns_ &&
+    if (deadline_ != 0 && StopwatchNs::Now() >= deadline_ &&
         !cancelled_.load(std::memory_order_relaxed)) {
       return Status::DeadlineExceeded("query deadline exceeded");
     }
@@ -72,7 +66,7 @@ class CancelToken {
 
  private:
   std::atomic<bool> cancelled_{false};
-  const uint64_t deadline_ns_ = 0;
+  const uint64_t deadline_ = 0;
   const CancelToken* const parent_ = nullptr;
 };
 

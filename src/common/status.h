@@ -23,22 +23,12 @@ enum class StatusCode {
   kUnavailable,
   /// The caller's deadline elapsed before the operation finished. Transient
   /// in the same sense as kUnavailable: the identical request succeeds given
-  /// a looser deadline, so it must never be negative-cached.
+  /// a looser deadline.
   kDeadlineExceeded,
   /// The caller explicitly cancelled the operation (CancelToken::Cancel).
   /// Transient: says nothing about the request itself.
   kCancelled,
 };
-
-/// True for codes that describe the *circumstances* of a call rather than
-/// its content — overload, deadlines, cancellation. A transient failure is
-/// safe to retry and must never enter the negative-result cache (a cached
-/// kUnavailable would keep shedding a query the engine could now serve).
-inline constexpr bool IsTransientStatusCode(StatusCode code) {
-  return code == StatusCode::kUnavailable ||
-         code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kCancelled;
-}
 
 /// \brief Human-readable name of a status code (e.g. "InvalidArgument").
 const char* StatusCodeName(StatusCode code);

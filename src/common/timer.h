@@ -11,8 +11,8 @@ namespace relcomp {
 /// Now() is an absolute steady-clock reading in nanoseconds (epoch is the
 /// clock's, not the Unix epoch), so timestamps taken on different threads are
 /// directly comparable: the thread pool stamps enqueue times with it, trace
-/// spans record begin/end with it, and cache TTL deadlines are stored as
-/// plain uint64 nanoseconds instead of chrono time_points.
+/// spans record begin/end with it, and query deadlines are stored as plain
+/// uint64 nanoseconds instead of chrono time_points.
 class StopwatchNs {
  public:
   StopwatchNs() : start_ns_(Now()) {}

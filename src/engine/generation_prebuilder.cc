@@ -9,11 +9,9 @@ namespace relcomp {
 GenerationPrebuilder::GenerationPrebuilder(const Estimator& prototype,
                                            obs::MetricsRegistry& registry,
                                            size_t max_pending,
-                                           size_t num_builders,
-                                           size_t max_ready_bytes)
+                                           size_t num_builders)
     : prototype_(prototype),
       max_pending_(max_pending == 0 ? 1 : max_pending),
-      max_ready_bytes_(max_ready_bytes),
       requested_(registry.GetCounter("prebuilder_requested_total")),
       built_(registry.GetCounter("prebuilder_built_total")),
       taken_(registry.GetCounter("prebuilder_taken_total")),
@@ -29,17 +27,6 @@ GenerationPrebuilder::GenerationPrebuilder(const Estimator& prototype,
 }
 
 GenerationPrebuilder::~GenerationPrebuilder() { Shutdown(); }
-
-void GenerationPrebuilder::EvictOldestReadyLocked() {
-  // ready_order_ mirrors ready_ exactly (Take() erases its entry), so the
-  // front really is the oldest unclaimed generation.
-  auto it = ready_.find(ready_order_.front());
-  ready_bytes_ -= it->second.bytes;
-  ready_bytes_gauge_->Set(static_cast<double>(ready_bytes_));
-  ready_.erase(it);
-  ready_order_.pop_front();
-  evicted_->Inc();
-}
 
 bool GenerationPrebuilder::Request(uint64_t seed) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -58,7 +45,14 @@ bool GenerationPrebuilder::Request(uint64_t seed) {
       dropped_->Inc();
       return false;
     }
-    EvictOldestReadyLocked();
+    // ready_order_ mirrors ready_ exactly (Take() erases its entry), so the
+    // front really is the oldest unclaimed generation.
+    auto oldest = ready_.find(ready_order_.front());
+    ready_bytes_ -= oldest->second.bytes;
+    ready_bytes_gauge_->Set(static_cast<double>(ready_bytes_));
+    ready_.erase(oldest);
+    ready_order_.pop_front();
+    evicted_->Inc();
   }
   queue_.push_back(seed);
   queued_.insert(seed);
@@ -165,14 +159,6 @@ void GenerationPrebuilder::BuilderLoop() {
       ready_.emplace(seed, std::move(ready));
       ready_order_.push_back(seed);
       built_->Inc();
-      // Ready-pool byte budget: evict oldest-first until it holds. The
-      // just-finished generation is evicted last (it is the newest) — and
-      // even it goes if it alone exceeds the budget, because an
-      // over-budget pool must never outlive the insert that created it.
-      while (max_ready_bytes_ > 0 && ready_bytes_ > max_ready_bytes_ &&
-             !ready_order_.empty()) {
-        EvictOldestReadyLocked();
-      }
     }
     // A failed build is dropped: Take() returns nullptr and the serving
     // thread's inline PrepareForNextQuery re-raises the error in context.

@@ -55,17 +55,14 @@ class GenerationPrebuilder {
  public:
   /// `prototype` outlives this object and is only touched through the
   /// thread-safe BuildPreparedGeneration. `max_pending` bounds queued +
-  /// ready-but-untaken generations by *count*; `max_ready_bytes` (0 =
-  /// unbounded) additionally bounds the ready pool by *bytes* — each ready
-  /// generation holds PreparedGeneration::MemoryBytes() of index-sized
-  /// memory, so the count bound alone can pin max_pending spare indexes.
-  /// Over either bound the oldest ready generation is evicted.
-  /// `num_builders` (clamped to >= 1) is the number of builder threads.
-  /// `registry` (not owned, must outlive this object) receives the
-  /// prebuilder_* instruments.
+  /// ready-but-untaken generations by *count*; each ready generation holds
+  /// PreparedGeneration::MemoryBytes() of index-sized memory, so the pool
+  /// can pin up to max_pending spare indexes. `num_builders` (clamped to
+  /// >= 1) is the number of builder threads. `registry` (not owned, must
+  /// outlive this object) receives the prebuilder_* instruments.
   GenerationPrebuilder(const Estimator& prototype,
                        obs::MetricsRegistry& registry, size_t max_pending,
-                       size_t num_builders = 1, size_t max_ready_bytes = 0);
+                       size_t num_builders = 1);
   ~GenerationPrebuilder();
 
   GenerationPrebuilder(const GenerationPrebuilder&) = delete;
@@ -103,13 +100,8 @@ class GenerationPrebuilder {
 
   void BuilderLoop();
 
-  /// Drops the oldest ready generation. Caller holds mutex_ and guarantees
-  /// ready_order_ is non-empty.
-  void EvictOldestReadyLocked();
-
   const Estimator& prototype_;
   const size_t max_pending_;
-  const size_t max_ready_bytes_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;

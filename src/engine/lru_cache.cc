@@ -1,4 +1,4 @@
-#include "engine/ttl_cache.h"
+#include "engine/lru_cache.h"
 
 #include "common/rng.h"
 

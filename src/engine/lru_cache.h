@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/fault_injection.h"
-#include "common/timer.h"
 #include "graph/uncertain_graph.h"
 #include "obs/metrics.h"
 #include "reliability/estimator_factory.h"
@@ -41,10 +40,10 @@ struct ResultCacheKey {
   uint64_t Hash() const;
 };
 
-/// \brief Cached payload: either a successful answer (scalar reliability for
+/// \brief A query's outcome: a successful answer (scalar reliability for
 /// st/distance, ranked targets for top-k/reliable-set, plus the sample count
-/// consumed) or — when `status` is non-OK — a cached estimator failure
-/// (negative caching: a hot failing key stops recomputing on every miss).
+/// consumed) or — when `status` is non-OK — a failure. A failure travels to
+/// the waiters of one query flight only: the cache admits only OK values.
 struct ResultCacheValue {
   ResultCacheValue() = default;
   /// Scalar payload (st / distance answers); status OK, no targets.
@@ -53,12 +52,10 @@ struct ResultCacheValue {
 
   double reliability = 0.0;
   uint32_t num_samples = 0;
-  /// Non-OK marks a negative entry; the payload fields are meaningless then.
+  /// Non-OK marks a failure; the payload fields are meaningless then.
   Status status;
   /// Top-k / reliable-set answers.
   std::vector<ReliableTarget> targets;
-
-  bool negative() const { return !status.ok(); }
 };
 
 /// \brief Identity of one memoized per-source reliability sweep.
@@ -88,31 +85,27 @@ struct SweepCacheKey {
 /// invalidates a reader mid-derivation.
 using SweepVector = std::shared_ptr<const std::vector<double>>;
 
-/// \brief What a TtlCache needs to know about its value type; one
+/// \brief What an LruCache needs to know about its value type; one
 /// specialization per cached type. `Charge` is the byte cost an entry is
 /// admitted and evicted by (`framing` = the cache's per-entry overhead, for
-/// types that pay it), `Negative` marks a cached failure, and `Admissible`
-/// refuses values that must never be cached.
+/// types that pay it), and `Admissible` refuses values that must never be
+/// cached.
 template <typename Value>
 struct CacheValueTraits;
 
 template <>
 struct CacheValueTraits<ResultCacheValue> {
   static constexpr const char* kMetricPrefix = "result_cache";
-  /// Entry framing plus the ranked-target payload and any status message: a
-  /// top-k entry carrying k targets costs ~k× an s-t scalar.
+  /// Entry framing plus the ranked-target payload: a top-k entry carrying k
+  /// targets costs ~k× an s-t scalar.
   static size_t Charge(const ResultCacheValue& value, size_t framing) {
-    return framing + value.targets.size() * sizeof(ReliableTarget) +
-           value.status.message().size();
+    return framing + value.targets.size() * sizeof(ReliableTarget);
   }
-  static bool Negative(const ResultCacheValue& value) {
-    return value.negative();
-  }
-  /// A transient failure (deadline, cancellation, shed) says nothing about
-  /// the key itself; negative-caching it would make a momentary condition
-  /// sticky for the TTL.
+  /// Only answers are cached: every engine failure is O(1) to repeat
+  /// (CheckWorkloadSupported), transient (deadline, cancellation, shed) or
+  /// injected, so the next miss recomputes it.
   static bool Admissible(const ResultCacheValue& value) {
-    return !IsTransientStatusCode(value.status.code());
+    return value.status.ok();
   }
 };
 
@@ -123,33 +116,29 @@ struct CacheValueTraits<SweepVector> {
   static size_t Charge(const SweepVector& sweep, size_t /*framing*/) {
     return sweep == nullptr ? 0 : sweep->size() * sizeof(double);
   }
-  static bool Negative(const SweepVector& /*sweep*/) { return false; }
   static bool Admissible(const SweepVector& sweep) { return sweep != nullptr; }
 };
 
 /// Monotonic counters plus occupancy at snapshot time; a snapshot type so
 /// callers can diff two points in time.
 struct CacheStats {
-  uint64_t hits = 0;           ///< positive entries served
-  uint64_t negative_hits = 0;  ///< cached failures served (failure backoff)
+  uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  uint64_t expired = 0;   ///< entries dropped because their TTL elapsed
   uint64_t rejected = 0;  ///< entries larger than a whole shard's byte budget
   size_t bytes_in_use = 0;  ///< charged bytes resident at snapshot time
   size_t entries = 0;       ///< entries resident at snapshot time
 
-  uint64_t lookups() const { return hits + negative_hits + misses; }
+  uint64_t lookups() const { return hits + misses; }
   double hit_rate() const {
     const uint64_t n = lookups();
     return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
   }
 };
 
-/// \brief Sharded LRU cache with lazy TTL expiry, negative entries and a
-/// byte budget; the engine's result cache and sweep memo are its two
-/// instantiations (ResultCache, SweepCache below).
+/// \brief Sharded LRU cache with a byte budget; the engine's result cache and
+/// sweep memo are its two instantiations (ResultCache, SweepCache below).
 ///
 /// Each shard owns a mutex, an LRU list and a hash map, so concurrent
 /// lookups on different keys mostly touch different locks. The entry
@@ -159,13 +148,11 @@ struct CacheStats {
 /// older copy of its key is dropped — admitting it would flush the shard for
 /// an entry that cannot amortize.
 ///
-/// Entries may carry a TTL (0 = immortal): an expired entry is dropped on
-/// the lookup that discovers it (counted in `expired`) and the lookup
-/// proceeds as a miss. Negative entries (Traits::Negative) are served like
-/// hits but counted separately and never exported. Values are copied out,
-/// so eviction never invalidates a reader.
+/// Entries never expire: a cached value is a pure function of its key, so
+/// an expiry would only recompute identical bits. Values are copied out, so
+/// eviction never invalidates a reader.
 template <typename Key, typename Value>
-class TtlCache {
+class LruCache {
  public:
   using Traits = CacheValueTraits<Value>;
 
@@ -184,7 +171,7 @@ class TtlCache {
   /// unlimited). `registry` (optional, not owned, must outlive the cache)
   /// receives the `<Traits::kMetricPrefix>_*` instruments; when nullptr a
   /// private registry is owned.
-  explicit TtlCache(size_t capacity, size_t num_shards = 8,
+  explicit LruCache(size_t capacity, size_t num_shards = 8,
                     size_t max_bytes = 0,
                     obs::MetricsRegistry* registry = nullptr)
       : capacity_(capacity == 0 ? 1 : capacity), max_bytes_(max_bytes) {
@@ -194,11 +181,9 @@ class TtlCache {
     }
     const std::string prefix = Traits::kMetricPrefix;
     hits_ = registry->GetCounter(prefix + "_hits_total");
-    negative_hits_ = registry->GetCounter(prefix + "_negative_hits_total");
     misses_ = registry->GetCounter(prefix + "_misses_total");
     insertions_ = registry->GetCounter(prefix + "_insertions_total");
     evictions_ = registry->GetCounter(prefix + "_evictions_total");
-    expired_ = registry->GetCounter(prefix + "_expired_total");
     rejected_ = registry->GetCounter(prefix + "_rejected_total");
     bytes_gauge_ = registry->GetGauge(prefix + "_bytes");
     entries_gauge_ = registry->GetGauge(prefix + "_entries");
@@ -242,43 +227,24 @@ class TtlCache {
       if (record_stats) misses_->Inc();
       return std::nullopt;
     }
-    Entry& entry = *it->second;
-    if (Expired(entry)) {
-      // Lazy expiry: the lookup that finds an entry past its deadline drops
-      // it (a cached failure must not outlive its backoff). Counted even on
-      // uncounted probes: the entry really is gone either way.
-      const size_t bytes_before = shard.bytes;
-      const size_t entries_before = shard.lru.size();
-      RemoveEntry(shard, it);
-      Publish(shard, bytes_before, entries_before);
-      expired_->Inc();
-      if (record_stats) misses_->Inc();
-      return std::nullopt;
-    }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    if (record_stats) {
-      (Traits::Negative(entry.value) ? negative_hits_ : hits_)->Inc();
-    }
-    return entry.value;
+    if (record_stats) hits_->Inc();
+    return it->second->value;
   }
 
-  /// True when a live (unexpired) entry exists for `key`. Touches neither
-  /// recency nor stats and copies no payload — a pure probe; the next
-  /// Lookup reaps an expired entry.
+  /// True when an entry exists for `key`. Touches neither recency nor stats
+  /// and copies no payload — a pure probe.
   bool Contains(const Key& key) const {
     const HashedKey hashed{key, key.Hash()};
     Shard& shard = *shards_[hashed.hash & (shards_.size() - 1)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(hashed);
-    return it != shard.index.end() && !Expired(*it->second);
+    return shard.index.find(hashed) != shard.index.end();
   }
 
   /// Inserts (or refreshes) `value` under `key`, evicting the shard's LRU
-  /// entries until both budgets hold. `ttl_seconds` > 0 puts a deadline on
-  /// the entry (an infinite or out-of-range TTL means none); 0 means it
-  /// never expires. Re-inserting a key replaces its value and TTL.
+  /// entries until both budgets hold. Re-inserting a key replaces its value.
   /// Inadmissible values are refused.
-  void Insert(const Key& key, Value value, double ttl_seconds = 0.0) {
+  void Insert(const Key& key, Value value) {
     if (!Traits::Admissible(value)) return;
     const HashedKey hashed{key, key.Hash()};
     if (FaultInjector::Global().enabled() &&
@@ -289,8 +255,6 @@ class TtlCache {
       return;
     }
     const size_t charge = Charge(value);
-    const uint64_t deadline_ns =
-        ttl_seconds > 0.0 ? DeadlineAfter(StopwatchNs::Now(), ttl_seconds) : 0;
     Shard& shard = ShardFor(hashed.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     const size_t bytes_before = shard.bytes;
@@ -311,11 +275,10 @@ class TtlCache {
       Entry& entry = *it->second;
       shard.bytes = shard.bytes - entry.bytes + charge;
       entry.value = std::move(value);
-      entry.deadline_ns = deadline_ns;
       entry.bytes = charge;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
-      shard.lru.push_front(Entry{hashed, std::move(value), deadline_ns, charge});
+      shard.lru.push_front(Entry{hashed, std::move(value), charge});
       shard.index.emplace(hashed, shard.lru.begin());
       shard.bytes += charge;
       insertions_->Inc();
@@ -331,17 +294,13 @@ class TtlCache {
     Publish(shard, bytes_before, entries_before);
   }
 
-  /// Snapshot of every immortal *positive* entry for the persistence
-  /// journal (shard by shard, most-recent first within a shard). Negative
-  /// entries are excluded — their backoff must not survive a restart — and
-  /// so is any entry with a TTL, which an exported record could not carry
-  /// (a const probe; nothing is reaped).
+  /// Snapshot of every entry for the persistence journal (shard by shard,
+  /// most-recent first within a shard).
   std::vector<Export> ExportEntries() const {
     std::vector<Export> out;
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       for (const Entry& entry : shard->lru) {
-        if (Traits::Negative(entry.value) || entry.deadline_ns != 0) continue;
         out.push_back(Export{entry.key.key, entry.value});
       }
     }
@@ -364,11 +323,9 @@ class TtlCache {
   CacheStats Stats() const {
     CacheStats stats;
     stats.hits = hits_->Value();
-    stats.negative_hits = negative_hits_->Value();
     stats.misses = misses_->Value();
     stats.insertions = insertions_->Value();
     stats.evictions = evictions_->Value();
-    stats.expired = expired_->Value();
     stats.rejected = rejected_->Value();
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
@@ -396,9 +353,6 @@ class TtlCache {
   struct Entry {
     HashedKey key;
     Value value;
-    /// Expiry deadline as an absolute StopwatchNs::Now() reading; 0 =
-    /// immortal.
-    uint64_t deadline_ns = 0;
     /// Charged bytes (Charge at insertion), subtracted on removal.
     size_t bytes = 0;
   };
@@ -424,10 +378,6 @@ class TtlCache {
     size_t byte_budget = 0;
     size_t bytes = 0;
   };
-
-  static bool Expired(const Entry& entry) {
-    return entry.deadline_ns != 0 && StopwatchNs::Now() >= entry.deadline_ns;
-  }
 
   Shard& ShardFor(uint64_t hash) {
     return *shards_[hash & (shards_.size() - 1)];
@@ -459,11 +409,9 @@ class TtlCache {
   /// Private fallback when no shared registry was handed in.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* hits_;
-  obs::Counter* negative_hits_;
   obs::Counter* misses_;
   obs::Counter* insertions_;
   obs::Counter* evictions_;
-  obs::Counter* expired_;
   obs::Counter* rejected_;
   obs::Gauge* bytes_gauge_;
   obs::Gauge* entries_gauge_;
@@ -471,9 +419,9 @@ class TtlCache {
 
 /// Workload results: 8 shards, bounded by `cache_capacity` entries and
 /// `cache_max_bytes`.
-using ResultCache = TtlCache<ResultCacheKey, ResultCacheValue>;
+using ResultCache = LruCache<ResultCacheKey, ResultCacheValue>;
 /// Per-source sweeps: one shard (a global LRU order), bounded by bytes only
 /// (construct with capacity kNoEntryLimit and one shard).
-using SweepCache = TtlCache<SweepCacheKey, SweepVector>;
+using SweepCache = LruCache<SweepCacheKey, SweepVector>;
 
 }  // namespace relcomp

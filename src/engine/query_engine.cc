@@ -27,6 +27,11 @@ constexpr size_t kResultCacheShards = 8;
 /// Prebuilder threads: several distinct prepare seeds are resampled at once,
 /// each still built exactly once, closest to dispatch first.
 constexpr size_t kPrebuildThreads = 2;
+/// Bound on the prebuilder's queued + ready-but-unclaimed generations. Each
+/// ready one is index-sized (IndexMemory() reports the pool as
+/// prebuilt_bytes); at the bound the oldest ready one is evicted for a new
+/// request, or the request is dropped and its query resamples inline.
+constexpr size_t kPrebuildMaxPending = 16;
 
 /// True when `status` is the deadline/cancellation family — the failures
 /// that also count in engine_deadline_exceeded_total.
@@ -81,9 +86,8 @@ class StageTimer {
 /// cache key on restore; the restoring engine checks the digest and the
 /// kind / budget / seed against *its own* and skips mismatches, so a journal
 /// written for another graph or configuration (or another master seed) can
-/// never resurface a wrong answer. Records carry no TTL: only immortal
-/// entries are exported. Decoders return false on any truncation or shape
-/// violation.
+/// never resurface a wrong answer. Decoders return false on any truncation
+/// or shape violation.
 /// @{
 std::string EncodeSweepRecord(uint64_t digest,
                               const SweepCache::Export& entry) {
@@ -220,8 +224,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "sweep_wait");
   if (capabilities_.prepared_generations) {
     prebuilder_ = std::make_unique<GenerationPrebuilder>(
-        *replicas_.front(), *registry_, options_.prebuild_max_pending,
-        kPrebuildThreads, options_.prebuild_max_bytes);
+        *replicas_.front(), *registry_, kPrebuildMaxPending, kPrebuildThreads);
   }
   pool_ = std::make_unique<ThreadPool>(
       options_.num_threads, options_.queue_capacity,
@@ -270,10 +273,6 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   if (opts.num_samples == 0) {
     return Status::InvalidArgument("EngineOptions::num_samples must be > 0");
   }
-  if (opts.negative_cache_ttl < 0.0) {
-    return Status::InvalidArgument(
-        "EngineOptions::negative_cache_ttl must be >= 0");
-  }
   // The registry exists before anything else so the persistence tier's
   // recovery counters capture the snapshot restore that happens *before*
   // the engine object does.
@@ -302,6 +301,17 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<Estimator>> replicas,
       MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory));
+  // A budget above the index's L worlds would fail every s != t query after
+  // a full O(L·m) prepare. The replicas' index decides, not the factory
+  // option: a preloaded index carries its own L.
+  if (const auto* bfs =
+          dynamic_cast<const BfsSharingEstimator*>(replicas.front().get());
+      bfs != nullptr && opts.num_samples > bfs->index_samples()) {
+    return Status::InvalidArgument(
+        StrFormat("EngineOptions::num_samples K=%u exceeds the BFS Sharing "
+                  "index's L=%u worlds",
+                  opts.num_samples, bfs->index_samples()));
+  }
   // The preloaded artifacts were consumed by the replica build; the engine
   // keeps its options free of them (they pin the snapshot mapping).
   opts.factory.preloaded_bfs_index.reset();
@@ -503,22 +513,12 @@ bool QueryEngine::TryServeWithoutCompute(
     hit = cache_.Lookup(key);
   }
   if (hit) {
-    const bool negative = hit->negative();
     FillFromValue(std::move(*hit), slot);
     slot->seconds = 0.0;
     slot->cache_hit = true;
-    if (negative) {
-      // Failure backoff: the cached error is served without recomputing.
-      // Counted as a failure (and as a cache negative_hit), never as a
-      // cache hit — executed + coalesced + failures + cache.hits must
-      // still equal queries.
-      stats_.RecordFailure(0.0);
-    } else {
-      stats_.RecordCacheHit();
-    }
+    stats_.RecordCacheHit();
     return true;
   }
-  if (!options_.enable_coalescing) return false;
 
   auto joined = query_flights_.JoinOrCreate(key, cache_);
   if (joined.cached) {
@@ -526,15 +526,10 @@ bool QueryEngine::TryServeWithoutCompute(
     // query shared a twin's computation. Accounted as *coalesced*, not a
     // cache hit — the fast-path miss is already in the cache stats, and
     // executed + coalesced + failures + cache.hits must equal queries.
-    const bool negative = joined.cached->negative();
     FillFromValue(std::move(*joined.cached), slot);
     slot->seconds = 0.0;
     slot->coalesced = true;
-    if (negative) {
-      stats_.RecordFailure(0.0);
-    } else {
-      stats_.RecordCoalesced(0.0);
-    }
+    stats_.RecordCoalesced(0.0);
     return true;
   }
   if (joined.leader) {
@@ -553,9 +548,8 @@ bool QueryEngine::TryServeWithoutCompute(
   }
   slot->seconds = wait_timer.ElapsedSeconds();
   if (!ready) {
-    // Not coalesced: this query shared nothing — it gave up. Transient
-    // status, so nothing here is negative-cached (the leader's own publish
-    // is independent and unaffected).
+    // Not coalesced: this query shared nothing — it gave up (the leader's
+    // own publish is independent and unaffected).
     slot->status = cancel->ToStatus();
     stats_.RecordFailure(slot->seconds);
     stats_.RecordDeadlineExceeded();
@@ -574,28 +568,12 @@ bool QueryEngine::TryServeWithoutCompute(
   return true;
 }
 
-void QueryEngine::PublishToCache(const ResultCacheKey& key,
-                                 const ResultCacheValue& value) {
-  if (value.status.ok()) {
-    cache_.Insert(key, value);
-  } else if (options_.negative_cache_ttl > 0.0 &&
-             !IsTransientStatusCode(value.status.code())) {
-    // Transient outcomes (deadline exceeded, cancelled, shed) describe the
-    // submission, not the answer — caching them would fail future queries
-    // that carry no deadline at all. Only genuine per-query failures
-    // (invalid argument, not supported, internal) are negative-cached.
-    // Negative caching: keep only the status (the payload is meaningless),
-    // under the short backoff TTL so the key retries after it elapses.
-    ResultCacheValue negative;
-    negative.status = value.status;
-    cache_.Insert(key, negative, options_.negative_cache_ttl);
-  }
-}
-
 void QueryEngine::FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
                                const ResultCacheValue& value) {
+  // The cache refuses a failure (CacheValueTraits), so the next miss of this
+  // key recomputes it.
   query_flights_.Finish(
-      key, flight, [&] { PublishToCache(key, value); },
+      key, flight, [&] { cache_.Insert(key, value); },
       [&](QueryFlight& settled) { settled.value = value; });
 }
 
@@ -627,49 +605,6 @@ Status QueryEngine::PrepareReplica(
     // for replicas of this engine): the inline prepare is bit-identical.
   }
   return estimator.PrepareForNextQuery(prepare_seed);
-}
-
-Result<QueryEngine::SweepShare> QueryEngine::ComputeSweepSerial(
-    size_t worker_id, const SweepCacheKey& key, const CancelToken* cancel,
-    obs::TraceBuffer* trace, uint32_t parent) {
-  // Coalescing-off path: one worker runs the whole stratified sweep
-  // back-to-back. EstimateFromSource with the engine's num_strata merges
-  // strata in index order — the exact merge the stratum scheduler replays —
-  // so serial and stolen-strata execution are bit-identical.
-  Estimator& estimator = *replicas_[worker_id];
-  const uint64_t sweep_seed = key.seed;
-  MemoryTracker tracker;
-  Timer timer;
-  stats_.RecordSweepExecuted();
-  FaultInjector& injector = FaultInjector::Global();
-  if (injector.enabled()) {
-    injector.MaybeDelay(sweep_seed);
-    RELCOMP_RETURN_NOT_OK(injector.MaybeFail(FaultSite::kEstimatorFailure,
-                                             sweep_seed, "serial sweep"));
-  }
-  {
-    StageTimer prepare(stage_prepare_, trace, obs::SpanKind::kPrepare, parent);
-    RELCOMP_RETURN_NOT_OK(PrepareReplica(
-        estimator, HashCombineSeed(sweep_seed, kPrepareSeedTag)));
-  }
-  EstimateOptions estimate_options;
-  estimate_options.num_samples = options_.num_samples;
-  estimate_options.seed = sweep_seed;
-  estimate_options.num_strata = options_.num_strata;
-  estimate_options.memory = &tracker;
-  estimate_options.cancel = cancel;
-  estimate_options.trace = trace;
-  estimate_options.trace_parent = parent;
-  RELCOMP_ASSIGN_OR_RETURN(
-      std::vector<double> swept,
-      estimator.EstimateFromSource(key.source, estimate_options));
-  auto vector = std::make_shared<const std::vector<double>>(std::move(swept));
-  sweep_cache_.Insert(key, vector);
-  stats_.RecordSweepLatency(timer.ElapsedSeconds());
-  SweepShare share;
-  share.vector = std::move(vector);
-  share.peak_memory_bytes = tracker.peak_bytes();
-  return share;
 }
 
 Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
@@ -885,9 +820,6 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     stats_.RecordSweepHit();
     return SweepShare{std::move(*hit), 0};
   }
-  if (!options_.enable_coalescing) {
-    return ComputeSweepSerial(worker_id, key, cancel, trace, parent);
-  }
   auto joined = sweep_flights_.JoinOrCreate(
       key, sweep_cache_, options_.num_strata, options_.num_samples);
   if (joined.cached) {
@@ -1017,10 +949,10 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
   // deadline means none at all.
   const double deadline_ms =
       query.deadline_ms > 0.0 ? query.deadline_ms : options_.default_deadline_ms;
-  const CancelToken token(DeadlineAfter(enqueue_ns, deadline_ms * 1e-3),
-                          query.cancel);
+  const uint64_t deadline = DeadlineAfter(enqueue_ns, deadline_ms * 1e-3);
+  const CancelToken token(deadline, query.cancel);
   const CancelToken* cancel =
-      (token.deadline_ns() != 0 || query.cancel != nullptr) ? &token : nullptr;
+      (deadline != 0 || query.cancel != nullptr) ? &token : nullptr;
 
   std::shared_ptr<QueryFlight> flight;
   if (TryServeWithoutCompute(key, slot, &flight, cancel, trace, root)) {
@@ -1033,9 +965,8 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
 
   // Pre-compute deadline check: the query may have expired while it queued
   // (or the caller cancelled before we got here). Fail it before burning an
-  // estimator on an answer nobody wants. A leader slot still retires its
-  // flight entry so waiters drain with the same transient status; the
-  // transient code keeps it out of the negative cache.
+  // estimator on an answer nobody wants. The leader still retires its
+  // flight so waiters drain with the same transient status.
   if (cancel != nullptr && cancel->Cancelled()) {
     ResultCacheValue expired_value;
     expired_value.status = cancel->ToStatus();
@@ -1043,7 +974,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     slot->seconds = 0.0;
     stats_.RecordFailure(0.0);
     stats_.RecordDeadlineExceeded();
-    if (flight != nullptr) FinishFlight(key, *flight, expired_value);
+    FinishFlight(key, *flight, expired_value);
     if (trace != nullptr) {
       buffer.End(root);
       tracer_->Finish(buffer);
@@ -1051,7 +982,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
     return;
   }
 
-  // Leader (or coalescing disabled): compute on this worker's replica.
+  // Leader: compute on this worker's replica.
   Timer timer;
   ResultCacheValue value;
   Result<WorkloadResult> result =
@@ -1075,11 +1006,7 @@ void QueryEngine::RunOne(size_t worker_id, const EngineQuery& query,
   {
     StageTimer publish_stage(stage_publish_, trace, obs::SpanKind::kPublish,
                              root);
-    if (flight != nullptr) {
-      FinishFlight(key, *flight, value);
-    } else {
-      PublishToCache(key, value);
-    }
+    FinishFlight(key, *flight, value);
   }
   if (trace != nullptr) {
     buffer.End(root);

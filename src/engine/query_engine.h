@@ -14,7 +14,7 @@
 #include "engine/generation_prebuilder.h"
 #include "engine/single_flight.h"
 #include "engine/thread_pool.h"
-#include "engine/ttl_cache.h"
+#include "engine/lru_cache.h"
 #include "graph/uncertain_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,13 +38,14 @@ struct EngineOptions {
   /// sweeps; MC and RHH answer distance-constrained queries. An unsupported
   /// (kind, workload) pair fails that query (NotSupported), never the batch.
   EstimatorKind kind = EstimatorKind::kMonteCarlo;
-  /// Sample budget K per query.
+  /// Sample budget K per query. A BFS Sharing engine needs K <= the L worlds
+  /// of its replicas' index; Create refuses a larger K (InvalidArgument).
   uint32_t num_samples = 1000;
   /// Stratified sample partitioning S: the budget K of every MC estimate is
   /// split into S fixed strata, each seeded from the query's content seed
   /// and its stratum index — so a result is a canonical function of (query
-  /// content, S), never of thread count or scheduling. Under sweep-level
-  /// single-flight, coalesced waiters *steal unclaimed strata* of the
+  /// content, S), never of thread count or scheduling. In a sweep flight,
+  /// coalesced waiters *steal unclaimed strata* of the
   /// in-flight sweep instead of blocking: one hot sweep uses the whole
   /// machine, bit-identically to running its strata back-to-back on one
   /// worker. S = 1 (the default) is the legacy unstratified path; serving
@@ -57,59 +58,30 @@ struct EngineOptions {
   /// (see README.md), so results are independent of thread count and
   /// scheduling order.
   uint64_t seed = 0;
-  /// Result cache sizing. A successful answer stays cached until LRU or
-  /// byte-budget eviction: answers are content-deterministic, so an expiry
-  /// would only recompute identical bits.
+  /// Result cache sizing. Only successful answers are cached, and each stays
+  /// until LRU or byte-budget eviction: answers are content-deterministic,
+  /// so an expiry would only recompute identical bits.
   size_t cache_capacity = 1 << 16;
   /// Byte budget for the result cache (0 = unlimited): entries are charged
   /// their real payload bytes — a top-k entry carrying k ranked targets
   /// costs ~k× an s-t scalar — and each shard evicts by bytes on top of the
   /// entry capacity. See ResultCache.
   size_t cache_max_bytes = 0;
-  /// Failure backoff: estimator errors are cached for this many seconds
-  /// (negative caching), so a hot failing key stops recomputing — and
-  /// re-failing — on every miss; after the TTL it retries. 0 disables
-  /// negative caching. The only cache TTL.
-  double negative_cache_ttl = 1.0;
-  /// Single-flight request coalescing: concurrent cache misses for the same
-  /// key share one in-flight computation instead of computing twins on
-  /// separate workers — at the query level AND at the sweep level (misses
-  /// that need the same source's sweep, even across workload kinds and
-  /// parameters, share one EstimateFromSource). Semantically invisible
-  /// (results are content-deterministic); off only for A/B measurement.
-  bool enable_coalescing = true;
   /// Byte budget for the sweep cache, which keeps the per-source
   /// reliability vector of top-k / reliable-set queries so later queries
   /// over the same source — any k, any eta — derive their answers without
   /// re-running the BFS (one sweep = num_nodes doubles).
   size_t sweep_cache_max_bytes = size_t{128} << 20;
-  /// Bound on queued + ready-but-unclaimed generations of the background
-  /// prebuilder, which resamples the worlds of kinds with prepared
-  /// generations (BFS Sharing) ahead of dispatch. NOTE: the bound is a
-  /// *count*, and every ready generation holds a full index-sized artifact
-  /// (a BFS Sharing generation is the L-bit-per-edge vectors, the same order
-  /// as the shared index itself; IndexMemory() reports the pool as
-  /// prebuilt_bytes) — size this knob as "how many spare indexes fit in
-  /// RAM". At the bound the oldest ready generation is evicted for a new
-  /// request; if all pending work is queued / in-flight, the request is
-  /// dropped and the affected query simply resamples inline.
-  size_t prebuild_max_pending = 16;
-  /// Byte budget for the prebuilder's ready pool (0 = bounded by count
-  /// only): ready generations are charged their real
-  /// PreparedGeneration::MemoryBytes() — index-sized for BFS Sharing — and
-  /// the oldest are evicted when the pool exceeds the budget. The resident
-  /// pool is reported in IndexMemoryReport::prebuilt_bytes.
-  size_t prebuild_max_bytes = 0;
   /// \name Fault tolerance & graceful degradation (see README "Failure
   /// semantics & degraded modes")
   /// @{
   /// Deadline in milliseconds applied to every query that does not carry its
   /// own EngineQuery::deadline_ms; 0 = no default deadline. The clock starts
   /// at submission, so queue wait counts against it. An expired query fails
-  /// with kDeadlineExceeded — a transient status, never negative-cached —
-  /// and cancellation is cooperative and all-or-nothing: a query either
-  /// completes with its full bit-identical answer or returns no result at
-  /// all, so deadlines never change any completed answer.
+  /// with kDeadlineExceeded, and cancellation is cooperative and
+  /// all-or-nothing: a query either completes with its full bit-identical
+  /// answer or returns no result at all, so deadlines never change any
+  /// completed answer.
   double default_deadline_ms = 0.0;
   /// Admission control on the stream path (Submit): refuse work up front
   /// with kUnavailable (and a retry_after_ms hint in the message) instead of
@@ -206,8 +178,7 @@ struct EngineResult {
 /// index-carrying replicas share one immutable index. Every query's seed is
 /// derived from the master seed and the query's content (workload tag
 /// included) — so a batch returns bit-identical results whether it runs on 1
-/// thread or 16, with coalescing on or off, and engine top-k /
-/// reliable-set answers match the standalone TopKReliableTargets* /
+/// thread or 16, and engine top-k / reliable-set answers match the standalone TopKReliableTargets* /
 /// ReliableSet* APIs exactly. See src/engine/README.md for the contract.
 ///
 /// Thread-safe: concurrent RunBatch/Submit/Drain calls from multiple client
@@ -218,7 +189,8 @@ class QueryEngine {
  public:
   /// Builds the pool and one estimator replica per worker. Index-carrying
   /// kinds build their index exactly once and share it across replicas
-  /// (deterministic, so replicas are interchangeable).
+  /// (deterministic, so replicas are interchangeable). InvalidArgument for
+  /// num_samples = 0, or above a BFS Sharing index's L worlds.
   static Result<std::unique_ptr<QueryEngine>> Create(
       const UncertainGraph& graph, const EngineOptions& options);
 
@@ -363,7 +335,7 @@ class QueryEngine {
   /// A query-level flight: the first worker to miss the cache for a key
   /// leads and computes; concurrent misses for the same key copy its value.
   struct QueryFlight : FlightState {
-    ResultCacheValue value;  ///< carries the Status (negative on failure)
+    ResultCacheValue value;  ///< carries the Status, non-OK on failure
   };
 
   /// A sweep-level flight, run as a *stratum scheduler*: the first worker to
@@ -466,14 +438,6 @@ class QueryEngine {
                         const CancelToken* cancel, obs::TraceBuffer* trace,
                         uint32_t parent);
 
-  /// Serial sweep for the coalescing-off path: one EstimateFromSource with
-  /// the engine's stratum count (bit-identical to a stolen-strata merge).
-  Result<SweepShare> ComputeSweepSerial(size_t worker_id,
-                                        const SweepCacheKey& key,
-                                        const CancelToken* cancel,
-                                        obs::TraceBuffer* trace,
-                                        uint32_t parent);
-
   /// The cache keys `query` (and `source`'s sweep) are stored under: the
   /// plan's kind and budget plus the derived seed.
   ResultCacheKey ResultKeyFor(const EngineQuery& query) const;
@@ -493,9 +457,9 @@ class QueryEngine {
   void RequestPrebuild(const EngineQuery& query);
 
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
-  /// `slot` was fully served (cache hit — positive or negative — or
-  /// coalesced); otherwise the caller is the leader (or coalescing is off)
-  /// and must compute, then call FinishFlight with the outcome.
+  /// `slot` was fully served (cache hit or coalesced); otherwise the caller
+  /// leads `*leader_flight` and must compute, then call FinishFlight with
+  /// the outcome.
   /// `cancel` (nullable) bounds the coalesced-follower wait: a follower
   /// whose token trips stops waiting and fails with the token's transient
   /// status (counted as a failure, not coalesced); the flight completes
@@ -524,14 +488,10 @@ class QueryEngine {
   /// key re-derives from this engine's plan and seeds.
   void RestoreWarmState();
 
-  /// Publishes the leader's outcome: inserts into the cache (successes with
-  /// no TTL, failures under negative_cache_ttl when enabled), retires the
-  /// flight, and wakes the waiters.
+  /// Publishes the leader's outcome: caches it when OK (a failure reaches
+  /// only this flight's waiters), retires the flight, and wakes the waiters.
   void FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
                     const ResultCacheValue& value);
-
-  /// Cache insertion policy shared by the leader and non-coalescing paths.
-  void PublishToCache(const ResultCacheKey& key, const ResultCacheValue& value);
 
   /// Moves a cached / in-flight payload (and its status) into `slot`. Pass
   /// a copy when the source is shared (a flight value read by many

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "common/cancel.h"
-#include "engine/ttl_cache.h"
+#include "engine/lru_cache.h"
 
 namespace relcomp {
 
@@ -50,11 +50,13 @@ class FlightTable {
 
   /// Rendezvous for `key` under the table lock. It first re-probes `cache`
   /// (uncounted, since the caller already counted its miss): Finish
-  /// publishes before it retires, so a miss finds the key in the cache or in
-  /// the table, never in neither. Otherwise it joins the key's flight, or
-  /// creates one from `args` and makes the caller its leader.
+  /// publishes before it retires, so a miss after a successful flight finds
+  /// the key in the cache or in the table, never in neither. A failed flight
+  /// publishes nothing, so a miss after it retires leads a new flight.
+  /// Otherwise it joins the key's flight, or creates one from `args` and
+  /// makes the caller its leader.
   template <typename Value, typename... Args>
-  Joined<Value> JoinOrCreate(const Key& key, TtlCache<Key, Value>& cache,
+  Joined<Value> JoinOrCreate(const Key& key, LruCache<Key, Value>& cache,
                              Args&&... args) {
     Joined<Value> joined;
     std::lock_guard<std::mutex> lock(mutex_);

@@ -1,5 +1,6 @@
 #include "reliability/exact.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/format.h"
@@ -9,49 +10,6 @@ namespace relcomp {
 
 namespace {
 
-/// BFS over edges whose state satisfies `keep`; returns whether t is reached.
-template <typename KeepFn>
-bool StateReachable(const UncertainGraph& g, NodeId s, NodeId t,
-                    const std::vector<EdgeState>& states, KeepFn keep) {
-  if (s == t) return true;
-  std::vector<uint8_t> visited(g.num_nodes(), 0);
-  std::vector<NodeId> queue;
-  queue.push_back(s);
-  visited[s] = 1;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const NodeId v = queue[head];
-    for (const AdjEntry& a : g.OutEdges(v)) {
-      if (!keep(states[a.edge]) || visited[a.neighbor]) continue;
-      if (a.neighbor == t) return true;
-      visited[a.neighbor] = 1;
-      queue.push_back(a.neighbor);
-    }
-  }
-  return false;
-}
-
-/// First undetermined out-edge of the component certainly reached via
-/// included edges, in DFS preorder from s; kInvalidEdge if none.
-EdgeId SelectEdgeDfs(const UncertainGraph& g, NodeId s,
-                     const std::vector<EdgeState>& states) {
-  std::vector<uint8_t> visited(g.num_nodes(), 0);
-  std::vector<NodeId> stack;
-  stack.push_back(s);
-  visited[s] = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const AdjEntry& a : g.OutEdges(v)) {
-      if (states[a.edge] == EdgeState::kUndetermined) return a.edge;
-      if (states[a.edge] == EdgeState::kIncluded && !visited[a.neighbor]) {
-        visited[a.neighbor] = 1;
-        stack.push_back(a.neighbor);
-      }
-    }
-  }
-  return kInvalidEdge;
-}
-
 struct FactoringContext {
   const UncertainGraph& graph;
   NodeId s;
@@ -60,7 +18,54 @@ struct FactoringContext {
   uint64_t steps = 0;
   uint64_t max_steps = 0;
   bool exhausted = false;
+  /// Traversal scratch every step reuses: visited marks, and the BFS queue
+  /// or DFS stack.
+  std::vector<uint8_t> visited;
+  std::vector<NodeId> frontier;
 };
+
+/// Resets the traversal scratch to "only s visited, s pending".
+void StartTraversal(FactoringContext& ctx) {
+  std::fill(ctx.visited.begin(), ctx.visited.end(), 0);
+  ctx.frontier.clear();
+  ctx.frontier.push_back(ctx.s);
+  ctx.visited[ctx.s] = 1;
+}
+
+/// BFS over edges whose state satisfies `keep`; returns whether t is reached.
+template <typename KeepFn>
+bool StateReachable(FactoringContext& ctx, KeepFn keep) {
+  StartTraversal(ctx);
+  for (size_t head = 0; head < ctx.frontier.size(); ++head) {
+    const NodeId v = ctx.frontier[head];
+    for (const AdjEntry& a : ctx.graph.OutEdges(v)) {
+      if (!keep(ctx.states[a.edge]) || ctx.visited[a.neighbor]) continue;
+      if (a.neighbor == ctx.t) return true;
+      ctx.visited[a.neighbor] = 1;
+      ctx.frontier.push_back(a.neighbor);
+    }
+  }
+  return false;
+}
+
+/// First undetermined out-edge of the component certainly reached via
+/// included edges, in DFS preorder from s; kInvalidEdge if none.
+EdgeId SelectEdgeDfs(FactoringContext& ctx) {
+  StartTraversal(ctx);
+  while (!ctx.frontier.empty()) {
+    const NodeId v = ctx.frontier.back();
+    ctx.frontier.pop_back();
+    for (const AdjEntry& a : ctx.graph.OutEdges(v)) {
+      if (ctx.states[a.edge] == EdgeState::kUndetermined) return a.edge;
+      if (ctx.states[a.edge] == EdgeState::kIncluded &&
+          !ctx.visited[a.neighbor]) {
+        ctx.visited[a.neighbor] = 1;
+        ctx.frontier.push_back(a.neighbor);
+      }
+    }
+  }
+  return kInvalidEdge;
+}
 
 double FactorRecurse(FactoringContext& ctx) {
   if (ctx.exhausted) return 0.0;
@@ -72,11 +77,9 @@ double FactorRecurse(FactoringContext& ctx) {
   const auto not_excluded = [](EdgeState st) {
     return st != EdgeState::kExcluded;
   };
-  if (StateReachable(ctx.graph, ctx.s, ctx.t, ctx.states, included)) return 1.0;
-  if (!StateReachable(ctx.graph, ctx.s, ctx.t, ctx.states, not_excluded)) {
-    return 0.0;
-  }
-  const EdgeId e = SelectEdgeDfs(ctx.graph, ctx.s, ctx.states);
+  if (StateReachable(ctx, included)) return 1.0;
+  if (!StateReachable(ctx, not_excluded)) return 0.0;
+  const EdgeId e = SelectEdgeDfs(ctx);
   if (e == kInvalidEdge) {
     // Unreachable: a residual s-t path always passes through an undetermined
     // edge leaving the certainly-reached component.
@@ -148,7 +151,8 @@ Result<double> ExactReliabilityFactoring(const UncertainGraph& graph, NodeId s,
   FactoringContext ctx{graph, s, t,
                        std::vector<EdgeState>(graph.num_edges(),
                                               EdgeState::kUndetermined),
-                       0, max_steps, false};
+                       0, max_steps, false,
+                       std::vector<uint8_t>(graph.num_nodes(), 0), {}};
   const double r = FactorRecurse(ctx);
   if (ctx.exhausted) {
     return Status::OutOfRange(

@@ -325,9 +325,8 @@ TEST(ChaosTest, ExpiredDeadlineFailsWithoutPoisoningTheCache) {
   EXPECT_EQ(CounterValue(engine->metrics(), "engine_deadline_exceeded_total"),
             doomed.size());
 
-  // kDeadlineExceeded is transient: it must never have entered the negative
-  // cache, so the same queries without deadlines succeed — bit-identical to
-  // a fresh engine that never saw a deadline.
+  // No failure enters the cache, so the same queries without deadlines
+  // succeed — bit-identical to a fresh engine that never saw a deadline.
   const std::vector<EngineQuery> clean = ChaosBatch(graph, 16);
   const std::vector<EngineResult> retried =
       engine->RunBatch(clean).MoveValue();

@@ -91,7 +91,9 @@ TEST_P(EdgeCaseSweep, DenseBidirectedClique) {
     for (NodeId v = u + 1; v < 6; ++v) b.AddBidirectedEdge(u, v, 0.3).CheckOK();
   }
   const UncertainGraph g = b.Build().MoveValue();
-  const double exact = *ExactReliabilityFactoring(g, 0, 5);
+  // The factoring oracle expands millions of steps on K6; every estimator's
+  // instance shares one run.
+  static const double exact = *ExactReliabilityFactoring(g, 0, 5);
   auto est = Make(g);
   EXPECT_NEAR(Estimate(*est, 0, 5), exact,
               SamplingTolerance(exact, 4000, 5.0) + 0.015);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "engine/query_engine.h"
 #include "eval/query_gen.h"
 #include "reliability/distance_constrained.h"
@@ -80,20 +81,16 @@ TEST(EngineWorkloadTest, MixedBatchDeterministicAcrossThreadCounts) {
   for (const EstimatorKind kind :
        {EstimatorKind::kMonteCarlo, EstimatorKind::kBfsSharing}) {
     SCOPED_TRACE(EstimatorKindName(kind));
-    // 1/2/8 threads x coalescing on/off: every answer bit-identical to the
-    // bare estimator's (BFS Sharing's distance queries: NotSupported).
+    // 1/2/8 threads: every answer bit-identical to the bare estimator's
+    // (BFS Sharing's distance queries: NotSupported).
     for (const size_t threads : {1u, 2u, 8u}) {
-      for (const bool coalescing : {true, false}) {
-        SCOPED_TRACE(threads);
-        SCOPED_TRACE(coalescing);
-        EngineOptions options = BaseOptions(threads, kind);
-        options.enable_coalescing = coalescing;
-        auto engine = QueryEngine::Create(graph, options).MoveValue();
-        const std::vector<EngineResult> results =
-            engine->RunBatch(queries).MoveValue();
-        ExpectBitIdenticalResults(BareEstimatorAnswers(*engine, graph, queries),
-                                  results);
-      }
+      SCOPED_TRACE(threads);
+      auto engine =
+          QueryEngine::Create(graph, BaseOptions(threads, kind)).MoveValue();
+      const std::vector<EngineResult> results =
+          engine->RunBatch(queries).MoveValue();
+      ExpectBitIdenticalResults(BareEstimatorAnswers(*engine, graph, queries),
+                                results);
     }
   }
 }
@@ -337,9 +334,7 @@ TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
     auto bare = MakeEstimator(kind, graph).MoveValue();
     for (const bool stream : {false, true}) {
       SCOPED_TRACE(stream);
-      EngineOptions options = BaseOptions(2, kind);
-      options.negative_cache_ttl = 60.0;  // long enough to span the test
-      auto engine = QueryEngine::Create(graph, options).MoveValue();
+      auto engine = QueryEngine::Create(graph, BaseOptions(2, kind)).MoveValue();
       std::vector<EngineResult> results;
       if (stream) {
         for (const EngineQuery& query : queries) {
@@ -366,16 +361,21 @@ TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
       EXPECT_EQ(CounterValue(metrics, "engine_failures_total"),
                 queries.size());
 
-      // The failures stay negative-cached: a repeat is served as a cached
-      // error, not recomputed.
+      // Failures are never cached: a repeat fails again, still before any
+      // prepare or prebuild.
       const std::vector<EngineResult> again =
           engine->RunBatch(queries).MoveValue();
       for (const EngineResult& r : again) {
         EXPECT_EQ(r.status.code(), StatusCode::kNotSupported);
-        EXPECT_TRUE(r.cache_hit);
+        EXPECT_FALSE(r.cache_hit);
       }
-      EXPECT_EQ(CounterValue(metrics, "result_cache_negative_hits_total"),
-                queries.size());
+      EXPECT_EQ(CounterValue(metrics, "result_cache_insertions_total"), 0u);
+      EXPECT_EQ(CounterValue(metrics, "prebuilder_requested_total"), 0u);
+      EXPECT_EQ(metrics.GetHistogram("engine_stage_latency_ns", "stage",
+                                     "prepare")
+                    ->Snapshot()
+                    .count,
+                0u);
     }
   }
 }
@@ -412,82 +412,46 @@ TEST(EngineWorkloadTest, RejectsMalformedWorkloadQueriesUpFront) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(EngineWorkloadTest, NegativeCachingServesFailuresWithoutRecompute) {
-  // K = 300 exceeds L = 100 indexed worlds: every s != t query fails inside
-  // the estimator. With negative caching on, the repeats are served from the
-  // cache as negative hits instead of recomputing (and re-failing).
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 41);
-  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
-  options.factory.bfs_sharing.index_samples = 100;
-  options.negative_cache_ttl = 60.0;  // long enough to span the test
-  options.enable_coalescing = false;  // isolate the negative-cache path
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-
-  const std::vector<EngineQuery> queries(4, EngineQuery::St(0, 5));
-  const std::vector<EngineResult> first =
-      engine->RunBatch(queries).MoveValue();
-  for (const EngineResult& r : first) {
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+TEST(EngineWorkloadTest, FailuresAreRecomputedNeverCached) {
+  // Only answers are cached. With every estimate failing (injected), a
+  // repeated batch recomputes each query and fails it again: no result is a
+  // cache hit and nothing enters the cache. Concurrent copies of one failing
+  // query, whether they share a flight or lead the next one, all carry the
+  // same status.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 41);
+  std::vector<EngineQuery> queries;
+  for (NodeId s = 0; s < 8; ++s) {
+    queries.push_back(EngineQuery::St(s, (s + 5) % 20));
   }
-  const CacheStats stats = engine->cache()->Stats();
-  // The first miss computed and cached the error; the repeats hit it.
-  EXPECT_GE(stats.negative_hits, 1u);
+  const std::vector<EngineQuery> copies(32, EngineQuery::St(0, 5));
+  FaultPlan plan;
+  plan.seed = 41;
+  plan.probability[static_cast<size_t>(FaultSite::kEstimatorFailure)] = 1.0;
+  FaultInjector::Global().Configure(plan);
+  auto engine =
+      QueryEngine::Create(graph, BaseOptions(8, EstimatorKind::kMonteCarlo))
+          .MoveValue();
+  const Result<std::vector<EngineResult>> first = engine->RunBatch(queries);
+  const Result<std::vector<EngineResult>> second = engine->RunBatch(queries);
+  const Result<std::vector<EngineResult>> concurrent = engine->RunBatch(copies);
+  FaultInjector::Global().Disable();
+
+  for (const auto* batch : {&first, &second, &concurrent}) {
+    ASSERT_TRUE(batch->ok()) << batch->status();
+    for (const EngineResult& r : **batch) {
+      SCOPED_TRACE(r.query.Describe());
+      EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status;
+      EXPECT_FALSE(r.cache_hit);
+    }
+  }
+  for (const EngineResult& r : *concurrent) {
+    EXPECT_EQ(r.status.ToString(), concurrent->front().status.ToString());
+  }
   obs::MetricsRegistry& metrics = engine->metrics();
-  EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 0u);
-  EXPECT_EQ(CounterValue(metrics, "engine_failures_total"), queries.size());
-  // Every query resolved exactly once across the outcome counters.
-  EXPECT_EQ(CounterValue(metrics, "engine_executed_total") +
-                CounterValue(metrics, "engine_coalesced_total") +
-                CounterValue(metrics, "engine_failures_total") +
-                CounterValue(metrics, "result_cache_hits_total"),
-            QueriesRecorded(metrics));
-
-  // Backoff expires: with a tiny TTL the failure is recomputed on re-ask.
-  EngineOptions expiring = options;
-  expiring.negative_cache_ttl = 1e-9;
-  auto retry_engine = QueryEngine::Create(graph, expiring).MoveValue();
-  ASSERT_EQ(retry_engine->RunBatch(queries).MoveValue().size(),
-            queries.size());
-  EXPECT_GE(retry_engine->cache()->Stats().expired, 1u);
-}
-
-TEST(EngineWorkloadTest, NegativeCachingOffRecomputesEveryFailure) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 42);
-  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
-  options.factory.bfs_sharing.index_samples = 100;
-  options.negative_cache_ttl = 0.0;
-  options.enable_coalescing = false;
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  const std::vector<EngineQuery> queries(3, EngineQuery::St(0, 5));
-  ASSERT_EQ(engine->RunBatch(queries).MoveValue().size(), queries.size());
-  EXPECT_EQ(engine->cache()->Stats().negative_hits, 0u);
-  EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"),
-            queries.size());
-}
-
-TEST(EngineWorkloadTest, InfiniteCacheTtlStillCaches) {
-  // Regression: an infinite or huge TTL overflowed the seconds to
-  // nanoseconds conversion, so every entry expired on insert and the cache
-  // was silently off. negative_cache_ttl is the engine's one cache TTL: a
-  // failure cached under it must be served, not recomputed.
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 44);
-  for (const double ttl : {std::numeric_limits<double>::infinity(), 1e12}) {
-    SCOPED_TRACE(ttl);
-    // K = 300 exceeds L = 100 indexed worlds: the query fails every time.
-    EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
-    options.factory.bfs_sharing.index_samples = 100;
-    options.negative_cache_ttl = ttl;
-    auto engine = QueryEngine::Create(graph, options).MoveValue();
-    const std::vector<EngineQuery> query = {EngineQuery::St(0, 5)};
-    ASSERT_EQ(engine->RunBatch(query).MoveValue()[0].status.code(),
-              StatusCode::kInvalidArgument);
-    const EngineResult second = engine->RunBatch(query).MoveValue()[0];
-    EXPECT_EQ(second.status.code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(second.cache_hit);
-    EXPECT_EQ(engine->cache()->Stats().negative_hits, 1u);
-    EXPECT_EQ(engine->cache()->Stats().expired, 0u);
-  }
+  EXPECT_EQ(CounterValue(metrics, "result_cache_insertions_total"), 0u);
+  EXPECT_EQ(CounterValue(metrics, "result_cache_hits_total"), 0u);
+  EXPECT_EQ(CounterValue(metrics, "engine_failures_total"),
+            2 * queries.size() + copies.size());
 }
 
 TEST(EngineWorkloadTest, InfiniteDeadlineAnswersLikeNoDeadline) {

@@ -1,7 +1,7 @@
 #pragma once
 
-// The behaviours both instantiations of the engine's one LRU/TTL cache
-// (engine/ttl_cache.h) share, as a type-parameterized suite. A test file
+// The behaviours both instantiations of the engine's one LRU cache
+// (engine/lru_cache.h) share, as a type-parameterized suite. A test file
 // instantiates it with a "side": a struct naming the cache type and how to
 // build a key and a value of `units` payload units, and how to read a
 // value's fill and unit count back:
@@ -13,27 +13,19 @@
 //     static double Fill(const Value&);
 //     static size_t Units(const Value&);
 //   };
-//   INSTANTIATE_TYPED_TEST_SUITE_P(Name, TtlCacheTest, Side);
+//   INSTANTIATE_TYPED_TEST_SUITE_P(Name, LruCacheTest, Side);
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "engine/ttl_cache.h"
+#include "engine/lru_cache.h"
 
 namespace relcomp::testing {
-
-// Long enough that a test never crosses it, short enough to be a real TTL.
-inline constexpr double kLongTtl = 3600.0;
-// Already in the past by the time any later call reads the clock.
-inline constexpr double kExpiredTtl = 1e-9;
-inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One shard, no entry limit: only the byte budget evicts.
 template <typename Side>
@@ -43,13 +35,15 @@ std::unique_ptr<typename Side::Cache> ByteBudgetCache(size_t max_bytes) {
 }
 
 template <typename Side>
-class TtlCacheTest : public ::testing::Test {};
-TYPED_TEST_SUITE_P(TtlCacheTest);
+class LruCacheTest : public ::testing::Test {};
+TYPED_TEST_SUITE_P(LruCacheTest);
 
-TYPED_TEST_P(TtlCacheTest, MissThenHit) {
+TYPED_TEST_P(LruCacheTest, MissThenHit) {
   typename TypeParam::Cache cache(8, 1);
+  EXPECT_FALSE(cache.Contains(TypeParam::Key(1)));
   EXPECT_FALSE(cache.Lookup(TypeParam::Key(1)).has_value());
   cache.Insert(TypeParam::Key(1), TypeParam::Value(64, 0.5));
+  EXPECT_TRUE(cache.Contains(TypeParam::Key(1)));  // a probe: not counted
   const auto hit = cache.Lookup(TypeParam::Key(1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(TypeParam::Fill(*hit), 0.5);
@@ -65,7 +59,7 @@ TYPED_TEST_P(TtlCacheTest, MissThenHit) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
-TYPED_TEST_P(TtlCacheTest, EvictsLeastRecentlyUsed) {
+TYPED_TEST_P(LruCacheTest, EvictsLeastRecentlyUsed) {
   typename TypeParam::Cache cache(2, 1);  // one shard: the LRU order is global
   cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
   cache.Insert(TypeParam::Key(2), TypeParam::Value(10, 0.2));
@@ -78,7 +72,7 @@ TYPED_TEST_P(TtlCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TYPED_TEST_P(TtlCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
+TYPED_TEST_P(LruCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
   // Budget of 3 entries of 10 units each.
   auto cache = ByteBudgetCache<TypeParam>(
       3 * TypeParam::Cache::Charge(TypeParam::Value(10)));
@@ -98,7 +92,7 @@ TYPED_TEST_P(TtlCacheTest, EvictsLeastRecentlyUsedUnderBytePressure) {
   EXPECT_LE(cache->bytes_in_use(), cache->max_bytes());
 }
 
-TYPED_TEST_P(TtlCacheTest, EvictsByBytesNotEntryCount) {
+TYPED_TEST_P(LruCacheTest, EvictsByBytesNotEntryCount) {
   // Entry capacity is huge; the byte budget holds 3 of the 50-unit
   // payloads. Eviction must kick in on bytes alone.
   const size_t entry_bytes = TypeParam::Cache::Charge(TypeParam::Value(50));
@@ -114,7 +108,7 @@ TYPED_TEST_P(TtlCacheTest, EvictsByBytesNotEntryCount) {
   EXPECT_FALSE(cache.Lookup(TypeParam::Key(0)).has_value());
 }
 
-TYPED_TEST_P(TtlCacheTest, BigEntryEvictsManySmallOnes) {
+TYPED_TEST_P(LruCacheTest, BigEntryEvictsManySmallOnes) {
   auto cache = ByteBudgetCache<TypeParam>(
       TypeParam::Cache::Charge(TypeParam::Value(100)));
   cache->Insert(TypeParam::Key(1), TypeParam::Value(40, 0.1));
@@ -127,7 +121,7 @@ TYPED_TEST_P(TtlCacheTest, BigEntryEvictsManySmallOnes) {
   EXPECT_LE(cache->bytes_in_use(), cache->max_bytes());
 }
 
-TYPED_TEST_P(TtlCacheTest, UnlimitedBytesKeepsEntryCountSemantics) {
+TYPED_TEST_P(LruCacheTest, UnlimitedBytesKeepsEntryCountSemantics) {
   typename TypeParam::Cache cache(4, 1);  // max_bytes = 0: entry-count LRU
   for (uint32_t i = 0; i < 6; ++i) {
     cache.Insert(TypeParam::Key(i), TypeParam::Value(50));
@@ -135,7 +129,7 @@ TYPED_TEST_P(TtlCacheTest, UnlimitedBytesKeepsEntryCountSemantics) {
   EXPECT_EQ(cache.size(), 4u);
 }
 
-TYPED_TEST_P(TtlCacheTest, RejectsEntryLargerThanWholeBudget) {
+TYPED_TEST_P(LruCacheTest, RejectsEntryLargerThanWholeBudget) {
   // For sweeps this is an 80-byte budget refusing an 88-byte sweep: no
   // per-shard byte floor may lift the budget past it.
   auto cache = ByteBudgetCache<TypeParam>(
@@ -148,7 +142,7 @@ TYPED_TEST_P(TtlCacheTest, RejectsEntryLargerThanWholeBudget) {
   EXPECT_EQ(cache->Stats().evictions, 0u);
 }
 
-TYPED_TEST_P(TtlCacheTest, RejectedReinsertDropsTheOlderCopy) {
+TYPED_TEST_P(LruCacheTest, RejectedReinsertDropsTheOlderCopy) {
   const size_t small_bytes = TypeParam::Cache::Charge(TypeParam::Value(2));
   typename TypeParam::Cache cache(1024, 1, 2 * small_bytes);
   cache.Insert(TypeParam::Key(0), TypeParam::Value(2));
@@ -161,7 +155,7 @@ TYPED_TEST_P(TtlCacheTest, RejectedReinsertDropsTheOlderCopy) {
   EXPECT_EQ(cache.bytes_in_use(), small_bytes);
 }
 
-TYPED_TEST_P(TtlCacheTest, ReinsertReplacesAndReaccountsBytes) {
+TYPED_TEST_P(LruCacheTest, ReinsertReplacesAndReaccountsBytes) {
   typename TypeParam::Cache cache(2, 1);
   cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
   cache.Insert(TypeParam::Key(1), TypeParam::Value(30, 0.9));
@@ -175,7 +169,7 @@ TYPED_TEST_P(TtlCacheTest, ReinsertReplacesAndReaccountsBytes) {
   EXPECT_EQ(TypeParam::Units(*hit), 30u);
 }
 
-TYPED_TEST_P(TtlCacheTest, ClearDropsEntriesKeepsStats) {
+TYPED_TEST_P(LruCacheTest, ClearDropsEntriesKeepsStats) {
   typename TypeParam::Cache cache(8, 2);
   cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
   ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());
@@ -186,7 +180,7 @@ TYPED_TEST_P(TtlCacheTest, ClearDropsEntriesKeepsStats) {
   EXPECT_EQ(cache.Stats().hits, 1u);  // counters survive Clear
 }
 
-TYPED_TEST_P(TtlCacheTest, ShardCountRoundsUpAndCapsAtCapacity) {
+TYPED_TEST_P(LruCacheTest, ShardCountRoundsUpAndCapsAtCapacity) {
   using Cache = typename TypeParam::Cache;
   EXPECT_EQ(Cache(100, 3).num_shards(), 4u);
   EXPECT_EQ(Cache(2, 8).num_shards(), 2u);  // shards <= capacity
@@ -194,7 +188,7 @@ TYPED_TEST_P(TtlCacheTest, ShardCountRoundsUpAndCapsAtCapacity) {
   EXPECT_EQ(Cache(0, 0).capacity(), 1u);
 }
 
-TYPED_TEST_P(TtlCacheTest, CapacityHoldsAcrossShards) {
+TYPED_TEST_P(LruCacheTest, CapacityHoldsAcrossShards) {
   typename TypeParam::Cache cache(64, 8);
   for (uint32_t i = 0; i < 1000; ++i) {
     cache.Insert(TypeParam::Key(i), TypeParam::Value(4));
@@ -203,122 +197,25 @@ TYPED_TEST_P(TtlCacheTest, CapacityHoldsAcrossShards) {
   EXPECT_GE(cache.Stats().evictions, 1000u - 64u);
 }
 
-TYPED_TEST_P(TtlCacheTest, EntriesExpireAfterTtl) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.5), kExpiredTtl);
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(10, 0.7));  // immortal
-  // The tiny TTL has certainly elapsed by now: the entry is dropped on the
-  // lookup that discovers it and the lookup is a miss.
-  EXPECT_FALSE(cache.Lookup(TypeParam::Key(1)).has_value());
-  EXPECT_TRUE(cache.Lookup(TypeParam::Key(2)).has_value());
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // A long TTL keeps the entry alive.
-  cache.Insert(TypeParam::Key(3), TypeParam::Value(10, 0.9), kLongTtl);
-  EXPECT_TRUE(cache.Lookup(TypeParam::Key(3)).has_value());
-  // Reinsert refreshes the deadline (and can remove it).
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.5), kLongTtl);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.6));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(*cache.Lookup(TypeParam::Key(1))), 0.6);
-}
-
-TYPED_TEST_P(TtlCacheTest, LiveEntryServesUntilItsTtl) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16), kLongTtl);
-  EXPECT_TRUE(cache.Contains(TypeParam::Key(1)));
-  ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());
-  EXPECT_EQ(cache.Stats().expired, 0u);
-}
-
-TYPED_TEST_P(TtlCacheTest, ExpiredEntryIsAbsentAndReapedOnLookup) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16), kExpiredTtl);
-  // Contains is a pure probe: reports absent, reaps nothing.
-  EXPECT_FALSE(cache.Contains(TypeParam::Key(1)));
-  EXPECT_EQ(cache.size(), 1u);
-  // Lookup reaps: miss, expired counter, bytes released.
-  EXPECT_FALSE(cache.Lookup(TypeParam::Key(1)).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-  // A reaped entry never counts as an eviction (that's budget pressure).
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-TYPED_TEST_P(TtlCacheTest, TtlEntryStillExpiresAfterAHit) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16), /*ttl_seconds=*/0.2);
-  // A hit while the entry is live does not extend or remove its deadline.
-  ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_FALSE(cache.Contains(TypeParam::Key(1)));
-  EXPECT_FALSE(cache.Lookup(TypeParam::Key(1)).has_value());
-  EXPECT_EQ(cache.Stats().expired, 1u);
-  EXPECT_EQ(cache.Stats().hits, 1u);
-}
-
-TYPED_TEST_P(TtlCacheTest, ReinsertAppliesNewTtl) {
-  typename TypeParam::Cache cache(8, 1);
-  // Immortal entry turned into an expired one by a re-insert.
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16));
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16), kExpiredTtl);
-  EXPECT_FALSE(cache.Contains(TypeParam::Key(1)));
-  // Expired entry made immortal by a TTL-less re-insert.
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(16), kExpiredTtl);
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(16));
-  EXPECT_TRUE(cache.Contains(TypeParam::Key(2)));
-  ASSERT_TRUE(cache.Lookup(TypeParam::Key(2)).has_value());
-}
-
-TYPED_TEST_P(TtlCacheTest, ImmortalDefaultNeverExpires) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16));  // ttl_seconds = 0
-  EXPECT_TRUE(cache.Contains(TypeParam::Key(1)));
-  ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());
-  EXPECT_EQ(cache.Stats().expired, 0u);
-}
-
-TYPED_TEST_P(TtlCacheTest, InfiniteAndHugeTtlsNeverExpire) {
-  // Regression: seconds * 1e9 overflowed uint64 for these, so every such
-  // entry expired on insert and the cache was silently off.
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(16), kInf);
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(16), 1e12);
-  cache.Insert(TypeParam::Key(3), TypeParam::Value(16), 1e300);
-  for (uint32_t i = 1; i <= 3; ++i) {
-    EXPECT_TRUE(cache.Contains(TypeParam::Key(i))) << i;
-    EXPECT_TRUE(cache.Lookup(TypeParam::Key(i)).has_value()) << i;
-  }
-  EXPECT_EQ(cache.Stats().expired, 0u);
-  EXPECT_EQ(cache.Stats().hits, 3u);
-}
-
-TYPED_TEST_P(TtlCacheTest, ExportCarriesOnlyImmortalEntries) {
+TYPED_TEST_P(LruCacheTest, ExportCarriesEveryEntry) {
   typename TypeParam::Cache cache(8, 1);
   cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(10, 0.2), kLongTtl);
-  cache.Insert(TypeParam::Key(3), TypeParam::Value(10, 0.3), kExpiredTtl);
-  cache.Insert(TypeParam::Key(4), TypeParam::Value(10, 0.4));
+  cache.Insert(TypeParam::Key(2), TypeParam::Value(10, 0.2));
+  cache.Insert(TypeParam::Key(3), TypeParam::Value(10, 0.3));
+  ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());  // refresh 1
   const auto exported = cache.ExportEntries();
-  // An exported record carries no TTL, so entries with one, live or
-  // expired, stay out.
-  ASSERT_EQ(exported.size(), 2u);
-  EXPECT_EQ(cache.size(), 4u);  // nothing is reaped
+  ASSERT_EQ(exported.size(), 3u);
+  EXPECT_EQ(cache.size(), 3u);  // exporting removes nothing
   // Most-recent first.
-  EXPECT_TRUE(exported[0].key == TypeParam::Key(4));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[0].value), 0.4);
-  EXPECT_TRUE(exported[1].key == TypeParam::Key(1));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[1].value), 0.1);
+  EXPECT_TRUE(exported[0].key == TypeParam::Key(1));
+  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[0].value), 0.1);
+  EXPECT_TRUE(exported[1].key == TypeParam::Key(3));
+  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[1].value), 0.3);
+  EXPECT_TRUE(exported[2].key == TypeParam::Key(2));
+  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[2].value), 0.2);
 }
 
-TYPED_TEST_P(TtlCacheTest, ConcurrentMixedWorkloadIsSafe) {
+TYPED_TEST_P(LruCacheTest, ConcurrentMixedWorkloadIsSafe) {
   typename TypeParam::Cache cache(256, 8);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
@@ -340,7 +237,7 @@ TYPED_TEST_P(TtlCacheTest, ConcurrentMixedWorkloadIsSafe) {
 }
 
 REGISTER_TYPED_TEST_SUITE_P(
-    TtlCacheTest,
+    LruCacheTest,
     MissThenHit,
     EvictsLeastRecentlyUsed,
     EvictsLeastRecentlyUsedUnderBytePressure,
@@ -353,14 +250,7 @@ REGISTER_TYPED_TEST_SUITE_P(
     ClearDropsEntriesKeepsStats,
     ShardCountRoundsUpAndCapsAtCapacity,
     CapacityHoldsAcrossShards,
-    EntriesExpireAfterTtl,
-    LiveEntryServesUntilItsTtl,
-    ExpiredEntryIsAbsentAndReapedOnLookup,
-    TtlEntryStillExpiresAfterAHit,
-    ReinsertAppliesNewTtl,
-    ImmortalDefaultNeverExpires,
-    InfiniteAndHugeTtlsNeverExpire,
-    ExportCarriesOnlyImmortalEntries,
+    ExportCarriesEveryEntry,
     ConcurrentMixedWorkloadIsSafe);
 
 }  // namespace relcomp::testing

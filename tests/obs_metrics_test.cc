@@ -363,14 +363,13 @@ TEST(EngineScrapeTest, FreshEngineExportsEveryCacheInstrument) {
   auto engine = QueryEngine::Create(graph, EngineOptions{}).MoveValue();
   const std::string json = engine->metrics().ExportJson();
   for (const char* name :
-       {"result_cache_hits_total", "result_cache_negative_hits_total",
-        "result_cache_misses_total", "result_cache_insertions_total",
-        "result_cache_evictions_total", "result_cache_expired_total",
+       {"result_cache_hits_total", "result_cache_misses_total",
+        "result_cache_insertions_total", "result_cache_evictions_total",
         "result_cache_rejected_total", "result_cache_bytes",
         "sweep_cache_hits_total", "sweep_cache_misses_total",
         "sweep_cache_insertions_total", "sweep_cache_evictions_total",
-        "sweep_cache_rejected_total", "sweep_cache_expired_total",
-        "sweep_cache_bytes", "sweep_cache_entries"}) {
+        "sweep_cache_rejected_total", "sweep_cache_bytes",
+        "sweep_cache_entries"}) {
     EXPECT_NE(json.find("{\"name\":\"" + std::string(name) + "\""),
               std::string::npos)
         << name;

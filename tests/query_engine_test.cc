@@ -92,18 +92,14 @@ TEST(QueryEngineTest, DeterministicAcrossThreadCounts) {
     auto serial = QueryEngine::Create(graph, BaseOptions(1, kind)).MoveValue();
     const std::vector<EngineResult> expected =
         serial->RunBatch(queries).MoveValue();
-    // 1/2/8 threads, coalescing on and off: all bit-identical.
+    // 1/2/8 threads: all bit-identical.
     for (const size_t threads : {1u, 2u, 8u}) {
-      for (const bool coalescing : {true, false}) {
-        SCOPED_TRACE(threads);
-        SCOPED_TRACE(coalescing);
-        EngineOptions options = BaseOptions(threads, kind);
-        options.enable_coalescing = coalescing;
-        auto engine = QueryEngine::Create(graph, options).MoveValue();
-        const std::vector<EngineResult> results =
-            engine->RunBatch(queries).MoveValue();
-        ExpectBitIdentical(expected, results);
-      }
+      SCOPED_TRACE(threads);
+      auto engine =
+          QueryEngine::Create(graph, BaseOptions(threads, kind)).MoveValue();
+      const std::vector<EngineResult> results =
+          engine->RunBatch(queries).MoveValue();
+      ExpectBitIdentical(expected, results);
     }
   }
 }
@@ -176,6 +172,36 @@ TEST(QueryEngineTest, BfsSharingCreateBuildsIndexExactlyOnce) {
   EXPECT_EQ(engine->num_threads(), 8u);
 }
 
+TEST(QueryEngineTest, CreateRejectsBudgetAboveIndexedWorlds) {
+  // A BFS Sharing budget K above the index's L worlds would fail every
+  // s != t query after a full prepare, so Create refuses it. L comes from
+  // the replicas' index, which a caller may preload.
+  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 62);
+  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
+  options.factory.bfs_sharing.index_samples = 100;
+  options.num_samples = 101;
+  const Result<std::unique_ptr<QueryEngine>> refused =
+      QueryEngine::Create(graph, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  options.num_samples = 100;
+  auto engine = QueryEngine::Create(graph, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const std::vector<EngineResult> results =
+      (*engine)->RunBatch(AllPairsWorkload(graph, 4)).MoveValue();
+  for (const EngineResult& r : results) EXPECT_TRUE(r.ok()) << r.status;
+
+  // A preloaded index of L = 100 decides, whatever the factory option says.
+  EngineOptions preloaded = BaseOptions(2, EstimatorKind::kBfsSharing);
+  preloaded.factory.preloaded_bfs_index =
+      BfsSharingIndex::Build(graph, options.factory.bfs_sharing,
+                             options.factory.index_seed)
+          .MoveValue();
+  preloaded.num_samples = 101;
+  EXPECT_EQ(QueryEngine::Create(graph, preloaded).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(QueryEngineTest, CoalescingCollapsesConcurrentIdenticalMisses) {
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.8, 61);
   EngineOptions options = BaseOptions(8, EstimatorKind::kMonteCarlo);
@@ -185,7 +211,7 @@ TEST(QueryEngineTest, CoalescingCollapsesConcurrentIdenticalMisses) {
   // 32 copies of one query land on 8 workers at once. The cache-or-flight
   // rendezvous guarantees exactly one estimator invocation; every other copy
   // is a cache hit or a coalesced share of the leader's computation.
-  const std::vector<ReliabilityQuery> queries(32, ReliabilityQuery{0, 17});
+  const std::vector<EngineQuery> queries(32, EngineQuery::St(0, 17));
   const std::vector<EngineResult> results =
       engine->RunBatch(queries).MoveValue();
   ASSERT_EQ(results.size(), queries.size());
@@ -205,33 +231,28 @@ TEST(QueryEngineTest, CoalescingCollapsesConcurrentIdenticalMisses) {
   }
   EXPECT_EQ(leaders, 1u);
 
-  // Coalescing shows up only under concurrency; the answers match a quiet
-  // engine's.
-  EngineOptions quiet = options;
-  quiet.num_threads = 1;
-  quiet.enable_coalescing = false;
-  auto reference = QueryEngine::Create(graph, quiet).MoveValue();
-  const std::vector<EngineResult> expected =
-      reference->RunBatch(queries).MoveValue();
-  ExpectBitIdentical(expected, results);
+  // The shared answer is the bare estimator's.
+  ExpectBitIdentical(BareEstimatorAnswers(*engine, graph, queries), results);
 }
 
 TEST(QueryEngineTest, PerQueryStatusIsolatesFailures) {
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 62);
-  // K = 400 exceeds L = 100 indexed worlds: every s != t query fails inside
-  // the estimator, while s == t short-circuits to 1.0 before touching the
-  // index. The batch must carry both outcomes side by side.
-  EngineOptions options = BaseOptions(4, EstimatorKind::kBfsSharing);
-  options.factory.bfs_sharing.index_samples = 100;
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  // BFS Sharing answers no distance-constrained query: each fails alone
+  // with NotSupported, while the s == t queries between them answer 1.0.
+  // The batch must carry both outcomes side by side.
+  auto engine =
+      QueryEngine::Create(graph, BaseOptions(4, EstimatorKind::kBfsSharing))
+          .MoveValue();
 
-  const std::vector<ReliabilityQuery> queries = {{0, 5}, {3, 3}, {1, 7}, {4, 4}};
+  const std::vector<EngineQuery> queries = {
+      EngineQuery::Distance(0, 5, 3), EngineQuery::St(3, 3),
+      EngineQuery::Distance(1, 7, 3), EngineQuery::St(4, 4)};
   const Result<std::vector<EngineResult>> batch = engine->RunBatch(queries);
   ASSERT_TRUE(batch.ok()) << batch.status();
   const std::vector<EngineResult>& results = *batch;
   ASSERT_EQ(results.size(), queries.size());
   EXPECT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kNotSupported);
   EXPECT_TRUE(results[1].ok());
   EXPECT_DOUBLE_EQ(results[1].reliability, 1.0);
   EXPECT_FALSE(results[2].ok());
@@ -240,7 +261,7 @@ TEST(QueryEngineTest, PerQueryStatusIsolatesFailures) {
   EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"), 2u);
 
   // Stream cycle: finished answers survive failing neighbors the same way.
-  for (const ReliabilityQuery& query : queries) {
+  for (const EngineQuery& query : queries) {
     ASSERT_TRUE(engine->Submit(query).ok());
   }
   const std::vector<EngineResult> stream = engine->Drain().MoveValue();

@@ -1,25 +1,22 @@
 // Unit coverage for the result cache, the ResultCache instantiation of the
-// engine's one LRU/TTL cache (engine/ttl_cache.h): the behaviours it shares
-// with the sweep memo run as the TtlCacheTest suite (ttl_cache_suite.h);
-// the result-only cases (keys, workload tags, negative entries, transient
-// refusal, ranked-payload charge) and the saturating seconds -> deadline
-// conversion behind every TTL are plain tests.
+// engine's one LRU cache (engine/lru_cache.h): the behaviours it shares with
+// the sweep memo run as the LruCacheTest suite (lru_cache_suite.h); the
+// result-only cases (keys, workload tags, failure refusal, ranked-payload
+// charge) and the saturating seconds -> deadline conversion behind query
+// deadlines are plain tests.
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/timer.h"
-#include "engine/ttl_cache.h"
-#include "ttl_cache_suite.h"
+#include "engine/lru_cache.h"
+#include "lru_cache_suite.h"
 
 namespace relcomp {
 namespace {
-
-using testing::kExpiredTtl;
-using testing::kInf;
-using testing::kLongTtl;
 
 /// The result cache under test: a value of `units` payload units carries
 /// that many ranked targets (its charge grows with them like a sweep's).
@@ -48,13 +45,13 @@ struct ResultSide {
 }  // namespace
 
 namespace testing {
-INSTANTIATE_TYPED_TEST_SUITE_P(Result, TtlCacheTest, ResultSide);
+INSTANTIATE_TYPED_TEST_SUITE_P(Result, LruCacheTest, ResultSide);
 }  // namespace testing
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Keys, negative entries, transient refusal, ranked charge
+// Keys, failure refusal, ranked charge
 // ---------------------------------------------------------------------------
 
 ResultCacheKey StKey(NodeId s, NodeId t, uint64_t seed = 7, uint32_t k = 1000,
@@ -96,24 +93,6 @@ TEST(ResultCacheTest, WorkloadTagIsolatesKeys) {
   EXPECT_DOUBLE_EQ(cache.Lookup(dist)->reliability, 0.4);
 }
 
-TEST(ResultCacheTest, NegativeEntriesCountSeparately) {
-  ResultCache cache(8, 1);
-  ResultCacheValue failure;
-  failure.status = Status::InvalidArgument("K exceeds L");
-  cache.Insert(StKey(0, 1), failure);
-  const auto hit = cache.Lookup(StKey(0, 1));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->negative());
-  EXPECT_EQ(hit->status.code(), StatusCode::kInvalidArgument);
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.negative_hits, 1u);
-  EXPECT_EQ(stats.lookups(), 1u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);
-  // A restart must not resurrect a cached failure.
-  EXPECT_TRUE(cache.ExportEntries().empty());
-}
-
 TEST(ResultCacheTest, CachesRankedTargetPayloads) {
   ResultCache cache(8, 1);
   ResultCacheValue value;
@@ -141,29 +120,27 @@ TEST(ResultCacheTest, RankedPayloadChargedRealBytes) {
   EXPECT_EQ(cache.bytes_in_use(), ResultCache::Charge(ranked));
 }
 
-TEST(ResultCacheTest, TransientStatusesAreNeverCached) {
-  // Regression: kUnavailable / kDeadlineExceeded / kCancelled describe the
-  // *submission* (shed, expired, cancelled), not the answer. Negative-caching
-  // one would fail future deadline-free queries for the whole backoff TTL.
+TEST(ResultCacheTest, FailuresAreNeverCached) {
+  // Only answers are cached: a failure, transient or not, is refused, so the
+  // next miss of its key recomputes. A refused failure also leaves an
+  // earlier answer for the key in place.
   ResultCache cache(8, 1);
-  for (const Status& transient :
-       {Status::Unavailable("shed"), Status::DeadlineExceeded("expired"),
-        Status::Cancelled("caller gave up")}) {
-    ResultCacheValue value;
-    value.status = transient;
-    cache.Insert(StKey(0, 1), value, kLongTtl);
+  cache.Insert(StKey(0, 2), {0.5, 1000});
+  for (int code = static_cast<int>(StatusCode::kInvalidArgument);
+       code <= static_cast<int>(StatusCode::kCancelled); ++code) {
+    ResultCacheValue failure;
+    failure.status = Status(static_cast<StatusCode>(code), "failed");
+    cache.Insert(StKey(0, 1), failure);
     EXPECT_FALSE(cache.Lookup(StKey(0, 1)).has_value())
-        << StatusCodeName(transient.code());
+        << StatusCodeName(failure.status.code());
+    cache.Insert(StKey(0, 2), failure);
+    const auto kept = cache.Lookup(StKey(0, 2));
+    ASSERT_TRUE(kept.has_value()) << StatusCodeName(failure.status.code());
+    EXPECT_TRUE(kept->status.ok());
+    EXPECT_DOUBLE_EQ(kept->reliability, 0.5);
   }
-  EXPECT_EQ(cache.Stats().insertions, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-
-  // Genuine per-query failures still negative-cache (engine_workload_test
-  // depends on kInvalidArgument backoff).
-  ResultCacheValue invalid;
-  invalid.status = Status::InvalidArgument("K exceeds L");
-  cache.Insert(StKey(0, 1), invalid, kLongTtl);
-  ASSERT_TRUE(cache.Lookup(StKey(0, 1)).has_value());
+  EXPECT_EQ(cache.Stats().insertions, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ResultCacheTest, TinyShardBudgetHoldsOneSmallestEntry) {
@@ -176,7 +153,7 @@ TEST(ResultCacheTest, TinyShardBudgetHoldsOneSmallestEntry) {
 }
 
 // ---------------------------------------------------------------------------
-// The saturating seconds -> deadline conversion behind every TTL
+// The saturating seconds -> deadline conversion behind query deadlines
 // ---------------------------------------------------------------------------
 
 TEST(DeadlineAfterTest, FiniteSecondsAddNanoseconds) {
@@ -186,6 +163,7 @@ TEST(DeadlineAfterTest, FiniteSecondsAddNanoseconds) {
 }
 
 TEST(DeadlineAfterTest, NonPositiveAndOutOfRangeMeanNever) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(DeadlineAfter(100, 0.0), 0u);
   EXPECT_EQ(DeadlineAfter(100, -1.0), 0u);
   EXPECT_EQ(DeadlineAfter(100, std::nan("")), 0u);

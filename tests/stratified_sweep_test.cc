@@ -5,7 +5,7 @@
 // stealing-vs-blocking parity, steal counters), stratified-vs-unstratified
 // accuracy, the one generation handoff (its ownership rule, and a stratum
 // thief adopting its leader's generation inside the engine), and the
-// multi-threaded byte-budgeted generation prebuilder.
+// multi-threaded generation prebuilder.
 
 #include <cstring>
 #include <thread>
@@ -26,6 +26,7 @@
 namespace relcomp {
 namespace {
 
+using ::relcomp::testing::BareEstimatorAnswers;
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
 
@@ -196,9 +197,9 @@ std::vector<EngineQuery> HotSourceMix(NodeId source, uint32_t queries) {
 }
 
 TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
-  // The acceptance matrix: threads in {1, 2, 8} x S in {1, 4, 16} x
-  // stealing-vs-blocking (coalescing on/off) — every config bit-identical
-  // to the 1-thread serial reference *for the same S*.
+  // The acceptance matrix: threads in {1, 2, 8} x S in {1, 4, 16} — every
+  // config bit-identical to the bare estimator *for the same S*, however
+  // the strata were stolen.
   const UncertainGraph graph = RandomSmallGraph(24, 70, 0.3, 0.9, 75);
   std::vector<EngineQuery> queries = HotSourceMix(2, 6);
   const std::vector<EngineQuery> second_source = HotSourceMix(11, 4);
@@ -211,23 +212,19 @@ TEST(StratifiedSweepTest, EngineBitIdenticalAcrossThreadsAndSchedulers) {
     SCOPED_TRACE(EstimatorKindName(kind));
     for (const uint32_t strata : {1u, 4u, 16u}) {
       SCOPED_TRACE(strata);
-      EngineOptions reference_options = BaseOptions(1, kind, strata);
-      reference_options.enable_coalescing = false;
-      auto reference_engine =
-          QueryEngine::Create(graph, reference_options).MoveValue();
-      const std::vector<EngineResult> reference =
-          reference_engine->RunBatch(queries).MoveValue();
-      for (const EngineResult& r : reference) ASSERT_TRUE(r.ok()) << r.status;
-
+      std::vector<EngineResult> reference;
       for (const size_t threads : {1u, 2u, 8u}) {
-        for (const bool coalescing : {true, false}) {
-          SCOPED_TRACE(threads);
-          SCOPED_TRACE(coalescing);
-          EngineOptions options = BaseOptions(threads, kind, strata);
-          options.enable_coalescing = coalescing;
-          auto engine = QueryEngine::Create(graph, options).MoveValue();
-          ExpectBitIdentical(reference, engine->RunBatch(queries).MoveValue());
+        SCOPED_TRACE(threads);
+        auto engine =
+            QueryEngine::Create(graph, BaseOptions(threads, kind, strata))
+                .MoveValue();
+        if (reference.empty()) {
+          reference = BareEstimatorAnswers(*engine, graph, queries);
+          for (const EngineResult& r : reference) {
+            ASSERT_TRUE(r.ok()) << r.status;
+          }
         }
+        ExpectBitIdentical(reference, engine->RunBatch(queries).MoveValue());
       }
     }
   }
@@ -452,15 +449,10 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   const std::vector<EngineQuery> queries = {
       EngineQuery::TopK(0, 5), EngineQuery::St(1, 2), EngineQuery::TopK(0, 10)};
 
-  EngineOptions reference = BaseOptions(1, EstimatorKind::kBfsSharing, 8);
-  reference.enable_coalescing = false;
-  const std::vector<EngineResult> expected =
-      QueryEngine::Create(graph, reference)
-          .MoveValue()
-          ->RunBatch(queries)
-          .MoveValue();
-
   EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing, 8);
+  const std::vector<EngineResult> expected = BareEstimatorAnswers(
+      *QueryEngine::Create(graph, options).MoveValue(), graph, queries);
+
   FaultPlan plan;
   plan.seed = 0xC0FFEE;
   plan.probability[static_cast<size_t>(FaultSite::kInducedLatency)] = 1.0;
@@ -532,32 +524,6 @@ TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
   }
   EXPECT_EQ(prebuilder.ReadyBytes(), 0u);
   EXPECT_EQ(CounterValue(metrics, "prebuilder_taken_total"), 6u);
-}
-
-TEST(StratifiedSweepTest, PrebuilderHonorsReadyPoolByteBudget) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 82);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  const size_t one_generation =
-      estimator->BuildPreparedGeneration(1, nullptr).MoveValue()->MemoryBytes();
-  ASSERT_GT(one_generation, 0u);
-  // Budget for ~1.5 generations: the pool may hold one ready generation,
-  // never two; older ones are evicted as new builds land.
-  obs::MetricsRegistry metrics;
-  GenerationPrebuilder prebuilder(*estimator, metrics, /*max_pending=*/8,
-                                  /*num_builders=*/1,
-                                  /*max_ready_bytes=*/one_generation * 3 / 2);
-  EXPECT_TRUE(prebuilder.Request(10));
-  EXPECT_TRUE(prebuilder.Request(11));
-  EXPECT_TRUE(prebuilder.Request(12));
-  while (CounterValue(metrics, "prebuilder_built_total") < 3) {
-    std::this_thread::yield();
-  }
-  EXPECT_GE(CounterValue(metrics, "prebuilder_evicted_total"), 2u);
-  EXPECT_LE(prebuilder.ReadyBytes(), one_generation * 3 / 2);
-  // The newest generation survived the byte evictions.
-  EXPECT_NE(prebuilder.Take(12), nullptr);
 }
 
 TEST(StratifiedSweepTest, IndexMemoryReportCountsPrebuiltPool) {

@@ -1,6 +1,6 @@
 // Unit coverage for the sweep memo, the SweepCache instantiation of the
-// engine's one LRU/TTL cache (engine/ttl_cache.h): the behaviours it shares
-// with the result cache run as the TtlCacheTest suite (ttl_cache_suite.h);
+// engine's one LRU cache (engine/lru_cache.h): the behaviours it shares
+// with the result cache run as the LruCacheTest suite (lru_cache_suite.h);
 // the sweep-only cases (shared_ptr identity, key fields, a handed-out
 // vector outliving its eviction, no byte floor, null refusal) are plain
 // tests.
@@ -11,8 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/ttl_cache.h"
-#include "ttl_cache_suite.h"
+#include "engine/lru_cache.h"
+#include "lru_cache_suite.h"
 
 namespace relcomp {
 namespace {
@@ -36,7 +36,7 @@ struct SweepSide {
 }  // namespace
 
 namespace testing {
-INSTANTIATE_TYPED_TEST_SUITE_P(Sweep, TtlCacheTest, SweepSide);
+INSTANTIATE_TYPED_TEST_SUITE_P(Sweep, LruCacheTest, SweepSide);
 }  // namespace testing
 
 namespace {

@@ -2,9 +2,8 @@
 // batch executes exactly one EstimateFromSource per distinct source
 // (stats-verified), derived top-k / reliable-set answers are bit-identical to
 // the standalone APIs, the SweepCache evicts under byte pressure without
-// changing answers, and every answer at 1/2/8 threads, with coalescing on or
-// off and the background generation prebuilder running, equals a bare
-// estimator's.
+// changing answers, and every answer at 1/2/8 threads, with the background
+// generation prebuilder running, equals a bare estimator's.
 
 #include <cstring>
 #include <thread>
@@ -191,9 +190,9 @@ TEST(SweepSharingTest, SweepSeedIgnoresParametersButNotSourceOrBudget) {
 }
 
 TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
-  // Every answer — derived from the sweep memo, a sweep flight (led or
-  // stolen), the serial coalescing-off sweep, or for BFS Sharing a prebuilt
-  // or flight-handed generation — equals the bare estimator's.
+  // Every answer — derived from the sweep memo or a sweep flight (led or
+  // stolen), for BFS Sharing over a prebuilt or flight-handed generation —
+  // equals the bare estimator's.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 54);
   const std::vector<EngineQuery> queries = SameSourceMix({1, 6, 13}, 3);
 
@@ -201,18 +200,14 @@ TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
        {EstimatorKind::kMonteCarlo, EstimatorKind::kBfsSharing}) {
     SCOPED_TRACE(EstimatorKindName(kind));
     for (const size_t threads : {1u, 2u, 8u}) {
-      for (const bool coalescing : {true, false}) {
-        SCOPED_TRACE(threads);
-        SCOPED_TRACE(coalescing);
-        EngineOptions options = BaseOptions(threads, kind);
-        options.enable_coalescing = coalescing;
-        auto engine = QueryEngine::Create(graph, options).MoveValue();
-        const std::vector<EngineResult> results =
-            engine->RunBatch(queries).MoveValue();
-        for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-        ExpectBitIdentical(BareEstimatorAnswers(*engine, graph, queries),
-                           results);
-      }
+      SCOPED_TRACE(threads);
+      auto engine =
+          QueryEngine::Create(graph, BaseOptions(threads, kind)).MoveValue();
+      const std::vector<EngineResult> results =
+          engine->RunBatch(queries).MoveValue();
+      for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
+      ExpectBitIdentical(BareEstimatorAnswers(*engine, graph, queries),
+                         results);
     }
   }
 }
