@@ -9,19 +9,15 @@
 // two different k and eta per source so the sweep sharing is visible in the
 // printed stats.
 //
-// The serving loop is fault-tolerant the way the engine is: load shedding
-// is always armed (a full queue answers kUnavailable with a retry-after
-// hint instead of blocking the client), and the client side answers each
-// shed with a bounded, seeded exponential backoff — base 1 ms doubling to a
-// 64 ms cap over at most 6 retries, each delay jittered uniformly in
-// [delay/2, delay] from a dedicated RNG so a replay backs off identically.
-// A request still shed after the last retry is dropped and counted, never
-// fatal.
+// Overload never refuses a request: Submit blocks while the engine's bounded
+// work queue is full (backpressure), so the client never outruns the
+// workers.
 //
 //   ./build/examples/reliability_server [dataset] [threads] [requests] [kind]
 //                                       [strata] [--stats-json <path>]
 //                                       [--slow-query-ms <n>]
-//                                       [--deadline-ms <n>] [--shed-depth <n>]
+//                                       [--deadline-ms <n>]
+//                                       [--persist-dir <path>]
 //
 //   dataset  : lastfm | nethept | astopo | dblp02 | dblp005 | biomine
 //   threads  : worker threads (default 4)
@@ -43,34 +39,25 @@
 //   --deadline-ms <n>     : per-query deadline (default 0 = none). Expired
 //                           requests fail with kDeadlineExceeded — counted
 //                           in the cycle stats, never cached, never fatal.
-//   --shed-depth <n>      : queue depth past which compute-bound requests
-//                           are shed (default 0 = shed only when the queue
-//                           is completely full).
-//   --persist-dir <path>  : arm the crash-safe persistence tier
-//                           (src/persist/): snapshots + warm-state journal
-//                           live under <path>. The startup line reports the
-//                           cold-start time and whether the index came from
-//                           the mmapped snapshot or a rebuild; after the
-//                           replay the server runs one kill-and-restart
-//                           cycle — the engine is destroyed (its destructor
-//                           flushes the warm journal, exactly what a clean
-//                           SIGTERM does), recreated from disk, and fed a
-//                           replay sample — reporting the restarted
-//                           cold-start ms, the restored entry counts, and
-//                           the warm-hit rate the restored caches served.
-//                           Run the binary twice with the same flags to see
-//                           a real cross-process restart: the second run's
-//                           *initial* cold start is already warm.
+//   --persist-dir <path>  : keep the BFS Sharing index in a checksummed
+//                           snapshot under <path> (src/persist/; mc has no
+//                           index, so it writes nothing there). The startup
+//                           line reports the cold-start time and whether the
+//                           index came from the mmapped snapshot or a
+//                           rebuild; after the replay the server destroys
+//                           the engine, recreates it from disk and reports
+//                           the restarted cold start. Run the binary twice
+//                           with the same flags to see a cross-process
+//                           restart: the second run's *initial* cold start
+//                           already maps the index.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/format.h"
@@ -133,9 +120,12 @@ unsigned long long Count(obs::MetricsRegistry& registry, const char* name,
   return registry.GetCounter(name, label_key, label_value)->Value();
 }
 
-unsigned long long Shed(obs::MetricsRegistry& registry) {
-  return Count(registry, "engine_shed_total", "reason", "queue_full") +
-         Count(registry, "engine_shed_total", "reason", "overload");
+/// Where Create got the shared index from, as the engine's registry counts
+/// it. Only for an engine with a snapshot store.
+const char* IndexSource(obs::MetricsRegistry& registry) {
+  return Count(registry, "persist_recovered_total", "source", "snapshot") > 0
+             ? "index mmapped from snapshot"
+             : "index rebuilt from source, snapshot published";
 }
 
 }  // namespace
@@ -146,7 +136,6 @@ int main(int argc, char** argv) {
   std::string persist_dir;
   double slow_query_ms = 0.0;
   double deadline_ms = 0.0;
-  long shed_depth = 0;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--stats-json") == 0 && i + 1 < argc) {
@@ -155,8 +144,6 @@ int main(int argc, char** argv) {
       slow_query_ms = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       deadline_ms = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shed-depth") == 0 && i + 1 < argc) {
-      shed_depth = std::atol(argv[++i]);
     } else if (std::strcmp(argv[i], "--persist-dir") == 0 && i + 1 < argc) {
       persist_dir = argv[++i];
     } else {
@@ -180,13 +167,12 @@ int main(int argc, char** argv) {
   const long strata_arg = positional.size() > 4 ? std::atol(positional[4]) : 8;
   if (threads_arg < 0 || threads_arg > 1024 || requests_arg < 0 ||
       strata_arg < 1 || strata_arg > 4096 || slow_query_ms < 0 ||
-      deadline_ms < 0 || shed_depth < 0) {
+      deadline_ms < 0) {
     std::fprintf(stderr,
                  "usage: reliability_server [dataset] [threads 0-1024] "
                  "[requests >= 0] [mc|bfs] [strata 1-4096] "
                  "[--stats-json <path>] [--slow-query-ms <n>] "
-                 "[--deadline-ms <n>] [--shed-depth <n>] "
-                 "[--persist-dir <path>]\n");
+                 "[--deadline-ms <n>] [--persist-dir <path>]\n");
     return 2;
   }
   const size_t threads = static_cast<size_t>(threads_arg);
@@ -231,28 +217,17 @@ int main(int argc, char** argv) {
   options.cache_max_bytes = size_t{16} << 20;  // ranked payloads, by bytes
   options.slow_query_ms = slow_query_ms;
   options.default_deadline_ms = deadline_ms;
-  // Shedding is always armed: a full queue refuses work with a retry-after
-  // hint instead of blocking the submit loop; the client backs off below.
-  options.enable_load_shedding = true;
-  options.shed_queue_depth = static_cast<size_t>(shed_depth);
-  // Crash-safe persistence: snapshots + warm journal under --persist-dir.
   options.persist_dir = persist_dir;
   Timer cold_start;
   auto engine = QueryEngine::Create(dataset.graph, options).MoveValue();
   const double cold_start_ms = cold_start.ElapsedSeconds() * 1e3;
-  if (!persist_dir.empty()) {
-    const QueryEngine::WarmRestoreReport& report =
-        engine->warm_restore_report();
-    std::printf(
-        "persistence: dir %s, cold start %.1f ms (%s), warm restore %llu "
-        "results + %llu sweeps (%llu skipped%s)\n",
-        persist_dir.c_str(), cold_start_ms,
-        report.snapshot_restored ? "index mmapped from snapshot"
-                                 : "rebuilt from source, snapshot published",
-        static_cast<unsigned long long>(report.result_entries),
-        static_cast<unsigned long long>(report.sweep_entries),
-        static_cast<unsigned long long>(report.skipped),
-        report.torn_tail ? ", torn journal tail discarded" : "");
+  if (engine->persist_store() != nullptr) {
+    std::printf("persistence: dir %s, cold start %.1f ms (%s)\n",
+                persist_dir.c_str(), cold_start_ms,
+                IndexSource(engine->metrics()));
+  } else if (!persist_dir.empty()) {
+    std::printf("persistence: dir %s unused, the %s estimator has no index\n",
+                persist_dir.c_str(), EstimatorKindName(kind));
   }
   std::printf(
       "engine up: %s estimator, %zu workers, S=%u strata per sweep, cache "
@@ -282,19 +257,6 @@ int main(int argc, char** argv) {
   constexpr size_t kDrainCycles = 4;
   const size_t cycle_len = requests < kDrainCycles ? requests
                                                    : requests / kDrainCycles;
-  // Client-side fault handling: a shed submit (kUnavailable) retries with
-  // bounded exponential backoff — 1 ms base doubling to a 64 ms cap over at
-  // most 6 retries — jittered uniformly in [delay/2, delay] from a seeded
-  // RNG (deterministic replays, decorrelated retry waves). Requests still
-  // shed after the last retry are dropped, not fatal. The retry / drop
-  // counters land in the engine's own registry so one --stats-json scrape
-  // carries the client picture next to engine_shed_total.
-  constexpr int kMaxRetries = 6;
-  Rng backoff_rng(0xB0FF5EED);
-  obs::Counter* retried_counter =
-      engine->metrics().GetCounter("client_retried_total");
-  obs::Counter* dropped_counter =
-      engine->metrics().GetCounter("client_dropped_total");
   size_t submitted = 0;
   std::vector<EngineResult> responses;
   while (submitted < requests) {
@@ -304,28 +266,8 @@ int main(int argc, char** argv) {
       const double u = rng.NextDouble() * total;
       size_t pick = 0;
       while (pick + 1 < cumulative.size() && cumulative[pick] < u) ++pick;
-      Status status = engine->Submit(catalogue[pick]);
-      for (int attempt = 0;
-           !status.ok() && status.code() == StatusCode::kUnavailable &&
-           attempt < kMaxRetries;
-           ++attempt) {
-        const double base_ms =
-            std::min(64.0, static_cast<double>(1u << attempt));
-        const double delay_ms =
-            base_ms * (0.5 + 0.5 * backoff_rng.NextDouble());
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-        retried_counter->Inc();
-        status = engine->Submit(catalogue[pick]);
-      }
+      const Status status = engine->Submit(catalogue[pick]);
       if (!status.ok()) {
-        if (status.code() == StatusCode::kUnavailable) {
-          // Still shed after the retry budget: drop this request and move
-          // on — overload is a degraded mode, not a crash.
-          dropped_counter->Inc();
-          ++submitted;
-          continue;
-        }
         std::fprintf(stderr, "submit failed: %s\n", status.ToString().c_str());
         return 1;
       }
@@ -341,8 +283,7 @@ int main(int argc, char** argv) {
     const double span = metrics.GetGauge("engine_span_seconds")->Value();
     std::printf(
         "[stats] queries=%llu qps=%.0f p50=%.2fms p99=%.2fms cache=%.0f%% "
-        "sweeps x/h/c=%llu/%llu/%llu shed=%llu retried=%llu dropped=%llu "
-        "deadline=%llu slow=%llu\n",
+        "sweeps x/h/c=%llu/%llu/%llu deadline=%llu slow=%llu\n",
         static_cast<unsigned long long>(latency.count),
         span > 0.0 ? static_cast<double>(latency.count) / span : 0.0,
         static_cast<double>(latency.Quantile(0.50)) * 1e-6,
@@ -351,9 +292,6 @@ int main(int argc, char** argv) {
         Count(metrics, "engine_sweep_executed_total"),
         Count(metrics, "engine_sweep_hits_total"),
         Count(metrics, "engine_sweep_coalesced_total"),
-        Shed(metrics),
-        static_cast<unsigned long long>(retried_counter->Value()),
-        static_cast<unsigned long long>(dropped_counter->Value()),
         Count(metrics, "engine_deadline_exceeded_total"),
         static_cast<unsigned long long>(engine->tracer().slow_queries()));
   }
@@ -392,14 +330,9 @@ int main(int argc, char** argv) {
       Count(metrics, "engine_strata_stolen_total"),
       static_cast<double>(sweep_latency.Quantile(0.50)) * 1e-6,
       static_cast<double>(sweep_latency.Quantile(0.95)) * 1e-6);
-  std::printf(
-      "fault tolerance: %llu shed at admission, %llu client retries, %llu "
-      "dropped after backoff, %llu deadline-exceeded, %llu failed\n",
-      Shed(metrics),
-      static_cast<unsigned long long>(retried_counter->Value()),
-      static_cast<unsigned long long>(dropped_counter->Value()),
-      Count(metrics, "engine_deadline_exceeded_total"),
-      Count(metrics, "engine_failures_total"));
+  std::printf("fault tolerance: %llu deadline-exceeded, %llu failed\n",
+              Count(metrics, "engine_deadline_exceeded_total"),
+              Count(metrics, "engine_failures_total"));
   if (engine->prebuilder() != nullptr) {
     std::printf(
         "generation prebuild: %llu requested, %llu built on %zu background "
@@ -439,52 +372,16 @@ int main(int argc, char** argv) {
     std::printf("\nwrote metrics scrape to %s\n", stats_json_path.c_str());
   }
 
-  // Kill-and-restart cycle (--persist-dir): destroy the engine — its
-  // destructor flushes the warm journal, exactly what a clean SIGTERM does —
-  // recreate it from disk, and replay a sample of the same Zipf stream. The
-  // line this prints is the persistence tier's value proposition in two
-  // numbers: the restarted cold-start ms (mmap, not rebuild) and the
-  // warm-hit rate yesterday's journaled caches serve today's traffic at.
-  if (!persist_dir.empty()) {
+  // Restart cycle (--persist-dir, BFS Sharing): destroy the engine and
+  // recreate it from disk; its cold start maps the index the first Create
+  // published instead of rebuilding it.
+  if (engine->persist_store() != nullptr) {
     engine.reset();
     Timer restart_timer;
     auto restarted = QueryEngine::Create(dataset.graph, options).MoveValue();
-    const double restart_ms = restart_timer.ElapsedSeconds() * 1e3;
-    const QueryEngine::WarmRestoreReport& report =
-        restarted->warm_restore_report();
-    const size_t sample =
-        std::min<size_t>(512, std::max<size_t>(64, requests / 4));
-    Rng replay_rng(42);  // the same stream head the original replay served
-    size_t replayed = 0;
-    for (size_t i = 0; i < sample; ++i) {
-      const double u = replay_rng.NextDouble() * total;
-      size_t pick = 0;
-      while (pick + 1 < cumulative.size() && cumulative[pick] < u) ++pick;
-      if (restarted->Submit(catalogue[pick]).ok()) ++replayed;
-    }
-    const std::vector<EngineResult> replay_results =
-        restarted->Drain().MoveValue();
-    size_t replay_failures = 0;
-    for (const EngineResult& r : replay_results) {
-      if (!r.ok()) ++replay_failures;
-    }
-    const CacheStats cache = restarted->cache()->Stats();
-    std::printf(
-        "\nkill-and-restart cycle: cold start %.1f ms (%s), %llu results + "
-        "%llu sweeps restored (%llu skipped%s); %zu-request replay -> "
-        "warm-hit rate %.0f%% (%llu hits / %llu lookups), %llu sweep memo "
-        "hits, %zu failures\n",
-        restart_ms,
-        report.snapshot_restored ? "index mmapped from snapshot"
-                                 : "index rebuilt from source",
-        static_cast<unsigned long long>(report.result_entries),
-        static_cast<unsigned long long>(report.sweep_entries),
-        static_cast<unsigned long long>(report.skipped),
-        report.torn_tail ? ", torn journal tail discarded" : "", replayed,
-        cache.hit_rate() * 100.0, static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.lookups()),
-        Count(restarted->metrics(), "engine_sweep_hits_total"),
-        replay_failures);
+    std::printf("\nrestart: cold start %.1f ms (%s)\n",
+                restart_timer.ElapsedSeconds() * 1e3,
+                IndexSource(restarted->metrics()));
   }
   return 0;
 }

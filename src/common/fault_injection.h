@@ -31,16 +31,16 @@ enum class FaultSite : uint32_t {
   /// across runs and thread counts.
   /// @{
   /// A file write persists only a prefix of the requested bytes and the
-  /// operation aborts where it stands (torn tmp file / torn journal tail) —
-  /// the shape a real partial write + crash leaves behind.
+  /// operation aborts where it stands (a torn tmp file) — the shape a real
+  /// partial write + crash leaves behind.
   kFileShortWrite,
   /// fsync reports failure; the publishing protocol must abort *before*
   /// rename so the previous snapshot stays the live one.
   kFsyncFailure,
   /// A SIGKILL-style crash point: the file operation abandons everything
   /// exactly where it is (no cleanup, no unlink, no rename). Tests enumerate
-  /// these via FaultPlan::crash_point_select to kill a publish/append at
-  /// every step and prove reopen recovers.
+  /// these via FaultPlan::crash_point_select to kill a publish at every
+  /// step and prove reopen recovers.
   kCrashPoint,
   /// @}
 };
@@ -66,9 +66,9 @@ struct FaultPlan {
   uint32_t latency_us = 100;
   /// Deterministic crash-point enumeration: when >= 0, the kCrashPoint site
   /// ignores its probability and trips exactly on the select-th probe since
-  /// Configure (probes are counted process-wide). Persist operations probe
-  /// their crash points single-threaded in a fixed order, so looping select
-  /// = 0, 1, 2, ... kills a publish/append at every distinct step; an
+  /// Configure (probes are counted process-wide). A snapshot publish probes
+  /// its crash points single-threaded in a fixed order, so looping select
+  /// = 0, 1, 2, ... kills a publish at every distinct step; an
   /// iteration that completes with zero injections proves the enumeration
   /// is exhausted. -1 (the default) uses the probability path.
   int64_t crash_point_select = -1;

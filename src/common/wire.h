@@ -9,7 +9,7 @@
 namespace relcomp {
 
 /// \brief Append-only byte writer over a std::string — the serialization
-/// primitive of the persistence tier's section payloads and journal records.
+/// primitive of the persistence tier's section payloads.
 ///
 /// Fixed-width fields are written by memcpy in host byte order, as in the
 /// repo's standalone binary files (graph, BFS Sharing and ProbTree indexes),

@@ -1,7 +1,5 @@
 #include "engine/engine_stats.h"
 
-#include <string_view>
-
 #include "common/timer.h"
 
 namespace relcomp {
@@ -12,10 +10,6 @@ EngineStats::EngineStats(obs::MetricsRegistry& registry) {
   executed_ = registry.GetCounter("engine_executed_total");
   coalesced_ = registry.GetCounter("engine_coalesced_total");
   failures_ = registry.GetCounter("engine_failures_total");
-  shed_queue_full_ =
-      registry.GetCounter("engine_shed_total", "reason", "queue_full");
-  shed_overload_ =
-      registry.GetCounter("engine_shed_total", "reason", "overload");
   deadline_exceeded_ = registry.GetCounter("engine_deadline_exceeded_total");
   for (size_t i = 0; i < kNumWorkloadKinds; ++i) {
     workload_queries_[i] =
@@ -49,14 +43,6 @@ void EngineStats::RecordCoalesced(double wait_seconds) {
 void EngineStats::RecordFailure(double seconds) {
   query_latency_ns_->RecordSeconds(seconds);
   failures_->Inc();
-}
-
-void EngineStats::RecordShed(const char* reason) {
-  if (reason != nullptr && std::string_view(reason) == "queue_full") {
-    shed_queue_full_->Inc();
-  } else {
-    shed_overload_->Inc();
-  }
 }
 
 void EngineStats::RecordDeadlineExceeded() { deadline_exceeded_->Inc(); }
@@ -115,8 +101,6 @@ void EngineStats::Reset() {
   executed_->Reset();
   coalesced_->Reset();
   failures_->Reset();
-  shed_queue_full_->Reset();
-  shed_overload_->Reset();
   deadline_exceeded_->Reset();
   for (obs::Counter* counter : workload_queries_) counter->Reset();
   sweep_executed_->Reset();

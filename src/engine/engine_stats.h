@@ -35,12 +35,6 @@ class EngineStats {
   /// Records one query that finished with a non-OK per-query status.
   void RecordFailure(double seconds);
 
-  /// Records one query refused at admission. `reason` labels
-  /// engine_shed_total ("queue_full" when the pool queue is at capacity,
-  /// "overload" for the predictive gate). Shed queries are NOT recorded as
-  /// queries — the caller never entered the engine.
-  void RecordShed(const char* reason);
-
   /// Records one query that failed because its deadline elapsed or its
   /// CancelToken fired (called alongside RecordFailure).
   void RecordDeadlineExceeded();
@@ -91,8 +85,6 @@ class EngineStats {
   obs::Counter* executed_;
   obs::Counter* coalesced_;
   obs::Counter* failures_;
-  obs::Counter* shed_queue_full_;
-  obs::Counter* shed_overload_;
   obs::Counter* deadline_exceeded_;
   obs::Counter* workload_queries_[kNumWorkloadKinds];
   obs::Counter* sweep_executed_;

@@ -102,7 +102,7 @@ struct CacheValueTraits<ResultCacheValue> {
     return framing + value.targets.size() * sizeof(ReliableTarget);
   }
   /// Only answers are cached: every engine failure is O(1) to repeat
-  /// (CheckWorkloadSupported), transient (deadline, cancellation, shed) or
+  /// (CheckWorkloadSupported), transient (deadline, cancellation) or
   /// injected, so the next miss recomputes it.
   static bool Admissible(const ResultCacheValue& value) {
     return value.status.ok();
@@ -155,12 +155,6 @@ template <typename Key, typename Value>
 class LruCache {
  public:
   using Traits = CacheValueTraits<Value>;
-
-  /// One cached entry as exported for the persistence journal.
-  struct Export {
-    Key key;
-    Value value;
-  };
 
   /// Entry capacity meaning "evict by bytes only".
   static constexpr size_t kNoEntryLimit = ~size_t{0};
@@ -292,19 +286,6 @@ class LruCache {
       evictions_->Inc();
     }
     Publish(shard, bytes_before, entries_before);
-  }
-
-  /// Snapshot of every entry for the persistence journal (shard by shard,
-  /// most-recent first within a shard).
-  std::vector<Export> ExportEntries() const {
-    std::vector<Export> out;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      for (const Entry& entry : shard->lru) {
-        out.push_back(Export{entry.key.key, entry.value});
-      }
-    }
-    return out;
   }
 
   /// Drops every entry (stats are kept).

@@ -1,15 +1,12 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/format.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "common/wire.h"
-#include "persist/journal.h"
 
 namespace relcomp {
 
@@ -80,111 +77,6 @@ class StageTimer {
   bool stopped_ = false;
 };
 
-/// \name Warm-journal record payloads (see src/persist/README.md)
-/// Every record opens with the writing engine's WarmJournalDigest (graph,
-/// index configuration, S) and carries everything needed to re-derive its
-/// cache key on restore; the restoring engine checks the digest and the
-/// kind / budget / seed against *its own* and skips mismatches, so a journal
-/// written for another graph or configuration (or another master seed) can
-/// never resurface a wrong answer. Decoders return false on any truncation
-/// or shape violation.
-/// @{
-std::string EncodeSweepRecord(uint64_t digest,
-                              const SweepCache::Export& entry) {
-  std::string out;
-  WireWriter writer(&out);
-  writer.PutU64(digest);
-  writer.PutU8(static_cast<uint8_t>(entry.key.kind));
-  writer.PutU32(entry.key.source);
-  writer.PutU32(entry.key.num_samples);
-  writer.PutU64(entry.key.seed);
-  writer.PutU64(entry.value->size());
-  for (const double v : *entry.value) writer.PutF64(v);
-  return out;
-}
-
-bool DecodeSweepRecord(const std::string& payload, uint64_t* digest,
-                       SweepCacheKey* key, std::vector<double>* sweep) {
-  WireReader reader(payload.data(), payload.size());
-  uint8_t kind = 0;
-  uint64_t n = 0;
-  if (!reader.ReadU64(digest) || !reader.ReadU8(&kind) ||
-      !reader.ReadU32(&key->source) ||
-      !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
-      !reader.ReadU64(&n)) {
-    return false;
-  }
-  key->kind = static_cast<EstimatorKind>(kind);
-  if (n != reader.remaining() / sizeof(double) ||
-      reader.remaining() % sizeof(double) != 0) {
-    return false;
-  }
-  sweep->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!reader.ReadF64(&(*sweep)[i])) return false;
-  }
-  return true;
-}
-
-std::string EncodeResultRecord(uint64_t digest,
-                               const ResultCache::Export& entry) {
-  std::string out;
-  WireWriter writer(&out);
-  const EngineQuery& q = entry.key.query;
-  writer.PutU64(digest);
-  writer.PutU8(static_cast<uint8_t>(q.workload));
-  writer.PutU32(q.source);
-  writer.PutU32(q.target);
-  writer.PutU32(q.k);
-  writer.PutF64(q.eta);
-  writer.PutU32(q.max_hops);
-  writer.PutU8(static_cast<uint8_t>(entry.key.kind));
-  writer.PutU32(entry.key.num_samples);
-  writer.PutU64(entry.key.seed);
-  writer.PutF64(entry.value.reliability);
-  writer.PutU32(entry.value.num_samples);
-  writer.PutU64(entry.value.targets.size());
-  for (const ReliableTarget& target : entry.value.targets) {
-    writer.PutU32(target.node);
-    writer.PutF64(target.reliability);
-  }
-  return out;
-}
-
-bool DecodeResultRecord(const std::string& payload, uint64_t* digest,
-                        ResultCacheKey* key, ResultCacheValue* value) {
-  WireReader reader(payload.data(), payload.size());
-  uint8_t workload = 0;
-  uint8_t kind = 0;
-  uint64_t num_targets = 0;
-  if (!reader.ReadU64(digest) || !reader.ReadU8(&workload) ||
-      !reader.ReadU32(&key->query.source) ||
-      !reader.ReadU32(&key->query.target) || !reader.ReadU32(&key->query.k) ||
-      !reader.ReadF64(&key->query.eta) ||
-      !reader.ReadU32(&key->query.max_hops) || !reader.ReadU8(&kind) ||
-      !reader.ReadU32(&key->num_samples) || !reader.ReadU64(&key->seed) ||
-      !reader.ReadF64(&value->reliability) ||
-      !reader.ReadU32(&value->num_samples) || !reader.ReadU64(&num_targets)) {
-    return false;
-  }
-  if (workload >= kNumWorkloadKinds) return false;
-  key->query.workload = static_cast<WorkloadKind>(workload);
-  key->kind = static_cast<EstimatorKind>(kind);
-  constexpr size_t kTargetBytes = sizeof(uint32_t) + sizeof(double);
-  if (num_targets != reader.remaining() / kTargetBytes ||
-      reader.remaining() % kTargetBytes != 0) {
-    return false;
-  }
-  value->targets.resize(num_targets);
-  for (uint64_t i = 0; i < num_targets; ++i) {
-    if (!reader.ReadU32(&value->targets[i].node) ||
-        !reader.ReadF64(&value->targets[i].reliability)) {
-      return false;
-    }
-  }
-  return true;
-}
-/// @}
 }  // namespace
 
 QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
@@ -203,11 +95,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
              options_.cache_max_bytes, registry_.get()),
       sweep_cache_(SweepCache::kNoEntryLimit, /*num_shards=*/1,
                    options_.sweep_cache_max_bytes, registry_.get()),
-      stats_(*registry_),
-      journal_digest_(store_ == nullptr
-                          ? 0
-                          : WarmJournalDigest(graph_, options_.factory,
-                                              options_.num_strata)) {
+      stats_(*registry_) {
   stage_cache_probe_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "cache_probe");
   stage_prepare_ =
@@ -230,9 +118,6 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       options_.num_threads, options_.queue_capacity,
       registry_->GetHistogram("engine_stage_latency_ns", "stage",
                               "queue_wait"));
-  if (store_ != nullptr && options_.persist_flush_seconds > 0.0) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
   // Storage-footprint gauges: actual resident bytes of the graph's selected
   // layout, labeled by layout so raw/compact engines are comparable side by
   // side in one exported snapshot.
@@ -248,19 +133,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
 }
 
 QueryEngine::~QueryEngine() {
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mutex_);
-      flusher_stop_ = true;
-    }
-    flusher_cv_.notify_all();
-    flusher_.join();
-  }
   pool_->Shutdown();
-  // Clean-shutdown flush: the pool is quiescent, so this captures the
-  // final warm state (a crash instead simply loses what the last periodic
-  // flush missed — never more).
-  if (store_ != nullptr) (void)FlushWarmState();
   // Join the builder thread before any replica (its build prototype) dies.
   prebuilder_.reset();
 }
@@ -279,22 +152,27 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   auto registry = std::make_unique<obs::MetricsRegistry>();
   std::unique_ptr<PersistentStore> store;
   bool snapshot_restored = false;
-  if (!opts.persist_dir.empty()) {
+  // Only an index is worth a snapshot: a restarted engine recomputes any
+  // answer from (query, plan, seed) at its usual cost, but an index build
+  // is the one cost a restart would otherwise pay up front.
+  if (!opts.persist_dir.empty() && HasSharedIndex(opts.kind)) {
     RELCOMP_ASSIGN_OR_RETURN(store,
                              PersistentStore::Open(opts.persist_dir,
                                                    registry.get()));
-    // O(1) cold start: hand the factory the snapshot's artifacts so the
+    // O(1) cold start: hand the factory the snapshot's index so the
     // replica build below maps instead of rebuilding. An absent, corrupt,
-    // version-refused, or mismatched snapshot leaves these null — the
-    // factory then rebuilds from source, bit-identically.
+    // version-refused, or mismatched snapshot, or one without this kind's
+    // index, leaves it null — the factory then rebuilds from source,
+    // bit-identically, and the rebuilt index is published below.
     SnapshotArtifacts artifacts = store->OpenSnapshot(graph, opts.factory);
-    if (artifacts.valid) {
+    if (opts.kind == EstimatorKind::kBfsSharing) {
       opts.factory.preloaded_bfs_index = std::move(artifacts.bfs_index);
-      opts.factory.preloaded_prob_tree = std::move(artifacts.prob_tree);
-      snapshot_restored = true;
+      snapshot_restored = opts.factory.preloaded_bfs_index != nullptr;
     } else {
-      store->CountRebuild();
+      opts.factory.preloaded_prob_tree = std::move(artifacts.prob_tree);
+      snapshot_restored = opts.factory.preloaded_prob_tree != nullptr;
     }
+    store->CountRecovered(snapshot_restored);
   }
   // One shared immutable index for all replicas of an index-carrying kind
   // (built inside the factory), private scratch per replica.
@@ -319,35 +197,15 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   std::unique_ptr<QueryEngine> engine(
       new QueryEngine(graph, std::move(opts), std::move(registry),
                       std::move(store), std::move(replicas)));
-  if (engine->store_ != nullptr) {
-    engine->warm_report_.snapshot_restored = snapshot_restored;
-    if (!snapshot_restored) {
-      // Best effort: a failed snapshot write (disk full, injected fault)
-      // only costs the next restart its O(1) cold start.
-      (void)engine->PersistSnapshot();
-    }
-    engine->RestoreWarmState();
+  if (engine->store_ != nullptr && !snapshot_restored) {
+    // Best effort: a failed snapshot write (disk full, injected fault) only
+    // costs the next restart its O(1) cold start.
+    (void)engine->PersistSnapshot();
   }
   return engine;
 }
 
-void QueryEngine::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(flusher_mutex_);
-  while (!flusher_stop_) {
-    flusher_cv_.wait_for(
-        lock, std::chrono::duration<double>(options_.persist_flush_seconds));
-    if (flusher_stop_) break;
-    // The flush runs on this thread, so it never takes a serving worker.
-    lock.unlock();
-    (void)FlushWarmState();
-    lock.lock();
-  }
-}
-
 Status QueryEngine::PersistSnapshot() {
-  if (store_ == nullptr) {
-    return Status::FailedPrecondition("persistence is not configured");
-  }
   const BfsSharingIndex* bfs_index = nullptr;
   const ProbTreeIndex* prob_tree = nullptr;
   if (const auto* bfs =
@@ -359,80 +217,6 @@ Status QueryEngine::PersistSnapshot() {
     prob_tree = pt->shared_index().get();
   }
   return store_->WriteSnapshot(graph_, options_.factory, bfs_index, prob_tree);
-}
-
-Status QueryEngine::FlushWarmState() {
-  if (store_ == nullptr) {
-    return Status::FailedPrecondition("persistence is not configured");
-  }
-  std::lock_guard<std::mutex> lock(journal_mutex_);
-  size_t appended = 0;
-  for (const SweepCache::Export& entry : sweep_cache_.ExportEntries()) {
-    if (!journaled_sweeps_.insert(entry.key.Hash()).second) continue;
-    RELCOMP_RETURN_NOT_OK(
-        store_->AppendWarm(kJournalRecordSweep,
-                           EncodeSweepRecord(journal_digest_, entry)));
-    ++appended;
-  }
-  for (const ResultCache::Export& entry : cache_.ExportEntries()) {
-    if (!journaled_results_.insert(entry.key.Hash()).second) continue;
-    RELCOMP_RETURN_NOT_OK(
-        store_->AppendWarm(kJournalRecordResult,
-                           EncodeResultRecord(journal_digest_, entry)));
-    ++appended;
-  }
-  if (appended == 0) return Status::OK();
-  return store_->SyncJournal();
-}
-
-void QueryEngine::RestoreWarmState() {
-  Result<JournalReplay> replayed = store_->ReplayWarm();
-  if (!replayed.ok()) return;  // unreadable journal: cold caches, not fatal
-  const JournalReplay replay = replayed.MoveValue();
-  warm_report_.torn_tail = replay.torn_tail;
-  uint64_t recovered = 0;
-  uint64_t digest = 0;
-  for (const JournalRecord& record : replay.records) {
-    if (record.type == kJournalRecordSweep) {
-      SweepCacheKey key;
-      auto sweep = std::make_shared<std::vector<double>>();
-      // A record journaled for another graph, index configuration or S
-      // carries another digest; one under another kind, budget or master
-      // seed re-derives to another key. Either is skipped — never served.
-      if (!DecodeSweepRecord(record.payload, &digest, &key, sweep.get()) ||
-          digest != journal_digest_ || key.source >= graph_.num_nodes() ||
-          sweep->size() != graph_.num_nodes() ||
-          !(key == SweepKeyFor(key.source))) {
-        ++warm_report_.skipped;
-        continue;
-      }
-      sweep_cache_.Insert(key, std::move(sweep));
-      ++warm_report_.sweep_entries;
-      ++recovered;
-    } else if (record.type == kJournalRecordResult) {
-      ResultCacheKey key;
-      ResultCacheValue value;
-      if (!DecodeResultRecord(record.payload, &digest, &key, &value) ||
-          digest != journal_digest_ ||
-          !ValidateWorkload(graph_, key.query).ok() ||
-          !(key == ResultKeyFor(key.query))) {
-        ++warm_report_.skipped;
-        continue;
-      }
-      cache_.Insert(key, value);
-      ++warm_report_.result_entries;
-      ++recovered;
-    } else {
-      // An unknown type, such as the retired ids 1 and 2, whose layout
-      // carried a TTL field.
-      ++warm_report_.skipped;
-    }
-  }
-  if (recovered > 0) store_->CountJournalRecovered(recovered);
-  // The restored state is folded back in; truncate so the next flush
-  // re-journals it fresh (the journaled-key sets start empty, so the first
-  // flush after restore rewrites every live entry).
-  (void)store_->ResetJournal();
 }
 
 uint64_t QueryEngine::QuerySeed(const EngineQuery& query) const {
@@ -1078,51 +862,13 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
 bool QueryEngine::ServableFromCache(const EngineQuery& query) const {
   if (cache_.Contains(ResultKeyFor(query))) return true;
   // A memoized sweep answers any k / eta over its source without an
-  // estimator — deriving is a rank/filter pass, cheap enough to admit.
+  // estimator: deriving is a rank/filter pass.
   return IsSweepWorkload(query.workload) &&
          sweep_cache_.Contains(SweepKeyFor(query.source));
 }
 
-Status QueryEngine::AdmitQuery(const EngineQuery& query) {
-  const size_t depth = pool_->queue_depth();
-  const char* reason = nullptr;
-  if (depth >= pool_->queue_capacity()) {
-    // Submit() would block the caller — under overload that converts the
-    // client into part of the queue. Shed instead: cheap for the client to
-    // retry, and the hint below tells it when.
-    reason = "queue_full";
-  } else if (options_.shed_queue_depth > 0 &&
-             depth >= options_.shed_queue_depth &&
-             !ServableFromCache(query)) {
-    // Predictive gate: past the threshold only cache-servable work — which
-    // occupies a worker for microseconds — is admitted. Compute-bound
-    // queries are cheap to retry *before* they are computed; that is the
-    // moment to refuse them.
-    reason = "overload";
-  }
-  if (reason == nullptr) return Status::OK();
-  stats_.RecordShed(reason);
-  // Retry-after hint: the backlog ahead of this query, paced by the p50
-  // query latency per worker. Floor of 1ms keeps the hint meaningful when
-  // the histogram is empty (cold engine).
-  const double p50_ms = static_cast<double>(
-      registry_->GetHistogram("engine_query_latency_ns")
-          ->Snapshot()
-          .Quantile(0.5)) / 1e6;
-  const double waves =
-      static_cast<double>(depth) /
-      static_cast<double>(pool_->num_threads() == 0 ? 1 : pool_->num_threads());
-  const double retry_after_ms = std::max(1.0, waves * p50_ms);
-  return Status::Unavailable(
-      StrFormat("query shed (%s): queue depth %zu; retry after ~%.0f ms",
-                reason, depth, retry_after_ms));
-}
-
 Status QueryEngine::Submit(const EngineQuery& query) {
   RELCOMP_RETURN_NOT_OK(ValidateWorkload(graph_, query));
-  if (options_.enable_load_shedding) {
-    RELCOMP_RETURN_NOT_OK(AdmitQuery(query));
-  }
   // Overlap: the builder resamples this query's generation while earlier
   // stream queries are still running their BFS on the workers.
   if (prebuilder_ != nullptr) RequestPrebuild(query);

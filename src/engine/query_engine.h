@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cancel.h"
@@ -31,7 +29,8 @@ struct EngineOptions {
   /// index-carrying estimators share one immutable index (built once), so
   /// Create cost and index memory are O(1) in num_threads.
   size_t num_threads = 4;
-  /// Bounded work-queue depth; Submit() blocks when full (backpressure).
+  /// Bounded work-queue depth; Submit() blocks while it is full
+  /// (backpressure), its only overload behaviour.
   size_t queue_capacity = 1024;
   /// Which estimator answers the queries. Workload support varies by kind:
   /// every kind answers st; MC and BFS Sharing answer top-k / reliable-set
@@ -72,48 +71,24 @@ struct EngineOptions {
   /// over the same source — any k, any eta — derive their answers without
   /// re-running the BFS (one sweep = num_nodes doubles).
   size_t sweep_cache_max_bytes = size_t{128} << 20;
-  /// \name Fault tolerance & graceful degradation (see README "Failure
-  /// semantics & degraded modes")
-  /// @{
   /// Deadline in milliseconds applied to every query that does not carry its
   /// own EngineQuery::deadline_ms; 0 = no default deadline. The clock starts
   /// at submission, so queue wait counts against it. An expired query fails
   /// with kDeadlineExceeded, and cancellation is cooperative and
   /// all-or-nothing: a query either completes with its full bit-identical
   /// answer or returns no result at all, so deadlines never change any
-  /// completed answer.
+  /// completed answer (see README "Failure semantics & degraded modes").
   double default_deadline_ms = 0.0;
-  /// Admission control on the stream path (Submit): refuse work up front
-  /// with kUnavailable (and a retry_after_ms hint in the message) instead of
-  /// queueing unboundedly. RunBatch is exempt by design — batches are
-  /// trusted pre-validated workloads whose caller already owns their size.
-  bool enable_load_shedding = false;
-  /// Queue depth at which the predictive gate starts shedding cheap-to-retry
-  /// work (queries no cache can serve); 0 = shed only when the queue is
-  /// completely full. Cache-servable queries are always admitted — they
-  /// resolve in O(1) without a worker.
-  size_t shed_queue_depth = 0;
-  /// @}
-  /// \name Crash-safe persistence (src/persist/; see src/engine/README.md,
-  /// "Restart semantics")
-  /// @{
-  /// Directory for the checksummed snapshot + warm-state journal; empty (the
-  /// default) disables persistence entirely. With a valid snapshot present,
-  /// Create cold-starts in O(1) by mmapping the index sections instead of
-  /// rebuilding; a corrupt or mismatched snapshot degrades to
-  /// rebuild-from-source (detected, counted, never fatal) and a fresh
-  /// snapshot is published for the next restart. Create always replays the
-  /// warm-state journal into the caches; a record journaled under another
-  /// configuration is skipped, never served. Answers are bit-identical
-  /// either way: restored artifacts feed the same content-derived seed
-  /// machinery as freshly built ones.
+  /// Directory of the checksummed index snapshot (src/persist/; see
+  /// src/engine/README.md, "Restart semantics"); empty (the default)
+  /// disables it, and so does a kind without an index (MC, RHH, RSS, LP+).
+  /// With a valid snapshot present, Create cold-starts in O(1) by mmapping
+  /// the index sections instead of rebuilding; a corrupt or mismatched
+  /// snapshot degrades to rebuild-from-source (detected, counted, never
+  /// fatal) and a fresh snapshot is published for the next restart. Answers
+  /// are bit-identical either way: a restored index feeds the same
+  /// content-derived seed machinery as a freshly built one.
   std::string persist_dir;
-  /// Period in seconds of the warm-state flush (cache exports appended to
-  /// the journal, then fsynced), run on a dedicated flusher thread; 0
-  /// disables it (FlushWarmState can still be called manually). A final
-  /// flush always runs at engine destruction.
-  double persist_flush_seconds = 1.0;
-  /// @}
   /// \name Observability (see src/obs/README.md)
   /// Tracing is never part of the determinism contract: answers are
   /// bit-identical with any sample rate, at any thread count.
@@ -282,37 +257,9 @@ class QueryEngine {
   /// slow-query log (slow_query_ms).
   obs::Tracer& tracer() const { return *tracer_; }
 
-  /// \name Crash-safe persistence (EngineOptions::persist_dir)
-  /// @{
-  /// What Create recovered at startup; all-false/zero when persistence is
-  /// off. `snapshot_restored` means the index artifacts came from the mmap'd
-  /// snapshot (O(1) cold start) instead of a rebuild.
-  struct WarmRestoreReport {
-    bool snapshot_restored = false; ///< indexes restored from the snapshot
-    bool torn_tail = false;         ///< journal ended in a torn frame
-    uint64_t sweep_entries = 0;     ///< sweeps folded back into the cache
-    uint64_t result_entries = 0;    ///< results folded back into the cache
-    /// Records skipped: of an unknown type, undecodable, or journaled for
-    /// another graph, index configuration, stratum count, kind, budget or
-    /// master seed.
-    uint64_t skipped = 0;
-  };
-  const WarmRestoreReport& warm_restore_report() const { return warm_report_; }
-
-  /// Writes and atomically publishes a snapshot of the graph plus the
-  /// current shared index (if the estimator kind carries one).
-  /// FailedPrecondition without persist_dir.
-  Status PersistSnapshot();
-
-  /// Exports the warm caches into the journal and fsyncs it — the operation
-  /// the background flusher runs every persist_flush_seconds. Idempotent
-  /// per entry (already-journaled keys are skipped). FailedPrecondition
-  /// without persist_dir.
-  Status FlushWarmState();
-
-  /// nullptr when persistence is off.
+  /// The snapshot store; nullptr when persistence is off or the kind has no
+  /// index.
   const PersistentStore* persist_store() const { return store_.get(); }
-  /// @}
 
  private:
   /// `registry` and `store` are created in Create (the store needs the
@@ -469,24 +416,12 @@ class QueryEngine {
                               const CancelToken* cancel,
                               obs::TraceBuffer* trace, uint32_t parent);
 
-  /// Load-shedding admission gate for the stream path (Submit): OK admits;
-  /// kUnavailable (with a retry_after_ms hint) sheds. Shed queries never
-  /// enter the engine, so they are invisible to the query-partition
-  /// invariant (executed + coalesced + failures + cache hits == queries).
-  Status AdmitQuery(const EngineQuery& query);
-
   /// True when `query` will resolve from the result or sweep cache without
-  /// occupying a worker — such queries are always admitted under overload.
+  /// occupying a worker.
   bool ServableFromCache(const EngineQuery& query) const;
 
-  /// Periodic flusher body: sleeps persist_flush_seconds between
-  /// FlushWarmState rounds, run on the flusher thread, until shutdown.
-  void FlusherLoop();
-
-  /// Replays the warm journal into the caches (Create-time). A record is
-  /// folded back only when it carries this engine's journal_digest_ and its
-  /// key re-derives from this engine's plan and seeds.
-  void RestoreWarmState();
+  /// Writes and atomically publishes a snapshot of the shared index.
+  Status PersistSnapshot();
 
   /// Publishes the leader's outcome: caches it when OK (a failure reaches
   /// only this flight's waiters), retires the flight, and wakes the waiters.
@@ -508,9 +443,8 @@ class QueryEngine {
   /// while the pool drains during shutdown.
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::Tracer> tracer_;
-  /// Crash-safe persistence root; nullptr when persist_dir is empty.
-  /// Declared right after the registry (its counters) and before everything
-  /// that may journal into it during shutdown.
+  /// Snapshot store; nullptr when persist_dir is empty or the kind has no
+  /// index. Declared after the registry, which holds its counters.
   std::unique_ptr<PersistentStore> store_;
   std::vector<std::unique_ptr<Estimator>> replicas_;
   /// What the replicas' estimator kind answers beyond s-t.
@@ -542,27 +476,6 @@ class QueryEngine {
   /// generations. Declared after replicas_ so it is destroyed (thread
   /// joined) before they are.
   std::unique_ptr<GenerationPrebuilder> prebuilder_;
-
-  /// \name Warm-state journaling (guarded by journal_mutex_)
-  /// @{
-  std::mutex journal_mutex_;
-  /// Key hashes already appended to the journal this process lifetime —
-  /// the journal is append-only, so each warm entry is journaled once (its
-  /// value is content-derived, so a re-insert carries the same bits).
-  std::unordered_set<uint64_t> journaled_sweeps_;
-  std::unordered_set<uint64_t> journaled_results_;
-  /// WarmJournalDigest of this engine (graph, index configuration, S),
-  /// stamped on every journal record; computed only when persist_dir is set
-  /// (0 otherwise), before the flusher thread starts.
-  const uint64_t journal_digest_;
-  WarmRestoreReport warm_report_;
-  /// Periodic flusher thread (persist_flush_seconds); stopped first in the
-  /// destructor, before the pool shuts down.
-  std::thread flusher_;
-  std::mutex flusher_mutex_;
-  std::condition_variable flusher_cv_;
-  bool flusher_stop_ = false;
-  /// @}
 
   std::mutex stream_mutex_;
   std::vector<std::unique_ptr<EngineResult>> stream_results_;

@@ -32,11 +32,6 @@ Status ThreadPool::Submit(Task task) {
   return Status::OK();
 }
 
-size_t ThreadPool::queue_depth() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
   all_idle_.wait(lock,

@@ -55,11 +55,6 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
   size_t queue_capacity() const { return queue_capacity_; }
 
-  /// Tasks currently queued (not yet picked up by a worker). A point-in-time
-  /// reading for admission control: the engine's load-shedding gate compares
-  /// it against its shed threshold before enqueuing more work.
-  size_t queue_depth() const;
-
  private:
   /// Task plus its Submit() timestamp, so dequeue can record queue wait.
   struct QueuedTask {
@@ -71,7 +66,7 @@ class ThreadPool {
 
   const size_t queue_capacity_;
   obs::Histogram* const queue_wait_;  ///< may be nullptr (no recording)
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable task_ready_;   ///< queue gained a task / shutdown
   std::condition_variable space_ready_;  ///< queue lost a task
   std::condition_variable all_idle_;     ///< queue empty and no task running

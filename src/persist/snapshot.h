@@ -16,9 +16,9 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 
 /// Section ids of the engine snapshot. The container itself is agnostic —
 /// any (id, payload) pair round-trips — these are the ids PersistentStore
-/// writes.
+/// writes. Id 2 is retired: older snapshots carried the graph there, and
+/// readers, which find sections by id, never look at it.
 inline constexpr uint32_t kSectionManifest = 1;
-inline constexpr uint32_t kSectionGraph = 2;
 inline constexpr uint32_t kSectionBfsIndex = 3;
 inline constexpr uint32_t kSectionProbTree = 4;
 

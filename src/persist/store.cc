@@ -1,15 +1,11 @@
 #include "persist/store.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
 
 #include "common/format.h"
-#include "common/rng.h"
 #include "common/wire.h"
 #include "graph/graph_io.h"
 #include "persist/snapshot.h"
@@ -99,44 +95,22 @@ bool ManifestMatches(const Manifest& have, const Manifest& want) {
 
 }  // namespace
 
-uint64_t WarmJournalDigest(const UncertainGraph& graph,
-                           const FactoryOptions& options,
-                           uint32_t num_strata) {
-  const std::string manifest = SerializeManifest(
-      ManifestFor(graph, options, /*with_bfs=*/true, /*with_prob_tree=*/true));
-  uint64_t digest = HashCombineSeed(0x6a726e6cULL, num_strata);  // "jrnl"
-  for (size_t i = 0; i + sizeof(uint64_t) <= manifest.size();
-       i += sizeof(uint64_t)) {
-    uint64_t word = 0;
-    std::memcpy(&word, manifest.data() + i, sizeof(word));
-    digest = HashCombineSeed(digest, word);
-  }
-  return digest;
-}
-
 PersistentStore::PersistentStore(std::string dir,
                                  obs::MetricsRegistry* metrics)
-    : dir_(std::move(dir)),
-      snapshot_path_(dir_ + "/snapshot.relsnap"),
-      journal_path_(dir_ + "/warm.journal") {
+    : snapshot_path_(std::move(dir) + "/snapshot.relsnap") {
   if (metrics == nullptr) return;
   corruption_detected_ =
       metrics->GetCounter("persist_corruption_detected_total");
   recovered_snapshot_ =
       metrics->GetCounter("persist_recovered_total", "source", "snapshot");
-  recovered_journal_ =
-      metrics->GetCounter("persist_recovered_total", "source", "journal");
   recovered_rebuild_ =
       metrics->GetCounter("persist_recovered_total", "source", "rebuild");
   snapshot_mismatch_ = metrics->GetCounter("persist_snapshot_mismatch_total");
-  journal_entries_ = metrics->GetCounter("persist_journal_entries_total");
-  journal_replayed_ = metrics->GetCounter("persist_journal_replayed_total");
-  journal_torn_ = metrics->GetCounter("persist_journal_torn_total");
   snapshot_bytes_ = metrics->GetGauge("persist_snapshot_bytes");
 }
 
-void PersistentStore::Count(obs::Counter* counter, uint64_t delta) {
-  if (counter != nullptr && delta > 0) counter->Inc(delta);
+void PersistentStore::Count(obs::Counter* counter) {
+  if (counter != nullptr) counter->Inc();
 }
 
 Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
@@ -161,11 +135,6 @@ Status PersistentStore::WriteSnapshot(const UncertainGraph& graph,
                                         prob_tree != nullptr);
   SnapshotWriter writer;
   writer.AddSection(kSectionManifest, SerializeManifest(manifest));
-  {
-    std::string payload;
-    AppendGraphBlock(graph, &payload);
-    writer.AddSection(kSectionGraph, std::move(payload));
-  }
   if (bfs_index != nullptr) {
     std::string payload;
     bfs_index->AppendBlock(&payload);
@@ -276,73 +245,11 @@ SnapshotArtifacts PersistentStore::OpenSnapshot(const UncertainGraph& graph,
         std::make_shared<const ProbTreeIndex>(index.MoveValue());
   }
   artifacts.valid = true;
-  Count(recovered_snapshot_);
   return artifacts;
 }
 
-Result<UncertainGraph> PersistentStore::LoadGraphFromSnapshot() {
-  RELCOMP_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotReader> reader,
-                           SnapshotReader::Open(snapshot_path_));
-  const SnapshotReader::Section* section = reader->Find(kSectionGraph);
-  if (section == nullptr) {
-    return Status::NotFound("snapshot has no graph section");
-  }
-  return ParseGraphBlock(section->data, section->size);
-}
-
-Status PersistentStore::AppendWarm(uint8_t type, const std::string& payload) {
-  if (journal_.has_value() && journal_->poisoned()) {
-    // A failed append may have left a torn tail; anything appended after it
-    // would be unreachable to replay. Reopen so the next append lands in a
-    // fresh O_APPEND stream (replay still stops at the torn frame — the
-    // cache re-journals everything on the next full flush anyway).
-    journal_.reset();
-  }
-  if (!journal_.has_value()) {
-    RELCOMP_ASSIGN_OR_RETURN(JournalWriter writer,
-                             JournalWriter::Open(journal_path_));
-    journal_.emplace(std::move(writer));
-  }
-  RELCOMP_RETURN_NOT_OK(journal_->Append(type, payload));
-  Count(journal_entries_);
-  return Status::OK();
-}
-
-Status PersistentStore::SyncJournal() {
-  if (!journal_.has_value()) return Status::OK();
-  return journal_->Sync();
-}
-
-Result<JournalReplay> PersistentStore::ReplayWarm() {
-  RELCOMP_ASSIGN_OR_RETURN(JournalReplay replay,
-                           ReplayJournal(journal_path_));
-  if (replay.torn_tail) {
-    // The expected crash shape: a frame died mid-write. The intact prefix
-    // is still good; count the detection.
-    Count(journal_torn_);
-    Count(corruption_detected_);
-  }
-  return replay;
-}
-
-Status PersistentStore::ResetJournal() {
-  journal_.reset();
-  const int fd =
-      ::open(journal_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IOError(StrFormat("truncate journal %s: %s",
-                                     journal_path_.c_str(),
-                                     std::strerror(errno)));
-  }
-  ::close(fd);
-  return Status::OK();
-}
-
-void PersistentStore::CountRebuild() { Count(recovered_rebuild_); }
-
-void PersistentStore::CountJournalRecovered(uint64_t entries) {
-  Count(journal_replayed_, entries);
-  Count(recovered_journal_, entries);
+void PersistentStore::CountRecovered(bool from_snapshot) {
+  Count(from_snapshot ? recovered_snapshot_ : recovered_rebuild_);
 }
 
 }  // namespace relcomp

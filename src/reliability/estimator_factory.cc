@@ -56,6 +56,19 @@ std::vector<EstimatorKind> TheSixEstimators() {
           EstimatorKind::kRecursive,           EstimatorKind::kRecursiveStratified};
 }
 
+bool HasSharedIndex(EstimatorKind kind) {
+  switch (kind) {
+    case EstimatorKind::kBfsSharing:
+    case EstimatorKind::kProbTree:
+    case EstimatorKind::kProbTreeLpPlus:
+    case EstimatorKind::kProbTreeRhh:
+    case EstimatorKind::kProbTreeRss:
+      return true;
+    default:
+      return false;
+  }
+}
+
 Result<std::unique_ptr<Estimator>> MakeEstimator(EstimatorKind kind,
                                                  const UncertainGraph& graph,
                                                  const FactoryOptions& options) {

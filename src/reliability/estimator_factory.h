@@ -34,6 +34,10 @@ const char* EstimatorKindName(EstimatorKind kind);
 /// of Tables 3-14: MC, BFS Sharing, ProbTree, LP+, RHH, RSS.
 std::vector<EstimatorKind> TheSixEstimators();
 
+/// True for the kinds whose replicas share one offline index — BFS Sharing
+/// and every ProbTree kind — built once by MakeEstimatorReplicas.
+bool HasSharedIndex(EstimatorKind kind);
+
 /// \brief Construction knobs for MakeEstimator.
 struct FactoryOptions {
   BfsSharingOptions bfs_sharing;       ///< L = 1500 by default (Section 3.7)

@@ -1,5 +1,5 @@
 // Chaos suite: deterministic fault injection, deadlines, cancellation and
-// load shedding — the engine's degraded modes.
+// a full work queue — the engine's degraded modes.
 //
 // The core assertions, for every injection mix at 1 / 2 / 8 threads:
 //   - the engine never hangs (a watchdog aborts the run if it stalls),
@@ -90,8 +90,7 @@ RunOutcome RunChaosBatch(const UncertainGraph& graph,
 }
 
 /// The engine's outcome-partition invariant: every query resolved exactly
-/// one way. Holds in every degraded mode — shed queries are never recorded
-/// as queries, and deadline misses are failures.
+/// one way. Holds in every degraded mode — deadline misses are failures.
 void ExpectPartitionHolds(const QueryEngine& engine) {
   obs::MetricsRegistry& metrics = engine.metrics();
   const uint64_t executed = CounterValue(metrics, "engine_executed_total");
@@ -103,11 +102,6 @@ void ExpectPartitionHolds(const QueryEngine& engine) {
       << "executed=" << executed << " coalesced=" << coalesced
       << " failures=" << failures << " cache_hits=" << cache_hits
       << " queries=" << queries;
-}
-
-uint64_t ShedTotal(obs::MetricsRegistry& metrics) {
-  return CounterValue(metrics, "engine_shed_total", "reason", "queue_full") +
-         CounterValue(metrics, "engine_shed_total", "reason", "overload");
 }
 
 void ExpectSameTargets(const EngineResult& a, const EngineResult& b,
@@ -442,43 +436,37 @@ TEST(ChaosTest, EngineDestructionMidStreamNeverHangs) {
 }
 
 // ---------------------------------------------------------------------------
-// Load shedding
+// Overload: a full queue blocks Submit, and every query is answered
 // ---------------------------------------------------------------------------
 
-TEST(ChaosTest, OverloadShedsInsteadOfQueueingUnboundedly) {
+TEST(ChaosTest, FullQueueBlocksSubmitAndAnswersEveryQuery) {
   Watchdog watchdog(std::chrono::seconds(120));
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.1, 0.9, 23);
   EngineOptions options = ChaosOptions(1, EstimatorKind::kMonteCarlo);
-  options.num_samples = 40'000;  // slow queries: the queue builds up
-  options.enable_load_shedding = true;
-  options.shed_queue_depth = 2;
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-
-  size_t admitted = 0;
-  size_t shed = 0;
+  options.num_samples = 40'000;  // slow queries: the queue fills up
+  options.queue_capacity = 2;
+  std::vector<EngineQuery> queries;
   for (NodeId s = 0; s < 64; ++s) {
-    const Status status = engine->Submit(EngineQuery::St(s % 30, (s + 9) % 30));
-    if (status.ok()) {
-      ++admitted;
-    } else {
-      ASSERT_EQ(status.code(), StatusCode::kUnavailable) << status;
-      // The hint tells the client when to retry.
-      EXPECT_NE(status.message().find("retry after"), std::string::npos)
-          << status;
-      ++shed;
-    }
+    queries.push_back(EngineQuery::St(s % 30, (s + 9) % 30));
+  }
+
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  for (const EngineQuery& query : queries) {
+    // Past two queued queries each Submit waits for the worker to take one.
+    const Status status = engine->Submit(query);
+    ASSERT_TRUE(status.ok()) << status;
   }
   const std::vector<EngineResult> results = engine->Drain().MoveValue();
-  EXPECT_EQ(results.size(), admitted);
-  EXPECT_GT(shed, 0u) << "a 1-thread engine fed 64 slow queries must shed";
-  EXPECT_EQ(ShedTotal(engine->metrics()), shed);
-  // Shed queries never entered the engine: the partition covers exactly the
-  // admitted ones.
-  EXPECT_EQ(QueriesRecorded(engine->metrics()), admitted);
+  ASSERT_EQ(results.size(), queries.size());
+  EXPECT_EQ(QueriesRecorded(engine->metrics()), queries.size());
   ExpectPartitionHolds(*engine);
-  for (const EngineResult& result : results) {
-    EXPECT_TRUE(result.ok()) << result.status;
+
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].ok()) << "query " << i << ": " << results[i].status;
   }
+  const RunOutcome reference = RunChaosBatch(graph, options, queries);
+  ExpectDegradedMatchesBaseline(results, reference.results,
+                                /*expect_same_failed_set=*/true);
 }
 
 }  // namespace

@@ -197,24 +197,6 @@ TYPED_TEST_P(LruCacheTest, CapacityHoldsAcrossShards) {
   EXPECT_GE(cache.Stats().evictions, 1000u - 64u);
 }
 
-TYPED_TEST_P(LruCacheTest, ExportCarriesEveryEntry) {
-  typename TypeParam::Cache cache(8, 1);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
-  cache.Insert(TypeParam::Key(2), TypeParam::Value(10, 0.2));
-  cache.Insert(TypeParam::Key(3), TypeParam::Value(10, 0.3));
-  ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());  // refresh 1
-  const auto exported = cache.ExportEntries();
-  ASSERT_EQ(exported.size(), 3u);
-  EXPECT_EQ(cache.size(), 3u);  // exporting removes nothing
-  // Most-recent first.
-  EXPECT_TRUE(exported[0].key == TypeParam::Key(1));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[0].value), 0.1);
-  EXPECT_TRUE(exported[1].key == TypeParam::Key(3));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[1].value), 0.3);
-  EXPECT_TRUE(exported[2].key == TypeParam::Key(2));
-  EXPECT_DOUBLE_EQ(TypeParam::Fill(exported[2].value), 0.2);
-}
-
 TYPED_TEST_P(LruCacheTest, ConcurrentMixedWorkloadIsSafe) {
   typename TypeParam::Cache cache(256, 8);
   std::vector<std::thread> threads;
@@ -250,7 +232,6 @@ REGISTER_TYPED_TEST_SUITE_P(
     ClearDropsEntriesKeepsStats,
     ShardCountRoundsUpAndCapsAtCapacity,
     CapacityHoldsAcrossShards,
-    ExportCarriesEveryEntry,
     ConcurrentMixedWorkloadIsSafe);
 
 }  // namespace relcomp::testing

@@ -1,25 +1,20 @@
-// Crash-safety matrix for the persistence tier (src/persist/): round-trip
-// bitwise identity, crash-point enumeration over the publish and append
-// protocols, corruption detection (truncated tail, bit flips, version
-// bumps), and restart recovery proven bit-identical to a fresh build.
+// Crash-safety matrix for the index snapshot (src/persist/): round-trip
+// bitwise identity, crash-point enumeration over the publish protocol,
+// corruption detection (bit flips, version bumps), and restart recovery
+// proven bit-identical to a fresh build.
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
-#include "common/wire.h"
 #include "engine/query_engine.h"
-#include "graph/graph_io.h"
-#include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "persist/store.h"
 #include "reliability/bfs_sharing.h"
@@ -32,7 +27,6 @@ namespace {
 namespace fs = std::filesystem;
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
-using ::relcomp::testing::Watchdog;
 
 /// Fresh scratch directory per test; removed on destruction.
 class ScratchDir {
@@ -100,10 +94,10 @@ std::vector<EngineQuery> MixedWorkload() {
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip bitwise identity: graph, BFS Sharing index, ProbTree index.
+// Round-trip bitwise identity: BFS Sharing index, ProbTree index.
 // ---------------------------------------------------------------------------
 
-TEST(PersistRoundTrip, AllThreeArtifactsBitIdentical) {
+TEST(PersistRoundTrip, BothIndexesBitIdentical) {
   ScratchDir dir("relcomp_persist_roundtrip");
   const UncertainGraph graph = RandomSmallGraph(24, 80, 0.2, 0.8, 7);
   const FactoryOptions options = SmallIndexOptions();
@@ -122,12 +116,6 @@ TEST(PersistRoundTrip, AllThreeArtifactsBitIdentical) {
                   ->WriteSnapshot(graph, options, bfs.value().get(),
                                   prob_tree.value().get())
                   .ok());
-
-  // Graph: identical fingerprint (every edge's tail/head/prob bits).
-  Result<UncertainGraph> restored_graph =
-      store.value()->LoadGraphFromSnapshot();
-  ASSERT_TRUE(restored_graph.ok()) << restored_graph.status();
-  EXPECT_EQ(GraphFingerprint(graph), GraphFingerprint(*restored_graph));
 
   SnapshotArtifacts artifacts = store.value()->OpenSnapshot(graph, options);
   ASSERT_TRUE(artifacts.valid);
@@ -217,79 +205,9 @@ TEST(PersistCrash, SnapshotPublishSurvivesEveryCrashPoint) {
   EXPECT_GE(crash_points, 4);
 }
 
-TEST(PersistCrash, JournalAppendCrashLeavesReplayablePrefix) {
-  ScratchDir dir("relcomp_persist_crash_journal");
-  InjectorGuard guard;
-  Result<std::unique_ptr<PersistentStore>> store =
-      PersistentStore::Open(dir.path(), nullptr);
-  ASSERT_TRUE(store.ok()) << store.status();
-  // Two intact records, then crash-enumerate the third append.
-  ASSERT_TRUE(store.value()->AppendWarm(kJournalRecordSweep, "alpha").ok());
-  ASSERT_TRUE(store.value()->AppendWarm(kJournalRecordResult, "beta").ok());
-  ASSERT_TRUE(store.value()->SyncJournal().ok());
-
-  for (int64_t select = 0; select < 100; ++select) {
-    FaultPlan plan;
-    plan.crash_point_select = select;
-    FaultInjector::Global().Configure(plan);
-    const Status append =
-        store.value()->AppendWarm(kJournalRecordSweep, "gamma");
-    const uint64_t injected =
-        FaultInjector::Global().injected(FaultSite::kCrashPoint);
-    FaultInjector::Global().Disable();
-    Result<JournalReplay> replay = store.value()->ReplayWarm();
-    ASSERT_TRUE(replay.ok()) << replay.status();
-    ASSERT_GE(replay->records.size(), 2u);
-    EXPECT_EQ(replay->records[0].payload, "alpha");
-    EXPECT_EQ(replay->records[1].payload, "beta");
-    if (injected == 0) {
-      EXPECT_TRUE(append.ok());
-      break;
-    }
-    EXPECT_FALSE(append.ok());
-    // A poisoned writer reopens on the next append; state stays replayable.
-  }
-
-  // A torn tail (short write) must be discarded on replay, intact prefix
-  // kept, and the tear reported.
-  FaultPlan torn;
-  torn.probability[static_cast<size_t>(FaultSite::kFileShortWrite)] = 1.0;
-  FaultInjector::Global().Configure(torn);
-  EXPECT_FALSE(store.value()->AppendWarm(kJournalRecordSweep, "delta").ok());
-  FaultInjector::Global().Disable();
-  Result<JournalReplay> replay = store.value()->ReplayWarm();
-  ASSERT_TRUE(replay.ok()) << replay.status();
-  EXPECT_TRUE(replay->torn_tail);
-  ASSERT_GE(replay->records.size(), 2u);
-  EXPECT_EQ(replay->records[0].payload, "alpha");
-  EXPECT_EQ(replay->records[1].payload, "beta");
-}
-
 // ---------------------------------------------------------------------------
-// Corruption detection: truncated journal tail, bit flip in every snapshot
-// section, version bump.
+// Corruption detection: bit flip in every snapshot section, version bump.
 // ---------------------------------------------------------------------------
-
-TEST(PersistCorruption, TruncatedJournalTailReplaysPrefix) {
-  ScratchDir dir("relcomp_persist_trunc");
-  Result<std::unique_ptr<PersistentStore>> store =
-      PersistentStore::Open(dir.path(), nullptr);
-  ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_TRUE(store.value()->AppendWarm(kJournalRecordSweep, "one").ok());
-  ASSERT_TRUE(store.value()->AppendWarm(kJournalRecordSweep, "two").ok());
-  ASSERT_TRUE(store.value()->SyncJournal().ok());
-
-  std::string bytes = ReadFile(store.value()->journal_path());
-  ASSERT_GT(bytes.size(), 3u);
-  WriteFile(store.value()->journal_path(),
-            bytes.substr(0, bytes.size() - 2));  // tear mid-frame
-
-  Result<JournalReplay> replay = store.value()->ReplayWarm();
-  ASSERT_TRUE(replay.ok()) << replay.status();
-  EXPECT_TRUE(replay->torn_tail);
-  ASSERT_EQ(replay->records.size(), 1u);
-  EXPECT_EQ(replay->records[0].payload, "one");
-}
 
 TEST(PersistCorruption, BitFlipInEverySectionIsDetected) {
   ScratchDir dir("relcomp_persist_bitflip");
@@ -327,7 +245,7 @@ TEST(PersistCorruption, BitFlipInEverySectionIsDetected) {
           Target{section.id, section.file_offset + section.size / 2});
     }
   }
-  ASSERT_EQ(targets.size(), 4u);  // manifest, graph, BFS, ProbTree
+  ASSERT_EQ(targets.size(), 3u);  // manifest, BFS, ProbTree
 
   for (const Target& target : targets) {
     std::string corrupted = pristine;
@@ -374,8 +292,8 @@ TEST(PersistCorruption, VersionBumpIsRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// Restart recovery through the engine: O(1) snapshot cold start, warm-state
-// restore, and bit-identity with a fresh build at 1/2/8 threads.
+// Restart recovery through the engine: O(1) snapshot cold start and
+// bit-identity with a fresh build at 1/2/8 threads.
 // ---------------------------------------------------------------------------
 
 EngineOptions PersistEngineOptions(const std::string& dir, size_t threads) {
@@ -385,8 +303,13 @@ EngineOptions PersistEngineOptions(const std::string& dir, size_t threads) {
   options.num_samples = 64;
   options.factory = SmallIndexOptions();
   options.persist_dir = dir;
-  options.persist_flush_seconds = 0.0;  // flush manually / at destruction
   return options;
+}
+
+/// Where `engine`'s Create got its index from, as its registry counts it.
+uint64_t Recovered(const QueryEngine& engine, const char* source) {
+  return CounterValue(engine.metrics(), "persist_recovered_total", "source",
+                      source);
 }
 
 TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
@@ -410,7 +333,7 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
     Result<std::unique_ptr<QueryEngine>> first =
         QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 2));
     ASSERT_TRUE(first.ok()) << first.status();
-    EXPECT_FALSE(first.value()->warm_restore_report().snapshot_restored);
+    EXPECT_EQ(Recovered(*first.value(), "rebuild"), 1u);
     ASSERT_TRUE(fs::exists(first.value()->persist_store()->snapshot_path()));
   }
 
@@ -420,7 +343,7 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
     Result<std::unique_ptr<QueryEngine>> restored =
         QueryEngine::Create(graph, PersistEngineOptions(dir.path(), threads));
     ASSERT_TRUE(restored.ok()) << restored.status();
-    EXPECT_TRUE(restored.value()->warm_restore_report().snapshot_restored)
+    EXPECT_EQ(Recovered(*restored.value(), "snapshot"), 1u)
         << threads << " threads";
     Result<std::vector<EngineResult>> results =
         restored.value()->RunBatch(queries);
@@ -432,164 +355,6 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
   }
 }
 
-TEST(PersistRestart, WarmRestoreServesFirstQueryFromCache) {
-  ScratchDir dir("relcomp_persist_warm");
-  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const std::vector<EngineQuery> queries = MixedWorkload();
-
-  std::vector<EngineResult> first_run;
-  {
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 2));
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    Result<std::vector<EngineResult>> results =
-        engine.value()->RunBatch(queries);
-    ASSERT_TRUE(results.ok()) << results.status();
-    first_run = results.MoveValue();
-    ASSERT_TRUE(engine.value()->FlushWarmState().ok());
-  }  // destructor also runs the final flush
-
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SCOPED_TRACE(threads);
-    Result<std::unique_ptr<QueryEngine>> restarted =
-        QueryEngine::Create(graph, PersistEngineOptions(dir.path(), threads));
-    ASSERT_TRUE(restarted.ok()) << restarted.status();
-    const auto& report = restarted.value()->warm_restore_report();
-    EXPECT_GT(report.result_entries, 0u);
-    EXPECT_GT(report.sweep_entries, 0u);
-    EXPECT_EQ(report.skipped, 0u);
-
-    // The very first query after restart hits the restored cache — and the
-    // restored answer is bit-identical to the pre-restart computation.
-    Result<std::vector<EngineResult>> replayed =
-        restarted.value()->RunBatch(queries);
-    ASSERT_TRUE(replayed.ok()) << replayed.status();
-    EXPECT_TRUE((*replayed)[0].cache_hit);
-    for (size_t i = 0; i < replayed->size(); ++i) {
-      ExpectBitIdentical(first_run[i], (*replayed)[i]);
-    }
-  }
-}
-
-TEST(PersistRestart, PeriodicFlusherJournalsWhileTheEngineRuns) {
-  Watchdog watchdog(std::chrono::seconds(120));
-  ScratchDir dir("relcomp_persist_periodic");
-  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const std::vector<EngineQuery> queries = MixedWorkload();
-  EngineOptions options = PersistEngineOptions(dir.path(), 2);
-  options.persist_flush_seconds = 0.05;
-
-  std::vector<EngineResult> first_run;
-  {
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(graph, options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    Result<std::vector<EngineResult>> results =
-        engine.value()->RunBatch(queries);
-    ASSERT_TRUE(results.ok()) << results.status();
-    first_run = results.MoveValue();
-    // No FlushWarmState call: while the engine is alive, only the flusher
-    // thread can journal the batch's entries.
-    obs::MetricsRegistry& metrics = engine.value()->metrics();
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (CounterValue(metrics, "persist_journal_entries_total") == 0 &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_GT(CounterValue(metrics, "persist_journal_entries_total"), 0u);
-  }
-
-  Result<std::unique_ptr<QueryEngine>> restarted =
-      QueryEngine::Create(graph, options);
-  ASSERT_TRUE(restarted.ok()) << restarted.status();
-  const auto& report = restarted.value()->warm_restore_report();
-  EXPECT_GT(report.result_entries, 0u);
-  EXPECT_GT(report.sweep_entries, 0u);
-  EXPECT_EQ(report.skipped, 0u);
-  Result<std::vector<EngineResult>> replayed =
-      restarted.value()->RunBatch(queries);
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-  EXPECT_TRUE((*replayed)[0].cache_hit);
-  for (size_t i = 0; i < replayed->size(); ++i) {
-    ExpectBitIdentical(first_run[i], (*replayed)[i]);
-  }
-}
-
-TEST(PersistRestart, RecordsInTheTtlLayoutAreSkippedNotServed) {
-  // Warm records used to carry a ttl_seconds field, under type ids 1
-  // (sweep) and 2 (result). Journal one of each, in that layout, with this
-  // engine's digest and keys: both must replay as an unknown type.
-  ScratchDir dir("relcomp_persist_ttl_layout");
-  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const EngineOptions options = PersistEngineOptions(dir.path(), 2);
-  const EngineQuery st = EngineQuery::St(0, 7);
-  constexpr NodeId kSweepSource = 1;
-  uint64_t query_seed = 0;
-  uint64_t sweep_seed = 0;
-  {
-    EngineOptions plain = options;
-    plain.persist_dir.clear();
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(graph, plain);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    query_seed = engine.value()->QuerySeed(st);
-    sweep_seed = engine.value()->SweepSeed(kSweepSource);
-  }
-  const uint64_t digest =
-      WarmJournalDigest(graph, options.factory, options.num_strata);
-
-  std::string sweep;
-  WireWriter sweep_writer(&sweep);
-  sweep_writer.PutU64(digest);
-  sweep_writer.PutU8(static_cast<uint8_t>(options.kind));
-  sweep_writer.PutU32(kSweepSource);
-  sweep_writer.PutU32(options.num_samples);
-  sweep_writer.PutU64(sweep_seed);
-  sweep_writer.PutF64(0.0);  // ttl_seconds
-  sweep_writer.PutU64(graph.num_nodes());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) sweep_writer.PutF64(0.5);
-
-  std::string result;
-  WireWriter result_writer(&result);
-  result_writer.PutU64(digest);
-  result_writer.PutU8(static_cast<uint8_t>(st.workload));
-  result_writer.PutU32(st.source);
-  result_writer.PutU32(st.target);
-  result_writer.PutU32(st.k);
-  result_writer.PutF64(st.eta);
-  result_writer.PutU32(st.max_hops);
-  result_writer.PutU8(static_cast<uint8_t>(options.kind));
-  result_writer.PutU32(options.num_samples);
-  result_writer.PutU64(query_seed);
-  result_writer.PutF64(0.0);  // ttl_seconds
-  result_writer.PutF64(0.5);  // reliability
-  result_writer.PutU32(options.num_samples);
-  result_writer.PutU64(0);  // num_targets
-  {
-    Result<std::unique_ptr<PersistentStore>> store =
-        PersistentStore::Open(dir.path(), nullptr);
-    ASSERT_TRUE(store.ok()) << store.status();
-    ASSERT_TRUE(store.value()->AppendWarm(/*type=*/1, sweep).ok());
-    ASSERT_TRUE(store.value()->AppendWarm(/*type=*/2, result).ok());
-    ASSERT_TRUE(store.value()->SyncJournal().ok());
-  }
-
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(graph, options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  const auto& report = engine.value()->warm_restore_report();
-  EXPECT_EQ(report.result_entries, 0u);
-  EXPECT_EQ(report.sweep_entries, 0u);
-  EXPECT_EQ(report.skipped, 2u);
-  Result<std::vector<EngineResult>> served = engine.value()->RunBatch({st});
-  ASSERT_TRUE(served.ok()) << served.status();
-  ASSERT_TRUE((*served)[0].ok()) << (*served)[0].status;
-  EXPECT_FALSE((*served)[0].cache_hit);
-  EXPECT_EQ(CounterValue(engine.value()->metrics(), "engine_executed_total"),
-            1u);
-}
-
 TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
   ScratchDir dir("relcomp_persist_restore_count");
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
@@ -599,7 +364,7 @@ TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
     Result<std::unique_ptr<QueryEngine>> first =
         QueryEngine::Create(graph, options);
     ASSERT_TRUE(first.ok()) << first.status();
-    ASSERT_FALSE(first.value()->warm_restore_report().snapshot_restored);
+    ASSERT_EQ(Recovered(*first.value(), "rebuild"), 1u);
   }
 
   const uint64_t builds_before = BfsSharingIndex::BuildCount();
@@ -610,14 +375,8 @@ TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
   // over the snapshot. A Build (a rebuild that samples L worlds per edge)
   // would be a second.
   EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 1u);
-  EXPECT_TRUE(restored.value()->warm_restore_report().snapshot_restored);
-  obs::MetricsRegistry& metrics = restored.value()->metrics();
-  EXPECT_EQ(
-      CounterValue(metrics, "persist_recovered_total", "source", "snapshot"),
-      1u);
-  EXPECT_EQ(
-      CounterValue(metrics, "persist_recovered_total", "source", "rebuild"),
-      0u);
+  EXPECT_EQ(Recovered(*restored.value(), "snapshot"), 1u);
+  EXPECT_EQ(Recovered(*restored.value(), "rebuild"), 0u);
 
   // The artifact the snapshot yields reads its words out of the mapping:
   // restore is O(1) in L and m, not a copy.
@@ -629,93 +388,6 @@ TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
   ASSERT_TRUE(artifacts.valid);
   ASSERT_NE(artifacts.bfs_index, nullptr);
   EXPECT_TRUE(artifacts.bfs_index->mapped());
-}
-
-TEST(PersistRestart, JournalFromOtherSeedIsSkippedNotServed) {
-  ScratchDir dir("relcomp_persist_other_seed");
-  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const std::vector<EngineQuery> queries = MixedWorkload();
-  {
-    EngineOptions options = PersistEngineOptions(dir.path(), 2);
-    options.seed = 1;
-    Result<std::unique_ptr<QueryEngine>> engine =
-        QueryEngine::Create(graph, options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    ASSERT_TRUE(engine.value()->RunBatch(queries).ok());
-    ASSERT_TRUE(engine.value()->FlushWarmState().ok());
-  }
-  // Same graph, different master seed: every journaled key re-derives
-  // differently, so nothing may be folded back.
-  EngineOptions options = PersistEngineOptions(dir.path(), 2);
-  options.seed = 2;
-  Result<std::unique_ptr<QueryEngine>> engine =
-      QueryEngine::Create(graph, options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  const auto& report = engine.value()->warm_restore_report();
-  EXPECT_EQ(report.result_entries, 0u);
-  EXPECT_EQ(report.sweep_entries, 0u);
-  EXPECT_GT(report.skipped, 0u);
-  Result<std::vector<EngineResult>> results = engine.value()->RunBatch(queries);
-  ASSERT_TRUE(results.ok()) << results.status();
-  EXPECT_FALSE((*results)[0].cache_hit);
-}
-
-TEST(PersistRestart, JournalFromOtherGraphOrStrataIsSkippedNotServed) {
-  // Seeds fold neither the graph nor S, so only the journal digest tells
-  // these records apart from the restarted engine's own.
-  const UncertainGraph graph = RandomSmallGraph(40, 160, 0.3, 0.8, 11);
-  const UncertainGraph other = RandomSmallGraph(40, 160, 0.3, 0.8, 12);
-  const std::vector<EngineQuery> queries = {EngineQuery::St(0, 7),
-                                            EngineQuery::TopK(1, 5)};
-  const auto options = [](const std::string& dir, uint32_t strata) {
-    EngineOptions mc;
-    mc.kind = EstimatorKind::kMonteCarlo;
-    mc.num_threads = 2;
-    mc.num_samples = 400;
-    mc.num_strata = strata;
-    mc.persist_dir = dir;
-    mc.persist_flush_seconds = 0.0;
-    return mc;
-  };
-  struct Restart {
-    const char* name;
-    const UncertainGraph* graph;
-    uint32_t strata;
-  };
-  for (const Restart& restart :
-       {Restart{"other graph", &other, 1}, Restart{"S = 4", &graph, 4}}) {
-    SCOPED_TRACE(restart.name);
-    ScratchDir dir("relcomp_persist_other_identity");
-    {
-      // Journals 2 results (st, top-k) and 1 sweep (source 1) at S = 1.
-      Result<std::unique_ptr<QueryEngine>> engine =
-          QueryEngine::Create(graph, options(dir.path(), 1));
-      ASSERT_TRUE(engine.ok()) << engine.status();
-      ASSERT_TRUE(engine.value()->RunBatch(queries).ok());
-      ASSERT_TRUE(engine.value()->FlushWarmState().ok());
-    }
-    Result<std::unique_ptr<QueryEngine>> restarted = QueryEngine::Create(
-        *restart.graph, options(dir.path(), restart.strata));
-    ASSERT_TRUE(restarted.ok()) << restarted.status();
-    const auto& report = restarted.value()->warm_restore_report();
-    EXPECT_EQ(report.result_entries, 0u);
-    EXPECT_EQ(report.sweep_entries, 0u);
-    EXPECT_EQ(report.skipped, 3u);
-    Result<std::vector<EngineResult>> served =
-        restarted.value()->RunBatch(queries);
-    ASSERT_TRUE(served.ok()) << served.status();
-    EXPECT_FALSE((*served)[0].cache_hit);
-
-    Result<std::unique_ptr<QueryEngine>> fresh =
-        QueryEngine::Create(*restart.graph, options("", restart.strata));
-    ASSERT_TRUE(fresh.ok()) << fresh.status();
-    Result<std::vector<EngineResult>> reference =
-        fresh.value()->RunBatch(queries);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectBitIdentical((*reference)[i], (*served)[i]);
-    }
-  }
 }
 
 TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {
@@ -730,7 +402,7 @@ TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {
     Result<std::unique_ptr<QueryEngine>> engine =
         QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 2));
     ASSERT_TRUE(engine.ok()) << engine.status();  // publish failure is soft
-    EXPECT_FALSE(engine.value()->warm_restore_report().snapshot_restored);
+    EXPECT_EQ(Recovered(*engine.value(), "snapshot"), 0u);
   }
   FaultInjector::Global().Disable();
   // Next restart: no snapshot (the crashed publish never renamed), rebuild
@@ -738,12 +410,81 @@ TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {
   Result<std::unique_ptr<QueryEngine>> engine =
       QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 2));
   ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_FALSE(engine.value()->warm_restore_report().snapshot_restored);
+  EXPECT_EQ(Recovered(*engine.value(), "snapshot"), 0u);
   ASSERT_TRUE(fs::exists(engine.value()->persist_store()->snapshot_path()));
-  obs::MetricsRegistry& metrics = engine.value()->metrics();
-  EXPECT_GE(metrics.GetCounter("persist_recovered_total", "source", "rebuild")
-                ->Value(),
-            1u);
+  EXPECT_GE(Recovered(*engine.value(), "rebuild"), 1u);
+}
+
+TEST(PersistRestart, SnapshotWithoutTheKindsIndexIsRebuiltAndRepublished) {
+  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
+  const EngineOptions options = PersistEngineOptions("", 2);
+  Result<std::shared_ptr<const ProbTreeIndex>> prob_tree =
+      ProbTreeIndex::BuildShared(graph, options.factory.prob_tree);
+  ASSERT_TRUE(prob_tree.ok()) << prob_tree.status();
+  // Valid snapshots of this graph that a BFS Sharing engine cannot use: a
+  // ProbTree engine's, and the manifest-only one an index-free engine used
+  // to publish.
+  for (const ProbTreeIndex* carried : {prob_tree.value().get(),
+                                       static_cast<const ProbTreeIndex*>(
+                                           nullptr)}) {
+    SCOPED_TRACE(carried != nullptr ? "ProbTree snapshot" : "manifest only");
+    ScratchDir dir("relcomp_persist_other_index");
+    {
+      Result<std::unique_ptr<PersistentStore>> store =
+          PersistentStore::Open(dir.path(), nullptr);
+      ASSERT_TRUE(store.ok()) << store.status();
+      ASSERT_TRUE(store.value()
+                      ->WriteSnapshot(graph, options.factory, nullptr, carried)
+                      .ok());
+    }
+    const EngineOptions bfs = PersistEngineOptions(dir.path(), 2);
+    {
+      Result<std::unique_ptr<QueryEngine>> first =
+          QueryEngine::Create(graph, bfs);
+      ASSERT_TRUE(first.ok()) << first.status();
+      EXPECT_EQ(Recovered(*first.value(), "snapshot"), 0u);
+      EXPECT_EQ(Recovered(*first.value(), "rebuild"), 1u);
+    }
+    // The rebuild republished a snapshot that carries the BFS index.
+    Result<std::unique_ptr<QueryEngine>> restarted =
+        QueryEngine::Create(graph, bfs);
+    ASSERT_TRUE(restarted.ok()) << restarted.status();
+    EXPECT_EQ(Recovered(*restarted.value(), "snapshot"), 1u);
+    EXPECT_EQ(Recovered(*restarted.value(), "rebuild"), 0u);
+  }
+}
+
+TEST(PersistRestart, IndexFreeKindNeitherPublishesNorOpensASnapshot) {
+  ScratchDir dir("relcomp_persist_index_free");
+  const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
+  const std::string snapshot = dir.path() + "/snapshot.relsnap";
+  EngineOptions mc = PersistEngineOptions(dir.path(), 2);
+  mc.kind = EstimatorKind::kMonteCarlo;
+  // Create and restart: neither touches the snapshot nor counts a recovery.
+  const auto create_twice = [&] {
+    for (int round = 0; round < 2; ++round) {
+      Result<std::unique_ptr<QueryEngine>> engine =
+          QueryEngine::Create(graph, mc);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      EXPECT_EQ(engine.value()->persist_store(), nullptr);
+      EXPECT_EQ(Recovered(*engine.value(), "snapshot"), 0u);
+      EXPECT_EQ(Recovered(*engine.value(), "rebuild"), 0u);
+      ASSERT_TRUE(engine.value()->RunBatch({EngineQuery::St(0, 7)}).ok());
+    }
+  };
+  create_twice();
+  EXPECT_FALSE(fs::exists(snapshot));
+
+  // Beside a valid snapshot a BFS Sharing engine published for this graph:
+  // the MC engine leaves it unread and unchanged.
+  {
+    Result<std::unique_ptr<QueryEngine>> bfs =
+        QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 1));
+    ASSERT_TRUE(bfs.ok()) << bfs.status();
+  }
+  const std::string published = ReadFile(snapshot);
+  create_twice();
+  EXPECT_EQ(ReadFile(snapshot), published);
 }
 
 }  // namespace

@@ -384,7 +384,7 @@ TEST(QueryEngineTest, SeedsFollowTheLiteralDerivation) {
   options.num_strata = 2;
   auto engine = QueryEngine::Create(graph, options).MoveValue();
 
-  // The derivation warm journals and bare-estimator replays depend on,
+  // The derivation bare-estimator replays depend on,
   // reproduced literally: st / distance fold the query content then
   // (kind, K); sweep kinds fold (sweep tag, source, kind, K); the prepare
   // seed is the query seed under the "pre" tag.

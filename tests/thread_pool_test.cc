@@ -101,27 +101,6 @@ TEST(ThreadPoolTest, WaitIsReusableAcrossRounds) {
   }
 }
 
-TEST(ThreadPoolTest, QueueDepthTracksQueuedNotRunning) {
-  ThreadPool pool(1, 16);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-  std::mutex gate;
-  gate.lock();
-  ASSERT_TRUE(pool.Submit([&gate](size_t) {
-                    std::lock_guard<std::mutex> wait(gate);
-                  })
-                  .ok());
-  // The blocker is *running*, not queued; the next submissions queue.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(pool.Submit([](size_t) {}).ok());
-  }
-  // The blocker may still be in the queue for an instant; only the 4 behind
-  // it are guaranteed queued.
-  EXPECT_GE(pool.queue_depth(), 4u);
-  gate.unlock();
-  pool.Wait();
-  EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
 TEST(ThreadPoolTest, ShutdownWithInFlightAndQueuedWorkNeverHangs) {
   // Sweep-flight shape: a long-running in-flight task plus a queue of
   // follow-ups, shut down mid-stride. The pool contract is drain-then-join:
