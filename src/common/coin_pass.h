@@ -61,6 +61,8 @@ class CoinPass {
   size_t Help();
 
  private:
+  friend class CoinPassTestPeer;  // sees a helper claim its first block
+
   struct Fill {
     RngState start;
     double p = 0.0;

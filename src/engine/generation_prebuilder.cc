@@ -61,8 +61,15 @@ bool GenerationPrebuilder::Request(uint64_t seed) {
   return true;
 }
 
+GenerationPrebuilder::InlinePass::~InlinePass() {
+  if (coins_ == nullptr) return;
+  coins_->Close();
+  std::lock_guard<std::mutex> lock(prebuilder_->mutex_);
+  prebuilder_->EraseInlinePass(coins_.get());
+}
+
 std::shared_ptr<const PreparedGeneration> GenerationPrebuilder::Take(
-    uint64_t seed) {
+    uint64_t seed, InlinePass* inline_pass) {
   std::unique_lock<std::mutex> lock(mutex_);
   // In-flight on some builder: help fill its coin pass, then wait out the
   // rest — finishing a half-done O(L m) build beats starting the same build
@@ -107,7 +114,21 @@ std::shared_ptr<const PreparedGeneration> GenerationPrebuilder::Take(
       }
     }
   }
+  // The caller prepares inline, on a pass the idle builders help fill. It is
+  // not registered in building_: a second Take of this seed prepares its own
+  // replica inline instead of waiting for a generation that never arrives.
+  inline_pass->prebuilder_ = this;
+  inline_pass->coins_ = std::make_shared<CoinPass>();
+  inline_passes_.push_back(inline_pass->coins_);
+  work_available_.notify_all();
   return nullptr;
+}
+
+void GenerationPrebuilder::EraseInlinePass(const CoinPass* coins) {
+  std::erase_if(inline_passes_,
+                [coins](const std::shared_ptr<CoinPass>& listed) {
+                  return listed.get() == coins;
+                });
 }
 
 size_t GenerationPrebuilder::ReadyBytes() const {
@@ -131,8 +152,23 @@ void GenerationPrebuilder::Shutdown() {
 void GenerationPrebuilder::BuilderLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    work_available_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+    work_available_.wait(lock, [this] {
+      return shutdown_ || !queue_.empty() || !inline_passes_.empty();
+    });
     if (shutdown_) return;
+    if (queue_.empty()) {
+      // No seed waits: help an inline prepare's coin pass. Help returns once
+      // the pass is closed (its InlinePass closes it when the prepare
+      // returns) and nothing is left to claim, so no builder joins it again.
+      const std::shared_ptr<CoinPass> coins = inline_passes_.front();
+      inline_passes_.pop_front();
+      inline_passes_.push_back(coins);
+      lock.unlock();
+      helped_fills_->Inc(coins->Help());
+      lock.lock();
+      EraseInlinePass(coins.get());
+      continue;
+    }
     // FIFO pop = the request made earliest = the seed whose query is closest
     // to dispatch; with several builders the front seeds build concurrently.
     const uint64_t seed = queue_.front();

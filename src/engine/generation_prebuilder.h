@@ -43,9 +43,13 @@ class CoinPass;
 ///   - building   -> helps fill the build's coin pass (CoinPass::Help), then
 ///                   blocks until the build finishes (finishing a half-done
 ///                   build is never slower than redoing it);
-///   - queued     -> the request is cancelled and nullptr returned (the
-///                   caller builds inline; the builder never duplicates it);
-///   - unknown    -> nullptr (caller builds inline).
+///   - queued     -> the request is cancelled (no builder ever duplicates
+///                   the caller's work) and nullptr returned with an open
+///                   InlinePass: the caller prepares inline, refilling its
+///                   own generation in place, while idle builders help fill
+///                   that prepare's coin pass;
+///   - unknown    -> the same: nullptr and an open InlinePass.
+/// A builder helps an inline pass only when no queued seed waits.
 ///
 /// Determinism: a prebuilt generation is bit-identical to the inline
 /// PrepareForNextQuery(seed) artifact (Estimator contract), so serving with
@@ -75,11 +79,37 @@ class GenerationPrebuilder {
   /// in-flight work, the request is dropped (returns false).
   bool Request(uint64_t seed);
 
+  /// An open coin pass that Take hands out with no generation: the caller
+  /// runs its inline prepare on it (Estimator::PrepareForNextQuery(seed,
+  /// coins())), and idle builders help fill it. Destroying the handle closes
+  /// the pass, which releases a helping builder also when the prepare failed
+  /// or never began the pass, and drops the pass from the builders' list, so
+  /// that no stale entry pins its fill array. Destroy it before the
+  /// prebuilder, once the prepare has returned.
+  class InlinePass {
+   public:
+    InlinePass() = default;
+    InlinePass(const InlinePass&) = delete;
+    InlinePass& operator=(const InlinePass&) = delete;
+    ~InlinePass();
+
+    /// The pass to prepare on; nullptr when Take handed out none.
+    CoinPass* coins() const { return coins_.get(); }
+
+   private:
+    friend class GenerationPrebuilder;
+    GenerationPrebuilder* prebuilder_ = nullptr;
+    std::shared_ptr<CoinPass> coins_;
+  };
+
   /// Claims the generation for `seed` (see class comment for the per-state
-  /// behaviour). A failed background build surfaces here as nullptr — the
-  /// caller's inline PrepareForNextQuery will re-raise the error. Fills
-  /// tossed while helping count in prebuilder_helped_fills_total.
-  std::shared_ptr<const PreparedGeneration> Take(uint64_t seed);
+  /// behaviour). When it returns nullptr, it opens `*inline_pass` (which
+  /// must be empty) for the caller's inline prepare. A failed background
+  /// build surfaces here that way too, and the inline PrepareForNextQuery
+  /// re-raises its error. Fills tossed while helping, here or by a builder
+  /// on an inline pass, count in prebuilder_helped_fills_total.
+  std::shared_ptr<const PreparedGeneration> Take(uint64_t seed,
+                                                 InlinePass* inline_pass);
 
   /// Bytes resident in the ready pool right now (counted toward the
   /// engine's IndexMemoryReport::prebuilt_bytes).
@@ -88,8 +118,9 @@ class GenerationPrebuilder {
   size_t num_builders() const { return builders_.size(); }
 
   /// Stops the builder threads; queued seeds are abandoned, Take()
-  /// afterwards only serves already-ready generations. Idempotent (the
-  /// destructor calls it).
+  /// afterwards only serves already-ready generations, and the inline passes
+  /// it opens get no help. A builder helping an inline pass stops once that
+  /// pass closes. Idempotent (the destructor calls it).
   void Shutdown();
 
  private:
@@ -99,6 +130,8 @@ class GenerationPrebuilder {
   };
 
   void BuilderLoop();
+  /// Removes `coins` from inline_passes_, if listed. Caller holds mutex_.
+  void EraseInlinePass(const CoinPass* coins);
 
   const Estimator& prototype_;
   const size_t max_pending_;
@@ -115,6 +148,10 @@ class GenerationPrebuilder {
   /// Seeds currently being built, one per active builder thread at most,
   /// each with the coin pass a Take() of it helps fill.
   std::unordered_map<uint64_t, std::shared_ptr<CoinPass>> building_;
+  /// Coin passes of open inline prepares that no builder has finished
+  /// helping yet. A helping builder moves its pass to the back, so that
+  /// several builders spread over several passes.
+  std::deque<std::shared_ptr<CoinPass>> inline_passes_;
   bool shutdown_ = false;
 
   obs::Counter* requested_;

@@ -288,19 +288,6 @@ class LruCache {
     Publish(shard, bytes_before, entries_before);
   }
 
-  /// Drops every entry (stats are kept).
-  void Clear() {
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      const size_t bytes_before = shard->bytes;
-      const size_t entries_before = shard->lru.size();
-      shard->lru.clear();
-      shard->index.clear();
-      shard->bytes = 0;
-      Publish(*shard, bytes_before, entries_before);
-    }
-  }
-
   CacheStats Stats() const {
     CacheStats stats;
     stats.hits = hits_->Value();

@@ -375,10 +375,13 @@ void QueryEngine::RequestPrebuild(const EngineQuery& query) {
 Status QueryEngine::PrepareReplica(
     Estimator& estimator, uint64_t prepare_seed,
     std::shared_ptr<const PreparedGeneration> generation) {
+  // Open when Take had no generation: the inline prepare below runs its coin
+  // pass on it while idle builders help, and it closes once that returns.
+  GenerationPrebuilder::InlinePass inline_pass;
   if (estimator.capabilities().prepared_generations) {
     const bool prebuilt = generation == nullptr;
     if (prebuilt && prebuilder_ != nullptr) {
-      generation = prebuilder_->Take(prepare_seed);
+      generation = prebuilder_->Take(prepare_seed, &inline_pass);
     }
     if (generation != nullptr &&
         estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
@@ -388,7 +391,7 @@ Status QueryEngine::PrepareReplica(
     // Nothing to adopt, or adoption refused (shape mismatch — cannot happen
     // for replicas of this engine): the inline prepare is bit-identical.
   }
-  return estimator.PrepareForNextQuery(prepare_seed);
+  return estimator.PrepareForNextQuery(prepare_seed, inline_pass.coins());
 }
 
 Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,

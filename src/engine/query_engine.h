@@ -393,7 +393,8 @@ class QueryEngine {
   /// Re-arms `estimator` for a query with `prepare_seed`, bit-identically
   /// whichever way: adopts `generation` (a sweep flight's, prepared for the
   /// same seed) when given, else a prebuilt generation when the background
-  /// prebuilder has one ready, else runs the inline PrepareForNextQuery.
+  /// prebuilder has one ready, else runs the inline PrepareForNextQuery, on
+  /// a coin pass the idle builders help fill (GenerationPrebuilder::Take).
   Status PrepareReplica(
       Estimator& estimator, uint64_t prepare_seed,
       std::shared_ptr<const PreparedGeneration> generation = nullptr);

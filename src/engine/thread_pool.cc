@@ -41,15 +41,12 @@ void ThreadPool::Wait() {
 void ThreadPool::Shutdown() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (shutdown_) {
-      // Already shut down; workers may still be draining — fall through to
-      // join below (joinable() guards double-joins).
-    }
     shutdown_ = true;
   }
   task_ready_.notify_all();
   space_ready_.notify_all();
   for (std::thread& worker : workers_) {
+    // A second Shutdown finds the workers joined already.
     if (worker.joinable()) worker.join();
   }
 }

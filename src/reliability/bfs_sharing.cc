@@ -205,7 +205,8 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
       new BfsSharingEstimator(graph, std::move(index)));
 }
 
-Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
+Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
+                                                CoinPass* coins) {
   // Exclusive ownership (owned_ + the copy inside index_): refill the
   // worlds in place — bit-identical to a fresh build, no new words. This
   // is the steady state on the serving path, where every query re-arms. Any
@@ -216,15 +217,21 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed) {
     // use_count() is a relaxed load. The fence orders this replica's writes
     // after the reads of every holder whose release brought the count to 2
     // (e.g. the sweep leader whose generation a stratum thief adopted).
+    // Helpers of `coins` write these words too, on other threads, and their
+    // writes are ordered the same way: this fence, then each Publish of a
+    // block (release), the helper's acquire of that publish before it fills
+    // the block, and its count into filled_ (release), which Finish acquires
+    // before the refill returns.
     std::atomic_thread_fence(std::memory_order_acquire);
-    owned_->Resample(graph_, seed);
+    owned_->Resample(graph_, seed, coins);
     return Status::OK();
   }
   // Generation swap: replicas sharing the old generation keep reading it
   // untouched; this replica alone moves to the fresh worlds. The old
   // generation is freed when its last reader lets go.
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
-                           BfsSharingIndex::Build(graph_, options_, seed));
+                           BfsSharingIndex::Build(graph_, options_, seed,
+                                                  coins));
   index_.store(std::shared_ptr<const BfsSharingIndex>(fresh),
                std::memory_order_release);
   owned_ = std::move(fresh);

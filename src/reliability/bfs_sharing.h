@@ -188,7 +188,10 @@ class BfsSharingEstimator : public Estimator {
   /// refilled in place (zero allocation — the serving-path steady state);
   /// otherwise a fresh generation is built and atomically swapped in,
   /// leaving generations still referenced by other replicas untouched.
-  Status PrepareForNextQuery(uint64_t seed) override;
+  /// Either way the coin pass runs on `coins` when given (see
+  /// BfsSharingIndex::Resample), and the words are the same.
+  Status PrepareForNextQuery(uint64_t seed,
+                             CoinPass* coins = nullptr) override;
 
   EstimatorCapabilities capabilities() const override {
     return {.sweep = true, .prepared_generations = true};

@@ -100,8 +100,7 @@ class PreparedGeneration {
   virtual ~PreparedGeneration() = default;
 
   /// Logical bytes this generation keeps resident (a BFS Sharing generation
-  /// is index-sized: the full L-bit-per-edge vectors). Lets the
-  /// GenerationPrebuilder bound its ready pool by bytes and memory reports
+  /// is index-sized: the full L-bit-per-edge vectors). Lets memory reports
   /// account prebuilt generations alongside the live index.
   virtual size_t MemoryBytes() const { return 0; }
 };
@@ -165,9 +164,14 @@ class Estimator {
 
   /// Inter-query maintenance hook. BFS Sharing must resample its possible
   /// worlds between successive queries to keep answers independent
-  /// (Table 15); all other estimators are no-ops.
-  virtual Status PrepareForNextQuery(uint64_t seed) {
+  /// (Table 15); all other estimators are no-ops. `coins`, when not null, is
+  /// an open pass the resample runs its coin pass on, so that other threads
+  /// can help through CoinPass::Help; a kind with no coin pass ignores it,
+  /// and the caller closes it once the prepare returns. The words are the
+  /// same either way.
+  virtual Status PrepareForNextQuery(uint64_t seed, CoinPass* coins = nullptr) {
     (void)seed;
+    (void)coins;
     return Status::OK();
   }
 

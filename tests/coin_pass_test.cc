@@ -1,8 +1,11 @@
 // The coin pass of BFS Sharing's world fill and the threads that join it:
-// CoinPass helpers next to a build, and GenerationPrebuilder::Take helping
-// the build of the seed it waits for. Whoever tosses the coins, the words
-// must equal a build on one thread. Every case runs under a watchdog, so a
-// lost wake-up fails fast instead of hanging the suite.
+// CoinPass helpers next to a build, GenerationPrebuilder::Take helping the
+// build of the seed it waits for, and the prebuilder's idle builders helping
+// an inline prepare that Take handed a pass. Whoever tosses the coins, the
+// words must equal a fill on one thread. Every case runs under a watchdog,
+// so a lost wake-up fails fast instead of hanging the suite, and a case that
+// needs a helper inside a pass waits until the helper has claimed a block
+// there instead of sleeping.
 
 #include "common/coin_pass.h"
 
@@ -24,10 +27,31 @@
 #include "test_util.h"
 
 namespace relcomp {
+
+class CoinPassTestPeer {
+ public:
+  static size_t ClaimedBlocks(const CoinPass& pass) {
+    return pass.next_block_.load(std::memory_order_relaxed);
+  }
+  static bool Closed(const CoinPass& pass) {
+    return (pass.published_.load(std::memory_order_relaxed) & 1) != 0;
+  }
+};
+
 namespace {
 
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::Watchdog;
+
+/// Returns once `helpers` helpers have claimed a block of `pass`. A helper
+/// claims its first block as it enters Help, before it waits for anything,
+/// so after this the pass cannot finish without them: a block claimed
+/// before the owner's Finish is filled by its claimer.
+void AwaitHelpers(const CoinPass& pass, size_t helpers) {
+  while (CoinPassTestPeer::ClaimedBlocks(pass) < helpers) {
+    std::this_thread::yield();
+  }
+}
 
 enum class Mix { kNoCoinEdges, kOnlyCoinEdges, kMixed };
 
@@ -100,7 +124,7 @@ TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
       for (size_t& count : helped) {
         helpers.emplace_back([&coins, &count] { count = coins.Help(); });
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      AwaitHelpers(coins, helpers.size());
       const auto joined =
           BfsSharingIndex::Build(graph, options, 17, &coins).MoveValue();
       for (std::thread& helper : helpers) helper.join();
@@ -114,8 +138,8 @@ TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
       EXPECT_EQ(coins.Help(), 0u);
     }
   }
-  // The helpers sat waiting while the serial pass started, so they took
-  // part of the coin pass.
+  // The helpers claimed the first blocks before the serial pass started, so
+  // they took part of the coin pass.
   EXPECT_GT(helped_at_1500, 0u);
 }
 
@@ -175,7 +199,7 @@ TEST(CoinPassTest, CloseWithoutBeginReleasesWaitingHelpers) {
   CoinPass coins;
   size_t helped = 1;
   std::thread helper([&coins, &helped] { helped = coins.Help(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  AwaitHelpers(coins, 1);
   coins.Close();
   helper.join();
   EXPECT_EQ(helped, 0u);
@@ -197,16 +221,19 @@ class GatedBuilds : public Estimator {
       uint64_t seed, CoinPass* coins) const override {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      started_ = true;
+      started_ = coins;
       changed_.notify_all();
       changed_.wait(lock, [this] { return open_; });
     }
     return inner_.BuildPreparedGeneration(seed, coins);
   }
 
-  void AwaitStarted() {
+  /// Waits until a build reaches the gate, and returns its coin pass, which
+  /// stays alive until the gate opens.
+  const CoinPass& AwaitStarted() {
     std::unique_lock<std::mutex> lock(mutex_);
-    changed_.wait(lock, [this] { return started_; });
+    changed_.wait(lock, [this] { return started_ != nullptr; });
+    return *started_;
   }
 
   void Open() {
@@ -225,7 +252,7 @@ class GatedBuilds : public Estimator {
   const BfsSharingEstimator& inner_;
   mutable std::mutex mutex_;
   mutable std::condition_variable changed_;
-  mutable bool started_ = false;
+  mutable const CoinPass* started_ = nullptr;
   bool open_ = false;
 };
 
@@ -244,15 +271,19 @@ TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
       GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
       constexpr uint64_t kSeed = 0x5EED;
       ASSERT_TRUE(prebuilder.Request(kSeed));
-      gated.AwaitStarted();
+      const CoinPass& build_coins = gated.AwaitStarted();
       // The seed is building and cannot finish before the gate opens, so
-      // this Take joins the build instead of finding it queued or ready.
+      // this Take joins the build instead of finding it queued or ready, and
+      // it claims the pass's first block before the gate opens.
       std::shared_ptr<const PreparedGeneration> taken;
-      std::thread taker([&] { taken = prebuilder.Take(kSeed); });
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      GenerationPrebuilder::InlinePass inline_pass;
+      std::thread taker(
+          [&] { taken = prebuilder.Take(kSeed, &inline_pass); });
+      AwaitHelpers(build_coins, 1);
       gated.Open();
       taker.join();
       ASSERT_NE(taken, nullptr);
+      EXPECT_EQ(inline_pass.coins(), nullptr);
       const auto* index = dynamic_cast<const BfsSharingIndex*>(taken.get());
       ASSERT_NE(index, nullptr);
 
@@ -271,6 +302,115 @@ TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
       }
     }
   }
+}
+
+TEST(GenerationPrebuilderTest, TakeOfAQueuedOrUnknownSeedOpensAnInlinePass) {
+  Watchdog watchdog(std::chrono::seconds(60));
+  const UncertainGraph graph = CycleGraph(Mix::kMixed);
+  BfsSharingOptions options;
+  options.index_samples = 64;
+  const auto prototype =
+      BfsSharingEstimator::Create(graph, options, 1).MoveValue();
+  GatedBuilds gated(*prototype);
+  obs::MetricsRegistry metrics;
+  {
+    GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
+    constexpr uint64_t kBusy = 1;
+    constexpr uint64_t kQueued = 2;
+    constexpr uint64_t kUnknown = 3;
+    ASSERT_TRUE(prebuilder.Request(kBusy));
+    gated.AwaitStarted();
+    // The one builder is held at the gate with kBusy, so kQueued stays
+    // queued until Take cancels it.
+    ASSERT_TRUE(prebuilder.Request(kQueued));
+    GenerationPrebuilder::InlinePass queued_pass;
+    EXPECT_EQ(prebuilder.Take(kQueued, &queued_pass), nullptr);
+    ASSERT_NE(queued_pass.coins(), nullptr);
+    EXPECT_FALSE(CoinPassTestPeer::Closed(*queued_pass.coins()));
+    GenerationPrebuilder::InlinePass unknown_pass;
+    EXPECT_EQ(prebuilder.Take(kUnknown, &unknown_pass), nullptr);
+    ASSERT_NE(unknown_pass.coins(), nullptr);
+    EXPECT_FALSE(CoinPassTestPeer::Closed(*unknown_pass.coins()));
+    EXPECT_NE(unknown_pass.coins(), queued_pass.coins());
+    gated.Open();
+    // A seed that was building still hands over its generation, and no pass.
+    GenerationPrebuilder::InlinePass busy_pass;
+    EXPECT_NE(prebuilder.Take(kBusy, &busy_pass), nullptr);
+    EXPECT_EQ(busy_pass.coins(), nullptr);
+    // The passes close here, before the prebuilder joins its builder, which
+    // may be helping one of them.
+  }
+  // kQueued was cancelled, so only kBusy was ever built.
+  EXPECT_EQ(CounterValue(metrics, "prebuilder_built_total"), 1u);
+}
+
+TEST(GenerationPrebuilderTest, BuildersHelpAnInlinePrepareRefillInPlace) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  for (const Mix mix : kMixes) {
+    const UncertainGraph graph = CycleGraph(mix);
+    for (const uint32_t l : kWorldCounts) {
+      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l);
+      BfsSharingOptions options;
+      options.index_samples = l;
+      const auto prototype =
+          BfsSharingEstimator::Create(graph, options, 1).MoveValue();
+      // Built with options, so the replica owns its generation and refills
+      // it in place.
+      auto replica = BfsSharingEstimator::Create(graph, options, 2).MoveValue();
+      const void* identity = replica->SharedIndexIdentity();
+      obs::MetricsRegistry metrics;
+      GenerationPrebuilder prebuilder(*prototype, metrics, /*max_pending=*/4);
+      constexpr uint64_t kSeed = 0x1A7E;
+      {
+        GenerationPrebuilder::InlinePass inline_pass;
+        ASSERT_EQ(prebuilder.Take(kSeed, &inline_pass), nullptr);
+        ASSERT_NE(inline_pass.coins(), nullptr);
+        // The gate: the prepare starts only once the builder has claimed
+        // the pass's first block, so the builder fills that block.
+        AwaitHelpers(*inline_pass.coins(), 1);
+        ASSERT_TRUE(
+            replica->PrepareForNextQuery(kSeed, inline_pass.coins()).ok());
+      }
+      // The builder counts its fills once its Help returns; joining it makes
+      // the count final.
+      prebuilder.Shutdown();
+
+      auto alone = BfsSharingEstimator::Create(graph, options, 3).MoveValue();
+      ASSERT_TRUE(alone->PrepareForNextQuery(kSeed).ok());
+      EXPECT_EQ(Words(*replica->shared_index()), Words(*alone->shared_index()));
+      EXPECT_EQ(replica->SharedIndexIdentity(), identity);
+
+      const uint64_t helped =
+          CounterValue(metrics, "prebuilder_helped_fills_total");
+      EXPECT_LE(helped, CoinEdges(graph));
+      if (mix == Mix::kNoCoinEdges) {
+        EXPECT_EQ(helped, 0u);
+      } else {
+        EXPECT_GT(helped, 0u);
+      }
+    }
+  }
+}
+
+TEST(GenerationPrebuilderTest, AnInlinePassClosedUnbegunReleasesItsBuilder) {
+  Watchdog watchdog(std::chrono::seconds(60));
+  const UncertainGraph graph = CycleGraph(Mix::kMixed);
+  BfsSharingOptions options;
+  options.index_samples = 64;
+  const auto prototype =
+      BfsSharingEstimator::Create(graph, options, 1).MoveValue();
+  obs::MetricsRegistry metrics;
+  GenerationPrebuilder prebuilder(*prototype, metrics, /*max_pending=*/4);
+  {
+    GenerationPrebuilder::InlinePass inline_pass;
+    ASSERT_EQ(prebuilder.Take(7, &inline_pass), nullptr);
+    ASSERT_NE(inline_pass.coins(), nullptr);
+    AwaitHelpers(*inline_pass.coins(), 1);
+    // The builder waits in the pass; the prepare fails before Begin, and the
+    // handle closes the pass as it goes.
+  }
+  prebuilder.Shutdown();  // returns: the builder left the pass
+  EXPECT_EQ(CounterValue(metrics, "prebuilder_helped_fills_total"), 0u);
 }
 
 }  // namespace

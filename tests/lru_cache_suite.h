@@ -169,17 +169,6 @@ TYPED_TEST_P(LruCacheTest, ReinsertReplacesAndReaccountsBytes) {
   EXPECT_EQ(TypeParam::Units(*hit), 30u);
 }
 
-TYPED_TEST_P(LruCacheTest, ClearDropsEntriesKeepsStats) {
-  typename TypeParam::Cache cache(8, 2);
-  cache.Insert(TypeParam::Key(1), TypeParam::Value(10, 0.1));
-  ASSERT_TRUE(cache.Lookup(TypeParam::Key(1)).has_value());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes_in_use(), 0u);
-  EXPECT_FALSE(cache.Lookup(TypeParam::Key(1)).has_value());
-  EXPECT_EQ(cache.Stats().hits, 1u);  // counters survive Clear
-}
-
 TYPED_TEST_P(LruCacheTest, ShardCountRoundsUpAndCapsAtCapacity) {
   using Cache = typename TypeParam::Cache;
   EXPECT_EQ(Cache(100, 3).num_shards(), 4u);
@@ -229,7 +218,6 @@ REGISTER_TYPED_TEST_SUITE_P(
     RejectsEntryLargerThanWholeBudget,
     RejectedReinsertDropsTheOlderCopy,
     ReinsertReplacesAndReaccountsBytes,
-    ClearDropsEntriesKeepsStats,
     ShardCountRoundsUpAndCapsAtCapacity,
     CapacityHoldsAcrossShards,
     ConcurrentMixedWorkloadIsSafe);

@@ -517,8 +517,9 @@ TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
   // index-sized bytes until the takes drain it.
   EXPECT_GT(prebuilder.ReadyBytes(), 0u);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
+    GenerationPrebuilder::InlinePass inline_pass;
     std::shared_ptr<const PreparedGeneration> generation =
-        prebuilder.Take(seed);
+        prebuilder.Take(seed, &inline_pass);
     ASSERT_NE(generation, nullptr) << "seed " << seed;
     EXPECT_GT(generation->MemoryBytes(), 0u);
   }

@@ -318,8 +318,10 @@ TEST(SweepSharingTest, PrebuilderEvictsStrandedReadyGenerations) {
   // At the bound with both slots ready: a new request evicts the oldest.
   EXPECT_TRUE(prebuilder.Request(103));
   EXPECT_EQ(CounterValue(metrics, "prebuilder_evicted_total"), 1u);
-  EXPECT_EQ(prebuilder.Take(101), nullptr);  // the evicted one
-  EXPECT_NE(prebuilder.Take(102), nullptr);  // survivor, still adoptable
+  GenerationPrebuilder::InlinePass pass_101;
+  GenerationPrebuilder::InlinePass pass_102;
+  EXPECT_EQ(prebuilder.Take(101, &pass_101), nullptr);  // the evicted one
+  EXPECT_NE(prebuilder.Take(102, &pass_102), nullptr);  // survivor, adoptable
 }
 
 TEST(SweepSharingTest, SweepAndDistanceQueriesReportPeakMemory) {
