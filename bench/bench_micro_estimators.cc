@@ -242,11 +242,12 @@ BENCHMARK_CAPTURE(BM_BfsSharingResample, CompactJoined,
     ->UseRealTime();
 
 // The coin pass of that resample alone, on one thread: LastFM-small's coin
-// edges (BitVector::FillDrawsEveryBit; 4,903 at L = 1500) filled from the
-// start states the serial pass records for seed 1, one edge at a time
-// (Scalar, FillBernoulliWords) or four at a time (FourLane,
-// FillCoinWords4; the last one to three edges one at a time, as CoinPass
-// does). `time_per_coin` divides the time by the coins tossed.
+// edges (BitVector::FillDrawsEveryBit; 4,988 with the dataset seed 7 used
+// here, 7.48 M coins at L = 1500; relbench's seed 20190410 gives 4,903 and
+// 7.35 M) filled from the start states the serial pass records for seed 1,
+// one edge at a time (Scalar, FillBernoulliWords) or four at a time
+// (FourLane, FillCoinWords4; the last one to three edges one at a time, as
+// CoinPass does). `time_per_coin` divides the time by the coins tossed.
 void BM_CoinFill(benchmark::State& state, bool four_lanes) {
   constexpr uint32_t kWorlds = 1500;
   constexpr size_t kWordsPerEdge = (kWorlds + 63) / 64;
@@ -303,6 +304,55 @@ void BM_CoinFill(benchmark::State& state, bool four_lanes) {
 }
 BENCHMARK_CAPTURE(BM_CoinFill, Scalar, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_CoinFill, FourLane, true)->Unit(benchmark::kMillisecond);
+
+// The serial pass of that resample alone, on one thread: LastFM-small's
+// geometric edges (0 < p < 0.25) filled in place from the stream of seed 1,
+// each coin edge's L draws skipped with one RngJump::Apply, as Resample
+// does before its coin pass. `time_per_variate` divides the time by the
+// geometric variates drawn: one per set bit plus the one that passes L, per
+// edge.
+void BM_SerialPass(benchmark::State& state) {
+  constexpr uint32_t kWorlds = 1500;
+  constexpr size_t kWordsPerEdge = (kWorlds + 63) / 64;
+  static const Dataset* dataset = new Dataset(
+      MakeDataset(DatasetId::kLastFm, Scale::kSmall, 7).MoveValue());
+  const UncertainGraph& graph = dataset->graph;
+  const RngJump& jump = RngJump::ForSteps(kWorlds);
+  std::vector<uint64_t> words(graph.num_edges() * kWordsPerEdge);
+  auto serial_pass = [&] {
+    Rng rng(1);
+    ScopedRngState local(rng);
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      const double p = graph.prob(e);
+      if (BitVector::FillDrawsEveryBit(p)) {
+        jump.Apply(local.state());
+      } else {
+        BitVector::FillBernoulliWords(&words[e * kWordsPerEdge], kWorlds, p,
+                                      local.state());
+      }
+    }
+  };
+  serial_pass();
+  size_t variates = 0;
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    const double p = graph.prob(e);
+    if (!(p > 0.0 && p < 0.25)) continue;
+    variates += 1;
+    for (size_t w = 0; w < kWordsPerEdge; ++w) {
+      variates += Popcount(words[e * kWordsPerEdge + w]);
+    }
+  }
+  for (auto _ : state) {
+    serial_pass();
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["time_per_variate"] = benchmark::Counter(
+      static_cast<double>(variates),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SerialPass)->Unit(benchmark::kMillisecond);
 
 void BM_SampleWorld(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

@@ -1,6 +1,7 @@
 #include "common/bitvector.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -135,6 +136,118 @@ uint64_t CoinThreshold(double p) {
   return std::isnan(p) ? 0 : static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
+/// The tables of LogOfDraw (2.5 KiB). steps[k] holds log(c) and 1/c for
+/// c = 1 + (k + 1/2) / 128, the centre of the k-th of the 128 equal steps of
+/// [1, 2). exponent_log[E % 64] holds (E - 1076) log 2 for each biased
+/// exponent E in [1023, 1075] that the double of an m in [1, 2^53) can have.
+struct LogTables {
+  struct Step {
+    double log_c;
+    double inv_c;
+  };
+  std::array<Step, 128> steps;
+  std::array<double, 64> exponent_log;
+};
+
+const LogTables& GetLogTables() {
+  static const LogTables tables = [] {
+    LogTables t{};
+    for (int k = 0; k < 128; ++k) {
+      const double c = 1.0 + (k + 0.5) / 128.0;
+      t.steps[k] = {std::log(c), 1.0 / c};
+    }
+    for (int e = 1023; e <= 1075; ++e) {
+      t.exponent_log[e % 64] = (e - 1076) * 0.6931471805599453;
+    }
+    return t;
+  }();
+  return tables;
+}
+
+/// log(m * 2^-53) for m in [1, 2^53), within 5.9e-11, with no branch. The
+/// double of m is 2^e * f with f in [1, 2), and f's top 7 fraction bits pick
+/// the step c with |f - c| <= 2^-8. So r = f / c - 1 has |r| < 2^-8, and
+/// log1p(r) is a cubic in r. m = 0 returns a finite value that is no log.
+inline double LogOfDraw(uint64_t m, const LogTables& tables) {
+  constexpr uint64_t kFraction = (uint64_t{1} << 52) - 1;
+  constexpr uint64_t kOne = uint64_t{1023} << 52;
+  const uint64_t bits =
+      std::bit_cast<uint64_t>(static_cast<double>(static_cast<int64_t>(m)));
+  const LogTables::Step& step = tables.steps[(bits >> 45) & 127];
+  const double f = std::bit_cast<double>((bits & kFraction) | kOne);
+  const double r = f * step.inv_c - 1.0;
+  return tables.exponent_log[(bits >> 52) & 63] + step.log_c +
+         (r + r * r * (-0.5 + r * (1.0 / 3.0)));
+}
+
+/// `state` after `draws` calls of Next().
+RngState AfterDraws(RngState state, int draws) {
+  for (int t = 0; t < draws; ++t) state.Next();
+  return state;
+}
+
+/// FillWords' geometric skipping (0 < p < 0.25): the reference loop's
+/// variates, each floor(q) for q = log(U) / log1p(-p), without a log per
+/// variate. It draws 8 uniforms at a time and takes each q' = LogOfDraw *
+/// (1 / log1p(-p)). When, for every draw of the block, q' +- tol lies
+/// inside one integer step, that step is the reference's floor, since tol
+/// bounds |q' - q|. A block with any other draw (about 1 in 10^7 blocks or
+/// fewer on the bundled graphs, or a zero draw) takes the reference's own
+/// GeometricFromUniform for each draw. At the edge's end the state is
+/// stepped from the block's start to the draw after the last one used. So
+/// the words and the state are the reference loop's. See
+/// src/reliability/README.md, "Certified geometric variates".
+RngState FillGeometric(uint64_t* words, size_t num_bits, double p,
+                       RngState state) {
+  constexpr int kBlock = 8;
+  // Bounds |q' - q| * |log1p(-p)|: LogOfDraw's 5.9e-11, the reference's
+  // log (1 ulp) and the roundings of both quotients and of q' +- tol, with
+  // a margin of about 2.
+  constexpr double kLogError = 0x1p-33;
+  const LogTables& tables = GetLogTables();
+  const double log1m_p = std::log1p(-p);
+  const double inv_log1m_p = 1.0 / log1m_p;
+  // +inf when 1 / log1p(-p) overflows (p below about 5.6e-309): then no
+  // floor is certified.
+  const double tol = kLogError * -inv_log1m_p;
+  // The bit last set; SIZE_MAX before the first, so that the first variate
+  // X lands on i + 1 + X = X, as in the reference loop.
+  size_t i = SIZE_MAX;
+  for (;;) {
+    const RngState block_start = state;
+    uint64_t m[kBlock];
+    for (int j = 0; j < kBlock; ++j) m[j] = state.Next() >> 11;
+    int64_t floors[kBlock];
+    bool certified = true;
+#pragma GCC unroll 8
+    for (int j = 0; j < kBlock; ++j) {
+      const double q = LogOfDraw(m[j], tables) * inv_log1m_p;
+      const double lo = q - tol;
+      const double hi = q + tol;
+      // Only values shown to lie in [0, 2^52) are converted; NaN fails.
+      const bool in_range = lo >= 0.0 && hi < 0x1p52;
+      floors[j] = static_cast<int64_t>(in_range ? lo : 0.0);
+      certified &= in_range && m[j] != 0 &&
+                   floors[j] == static_cast<int64_t>(in_range ? hi : 0.0);
+    }
+    if (certified) {
+      for (int j = 0; j < kBlock; ++j) {
+        i += 1 + static_cast<uint64_t>(floors[j]);
+        if (i >= num_bits) return AfterDraws(block_start, j + 1);
+        words[i / kWordBits] |= 1ULL << (i % kWordBits);
+      }
+      continue;
+    }
+    for (int j = 0; j < kBlock; ++j) {
+      if (m[j] == 0) continue;  // the reference draws a zero uniform again
+      i += 1 + GeometricFromUniform(static_cast<double>(m[j]) * 0x1.0p-53,
+                                    log1m_p);
+      if (i >= num_bits) return AfterDraws(block_start, j + 1);
+      words[i / kWordBits] |= 1ULL << (i % kWordBits);
+    }
+  }
+}
+
 /// FillBernoulliWords' body. The draws go through `state`, a by-value copy
 /// of the caller's generator state, which is returned: a word store may
 /// alias the caller's state, so drawing through it would reload and store
@@ -153,12 +266,7 @@ RngState FillWords(uint64_t* words, size_t num_bits, double p,
   if (p < 0.25) {
     std::fill(words, words + num_words, 0);
     if (num_bits == 0 || p <= 0.0) return state;
-    const double log1m_p = std::log1p(-p);
-    for (size_t i = state.GeometricFromLog1mP(log1m_p); i < num_bits;
-         i += 1 + state.GeometricFromLog1mP(log1m_p)) {
-      words[i / kWordBits] |= 1ULL << (i % kWordBits);
-    }
-    return state;
+    return FillGeometric(words, num_bits, p, state);
   }
   // One coin per bit, compared as integers.
   const uint64_t threshold = CoinThreshold(p);

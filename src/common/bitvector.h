@@ -156,7 +156,13 @@ class BitVector {
   /// So p <= 0 and p >= 1 draw nothing, NaN draws num_bits coins and sets
   /// none, and the 0.25 cut-off fixes how many draws each edge consumes.
   /// The loop itself never branches on a coin (see
-  /// src/reliability/README.md, "BFS Sharing world sampling").
+  /// src/reliability/README.md, "BFS Sharing world sampling"). Nor does the
+  /// geometric path pay a `log` per variate: it draws 8 uniforms at a time
+  /// and takes each variate's floor from a table log where that floor is
+  /// certified to be the reference's, and from the reference's own
+  /// GeometricFromUniform in the rare block where it is not; it leaves the
+  /// state after the last draw the reference would make ("Certified
+  /// geometric variates" in the same README).
   static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                  Rng& rng);
 

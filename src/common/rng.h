@@ -55,6 +55,23 @@ uint32_t StratumSampleOffset(uint32_t num_samples, uint32_t num_strata,
                              uint32_t stratum);
 /// @}
 
+/// The inversion step of a geometric variate, given a uniform `u` in (0, 1)
+/// and `log1m_p` = log1p(-p): X = floor(log(u) / log1m_p), clamped to
+/// [0, 9e18]. A NaN quotient reads as 9e18. RngState::GeometricFromLog1mP
+/// computes every variate here; BitVector's geometric fill computes here
+/// only the variates whose floor it cannot certify from a cheaper log (see
+/// src/reliability/README.md, "Certified geometric variates").
+inline uint64_t GeometricFromUniform(double u, double log1m_p) {
+  // For q >= 0, truncation toward zero is floor, so the clamped q converts
+  // with one signed truncation; 9e18 < 2^63 keeps it in range. The first
+  // clamp also catches +inf and NaN, which must not reach the conversion.
+  constexpr double kMax = 9.0e18;
+  double q = std::log(u) / log1m_p;
+  q = q < kMax ? q : kMax;
+  q = q > 0.0 ? q : 0.0;
+  return static_cast<uint64_t>(static_cast<int64_t>(q));
+}
+
 /// \brief The xoshiro256** generator as a plain value: its four state words
 /// and the draws the sampling kernels make from them.
 ///
@@ -93,19 +110,12 @@ struct RngState {
   }
 
   /// Inversion step of a geometric variate, given `log1m_p` = log1p(-p):
-  /// X = floor(log(U) / log1m_p) for U in (0, 1), clamped to [0, 9e18]. A
-  /// NaN quotient reads as 9e18.
+  /// GeometricFromUniform(U, log1m_p) for the first nonzero uniform U drawn
+  /// (a zero draw is drawn again).
   uint64_t GeometricFromLog1mP(double log1m_p) {
     double u = NextDouble();
     while (u <= 0.0) u = NextDouble();
-    // For q >= 0, truncation toward zero is floor, so the clamped q converts
-    // with one signed truncation; 9e18 < 2^63 keeps it in range. The first
-    // clamp also catches +inf and NaN, which must not reach the conversion.
-    constexpr double kMax = 9.0e18;
-    double q = std::log(u) / log1m_p;
-    q = q < kMax ? q : kMax;
-    q = q > 0.0 ? q : 0.0;
-    return static_cast<uint64_t>(static_cast<int64_t>(q));
+    return GeometricFromUniform(u, log1m_p);
   }
 };
 

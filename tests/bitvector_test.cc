@@ -1,7 +1,11 @@
 #include "common/bitvector.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -317,6 +321,123 @@ TEST(BitVector, FillBernoulliWordsMatchesReferenceLoop) {
         EXPECT_EQ(words, expected) << p << "/" << len << "/" << seed;
         EXPECT_EQ(rng_fill.NextU64(), rng_ref.NextU64())
             << "stream diverged at " << p << "/" << len << "/" << seed;
+      }
+    }
+  }
+}
+
+/// The probabilities of the geometric fill's boundary cases: 1/d for
+/// d = 5..64, a few small ones, the smallest subnormal and the largest
+/// double below the 0.25 cut-off.
+std::vector<double> GeometricProbabilities() {
+  std::vector<double> probs;
+  for (int d = 5; d <= 64; ++d) probs.push_back(1.0 / d);
+  for (const double p : {1e-3, 1e-6, 1e-300,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::nextafter(0.25, 0.0)}) {
+    probs.push_back(p);
+  }
+  return probs;
+}
+
+/// A state whose next draw is `x`, its other words from `rng`:
+/// xoshiro256**'s output rotl(s1 * 5, 7) * 9 is invertible in s1.
+RngState StateWhoseNextDrawIs(uint64_t x, Rng& rng) {
+  constexpr uint64_t kInverseOf9 = 0x8E38E38E38E38E39;  // mod 2^64
+  constexpr uint64_t kInverseOf5 = 0xCCCCCCCCCCCCCCCD;
+  RngState state;
+  for (uint64_t& word : state.s) word = rng.NextU64();
+  state.s[1] = std::rotr(x * kInverseOf9, 7) * kInverseOf5;
+  return state;
+}
+
+/// The state that RngState::Next moves to `state`.
+RngState PreviousState(const RngState& state) {
+  const uint64_t s3 = std::rotr(state.s[3], 45);  // s3 ^ s1 before the step
+  const uint64_t y = state.s[1] ^ state.s[2];     // s1 ^ (s1 << 17)
+  RngState before;
+  before.s[1] = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
+  before.s[3] = s3 ^ before.s[1];
+  before.s[0] = state.s[0] ^ s3;
+  before.s[2] = state.s[2] ^ before.s[0] ^ (before.s[1] << 17);
+  return before;
+}
+
+/// Empty when FillBernoulliWords from `start` writes the words of
+/// ReferenceFill (the zeroed tail included: the output starts all ones) and
+/// leaves the state where the reference leaves the stream; else what
+/// differs.
+std::string FillMismatch(size_t num_bits, double p, const RngState& start) {
+  Rng reference;
+  { ScopedRngState scoped(reference); scoped.state() = start; }
+  const std::vector<uint64_t> expected = ReferenceFill(num_bits, p, reference);
+  std::vector<uint64_t> words((num_bits + 63) / 64, ~uint64_t{0});
+  RngState state = start;
+  BitVector::FillBernoulliWords(words.data(), num_bits, p, state);
+  ScopedRngState expected_state(reference);
+  std::ostringstream out;
+  out.precision(17);
+  if (words != expected) out << "words differ";
+  for (int i = 0; i < 4; ++i) {
+    if (state.s[i] != expected_state.state().s[i]) {
+      out << " state word " << i << " differs";
+    }
+  }
+  if (!out.str().empty()) out << " at p = " << p << ", L = " << num_bits;
+  return out.str();
+}
+
+TEST(BitVector, GeometricFillMatchesTheReferenceAtBoundaryDraws) {
+  // The fill certifies floor(log(U) / log1p(-p)) from a table log and falls
+  // back to the reference's inversion where it cannot. Draws within a few
+  // units of 2^-53 of exp(k log1p(-p)) put the quotient within rounding of
+  // the integer k, where only the fallback gives the reference's floor. Each
+  // such draw is placed first, fourth and last in the fill's first block of
+  // 8 draws, and first in its second.
+  Rng rng(0xB0DA);
+  for (const double p : GeometricProbabilities()) {
+    const double log1m_p = std::log1p(-p);
+    for (int k = 0; k <= 40; ++k) {
+      const double m0 = std::round(std::exp(k * log1m_p) * 0x1.0p53);
+      for (int offset = -3; offset <= 3; ++offset) {
+        const uint64_t m = static_cast<uint64_t>(
+            std::clamp(m0 + offset, 1.0, 0x1.0p53 - 1.0));
+        const uint64_t x = (m << 11) | (rng.NextU64() >> 53);
+        for (const int position : {0, 3, 7, 8}) {
+          RngState start = StateWhoseNextDrawIs(x, rng);
+          for (int t = 0; t < position; ++t) start = PreviousState(start);
+          const std::string mismatch = FillMismatch(1500, p, start);
+          ASSERT_EQ(mismatch, "") << "k = " << k << ", offset " << offset
+                                  << ", position " << position;
+        }
+      }
+    }
+    // A zero draw, which the reference draws again, at the same positions;
+    // and the smallest nonzero draw first in a fill of 64 bits, whose first
+    // variate (at least 127 for p < 0.25) already passes the end.
+    for (const int position : {0, 3, 7, 8}) {
+      RngState start = StateWhoseNextDrawIs(rng.NextU64() >> 53, rng);
+      for (int t = 0; t < position; ++t) start = PreviousState(start);
+      ASSERT_EQ(FillMismatch(1500, p, start), "") << "zero draw, position "
+                                                  << position;
+    }
+    ASSERT_EQ(FillMismatch(64, p, StateWhoseNextDrawIs(uint64_t{1} << 11, rng)),
+              "")
+        << "first variate past the end";
+  }
+}
+
+TEST(BitVector, GeometricFillMatchesTheReferenceOnADenseGrid) {
+  // Short lengths, lengths around the word size, and L = 1500, from 64
+  // random states each, at every probability of the boundary test.
+  for (const double p : GeometricProbabilities()) {
+    for (const size_t len : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u,
+                             1500u}) {
+      Rng rng(0x6E0 + len);
+      for (int seed = 0; seed < 64; ++seed) {
+        RngState start;
+        for (uint64_t& word : start.s) word = rng.NextU64();
+        ASSERT_EQ(FillMismatch(len, p, start), "") << "seed " << seed;
       }
     }
   }
