@@ -3,6 +3,7 @@
 // sampling, BFS Sharing bit-vector propagation, ProbTree query-graph
 // extraction). Complements the table benches with tight per-op numbers.
 
+#include <algorithm>
 #include <thread>
 
 #include <benchmark/benchmark.h>
@@ -353,6 +354,65 @@ void BM_SerialPass(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SerialPass)->Unit(benchmark::kMillisecond);
+
+// BFS Sharing's shared BFS alone (the fixpoint of Algorithms 2-3, no
+// resample): one generation at L = 1500 of the dataset (seed 7), one
+// thread, K = 1000. `St` answers 24 h = 2 s-t pairs per iteration
+// (counter `time_per_query`), `Sweep` sweeps from the first 8 of their
+// sources (`time_per_source`).
+void BM_SharedBfs(benchmark::State& state, DatasetId id, Scale scale,
+                  bool sweep) {
+  constexpr uint32_t kSamples = 1000;
+  const Dataset dataset = MakeDataset(id, scale, 7).MoveValue();
+  QueryGenOptions query_options;
+  query_options.num_pairs = 24;
+  query_options.hop_distance = 2;
+  query_options.seed = 11;
+  const std::vector<ReliabilityQuery> pairs =
+      GenerateQueries(dataset.graph, query_options).MoveValue();
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  auto estimator =
+      BfsSharingEstimator::Create(dataset.graph, options, 1).MoveValue();
+  EstimateOptions opts;
+  opts.num_samples = kSamples;
+  const size_t num_sources = std::min<size_t>(8, pairs.size());
+  for (auto _ : state) {
+    if (sweep) {
+      for (size_t i = 0; i < num_sources; ++i) {
+        benchmark::DoNotOptimize(
+            estimator->ReliabilityFromSource(pairs[i].source, kSamples));
+      }
+    } else {
+      for (const ReliabilityQuery& q : pairs) {
+        benchmark::DoNotOptimize(estimator->Estimate(q, opts));
+      }
+    }
+  }
+  state.counters[sweep ? "time_per_source" : "time_per_query"] =
+      benchmark::Counter(static_cast<double>(sweep ? num_sources
+                                                   : pairs.size()),
+                         benchmark::Counter::kIsIterationInvariantRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_SharedBfs, LastFmSt, DatasetId::kLastFm, Scale::kSmall,
+                  false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SharedBfs, LastFmSweep, DatasetId::kLastFm,
+                  Scale::kSmall, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SharedBfs, NetHeptSt, DatasetId::kNetHept,
+                  Scale::kMedium, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SharedBfs, NetHeptSweep, DatasetId::kNetHept,
+                  Scale::kMedium, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SharedBfs, BioMineSt, DatasetId::kBioMine,
+                  Scale::kMedium, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SharedBfs, BioMineSweep, DatasetId::kBioMine,
+                  Scale::kMedium, true)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SampleWorld(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

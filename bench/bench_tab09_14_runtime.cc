@@ -1,7 +1,7 @@
 // Tables 9-14: online running time per query at each estimator's convergence
 // K, at the fixed K=1000, and per sample. Findings: RHH/RSS fastest at
 // convergence (fewer samples needed); ProbTree/LP+ in the middle; BFS
-// Sharing ~4x slower than MC (no early termination, cascading updates);
+// Sharing ~4x slower than MC (no early termination of its fixpoint);
 // per-sample cost is ~constant in K, i.e. total time is linear in K —
 // contradicting [45]'s K-independence claim.
 

@@ -48,81 +48,6 @@ size_t BitVector::Count() const {
   return count;
 }
 
-bool BitVector::OrWith(const BitVector& other) {
-  bool changed = false;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    const uint64_t next = words_[i] | other.words_[i];
-    changed |= (next != words_[i]);
-    words_[i] = next;
-  }
-  return changed;
-}
-
-bool BitVector::OrWithAnd(const BitVector& a, const BitVector& b) {
-  bool changed = false;
-  const size_t n = words_.size();
-  const size_t rem = num_bits_ % kWordBits;
-  const uint64_t tail_mask = rem == 0 ? ~0ULL : (1ULL << rem) - 1;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t add = a.words_[i] & b.words_[i];
-    if (i + 1 == n) add &= tail_mask;
-    const uint64_t next = words_[i] | add;
-    changed |= (next != words_[i]);
-    words_[i] = next;
-  }
-  return changed;
-}
-
-bool BitVector::OrWithAndOffset(const BitVector& a, const BitVector& b,
-                                size_t b_offset) {
-  return OrWithAndWords(a, b.words_.data(), b.words_.size(), b_offset);
-}
-
-bool BitVector::OrWithAndWords(const BitVector& a, const uint64_t* b_words,
-                               size_t b_num_words, size_t b_offset) {
-  bool changed = false;
-  const size_t n = words_.size();
-  const size_t rem = num_bits_ % kWordBits;
-  const uint64_t tail_mask = rem == 0 ? ~0ULL : (1ULL << rem) - 1;
-  const size_t word_offset = b_offset / kWordBits;
-  const uint32_t bit_offset = static_cast<uint32_t>(b_offset % kWordBits);
-  if (bit_offset == 0) {
-    // Word-aligned (b_offset == 0 is the plain OrWithAnd): no stitching.
-    for (size_t i = 0; i < n; ++i) {
-      const size_t lo = i + word_offset;
-      uint64_t add = a.words_[i] & (lo < b_num_words ? b_words[lo] : 0);
-      if (i + 1 == n) add &= tail_mask;
-      const uint64_t next = words_[i] | add;
-      changed |= (next != words_[i]);
-      words_[i] = next;
-    }
-    return changed;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    // Word i of (b >> b_offset), stitched across the word boundary; words
-    // past b's end read as zero.
-    uint64_t add = a.words_[i] &
-                   SliceWord64(b_words, b_num_words, i + word_offset, bit_offset);
-    if (i + 1 == n) add &= tail_mask;
-    const uint64_t next = words_[i] | add;
-    changed |= (next != words_[i]);
-    words_[i] = next;
-  }
-  return changed;
-}
-
-bool BitVector::WouldGainFromAnd(const BitVector& a, const BitVector& b) const {
-  const size_t n = words_.size();
-  const size_t rem = num_bits_ % kWordBits;
-  const uint64_t tail_mask = rem == 0 ? ~0ULL : (1ULL << rem) - 1;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t add = a.words_[i] & b.words_[i];
-    if (i + 1 == n) add &= tail_mask;
-    if (add & ~words_[i]) return true;
-  }
-  return false;
-}
-
 void BitVector::FillBernoulli(double p, Rng& rng) {
   FillBernoulliWords(words_.data(), num_bits_, p, rng);
 }

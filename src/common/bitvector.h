@@ -57,8 +57,8 @@ inline uint32_t Select64(uint64_t word, uint32_t k) {
 
 /// Word `word_index` of the shifted sequence (words >> bit_offset), with
 /// words at or past `num_words` reading as zero; bit_offset in [0, 64). The
-/// stitched-slice read shared by BitVector::OrWithAndOffset and the packed
-/// BFS-Sharing edge blocks.
+/// stitched-slice read of the rank/select directories and of BFS Sharing's
+/// world slices that start inside a word of the packed edge blocks.
 inline uint64_t SliceWord64(const uint64_t* words, size_t num_words,
                             size_t word_index, uint32_t bit_offset) {
   if (word_index >= num_words) return 0;
@@ -71,13 +71,12 @@ inline uint64_t SliceWord64(const uint64_t* words, size_t num_words,
 
 /// @}
 
-/// \brief Fixed-size bit vector with the word-parallel operations needed by
-/// the BFS Sharing estimator [45].
+/// \brief Fixed-size bit vector, and the world fills of the BFS Sharing
+/// estimator [45].
 ///
-/// Each edge of the BFS Sharing index carries one BitVector of K bits (bit i
-/// = "edge exists in pre-sampled possible world i"); each node carries one
-/// BitVector Iv (bit i = "node reachable from s in world i"). The hot
-/// operation is Iv |= (Iu & Ie), 64 worlds per machine word.
+/// Each edge of the BFS Sharing index carries L bits (bit i = "edge exists
+/// in pre-sampled possible world i"), written by FillBernoulliWords into the
+/// index's packed edge blocks.
 class BitVector {
  public:
   BitVector() = default;
@@ -101,39 +100,6 @@ class BitVector {
 
   /// Population count (number of set bits).
   size_t Count() const;
-
-  /// this |= other. Returns true iff any bit of *this changed.
-  bool OrWith(const BitVector& other);
-
-  /// this |= (a & b) — the BFS Sharing propagation step (Alg. 2 line 18 /
-  /// Alg. 3 line 8). Returns true iff any bit of *this changed.
-  ///
-  /// `a` and `b` may be longer than *this (BFS Sharing ANDs K-bit node
-  /// vectors against L-bit edge vectors, K <= L); only the first size() bits
-  /// participate and the tail stays masked.
-  bool OrWithAnd(const BitVector& a, const BitVector& b);
-
-  /// True iff (a & b) would add at least one new bit to *this, without
-  /// mutating anything. Same length contract as OrWithAnd.
-  bool WouldGainFromAnd(const BitVector& a, const BitVector& b) const;
-
-  /// this |= (a & (b >> b_offset)): the OrWithAnd propagation step against a
-  /// *bit slice* of `b` starting at `b_offset` — how a stratified BFS
-  /// Sharing sweep runs one stratum's world range [b_offset, b_offset +
-  /// size()) of the L-bit edge vectors without copying them. `a` must cover
-  /// size() bits and `b` must cover b_offset + size() bits; bits of `b`
-  /// beyond its length read as zero. Returns true iff any bit of *this*
-  /// changed. b_offset == 0 is exactly OrWithAnd.
-  bool OrWithAndOffset(const BitVector& a, const BitVector& b,
-                       size_t b_offset);
-
-  /// Raw-word form of OrWithAndOffset: `b` is a span of `b_num_words` words
-  /// (bits past the span read as zero) instead of a BitVector — how the BFS
-  /// Sharing loops propagate against the packed index's dense per-edge word
-  /// blocks without materializing per-edge BitVectors. Bit-identical to
-  /// OrWithAndOffset over a BitVector with the same words.
-  bool OrWithAndWords(const BitVector& a, const uint64_t* b_words,
-                      size_t b_num_words, size_t b_offset);
 
   /// Fills each bit with an independent Bernoulli(p) draw (index sampling):
   /// FillBernoulliWords over this vector's words.

@@ -1,9 +1,8 @@
 #include "reliability/bfs_sharing.h"
 
-#include <algorithm>
 #include <cstring>
-#include <deque>
 
+#include "common/bitvector.h"
 #include "common/coin_pass.h"
 #include "common/format.h"
 #include "common/rng.h"
@@ -172,9 +171,9 @@ BfsSharingEstimator::BfsSharingEstimator(
     const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index)
     : graph_(graph),
       index_(std::move(index)),
-      node_bits_(graph.num_nodes()),
-      visit_epoch_(graph.num_nodes(), 0),
-      in_queue_epoch_(graph.num_nodes(), 0) {
+      worlds_(graph.num_nodes()),
+      ring_(graph.num_nodes()),
+      touched_(graph.num_nodes()) {
   options_.index_samples = shared_index()->num_samples();
 }
 
@@ -283,6 +282,11 @@ size_t BfsSharingEstimator::IndexMemoryBytes() const {
   return shared_index()->MemoryBytes();
 }
 
+size_t BfsSharingEstimator::ScratchBytes() const {
+  return worlds_.size() * sizeof(NodeWorlds) +
+         (ring_.size() + touched_.size()) * sizeof(NodeId);
+}
+
 Result<double> BfsSharingEstimator::DoEstimate(const ReliabilityQuery& query,
                                                const EstimateOptions& options,
                                                MemoryTracker* memory) {
@@ -291,14 +295,15 @@ Result<double> BfsSharingEstimator::DoEstimate(const ReliabilityQuery& query,
   const uint32_t k = options.num_samples;
   if (s == t) return 1.0;
 
-  // Working state: K-bit I_v per visited node plus bookkeeping arrays.
-  ScopedAllocation working(memory, graph_.num_nodes() * 2 * sizeof(uint32_t));
+  ScopedAllocation working(memory, ScratchBytes());
   const std::shared_ptr<const BfsSharingIndex> index = shared_index();
+  uint32_t hits = 0;
+  auto collect = [&](NodeId v, uint32_t worlds) {
+    if (v == t) hits += worlds;
+  };
   RELCOMP_RETURN_NOT_OK(RunSharedBfs(*index, s, /*world_offset=*/0, k,
-                                     &working));
-
-  if (visit_epoch_[t] != epoch_) return 0.0;
-  return static_cast<double>(node_bits_[t].Count()) / static_cast<double>(k);
+                                     collect));
+  return static_cast<double>(hits) / static_cast<double>(k);
 }
 
 Result<std::vector<double>> BfsSharingEstimator::ReliabilityFromSource(
@@ -306,21 +311,16 @@ Result<std::vector<double>> BfsSharingEstimator::ReliabilityFromSource(
   if (!graph_.HasNode(source)) {
     return Status::InvalidArgument("BFS Sharing: source out of range");
   }
-  // Working state: bookkeeping arrays + the result vector up front; the
-  // per-node K-bit vectors are grown in as the BFS visits nodes.
-  ScopedAllocation working(memory,
-                           graph_.num_nodes() * 2 * sizeof(uint32_t) +
-                               graph_.num_nodes() * sizeof(double));
+  ScopedAllocation working(
+      memory, ScratchBytes() + graph_.num_nodes() * sizeof(double));
   const std::shared_ptr<const BfsSharingIndex> index = shared_index();
-  RELCOMP_RETURN_NOT_OK(RunSharedBfs(*index, source, /*world_offset=*/0,
-                                     num_samples, &working));
+  // Sums of popcounts stay integers far below 2^53, so each entry is the
+  // exact world count until the one division below.
   std::vector<double> reliability(graph_.num_nodes(), 0.0);
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    if (visit_epoch_[v] == epoch_) {
-      reliability[v] = static_cast<double>(node_bits_[v].Count()) /
-                       static_cast<double>(num_samples);
-    }
-  }
+  auto collect = [&](NodeId v, uint32_t worlds) { reliability[v] += worlds; };
+  RELCOMP_RETURN_NOT_OK(RunSharedBfs(*index, source, /*world_offset=*/0,
+                                     num_samples, collect));
+  for (double& r : reliability) r /= static_cast<double>(num_samples);
   return reliability;
 }
 
@@ -330,19 +330,14 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::SourceHitCountsInWorldRange(
   if (!graph_.HasNode(source)) {
     return Status::InvalidArgument("BFS Sharing: source out of range");
   }
-  ScopedAllocation working(memory,
-                           graph_.num_nodes() * 2 * sizeof(uint32_t) +
-                               graph_.num_nodes() * sizeof(uint32_t));
+  ScopedAllocation working(
+      memory, ScratchBytes() + graph_.num_nodes() * sizeof(uint32_t));
   std::vector<uint32_t> hits(graph_.num_nodes(), 0);
   if (world_count == 0) return hits;
   const std::shared_ptr<const BfsSharingIndex> index = shared_index();
+  auto collect = [&](NodeId v, uint32_t worlds) { hits[v] += worlds; };
   RELCOMP_RETURN_NOT_OK(
-      RunSharedBfs(*index, source, world_offset, world_count, &working));
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    if (visit_epoch_[v] == epoch_) {
-      hits[v] = static_cast<uint32_t>(node_bits_[v].Count());
-    }
-  }
+      RunSharedBfs(*index, source, world_offset, world_count, collect));
   return hits;
 }
 
@@ -373,9 +368,10 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::EstimateSweepStratumHits(
       options.memory);
 }
 
+template <typename Collect>
 Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
                                          uint32_t world_offset, uint32_t k,
-                                         ScopedAllocation* working) {
+                                         Collect& collect) {
   if (k == 0 || world_offset > index.num_samples() ||
       k > index.num_samples() - world_offset) {
     return Status::InvalidArgument(
@@ -383,77 +379,56 @@ Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
                   "worlds L=%u",
                   world_offset, world_offset + k, index.num_samples()));
   }
-  if (++epoch_ == 0) {
-    // Wrapped: unstamped nodes (0) and nodes stamped 2^32 BFSs ago would
-    // read as visited, with stale node_bits_ sizes. Start over from 1.
-    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0);
-    std::fill(in_queue_epoch_.begin(), in_queue_epoch_.end(), 0);
-    epoch_ = 1;
-  }
-  auto visit = [&](NodeId v) {
-    visit_epoch_[v] = epoch_;
-    BitVector& bv = node_bits_[v];
-    bv.Resize(k);
-    bv.ClearAll();
-    if (working != nullptr) working->Grow(bv.MemoryBytes());
-  };
-  auto visited = [&](NodeId v) { return visit_epoch_[v] == epoch_; };
-
-  visit(s);
-  node_bits_[s].SetAll();  // I_s = [1 1 ... 1]
-
-  // Cascading update (Algorithm 3): fix-point propagation of new worlds
-  // through already-visited nodes.
-  std::deque<NodeId> cascade;
-  auto CascadeFrom = [&](NodeId from) {
-    cascade.clear();
-    cascade.push_back(from);
-    while (!cascade.empty()) {
-      const NodeId w = cascade.front();
-      cascade.pop_front();
-      for (const AdjEntry& a : graph_.OutEdges(w)) {
-        if (!visited(a.neighbor)) continue;
-        if (node_bits_[a.neighbor].OrWithAndWords(
-                node_bits_[w], index.edge_words(a.edge),
-                index.words_per_edge(), world_offset)) {
-          cascade.push_back(a.neighbor);
+  const size_t words_per_edge = index.words_per_edge();
+  const uint32_t shift = world_offset % 64;
+  const size_t n = ring_.size();
+  NodeWorlds* const worlds = worlds_.data();
+  NodeId* const ring = ring_.data();
+  NodeId* const touched = touched_.data();
+  const size_t num_words = (static_cast<size_t>(k) + 63) / 64;
+  for (size_t b = 0; b < num_words; ++b) {
+    // Worlds [world_offset + 64 b, + 64) of every edge: one word of its
+    // block, or two stitched when the slice starts inside a word. Bits past
+    // the slice's end never survive the AND with the source's `mask`.
+    const size_t word = world_offset / 64 + b;
+    const size_t left = k - 64 * b;
+    const uint64_t mask = left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+    worlds[s] = {mask, mask};
+    touched[0] = s;
+    size_t num_touched = 1;
+    ring[0] = s;
+    size_t head = 0;
+    size_t queued = 1;
+    // Semi-naive evaluation: a pop of u pushes only the worlds u gained
+    // since its last pop, and w is queued iff it holds pending worlds.
+    while (queued > 0) {
+      const NodeId u = ring[head];
+      head = head + 1 == n ? 0 : head + 1;
+      --queued;
+      const uint64_t push = worlds[u].pending;
+      worlds[u].pending = 0;
+      for (const AdjEntry& a : graph_.OutEdges(u)) {
+        const uint64_t* edge = index.edge_words(a.edge);
+        const uint64_t exists =
+            shift == 0 ? edge[word]
+                       : SliceWord64(edge, words_per_edge, word, shift);
+        NodeWorlds& w = worlds[a.neighbor];
+        const uint64_t gain = push & exists & ~w.reached;
+        if (gain == 0) continue;
+        if (w.reached == 0) touched[num_touched++] = a.neighbor;
+        if (w.pending == 0) {
+          const size_t tail = head + queued;
+          ring[tail < n ? tail : tail - n] = a.neighbor;
+          ++queued;
         }
+        w.reached |= gain;
+        w.pending |= gain;
       }
     }
-  };
-
-  // Main worklist BFS (Algorithm 2). No early termination even if t gains
-  // worlds early: cascading updates must run to completion.
-  std::deque<NodeId> worklist;
-  for (const AdjEntry& a : graph_.OutEdges(s)) {
-    if (in_queue_epoch_[a.neighbor] != epoch_) {
-      in_queue_epoch_[a.neighbor] = epoch_;
-      worklist.push_back(a.neighbor);
-    }
-  }
-  while (!worklist.empty()) {
-    const NodeId v = worklist.front();
-    worklist.pop_front();
-    if (visited(v)) continue;
-    visit(v);
-    BitVector& iv = node_bits_[v];
-    for (const AdjEntry& a : graph_.InEdges(v)) {
-      if (visited(a.neighbor)) {
-        iv.OrWithAndWords(node_bits_[a.neighbor], index.edge_words(a.edge),
-                          index.words_per_edge(), world_offset);
-      }
-    }
-    for (const AdjEntry& a : graph_.OutEdges(v)) {
-      if (!visited(a.neighbor)) {
-        if (in_queue_epoch_[a.neighbor] != epoch_) {
-          in_queue_epoch_[a.neighbor] = epoch_;
-          worklist.push_back(a.neighbor);
-        }
-      } else if (node_bits_[a.neighbor].OrWithAndWords(
-                     iv, index.edge_words(a.edge), index.words_per_edge(),
-                     world_offset)) {
-        CascadeFrom(a.neighbor);
-      }
+    for (size_t i = 0; i < num_touched; ++i) {
+      const NodeId v = touched[i];
+      collect(v, Popcount(worlds[v].reached));
+      worlds[v].reached = 0;
     }
   }
   return Status::OK();

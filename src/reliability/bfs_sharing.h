@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/bitvector.h"
 #include "reliability/estimator.h"
 
 namespace relcomp {
@@ -135,22 +134,24 @@ class BfsSharingIndex : public PreparedGeneration {
 /// adapted from top-k reliability search to single s-t queries).
 ///
 /// Offline, K possible worlds are materialized as one bit-vector of L bits
-/// per edge (bit i = edge exists in world i). Online, a single BFS carries a
-/// bit-vector I_v per node (worlds where v is reachable from s), propagating
-/// I_v |= I_u & I_e word-parallel across all worlds at once, with cascading
-/// fix-point updates when a visited node gains new worlds. No early
-/// termination is possible (the paper's key observation: this makes BFS
-/// Sharing ~4x slower than plain MC despite the shared index).
+/// per edge (bit i = edge exists in world i). Online, the query computes the
+/// least fixpoint I_s = all worlds, I_v = the union over arcs (u, v) of
+/// I_u & E_uv (I_v = the worlds where v is reachable from s), 64 worlds per
+/// machine word. No early termination is possible: no I_v is final before
+/// the fixpoint is. (The paper measures BFS Sharing about 4x slower than
+/// plain MC, with the per-query index update counted apart in Table 15;
+/// here that resample costs far more than the fixpoint, see
+/// src/reliability/README.md, "Shared BFS as a fixpoint".)
 ///
 /// This implementation follows the paper's *corrected* complexity analysis:
 /// online time is O(K(m+n)) — it grows with K — not independent of K as
 /// claimed in [45].
 ///
 /// Memory split: the index generation is immutable and shareable across
-/// replicas (see BfsSharingIndex); only the per-query scratch (node
-/// bit-vectors, visit epochs) is private to this instance. The serving path
-/// is read-only on the index, so replicas sharing one generation answer
-/// concurrently without synchronization.
+/// replicas (see BfsSharingIndex); only the per-query scratch (two words
+/// per node, the ring and the touched list) is private to this instance.
+/// The serving path is read-only on the index, so replicas sharing one
+/// generation answer concurrently without synchronization.
 class BfsSharingEstimator : public Estimator {
  public:
   /// Builds a private generation-0 index (O(L m) time, O(n + L m) space).
@@ -227,7 +228,7 @@ class BfsSharingEstimator : public Estimator {
   /// `source` over the first `num_samples` indexed worlds (0 for nodes the
   /// BFS never reaches). This is the primitive behind the original top-k
   /// reliability search of [45] (see top_k.h). `memory`, when given,
-  /// receives the sweep's working-set accounting (node bit-vectors, epochs,
+  /// receives the sweep's working-set accounting (the fixpoint's scratch and
   /// the result vector).
   Result<std::vector<double>> ReliabilityFromSource(
       NodeId source, uint32_t num_samples, MemoryTracker* memory = nullptr);
@@ -274,19 +275,23 @@ class BfsSharingEstimator : public Estimator {
                             MemoryTracker* memory) override;
 
  private:
-  friend class BfsSharingEstimatorTestPeer;  // sets epoch_ to test the wrap
-
   BfsSharingEstimator(const UncertainGraph& graph,
                       std::shared_ptr<const BfsSharingIndex> index);
 
-  /// Core of Algorithms 2+3: fills node_bits_ / visit_epoch_ for all nodes
-  /// reached from `source`, with cascading fix-point updates, over the world
-  /// slice [world_offset, world_offset + num_samples) of the edge vectors
-  /// (0 for the whole-range sweep). Reads only `index` and this replica's
-  /// private scratch.
+  /// Core of Algorithms 2+3: the least fixpoint I_s = all worlds, I_v = the
+  /// union over arcs (u, v) of I_u & E_uv, over the world slice
+  /// [world_offset, world_offset + k) of the edge vectors, one 64-world word
+  /// at a time (see src/reliability/README.md, "Shared BFS as a fixpoint").
+  /// After each word it calls collect(v, worlds) once for every node v that
+  /// some world of the word reaches, s included, with the number of those
+  /// worlds. Reads only `index` and this replica's private scratch.
+  template <typename Collect>
   Status RunSharedBfs(const BfsSharingIndex& index, NodeId source,
-                      uint32_t world_offset, uint32_t num_samples,
-                      ScopedAllocation* working);
+                      uint32_t world_offset, uint32_t k, Collect& collect);
+
+  /// Bytes of the fixpoint's scratch: the online working set every query
+  /// charges.
+  size_t ScratchBytes() const;
 
   const UncertainGraph& graph_;
   BfsSharingOptions options_;
@@ -301,11 +306,19 @@ class BfsSharingEstimator : public Estimator {
   /// resampling needs use_count == 2: this handle plus the copy in index_.
   std::shared_ptr<BfsSharingIndex> owned_;
 
-  /// Per-query scratch, epoch-reused: node bit-vectors I_v and visited marks.
-  std::vector<BitVector> node_bits_;
-  std::vector<uint32_t> visit_epoch_;
-  std::vector<uint32_t> in_queue_epoch_;
-  uint32_t epoch_ = 0;
+  /// One 64-world word of a node's fixpoint state: the worlds that reach it
+  /// and those of them not yet pushed along its out-arcs. Both are zero
+  /// between words.
+  struct NodeWorlds {
+    uint64_t reached = 0;
+    uint64_t pending = 0;
+  };
+  /// Per-query scratch, one entry per node: the per-node words, the FIFO
+  /// ring of nodes with pending worlds (each at most once, so n slots) and
+  /// the nodes reached in the current word.
+  std::vector<NodeWorlds> worlds_;
+  std::vector<NodeId> ring_;
+  std::vector<NodeId> touched_;
 };
 
 }  // namespace relcomp

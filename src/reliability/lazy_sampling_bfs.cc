@@ -156,9 +156,14 @@ uint32_t LazySamplingBfs::CountHits(const Walk& walk, uint32_t num_samples,
   return *CountHits(walk, num_samples, rng, /*cancel=*/nullptr);
 }
 
-Result<uint32_t> LazySamplingBfs::CountHits(const Walk& walk,
-                                            uint32_t num_samples, Rng& rng,
-                                            const CancelToken* cancel) {
+// These two functions hold every instantiation of Run, inlined. Their
+// start is pinned to a 64-byte boundary so that the kernel's loops keep
+// their cache-line placement whatever code the linker puts before them: at
+// the default 16-byte alignment an edit to an unrelated file could move
+// them, and MC s-t throughput with them, by about 3 %.
+__attribute__((aligned(64))) Result<uint32_t> LazySamplingBfs::CountHits(
+    const Walk& walk, uint32_t num_samples, Rng& rng,
+    const CancelToken* cancel) {
   uint32_t hits = 0;
   auto count = [&](bool hit, const NodeId*, size_t) { hits += hit; };
   if (!Dispatch(walk, num_samples, rng, cancel, count)) {
@@ -167,10 +172,9 @@ Result<uint32_t> LazySamplingBfs::CountHits(const Walk& walk,
   return hits;
 }
 
-Status LazySamplingBfs::AccumulateReached(const Walk& walk,
-                                          uint32_t num_samples, Rng& rng,
-                                          std::vector<uint32_t>& hits,
-                                          const CancelToken* cancel) {
+__attribute__((aligned(64))) Status LazySamplingBfs::AccumulateReached(
+    const Walk& walk, uint32_t num_samples, Rng& rng,
+    std::vector<uint32_t>& hits, const CancelToken* cancel) {
   auto accumulate = [&](bool, const NodeId* queue, size_t tail) {
     for (size_t j = 1; j < tail; ++j) ++hits[queue[j]];
   };

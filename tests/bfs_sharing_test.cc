@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,15 +13,6 @@
 #include "test_util.h"
 
 namespace relcomp {
-
-/// Test-only access to the estimator's BFS visit epoch.
-class BfsSharingEstimatorTestPeer {
- public:
-  static void SetEpoch(BfsSharingEstimator& estimator, uint32_t epoch) {
-    estimator.epoch_ = epoch;
-  }
-};
-
 namespace {
 
 using testing::DiamondGraph;
@@ -47,9 +40,9 @@ TEST(BfsSharing, MatchesClosedFormOnLine) {
               SamplingTolerance(0.25, 20000));
 }
 
-TEST(BfsSharing, HandlesCyclesViaCascadingUpdates) {
-  // 0 -> 1 -> 2 -> 1 cycle plus 2 -> 3: cascading updates must converge and
-  // agree with the exact value.
+TEST(BfsSharing, HandlesCyclesAtTheFixpoint) {
+  // 0 -> 1 -> 2 -> 1 cycle plus 2 -> 3: worlds that come back around the
+  // cycle must converge and agree with the exact value.
   const UncertainGraph g =
       GraphFromString("0 1 0.8\n1 2 0.8\n2 1 0.8\n2 3 0.8\n");
   const double exact = *ExactReliabilityEnumeration(g, 0, 3);
@@ -61,7 +54,7 @@ TEST(BfsSharing, HandlesCyclesViaCascadingUpdates) {
 }
 
 TEST(BfsSharing, BidirectedDenseGraphAgreesWithExact) {
-  // Bidirected graphs maximize cascading-update pressure.
+  // Bidirected graphs send worlds back to nodes already reached.
   GraphBuilder b(5);
   for (NodeId u = 0; u < 5; ++u) {
     for (NodeId v = u + 1; v < 5; ++v) {
@@ -270,30 +263,97 @@ TEST(BfsSharing, SharedIndexCreateRejectsMismatchedGraph) {
   EXPECT_FALSE(BfsSharingEstimator::Create(g, nullptr).ok());
 }
 
-TEST(BfsSharing, EpochWrapAnswersLikeAFreshEstimator) {
-  // Past the uint32 wrap of the visit epoch, neither unstamped nodes nor
-  // nodes stamped before the wrap may read as visited: every answer equals
-  // a fresh estimator's over the same worlds.
+/// Per-node counts of the worlds [offset, offset + count) of `index` in
+/// which `source` reaches the node: one plain BFS per world, over the edges
+/// whose bit of that world is set.
+std::vector<uint32_t> PerWorldHitCounts(const UncertainGraph& g,
+                                        const BfsSharingIndex& index,
+                                        NodeId source, uint32_t offset,
+                                        uint32_t count) {
+  std::vector<uint32_t> hits(g.num_nodes(), 0);
+  for (uint32_t world = offset; world < offset + count; ++world) {
+    std::vector<bool> reached(g.num_nodes(), false);
+    std::vector<NodeId> queue = {source};
+    reached[source] = true;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (const AdjEntry& a : g.OutEdges(queue[head])) {
+        const uint64_t word = index.edge_words(a.edge)[world / 64];
+        if (((word >> (world % 64)) & 1) != 0 && !reached[a.neighbor]) {
+          reached[a.neighbor] = true;
+          queue.push_back(a.neighbor);
+        }
+      }
+    }
+    for (const NodeId v : queue) ++hits[v];
+  }
+  return hits;
+}
+
+TEST(BfsSharing, SharedBfsCountsEqualPerWorldReachability) {
+  // Slices that start on, one past and one short of a word boundary, that
+  // span one, two and three words, and that end at L; (250, 50) starts
+  // where the engine's second stratum does at K = 1000, inside a word.
+  const std::pair<uint32_t, uint32_t> kSlices[] = {
+      {0, 1},    {0, 63},   {0, 64},   {0, 65},  {1, 64},
+      {63, 130}, {64, 64},  {250, 50}, {0, 300}, {299, 1}};
+  BfsSharingOptions options;
+  options.index_samples = 300;
+  for (const uint64_t seed : {46u, 47u, 48u}) {
+    const UncertainGraph g = RandomSmallGraph(30, 120, 0.05, 0.95, seed);
+    auto index = BfsSharingIndex::Build(g, options, seed).MoveValue();
+    auto est = BfsSharingEstimator::Create(g, index).MoveValue();
+    for (NodeId source = 0; source < g.num_nodes(); ++source) {
+      for (const auto& [offset, count] : kSlices) {
+        EXPECT_EQ(
+            est->SourceHitCountsInWorldRange(source, offset, count)
+                .MoveValue(),
+            PerWorldHitCounts(g, *index, source, offset, count))
+            << "graph " << seed << ", source " << source << ", worlds ["
+            << offset << ", " << offset + count << ")";
+      }
+    }
+  }
+}
+
+TEST(BfsSharing, UsedReplicaAnswersLikeAFreshEstimator) {
+  // The scratch a query leaves behind must not leak into the next one:
+  // after s-t queries, sweeps and slices from other sources, at other K and
+  // offsets (and a rejected range), every answer equals a fresh estimator's
+  // over the same generation.
   const UncertainGraph g = RandomSmallGraph(30, 120, 0.3, 0.9, 45);
   BfsSharingOptions options;
   options.index_samples = 300;
   auto index = BfsSharingIndex::Build(g, options, 9).MoveValue();
-  auto wrapped = BfsSharingEstimator::Create(g, index).MoveValue();
-  EstimateOptions opts;
-  opts.num_samples = 300;
-  // Stamp the nodes reachable from 0 at epoch 1, then jump to the end of
-  // the range: the BFSs below run at epochs UINT32_MAX, 1, 2 and 3.
-  ASSERT_TRUE(wrapped->Estimate({0, 15}, opts).ok());
-  BfsSharingEstimatorTestPeer::SetEpoch(*wrapped, UINT32_MAX - 1);
+  auto used = BfsSharingEstimator::Create(g, index).MoveValue();
+  auto history = [&](NodeId source) {
+    for (const uint32_t k : {1u, 65u, 300u}) {
+      EstimateOptions opts;
+      opts.num_samples = k;
+      ASSERT_TRUE(used->Estimate({source, (source + 7) % 30}, opts).ok());
+      ASSERT_TRUE(used->ReliabilityFromSource((source + 3) % 30, k).ok());
+    }
+    ASSERT_TRUE(used->SourceHitCountsInWorldRange(source, 37, 200).ok());
+    ASSERT_TRUE(used->SourceHitCountsInWorldRange(source, 250, 50).ok());
+    EXPECT_FALSE(used->SourceHitCountsInWorldRange(source, 299, 2).ok());
+  };
   for (const NodeId source : {3u, 7u, 0u, 5u}) {
+    history(source + 1);
     auto fresh = BfsSharingEstimator::Create(g, index).MoveValue();
-    EXPECT_EQ(wrapped->ReliabilityFromSource(source, 300).MoveValue(),
+    EXPECT_EQ(used->ReliabilityFromSource(source, 300).MoveValue(),
               fresh->ReliabilityFromSource(source, 300).MoveValue())
         << source;
+    EXPECT_EQ(used->ReliabilityFromSource(source, 100).MoveValue(),
+              fresh->ReliabilityFromSource(source, 100).MoveValue())
+        << source;
+    EXPECT_EQ(used->SourceHitCountsInWorldRange(source, 250, 50).MoveValue(),
+              fresh->SourceHitCountsInWorldRange(source, 250, 50).MoveValue())
+        << source;
+    EstimateOptions opts;
+    opts.num_samples = 300;
+    EXPECT_EQ(used->Estimate({source, 20}, opts)->reliability,
+              fresh->Estimate({source, 20}, opts)->reliability)
+        << source;
   }
-  auto fresh = BfsSharingEstimator::Create(g, index).MoveValue();
-  EXPECT_EQ(wrapped->Estimate({9, 20}, opts)->reliability,
-            fresh->Estimate({9, 20}, opts)->reliability);
 }
 
 TEST(BfsSharing, StatisticallyMatchesMonteCarlo) {

@@ -53,57 +53,6 @@ TEST(BitVector, ExactWordBoundary) {
   EXPECT_EQ(bv.Count(), 128u);
 }
 
-TEST(BitVector, OrWithDetectsChange) {
-  BitVector a(80);
-  BitVector b(80);
-  b.Set(5);
-  b.Set(77);
-  EXPECT_TRUE(a.OrWith(b));
-  EXPECT_EQ(a.Count(), 2u);
-  EXPECT_FALSE(a.OrWith(b));  // idempotent
-}
-
-TEST(BitVector, OrWithAndComputesMaskedUnion) {
-  BitVector target(64);
-  BitVector a(64);
-  BitVector b(64);
-  a.Set(1);
-  a.Set(2);
-  a.Set(3);
-  b.Set(2);
-  b.Set(3);
-  b.Set(4);
-  EXPECT_TRUE(target.OrWithAnd(a, b));
-  EXPECT_FALSE(target.Get(1));
-  EXPECT_TRUE(target.Get(2));
-  EXPECT_TRUE(target.Get(3));
-  EXPECT_FALSE(target.Get(4));
-  EXPECT_FALSE(target.OrWithAnd(a, b));
-}
-
-TEST(BitVector, OrWithAndAllowsLongerOperands) {
-  // BFS Sharing: K-bit node vector AND-ed against an L-bit edge vector.
-  BitVector node(50);
-  BitVector other(50);
-  BitVector edge(1500);
-  other.SetAll();
-  edge.SetAll();
-  EXPECT_TRUE(node.OrWithAnd(other, edge));
-  EXPECT_EQ(node.Count(), 50u);  // no tail leakage past bit 50
-}
-
-TEST(BitVector, WouldGainFromAnd) {
-  BitVector target(64);
-  BitVector a(64);
-  BitVector b(64);
-  a.Set(7);
-  b.Set(7);
-  EXPECT_TRUE(target.WouldGainFromAnd(a, b));
-  target.Set(7);
-  EXPECT_FALSE(target.WouldGainFromAnd(a, b));
-  EXPECT_EQ(target.Count(), 1u);  // non-mutating
-}
-
 TEST(BitVector, FillBernoulliExtremes) {
   Rng rng(3);
   BitVector bv(200);
@@ -167,33 +116,6 @@ TEST(BitVector, MemoryBytesTracksWords) {
   EXPECT_EQ(BitVector(1500).MemoryBytes(), 192u);  // 24 words
 }
 
-TEST(BitVector, OrWithAndOffsetMatchesNaiveSlice) {
-  // The stratified BFS Sharing step: this |= (a & (b >> offset)) over
-  // this->size() bits — checked against a bit-by-bit oracle across word
-  // boundaries, unaligned offsets, and short b tails.
-  Rng rng(2026);
-  for (const size_t len : {1u, 63u, 64u, 65u, 130u}) {
-    for (const size_t offset : {0u, 1u, 63u, 64u, 65u, 100u}) {
-      const size_t b_len = offset + len - (offset % 3);  // sometimes short
-      BitVector dst(len);
-      BitVector a(len);
-      BitVector b(b_len);
-      a.FillBernoulli(0.5, rng);
-      b.FillBernoulli(0.5, rng);
-      dst.FillBernoulli(0.3, rng);
-      BitVector expected(len);
-      for (size_t i = 0; i < len; ++i) {
-        const bool b_bit = offset + i < b_len && b.Get(offset + i);
-        if (dst.Get(i) || (a.Get(i) && b_bit)) expected.Set(i);
-      }
-      BitVector actual = dst;
-      const bool changed = actual.OrWithAndOffset(a, b, offset);
-      EXPECT_EQ(actual, expected) << "len " << len << " offset " << offset;
-      EXPECT_EQ(changed, !(actual == dst));
-    }
-  }
-}
-
 TEST(WordPrimitives, PopcountMatchesNaive) {
   Rng rng(11);
   auto naive = [](uint64_t w) {
@@ -252,28 +174,6 @@ TEST(WordPrimitives, SliceWord64StitchesAcrossBoundary) {
   // Bits past the span read as zero.
   EXPECT_EQ(SliceWord64(words, 2, 2, 0), 0u);
   EXPECT_EQ(SliceWord64(words, 2, 1, 8), words[1] >> 8);
-}
-
-TEST(BitVector, OrWithAndWordsMatchesOrWithAndOffset) {
-  // The packed BFS-Sharing propagation form: raw word span instead of a
-  // BitVector. Must be bit-identical for every length/offset combination.
-  Rng rng(14);
-  for (const size_t len : {1u, 64u, 65u, 130u, 200u}) {
-    for (const size_t offset : {0u, 1u, 63u, 64u, 127u}) {
-      BitVector a(len);
-      BitVector b(offset + len + 30);
-      a.FillBernoulli(0.5, rng);
-      b.FillBernoulli(0.5, rng);
-      BitVector x(len);
-      x.FillBernoulli(0.2, rng);
-      BitVector y = x;
-      const bool cx = x.OrWithAndOffset(a, b, offset);
-      const bool cy =
-          y.OrWithAndWords(a, b.words().data(), b.words().size(), offset);
-      EXPECT_EQ(cx, cy) << len << "/" << offset;
-      EXPECT_EQ(x, y) << len << "/" << offset;
-    }
-  }
 }
 
 /// The textbook world fill FillBernoulliWords must reproduce draw for draw:
@@ -488,20 +388,6 @@ TEST(BitVector, FillCoinWords4MatchesFourFills) {
       }
     }
   }
-}
-
-TEST(BitVector, OrWithAndOffsetZeroEqualsOrWithAnd) {
-  Rng rng(7);
-  BitVector a(90);
-  BitVector b(120);
-  a.FillBernoulli(0.5, rng);
-  b.FillBernoulli(0.5, rng);
-  BitVector x(90);
-  BitVector y(90);
-  x.FillBernoulli(0.2, rng);
-  y = x;
-  EXPECT_EQ(x.OrWithAnd(a, b), y.OrWithAndOffset(a, b, 0));
-  EXPECT_EQ(x, y);
 }
 
 }  // namespace

@@ -84,8 +84,8 @@ TEST_P(EdgeCaseSweep, LongChainWithModerateProbs) {
 }
 
 TEST_P(EdgeCaseSweep, DenseBidirectedClique) {
-  // K6 with p = 0.3 both directions: heavy cycles stress cascading updates
-  // and recursive conditioning alike.
+  // K6 with p = 0.3 both directions: heavy cycles stress BFS Sharing's
+  // fixpoint and recursive conditioning alike.
   GraphBuilder b(6);
   for (NodeId u = 0; u < 6; ++u) {
     for (NodeId v = u + 1; v < 6; ++v) b.AddBidirectedEdge(u, v, 0.3).CheckOK();
