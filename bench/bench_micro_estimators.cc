@@ -202,18 +202,21 @@ BENCHMARK_CAPTURE(BM_LazySamplingBfsSt, Compact, StorageLayout::kCompact)
 // BFS Sharing's per-query index update (the paper's Table 15 cost) alone:
 // one in-place resample of all L = 1500 worlds of every edge on
 // LastFM-small, in both storage layouts. `time_per_world_bit` divides the
-// time by m * L. The Joined cases add one thread that helps fill the coin
-// pass from before the resample starts, as a worker waiting in
-// GenerationPrebuilder::Take does; the words are the same.
+// time by m times the worlds stored. The Joined cases add one thread that
+// helps fill the coin pass from before the resample starts, as a worker
+// waiting in GenerationPrebuilder::Take does; the words are the same. The
+// Narrowed cases resample a generation narrowed to an engine's budget
+// K = 1000, 16 of the 24 words per edge, as the engine's replicas do.
 void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout,
-                           bool joined) {
+                           bool joined, uint32_t budget) {
   static const Dataset* dataset = new Dataset(
       MakeDataset(DatasetId::kLastFm, Scale::kSmall, 7).MoveValue());
   const UncertainGraph graph =
       GraphBuilder::FromGraph(dataset->graph).Build(layout).MoveValue();
   BfsSharingOptions options;
   options.index_samples = 1500;
-  const auto index = BfsSharingIndex::Build(graph, options, 1).MoveValue();
+  const auto index =
+      BfsSharingIndex::Build(graph, options, 1, nullptr, budget).MoveValue();
   uint64_t seed = 1;
   for (auto _ : state) {
     CoinPass coins;
@@ -225,20 +228,28 @@ void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout,
     benchmark::ClobberMemory();
   }
   state.counters["time_per_world_bit"] = benchmark::Counter(
-      static_cast<double>(graph.num_edges()) * options.index_samples,
+      static_cast<double>(graph.num_edges()) * index->stored_worlds(),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
-BENCHMARK_CAPTURE(BM_BfsSharingResample, Raw, StorageLayout::kRaw, false)
+BENCHMARK_CAPTURE(BM_BfsSharingResample, Raw, StorageLayout::kRaw, false, 0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_BfsSharingResample, Compact, StorageLayout::kCompact,
-                  false)
+                  false, 0)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_BfsSharingResample, RawJoined, StorageLayout::kRaw, true)
+BENCHMARK_CAPTURE(BM_BfsSharingResample, RawJoined, StorageLayout::kRaw, true,
+                  0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_BfsSharingResample, CompactJoined,
-                  StorageLayout::kCompact, true)
+                  StorageLayout::kCompact, true, 0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_BfsSharingResample, RawNarrowed, StorageLayout::kRaw,
+                  false, 1000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BfsSharingResample, RawJoinedNarrowed,
+                  StorageLayout::kRaw, true, 1000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -356,10 +367,11 @@ void BM_SerialPass(benchmark::State& state) {
 BENCHMARK(BM_SerialPass)->Unit(benchmark::kMillisecond);
 
 // BFS Sharing's shared BFS alone (the fixpoint of Algorithms 2-3, no
-// resample): one generation at L = 1500 of the dataset (seed 7), one
-// thread, K = 1000. `St` answers 24 h = 2 s-t pairs per iteration
-// (counter `time_per_query`), `Sweep` sweeps from the first 8 of their
-// sources (`time_per_source`).
+// resample): one generation at L = 1500 of the dataset (seed 7), narrowed
+// to the engine's width for K = 1000 (16 words per edge), one thread.
+// `St` answers 24 h = 2 s-t pairs per iteration (counter
+// `time_per_query`), `Sweep` sweeps from the first 8 of their sources
+// (`time_per_source`).
 void BM_SharedBfs(benchmark::State& state, DatasetId id, Scale scale,
                   bool sweep) {
   constexpr uint32_t kSamples = 1000;
@@ -373,7 +385,11 @@ void BM_SharedBfs(benchmark::State& state, DatasetId id, Scale scale,
   BfsSharingOptions options;
   options.index_samples = 1500;
   auto estimator =
-      BfsSharingEstimator::Create(dataset.graph, options, 1).MoveValue();
+      BfsSharingEstimator::Create(
+          dataset.graph, BfsSharingIndex::Build(dataset.graph, options, 1,
+                                                nullptr, kSamples)
+                             .MoveValue())
+          .MoveValue();
   EstimateOptions opts;
   opts.num_samples = kSamples;
   const size_t num_sources = std::min<size_t>(8, pairs.size());

@@ -111,33 +111,42 @@ RngState AfterDraws(RngState state, int draws) {
   return state;
 }
 
+/// Where a run of geometric variates ended: the generator state after the
+/// draw that ended it, and the position that draw's variate landed on.
+struct GeometricRunEnd {
+  RngState state;
+  size_t position;
+};
+
 /// FillWords' geometric skipping (0 < p < 0.25): the reference loop's
 /// variates, each floor(q) for q = log(U) / log1p(-p), without a log per
-/// variate. It draws 8 uniforms at a time and takes each q' = LogOfDraw *
-/// (1 / log1p(-p)). When, for every draw of the block, q' +- tol lies
-/// inside one integer step, that step is the reference's floor, since tol
-/// bounds |q' - q|. A block with any other draw (about 1 in 10^7 blocks or
-/// fewer on the bundled graphs, or a zero draw) takes the reference's own
-/// GeometricFromUniform for each draw. At the edge's end the state is
-/// stepped from the block's start to the draw after the last one used. So
-/// the words and the state are the reference loop's. See
+/// variate, from the bit last set at `position` (SIZE_MAX before the first,
+/// so that the first variate X lands on position + 1 + X = X, as in the
+/// reference loop) until one lands at or past `end`. With kStore, it sets
+/// the bit each earlier variate lands on. It draws 8 uniforms at a time and
+/// takes each q' = LogOfDraw * (1 / log1p(-p)). When, for every draw of
+/// the block, q' +- tol lies inside one integer step, that step is the
+/// reference's floor, since tol bounds |q' - q|. A block with any other
+/// draw (about 1 in 10^7 blocks or fewer on the bundled graphs, or a zero
+/// draw) takes the reference's own GeometricFromUniform for each draw. At
+/// the run's end the state is stepped from the block's start to the draw
+/// after the last one used. So the variates and the state are the
+/// reference loop's, however the runs split the stream into blocks. See
 /// src/reliability/README.md, "Certified geometric variates".
-RngState FillGeometric(uint64_t* words, size_t num_bits, double p,
-                       RngState state) {
+template <bool kStore>
+GeometricRunEnd GeometricRun(uint64_t* words, size_t position, size_t end,
+                             double log1m_p, RngState state) {
   constexpr int kBlock = 8;
   // Bounds |q' - q| * |log1p(-p)|: LogOfDraw's 5.9e-11, the reference's
   // log (1 ulp) and the roundings of both quotients and of q' +- tol, with
   // a margin of about 2.
   constexpr double kLogError = 0x1p-33;
   const LogTables& tables = GetLogTables();
-  const double log1m_p = std::log1p(-p);
   const double inv_log1m_p = 1.0 / log1m_p;
   // +inf when 1 / log1p(-p) overflows (p below about 5.6e-309): then no
   // floor is certified.
   const double tol = kLogError * -inv_log1m_p;
-  // The bit last set; SIZE_MAX before the first, so that the first variate
-  // X lands on i + 1 + X = X, as in the reference loop.
-  size_t i = SIZE_MAX;
+  size_t i = position;
   for (;;) {
     const RngState block_start = state;
     uint64_t m[kBlock];
@@ -158,8 +167,8 @@ RngState FillGeometric(uint64_t* words, size_t num_bits, double p,
     if (certified) {
       for (int j = 0; j < kBlock; ++j) {
         i += 1 + static_cast<uint64_t>(floors[j]);
-        if (i >= num_bits) return AfterDraws(block_start, j + 1);
-        words[i / kWordBits] |= 1ULL << (i % kWordBits);
+        if (i >= end) return {AfterDraws(block_start, j + 1), i};
+        if constexpr (kStore) words[i / kWordBits] |= 1ULL << (i % kWordBits);
       }
       continue;
     }
@@ -167,20 +176,46 @@ RngState FillGeometric(uint64_t* words, size_t num_bits, double p,
       if (m[j] == 0) continue;  // the reference draws a zero uniform again
       i += 1 + GeometricFromUniform(static_cast<double>(m[j]) * 0x1.0p-53,
                                     log1m_p);
-      if (i >= num_bits) return AfterDraws(block_start, j + 1);
-      words[i / kWordBits] |= 1ULL << (i % kWordBits);
+      if (i >= end) return {AfterDraws(block_start, j + 1), i};
+      if constexpr (kStore) words[i / kWordBits] |= 1ULL << (i % kWordBits);
     }
   }
 }
 
-/// FillBernoulliWords' body. The draws go through `state`, a by-value copy
-/// of the caller's generator state, which is returned: a word store may
-/// alias the caller's state, so drawing through it would reload and store
-/// the state around every store.
-RngState FillWords(uint64_t* words, size_t num_bits, double p,
-                   RngState state) {
-  const size_t num_words = WordsFor(num_bits);
-  const size_t rem = num_bits % kWordBits;
+/// The run that stores nothing, out of line: inlined next to the storing
+/// run, it made the whole-width fill, which never calls it, 1-2 % slower
+/// (BM_SerialPass).
+__attribute__((noinline)) GeometricRunEnd CountingRun(size_t position,
+                                                      size_t end,
+                                                      double log1m_p,
+                                                      RngState state) {
+  return GeometricRun<false>(nullptr, position, end, log1m_p, state);
+}
+
+/// The geometric fill of `num_bits` bits that stores the first
+/// `stored_bits`: one run sets the bits below stored_bits, and when it ends
+/// short of num_bits a second run, which stores nothing, draws the
+/// variates that still position the stream.
+RngState FillGeometric(uint64_t* words, size_t num_bits, size_t stored_bits,
+                       double p, RngState state) {
+  const double log1m_p = std::log1p(-p);
+  GeometricRunEnd run =
+      GeometricRun<true>(words, SIZE_MAX, stored_bits, log1m_p, state);
+  if (run.position < num_bits) {
+    run = CountingRun(run.position, num_bits, log1m_p, run.state);
+  }
+  return run.state;
+}
+
+/// FillBernoulliWords' body, storing the first `stored_words` words. The
+/// draws go through `state`, a by-value copy of the caller's generator
+/// state, which is returned: a word store may alias the caller's state, so
+/// drawing through it would reload and store the state around every store.
+RngState FillWords(uint64_t* words, size_t num_bits, size_t stored_words,
+                   double p, RngState state) {
+  const size_t stored_bits = std::min(num_bits, stored_words * kWordBits);
+  const size_t num_words = WordsFor(stored_bits);
+  const size_t rem = stored_bits % kWordBits;
   if (p >= 1.0) {
     std::fill(words, words + num_words, ~0ULL);
     if (rem != 0) words[num_words - 1] = (1ULL << rem) - 1;
@@ -191,7 +226,7 @@ RngState FillWords(uint64_t* words, size_t num_bits, double p,
   if (p < 0.25) {
     std::fill(words, words + num_words, 0);
     if (num_bits == 0 || p <= 0.0) return state;
-    return FillGeometric(words, num_bits, p, state);
+    return FillGeometric(words, num_bits, stored_bits, p, state);
   }
   // One coin per bit, compared as integers.
   const uint64_t threshold = CoinThreshold(p);
@@ -202,9 +237,13 @@ RngState FillWords(uint64_t* words, size_t num_bits, double p,
     }
     return word;
   };
-  const size_t full_words = num_bits / kWordBits;
+  const size_t full_words = stored_bits / kWordBits;
   for (size_t w = 0; w < full_words; ++w) words[w] = coins(kWordBits);
   if (rem != 0) words[full_words] = coins(rem);
+  // The coins past the stored words are drawn and dropped. Resample drops
+  // none: its coin pass tosses only the stored coins, and its serial pass
+  // jumps the stream over each coin edge instead.
+  for (size_t b = stored_bits; b < num_bits; ++b) state.Next();
   return state;
 }
 
@@ -299,7 +338,13 @@ void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
 
 void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
                                    RngState& state) {
-  state = FillWords(words, num_bits, p, state);
+  state = FillWords(words, num_bits, WordsFor(num_bits), p, state);
+}
+
+void BitVector::FillBernoulliWords(uint64_t* words, size_t num_bits,
+                                   size_t stored_words, double p,
+                                   RngState& state) {
+  state = FillWords(words, num_bits, stored_words, p, state);
 }
 
 bool BitVector::operator==(const BitVector& other) const {

@@ -75,8 +75,8 @@ inline uint64_t SliceWord64(const uint64_t* words, size_t num_words,
 /// estimator [45].
 ///
 /// Each edge of the BFS Sharing index carries L bits (bit i = "edge exists
-/// in pre-sampled possible world i"), written by FillBernoulliWords into the
-/// index's packed edge blocks.
+/// in pre-sampled possible world i"), or the first words of them, written by
+/// FillBernoulliWords into the index's packed edge blocks.
 class BitVector {
  public:
   BitVector() = default;
@@ -134,6 +134,20 @@ class BitVector {
 
   /// The same fill, drawing from `state`.
   static void FillBernoulliWords(uint64_t* words, size_t num_bits, double p,
+                                 RngState& state);
+
+  /// The same fill, storing only its first `stored_words` words (all of
+  /// them when stored_words >= ceil(num_bits / 64)): they equal the first
+  /// words of the whole fill, and `state` ends where the whole fill leaves
+  /// it. A coin fill tosses min(64 * stored_words, num_bits) coins, whose
+  /// last word's tail is zeroed only when that is num_bits, and then steps
+  /// the state over the rest of its num_bits draws. A geometric fill draws
+  /// every variate until its position passes num_bits, and sets only the
+  /// bits below 64 * stored_words. BFS Sharing generations narrowed to a
+  /// query budget are filled this way (src/reliability/README.md,
+  /// "Generations as wide as the engine's budget").
+  static void FillBernoulliWords(uint64_t* words, size_t num_bits,
+                                 size_t stored_words, double p,
                                  RngState& state);
 
   /// True when FillBernoulliWords draws exactly one value per bit, so that

@@ -175,10 +175,12 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     store->CountRecovered(snapshot_restored);
   }
   // One shared immutable index for all replicas of an index-carrying kind
-  // (built inside the factory), private scratch per replica.
+  // (built inside the factory), private scratch per replica. The replicas
+  // know the budget, so BFS Sharing ones prepare only the worlds it reads.
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<Estimator>> replicas,
-      MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory));
+      MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory,
+                            opts.num_samples));
   // A budget above the index's L worlds would fail every s != t query after
   // a full O(L·m) prepare. The replicas' index decides, not the factory
   // option: a preloaded index carries its own L.
@@ -206,6 +208,9 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
 }
 
 Status QueryEngine::PersistSnapshot() {
+  // Called from Create only, while every replica still reads the shared
+  // Create-time index: a BFS Sharing one holds all L worlds, unlike the
+  // generations the replicas prepare later, which AppendBlock refuses.
   const BfsSharingIndex* bfs_index = nullptr;
   const ProbTreeIndex* prob_tree = nullptr;
   if (const auto* bfs =

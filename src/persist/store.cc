@@ -137,7 +137,7 @@ Status PersistentStore::WriteSnapshot(const UncertainGraph& graph,
   writer.AddSection(kSectionManifest, SerializeManifest(manifest));
   if (bfs_index != nullptr) {
     std::string payload;
-    bfs_index->AppendBlock(&payload);
+    RELCOMP_RETURN_NOT_OK(bfs_index->AppendBlock(&payload));
     writer.AddSection(kSectionBfsIndex, std::move(payload));
   }
   if (prob_tree != nullptr) {

@@ -19,20 +19,27 @@ constexpr char kIndexMagic[8] = {'R', 'E', 'L', 'B', 'F', 'S', 'I', '2'};
 size_t WordsPerEdge(uint32_t num_samples) {
   return (static_cast<size_t>(num_samples) + 63) / 64;
 }
+
+/// Words per edge of a generation of L = `num_samples` worlds narrowed to a
+/// budget of `num_worlds` (0: not narrowed).
+size_t WordsPerEdge(uint32_t num_samples, uint32_t num_worlds) {
+  return WordsPerEdge(num_worlds == 0 ? num_samples
+                                      : std::min(num_worlds, num_samples));
+}
 }  // namespace
 
 std::atomic<uint64_t> BfsSharingIndex::build_count_{0};
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
     const UncertainGraph& graph, const BfsSharingOptions& options,
-    uint64_t seed, CoinPass* coins) {
+    uint64_t seed, CoinPass* coins, uint32_t num_worlds) {
   if (options.index_samples == 0) {
     return Status::InvalidArgument("BFS Sharing: index_samples must be positive");
   }
   std::shared_ptr<BfsSharingIndex> index(new BfsSharingIndex());
   index->num_samples_ = options.index_samples;
   index->num_edges_ = graph.num_edges();
-  index->words_per_edge_ = WordsPerEdge(options.index_samples);
+  index->words_per_edge_ = WordsPerEdge(options.index_samples, num_worlds);
   index->words_.assign(index->num_edges_ * index->words_per_edge_, 0);
   index->words_data_ = index->words_.data();
   index->num_words_ = index->words_.size();
@@ -62,14 +69,17 @@ void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed,
   // this thread and on any helper's. Either way every edge gets exactly the
   // draws FillBernoulliWords' reference loop gives it, so generations are a
   // fixed function of (graph, L, seed) in both graph storage layouts, which
-  // preserve edge ids and bitwise probabilities.
+  // preserve edge ids and bitwise probabilities. A narrowed generation
+  // stores the first W words of each edge: the stream is the same, so the
+  // serial pass still jumps L draws and runs every geometric variate to L,
+  // and only the coin pass, which tosses the stored coins alone, does less.
   CoinPass own_coins;
   CoinPass& pass = coins != nullptr ? *coins : own_coins;
   size_t num_coin_edges = 0;
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     num_coin_edges += BitVector::FillDrawsEveryBit(graph.prob(e));
   }
-  pass.Begin(num_coin_edges, num_samples_);
+  pass.Begin(num_coin_edges, stored_worlds());
   const RngJump& jump = RngJump::ForSteps(num_samples_);
   Rng rng(seed);
   ScopedRngState local(rng);
@@ -81,7 +91,8 @@ void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed,
       pass.Defer(words, p, state);
       jump.Apply(state);
     } else {
-      BitVector::FillBernoulliWords(words, num_samples_, p, state);
+      BitVector::FillBernoulliWords(words, num_samples_, words_per_edge_, p,
+                                    state);
     }
   }
   pass.Finish();
@@ -92,12 +103,19 @@ size_t BfsSharingIndex::MemoryBytes() const {
   return num_words_ * sizeof(uint64_t);
 }
 
-void BfsSharingIndex::AppendBlock(std::string* out) const {
+Status BfsSharingIndex::AppendBlock(std::string* out) const {
+  if (words_per_edge_ != WordsPerEdge(num_samples_)) {
+    return Status::FailedPrecondition(
+        StrFormat("BFS Sharing: a generation narrowed to %zu of %zu words "
+                  "per edge cannot be saved",
+                  words_per_edge_, WordsPerEdge(num_samples_)));
+  }
   WireWriter writer(out);
   writer.PutU32(num_samples_);
   writer.PutU32(0);  // pad: keeps the word block 8-byte aligned
   writer.PutU64(num_edges_);
   writer.PutBytes(words_data_, num_words_ * sizeof(uint64_t));
+  return Status::OK();
 }
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
@@ -149,7 +167,7 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
 
 Status BfsSharingIndex::SaveToFile(const std::string& path) const {
   std::string bytes(kIndexMagic, sizeof(kIndexMagic));
-  AppendBlock(&bytes);
+  RELCOMP_RETURN_NOT_OK(AppendBlock(&bytes));
   return WriteFileBytes(path, bytes);
 }
 
@@ -168,8 +186,10 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::LoadFromFile(
 }
 
 BfsSharingEstimator::BfsSharingEstimator(
-    const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index)
+    const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index,
+    uint32_t num_worlds)
     : graph_(graph),
+      num_worlds_(num_worlds),
       index_(std::move(index)),
       worlds_(graph.num_nodes()),
       ring_(graph.num_nodes()),
@@ -191,7 +211,8 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
 }
 
 Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
-    const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index) {
+    const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index,
+    uint32_t num_samples) {
   if (index == nullptr) {
     return Status::InvalidArgument("BFS Sharing: index must not be null");
   }
@@ -201,7 +222,7 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
                   index->num_edges(), graph.num_edges()));
   }
   return std::unique_ptr<BfsSharingEstimator>(
-      new BfsSharingEstimator(graph, std::move(index)));
+      new BfsSharingEstimator(graph, std::move(index), num_samples));
 }
 
 Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
@@ -230,7 +251,7 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
   // generation is freed when its last reader lets go.
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
                            BfsSharingIndex::Build(graph_, options_, seed,
-                                                  coins));
+                                                  coins, num_worlds_));
   index_.store(std::shared_ptr<const BfsSharingIndex>(fresh),
                std::memory_order_release);
   owned_ = std::move(fresh);
@@ -240,13 +261,14 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
 Result<std::shared_ptr<const PreparedGeneration>>
 BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed,
                                              CoinPass* coins) const {
-  // Reads only graph_ and options_ (both frozen at construction), so a
-  // builder thread may run this while the serving thread is mid-BFS on the
-  // current generation. Build(seed) is what PrepareForNextQuery's swap path
-  // installs, and the in-place Resample path is bit-identical to it.
+  // Reads only graph_, options_ and num_worlds_ (all frozen at
+  // construction), so a builder thread may run this while the serving
+  // thread is mid-BFS on the current generation. Build(seed) is what
+  // PrepareForNextQuery's swap path installs, and the in-place Resample path
+  // is bit-identical to it.
   RELCOMP_ASSIGN_OR_RETURN(
       std::shared_ptr<BfsSharingIndex> fresh,
-      BfsSharingIndex::Build(graph_, options_, seed, coins));
+      BfsSharingIndex::Build(graph_, options_, seed, coins, num_worlds_));
   return std::shared_ptr<const PreparedGeneration>(std::move(fresh));
 }
 
@@ -264,7 +286,9 @@ Status BfsSharingEstimator::AdoptPreparedGeneration(
         "BFS Sharing: not a prepared BFS Sharing generation");
   }
   if (index->num_edges() != graph_.num_edges() ||
-      index->num_samples() != options_.index_samples) {
+      index->num_samples() != options_.index_samples ||
+      index->words_per_edge() !=
+          WordsPerEdge(options_.index_samples, num_worlds_)) {
     return Status::InvalidArgument(
         "BFS Sharing: prepared generation shape mismatch");
   }
@@ -315,12 +339,20 @@ Result<std::vector<double>> BfsSharingEstimator::ReliabilityFromSource(
       memory, ScratchBytes() + graph_.num_nodes() * sizeof(double));
   const std::shared_ptr<const BfsSharingIndex> index = shared_index();
   // Sums of popcounts stay integers far below 2^53, so each entry is the
-  // exact world count until the one division below.
+  // exact world count until the one division below. Only the entries some
+  // world reached are divided: every other one stays +0.0, which is 0 / K.
   std::vector<double> reliability(graph_.num_nodes(), 0.0);
-  auto collect = [&](NodeId v, uint32_t worlds) { reliability[v] += worlds; };
+  std::vector<NodeId> reached;
+  auto collect = [&](NodeId v, uint32_t worlds) {
+    if (reliability[v] == 0.0) reached.push_back(v);
+    reliability[v] += worlds;
+  };
   RELCOMP_RETURN_NOT_OK(RunSharedBfs(*index, source, /*world_offset=*/0,
                                      num_samples, collect));
-  for (double& r : reliability) r /= static_cast<double>(num_samples);
+  ScopedAllocation reached_list(memory, reached.capacity() * sizeof(NodeId));
+  for (const NodeId v : reached) {
+    reliability[v] /= static_cast<double>(num_samples);
+  }
   return reliability;
 }
 
@@ -347,11 +379,14 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::EstimateSweepStratumHits(
   if (num_strata == 0 || stratum >= num_strata) {
     return Status::InvalidArgument("sweep stratum: index out of range");
   }
+  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
   if (options.num_samples == 0 ||
-      options.num_samples > shared_index()->num_samples()) {
+      options.num_samples > index->stored_worlds()) {
     return Status::InvalidArgument(
-        StrFormat("BFS Sharing: K=%u exceeds indexed worlds L=%u",
-                  options.num_samples, shared_index()->num_samples()));
+        StrFormat("BFS Sharing: K=%u exceeds the %u worlds stored (%zu words "
+                  "per edge, L=%u)",
+                  options.num_samples, index->stored_worlds(),
+                  index->words_per_edge(), index->num_samples()));
   }
   // Cancellation point: one poll per world slice (the stratum boundary the
   // engine's scheduler also polls at).
@@ -372,12 +407,13 @@ template <typename Collect>
 Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
                                          uint32_t world_offset, uint32_t k,
                                          Collect& collect) {
-  if (k == 0 || world_offset > index.num_samples() ||
-      k > index.num_samples() - world_offset) {
+  if (k == 0 || world_offset > index.stored_worlds() ||
+      k > index.stored_worlds() - world_offset) {
     return Status::InvalidArgument(
-        StrFormat("BFS Sharing: world range [%u, %u) exceeds indexed "
-                  "worlds L=%u",
-                  world_offset, world_offset + k, index.num_samples()));
+        StrFormat("BFS Sharing: world range [%u, %u) exceeds the %u worlds "
+                  "stored (%zu words per edge, L=%u)",
+                  world_offset, world_offset + k, index.stored_worlds(),
+                  index.words_per_edge(), index.num_samples()));
   }
   const size_t words_per_edge = index.words_per_edge();
   const uint32_t shift = world_offset % 64;

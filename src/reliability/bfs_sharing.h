@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -10,14 +11,18 @@ namespace relcomp {
 
 /// \brief Options for the BFS Sharing index [45].
 struct BfsSharingOptions {
-  /// L: number of pre-sampled possible worlds stored per edge. The paper
-  /// uses L = 1500 as a "safe bound" since K at convergence is not known
-  /// apriori (Section 3.7). Queries may use any K <= L.
+  /// L: number of pre-sampled possible worlds per edge. The paper uses
+  /// L = 1500 as a "safe bound" since K at convergence is not known apriori
+  /// (Section 3.7). L fixes the sample stream: each edge's draws, and so
+  /// every world of a generation. Queries may use any K up to the worlds a
+  /// generation stores: all L, or the first 64 * ceil(K / 64) of them when
+  /// it is narrowed to a budget K (BfsSharingIndex::Build).
   uint32_t index_samples = 1500;
 };
 
 /// \brief One generation of the BFS Sharing index: the L-bit edge vectors of
-/// Figure 3 (bit i = "edge exists in pre-sampled world i").
+/// Figure 3 (bit i = "edge exists in pre-sampled world i"), or the first
+/// words of each when the generation is narrowed to a query budget.
 ///
 /// Any number of estimator replicas may read a generation concurrently
 /// through a `shared_ptr<const BfsSharingIndex>` — the engine builds the
@@ -34,9 +39,15 @@ class BfsSharingIndex : public PreparedGeneration {
   /// handle is the only mutable reference; share it onward as
   /// `shared_ptr<const>`. `coins`, when given, is the fill's coin pass, which
   /// other threads may help fill (see Resample).
+  ///
+  /// `num_worlds`, when nonzero and below L, narrows the generation to a
+  /// budget of that many worlds: each edge stores W = ceil(num_worlds / 64)
+  /// words instead of ceil(L / 64), and they are the first W words of the
+  /// whole generation of `seed`, since the stream is still laid out for L
+  /// (see Resample). Such a generation holds worlds [0, stored_worlds()).
   static Result<std::shared_ptr<BfsSharingIndex>> Build(
       const UncertainGraph& graph, const BfsSharingOptions& options,
-      uint64_t seed, CoinPass* coins = nullptr);
+      uint64_t seed, CoinPass* coins = nullptr, uint32_t num_worlds = 0);
 
   /// Restores a generation persisted by SaveToFile (Figure 13c measures
   /// this) through FromBlock's bounds checks, reading the words in place out
@@ -47,8 +58,9 @@ class BfsSharingIndex : public PreparedGeneration {
   /// Serializes this generation as a snapshot-section payload: {L u32,
   /// pad u32, m u64} then the packed words verbatim. The word block starts
   /// 16 bytes in, so inside a 64-byte-aligned snapshot section it is 8-byte
-  /// aligned for the zero-copy FromBlock path.
-  void AppendBlock(std::string* out) const;
+  /// aligned for the zero-copy FromBlock path. A narrowed generation is
+  /// refused (FailedPrecondition): the format holds all L worlds per edge.
+  Status AppendBlock(std::string* out) const;
 
   /// Reconstructs a generation from an AppendBlock payload — zero-copy when
   /// `data` is 8-byte aligned: the generation reads the words directly out
@@ -65,33 +77,43 @@ class BfsSharingIndex : public PreparedGeneration {
   bool mapped() const { return backing_ != nullptr; }
 
   /// Refills every edge's worlds in place — bit-identical to a fresh
-  /// Build(graph, options, seed) with this generation's L, allocating only
-  /// the coin pass's start states (the serving path's steady state: every
-  /// query re-arms). Caller must hold the generation exclusively: no other
-  /// replica may read the bit content concurrently (size-only readers like
-  /// MemoryBytes are unaffected — refilling never changes shapes).
+  /// Build(graph, options, seed) with this generation's L and width,
+  /// allocating only the coin pass's start states (the serving path's
+  /// steady state: every query re-arms). Caller must hold the generation
+  /// exclusively: no other replica may read the bit content concurrently
+  /// (size-only readers like MemoryBytes are unaffected — refilling never
+  /// changes shapes).
   ///
   /// The fill runs in two passes over one RNG stream: a serial pass fills
-  /// the geometric edges (0 < p < 0.25) and jumps the stream over each edge
-  /// that tosses exactly L coins (BitVector::FillDrawsEveryBit), and a coin
-  /// pass tosses those from their recorded start states. The coin pass runs
-  /// on `coins` when given, so that threads calling coins->Help() fill part
-  /// of it; otherwise on a private pass. The words are the same either way.
+  /// the geometric edges (0 < p < 0.25) and jumps the stream L draws over
+  /// each edge that tosses exactly L coins (BitVector::FillDrawsEveryBit),
+  /// and a coin pass tosses the stored_worlds() coins of those from their
+  /// recorded start states. The coin pass runs on `coins` when given, so
+  /// that threads calling coins->Help() fill part of it; otherwise on a
+  /// private pass. The words are the same either way.
   void Resample(const UncertainGraph& graph, uint64_t seed,
                 CoinPass* coins = nullptr);
 
-  /// Persists the edge bit-vectors to `path`: a magic, then AppendBlock.
+  /// Persists the edge bit-vectors to `path`: a magic, then AppendBlock
+  /// (so a narrowed generation is refused).
   Status SaveToFile(const std::string& path) const;
 
-  /// L, the number of worlds stored per edge.
+  /// L, the number of worlds per edge that fixes the sample stream.
   uint32_t num_samples() const { return num_samples_; }
   size_t num_edges() const { return num_edges_; }
 
+  /// Worlds [0, stored_worlds()) are stored: min(64 * words_per_edge(), L).
+  uint32_t stored_worlds() const {
+    return static_cast<uint32_t>(
+        std::min<size_t>(64 * words_per_edge_, num_samples_));
+  }
+
   /// The edge vectors live in one dense block of `words_per_edge()` 64-bit
-  /// words per edge (= ceil(L / 64)), packed back to back in edge-id order —
-  /// no per-edge vector headers, one allocation per generation. edge_words(e)
-  /// is the start of edge e's block; bits [0, L) of the block are worlds,
-  /// the block tail (if L % 64 != 0) is kept zero so popcounts stay exact.
+  /// words per edge (ceil(L / 64), or fewer for a narrowed generation),
+  /// packed back to back in edge-id order — no per-edge vector headers, one
+  /// allocation per generation. edge_words(e) is the start of edge e's
+  /// block; its bits [0, stored_worlds()) are worlds, and the block tail (if
+  /// stored_worlds() % 64 != 0) is kept zero so popcounts stay exact.
   size_t words_per_edge() const { return words_per_edge_; }
   const uint64_t* edge_words(EdgeId e) const {
     return words_data_ + static_cast<size_t>(e) * words_per_edge_;
@@ -161,9 +183,14 @@ class BfsSharingEstimator : public Estimator {
 
   /// Wraps an existing (possibly shared) index generation — the replica path:
   /// N estimators over one `shared_ptr<const>` index cost one build.
+  /// `num_samples`, when nonzero, is the budget K this replica's queries
+  /// read: every generation it prepares from then on is narrowed to K
+  /// (BfsSharingIndex::Build's `num_worlds`), so it tosses and stores only
+  /// the worlds those queries read, and answers as a whole-width estimator
+  /// would. `index` itself is read as it is.
   static Result<std::unique_ptr<BfsSharingEstimator>> Create(
-      const UncertainGraph& graph,
-      std::shared_ptr<const BfsSharingIndex> index);
+      const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index,
+      uint32_t num_samples = 0);
 
   /// Loads a previously saved index from `path` (Figure 13c measures this).
   static Result<std::unique_ptr<BfsSharingEstimator>> LoadFromFile(
@@ -187,10 +214,11 @@ class BfsSharingEstimator : public Estimator {
   /// keep their answers independent (Table 15 measures this per-query cost).
   /// When this replica exclusively owns its generation, the worlds are
   /// refilled in place (zero allocation — the serving-path steady state);
-  /// otherwise a fresh generation is built and atomically swapped in,
-  /// leaving generations still referenced by other replicas untouched.
-  /// Either way the coin pass runs on `coins` when given (see
-  /// BfsSharingIndex::Resample), and the words are the same.
+  /// otherwise a fresh generation, as wide as this replica's budget (see
+  /// Create), is built and atomically swapped in, leaving generations still
+  /// referenced by other replicas untouched. Either way the coin pass runs
+  /// on `coins` when given (see BfsSharingIndex::Resample), and the words
+  /// are the same.
   Status PrepareForNextQuery(uint64_t seed,
                              CoinPass* coins = nullptr) override;
 
@@ -200,13 +228,14 @@ class BfsSharingEstimator : public Estimator {
 
   /// Prepared-generation handoff: the handle is the BfsSharingIndex itself.
   /// BuildPreparedGeneration samples the worlds PrepareForNextQuery(seed)
-  /// would install — bit-identical, reading only the graph and the options,
-  /// so a builder thread can overlap it with this replica's in-flight BFS;
-  /// its coin pass runs on `coins` when given.
+  /// would install — bit-identical and as wide, reading only the graph, the
+  /// options and the budget, so a builder thread can overlap it with this
+  /// replica's in-flight BFS; its coin pass runs on `coins` when given.
   /// CurrentPreparedGeneration hands out the generation this replica reads,
-  /// and AdoptPreparedGeneration makes it this replica's own. The replica
-  /// that ends up its last holder refills it in place on its next inline
-  /// prepare; while any other handle is alive, nobody does.
+  /// and AdoptPreparedGeneration makes it this replica's own; it refuses a
+  /// generation of another L or width. The replica that ends up its last
+  /// holder refills it in place on its next inline prepare; while any other
+  /// handle is alive, nobody does.
   Result<std::shared_ptr<const PreparedGeneration>> BuildPreparedGeneration(
       uint64_t seed, CoinPass* coins) const override;
   Result<std::shared_ptr<const PreparedGeneration>> CurrentPreparedGeneration()
@@ -225,7 +254,7 @@ class BfsSharingEstimator : public Estimator {
   uint32_t index_samples() const { return options_.index_samples; }
 
   /// One shared BFS, all targets at once: the reliability of every node from
-  /// `source` over the first `num_samples` indexed worlds (0 for nodes the
+  /// `source` over the first `num_samples` stored worlds (0 for nodes the
   /// BFS never reaches). This is the primitive behind the original top-k
   /// reliability search of [45] (see top_k.h). `memory`, when given,
   /// receives the sweep's working-set accounting (the fixpoint's scratch and
@@ -234,12 +263,13 @@ class BfsSharingEstimator : public Estimator {
       NodeId source, uint32_t num_samples, MemoryTracker* memory = nullptr);
 
   /// Per-node reachable-world counts over the world slice [world_offset,
-  /// world_offset + world_count) of the current generation: the shared BFS
-  /// run against a bit-range of the edge vectors (no copy). Because each
-  /// indexed world is independent, counts over disjoint slices sum to
-  /// exactly the whole-range counts — which is why a stratified BFS Sharing
-  /// sweep is bit-identical to the serial sweep for *every* stratum count,
-  /// provided all strata read the same generation (same prepare seed).
+  /// world_offset + world_count) of the current generation's stored worlds:
+  /// the shared BFS run against a bit-range of the edge vectors (no copy).
+  /// Because each indexed world is independent, counts over disjoint slices
+  /// sum to exactly the whole-range counts — which is why a stratified BFS
+  /// Sharing sweep is bit-identical to the serial sweep for *every* stratum
+  /// count, provided all strata read the same generation (same prepare
+  /// seed).
   Result<std::vector<uint32_t>> SourceHitCountsInWorldRange(
       NodeId source, uint32_t world_offset, uint32_t world_count,
       MemoryTracker* memory = nullptr);
@@ -276,12 +306,14 @@ class BfsSharingEstimator : public Estimator {
 
  private:
   BfsSharingEstimator(const UncertainGraph& graph,
-                      std::shared_ptr<const BfsSharingIndex> index);
+                      std::shared_ptr<const BfsSharingIndex> index,
+                      uint32_t num_worlds);
 
   /// Core of Algorithms 2+3: the least fixpoint I_s = all worlds, I_v = the
   /// union over arcs (u, v) of I_u & E_uv, over the world slice
   /// [world_offset, world_offset + k) of the edge vectors, one 64-world word
   /// at a time (see src/reliability/README.md, "Shared BFS as a fixpoint").
+  /// A slice past index.stored_worlds() is refused (InvalidArgument).
   /// After each word it calls collect(v, worlds) once for every node v that
   /// some world of the word reaches, s included, with the number of those
   /// worlds. Reads only `index` and this replica's private scratch.
@@ -295,6 +327,9 @@ class BfsSharingEstimator : public Estimator {
 
   const UncertainGraph& graph_;
   BfsSharingOptions options_;
+  /// The budget K the generations this replica prepares are narrowed to; 0
+  /// keeps them whole (see Create).
+  const uint32_t num_worlds_;
   /// Current generation. Atomic so QueryEngine::IndexMemory() readers may
   /// observe the pointer while this replica's worker swaps generations;
   /// readers never touch bit content (sizes only).

@@ -113,7 +113,7 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(EstimatorKind kind,
 
 Result<std::vector<std::unique_ptr<Estimator>>> MakeEstimatorReplicas(
     EstimatorKind kind, const UncertainGraph& graph, size_t count,
-    const FactoryOptions& options) {
+    const FactoryOptions& options, uint32_t num_samples) {
   if (count == 0) {
     return Status::InvalidArgument("replica count must be positive");
   }
@@ -131,8 +131,9 @@ Result<std::vector<std::unique_ptr<Estimator>>> MakeEstimatorReplicas(
                                           options.index_seed));
       }
       for (size_t i = 0; i < count; ++i) {
-        RELCOMP_ASSIGN_OR_RETURN(std::unique_ptr<BfsSharingEstimator> replica,
-                                 BfsSharingEstimator::Create(graph, index));
+        RELCOMP_ASSIGN_OR_RETURN(
+            std::unique_ptr<BfsSharingEstimator> replica,
+            BfsSharingEstimator::Create(graph, index, num_samples));
         replicas.push_back(std::move(replica));
       }
       return replicas;

@@ -81,9 +81,15 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(EstimatorKind kind,
 /// Each replica keeps only private scratch. BFS Sharing replicas later
 /// diverge onto private generations as PrepareForNextQuery resamples
 /// (generation swap) — that is per-query state, not build cost.
+///
+/// `num_samples`, when nonzero, is the budget K the replicas answer with.
+/// BFS Sharing replicas then prepare generations of only the worlds such
+/// queries read, ceil(K / 64) words per edge, with the same answers (see
+/// BfsSharingEstimator::Create); the shared index they start from keeps all
+/// L worlds. Every other kind ignores it.
 Result<std::vector<std::unique_ptr<Estimator>>> MakeEstimatorReplicas(
     EstimatorKind kind, const UncertainGraph& graph, size_t count,
-    const FactoryOptions& options = {});
+    const FactoryOptions& options = {}, uint32_t num_samples = 0);
 
 /// Deduplicated index footprint of a replica set: each distinct shared index
 /// (by Estimator::SharedIndexIdentity) is counted once; replica-private index

@@ -1,8 +1,12 @@
 #include "reliability/bfs_sharing.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -354,6 +358,182 @@ TEST(BfsSharing, UsedReplicaAnswersLikeAFreshEstimator) {
               fresh->Estimate({source, 20}, opts)->reliability)
         << source;
   }
+}
+
+/// A random digraph whose every other edge has one of the fill's cut-off
+/// probabilities (geometric skips that overflow to the clamp, both sides of
+/// the 0.25 switch, the largest double below 1, and 1), the others uniform
+/// in [0.02, 0.98].
+UncertainGraph MixedProbabilityGraph(uint64_t seed, StorageLayout layout) {
+  const double cutoffs[] = {std::numeric_limits<double>::denorm_min(),
+                            1e-300,
+                            1e-3,
+                            0.1,
+                            std::nextafter(0.25, 0.0),
+                            0.25,
+                            1.0 / 3.0,
+                            0.5,
+                            0.9,
+                            std::nextafter(1.0, 0.0),
+                            1.0};
+  constexpr uint32_t kNodes = 30;
+  Rng rng(seed);
+  GraphBuilder builder(kNodes);
+  for (uint32_t i = 0; i < 120; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(kNodes));
+    const NodeId v = static_cast<NodeId>((u + 1 + rng.UniformInt(kNodes - 1)) %
+                                         kNodes);
+    const double p = i % 2 == 0 ? cutoffs[(i / 2) % std::size(cutoffs)]
+                                : 0.02 + 0.96 * rng.NextDouble();
+    builder.AddEdge(u, v, p).CheckOK();
+  }
+  return builder.Build(layout).MoveValue();
+}
+
+/// Every edge's words of `index`, back to back.
+std::vector<uint64_t> AllWords(const BfsSharingIndex& index) {
+  return std::vector<uint64_t>(
+      index.edge_words(0),
+      index.edge_words(0) + index.num_edges() * index.words_per_edge());
+}
+
+TEST(BfsSharing, NarrowedBuildIsAPrefixOfTheWholeGeneration) {
+  // A generation narrowed to a budget keeps W = ceil(budget / 64) words per
+  // edge, and they are the first W words of the whole L-world generation
+  // of the same seed, in both layouts. A budget of L or more keeps it whole.
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  for (const StorageLayout layout :
+       {StorageLayout::kRaw, StorageLayout::kCompact}) {
+    for (const uint64_t seed : {51u, 52u, 53u}) {
+      const UncertainGraph g = MixedProbabilityGraph(seed, layout);
+      const auto whole = BfsSharingIndex::Build(g, options, seed).MoveValue();
+      ASSERT_EQ(whole->words_per_edge(), 24u);
+      for (const uint32_t budget : {1u, 64u, 65u, 300u, 1000u, 1499u, 1500u,
+                                    4000u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << StorageLayoutName(layout) << ", seed " << seed
+                     << ", budget " << budget);
+        const auto narrowed =
+            BfsSharingIndex::Build(g, options, seed, nullptr, budget)
+                .MoveValue();
+        const size_t w = (std::min(budget, 1500u) + 63) / 64;
+        EXPECT_EQ(narrowed->num_samples(), 1500u);
+        EXPECT_EQ(narrowed->words_per_edge(), w);
+        EXPECT_EQ(narrowed->stored_worlds(), std::min<size_t>(64 * w, 1500));
+        EXPECT_EQ(narrowed->MemoryBytes(),
+                  g.num_edges() * w * sizeof(uint64_t));
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          ASSERT_TRUE(std::equal(narrowed->edge_words(e),
+                                 narrowed->edge_words(e) + w,
+                                 whole->edge_words(e)))
+              << "edge " << e << ", p = " << g.prob(e);
+        }
+      }
+    }
+  }
+}
+
+TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
+  // A replica with budget K = 300 of L = 1500 prepares generations of
+  // 5 words (320 worlds) per edge. Its s-t, sweep and slice answers at any
+  // k up to 320 equal those of a whole-width estimator prepared with the
+  // same seed, after a generation swap and after an in-place refill, which
+  // keeps the width. Ranges past 320 are refused, and so are saving the
+  // generation and adopting one of another width. The shared index the
+  // replica starts from stays whole and untouched.
+  const UncertainGraph g = MixedProbabilityGraph(54, StorageLayout::kRaw);
+  BfsSharingOptions options;
+  options.index_samples = 1500;
+  const auto shared = BfsSharingIndex::Build(g, options, 1).MoveValue();
+  const std::vector<uint64_t> shared_words = AllWords(*shared);
+  auto narrowed = BfsSharingEstimator::Create(g, shared, 300).MoveValue();
+  auto whole = BfsSharingEstimator::Create(g, options, 2).MoveValue();
+  EXPECT_EQ(narrowed->IndexMemoryBytes(), shared->MemoryBytes());
+  const size_t narrowed_bytes = g.num_edges() * 5 * sizeof(uint64_t);
+  auto expect_same_answers = [&] {
+    for (const NodeId s : {0u, 7u, 19u}) {
+      for (const uint32_t k : {1u, 64u, 299u, 300u, 320u}) {
+        EstimateOptions opts;
+        opts.num_samples = k;
+        EXPECT_EQ(narrowed->Estimate({s, (s + 11) % 30}, opts)->reliability,
+                  whole->Estimate({s, (s + 11) % 30}, opts)->reliability)
+            << "s-t from " << s << ", k = " << k;
+        EXPECT_EQ(narrowed->ReliabilityFromSource(s, k).MoveValue(),
+                  whole->ReliabilityFromSource(s, k).MoveValue())
+            << "sweep from " << s << ", k = " << k;
+      }
+      for (const auto& [offset, count] :
+           {std::pair<uint32_t, uint32_t>{0, 320}, {250, 70}, {319, 1},
+            {64, 128}, {75, 75}}) {
+        EXPECT_EQ(
+            narrowed->SourceHitCountsInWorldRange(s, offset, count)
+                .MoveValue(),
+            whole->SourceHitCountsInWorldRange(s, offset, count).MoveValue())
+            << "slice from " << s << ", [" << offset << ", "
+            << offset + count << ")";
+      }
+    }
+  };
+  ASSERT_TRUE(narrowed->PrepareForNextQuery(11).ok());
+  ASSERT_TRUE(whole->PrepareForNextQuery(11).ok());
+  const void* identity = narrowed->SharedIndexIdentity();
+  EXPECT_NE(identity, shared.get());
+  EXPECT_EQ(narrowed->shared_index()->words_per_edge(), 5u);
+  EXPECT_EQ(narrowed->IndexMemoryBytes(), narrowed_bytes);
+  expect_same_answers();
+
+  ASSERT_TRUE(narrowed->PrepareForNextQuery(12).ok());
+  ASSERT_TRUE(whole->PrepareForNextQuery(12).ok());
+  EXPECT_EQ(narrowed->SharedIndexIdentity(), identity);  // refilled in place
+  EXPECT_EQ(narrowed->shared_index()->words_per_edge(), 5u);
+  expect_same_answers();
+
+  for (const auto& [offset, count] :
+       {std::pair<uint32_t, uint32_t>{300, 21}, {320, 1}, {0, 321}}) {
+    EXPECT_EQ(narrowed->SourceHitCountsInWorldRange(0, offset, count)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "[" << offset << ", " << offset + count << ")";
+  }
+  EstimateOptions past;
+  past.num_samples = 321;
+  EXPECT_EQ(narrowed->Estimate({0, 5}, past).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(narrowed->ReliabilityFromSource(0, 321).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(narrowed->EstimateSweepStratumHits(0, 0, 4, past).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_bfs_narrowed.bin")
+          .string();
+  std::filesystem::remove(path);
+  EXPECT_FALSE(narrowed->SaveToFile(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::string block;
+  EXPECT_FALSE(narrowed->shared_index()->AppendBlock(&block).ok());
+
+  // Adoption: a generation of another width is refused both ways; one a
+  // replica of the same budget built is taken.
+  EXPECT_FALSE(narrowed
+                   ->AdoptPreparedGeneration(
+                       whole->CurrentPreparedGeneration().MoveValue())
+                   .ok());
+  EXPECT_FALSE(whole
+                   ->AdoptPreparedGeneration(
+                       narrowed->CurrentPreparedGeneration().MoveValue())
+                   .ok());
+  auto sibling = BfsSharingEstimator::Create(g, shared, 300).MoveValue();
+  ASSERT_TRUE(narrowed
+                  ->AdoptPreparedGeneration(
+                      sibling->BuildPreparedGeneration(13, nullptr).MoveValue())
+                  .ok());
+  ASSERT_TRUE(whole->PrepareForNextQuery(13).ok());
+  expect_same_answers();
+
+  EXPECT_EQ(AllWords(*shared), shared_words);
+  EXPECT_EQ(shared->words_per_edge(), 24u);
 }
 
 TEST(BfsSharing, StatisticallyMatchesMonteCarlo) {

@@ -226,6 +226,57 @@ TEST(BitVector, FillBernoulliWordsMatchesReferenceLoop) {
   }
 }
 
+TEST(BitVector, NarrowedFillStoresThePrefixOfTheWholeFill) {
+  // A fill that stores only its first W words must write ReferenceFill's
+  // first W words (the zeroed tail included: they start all ones), leave
+  // the stream where the whole fill leaves it, and store nothing past them:
+  // the guard words after them, all zeros or all ones, stay as they were.
+  const double probs[] = {std::numeric_limits<double>::denorm_min(),
+                          1e-300,
+                          1e-3,
+                          0.1,
+                          std::nextafter(0.25, 0.0),
+                          0.25,
+                          1.0 / 3.0,
+                          0.5,
+                          0.9,
+                          std::nextafter(1.0, 0.0),
+                          1.0,
+                          0.0,
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (const double p : probs) {
+    for (const size_t len : {1u, 63u, 64u, 65u, 1500u}) {
+      const size_t whole_words = (len + 63) / 64;
+      for (size_t stored = 1; stored <= whole_words; ++stored) {
+        for (uint64_t seed = 1; seed <= 16; ++seed) {
+          SCOPED_TRACE(::testing::Message() << "p = " << p << ", L = " << len
+                                            << ", W = " << stored
+                                            << ", seed " << seed);
+          Rng reference(seed);
+          const std::vector<uint64_t> whole = ReferenceFill(len, p, reference);
+          ScopedRngState expected_state(reference);
+          for (const uint64_t guard : {uint64_t{0}, ~uint64_t{0}}) {
+            std::vector<uint64_t> expected(whole.begin(),
+                                           whole.begin() + stored);
+            expected.resize(whole_words + 1, guard);
+            std::vector<uint64_t> words(whole_words + 1, guard);
+            std::fill(words.begin(), words.begin() + stored, ~uint64_t{0});
+            Rng rng(seed);
+            ScopedRngState state(rng);
+            BitVector::FillBernoulliWords(words.data(), len, stored, p,
+                                          state.state());
+            ASSERT_EQ(words, expected) << "guard " << guard;
+            for (int i = 0; i < 4; ++i) {
+              ASSERT_EQ(state.state().s[i], expected_state.state().s[i])
+                  << "state word " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The probabilities of the geometric fill's boundary cases: 1/d for
 /// d = 5..64, a few small ones, the smallest subnormal and the largest
 /// double below the 0.25 cut-off.

@@ -9,6 +9,7 @@
 
 #include "common/coin_pass.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <limits>
@@ -70,8 +71,9 @@ const char* MixName(Mix mix) {
 /// A cycle of `m` edges whose probabilities sweep a range: below 0.25 (all
 /// geometric), in [0.25, 1) (all coin edges), or both alternating. 3,072
 /// coin edges are a whole number of coin-pass blocks at L = 1500 (12 fills
-/// per block) and at L = 64 (256), so the pass closes on a published count
-/// that ends a block.
+/// per block), at L = 64 (256), and at L = 1500 narrowed to 1,024 worlds
+/// (16) or to 128 (128), so the pass closes on a published count that ends
+/// a block.
 UncertainGraph CycleGraph(Mix mix) {
   constexpr uint32_t kEdges = 3072;
   const uint32_t m = mix == Mix::kMixed ? 2 * kEdges + 1 : kEdges;
@@ -103,19 +105,72 @@ std::vector<uint64_t> Words(const BfsSharingIndex& index) {
       begin, begin + index.num_edges() * index.words_per_edge());
 }
 
-constexpr uint32_t kWorldCounts[] = {1, 64, 1500};
+/// The first `words_per_edge` words of every edge of `index`, back to back.
+std::vector<uint64_t> WordsAtWidth(const BfsSharingIndex& index,
+                                   size_t words_per_edge) {
+  std::vector<uint64_t> words;
+  for (EdgeId e = 0; e < index.num_edges(); ++e) {
+    words.insert(words.end(), index.edge_words(e),
+                 index.edge_words(e) + words_per_edge);
+  }
+  return words;
+}
+
+/// A generation shape: L worlds, narrowed to a budget of `budget` worlds
+/// when it is nonzero (BfsSharingIndex::Build's `num_worlds`).
+struct Shape {
+  uint32_t l;
+  uint32_t budget;
+  size_t words_per_edge() const {
+    return (static_cast<size_t>(budget == 0 ? l : budget) + 63) / 64;
+  }
+};
+
+constexpr Shape kShapes[] = {{1, 0}, {64, 0}, {1500, 0}, {1500, 1000},
+                             {1500, 100}};
 constexpr Mix kMixes[] = {Mix::kNoCoinEdges, Mix::kOnlyCoinEdges, Mix::kMixed};
+
+/// A replica over a shared Create-time index of `shape.l` worlds that
+/// prepares generations as wide as `shape.budget`, as an engine's do.
+std::unique_ptr<BfsSharingEstimator> MakeReplica(const UncertainGraph& graph,
+                                                 const Shape& shape,
+                                                 uint64_t index_seed) {
+  BfsSharingOptions options;
+  options.index_samples = shape.l;
+  return BfsSharingEstimator::Create(
+             graph, BfsSharingIndex::Build(graph, options, index_seed)
+                        .MoveValue(),
+             shape.budget)
+      .MoveValue();
+}
+
+/// The first shape.words_per_edge() words of every edge of the whole
+/// L-world generation of `seed`: what every generation of `shape` must hold.
+std::vector<uint64_t> PrefixOfWholeGeneration(const UncertainGraph& graph,
+                                              const Shape& shape,
+                                              uint64_t seed) {
+  BfsSharingOptions options;
+  options.index_samples = shape.l;
+  const auto whole = BfsSharingIndex::Build(graph, options, seed).MoveValue();
+  return WordsAtWidth(*whole, shape.words_per_edge());
+}
 
 TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
   Watchdog watchdog(std::chrono::seconds(120));
   size_t helped_at_1500 = 0;
   for (const Mix mix : kMixes) {
     const UncertainGraph graph = CycleGraph(mix);
-    for (const uint32_t l : kWorldCounts) {
-      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l);
+    for (const Shape& shape : kShapes) {
+      const uint32_t l = shape.l;
+      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l
+                                        << ", budget " << shape.budget);
       BfsSharingOptions options;
       options.index_samples = l;
-      const auto alone = BfsSharingIndex::Build(graph, options, 17).MoveValue();
+      const auto alone =
+          BfsSharingIndex::Build(graph, options, 17, nullptr, shape.budget)
+              .MoveValue();
+      EXPECT_EQ(alone->words_per_edge(), shape.words_per_edge());
+      EXPECT_EQ(Words(*alone), PrefixOfWholeGeneration(graph, shape, 17));
       // Two helpers wait for the first block before the build has begun the
       // pass; they return once it closes, also when it has no fill at all.
       CoinPass coins;
@@ -126,7 +181,8 @@ TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
       }
       AwaitHelpers(coins, helpers.size());
       const auto joined =
-          BfsSharingIndex::Build(graph, options, 17, &coins).MoveValue();
+          BfsSharingIndex::Build(graph, options, 17, &coins, shape.budget)
+              .MoveValue();
       for (std::thread& helper : helpers) helper.join();
       EXPECT_EQ(Words(*joined), Words(*alone));
       EXPECT_LE(helped[0] + helped[1], CoinEdges(graph));
@@ -144,20 +200,32 @@ TEST(CoinPassTest, HelpersFromBeforeTheBuildFillTheSameWords) {
 }
 
 TEST(CoinPassTest, PassSizesAroundTheLaneWidthMatchPerEdgeFills) {
-  // Passes of 1, 3, 4, 5 and 13 fills: none, one, or several four-lane
-  // fills, with zero to three fills left over for the one-at-a-time path;
-  // at L = 1500 (12 fills per block) 13 fills take two blocks. With or
-  // without a helper, each fill's words (the zeroed tail included: the
-  // output starts all ones) must equal its own FillBernoulliWords call.
+  // Passes of 1, 3, 4, 5, 13, 16 and 32 fills: none, one, or several
+  // four-lane fills, with zero to three fills left over for the
+  // one-at-a-time path; at L = 1500 (12 fills per block) 13 fills take two
+  // blocks. A generation narrowed to W words per edge runs its pass at
+  // num_bits = 64 W < L; at W = 16 a block holds 16 fills, so 16 and 32
+  // fills close on a count that ends a block. With or without a helper,
+  // each fill's words (the zeroed tail included: the output starts all
+  // ones) must equal the first W words of its own whole FillBernoulliWords
+  // call.
   Watchdog watchdog(std::chrono::seconds(60));
   RecordProperty("fill_coin_words4_avx2",
                  BitVector::FillCoinWords4UsesAvx2() ? "yes" : "no");
+  struct PassShape {
+    uint32_t l;
+    size_t words_per_fill;
+  };
   Rng rng(0xF111);
-  for (const uint32_t l : {1u, 65u, 1500u}) {
-    const size_t words_per_fill = (l + 63) / 64;
-    for (const size_t n : {1u, 3u, 4u, 5u, 13u}) {
+  for (const PassShape& shape : {PassShape{1, 1}, PassShape{65, 2},
+                                 PassShape{1500, 24}, PassShape{1500, 1},
+                                 PassShape{1500, 5}, PassShape{1500, 16}}) {
+    const size_t w = shape.words_per_fill;
+    const size_t num_bits = std::min<size_t>(64 * w, shape.l);
+    for (const size_t n : {1u, 3u, 4u, 5u, 13u, 16u, 32u}) {
       for (const bool with_helper : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "L = " << l << ", " << n
+        SCOPED_TRACE(::testing::Message() << "L = " << shape.l << ", W = "
+                                          << w << ", " << n
                                           << " fills, helper "
                                           << with_helper);
         std::vector<double> p(n);
@@ -168,22 +236,23 @@ TEST(CoinPassTest, PassSizesAroundTheLaneWidthMatchPerEdgeFills) {
         }
         p[n / 2] = std::numeric_limits<double>::quiet_NaN();
         p[n - 1] = 0.25;
-        std::vector<uint64_t> expected(n * words_per_fill, ~uint64_t{0});
+        std::vector<uint64_t> expected;
         for (size_t i = 0; i < n; ++i) {
+          std::vector<uint64_t> whole((shape.l + 63) / 64, ~uint64_t{0});
           RngState state = starts[i];
-          BitVector::FillBernoulliWords(&expected[i * words_per_fill], l, p[i],
-                                        state);
+          BitVector::FillBernoulliWords(whole.data(), shape.l, p[i], state);
+          expected.insert(expected.end(), whole.begin(), whole.begin() + w);
         }
-        std::vector<uint64_t> got(n * words_per_fill, ~uint64_t{0});
+        std::vector<uint64_t> got(n * w, ~uint64_t{0});
         CoinPass coins;
         size_t helped = 0;
         std::thread helper;
         if (with_helper) {
           helper = std::thread([&coins, &helped] { helped = coins.Help(); });
         }
-        coins.Begin(n, l);
+        coins.Begin(n, num_bits);
         for (size_t i = 0; i < n; ++i) {
-          coins.Defer(&got[i * words_per_fill], p[i], starts[i]);
+          coins.Defer(&got[i * w], p[i], starts[i]);
         }
         coins.Finish();
         if (with_helper) helper.join();
@@ -260,12 +329,10 @@ TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
   Watchdog watchdog(std::chrono::seconds(120));
   for (const Mix mix : kMixes) {
     const UncertainGraph graph = CycleGraph(mix);
-    for (const uint32_t l : kWorldCounts) {
-      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l);
-      BfsSharingOptions options;
-      options.index_samples = l;
-      const auto prototype =
-          BfsSharingEstimator::Create(graph, options, 1).MoveValue();
+    for (const Shape& shape : kShapes) {
+      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << shape.l
+                                        << ", budget " << shape.budget);
+      const auto prototype = MakeReplica(graph, shape, 1);
       GatedBuilds gated(*prototype);
       obs::MetricsRegistry metrics;
       GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
@@ -287,10 +354,10 @@ TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
       const auto* index = dynamic_cast<const BfsSharingIndex*>(taken.get());
       ASSERT_NE(index, nullptr);
 
-      auto inline_replica =
-          BfsSharingEstimator::Create(graph, options, 2).MoveValue();
+      auto inline_replica = MakeReplica(graph, shape, 2);
       ASSERT_TRUE(inline_replica->PrepareForNextQuery(kSeed).ok());
       EXPECT_EQ(Words(*index), Words(*inline_replica->shared_index()));
+      EXPECT_EQ(Words(*index), PrefixOfWholeGeneration(graph, shape, kSeed));
 
       const uint64_t helped =
           CounterValue(metrics, "prebuilder_helped_fills_total");
@@ -348,15 +415,15 @@ TEST(GenerationPrebuilderTest, BuildersHelpAnInlinePrepareRefillInPlace) {
   Watchdog watchdog(std::chrono::seconds(120));
   for (const Mix mix : kMixes) {
     const UncertainGraph graph = CycleGraph(mix);
-    for (const uint32_t l : kWorldCounts) {
-      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << l);
-      BfsSharingOptions options;
-      options.index_samples = l;
-      const auto prototype =
-          BfsSharingEstimator::Create(graph, options, 1).MoveValue();
-      // Built with options, so the replica owns its generation and refills
-      // it in place.
-      auto replica = BfsSharingEstimator::Create(graph, options, 2).MoveValue();
+    for (const Shape& shape : kShapes) {
+      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << shape.l
+                                        << ", budget " << shape.budget);
+      const auto prototype = MakeReplica(graph, shape, 1);
+      // A first prepare moves the replica off the shared index onto a
+      // generation of its own, of its budget's width, which it then refills
+      // in place.
+      auto replica = MakeReplica(graph, shape, 2);
+      ASSERT_TRUE(replica->PrepareForNextQuery(0xF1257).ok());
       const void* identity = replica->SharedIndexIdentity();
       obs::MetricsRegistry metrics;
       GenerationPrebuilder prebuilder(*prototype, metrics, /*max_pending=*/4);
@@ -375,9 +442,8 @@ TEST(GenerationPrebuilderTest, BuildersHelpAnInlinePrepareRefillInPlace) {
       // the count final.
       prebuilder.Shutdown();
 
-      auto alone = BfsSharingEstimator::Create(graph, options, 3).MoveValue();
-      ASSERT_TRUE(alone->PrepareForNextQuery(kSeed).ok());
-      EXPECT_EQ(Words(*replica->shared_index()), Words(*alone->shared_index()));
+      EXPECT_EQ(Words(*replica->shared_index()),
+                PrefixOfWholeGeneration(graph, shape, kSeed));
       EXPECT_EQ(replica->SharedIndexIdentity(), identity);
 
       const uint64_t helped =

@@ -125,8 +125,8 @@ TEST(PersistRoundTrip, BothIndexesBitIdentical) {
   // Index artifacts: re-serializing the restored index must reproduce the
   // original block byte for byte.
   std::string bfs_block, bfs_block_restored;
-  bfs.value()->AppendBlock(&bfs_block);
-  artifacts.bfs_index->AppendBlock(&bfs_block_restored);
+  ASSERT_TRUE(bfs.value()->AppendBlock(&bfs_block).ok());
+  ASSERT_TRUE(artifacts.bfs_index->AppendBlock(&bfs_block_restored).ok());
   EXPECT_EQ(bfs_block, bfs_block_restored);
 
   std::string pt_block, pt_block_restored;

@@ -473,10 +473,13 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   EXPECT_GT(strata_stolen, 0u);
   // Create shares one generation across the replicas; each has prepared
   // since, and a thief that adopted reads the very generation its leader
-  // resampled, so there is still exactly one.
+  // resampled, so there is still exactly one. Create's holds all L = 1500
+  // worlds per edge; the one prepared holds the budget's K = 200, in
+  // ceil(200 / 64) = 4 words per edge.
   ASSERT_EQ(before.shared_indexes, 1u);
+  EXPECT_EQ(before.shared_bytes, graph.num_edges() * 24 * sizeof(uint64_t));
   EXPECT_EQ(after.shared_indexes, 1u);
-  EXPECT_EQ(after.shared_bytes, before.shared_bytes);
+  EXPECT_EQ(after.shared_bytes, graph.num_edges() * 4 * sizeof(uint64_t));
 }
 
 TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
