@@ -385,11 +385,9 @@ void BM_SharedBfs(benchmark::State& state, DatasetId id, Scale scale,
   BfsSharingOptions options;
   options.index_samples = 1500;
   auto estimator =
-      BfsSharingEstimator::Create(
-          dataset.graph, BfsSharingIndex::Build(dataset.graph, options, 1,
-                                                nullptr, kSamples)
-                             .MoveValue())
+      BfsSharingEstimator::CreateReplica(dataset.graph, options, kSamples)
           .MoveValue();
+  estimator->PrepareForNextQuery(1).CheckOK();
   EstimateOptions opts;
   opts.num_samples = kSamples;
   const size_t num_sources = std::min<size_t>(8, pairs.size());

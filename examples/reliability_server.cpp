@@ -2,7 +2,8 @@
 // concurrent QueryEngine, the way a serving frontend would — a Zipf-skewed
 // stream of repeated parametrized requests spanning the workload kinds the
 // estimator answers (s-t, top-k and reliable-set, plus distance-constrained
-// for MC; BFS Sharing has no distance estimator), worker-thread estimator
+// for MC; BFS Sharing has no distance estimator, and ProbTree answers s-t
+// only), worker-thread estimator
 // replicas, a result cache absorbing the hot keys, and the sweep-sharing
 // layer collapsing every top-k / reliable-set parameterization of one hot
 // source into a single per-source sweep. The catalogue deliberately asks for
@@ -22,8 +23,9 @@
 //   dataset  : lastfm | nethept | astopo | dblp02 | dblp005 | biomine
 //   threads  : worker threads (default 4)
 //   requests : total stream length (default 2000)
-//   kind     : mc | bfs (default mc; bfs also exercises the background
-//              generation prebuilder)
+//   kind     : mc | bfs | probtree (default mc; bfs also exercises the
+//              background generation prebuilder, probtree the index
+//              snapshot under --persist-dir)
 //   strata   : stratified-partition width S of every sweep (default 8).
 //              Deliberately NOT tied to the thread count: results are a
 //              canonical function of (query content, S), so the same S at
@@ -39,17 +41,18 @@
 //   --deadline-ms <n>     : per-query deadline (default 0 = none). Expired
 //                           requests fail with kDeadlineExceeded — counted
 //                           in the cycle stats, never cached, never fatal.
-//   --persist-dir <path>  : keep the BFS Sharing index in a checksummed
+//   --persist-dir <path>  : keep the ProbTree index in a checksummed
 //                           snapshot under <path> (src/persist/; mc has no
-//                           index, so it writes nothing there). The startup
-//                           line reports the cold-start time and whether the
-//                           index came from the mmapped snapshot or a
-//                           rebuild; after the replay the server destroys
-//                           the engine, recreates it from disk and reports
-//                           the restarted cold start. Run the binary twice
-//                           with the same flags to see a cross-process
-//                           restart: the second run's *initial* cold start
-//                           already maps the index.
+//                           index and bfs builds no generation at startup,
+//                           so both write nothing there). The startup line
+//                           reports the cold-start time and whether the
+//                           index came from the snapshot or a rebuild;
+//                           after the replay the server destroys the
+//                           engine, recreates it from disk and reports the
+//                           restarted cold start. Run the binary twice with
+//                           the same flags to see a cross-process restart:
+//                           the second run's *initial* cold start already
+//                           restores the index.
 
 #include <algorithm>
 #include <cstdio>
@@ -124,7 +127,7 @@ unsigned long long Count(obs::MetricsRegistry& registry, const char* name,
 /// it. Only for an engine with a snapshot store.
 const char* IndexSource(obs::MetricsRegistry& registry) {
   return Count(registry, "persist_recovered_total", "source", "snapshot") > 0
-             ? "index mmapped from snapshot"
+             ? "index restored from snapshot"
              : "index rebuilt from source, snapshot published";
 }
 
@@ -160,6 +163,8 @@ int main(int argc, char** argv) {
   if (positional.size() > 3) {
     if (std::strcmp(positional[3], "bfs") == 0) {
       kind = EstimatorKind::kBfsSharing;
+    } else if (std::strcmp(positional[3], "probtree") == 0) {
+      kind = EstimatorKind::kProbTree;
     } else if (std::strcmp(positional[3], "mc") != 0) {
       std::fprintf(stderr, "unknown kind '%s', using mc\n", positional[3]);
     }
@@ -170,7 +175,7 @@ int main(int argc, char** argv) {
       deadline_ms < 0) {
     std::fprintf(stderr,
                  "usage: reliability_server [dataset] [threads 0-1024] "
-                 "[requests >= 0] [mc|bfs] [strata 1-4096] "
+                 "[requests >= 0] [mc|bfs|probtree] [strata 1-4096] "
                  "[--stats-json <path>] [--slow-query-ms <n>] "
                  "[--deadline-ms <n>] [--persist-dir <path>]\n");
     return 2;
@@ -184,10 +189,15 @@ int main(int argc, char** argv) {
 
   // The catalogue of distinct queries users may ask — a mixed-workload
   // stream over the paper's h=2 pairs — hit with a skewed popularity
-  // distribution. BFS Sharing has no distance-constrained estimator, so its
-  // catalogue asks none: each would only fail NotSupported.
+  // distribution. It asks no query the estimator cannot answer, which would
+  // only fail NotSupported: BFS Sharing has no distance-constrained
+  // estimator, and ProbTree answers s-t queries only.
   MixedWorkloadOptions mix;
-  if (kind == EstimatorKind::kBfsSharing) mix.distance_weight = 0.0;
+  if (kind != EstimatorKind::kMonteCarlo) mix.distance_weight = 0.0;
+  if (kind == EstimatorKind::kProbTree) {
+    mix.top_k_weight = 0.0;
+    mix.reliable_set_weight = 0.0;
+  }
   mix.pairs.num_pairs = 100;
   mix.pairs.seed = 7;
   mix.num_queries = 200;
@@ -226,7 +236,8 @@ int main(int argc, char** argv) {
                 persist_dir.c_str(), cold_start_ms,
                 IndexSource(engine->metrics()));
   } else if (!persist_dir.empty()) {
-    std::printf("persistence: dir %s unused, the %s estimator has no index\n",
+    std::printf("persistence: dir %s unused, the %s estimator has no index "
+                "to persist\n",
                 persist_dir.c_str(), EstimatorKindName(kind));
   }
   std::printf(
@@ -372,9 +383,9 @@ int main(int argc, char** argv) {
     std::printf("\nwrote metrics scrape to %s\n", stats_json_path.c_str());
   }
 
-  // Restart cycle (--persist-dir, BFS Sharing): destroy the engine and
-  // recreate it from disk; its cold start maps the index the first Create
-  // published instead of rebuilding it.
+  // Restart cycle (--persist-dir, ProbTree): destroy the engine and
+  // recreate it from disk; its cold start restores the index the first
+  // Create published instead of rebuilding it.
   if (engine->persist_store() != nullptr) {
     engine.reset();
     Timer restart_timer;

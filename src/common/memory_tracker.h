@@ -95,15 +95,17 @@ class ScopedAllocation {
 ///
 /// Summing Estimator::IndexMemoryBytes() over replicas double-counts an index
 /// they share: N replicas over one immutable index hold one copy, not N. This
-/// report splits the footprint so each distinct shared index is counted once
-/// (keyed by Estimator::SharedIndexIdentity) and replica-private index bytes
-/// are summed per replica. Computed by ReportIndexMemory (estimator_factory).
+/// report splits the footprint so each index that two or more replicas hold
+/// is counted once (keyed by Estimator::SharedIndexIdentity) and the bytes
+/// each replica holds alone are summed per replica. Computed by
+/// ReportIndexMemory (estimator_factory).
 struct IndexMemoryReport {
-  /// Bytes of distinct shared immutable indexes, each counted once.
+  /// Bytes of distinct indexes held by two or more replicas, each counted
+  /// once.
   size_t shared_bytes = 0;
-  /// Sum of replica-private (unshared) index bytes across all replicas.
+  /// Sum of the index bytes each replica holds alone, across all replicas.
   size_t replica_bytes = 0;
-  /// Number of distinct shared indexes observed.
+  /// Number of distinct indexes held by two or more replicas.
   size_t shared_indexes = 0;
   /// Bytes of ready-but-unadopted prebuilt generations (the
   /// GenerationPrebuilder's ready pool) — index-sized artifacts resident

@@ -146,6 +146,15 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
   if (opts.num_samples == 0) {
     return Status::InvalidArgument("EngineOptions::num_samples must be > 0");
   }
+  // A BFS Sharing budget above the L worlds a generation stores would fail
+  // every s != t query after a full O(L·m) prepare.
+  if (opts.kind == EstimatorKind::kBfsSharing &&
+      opts.num_samples > opts.factory.bfs_sharing.index_samples) {
+    return Status::InvalidArgument(
+        StrFormat("EngineOptions::num_samples K=%u exceeds the BFS Sharing "
+                  "index's L=%u worlds",
+                  opts.num_samples, opts.factory.bfs_sharing.index_samples));
+  }
   // The registry exists before anything else so the persistence tier's
   // recovery counters capture the snapshot restore that happens *before*
   // the engine object does.
@@ -159,42 +168,26 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     RELCOMP_ASSIGN_OR_RETURN(store,
                              PersistentStore::Open(opts.persist_dir,
                                                    registry.get()));
-    // O(1) cold start: hand the factory the snapshot's index so the
-    // replica build below maps instead of rebuilding. An absent, corrupt,
-    // version-refused, or mismatched snapshot, or one without this kind's
-    // index, leaves it null — the factory then rebuilds from source,
-    // bit-identically, and the rebuilt index is published below.
-    SnapshotArtifacts artifacts = store->OpenSnapshot(graph, opts.factory);
-    if (opts.kind == EstimatorKind::kBfsSharing) {
-      opts.factory.preloaded_bfs_index = std::move(artifacts.bfs_index);
-      snapshot_restored = opts.factory.preloaded_bfs_index != nullptr;
-    } else {
-      opts.factory.preloaded_prob_tree = std::move(artifacts.prob_tree);
-      snapshot_restored = opts.factory.preloaded_prob_tree != nullptr;
-    }
+    // Hand the factory the snapshot's index so the replica build below
+    // restores instead of rebuilding. An absent, corrupt, version-refused,
+    // or mismatched snapshot, or one without this kind's index, leaves it
+    // null — the factory then rebuilds from source, bit-identically, and
+    // the rebuilt index is published below.
+    opts.factory.preloaded_prob_tree =
+        store->OpenSnapshot(graph, opts.factory).prob_tree;
+    snapshot_restored = opts.factory.preloaded_prob_tree != nullptr;
     store->CountRecovered(snapshot_restored);
   }
-  // One shared immutable index for all replicas of an index-carrying kind
-  // (built inside the factory), private scratch per replica. The replicas
-  // know the budget, so BFS Sharing ones prepare only the worlds it reads.
+  // One shared immutable index for all ProbTree replicas (built inside the
+  // factory), private scratch per replica. BFS Sharing replicas start with
+  // no generation; they know the budget, so each prepares only the worlds
+  // it reads.
   RELCOMP_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<Estimator>> replicas,
       MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory,
                             opts.num_samples));
-  // A budget above the index's L worlds would fail every s != t query after
-  // a full O(L·m) prepare. The replicas' index decides, not the factory
-  // option: a preloaded index carries its own L.
-  if (const auto* bfs =
-          dynamic_cast<const BfsSharingEstimator*>(replicas.front().get());
-      bfs != nullptr && opts.num_samples > bfs->index_samples()) {
-    return Status::InvalidArgument(
-        StrFormat("EngineOptions::num_samples K=%u exceeds the BFS Sharing "
-                  "index's L=%u worlds",
-                  opts.num_samples, bfs->index_samples()));
-  }
-  // The preloaded artifacts were consumed by the replica build; the engine
-  // keeps its options free of them (they pin the snapshot mapping).
-  opts.factory.preloaded_bfs_index.reset();
+  // The preloaded index was consumed by the replica build; the engine keeps
+  // its options free of it.
   opts.factory.preloaded_prob_tree.reset();
   std::unique_ptr<QueryEngine> engine(
       new QueryEngine(graph, std::move(opts), std::move(registry),
@@ -208,20 +201,12 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
 }
 
 Status QueryEngine::PersistSnapshot() {
-  // Called from Create only, while every replica still reads the shared
-  // Create-time index: a BFS Sharing one holds all L worlds, unlike the
-  // generations the replicas prepare later, which AppendBlock refuses.
-  const BfsSharingIndex* bfs_index = nullptr;
-  const ProbTreeIndex* prob_tree = nullptr;
-  if (const auto* bfs =
-          dynamic_cast<const BfsSharingEstimator*>(replicas_.front().get())) {
-    bfs_index = bfs->shared_index().get();
-  }
-  if (const auto* pt =
-          dynamic_cast<const ProbTreeEstimator*>(replicas_.front().get())) {
-    prob_tree = pt->shared_index().get();
-  }
-  return store_->WriteSnapshot(graph_, options_.factory, bfs_index, prob_tree);
+  // A store exists only for the ProbTree kinds (HasSharedIndex).
+  const auto* prob_tree =
+      dynamic_cast<const ProbTreeEstimator*>(replicas_.front().get());
+  return store_->WriteSnapshot(
+      graph_, options_.factory,
+      prob_tree == nullptr ? nullptr : prob_tree->shared_index().get());
 }
 
 uint64_t QueryEngine::QuerySeed(const EngineQuery& query) const {

@@ -81,13 +81,13 @@ struct EngineOptions {
   double default_deadline_ms = 0.0;
   /// Directory of the checksummed index snapshot (src/persist/; see
   /// src/engine/README.md, "Restart semantics"); empty (the default)
-  /// disables it, and so does a kind without an index (MC, RHH, RSS, LP+).
-  /// With a valid snapshot present, Create cold-starts in O(1) by mmapping
-  /// the index sections instead of rebuilding; a corrupt or mismatched
-  /// snapshot degrades to rebuild-from-source (detected, counted, never
-  /// fatal) and a fresh snapshot is published for the next restart. Answers
-  /// are bit-identical either way: a restored index feeds the same
-  /// content-derived seed machinery as a freshly built one.
+  /// disables it, and so does every kind but the ProbTree ones
+  /// (HasSharedIndex): MC, RHH, RSS and LP+ have no index, and BFS Sharing
+  /// builds no generation at Create. With a valid snapshot present, Create
+  /// restores the ProbTree index from it instead of rebuilding; a corrupt or
+  /// mismatched snapshot degrades to rebuild-from-source (detected, counted,
+  /// never fatal) and a fresh snapshot is published for the next restart.
+  /// Answers are bit-identical either way: the index is seed-free.
   std::string persist_dir;
   /// \name Observability (see src/obs/README.md)
   /// Tracing is never part of the determinism contract: answers are
@@ -258,7 +258,7 @@ class QueryEngine {
   obs::Tracer& tracer() const { return *tracer_; }
 
   /// The snapshot store; nullptr when persistence is off or the kind has no
-  /// index.
+  /// shared index (HasSharedIndex).
   const PersistentStore* persist_store() const { return store_.get(); }
 
  private:
@@ -445,7 +445,7 @@ class QueryEngine {
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::Tracer> tracer_;
   /// Snapshot store; nullptr when persist_dir is empty or the kind has no
-  /// index. Declared after the registry, which holds its counters.
+  /// shared index. Declared after the registry, which holds its counters.
   std::unique_ptr<PersistentStore> store_;
   std::vector<std::unique_ptr<Estimator>> replicas_;
   /// What the replicas' estimator kind answers beyond s-t.

@@ -16,10 +16,10 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 
 /// Section ids of the engine snapshot. The container itself is agnostic —
 /// any (id, payload) pair round-trips — these are the ids PersistentStore
-/// writes. Id 2 is retired: older snapshots carried the graph there, and
-/// readers, which find sections by id, never look at it.
+/// writes. Ids 2 and 3 are retired: older snapshots carried the graph in 2
+/// and a BFS Sharing generation in 3, and readers, which find sections by
+/// id, never look at either.
 inline constexpr uint32_t kSectionManifest = 1;
-inline constexpr uint32_t kSectionBfsIndex = 3;
 inline constexpr uint32_t kSectionProbTree = 4;
 
 /// \brief Builds and atomically publishes one snapshot container.
@@ -31,9 +31,7 @@ inline constexpr uint32_t kSectionProbTree = 4;
 ///                itself — 32 bytes.
 ///   SectionTable one 32-byte entry per section: id, payload CRC32C,
 ///                offset, length.
-///   Payloads     each aligned to a 64-byte boundary (zero padding), so an
-///                mmap'd section starts 8-byte aligned for zero-copy u64
-///                access.
+///   Payloads     each aligned to a 64-byte boundary (zero padding).
 ///
 /// Commit() publishes atomically: the full image is written to `<path>.tmp`,
 /// fsync'd, renamed over `path`, and the directory fsync'd — a crash at any
@@ -68,8 +66,8 @@ class SnapshotWriter {
 /// size, section-table CRC, and every section's payload CRC32C — so a
 /// successful open hands out sections whose bytes are proven intact, and a
 /// single flipped bit anywhere fails the open with kIOError. Sections are
-/// zero-copy views into the read-only mapping; backing() keeps the mapping
-/// alive for consumers (e.g. an mmap'd index) that outlive the reader.
+/// zero-copy views into the read-only mapping, valid while the reader
+/// lives.
 class SnapshotReader {
  public:
   struct Section {
@@ -92,10 +90,6 @@ class SnapshotReader {
   /// The section with `id`, or nullptr.
   const Section* Find(uint32_t id) const;
   const std::vector<Section>& sections() const { return sections_; }
-
-  /// Shared handle on the underlying mapping; a section's bytes stay valid
-  /// exactly as long as a copy of this handle lives.
-  const std::shared_ptr<const void>& backing() const { return backing_; }
 
   size_t file_size() const { return file_size_; }
 

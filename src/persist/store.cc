@@ -14,7 +14,8 @@ namespace relcomp {
 
 namespace {
 
-constexpr uint32_t kManifestFlagBfs = 1u << 0;
+/// Bit 0 is retired: older snapshots set it for a BFS Sharing section (id
+/// 3). It is written as 0 and never read.
 constexpr uint32_t kManifestFlagProbTree = 1u << 1;
 
 /// The identity a snapshot was built for. A snapshot is applied only when
@@ -26,7 +27,6 @@ struct Manifest {
   uint64_t num_edges = 0;
   uint64_t index_seed = 0;
   uint32_t flags = 0;
-  uint32_t bfs_samples = 0;
   uint32_t prob_tree_width = 0;
   uint32_t prob_tree_max_distance = 0;
   uint8_t prob_tree_distance_distributions = 0;
@@ -40,7 +40,7 @@ std::string SerializeManifest(const Manifest& m) {
   writer.PutU64(m.num_edges);
   writer.PutU64(m.index_seed);
   writer.PutU32(m.flags);
-  writer.PutU32(m.bfs_samples);
+  writer.PutU32(0);  // retired: BFS Sharing's L
   writer.PutU32(m.prob_tree_width);
   writer.PutU32(m.prob_tree_max_distance);
   writer.PutU8(m.prob_tree_distance_distributions);
@@ -50,24 +50,23 @@ std::string SerializeManifest(const Manifest& m) {
 
 bool ParseManifest(const void* data, size_t size, Manifest* m) {
   WireReader reader(data, size);
+  uint32_t retired = 0;
   return reader.ReadU64(&m->fingerprint) && reader.ReadU64(&m->num_nodes) &&
          reader.ReadU64(&m->num_edges) && reader.ReadU64(&m->index_seed) &&
-         reader.ReadU32(&m->flags) && reader.ReadU32(&m->bfs_samples) &&
+         reader.ReadU32(&m->flags) && reader.ReadU32(&retired) &&
          reader.ReadU32(&m->prob_tree_width) &&
          reader.ReadU32(&m->prob_tree_max_distance) &&
          reader.ReadU8(&m->prob_tree_distance_distributions);
 }
 
 Manifest ManifestFor(const UncertainGraph& graph, const FactoryOptions& options,
-                     bool with_bfs, bool with_prob_tree) {
+                     bool with_prob_tree) {
   Manifest m;
   m.fingerprint = GraphFingerprint(graph);
   m.num_nodes = graph.num_nodes();
   m.num_edges = graph.num_edges();
   m.index_seed = options.index_seed;
-  m.flags = (with_bfs ? kManifestFlagBfs : 0) |
-            (with_prob_tree ? kManifestFlagProbTree : 0);
-  m.bfs_samples = with_bfs ? options.bfs_sharing.index_samples : 0;
+  m.flags = with_prob_tree ? kManifestFlagProbTree : 0;
   m.prob_tree_width = with_prob_tree ? options.prob_tree.width : 0;
   m.prob_tree_max_distance =
       with_prob_tree ? options.prob_tree.max_distance : 0;
@@ -78,15 +77,15 @@ Manifest ManifestFor(const UncertainGraph& graph, const FactoryOptions& options,
   return m;
 }
 
+/// True when `have` was built for the graph and options `want` records:
+/// graph identity and index seed always, the ProbTree configuration when
+/// `have` carries a ProbTree index.
 bool ManifestMatches(const Manifest& have, const Manifest& want) {
   return have.fingerprint == want.fingerprint &&
          have.num_nodes == want.num_nodes &&
          have.num_edges == want.num_edges &&
          have.index_seed == want.index_seed &&
-         (have.flags & want.flags) == want.flags &&
-         (!(want.flags & kManifestFlagBfs) ||
-          have.bfs_samples == want.bfs_samples) &&
-         (!(want.flags & kManifestFlagProbTree) ||
+         (!(have.flags & kManifestFlagProbTree) ||
           (have.prob_tree_width == want.prob_tree_width &&
            have.prob_tree_max_distance == want.prob_tree_max_distance &&
            have.prob_tree_distance_distributions ==
@@ -129,17 +128,10 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
 
 Status PersistentStore::WriteSnapshot(const UncertainGraph& graph,
                                       const FactoryOptions& options,
-                                      const BfsSharingIndex* bfs_index,
                                       const ProbTreeIndex* prob_tree) {
-  const Manifest manifest = ManifestFor(graph, options, bfs_index != nullptr,
-                                        prob_tree != nullptr);
+  const Manifest manifest = ManifestFor(graph, options, prob_tree != nullptr);
   SnapshotWriter writer;
   writer.AddSection(kSectionManifest, SerializeManifest(manifest));
-  if (bfs_index != nullptr) {
-    std::string payload;
-    RELCOMP_RETURN_NOT_OK(bfs_index->AppendBlock(&payload));
-    writer.AddSection(kSectionBfsIndex, std::move(payload));
-  }
   if (prob_tree != nullptr) {
     std::string payload;
     prob_tree->AppendBlock(&payload);
@@ -188,47 +180,14 @@ SnapshotArtifacts PersistentStore::OpenSnapshot(const UncertainGraph& graph,
     QuarantineSnapshot(Status::IOError("snapshot manifest missing/malformed"));
     return artifacts;
   }
-  // Restore exactly the sections the snapshot carries, each validated
-  // against the caller's configuration for that section; graph identity and
-  // index seed must always match.
-  Manifest need = ManifestFor(graph, options, /*with_bfs=*/true,
-                              /*with_prob_tree=*/true);
-  need.flags = manifest.flags;
-  need.bfs_samples = (manifest.flags & kManifestFlagBfs)
-                         ? options.bfs_sharing.index_samples
-                         : 0;
-  need.prob_tree_width = (manifest.flags & kManifestFlagProbTree)
-                             ? options.prob_tree.width
-                             : 0;
-  need.prob_tree_max_distance = (manifest.flags & kManifestFlagProbTree)
-                                    ? options.prob_tree.max_distance
-                                    : 0;
-  need.prob_tree_distance_distributions =
-      (manifest.flags & kManifestFlagProbTree) &&
-              options.prob_tree.precompute_distance_distributions
-          ? 1
-          : 0;
-  if (!ManifestMatches(manifest, need)) {
+  if (!ManifestMatches(manifest,
+                       ManifestFor(graph, options, /*with_prob_tree=*/true))) {
     // Built for a different graph or configuration: not corruption — the
     // bytes are intact — so leave the file alone and rebuild from source.
     Count(snapshot_mismatch_);
     return artifacts;
   }
 
-  if (manifest.flags & kManifestFlagBfs) {
-    const SnapshotReader::Section* section = reader->Find(kSectionBfsIndex);
-    if (section == nullptr) {
-      QuarantineSnapshot(Status::IOError("BFS section missing"));
-      return artifacts;
-    }
-    Result<std::shared_ptr<BfsSharingIndex>> index = BfsSharingIndex::FromBlock(
-        graph, section->data, section->size, reader->backing());
-    if (!index.ok()) {
-      QuarantineSnapshot(index.status());
-      return artifacts;
-    }
-    artifacts.bfs_index = index.MoveValue();
-  }
   if (manifest.flags & kManifestFlagProbTree) {
     const SnapshotReader::Section* section = reader->Find(kSectionProbTree);
     if (section == nullptr) {

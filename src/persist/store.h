@@ -16,15 +16,12 @@ namespace relcomp {
 /// ever a hard error on the cold-start path.
 struct SnapshotArtifacts {
   bool valid = false;
-  /// Mmap-backed BFS Sharing generation (null when the snapshot carries no
-  /// BFS section). Shares the snapshot mapping — O(1) cold start.
-  std::shared_ptr<const BfsSharingIndex> bfs_index;
   /// Restored ProbTree index (null when absent).
   std::shared_ptr<const ProbTreeIndex> prob_tree;
 };
 
 /// \brief The engine's crash-safe persistence root: one checksummed snapshot
-/// of the shared index (`<dir>/snapshot.relsnap`).
+/// of the shared ProbTree index (`<dir>/snapshot.relsnap`).
 ///
 /// Recovery policy (see src/persist/README.md, "Recovery policy"):
 ///  - every corruption mode is *detected* (per-section CRC32C, header and
@@ -46,12 +43,11 @@ class PersistentStore {
 
   const std::string& snapshot_path() const { return snapshot_path_; }
 
-  /// Writes and atomically publishes a snapshot of whichever indexes are
-  /// non-null, under a manifest recording the graph fingerprint and the
-  /// index configuration in `options`.
+  /// Writes and atomically publishes a snapshot of `prob_tree` (a manifest
+  /// only when it is null), under a manifest recording the graph
+  /// fingerprint and the index configuration in `options`.
   Status WriteSnapshot(const UncertainGraph& graph,
                        const FactoryOptions& options,
-                       const BfsSharingIndex* bfs_index,
                        const ProbTreeIndex* prob_tree);
 
   /// Opens the snapshot and restores its artifacts if it is intact AND was

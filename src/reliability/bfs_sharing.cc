@@ -41,8 +41,6 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
   index->num_edges_ = graph.num_edges();
   index->words_per_edge_ = WordsPerEdge(options.index_samples, num_worlds);
   index->words_.assign(index->num_edges_ * index->words_per_edge_, 0);
-  index->words_data_ = index->words_.data();
-  index->num_words_ = index->words_.size();
   index->Resample(graph, seed, coins);
   build_count_.fetch_add(1, std::memory_order_relaxed);
   return index;
@@ -51,16 +49,6 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::Build(
 void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed,
                                CoinPass* coins) {
   Timer timer;
-  // A mapped generation reads its words out of a read-only snapshot
-  // mapping; materialize a private copy before the first in-place refill.
-  // (The engine never takes this path — replicas over a shared mapped
-  // generation have no ownership and swap to fresh builds — but direct
-  // index users must not be able to scribble on the mapping.)
-  if (backing_ != nullptr) {
-    words_.assign(words_data_, words_data_ + num_words_);
-    words_data_ = words_.data();
-    backing_.reset();
-  }
   // One RNG stream over the edges in id order, filled in two passes. The
   // serial pass fills the edges whose draw count depends on the draws (the
   // geometric ones) and, for each edge that draws exactly L coins, records
@@ -100,7 +88,7 @@ void BfsSharingIndex::Resample(const UncertainGraph& graph, uint64_t seed,
 }
 
 size_t BfsSharingIndex::MemoryBytes() const {
-  return num_words_ * sizeof(uint64_t);
+  return words_.size() * sizeof(uint64_t);
 }
 
 Status BfsSharingIndex::AppendBlock(std::string* out) const {
@@ -112,15 +100,14 @@ Status BfsSharingIndex::AppendBlock(std::string* out) const {
   }
   WireWriter writer(out);
   writer.PutU32(num_samples_);
-  writer.PutU32(0);  // pad: keeps the word block 8-byte aligned
+  writer.PutU32(0);  // pad
   writer.PutU64(num_edges_);
-  writer.PutBytes(words_data_, num_words_ * sizeof(uint64_t));
+  writer.PutBytes(words_.data(), words_.size() * sizeof(uint64_t));
   return Status::OK();
 }
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
-    const UncertainGraph& graph, const void* data, size_t size,
-    std::shared_ptr<const void> backing) {
+    const UncertainGraph& graph, const void* data, size_t size) {
   WireReader reader(data, size);
   uint32_t l = 0, pad = 0;
   uint64_t m = 0;
@@ -147,19 +134,9 @@ Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::FromBlock(
   index->num_samples_ = l;
   index->num_edges_ = m;
   index->words_per_edge_ = words_per_edge;
-  index->num_words_ = num_words;
-  const uint8_t* words = reader.cursor();
-  if (backing != nullptr &&
-      reinterpret_cast<uintptr_t>(words) % alignof(uint64_t) == 0) {
-    // Zero-copy: read the worlds straight out of the mapped block. This is
-    // the O(1) cold-start path — no word is touched until a BFS reads it.
-    index->words_data_ = reinterpret_cast<const uint64_t*>(words);
-    index->backing_ = std::move(backing);
-  } else {
-    index->words_.resize(num_words);
-    std::memcpy(index->words_.data(), words, num_words * sizeof(uint64_t));
-    index->words_data_ = index->words_.data();
-  }
+  index->words_.resize(num_words);
+  std::memcpy(index->words_.data(), reader.cursor(),
+              num_words * sizeof(uint64_t));
   index->build_seconds_ = timer.ElapsedSeconds();
   build_count_.fetch_add(1, std::memory_order_relaxed);
   return index;
@@ -173,28 +150,50 @@ Status BfsSharingIndex::SaveToFile(const std::string& path) const {
 
 Result<std::shared_ptr<BfsSharingIndex>> BfsSharingIndex::LoadFromFile(
     const UncertainGraph& graph, const std::string& path) {
-  auto bytes = std::make_shared<std::string>();
-  RELCOMP_RETURN_NOT_OK(ReadFileBytes(path, bytes.get()));
-  if (bytes->size() < sizeof(kIndexMagic) ||
-      std::memcmp(bytes->data(), kIndexMagic, sizeof(kIndexMagic)) != 0) {
+  std::string bytes;
+  RELCOMP_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  if (bytes.size() < sizeof(kIndexMagic) ||
+      std::memcmp(bytes.data(), kIndexMagic, sizeof(kIndexMagic)) != 0) {
     return Status::IOError("not a BFS Sharing index: " + path);
   }
-  // The generation reads its words in place out of the file buffer it keeps
-  // alive, so a load holds one copy of them (Figure 13c times this).
-  return FromBlock(graph, bytes->data() + sizeof(kIndexMagic),
-                   bytes->size() - sizeof(kIndexMagic), bytes);
+  return FromBlock(graph, bytes.data() + sizeof(kIndexMagic),
+                   bytes.size() - sizeof(kIndexMagic));
 }
 
-BfsSharingEstimator::BfsSharingEstimator(
-    const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index,
-    uint32_t num_worlds)
+BfsSharingEstimator::BfsSharingEstimator(const UncertainGraph& graph,
+                                         const BfsSharingOptions& options,
+                                         uint32_t num_worlds)
     : graph_(graph),
+      options_(options),
       num_worlds_(num_worlds),
-      index_(std::move(index)),
       worlds_(graph.num_nodes()),
       ring_(graph.num_nodes()),
-      touched_(graph.num_nodes()) {
-  options_.index_samples = shared_index()->num_samples();
+      touched_(graph.num_nodes()) {}
+
+void BfsSharingEstimator::Install(std::shared_ptr<BfsSharingIndex> generation) {
+  index_.store(std::shared_ptr<const BfsSharingIndex>(generation),
+               std::memory_order_release);
+  owned_ = std::move(generation);
+}
+
+Result<std::shared_ptr<const BfsSharingIndex>>
+BfsSharingEstimator::Generation() const {
+  std::shared_ptr<const BfsSharingIndex> index = shared_index();
+  if (index == nullptr) {
+    return Status::FailedPrecondition(
+        "BFS Sharing: no generation before the first prepare or adoption");
+  }
+  return index;
+}
+
+std::unique_ptr<BfsSharingEstimator> BfsSharingEstimator::Bare(
+    const UncertainGraph& graph, std::shared_ptr<BfsSharingIndex> generation) {
+  BfsSharingOptions options;
+  options.index_samples = generation->num_samples();
+  std::unique_ptr<BfsSharingEstimator> estimator(
+      new BfsSharingEstimator(graph, options, /*num_worlds=*/0));
+  estimator->Install(std::move(generation));
+  return estimator;
 }
 
 Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
@@ -202,27 +201,17 @@ Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
     uint64_t index_seed) {
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> index,
                            BfsSharingIndex::Build(graph, options, index_seed));
-  RELCOMP_ASSIGN_OR_RETURN(std::unique_ptr<BfsSharingEstimator> estimator,
-                           Create(graph, index));
-  // Privately built: keep the mutable handle so PrepareForNextQuery can
-  // resample in place instead of allocating fresh generations.
-  estimator->owned_ = std::move(index);
-  return estimator;
+  return Bare(graph, std::move(index));
 }
 
-Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::Create(
-    const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index,
+Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::CreateReplica(
+    const UncertainGraph& graph, const BfsSharingOptions& options,
     uint32_t num_samples) {
-  if (index == nullptr) {
-    return Status::InvalidArgument("BFS Sharing: index must not be null");
-  }
-  if (index->num_edges() != graph.num_edges()) {
-    return Status::InvalidArgument(
-        StrFormat("BFS Sharing: index has %zu edges, graph has %zu",
-                  index->num_edges(), graph.num_edges()));
+  if (options.index_samples == 0) {
+    return Status::InvalidArgument("BFS Sharing: index_samples must be positive");
   }
   return std::unique_ptr<BfsSharingEstimator>(
-      new BfsSharingEstimator(graph, std::move(index), num_samples));
+      new BfsSharingEstimator(graph, options, num_samples));
 }
 
 Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
@@ -246,15 +235,14 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
     owned_->Resample(graph_, seed, coins);
     return Status::OK();
   }
-  // Generation swap: replicas sharing the old generation keep reading it
-  // untouched; this replica alone moves to the fresh worlds. The old
-  // generation is freed when its last reader lets go.
+  // Generation swap (or this replica's first generation): replicas sharing
+  // the old generation keep reading it untouched; this replica alone moves
+  // to the fresh worlds. The old generation is freed when its last reader
+  // lets go.
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> fresh,
                            BfsSharingIndex::Build(graph_, options_, seed,
                                                   coins, num_worlds_));
-  index_.store(std::shared_ptr<const BfsSharingIndex>(fresh),
-               std::memory_order_release);
-  owned_ = std::move(fresh);
+  Install(std::move(fresh));
   return Status::OK();
 }
 
@@ -274,7 +262,9 @@ BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed,
 
 Result<std::shared_ptr<const PreparedGeneration>>
 BfsSharingEstimator::CurrentPreparedGeneration() const {
-  return std::shared_ptr<const PreparedGeneration>(shared_index());
+  RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<const BfsSharingIndex> index,
+                           Generation());
+  return std::shared_ptr<const PreparedGeneration>(std::move(index));
 }
 
 Status BfsSharingEstimator::AdoptPreparedGeneration(
@@ -292,18 +282,23 @@ Status BfsSharingEstimator::AdoptPreparedGeneration(
     return Status::InvalidArgument(
         "BFS Sharing: prepared generation shape mismatch");
   }
-  // Same publication order as PrepareForNextQuery's swap path: readers of
-  // index_ move to the adopted worlds. Every generation is constructed
-  // mutable (Build, LoadFromFile, FromBlock), so the writable handle is
-  // sound; PrepareForNextQuery's use_count guard decides whether it may be
-  // written, so adopting never makes a generation writable under a reader.
-  owned_ = std::const_pointer_cast<BfsSharingIndex>(index);
-  index_.store(std::move(index), std::memory_order_release);
+  // Same publication as PrepareForNextQuery's swap path: readers of index_
+  // move to the adopted worlds. Every generation is constructed mutable
+  // (Build, FromBlock), so the writable handle is sound; PrepareForNextQuery's
+  // use_count guard decides whether it may be written, so adopting never
+  // makes a generation writable under a reader.
+  Install(std::const_pointer_cast<BfsSharingIndex>(std::move(index)));
   return Status::OK();
 }
 
 size_t BfsSharingEstimator::IndexMemoryBytes() const {
-  return shared_index()->MemoryBytes();
+  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
+  return index == nullptr ? 0 : index->MemoryBytes();
+}
+
+double BfsSharingEstimator::index_build_seconds() const {
+  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
+  return index == nullptr ? 0.0 : index->build_seconds();
 }
 
 size_t BfsSharingEstimator::ScratchBytes() const {
@@ -314,13 +309,14 @@ size_t BfsSharingEstimator::ScratchBytes() const {
 Result<double> BfsSharingEstimator::DoEstimate(const ReliabilityQuery& query,
                                                const EstimateOptions& options,
                                                MemoryTracker* memory) {
+  RELCOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const BfsSharingIndex> index,
+                           Generation());
   const NodeId s = query.source;
   const NodeId t = query.target;
   const uint32_t k = options.num_samples;
   if (s == t) return 1.0;
 
   ScopedAllocation working(memory, ScratchBytes());
-  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
   uint32_t hits = 0;
   auto collect = [&](NodeId v, uint32_t worlds) {
     if (v == t) hits += worlds;
@@ -332,12 +328,13 @@ Result<double> BfsSharingEstimator::DoEstimate(const ReliabilityQuery& query,
 
 Result<std::vector<double>> BfsSharingEstimator::ReliabilityFromSource(
     NodeId source, uint32_t num_samples, MemoryTracker* memory) {
+  RELCOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const BfsSharingIndex> index,
+                           Generation());
   if (!graph_.HasNode(source)) {
     return Status::InvalidArgument("BFS Sharing: source out of range");
   }
   ScopedAllocation working(
       memory, ScratchBytes() + graph_.num_nodes() * sizeof(double));
-  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
   // Sums of popcounts stay integers far below 2^53, so each entry is the
   // exact world count until the one division below. Only the entries some
   // world reached are divided: every other one stays +0.0, which is 0 / K.
@@ -359,6 +356,8 @@ Result<std::vector<double>> BfsSharingEstimator::ReliabilityFromSource(
 Result<std::vector<uint32_t>> BfsSharingEstimator::SourceHitCountsInWorldRange(
     NodeId source, uint32_t world_offset, uint32_t world_count,
     MemoryTracker* memory) {
+  RELCOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const BfsSharingIndex> index,
+                           Generation());
   if (!graph_.HasNode(source)) {
     return Status::InvalidArgument("BFS Sharing: source out of range");
   }
@@ -366,7 +365,6 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::SourceHitCountsInWorldRange(
       memory, ScratchBytes() + graph_.num_nodes() * sizeof(uint32_t));
   std::vector<uint32_t> hits(graph_.num_nodes(), 0);
   if (world_count == 0) return hits;
-  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
   auto collect = [&](NodeId v, uint32_t worlds) { hits[v] += worlds; };
   RELCOMP_RETURN_NOT_OK(
       RunSharedBfs(*index, source, world_offset, world_count, collect));
@@ -379,7 +377,8 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::EstimateSweepStratumHits(
   if (num_strata == 0 || stratum >= num_strata) {
     return Status::InvalidArgument("sweep stratum: index out of range");
   }
-  const std::shared_ptr<const BfsSharingIndex> index = shared_index();
+  RELCOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const BfsSharingIndex> index,
+                           Generation());
   if (options.num_samples == 0 ||
       options.num_samples > index->stored_worlds()) {
     return Status::InvalidArgument(
@@ -471,17 +470,16 @@ Status BfsSharingEstimator::RunSharedBfs(const BfsSharingIndex& index, NodeId s,
 }
 
 Status BfsSharingEstimator::SaveToFile(const std::string& path) const {
-  return shared_index()->SaveToFile(path);
+  RELCOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const BfsSharingIndex> index,
+                           Generation());
+  return index->SaveToFile(path);
 }
 
 Result<std::unique_ptr<BfsSharingEstimator>> BfsSharingEstimator::LoadFromFile(
     const UncertainGraph& graph, const std::string& path) {
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<BfsSharingIndex> index,
                            BfsSharingIndex::LoadFromFile(graph, path));
-  RELCOMP_ASSIGN_OR_RETURN(std::unique_ptr<BfsSharingEstimator> estimator,
-                           Create(graph, index));
-  estimator->owned_ = std::move(index);
-  return estimator;
+  return Bare(graph, std::move(index));
 }
 
 }  // namespace relcomp

@@ -24,14 +24,14 @@ struct BfsSharingOptions {
 /// Figure 3 (bit i = "edge exists in pre-sampled world i"), or the first
 /// words of each when the generation is narrowed to a query budget.
 ///
-/// Any number of estimator replicas may read a generation concurrently
-/// through a `shared_ptr<const BfsSharingIndex>` — the engine builds the
-/// index once for all worker threads instead of once per replica. A
-/// generation is also the PreparedGeneration replicas hand to each other.
-/// Resampling (BfsSharingEstimator::PrepareForNextQuery) refills a generation
-/// in place only while its replica is the last holder; otherwise it creates a
-/// *new* generation and swaps the pointer, and the old one is freed when its
-/// last reader drops it.
+/// A generation is also the PreparedGeneration replicas hand to each other:
+/// any number of replicas may read one concurrently through a
+/// `shared_ptr<const BfsSharingIndex>` (a sweep flight's stratum thieves
+/// adopt their leader's). Resampling (BfsSharingEstimator::
+/// PrepareForNextQuery) refills a generation in place only while its
+/// replica is the last holder; otherwise it creates a *new* generation and
+/// swaps the pointer, and the old one is freed when its last reader drops
+/// it.
 class BfsSharingIndex : public PreparedGeneration {
  public:
   /// Samples a fresh generation: O(L m) time, O(L m) space. Deterministic in
@@ -50,31 +50,22 @@ class BfsSharingIndex : public PreparedGeneration {
       uint64_t seed, CoinPass* coins = nullptr, uint32_t num_worlds = 0);
 
   /// Restores a generation persisted by SaveToFile (Figure 13c measures
-  /// this) through FromBlock's bounds checks, reading the words in place out
-  /// of the file buffer. The graph is needed only to validate the edge count.
+  /// this): reads the file, then parses it with FromBlock, which copies the
+  /// words. The graph is needed only to validate the edge count.
   static Result<std::shared_ptr<BfsSharingIndex>> LoadFromFile(
       const UncertainGraph& graph, const std::string& path);
 
-  /// Serializes this generation as a snapshot-section payload: {L u32,
-  /// pad u32, m u64} then the packed words verbatim. The word block starts
-  /// 16 bytes in, so inside a 64-byte-aligned snapshot section it is 8-byte
-  /// aligned for the zero-copy FromBlock path. A narrowed generation is
+  /// Serializes this generation as SaveToFile's payload: {L u32, pad u32,
+  /// m u64} then the packed words verbatim. A narrowed generation is
   /// refused (FailedPrecondition): the format holds all L worlds per edge.
   Status AppendBlock(std::string* out) const;
 
-  /// Reconstructs a generation from an AppendBlock payload — zero-copy when
-  /// `data` is 8-byte aligned: the generation reads the words directly out
-  /// of the (typically mmap'd) block and holds `backing` alive, which is
-  /// what makes snapshot cold-start O(1) instead of O(L m). A mapped
-  /// generation is never resampled through the block (Resample materializes
-  /// a private copy first), so the mapping stays read-only.
+  /// Reconstructs a generation from an AppendBlock payload into owned words,
+  /// refusing (IOError, or InvalidArgument for another edge count) a
+  /// truncated header, L = 0, and a word block of any other size. The
+  /// parser behind LoadFromFile.
   static Result<std::shared_ptr<BfsSharingIndex>> FromBlock(
-      const UncertainGraph& graph, const void* data, size_t size,
-      std::shared_ptr<const void> backing);
-
-  /// True when the words are read out of an external block (a snapshot
-  /// mapping or a loaded file's buffer) rather than owned memory.
-  bool mapped() const { return backing_ != nullptr; }
+      const UncertainGraph& graph, const void* data, size_t size);
 
   /// Refills every edge's worlds in place — bit-identical to a fresh
   /// Build(graph, options, seed) with this generation's L and width,
@@ -116,7 +107,7 @@ class BfsSharingIndex : public PreparedGeneration {
   /// stored_worlds() % 64 != 0) is kept zero so popcounts stay exact.
   size_t words_per_edge() const { return words_per_edge_; }
   const uint64_t* edge_words(EdgeId e) const {
-    return words_data_ + static_cast<size_t>(e) * words_per_edge_;
+    return words_.data() + static_cast<size_t>(e) * words_per_edge_;
   }
 
   /// Edge bit-vector bytes resident in memory.
@@ -127,8 +118,7 @@ class BfsSharingIndex : public PreparedGeneration {
 
   /// Process-wide count of Build()/LoadFromFile()/FromBlock() completions
   /// (in-place Resample()s make no new generation and are not counted). Lets
-  /// tests assert that N engine replicas triggered exactly one index
-  /// construction: a FromBlock when the engine restored a snapshot.
+  /// tests assert that an engine's Create builds no generation.
   static uint64_t BuildCount() {
     return build_count_.load(std::memory_order_relaxed);
   }
@@ -140,15 +130,8 @@ class BfsSharingIndex : public PreparedGeneration {
   double build_seconds_ = 0.0;
   size_t num_edges_ = 0;
   size_t words_per_edge_ = 0;
-  /// num_edges * words_per_edge words, edge blocks back to back — owned
-  /// storage for built/loaded generations, empty for mapped ones.
+  /// num_edges * words_per_edge words, edge blocks back to back.
   std::vector<uint64_t> words_;
-  /// The words every reader goes through: words_.data() for owned
-  /// generations, a pointer into `backing_` for mapped ones.
-  const uint64_t* words_data_ = nullptr;
-  size_t num_words_ = 0;
-  /// Keeps a mapped generation's snapshot mapping alive (null when owned).
-  std::shared_ptr<const void> backing_;
   static std::atomic<uint64_t> build_count_;
 };
 
@@ -169,40 +152,44 @@ class BfsSharingIndex : public PreparedGeneration {
 /// online time is O(K(m+n)) — it grows with K — not independent of K as
 /// claimed in [45].
 ///
-/// Memory split: the index generation is immutable and shareable across
-/// replicas (see BfsSharingIndex); only the per-query scratch (two words
-/// per node, the ring and the touched list) is private to this instance.
-/// The serving path is read-only on the index, so replicas sharing one
-/// generation answer concurrently without synchronization.
+/// Memory split: a generation is immutable while shared and may be read by
+/// several replicas at once (see BfsSharingIndex); only the per-query
+/// scratch (two words per node, the ring and the touched list) is private
+/// to this instance. The serving path is read-only on the generation, so
+/// replicas sharing one answer concurrently without synchronization.
 class BfsSharingEstimator : public Estimator {
  public:
-  /// Builds a private generation-0 index (O(L m) time, O(n + L m) space).
+  /// A bare estimator: builds a private whole-width generation 0 (O(L m)
+  /// time, O(n + L m) space), which answers until the first prepare.
   static Result<std::unique_ptr<BfsSharingEstimator>> Create(
       const UncertainGraph& graph, const BfsSharingOptions& options,
       uint64_t index_seed);
 
-  /// Wraps an existing (possibly shared) index generation — the replica path:
-  /// N estimators over one `shared_ptr<const>` index cost one build.
-  /// `num_samples`, when nonzero, is the budget K this replica's queries
-  /// read: every generation it prepares from then on is narrowed to K
-  /// (BfsSharingIndex::Build's `num_worlds`), so it tosses and stores only
-  /// the worlds those queries read, and answers as a whole-width estimator
-  /// would. `index` itself is read as it is.
-  static Result<std::unique_ptr<BfsSharingEstimator>> Create(
-      const UncertainGraph& graph, std::shared_ptr<const BfsSharingIndex> index,
-      uint32_t num_samples = 0);
+  /// An engine replica: holds no generation until its first
+  /// PrepareForNextQuery or AdoptPreparedGeneration, since the engine
+  /// prepares before every answer; until then every reader of the worlds
+  /// refuses with FailedPrecondition. `num_samples`, when nonzero, is the
+  /// budget K this replica's queries read: every generation it prepares is
+  /// narrowed to K (BfsSharingIndex::Build's `num_worlds`), so it tosses and
+  /// stores only the worlds those queries read, and answers as a
+  /// whole-width estimator would. L = 0 is refused (InvalidArgument).
+  static Result<std::unique_ptr<BfsSharingEstimator>> CreateReplica(
+      const UncertainGraph& graph, const BfsSharingOptions& options,
+      uint32_t num_samples);
 
-  /// Loads a previously saved index from `path` (Figure 13c measures this).
+  /// Loads a previously saved generation from `path` (Figure 13c measures
+  /// this) and answers from it until the first prepare.
   static Result<std::unique_ptr<BfsSharingEstimator>> LoadFromFile(
       const UncertainGraph& graph, const std::string& path);
 
-  /// Persists the current index generation to `path`.
+  /// Persists the current generation to `path`.
   Status SaveToFile(const std::string& path) const;
 
   std::string_view name() const override { return "BFSSharing"; }
   const UncertainGraph& graph() const override { return graph_; }
 
-  /// Edge bit-vector bytes resident in memory (the current generation).
+  /// Edge bit-vector bytes resident in memory (the current generation; 0
+  /// before the first prepare or adoption).
   size_t IndexMemoryBytes() const override;
   /// The whole index is held via a shareable immutable generation.
   size_t SharedIndexBytes() const override { return IndexMemoryBytes(); }
@@ -215,7 +202,7 @@ class BfsSharingEstimator : public Estimator {
   /// When this replica exclusively owns its generation, the worlds are
   /// refilled in place (zero allocation — the serving-path steady state);
   /// otherwise a fresh generation, as wide as this replica's budget (see
-  /// Create), is built and atomically swapped in, leaving generations still
+  /// CreateReplica), is built and atomically swapped in, leaving generations still
   /// referenced by other replicas untouched. Either way the coin pass runs
   /// on `coins` when given (see BfsSharingIndex::Resample), and the words
   /// are the same.
@@ -243,15 +230,15 @@ class BfsSharingEstimator : public Estimator {
   Status AdoptPreparedGeneration(
       std::shared_ptr<const PreparedGeneration> generation) override;
 
-  /// The generation this replica currently reads (atomic snapshot).
+  /// The generation this replica currently reads (atomic snapshot; null
+  /// before the first prepare or adoption).
   std::shared_ptr<const BfsSharingIndex> shared_index() const {
     return index_.load(std::memory_order_acquire);
   }
 
-  /// Seconds spent building (or loading) the current generation.
-  double index_build_seconds() const { return shared_index()->build_seconds(); }
-  /// L, the number of worlds stored per edge.
-  uint32_t index_samples() const { return options_.index_samples; }
+  /// Seconds spent building (or loading) the current generation; 0 with
+  /// none.
+  double index_build_seconds() const;
 
   /// One shared BFS, all targets at once: the reliability of every node from
   /// `source` over the first `num_samples` stored worlds (0 for nodes the
@@ -306,8 +293,19 @@ class BfsSharingEstimator : public Estimator {
 
  private:
   BfsSharingEstimator(const UncertainGraph& graph,
-                      std::shared_ptr<const BfsSharingIndex> index,
-                      uint32_t num_worlds);
+                      const BfsSharingOptions& options, uint32_t num_worlds);
+
+  /// A bare estimator that answers from `generation`, whole width, until
+  /// its first prepare (Create, LoadFromFile).
+  static std::unique_ptr<BfsSharingEstimator> Bare(
+      const UncertainGraph& graph, std::shared_ptr<BfsSharingIndex> generation);
+
+  /// Makes `generation` this replica's own and the one its readers read.
+  void Install(std::shared_ptr<BfsSharingIndex> generation);
+
+  /// The current generation, or FailedPrecondition before the first
+  /// prepare or adoption.
+  Result<std::shared_ptr<const BfsSharingIndex>> Generation() const;
 
   /// Core of Algorithms 2+3: the least fixpoint I_s = all worlds, I_v = the
   /// union over arcs (u, v) of I_u & E_uv, over the world slice
@@ -328,16 +326,15 @@ class BfsSharingEstimator : public Estimator {
   const UncertainGraph& graph_;
   BfsSharingOptions options_;
   /// The budget K the generations this replica prepares are narrowed to; 0
-  /// keeps them whole (see Create).
+  /// keeps them whole (see CreateReplica).
   const uint32_t num_worlds_;
-  /// Current generation. Atomic so QueryEngine::IndexMemory() readers may
-  /// observe the pointer while this replica's worker swaps generations;
-  /// readers never touch bit content (sizes only).
+  /// Current generation (null before the first). Atomic so
+  /// QueryEngine::IndexMemory() readers may observe the pointer while this
+  /// replica's worker swaps generations; readers never touch bit content
+  /// (sizes only).
   std::atomic<std::shared_ptr<const BfsSharingIndex>> index_;
-  /// Mutable handle to the current generation once this replica has
-  /// prepared or adopted it (Create-with-options, LoadFromFile, a generation
-  /// swap, or AdoptPreparedGeneration); nullptr while it still reads the
-  /// construction-time index the factory shares across replicas. In-place
+  /// Mutable handle to the current generation, the same object as index_'s;
+  /// nullptr exactly when this replica has no generation. In-place
   /// resampling needs use_count == 2: this handle plus the copy in index_.
   std::shared_ptr<BfsSharingIndex> owned_;
 

@@ -100,8 +100,8 @@ class PreparedGeneration {
   virtual ~PreparedGeneration() = default;
 
   /// Logical bytes this generation keeps resident (a BFS Sharing generation
-  /// is index-sized: the full L-bit-per-edge vectors). Lets memory reports
-  /// account prebuilt generations alongside the live index.
+  /// is index-sized: its words per edge times the edges). Lets memory
+  /// reports account prebuilt generations alongside the live index.
   virtual size_t MemoryBytes() const { return 0; }
 };
 

@@ -58,7 +58,6 @@ std::vector<EstimatorKind> TheSixEstimators() {
 
 bool HasSharedIndex(EstimatorKind kind) {
   switch (kind) {
-    case EstimatorKind::kBfsSharing:
     case EstimatorKind::kProbTree:
     case EstimatorKind::kProbTreeLpPlus:
     case EstimatorKind::kProbTreeRhh:
@@ -120,24 +119,20 @@ Result<std::vector<std::unique_ptr<Estimator>>> MakeEstimatorReplicas(
   std::vector<std::unique_ptr<Estimator>> replicas;
   replicas.reserve(count);
   switch (kind) {
-    // Index-carrying kinds: build the immutable index once, share it —
-    // unless the persistence tier preloaded one (snapshot cold-start).
+    // No generation yet: each replica prepares its own before its first
+    // answer.
     case EstimatorKind::kBfsSharing: {
-      std::shared_ptr<const BfsSharingIndex> index =
-          options.preloaded_bfs_index;
-      if (index == nullptr) {
-        RELCOMP_ASSIGN_OR_RETURN(
-            index, BfsSharingIndex::Build(graph, options.bfs_sharing,
-                                          options.index_seed));
-      }
       for (size_t i = 0; i < count; ++i) {
         RELCOMP_ASSIGN_OR_RETURN(
             std::unique_ptr<BfsSharingEstimator> replica,
-            BfsSharingEstimator::Create(graph, index, num_samples));
+            BfsSharingEstimator::CreateReplica(graph, options.bfs_sharing,
+                                               num_samples));
         replicas.push_back(std::move(replica));
       }
       return replicas;
     }
+    // Index-carrying kinds: build the immutable index once, share it —
+    // unless the persistence tier preloaded one (snapshot cold-start).
     case EstimatorKind::kProbTree:
     case EstimatorKind::kProbTreeLpPlus:
     case EstimatorKind::kProbTreeRhh:
@@ -169,15 +164,28 @@ Result<std::vector<std::unique_ptr<Estimator>>> MakeEstimatorReplicas(
 
 IndexMemoryReport ReportIndexMemory(
     const std::vector<std::unique_ptr<Estimator>>& replicas) {
+  // Each replica's identity is read once: a BFS Sharing worker may swap
+  // generations meanwhile.
+  std::vector<const void*> identities;
+  identities.reserve(replicas.size());
+  for (const std::unique_ptr<Estimator>& replica : replicas) {
+    identities.push_back(replica == nullptr ? nullptr
+                                            : replica->SharedIndexIdentity());
+  }
   IndexMemoryReport report;
   std::vector<const void*> seen;
-  for (const std::unique_ptr<Estimator>& replica : replicas) {
-    if (replica == nullptr) continue;
-    const void* identity = replica->SharedIndexIdentity();
-    const size_t shared = replica->SharedIndexBytes();
-    const size_t total = replica->IndexMemoryBytes();
-    report.replica_bytes += total - (identity != nullptr ? shared : 0);
-    if (identity == nullptr) continue;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    if (replicas[i] == nullptr) continue;
+    const void* identity = identities[i];
+    const size_t total = replicas[i]->IndexMemoryBytes();
+    // An index only one replica holds is that replica's own.
+    if (identity == nullptr ||
+        std::count(identities.begin(), identities.end(), identity) < 2) {
+      report.replica_bytes += total;
+      continue;
+    }
+    const size_t shared = replicas[i]->SharedIndexBytes();
+    report.replica_bytes += total - shared;
     if (std::find(seen.begin(), seen.end(), identity) == seen.end()) {
       seen.push_back(identity);
       report.shared_bytes += shared;

@@ -34,8 +34,10 @@ const char* EstimatorKindName(EstimatorKind kind);
 /// of Tables 3-14: MC, BFS Sharing, ProbTree, LP+, RHH, RSS.
 std::vector<EstimatorKind> TheSixEstimators();
 
-/// True for the kinds whose replicas share one offline index — BFS Sharing
-/// and every ProbTree kind — built once by MakeEstimatorReplicas.
+/// True for the kinds whose replicas share one offline index — every
+/// ProbTree kind — built once by MakeEstimatorReplicas, and so the kinds an
+/// engine persists in its index snapshot. False for BFS Sharing, whose
+/// replicas start with no generation and resample before every answer.
 bool HasSharedIndex(EstimatorKind kind);
 
 /// \brief Construction knobs for MakeEstimator.
@@ -44,19 +46,16 @@ struct FactoryOptions {
   RecursiveSamplingOptions recursive;  ///< threshold = 5 [20]
   RssOptions rss;                      ///< r = 50, threshold = 5 [28]
   ProbTreeOptions prob_tree;           ///< w = 2 (lossless) [32]
-  /// Seed for offline index sampling (BFS Sharing worlds).
+  /// Seed of a bare BFS Sharing estimator's generation 0 (MakeEstimator).
   uint64_t index_seed = 0x5EED;
 
-  /// \name Preloaded indexes (persistence tier)
-  /// When set, MakeEstimatorReplicas hands every replica the preloaded
+  /// Preloaded ProbTree index (persistence tier): when set,
+  /// MakeEstimatorReplicas hands every replica of a ProbTree kind this
   /// index instead of building one — the snapshot cold-start path. The
   /// caller (PersistentStore) is responsible for having matched the index
-  /// against the graph and these options; the factory still validates
-  /// shapes. MakeEstimator (single instance) ignores these.
-  /// @{
-  std::shared_ptr<const BfsSharingIndex> preloaded_bfs_index;
+  /// against the graph and these options. MakeEstimator (single instance)
+  /// ignores it.
   std::shared_ptr<const ProbTreeIndex> preloaded_prob_tree;
-  /// @}
 };
 
 /// Builds an estimator of `kind` over `graph` (building any index it needs).
@@ -69,32 +68,31 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(EstimatorKind kind,
 /// instances are not thread-safe; the engine routes every task to its
 /// worker's private replica).
 ///
-/// Replicas are bit-identical: index construction is deterministic in
-/// FactoryOptions (BFS Sharing worlds come from `index_seed`, ProbTree
-/// decomposition is seed-free), so a query answered by replica 3 returns the
+/// Replicas are interchangeable: a query answered by replica 3 returns the
 /// same result as one answered by replica 0.
 ///
-/// Index-carrying kinds (BFS Sharing, ProbTree and its coupled variants)
-/// build their index **once** and hand every replica a
-/// `shared_ptr<const>` to it: construction cost and index memory are O(1) in
-/// `count`, and the serving path reads the index without synchronization.
-/// Each replica keeps only private scratch. BFS Sharing replicas later
-/// diverge onto private generations as PrepareForNextQuery resamples
-/// (generation swap) — that is per-query state, not build cost.
+/// The ProbTree kinds build their (seed-free) index **once** and hand every
+/// replica a `shared_ptr<const>` to it: construction cost and index memory
+/// are O(1) in `count`, and the serving path reads the index without
+/// synchronization. Each replica keeps only private scratch. BFS Sharing
+/// replicas are built with no generation at all
+/// (BfsSharingEstimator::CreateReplica): each samples its own with the
+/// prepare that precedes every answer (or adopts another replica's), so
+/// building them samples nothing.
 ///
 /// `num_samples`, when nonzero, is the budget K the replicas answer with.
 /// BFS Sharing replicas then prepare generations of only the worlds such
-/// queries read, ceil(K / 64) words per edge, with the same answers (see
-/// BfsSharingEstimator::Create); the shared index they start from keeps all
-/// L worlds. Every other kind ignores it.
+/// queries read, ceil(K / 64) words per edge, with the same answers. Every
+/// other kind ignores it.
 Result<std::vector<std::unique_ptr<Estimator>>> MakeEstimatorReplicas(
     EstimatorKind kind, const UncertainGraph& graph, size_t count,
     const FactoryOptions& options = {}, uint32_t num_samples = 0);
 
-/// Deduplicated index footprint of a replica set: each distinct shared index
-/// (by Estimator::SharedIndexIdentity) is counted once; replica-private index
-/// bytes are summed. Use this instead of summing IndexMemoryBytes() whenever
-/// replicas may share an index.
+/// Deduplicated index footprint of a replica set: an index two or more
+/// replicas hold (the same Estimator::SharedIndexIdentity) is counted once
+/// under shared_bytes; every other index byte, including an index only one
+/// replica holds, is summed under replica_bytes. Use this instead of summing
+/// IndexMemoryBytes() whenever replicas may share an index.
 IndexMemoryReport ReportIndexMemory(
     const std::vector<std::unique_ptr<Estimator>>& replicas);
 

@@ -35,6 +35,19 @@ std::unique_ptr<BfsSharingEstimator> Make(const UncertainGraph& g, uint32_t l,
   return r.MoveValue();
 }
 
+/// An engine replica, built with no generation, that adopted `generation`:
+/// several of these read literally the same worlds.
+std::unique_ptr<BfsSharingEstimator> Adopting(
+    const UncertainGraph& g,
+    std::shared_ptr<const BfsSharingIndex> generation) {
+  BfsSharingOptions options;
+  options.index_samples = generation->num_samples();
+  auto replica =
+      BfsSharingEstimator::CreateReplica(g, options, 0).MoveValue();
+  EXPECT_TRUE(replica->AdoptPreparedGeneration(std::move(generation)).ok());
+  return replica;
+}
+
 TEST(BfsSharing, MatchesClosedFormOnLine) {
   const UncertainGraph g = LineGraph3(0.5, 0.5);
   auto est = Make(g, 20000);
@@ -191,16 +204,72 @@ TEST(BfsSharing, RejectsZeroIndexSamples) {
   BfsSharingOptions options;
   options.index_samples = 0;
   EXPECT_FALSE(BfsSharingEstimator::Create(g, options, 1).ok());
+  EXPECT_EQ(BfsSharingEstimator::CreateReplica(g, options, 0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(BfsSharing, ReplicasShareOneIndexGeneration) {
+TEST(BfsSharing, ReplicaWithoutAGenerationRefusesEveryReader) {
+  // An engine replica starts with no generation: every reader of the worlds
+  // refuses until its first prepare or adoption, and it reports no index.
+  // Afterwards each answers as a bare estimator prepared with the same seed.
+  const UncertainGraph g = RandomSmallGraph(20, 60, 0.05, 0.9, 49);
+  BfsSharingOptions options;
+  options.index_samples = 300;
+  const uint64_t builds_before = BfsSharingIndex::BuildCount();
+  auto replica = BfsSharingEstimator::CreateReplica(g, options, 0).MoveValue();
+  EXPECT_EQ(BfsSharingIndex::BuildCount(), builds_before);
+  EXPECT_EQ(replica->IndexMemoryBytes(), 0u);
+  EXPECT_EQ(replica->SharedIndexIdentity(), nullptr);
+  EXPECT_EQ(replica->shared_index(), nullptr);
+  EXPECT_EQ(replica->index_build_seconds(), 0.0);
+
+  EstimateOptions opts;
+  opts.num_samples = 300;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "relcomp_bfs_empty.bin")
+          .string();
+  std::filesystem::remove(path);
+  const auto expect_refused = [](const Status& status, const char* reader) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << reader;
+  };
+  expect_refused(replica->Estimate({0, 9}, opts).status(), "Estimate");
+  expect_refused(replica->Estimate({4, 4}, opts).status(), "Estimate, s = t");
+  expect_refused(replica->ReliabilityFromSource(0, 300).status(),
+                 "ReliabilityFromSource");
+  expect_refused(replica->EstimateFromSource(0, opts).status(),
+                 "EstimateFromSource");
+  expect_refused(replica->SourceHitCountsInWorldRange(0, 0, 300).status(),
+                 "SourceHitCountsInWorldRange");
+  expect_refused(replica->SourceHitCountsInWorldRange(0, 0, 0).status(),
+                 "SourceHitCountsInWorldRange, no worlds");
+  expect_refused(replica->EstimateSweepStratumHits(0, 1, 4, opts).status(),
+                 "EstimateSweepStratumHits");
+  expect_refused(replica->CurrentPreparedGeneration().status(),
+                 "CurrentPreparedGeneration");
+  expect_refused(replica->SaveToFile(path), "SaveToFile");
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  auto bare = Make(g, 300, 1);
+  ASSERT_TRUE(replica->PrepareForNextQuery(77).ok());
+  ASSERT_TRUE(bare->PrepareForNextQuery(77).ok());
+  EXPECT_EQ(replica->IndexMemoryBytes(), bare->IndexMemoryBytes());
+  EXPECT_EQ(replica->Estimate({0, 9}, opts)->reliability,
+            bare->Estimate({0, 9}, opts)->reliability);
+  EXPECT_EQ(replica->ReliabilityFromSource(0, 300).MoveValue(),
+            bare->ReliabilityFromSource(0, 300).MoveValue());
+  EXPECT_EQ(replica->EstimateSweepStratumHits(0, 1, 4, opts).MoveValue(),
+            bare->EstimateSweepStratumHits(0, 1, 4, opts).MoveValue());
+  EXPECT_TRUE(replica->CurrentPreparedGeneration().ok());
+}
+
+TEST(BfsSharing, ReplicasAdoptingOneGenerationShareIt) {
   const UncertainGraph g = RandomSmallGraph(20, 60, 0.2, 0.8, 40);
   BfsSharingOptions options;
   options.index_samples = 500;
   const uint64_t builds_before = BfsSharingIndex::BuildCount();
   auto index = BfsSharingIndex::Build(g, options, 7).MoveValue();
-  auto a = BfsSharingEstimator::Create(g, index).MoveValue();
-  auto b = BfsSharingEstimator::Create(g, index).MoveValue();
+  auto a = Adopting(g, index);
+  auto b = Adopting(g, index);
   // Two replicas, one build; both read literally the same generation.
   EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 1u);
   EXPECT_EQ(a->SharedIndexIdentity(), index.get());
@@ -218,13 +287,14 @@ TEST(BfsSharing, GenerationSwapLeavesSharingReplicasIntact) {
   BfsSharingOptions options;
   options.index_samples = 400;
   auto index = BfsSharingIndex::Build(g, options, 8).MoveValue();
-  auto a = BfsSharingEstimator::Create(g, index).MoveValue();
-  auto b = BfsSharingEstimator::Create(g, index).MoveValue();
+  auto a = Adopting(g, index);
+  auto b = Adopting(g, index);
   EstimateOptions opts;
   opts.num_samples = 400;
   const double before = b->Estimate({0, 10}, opts)->reliability;
 
-  // a resamples onto a private fresh generation; b keeps reading gen-0.
+  // a resamples onto a private fresh generation; b keeps reading the
+  // adopted one.
   ASSERT_TRUE(a->PrepareForNextQuery(999).ok());
   EXPECT_NE(a->SharedIndexIdentity(), b->SharedIndexIdentity());
   EXPECT_EQ(b->SharedIndexIdentity(), index.get());
@@ -244,10 +314,10 @@ TEST(BfsSharing, SaveLoadRoundTripProducesShareableIndex) {
   auto loaded = BfsSharingIndex::LoadFromFile(g, path).MoveValue();
   EXPECT_EQ(loaded->num_samples(), 500u);
   EXPECT_EQ(loaded->num_edges(), g.num_edges());
-  // Two replicas over the loaded generation answer bit-identically to the
-  // estimator that saved it.
-  auto a = BfsSharingEstimator::Create(g, loaded).MoveValue();
-  auto b = BfsSharingEstimator::Create(g, loaded).MoveValue();
+  // Two replicas that adopted the loaded generation answer bit-identically
+  // to the estimator that saved it.
+  auto a = Adopting(g, loaded);
+  auto b = Adopting(g, loaded);
   EstimateOptions opts;
   opts.num_samples = 500;
   const double expected = est->Estimate({0, 9}, opts)->reliability;
@@ -257,14 +327,17 @@ TEST(BfsSharing, SaveLoadRoundTripProducesShareableIndex) {
   std::filesystem::remove(path);
 }
 
-TEST(BfsSharing, SharedIndexCreateRejectsMismatchedGraph) {
+TEST(BfsSharing, AdoptionRejectsMismatchedGraph) {
   const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 43);
   BfsSharingOptions options;
   options.index_samples = 100;
   auto index = BfsSharingIndex::Build(g, options, 1).MoveValue();
   const UncertainGraph other = RandomSmallGraph(15, 44, 0.2, 0.8, 44);
-  EXPECT_FALSE(BfsSharingEstimator::Create(other, index).ok());
-  EXPECT_FALSE(BfsSharingEstimator::Create(g, nullptr).ok());
+  auto replica =
+      BfsSharingEstimator::CreateReplica(other, options, 0).MoveValue();
+  EXPECT_FALSE(replica->AdoptPreparedGeneration(index).ok());
+  EXPECT_FALSE(replica->AdoptPreparedGeneration(nullptr).ok());
+  EXPECT_EQ(replica->SharedIndexIdentity(), nullptr);
 }
 
 /// Per-node counts of the worlds [offset, offset + count) of `index` in
@@ -305,7 +378,7 @@ TEST(BfsSharing, SharedBfsCountsEqualPerWorldReachability) {
   for (const uint64_t seed : {46u, 47u, 48u}) {
     const UncertainGraph g = RandomSmallGraph(30, 120, 0.05, 0.95, seed);
     auto index = BfsSharingIndex::Build(g, options, seed).MoveValue();
-    auto est = BfsSharingEstimator::Create(g, index).MoveValue();
+    auto est = Adopting(g, index);
     for (NodeId source = 0; source < g.num_nodes(); ++source) {
       for (const auto& [offset, count] : kSlices) {
         EXPECT_EQ(
@@ -328,7 +401,7 @@ TEST(BfsSharing, UsedReplicaAnswersLikeAFreshEstimator) {
   BfsSharingOptions options;
   options.index_samples = 300;
   auto index = BfsSharingIndex::Build(g, options, 9).MoveValue();
-  auto used = BfsSharingEstimator::Create(g, index).MoveValue();
+  auto used = Adopting(g, index);
   auto history = [&](NodeId source) {
     for (const uint32_t k : {1u, 65u, 300u}) {
       EstimateOptions opts;
@@ -342,7 +415,7 @@ TEST(BfsSharing, UsedReplicaAnswersLikeAFreshEstimator) {
   };
   for (const NodeId source : {3u, 7u, 0u, 5u}) {
     history(source + 1);
-    auto fresh = BfsSharingEstimator::Create(g, index).MoveValue();
+    auto fresh = Adopting(g, index);
     EXPECT_EQ(used->ReliabilityFromSource(source, 300).MoveValue(),
               fresh->ReliabilityFromSource(source, 300).MoveValue())
         << source;
@@ -390,13 +463,6 @@ UncertainGraph MixedProbabilityGraph(uint64_t seed, StorageLayout layout) {
   return builder.Build(layout).MoveValue();
 }
 
-/// Every edge's words of `index`, back to back.
-std::vector<uint64_t> AllWords(const BfsSharingIndex& index) {
-  return std::vector<uint64_t>(
-      index.edge_words(0),
-      index.edge_words(0) + index.num_edges() * index.words_per_edge());
-}
-
 TEST(BfsSharing, NarrowedBuildIsAPrefixOfTheWholeGeneration) {
   // A generation narrowed to a budget keeps W = ceil(budget / 64) words per
   // edge, and they are the first W words of the whole L-world generation
@@ -438,18 +504,16 @@ TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
   // A replica with budget K = 300 of L = 1500 prepares generations of
   // 5 words (320 worlds) per edge. Its s-t, sweep and slice answers at any
   // k up to 320 equal those of a whole-width estimator prepared with the
-  // same seed, after a generation swap and after an in-place refill, which
-  // keeps the width. Ranges past 320 are refused, and so are saving the
-  // generation and adopting one of another width. The shared index the
-  // replica starts from stays whole and untouched.
+  // same seed, after its first generation and after an in-place refill,
+  // which keeps the width. Ranges past 320 are refused, and so are saving
+  // the generation and adopting one of another width.
   const UncertainGraph g = MixedProbabilityGraph(54, StorageLayout::kRaw);
   BfsSharingOptions options;
   options.index_samples = 1500;
-  const auto shared = BfsSharingIndex::Build(g, options, 1).MoveValue();
-  const std::vector<uint64_t> shared_words = AllWords(*shared);
-  auto narrowed = BfsSharingEstimator::Create(g, shared, 300).MoveValue();
+  auto narrowed =
+      BfsSharingEstimator::CreateReplica(g, options, 300).MoveValue();
   auto whole = BfsSharingEstimator::Create(g, options, 2).MoveValue();
-  EXPECT_EQ(narrowed->IndexMemoryBytes(), shared->MemoryBytes());
+  EXPECT_EQ(narrowed->IndexMemoryBytes(), 0u);
   const size_t narrowed_bytes = g.num_edges() * 5 * sizeof(uint64_t);
   auto expect_same_answers = [&] {
     for (const NodeId s : {0u, 7u, 19u}) {
@@ -478,7 +542,7 @@ TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
   ASSERT_TRUE(narrowed->PrepareForNextQuery(11).ok());
   ASSERT_TRUE(whole->PrepareForNextQuery(11).ok());
   const void* identity = narrowed->SharedIndexIdentity();
-  EXPECT_NE(identity, shared.get());
+  EXPECT_NE(identity, nullptr);
   EXPECT_EQ(narrowed->shared_index()->words_per_edge(), 5u);
   EXPECT_EQ(narrowed->IndexMemoryBytes(), narrowed_bytes);
   expect_same_answers();
@@ -524,16 +588,14 @@ TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
                    ->AdoptPreparedGeneration(
                        narrowed->CurrentPreparedGeneration().MoveValue())
                    .ok());
-  auto sibling = BfsSharingEstimator::Create(g, shared, 300).MoveValue();
+  auto sibling =
+      BfsSharingEstimator::CreateReplica(g, options, 300).MoveValue();
   ASSERT_TRUE(narrowed
                   ->AdoptPreparedGeneration(
                       sibling->BuildPreparedGeneration(13, nullptr).MoveValue())
                   .ok());
   ASSERT_TRUE(whole->PrepareForNextQuery(13).ok());
   expect_same_answers();
-
-  EXPECT_EQ(AllWords(*shared), shared_words);
-  EXPECT_EQ(shared->words_per_edge(), 24u);
 }
 
 TEST(BfsSharing, StatisticallyMatchesMonteCarlo) {

@@ -130,17 +130,13 @@ constexpr Shape kShapes[] = {{1, 0}, {64, 0}, {1500, 0}, {1500, 1000},
                              {1500, 100}};
 constexpr Mix kMixes[] = {Mix::kNoCoinEdges, Mix::kOnlyCoinEdges, Mix::kMixed};
 
-/// A replica over a shared Create-time index of `shape.l` worlds that
+/// A replica of L = `shape.l` worlds, with no generation yet, that
 /// prepares generations as wide as `shape.budget`, as an engine's do.
 std::unique_ptr<BfsSharingEstimator> MakeReplica(const UncertainGraph& graph,
-                                                 const Shape& shape,
-                                                 uint64_t index_seed) {
+                                                 const Shape& shape) {
   BfsSharingOptions options;
   options.index_samples = shape.l;
-  return BfsSharingEstimator::Create(
-             graph, BfsSharingIndex::Build(graph, options, index_seed)
-                        .MoveValue(),
-             shape.budget)
+  return BfsSharingEstimator::CreateReplica(graph, options, shape.budget)
       .MoveValue();
 }
 
@@ -332,7 +328,7 @@ TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
     for (const Shape& shape : kShapes) {
       SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << shape.l
                                         << ", budget " << shape.budget);
-      const auto prototype = MakeReplica(graph, shape, 1);
+      const auto prototype = MakeReplica(graph, shape);
       GatedBuilds gated(*prototype);
       obs::MetricsRegistry metrics;
       GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
@@ -354,7 +350,7 @@ TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
       const auto* index = dynamic_cast<const BfsSharingIndex*>(taken.get());
       ASSERT_NE(index, nullptr);
 
-      auto inline_replica = MakeReplica(graph, shape, 2);
+      auto inline_replica = MakeReplica(graph, shape);
       ASSERT_TRUE(inline_replica->PrepareForNextQuery(kSeed).ok());
       EXPECT_EQ(Words(*index), Words(*inline_replica->shared_index()));
       EXPECT_EQ(Words(*index), PrefixOfWholeGeneration(graph, shape, kSeed));
@@ -418,11 +414,10 @@ TEST(GenerationPrebuilderTest, BuildersHelpAnInlinePrepareRefillInPlace) {
     for (const Shape& shape : kShapes) {
       SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << shape.l
                                         << ", budget " << shape.budget);
-      const auto prototype = MakeReplica(graph, shape, 1);
-      // A first prepare moves the replica off the shared index onto a
-      // generation of its own, of its budget's width, which it then refills
-      // in place.
-      auto replica = MakeReplica(graph, shape, 2);
+      const auto prototype = MakeReplica(graph, shape);
+      // A first prepare gives the replica a generation of its own, of its
+      // budget's width, which it then refills in place.
+      auto replica = MakeReplica(graph, shape);
       ASSERT_TRUE(replica->PrepareForNextQuery(0xF1257).ok());
       const void* identity = replica->SharedIndexIdentity();
       obs::MetricsRegistry metrics;

@@ -123,12 +123,10 @@ TEST(Factory, IndexSeedControlsBfsSharingWorlds) {
 
 TEST(Factory, ReplicasShareOneImmutableIndex) {
   const UncertainGraph g = testing::RandomSmallGraph(20, 60, 0.2, 0.8, 4);
-  FactoryOptions options;
-  options.bfs_sharing.index_samples = 256;
+  const FactoryOptions options;
 
   for (EstimatorKind kind :
-       {EstimatorKind::kBfsSharing, EstimatorKind::kProbTree,
-        EstimatorKind::kProbTreeRss}) {
+       {EstimatorKind::kProbTree, EstimatorKind::kProbTreeRss}) {
     SCOPED_TRACE(EstimatorKindName(kind));
     auto replicas = MakeEstimatorReplicas(kind, g, 4, options).MoveValue();
     ASSERT_EQ(replicas.size(), 4u);
@@ -146,7 +144,10 @@ TEST(Factory, ReplicasShareOneImmutableIndex) {
   }
 }
 
-TEST(Factory, BfsSharingReplicaPathBuildsIndexOnce) {
+TEST(Factory, BfsSharingReplicaPathBuildsNothing) {
+  // BFS Sharing replicas start with no generation: building eight samples
+  // nothing, each refuses an estimate until its first prepare, and then
+  // answers as a bare estimator prepared with the same seed.
   const UncertainGraph g = testing::RandomSmallGraph(20, 60, 0.2, 0.8, 5);
   FactoryOptions options;
   options.bfs_sharing.index_samples = 128;
@@ -154,17 +155,57 @@ TEST(Factory, BfsSharingReplicaPathBuildsIndexOnce) {
   auto replicas =
       MakeEstimatorReplicas(EstimatorKind::kBfsSharing, g, 8, options)
           .MoveValue();
-  EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 1u);
+  EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 0u);
+  EXPECT_EQ(ReportIndexMemory(replicas).total_bytes(), 0u);
 
-  // Replicas answer bit-identically off the shared worlds.
+  auto bare = MakeEstimator(EstimatorKind::kBfsSharing, g, options).MoveValue();
+  ASSERT_TRUE(bare->PrepareForNextQuery(31).ok());
   EstimateOptions opts;
   opts.num_samples = 128;
-  const double expected =
-      replicas[0]->Estimate({0, 10}, opts)->reliability;
-  for (size_t i = 1; i < replicas.size(); ++i) {
-    EXPECT_DOUBLE_EQ(replicas[i]->Estimate({0, 10}, opts)->reliability,
-                     expected);
+  const double expected = bare->Estimate({0, 10}, opts)->reliability;
+  for (const auto& replica : replicas) {
+    EXPECT_EQ(replica->Estimate({0, 10}, opts).status().code(),
+              StatusCode::kFailedPrecondition);
+    ASSERT_TRUE(replica->PrepareForNextQuery(31).ok());
+    EXPECT_EQ(replica->Estimate({0, 10}, opts)->reliability, expected);
   }
+}
+
+TEST(Factory, IndexMemoryCountsAnIndexAsSharedOnlyWhenTwoReplicasHoldIt) {
+  const UncertainGraph g = testing::RandomSmallGraph(20, 60, 0.05, 0.9, 7);
+  FactoryOptions options;
+  options.bfs_sharing.index_samples = 1500;
+  // K = 200 of L = 1500: W = 4 words per edge.
+  const size_t generation_bytes = g.num_edges() * 4 * sizeof(uint64_t);
+  auto replicas =
+      MakeEstimatorReplicas(EstimatorKind::kBfsSharing, g, 2, options, 200)
+          .MoveValue();
+  // Each replica prepares a generation of its own: two private ones.
+  ASSERT_TRUE(replicas[0]->PrepareForNextQuery(1).ok());
+  ASSERT_TRUE(replicas[1]->PrepareForNextQuery(2).ok());
+  IndexMemoryReport report = ReportIndexMemory(replicas);
+  EXPECT_EQ(report.shared_bytes, 0u);
+  EXPECT_EQ(report.shared_indexes, 0u);
+  EXPECT_EQ(report.replica_bytes, 2 * generation_bytes);
+  // Replica 1 adopts replica 0's: one generation, held twice, counted once.
+  ASSERT_TRUE(replicas[1]
+                  ->AdoptPreparedGeneration(
+                      replicas[0]->CurrentPreparedGeneration().MoveValue())
+                  .ok());
+  report = ReportIndexMemory(replicas);
+  EXPECT_EQ(report.shared_bytes, generation_bytes);
+  EXPECT_EQ(report.shared_indexes, 1u);
+  EXPECT_EQ(report.replica_bytes, 0u);
+
+  // One ProbTree replica holds its index alone.
+  auto prob_tree =
+      MakeEstimatorReplicas(EstimatorKind::kProbTree, g, 1, options)
+          .MoveValue();
+  report = ReportIndexMemory(prob_tree);
+  EXPECT_EQ(report.shared_bytes, 0u);
+  EXPECT_EQ(report.shared_indexes, 0u);
+  EXPECT_EQ(report.replica_bytes, prob_tree[0]->IndexMemoryBytes());
+  EXPECT_GT(report.replica_bytes, 0u);
 }
 
 TEST(Factory, IndexFreeKindsReportNoSharedIndex) {

@@ -1,7 +1,7 @@
 // Crash-safety matrix for the index snapshot (src/persist/): round-trip
 // bitwise identity, crash-point enumeration over the publish protocol,
-// corruption detection (bit flips, version bumps), and restart recovery
-// proven bit-identical to a fresh build.
+// corruption detection (bit flips, version bumps), and restart recovery of
+// a ProbTree engine proven bit-identical to a fresh build.
 
 #include <cstdint>
 #include <cstring>
@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "common/wire.h"
 #include "engine/query_engine.h"
+#include "graph/graph_io.h"
 #include "persist/snapshot.h"
 #include "persist/store.h"
 #include "reliability/bfs_sharing.h"
@@ -48,12 +50,6 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::Global().Disable(); }
 };
 
-FactoryOptions SmallIndexOptions() {
-  FactoryOptions options;
-  options.bfs_sharing.index_samples = 64;
-  return options;
-}
-
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << path;
@@ -82,29 +78,26 @@ void ExpectBitIdentical(const EngineResult& a, const EngineResult& b) {
   }
 }
 
-std::vector<EngineQuery> MixedWorkload() {
+/// ProbTree answers s-t queries only.
+std::vector<EngineQuery> StWorkload() {
   std::vector<EngineQuery> queries;
   queries.push_back(EngineQuery::St(0, 7));
-  queries.push_back(EngineQuery::TopK(1, 4));
-  queries.push_back(EngineQuery::TopK(1, 2));
-  queries.push_back(EngineQuery::ReliableSet(1, 0.05));
+  queries.push_back(EngineQuery::St(1, 4));
   queries.push_back(EngineQuery::St(2, 9));
+  queries.push_back(EngineQuery::St(5, 30));
   queries.push_back(EngineQuery::St(0, 7));  // repeat: exercises the cache
   return queries;
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip bitwise identity: BFS Sharing index, ProbTree index.
+// Round-trip bitwise identity of the ProbTree index.
 // ---------------------------------------------------------------------------
 
-TEST(PersistRoundTrip, BothIndexesBitIdentical) {
+TEST(PersistRoundTrip, IndexBitIdentical) {
   ScratchDir dir("relcomp_persist_roundtrip");
   const UncertainGraph graph = RandomSmallGraph(24, 80, 0.2, 0.8, 7);
-  const FactoryOptions options = SmallIndexOptions();
+  const FactoryOptions options;
 
-  Result<std::shared_ptr<BfsSharingIndex>> bfs = BfsSharingIndex::Build(
-      graph, options.bfs_sharing, options.index_seed);
-  ASSERT_TRUE(bfs.ok()) << bfs.status();
   Result<std::shared_ptr<const ProbTreeIndex>> prob_tree =
       ProbTreeIndex::BuildShared(graph, options.prob_tree);
   ASSERT_TRUE(prob_tree.ok()) << prob_tree.status();
@@ -113,22 +106,15 @@ TEST(PersistRoundTrip, BothIndexesBitIdentical) {
       PersistentStore::Open(dir.path(), nullptr);
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store.value()
-                  ->WriteSnapshot(graph, options, bfs.value().get(),
-                                  prob_tree.value().get())
+                  ->WriteSnapshot(graph, options, prob_tree.value().get())
                   .ok());
 
   SnapshotArtifacts artifacts = store.value()->OpenSnapshot(graph, options);
   ASSERT_TRUE(artifacts.valid);
-  ASSERT_NE(artifacts.bfs_index, nullptr);
   ASSERT_NE(artifacts.prob_tree, nullptr);
 
-  // Index artifacts: re-serializing the restored index must reproduce the
-  // original block byte for byte.
-  std::string bfs_block, bfs_block_restored;
-  ASSERT_TRUE(bfs.value()->AppendBlock(&bfs_block).ok());
-  ASSERT_TRUE(artifacts.bfs_index->AppendBlock(&bfs_block_restored).ok());
-  EXPECT_EQ(bfs_block, bfs_block_restored);
-
+  // Re-serializing the restored index must reproduce the original block
+  // byte for byte.
   std::string pt_block, pt_block_restored;
   prob_tree.value()->AppendBlock(&pt_block);
   artifacts.prob_tree->AppendBlock(&pt_block_restored);
@@ -139,12 +125,12 @@ TEST(PersistRoundTrip, MismatchedGraphRefusesSnapshot) {
   ScratchDir dir("relcomp_persist_mismatch");
   const UncertainGraph graph = RandomSmallGraph(24, 80, 0.2, 0.8, 7);
   const UncertainGraph other = RandomSmallGraph(24, 80, 0.2, 0.8, 8);
-  const FactoryOptions options = SmallIndexOptions();
+  const FactoryOptions options;
   Result<std::unique_ptr<PersistentStore>> store =
       PersistentStore::Open(dir.path(), nullptr);
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(
-      store.value()->WriteSnapshot(graph, options, nullptr, nullptr).ok());
+      store.value()->WriteSnapshot(graph, options, nullptr).ok());
   // Different graph: mismatch, and the file is left in place (not
   // quarantined) — a rollback could make it usable again.
   EXPECT_FALSE(store.value()->OpenSnapshot(other, options).valid);
@@ -165,13 +151,13 @@ TEST(PersistCrash, SnapshotPublishSurvivesEveryCrashPoint) {
   ScratchDir dir("relcomp_persist_crash_publish");
   InjectorGuard guard;
   const UncertainGraph graph = RandomSmallGraph(24, 80, 0.2, 0.8, 7);
-  const FactoryOptions options = SmallIndexOptions();
+  const FactoryOptions options;
   Result<std::unique_ptr<PersistentStore>> store =
       PersistentStore::Open(dir.path(), nullptr);
   ASSERT_TRUE(store.ok()) << store.status();
   // Publish once, fault-free: this is the state every crash must preserve.
   ASSERT_TRUE(
-      store.value()->WriteSnapshot(graph, options, nullptr, nullptr).ok());
+      store.value()->WriteSnapshot(graph, options, nullptr).ok());
   const std::string pristine = ReadFile(store.value()->snapshot_path());
 
   int crash_points = 0;
@@ -180,7 +166,7 @@ TEST(PersistCrash, SnapshotPublishSurvivesEveryCrashPoint) {
     plan.crash_point_select = select;
     FaultInjector::Global().Configure(plan);
     const Status republish =
-        store.value()->WriteSnapshot(graph, options, nullptr, nullptr);
+        store.value()->WriteSnapshot(graph, options, nullptr);
     const uint64_t injected =
         FaultInjector::Global().injected(FaultSite::kCrashPoint);
     FaultInjector::Global().Disable();
@@ -212,10 +198,7 @@ TEST(PersistCrash, SnapshotPublishSurvivesEveryCrashPoint) {
 TEST(PersistCorruption, BitFlipInEverySectionIsDetected) {
   ScratchDir dir("relcomp_persist_bitflip");
   const UncertainGraph graph = RandomSmallGraph(24, 80, 0.2, 0.8, 7);
-  const FactoryOptions options = SmallIndexOptions();
-  Result<std::shared_ptr<BfsSharingIndex>> bfs = BfsSharingIndex::Build(
-      graph, options.bfs_sharing, options.index_seed);
-  ASSERT_TRUE(bfs.ok()) << bfs.status();
+  const FactoryOptions options;
   Result<std::shared_ptr<const ProbTreeIndex>> prob_tree =
       ProbTreeIndex::BuildShared(graph, options.prob_tree);
   ASSERT_TRUE(prob_tree.ok()) << prob_tree.status();
@@ -224,8 +207,7 @@ TEST(PersistCorruption, BitFlipInEverySectionIsDetected) {
       PersistentStore::Open(dir.path(), nullptr);
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store.value()
-                  ->WriteSnapshot(graph, options, bfs.value().get(),
-                                  prob_tree.value().get())
+                  ->WriteSnapshot(graph, options, prob_tree.value().get())
                   .ok());
   const std::string path = store.value()->snapshot_path();
   const std::string pristine = ReadFile(path);
@@ -245,7 +227,7 @@ TEST(PersistCorruption, BitFlipInEverySectionIsDetected) {
           Target{section.id, section.file_offset + section.size / 2});
     }
   }
-  ASSERT_EQ(targets.size(), 3u);  // manifest, BFS, ProbTree
+  ASSERT_EQ(targets.size(), 2u);  // manifest, ProbTree
 
   for (const Target& target : targets) {
     std::string corrupted = pristine;
@@ -271,12 +253,12 @@ TEST(PersistCorruption, BitFlipInEverySectionIsDetected) {
 TEST(PersistCorruption, VersionBumpIsRefused) {
   ScratchDir dir("relcomp_persist_version");
   const UncertainGraph graph = RandomSmallGraph(24, 80, 0.2, 0.8, 7);
-  const FactoryOptions options = SmallIndexOptions();
+  const FactoryOptions options;
   Result<std::unique_ptr<PersistentStore>> store =
       PersistentStore::Open(dir.path(), nullptr);
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(
-      store.value()->WriteSnapshot(graph, options, nullptr, nullptr).ok());
+      store.value()->WriteSnapshot(graph, options, nullptr).ok());
   const std::string path = store.value()->snapshot_path();
   std::string bytes = ReadFile(path);
   // Header layout: magic[8], then version u32.
@@ -292,16 +274,15 @@ TEST(PersistCorruption, VersionBumpIsRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// Restart recovery through the engine: O(1) snapshot cold start and
-// bit-identity with a fresh build at 1/2/8 threads.
+// Restart recovery through a ProbTree engine: the snapshot restores the
+// index, bit-identically to a fresh build at 1/2/8 threads.
 // ---------------------------------------------------------------------------
 
 EngineOptions PersistEngineOptions(const std::string& dir, size_t threads) {
   EngineOptions options;
-  options.kind = EstimatorKind::kBfsSharing;
+  options.kind = EstimatorKind::kProbTree;
   options.num_threads = threads;
   options.num_samples = 64;
-  options.factory = SmallIndexOptions();
   options.persist_dir = dir;
   return options;
 }
@@ -315,17 +296,16 @@ uint64_t Recovered(const QueryEngine& engine, const char* source) {
 TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
   ScratchDir dir("relcomp_persist_restart");
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const std::vector<EngineQuery> queries = MixedWorkload();
+  const std::vector<EngineQuery> queries = StWorkload();
 
   // Fresh build, no persistence: the reference answers.
-  EngineOptions fresh_options = PersistEngineOptions("", 2);
-  fresh_options.persist_dir.clear();
   Result<std::unique_ptr<QueryEngine>> fresh =
-      QueryEngine::Create(graph, fresh_options);
+      QueryEngine::Create(graph, PersistEngineOptions("", 2));
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   Result<std::vector<EngineResult>> reference =
       fresh.value()->RunBatch(queries);
   ASSERT_TRUE(reference.ok()) << reference.status();
+  for (const EngineResult& r : *reference) ASSERT_TRUE(r.ok()) << r.status;
 
   // First persistent engine: rebuilds from source, auto-publishes the
   // snapshot.
@@ -355,10 +335,11 @@ TEST(PersistRestart, RestoredEngineBitIdenticalToFreshBuild) {
   }
 }
 
-TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
+TEST(PersistRestart, SnapshotCreateRestoresTheIndexInsteadOfRebuilding) {
   ScratchDir dir("relcomp_persist_restore_count");
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
   const EngineOptions options = PersistEngineOptions(dir.path(), 2);
+  const std::string snapshot = dir.path() + "/snapshot.relsnap";
   {
     // Publish: the first engine rebuilds and auto-snapshots.
     Result<std::unique_ptr<QueryEngine>> first =
@@ -366,28 +347,15 @@ TEST(PersistRestart, SnapshotCreateMapsTheIndexInsteadOfRebuilding) {
     ASSERT_TRUE(first.ok()) << first.status();
     ASSERT_EQ(Recovered(*first.value(), "rebuild"), 1u);
   }
+  const std::string published = ReadFile(snapshot);
 
-  const uint64_t builds_before = BfsSharingIndex::BuildCount();
+  // The restart restores the index and republishes nothing.
   Result<std::unique_ptr<QueryEngine>> restored =
       QueryEngine::Create(graph, options);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  // Exactly one generation came into being across Create: the FromBlock
-  // over the snapshot. A Build (a rebuild that samples L worlds per edge)
-  // would be a second.
-  EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 1u);
   EXPECT_EQ(Recovered(*restored.value(), "snapshot"), 1u);
   EXPECT_EQ(Recovered(*restored.value(), "rebuild"), 0u);
-
-  // The artifact the snapshot yields reads its words out of the mapping:
-  // restore is O(1) in L and m, not a copy.
-  Result<std::unique_ptr<PersistentStore>> store =
-      PersistentStore::Open(dir.path(), nullptr);
-  ASSERT_TRUE(store.ok()) << store.status();
-  const SnapshotArtifacts artifacts =
-      store.value()->OpenSnapshot(graph, options.factory);
-  ASSERT_TRUE(artifacts.valid);
-  ASSERT_NE(artifacts.bfs_index, nullptr);
-  EXPECT_TRUE(artifacts.bfs_index->mapped());
+  EXPECT_EQ(ReadFile(snapshot), published);
 }
 
 TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {
@@ -415,39 +383,74 @@ TEST(PersistRestart, CrashedPublishAtCreateDegradesToRebuild) {
   EXPECT_GE(Recovered(*engine.value(), "rebuild"), 1u);
 }
 
+/// The snapshot a BFS Sharing engine published for `graph` before BFS
+/// Sharing engines stopped building a generation at Create: manifest flag
+/// bit 0, BFS Sharing's L in the manifest word after the flags, and the
+/// generation in section 3 (both ids and the bit are retired).
+void WriteBfsSharingSnapshot(const UncertainGraph& graph,
+                             const FactoryOptions& options,
+                             const std::string& path) {
+  std::string manifest;
+  WireWriter writer(&manifest);
+  writer.PutU64(GraphFingerprint(graph));
+  writer.PutU64(graph.num_nodes());
+  writer.PutU64(graph.num_edges());
+  writer.PutU64(options.index_seed);
+  writer.PutU32(1u << 0);  // flags: a BFS Sharing section
+  writer.PutU32(options.bfs_sharing.index_samples);
+  writer.PutU32(0);  // ProbTree width
+  writer.PutU32(0);  // ProbTree max distance
+  for (int i = 0; i < 8; ++i) writer.PutU8(0);  // distributions flag, pad
+  std::string generation;
+  ASSERT_TRUE(BfsSharingIndex::Build(graph, options.bfs_sharing,
+                                     options.index_seed)
+                  .MoveValue()
+                  ->AppendBlock(&generation)
+                  .ok());
+  SnapshotWriter snapshot;
+  snapshot.AddSection(kSectionManifest, std::move(manifest));
+  snapshot.AddSection(3, std::move(generation));
+  ASSERT_TRUE(snapshot.Commit(path).ok());
+}
+
 TEST(PersistRestart, SnapshotWithoutTheKindsIndexIsRebuiltAndRepublished) {
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
   const EngineOptions options = PersistEngineOptions("", 2);
-  Result<std::shared_ptr<const ProbTreeIndex>> prob_tree =
-      ProbTreeIndex::BuildShared(graph, options.factory.prob_tree);
-  ASSERT_TRUE(prob_tree.ok()) << prob_tree.status();
-  // Valid snapshots of this graph that a BFS Sharing engine cannot use: a
-  // ProbTree engine's, and the manifest-only one an index-free engine used
-  // to publish.
-  for (const ProbTreeIndex* carried : {prob_tree.value().get(),
-                                       static_cast<const ProbTreeIndex*>(
-                                           nullptr)}) {
-    SCOPED_TRACE(carried != nullptr ? "ProbTree snapshot" : "manifest only");
+  // Valid snapshots of this graph that a ProbTree engine cannot use: the
+  // manifest-only one an index-free engine used to publish, and the one a
+  // BFS Sharing engine used to publish, whose retired section and flag it
+  // must ignore, not parse.
+  for (const bool bfs_sharing : {false, true}) {
+    SCOPED_TRACE(bfs_sharing ? "BFS Sharing snapshot" : "manifest only");
     ScratchDir dir("relcomp_persist_other_index");
-    {
+    if (bfs_sharing) {
+      WriteBfsSharingSnapshot(graph, options.factory,
+                              dir.path() + "/snapshot.relsnap");
+    } else {
       Result<std::unique_ptr<PersistentStore>> store =
           PersistentStore::Open(dir.path(), nullptr);
       ASSERT_TRUE(store.ok()) << store.status();
-      ASSERT_TRUE(store.value()
-                      ->WriteSnapshot(graph, options.factory, nullptr, carried)
-                      .ok());
+      ASSERT_TRUE(
+          store.value()->WriteSnapshot(graph, options.factory, nullptr).ok());
     }
-    const EngineOptions bfs = PersistEngineOptions(dir.path(), 2);
+    const EngineOptions prob_tree = PersistEngineOptions(dir.path(), 2);
     {
       Result<std::unique_ptr<QueryEngine>> first =
-          QueryEngine::Create(graph, bfs);
+          QueryEngine::Create(graph, prob_tree);
       ASSERT_TRUE(first.ok()) << first.status();
       EXPECT_EQ(Recovered(*first.value(), "snapshot"), 0u);
       EXPECT_EQ(Recovered(*first.value(), "rebuild"), 1u);
+      // Neither corrupt nor built for another graph.
+      EXPECT_EQ(CounterValue(first.value()->metrics(),
+                             "persist_corruption_detected_total"),
+                0u);
+      EXPECT_EQ(CounterValue(first.value()->metrics(),
+                             "persist_snapshot_mismatch_total"),
+                0u);
     }
-    // The rebuild republished a snapshot that carries the BFS index.
+    // The rebuild republished a snapshot that carries the ProbTree index.
     Result<std::unique_ptr<QueryEngine>> restarted =
-        QueryEngine::Create(graph, bfs);
+        QueryEngine::Create(graph, prob_tree);
     ASSERT_TRUE(restarted.ok()) << restarted.status();
     EXPECT_EQ(Recovered(*restarted.value(), "snapshot"), 1u);
     EXPECT_EQ(Recovered(*restarted.value(), "rebuild"), 0u);
@@ -455,36 +458,43 @@ TEST(PersistRestart, SnapshotWithoutTheKindsIndexIsRebuiltAndRepublished) {
 }
 
 TEST(PersistRestart, IndexFreeKindNeitherPublishesNorOpensASnapshot) {
-  ScratchDir dir("relcomp_persist_index_free");
+  // MC has no index, and a BFS Sharing engine builds no generation at
+  // Create: neither has anything to persist.
   const UncertainGraph graph = RandomSmallGraph(32, 120, 0.2, 0.8, 11);
-  const std::string snapshot = dir.path() + "/snapshot.relsnap";
-  EngineOptions mc = PersistEngineOptions(dir.path(), 2);
-  mc.kind = EstimatorKind::kMonteCarlo;
-  // Create and restart: neither touches the snapshot nor counts a recovery.
-  const auto create_twice = [&] {
-    for (int round = 0; round < 2; ++round) {
-      Result<std::unique_ptr<QueryEngine>> engine =
-          QueryEngine::Create(graph, mc);
-      ASSERT_TRUE(engine.ok()) << engine.status();
-      EXPECT_EQ(engine.value()->persist_store(), nullptr);
-      EXPECT_EQ(Recovered(*engine.value(), "snapshot"), 0u);
-      EXPECT_EQ(Recovered(*engine.value(), "rebuild"), 0u);
-      ASSERT_TRUE(engine.value()->RunBatch({EngineQuery::St(0, 7)}).ok());
-    }
-  };
-  create_twice();
-  EXPECT_FALSE(fs::exists(snapshot));
+  for (const EstimatorKind kind :
+       {EstimatorKind::kMonteCarlo, EstimatorKind::kBfsSharing}) {
+    SCOPED_TRACE(EstimatorKindName(kind));
+    ScratchDir dir("relcomp_persist_index_free");
+    const std::string snapshot = dir.path() + "/snapshot.relsnap";
+    EngineOptions index_free = PersistEngineOptions(dir.path(), 2);
+    index_free.kind = kind;
+    // Create and restart: neither touches the snapshot nor counts a
+    // recovery.
+    const auto create_twice = [&] {
+      for (int round = 0; round < 2; ++round) {
+        Result<std::unique_ptr<QueryEngine>> engine =
+            QueryEngine::Create(graph, index_free);
+        ASSERT_TRUE(engine.ok()) << engine.status();
+        EXPECT_EQ(engine.value()->persist_store(), nullptr);
+        EXPECT_EQ(Recovered(*engine.value(), "snapshot"), 0u);
+        EXPECT_EQ(Recovered(*engine.value(), "rebuild"), 0u);
+        ASSERT_TRUE(engine.value()->RunBatch({EngineQuery::St(0, 7)}).ok());
+      }
+    };
+    create_twice();
+    EXPECT_FALSE(fs::exists(snapshot));
 
-  // Beside a valid snapshot a BFS Sharing engine published for this graph:
-  // the MC engine leaves it unread and unchanged.
-  {
-    Result<std::unique_ptr<QueryEngine>> bfs =
-        QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 1));
-    ASSERT_TRUE(bfs.ok()) << bfs.status();
+    // Beside a valid snapshot a ProbTree engine published for this graph:
+    // the engine leaves it unread and unchanged.
+    {
+      Result<std::unique_ptr<QueryEngine>> prob_tree =
+          QueryEngine::Create(graph, PersistEngineOptions(dir.path(), 1));
+      ASSERT_TRUE(prob_tree.ok()) << prob_tree.status();
+    }
+    const std::string published = ReadFile(snapshot);
+    create_twice();
+    EXPECT_EQ(ReadFile(snapshot), published);
   }
-  const std::string published = ReadFile(snapshot);
-  create_twice();
-  EXPECT_EQ(ReadFile(snapshot), published);
 }
 
 }  // namespace

@@ -138,22 +138,18 @@ TEST(QueryEngineTest, SharedIndexRepliesMatchIndependentPerReplicaBuilds) {
 
 TEST(QueryEngineTest, SharedIndexIsReportedOnceAcrossReplicas) {
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.8, 58);
-  for (const EstimatorKind kind :
-       {EstimatorKind::kBfsSharing, EstimatorKind::kProbTree}) {
-    SCOPED_TRACE(EstimatorKindName(kind));
-    EngineOptions options = BaseOptions(8, kind);
-    options.factory.bfs_sharing.index_samples = 400;
-    auto engine = QueryEngine::Create(graph, options).MoveValue();
-    auto single = MakeEstimator(kind, graph, options.factory).MoveValue();
-
-    // Eight replicas cost one index, not eight: the deduped footprint equals
-    // a single estimator's index (the per-replica baseline would be 8x).
-    const IndexMemoryReport report = engine->IndexMemory();
-    EXPECT_EQ(report.shared_indexes, 1u);
-    EXPECT_EQ(report.shared_bytes, single->IndexMemoryBytes());
-    EXPECT_EQ(report.replica_bytes, 0u);
-    EXPECT_EQ(report.total_bytes(), single->IndexMemoryBytes());
-  }
+  const EngineOptions options = BaseOptions(8, EstimatorKind::kProbTree);
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  auto single =
+      MakeEstimator(EstimatorKind::kProbTree, graph, options.factory)
+          .MoveValue();
+  // Eight replicas cost one index, not eight: the deduped footprint equals a
+  // single estimator's index (the per-replica baseline would be 8x).
+  const IndexMemoryReport report = engine->IndexMemory();
+  EXPECT_EQ(report.shared_indexes, 1u);
+  EXPECT_EQ(report.shared_bytes, single->IndexMemoryBytes());
+  EXPECT_EQ(report.replica_bytes, 0u);
+  EXPECT_EQ(report.total_bytes(), single->IndexMemoryBytes());
   // Index-free kinds report an empty footprint.
   auto mc_engine =
       QueryEngine::Create(graph, BaseOptions(4, EstimatorKind::kMonteCarlo))
@@ -162,20 +158,23 @@ TEST(QueryEngineTest, SharedIndexIsReportedOnceAcrossReplicas) {
   EXPECT_EQ(mc_engine->IndexMemory().shared_indexes, 0u);
 }
 
-TEST(QueryEngineTest, BfsSharingCreateBuildsIndexExactlyOnce) {
+TEST(QueryEngineTest, BfsSharingCreateBuildsNoGeneration) {
+  // Every computed answer prepares its replica first, so Create samples no
+  // worlds at any thread count and the engine holds no index until then.
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.8, 59);
   EngineOptions options = BaseOptions(8, EstimatorKind::kBfsSharing);
   options.factory.bfs_sharing.index_samples = 400;
   const uint64_t builds_before = BfsSharingIndex::BuildCount();
   auto engine = QueryEngine::Create(graph, options).MoveValue();
-  EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 1u);
+  EXPECT_EQ(BfsSharingIndex::BuildCount() - builds_before, 0u);
+  EXPECT_EQ(engine->IndexMemory().total_bytes(), 0u);
+  EXPECT_EQ(engine->IndexMemory().shared_indexes, 0u);
   EXPECT_EQ(engine->num_threads(), 8u);
 }
 
 TEST(QueryEngineTest, CreateRejectsBudgetAboveIndexedWorlds) {
   // A BFS Sharing budget K above the index's L worlds would fail every
-  // s != t query after a full prepare, so Create refuses it. L comes from
-  // the replicas' index, which a caller may preload.
+  // s != t query after a full prepare, so Create refuses it.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.2, 0.8, 62);
   EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
   options.factory.bfs_sharing.index_samples = 100;
@@ -190,16 +189,6 @@ TEST(QueryEngineTest, CreateRejectsBudgetAboveIndexedWorlds) {
   const std::vector<EngineResult> results =
       (*engine)->RunBatch(AllPairsWorkload(graph, 4)).MoveValue();
   for (const EngineResult& r : results) EXPECT_TRUE(r.ok()) << r.status;
-
-  // A preloaded index of L = 100 decides, whatever the factory option says.
-  EngineOptions preloaded = BaseOptions(2, EstimatorKind::kBfsSharing);
-  preloaded.factory.preloaded_bfs_index =
-      BfsSharingIndex::Build(graph, options.factory.bfs_sharing,
-                             options.factory.index_seed)
-          .MoveValue();
-  preloaded.num_samples = 101;
-  EXPECT_EQ(QueryEngine::Create(graph, preloaded).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryEngineTest, CoalescingCollapsesConcurrentIdenticalMisses) {

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
+#include "graph/graph_builder.h"
 #include "reliability/bfs_sharing.h"
 #include "reliability/mc_sampling.h"
 #include "reliability/reliable_set.h"
@@ -471,15 +472,51 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   for (const EngineResult& r : *results) ASSERT_TRUE(r.ok()) << r.status;
   ExpectBitIdentical(*results, expected);
   EXPECT_GT(strata_stolen, 0u);
-  // Create shares one generation across the replicas; each has prepared
-  // since, and a thief that adopted reads the very generation its leader
-  // resampled, so there is still exactly one. Create's holds all L = 1500
-  // worlds per edge; the one prepared holds the budget's K = 200, in
-  // ceil(200 / 64) = 4 words per edge.
-  ASSERT_EQ(before.shared_indexes, 1u);
-  EXPECT_EQ(before.shared_bytes, graph.num_edges() * 24 * sizeof(uint64_t));
+  // Create builds no generation; each replica has prepared since, and a
+  // thief that adopted reads the very generation its leader resampled, so
+  // exactly one generation is held, by both replicas, and counted once. It
+  // holds the budget's K = 200 worlds, in ceil(200 / 64) = 4 words per edge.
+  EXPECT_EQ(before.shared_indexes, 0u);
+  EXPECT_EQ(before.total_bytes(), 0u);
   EXPECT_EQ(after.shared_indexes, 1u);
   EXPECT_EQ(after.shared_bytes, graph.num_edges() * 4 * sizeof(uint64_t));
+  EXPECT_EQ(after.replica_bytes, 0u);
+}
+
+TEST(StratifiedSweepTest, EngineGeometricFillsMatchAWholeWidthEstimator) {
+  // Probabilities down to 0.05, so about a quarter of the edges fill
+  // geometrically (p < 0.25), the last edge in id order among them, and a
+  // budget K = 200 that is not a multiple of 64: the replicas' generations
+  // store 4 of L = 1500's 24 words per edge, and a geometric run that wrote
+  // at or past bit 256 would write past the generation. At S = 1 and 4 the
+  // engine's answers equal a bare whole-width estimator's.
+  constexpr uint32_t kNodes = 24;
+  Rng rng(88);
+  GraphBuilder builder(kNodes);
+  for (uint32_t i = 0; i < 70; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(kNodes));
+    const NodeId v =
+        static_cast<NodeId>((u + 1 + rng.UniformInt(kNodes - 1)) % kNodes);
+    builder.AddEdge(u, v, i + 1 == 70 ? 0.05 : 0.05 + 0.85 * rng.NextDouble())
+        .CheckOK();
+  }
+  const UncertainGraph graph = builder.Build().MoveValue();
+  ASSERT_LT(graph.prob(graph.num_edges() - 1), 0.25);
+  std::vector<EngineQuery> queries = HotSourceMix(3, 4);
+  queries.push_back(EngineQuery::ReliableSet(9, 0.2));
+  queries.push_back(EngineQuery::St(3, 17));
+  queries.push_back(EngineQuery::St(12, 5));
+  for (const uint32_t strata : {1u, 4u}) {
+    SCOPED_TRACE(strata);
+    EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing, strata);
+    ASSERT_EQ(options.num_samples % 64, 8u);
+    ASSERT_EQ(options.factory.bfs_sharing.index_samples, 1500u);
+    auto engine = QueryEngine::Create(graph, options).MoveValue();
+    const std::vector<EngineResult> results =
+        engine->RunBatch(queries).MoveValue();
+    for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
+    ExpectBitIdentical(BareEstimatorAnswers(*engine, graph, queries), results);
+  }
 }
 
 TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {

@@ -213,14 +213,13 @@ TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
 }
 
 TEST(SweepSharingTest, ReplicasPrepareGenerationsAsWideAsTheBudget) {
-  // K = 300 of L = 1500 worlds. Create's shared index holds all 24 words
-  // per edge; every generation a replica prepares, and every one the
-  // prebuilder holds ready, holds ceil(300 / 64) = 5. The answers (s-t,
+  // K = 300 of L = 1500 worlds. Create builds no generation; every
+  // generation a replica prepares, and every one the prebuilder holds
+  // ready, holds ceil(300 / 64) = 5 words per edge. The answers (s-t,
   // top-k and reliable-set, with S = 4 strata starting at 0, 75, 150 and
   // 225, led or stolen) equal a bare whole-width estimator's. The graph
   // has geometric edges (p < 0.25) as well as coin edges.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.05, 0.9, 88);
-  const size_t whole_bytes = graph.num_edges() * 24 * sizeof(uint64_t);
   const size_t narrowed_bytes = graph.num_edges() * 5 * sizeof(uint64_t);
   const std::vector<EngineQuery> queries = SameSourceMix({2, 8, 15}, 2);
   for (const size_t threads : {1u, 2u}) {
@@ -232,15 +231,15 @@ TEST(SweepSharingTest, ReplicasPrepareGenerationsAsWideAsTheBudget) {
       options.num_strata = strata;
       ASSERT_EQ(options.factory.bfs_sharing.index_samples, 1500u);
       auto engine = QueryEngine::Create(graph, options).MoveValue();
-      EXPECT_EQ(engine->IndexMemory().shared_bytes, whole_bytes);
+      EXPECT_EQ(engine->IndexMemory().total_bytes(), 0u);
       const std::vector<EngineResult> results =
           engine->RunBatch(queries).MoveValue();
       const IndexMemoryReport after = engine->IndexMemory();
-      // A BFS Sharing replica reads its generation through a shareable
-      // handle, so its bytes are in shared_bytes. One replica has prepared
-      // by now; with two, one may still read Create's index.
+      // The one worker's generation is its own, not shared. With two, one
+      // may still hold none, and they may share one through a sweep flight.
       if (threads == 1) {
-        EXPECT_EQ(after.shared_bytes, narrowed_bytes);
+        EXPECT_EQ(after.replica_bytes, narrowed_bytes);
+        EXPECT_EQ(after.shared_bytes, 0u);
       }
       EXPECT_EQ(after.prebuilt_bytes % narrowed_bytes, 0u);
       for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
