@@ -203,8 +203,8 @@ BENCHMARK_CAPTURE(BM_LazySamplingBfsSt, Compact, StorageLayout::kCompact)
 // one in-place resample of all L = 1500 worlds of every edge on
 // LastFM-small, in both storage layouts. `time_per_world_bit` divides the
 // time by m times the worlds stored. The Joined cases add one thread that
-// helps fill the coin pass from before the resample starts, as a worker
-// waiting in GenerationPrebuilder::Take does; the words are the same. The
+// helps fill the coin pass from before the resample starts, as an engine's
+// idle CoinPassHelpers thread does; the words are the same. The
 // Narrowed cases resample a generation narrowed to an engine's budget
 // K = 1000, 16 of the 24 words per edge, as the engine's replicas do.
 void BM_BfsSharingResample(benchmark::State& state, StorageLayout layout,

@@ -24,7 +24,7 @@
 //   threads  : worker threads (default 4)
 //   requests : total stream length (default 2000)
 //   kind     : mc | bfs | probtree (default mc; bfs also exercises the
-//              background generation prebuilder, probtree the index
+//              coin-pass helpers of its inline prepares, probtree the index
 //              snapshot under --persist-dir)
 //   strata   : stratified-partition width S of every sweep (default 8).
 //              Deliberately NOT tied to the thread count: results are a
@@ -242,13 +242,14 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "engine up: %s estimator, %zu workers, S=%u strata per sweep, cache "
-      "%zu entries / %zu MB, sweep cache %zu MB, prebuilder %s, K=%u\n\n",
+      "%zu entries / %zu MB, sweep cache %zu MB, coin-pass helpers %s, "
+      "K=%u\n\n",
       EstimatorKindName(kind), engine->num_threads(), options.num_strata,
       options.cache_capacity, options.cache_max_bytes >> 20,
       options.sweep_cache_max_bytes >> 20,
-      engine->prebuilder() != nullptr
-          ? StrFormat("on (%zu builders)",
-                      engine->prebuilder()->num_builders())
+      engine->coin_pass_helpers() != nullptr
+          ? StrFormat("%zu threads",
+                      engine->coin_pass_helpers()->num_helpers())
                 .c_str()
           : "none (kind has no prepared generations)",
       options.num_samples);
@@ -344,15 +345,13 @@ int main(int argc, char** argv) {
   std::printf("fault tolerance: %llu deadline-exceeded, %llu failed\n",
               Count(metrics, "engine_deadline_exceeded_total"),
               Count(metrics, "engine_failures_total"));
-  if (engine->prebuilder() != nullptr) {
+  if (engine->coin_pass_helpers() != nullptr) {
     std::printf(
-        "generation prebuild: %llu requested, %llu built on %zu background "
-        "builders, %llu adopted by workers (%zu KB ready pool)\n",
-        Count(metrics, "prebuilder_requested_total"),
-        Count(metrics, "prebuilder_built_total"),
-        engine->prebuilder()->num_builders(),
-        Count(metrics, "engine_prebuilt_used_total"),
-        engine->prebuilder()->ReadyBytes() >> 10);
+        "inline prepares: %llu coin fills tossed by %zu helper threads, "
+        "%zu KB of generations resident\n",
+        Count(metrics, "coin_pass_helped_fills_total"),
+        engine->coin_pass_helpers()->num_helpers(),
+        engine->IndexMemory().total_bytes() >> 10);
   }
 
   // Span trees of the slowest requests (only when --slow-query-ms armed the

@@ -107,17 +107,9 @@ struct IndexMemoryReport {
   size_t replica_bytes = 0;
   /// Number of distinct indexes held by two or more replicas.
   size_t shared_indexes = 0;
-  /// Bytes of ready-but-unadopted prebuilt generations (the
-  /// GenerationPrebuilder's ready pool) — index-sized artifacts resident
-  /// alongside the live index. Filled by QueryEngine::IndexMemory(); 0 when
-  /// no prebuilder is running.
-  size_t prebuilt_bytes = 0;
 
-  /// True resident index footprint of the replica set (live indexes plus
-  /// prebuilt spare generations).
-  size_t total_bytes() const {
-    return shared_bytes + replica_bytes + prebuilt_bytes;
-  }
+  /// True resident index footprint of the replica set.
+  size_t total_bytes() const { return shared_bytes + replica_bytes; }
 };
 
 /// \brief Resident-set size of the current process in bytes (Linux

@@ -21,7 +21,6 @@ EngineStats::EngineStats(obs::MetricsRegistry& registry) {
   sweep_coalesced_ = registry.GetCounter("engine_sweep_coalesced_total");
   strata_executed_ = registry.GetCounter("engine_strata_executed_total");
   strata_stolen_ = registry.GetCounter("engine_strata_stolen_total");
-  prebuilt_used_ = registry.GetCounter("engine_prebuilt_used_total");
   wall_seconds_ = registry.GetGauge("engine_wall_seconds");
   span_seconds_ = registry.GetGauge("engine_span_seconds");
   peak_memory_bytes_ = registry.GetGauge("engine_peak_memory_bytes");
@@ -61,8 +60,6 @@ void EngineStats::RecordStratum(bool stolen) {
 void EngineStats::RecordSweepLatency(double seconds) {
   sweep_latency_ns_->RecordSeconds(seconds);
 }
-
-void EngineStats::RecordPrebuiltUsed() { prebuilt_used_->Inc(); }
 
 void EngineStats::RecordWorkload(WorkloadKind kind) {
   workload_queries_[static_cast<size_t>(kind)]->Inc();
@@ -108,7 +105,6 @@ void EngineStats::Reset() {
   sweep_coalesced_->Reset();
   strata_executed_->Reset();
   strata_stolen_->Reset();
-  prebuilt_used_->Reset();
   wall_seconds_->Reset();
   span_seconds_->Reset();
   peak_memory_bytes_->Reset();

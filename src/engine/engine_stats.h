@@ -54,10 +54,6 @@ class EngineStats {
   /// sample behind the per-sweep latency quantiles.
   void RecordSweepLatency(double seconds);
 
-  /// Records one query whose prepare artifact came from the background
-  /// prebuilder.
-  void RecordPrebuiltUsed();
-
   /// Counts one query against its workload kind (called once per query, on
   /// top of exactly one of the Record* outcomes above).
   void RecordWorkload(WorkloadKind kind);
@@ -92,7 +88,6 @@ class EngineStats {
   obs::Counter* sweep_coalesced_;
   obs::Counter* strata_executed_;
   obs::Counter* strata_stolen_;
-  obs::Counter* prebuilt_used_;
   obs::Gauge* wall_seconds_;
   obs::Gauge* span_seconds_;
   obs::Gauge* peak_memory_bytes_;

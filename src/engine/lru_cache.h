@@ -226,15 +226,6 @@ class LruCache {
     return it->second->value;
   }
 
-  /// True when an entry exists for `key`. Touches neither recency nor stats
-  /// and copies no payload — a pure probe.
-  bool Contains(const Key& key) const {
-    const HashedKey hashed{key, key.Hash()};
-    Shard& shard = *shards_[hashed.hash & (shards_.size() - 1)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.index.find(hashed) != shard.index.end();
-  }
-
   /// Inserts (or refreshes) `value` under `key`, evicting the shard's LRU
   /// entries until both budgets hold. Re-inserting a key replaces its value.
   /// Inadmissible values are refused.

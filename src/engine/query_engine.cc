@@ -21,14 +21,8 @@ constexpr uint64_t kSweepSeedTag = 0x73776570ULL;  // "swep"
 /// Result-cache shards: concurrent lookups of different keys mostly take
 /// different locks.
 constexpr size_t kResultCacheShards = 8;
-/// Prebuilder threads: several distinct prepare seeds are resampled at once,
-/// each still built exactly once, closest to dispatch first.
-constexpr size_t kPrebuildThreads = 2;
-/// Bound on the prebuilder's queued + ready-but-unclaimed generations. Each
-/// ready one is index-sized (IndexMemory() reports the pool as
-/// prebuilt_bytes); at the bound the oldest ready one is evicted for a new
-/// request, or the request is dropped and its query resamples inline.
-constexpr size_t kPrebuildMaxPending = 16;
+/// Threads that help fill inline prepares' coin passes.
+constexpr size_t kCoinPassHelpers = 2;
 
 /// True when `status` is the deadline/cancellation family — the failures
 /// that also count in engine_deadline_exceeded_total.
@@ -100,6 +94,8 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "cache_probe");
   stage_prepare_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "prepare");
+  stage_estimate_ =
+      registry_->GetHistogram("engine_stage_latency_ns", "stage", "estimate");
   stage_stratum_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "stratum");
   stage_merge_ =
@@ -111,8 +107,8 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
   stage_sweep_wait_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "sweep_wait");
   if (capabilities_.prepared_generations) {
-    prebuilder_ = std::make_unique<GenerationPrebuilder>(
-        *replicas_.front(), *registry_, kPrebuildMaxPending, kPrebuildThreads);
+    coin_pass_helpers_ =
+        std::make_unique<CoinPassHelpers>(*registry_, kCoinPassHelpers);
   }
   pool_ = std::make_unique<ThreadPool>(
       options_.num_threads, options_.queue_capacity,
@@ -132,11 +128,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
                       static_cast<double>(graph_.num_edges()));
 }
 
-QueryEngine::~QueryEngine() {
-  pool_->Shutdown();
-  // Join the builder thread before any replica (its build prototype) dies.
-  prebuilder_.reset();
-}
+QueryEngine::~QueryEngine() { pool_->Shutdown(); }
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     const UncertainGraph& graph, const EngineOptions& options) {
@@ -251,13 +243,6 @@ SweepCacheKey QueryEngine::SweepKeyFor(NodeId source) const {
                        SweepSeed(source)};
 }
 
-IndexMemoryReport QueryEngine::IndexMemory() const {
-  IndexMemoryReport report = ReportIndexMemory(replicas_);
-  // Ready-but-unadopted prebuilt generations are index-sized residents too.
-  if (prebuilder_ != nullptr) report.prebuilt_bytes = prebuilder_->ReadyBytes();
-  return report;
-}
-
 void QueryEngine::AwaitCall(CallState& state) {
   std::unique_lock<std::mutex> lock(state.mutex);
   state.done.wait(lock, [&state] { return state.pending == 0; });
@@ -351,36 +336,18 @@ void QueryEngine::FinishFlight(const ResultCacheKey& key, QueryFlight& flight,
       [&](QueryFlight& settled) { settled.value = value; });
 }
 
-void QueryEngine::RequestPrebuild(const EngineQuery& query) {
-  // A query this kind cannot answer, or one the caches will serve, never
-  // prepares a replica at all — building its generation would be pure waste
-  // (and would strand index-sized memory in the builder's ready pool).
-  if (!CheckWorkloadSupported(capabilities_, query).ok() ||
-      ServableFromCache(query)) {
-    return;
-  }
-  prebuilder_->Request(PrepareSeed(query));
-}
-
 Status QueryEngine::PrepareReplica(
     Estimator& estimator, uint64_t prepare_seed,
     std::shared_ptr<const PreparedGeneration> generation) {
-  // Open when Take had no generation: the inline prepare below runs its coin
-  // pass on it while idle builders help, and it closes once that returns.
-  GenerationPrebuilder::InlinePass inline_pass;
-  if (estimator.capabilities().prepared_generations) {
-    const bool prebuilt = generation == nullptr;
-    if (prebuilt && prebuilder_ != nullptr) {
-      generation = prebuilder_->Take(prepare_seed, &inline_pass);
-    }
-    if (generation != nullptr &&
-        estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
-      if (prebuilt) stats_.RecordPrebuiltUsed();
-      return Status::OK();
-    }
-    // Nothing to adopt, or adoption refused (shape mismatch — cannot happen
-    // for replicas of this engine): the inline prepare is bit-identical.
+  if (generation != nullptr &&
+      estimator.AdoptPreparedGeneration(std::move(generation)).ok()) {
+    return Status::OK();
   }
+  // Nothing to adopt, or adoption refused (shape mismatch — cannot happen
+  // for replicas of this engine): the inline prepare is bit-identical. Its
+  // coin pass runs on a pass the idle helpers help fill, which closes once
+  // the prepare returns.
+  CoinPassHelpers::InlinePass inline_pass(coin_pass_helpers_.get());
   return estimator.PrepareForNextQuery(prepare_seed, inline_pass.coins());
 }
 
@@ -437,13 +404,11 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
     }
     if (run.ok() && !prepared) {
       // H(sweep_seed, tag) == PrepareSeed(q) for every sweep-kind q over
-      // this source — the derivation RequestPrebuild also uses, so prebuilt
-      // generations match. Every participant ends up reading bit-identical
-      // worlds: the first preparer pays the full prepare (adopting a
-      // prebuilt generation when one is ready) and hands its generation to
-      // the flight; later thieves adopt it in O(1) instead of re-running the
-      // same O(L·m) resample per worker (MC, whose prepare is a no-op, has
-      // no generations and just prepares directly).
+      // this source. Every participant ends up reading bit-identical
+      // worlds: the first preparer pays the full prepare and hands its
+      // generation to the flight; later thieves adopt it in O(1) instead of
+      // re-running the same O(L·m) resample per worker (MC, whose prepare is
+      // a no-op, has no generations and just prepares directly).
       StageTimer prepare_stage(stage_prepare_, trace, obs::SpanKind::kPrepare,
                                parent);
       std::shared_ptr<const PreparedGeneration> generation;
@@ -688,9 +653,10 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
   // (estimators without one ignore the knob).
   estimate_options.num_strata = options_.num_strata;
   estimate_options.cancel = cancel;
-  obs::ScopedSpan estimate_span(trace, obs::SpanKind::kEstimate, parent);
+  StageTimer estimate_stage(stage_estimate_, trace, obs::SpanKind::kEstimate,
+                            parent);
   estimate_options.trace = trace;
-  estimate_options.trace_parent = estimate_span.id();
+  estimate_options.trace_parent = estimate_stage.id();
   return DispatchWorkload(estimator, query, estimate_options);
 }
 
@@ -800,15 +766,6 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
           StrFormat("query %zu: %s", i, valid.message().c_str()));
     }
   }
-  if (prebuilder_ != nullptr) {
-    // Seed the background builder with the whole batch's prepare seeds
-    // (deduplicated and bounded inside): generations for later queries are
-    // resampled while workers run the earlier queries' BFS, instead of
-    // inline on the serving path.
-    for (const EngineQuery& query : queries) {
-      RequestPrebuild(query);
-    }
-  }
   stats_.MarkCallStart();
   auto state = std::make_shared<CallState>();
   state->pending = queries.size();
@@ -852,19 +809,8 @@ Result<std::vector<EngineResult>> QueryEngine::RunBatch(
   return RunBatch(wrapped);
 }
 
-bool QueryEngine::ServableFromCache(const EngineQuery& query) const {
-  if (cache_.Contains(ResultKeyFor(query))) return true;
-  // A memoized sweep answers any k / eta over its source without an
-  // estimator: deriving is a rank/filter pass.
-  return IsSweepWorkload(query.workload) &&
-         sweep_cache_.Contains(SweepKeyFor(query.source));
-}
-
 Status QueryEngine::Submit(const EngineQuery& query) {
   RELCOMP_RETURN_NOT_OK(ValidateWorkload(graph_, query));
-  // Overlap: the builder resamples this query's generation while earlier
-  // stream queries are still running their BFS on the workers.
-  if (prebuilder_ != nullptr) RequestPrebuild(query);
   // The pool submit happens under stream_mutex_ so a concurrent Drain either
   // sees this query fully enqueued (and waits for it) or not at all (next
   // cycle); a slot can never be mid-flight across a drain boundary.

@@ -8,8 +8,8 @@
 
 #include "common/cancel.h"
 #include "common/timer.h"
+#include "engine/coin_pass_helpers.h"
 #include "engine/engine_stats.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/single_flight.h"
 #include "engine/thread_pool.h"
 #include "engine/lru_cache.h"
@@ -237,18 +237,20 @@ class QueryEngine {
   const ResultCache* cache() const { return &cache_; }
   /// Never null.
   const SweepCache* sweep_cache() const { return &sweep_cache_; }
-  /// nullptr when the estimator kind has no prepared-generation support.
-  const GenerationPrebuilder* prebuilder() const { return prebuilder_.get(); }
+  /// The threads that help fill inline prepares' coin passes; nullptr when
+  /// the estimator kind has no prepared generations.
+  const CoinPassHelpers* coin_pass_helpers() const {
+    return coin_pass_helpers_.get();
+  }
   /// Deduplicated resident index footprint of the replica set (a shared
-  /// index is counted once, not once per replica) plus the prebuilder's
-  /// ready pool of spare generations (IndexMemoryReport::prebuilt_bytes).
-  IndexMemoryReport IndexMemory() const;
+  /// index is counted once, not once per replica).
+  IndexMemoryReport IndexMemory() const { return ReportIndexMemory(replicas_); }
   /// Resets the engine_* instruments EngineStats owns (see EngineStats::Reset).
   void ResetStats() { stats_.Reset(); }
 
   /// Engine-wide instrument registry, the engine's only stats account: the
   /// stats recorder, both caches, the pool, the stage histograms, the store
-  /// and the prebuilder all record into it, cumulatively
+  /// and the coin-pass helpers all record into it, cumulatively
   /// since construction, so one ExportJson() / ExportText() scrape reports
   /// everything the engine measures.
   obs::MetricsRegistry& metrics() const { return *registry_; }
@@ -391,18 +393,12 @@ class QueryEngine {
   SweepCacheKey SweepKeyFor(NodeId source) const;
 
   /// Re-arms `estimator` for a query with `prepare_seed`, bit-identically
-  /// whichever way: adopts `generation` (a sweep flight's, prepared for the
-  /// same seed) when given, else a prebuilt generation when the background
-  /// prebuilder has one ready, else runs the inline PrepareForNextQuery, on
-  /// a coin pass the idle builders help fill (GenerationPrebuilder::Take).
+  /// either way: adopts `generation` (a sweep flight's, prepared for the
+  /// same seed) when given, else runs the inline PrepareForNextQuery on a
+  /// coin pass the idle helpers help fill (CoinPassHelpers::InlinePass).
   Status PrepareReplica(
       Estimator& estimator, uint64_t prepare_seed,
       std::shared_ptr<const PreparedGeneration> generation = nullptr);
-
-  /// Hands `query`'s prepare seed to the background builder — unless the
-  /// estimator kind cannot answer it (CheckWorkloadSupported) or a cache
-  /// will serve it anyway (ServableFromCache). prebuilder_ must be non-null.
-  void RequestPrebuild(const EngineQuery& query);
 
   /// Cache lookup + single-flight rendezvous for `key`. Returns true when
   /// `slot` was fully served (cache hit or coalesced); otherwise the caller
@@ -416,10 +412,6 @@ class QueryEngine {
                               std::shared_ptr<QueryFlight>* leader_flight,
                               const CancelToken* cancel,
                               obs::TraceBuffer* trace, uint32_t parent);
-
-  /// True when `query` will resolve from the result or sweep cache without
-  /// occupying a worker.
-  bool ServableFromCache(const EngineQuery& query) const;
 
   /// Writes and atomically publishes a snapshot of the shared index.
   Status PersistSnapshot();
@@ -440,8 +432,8 @@ class QueryEngine {
   const UncertainGraph& graph_;
   const EngineOptions options_;
   /// Declared before every component that records into it (stats, caches,
-  /// pool, prebuilder), so it is destroyed last: workers may still record
-  /// while the pool drains during shutdown.
+  /// pool, coin-pass helpers), so it is destroyed last: workers may still
+  /// record while the pool drains during shutdown.
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::Tracer> tracer_;
   /// Snapshot store; nullptr when persist_dir is empty or the kind has no
@@ -461,6 +453,7 @@ class QueryEngine {
   /// family is recorded inside the pool.
   obs::Histogram* stage_cache_probe_;
   obs::Histogram* stage_prepare_;
+  obs::Histogram* stage_estimate_;
   obs::Histogram* stage_stratum_;
   obs::Histogram* stage_merge_;
   obs::Histogram* stage_publish_;
@@ -473,10 +466,11 @@ class QueryEngine {
   FlightTable<ResultCacheKey, QueryFlight> query_flights_;
   FlightTable<SweepCacheKey, SweepFlight> sweep_flights_;
 
-  /// Background generation builder; nullptr when the kind has no prepared
-  /// generations. Declared after replicas_ so it is destroyed (thread
-  /// joined) before they are.
-  std::unique_ptr<GenerationPrebuilder> prebuilder_;
+  /// Coin-pass helper threads; nullptr when the kind has no prepared
+  /// generations. A helper writes into a replica's generation only inside an
+  /// open pass, whose prepare waits out every claimed block before it
+  /// returns (CoinPass::Finish).
+  std::unique_ptr<CoinPassHelpers> coin_pass_helpers_;
 
   std::mutex stream_mutex_;
   std::vector<std::unique_ptr<EngineResult>> stream_results_;

@@ -24,7 +24,7 @@ enum class SpanKind : uint8_t {
   kCoalescedWait,  ///< waiting on a query-level single-flight leader
   kSweepFlight,    ///< participation in a sweep-level flight, claim to ready
   kSweepWait,      ///< waiting for another participant to finalize the sweep
-  kPrepare,        ///< PrepareForNextQuery / prebuilt-generation adoption
+  kPrepare,        ///< PrepareForNextQuery / a flight generation's adoption
   kStratum,        ///< one executed sweep stratum (detail = stratum index)
   kMerge,          ///< deterministic stratum merge by the finalizer
   kPublish,        ///< cache insert + flight retirement + waiter wakeup

@@ -247,20 +247,6 @@ Status BfsSharingEstimator::PrepareForNextQuery(uint64_t seed,
 }
 
 Result<std::shared_ptr<const PreparedGeneration>>
-BfsSharingEstimator::BuildPreparedGeneration(uint64_t seed,
-                                             CoinPass* coins) const {
-  // Reads only graph_, options_ and num_worlds_ (all frozen at
-  // construction), so a builder thread may run this while the serving
-  // thread is mid-BFS on the current generation. Build(seed) is what
-  // PrepareForNextQuery's swap path installs, and the in-place Resample path
-  // is bit-identical to it.
-  RELCOMP_ASSIGN_OR_RETURN(
-      std::shared_ptr<BfsSharingIndex> fresh,
-      BfsSharingIndex::Build(graph_, options_, seed, coins, num_worlds_));
-  return std::shared_ptr<const PreparedGeneration>(std::move(fresh));
-}
-
-Result<std::shared_ptr<const PreparedGeneration>>
 BfsSharingEstimator::CurrentPreparedGeneration() const {
   RELCOMP_ASSIGN_OR_RETURN(std::shared_ptr<const BfsSharingIndex> index,
                            Generation());

@@ -111,7 +111,7 @@ class BfsSharingIndex : public PreparedGeneration {
   }
 
   /// Edge bit-vector bytes resident in memory.
-  size_t MemoryBytes() const override;
+  size_t MemoryBytes() const;
 
   /// Seconds spent sampling (or loading) this generation.
   double build_seconds() const { return build_seconds_; }
@@ -214,17 +214,11 @@ class BfsSharingEstimator : public Estimator {
   }
 
   /// Prepared-generation handoff: the handle is the BfsSharingIndex itself.
-  /// BuildPreparedGeneration samples the worlds PrepareForNextQuery(seed)
-  /// would install — bit-identical and as wide, reading only the graph, the
-  /// options and the budget, so a builder thread can overlap it with this
-  /// replica's in-flight BFS; its coin pass runs on `coins` when given.
   /// CurrentPreparedGeneration hands out the generation this replica reads,
   /// and AdoptPreparedGeneration makes it this replica's own; it refuses a
   /// generation of another L or width. The replica that ends up its last
   /// holder refills it in place on its next inline prepare; while any other
   /// handle is alive, nobody does.
-  Result<std::shared_ptr<const PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed, CoinPass* coins) const override;
   Result<std::shared_ptr<const PreparedGeneration>> CurrentPreparedGeneration()
       const override;
   Status AdoptPreparedGeneration(

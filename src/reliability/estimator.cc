@@ -38,13 +38,6 @@ Result<EstimateResult> Estimator::Estimate(const ReliabilityQuery& query,
 }
 
 Result<std::shared_ptr<const PreparedGeneration>>
-Estimator::BuildPreparedGeneration(uint64_t seed, CoinPass* coins) const {
-  (void)seed;
-  (void)coins;
-  return NoPreparedGenerations(name());
-}
-
-Result<std::shared_ptr<const PreparedGeneration>>
 Estimator::CurrentPreparedGeneration() const {
   return NoPreparedGenerations(name());
 }

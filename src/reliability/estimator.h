@@ -83,26 +83,19 @@ struct EstimateResult {
 /// generation (BFS Sharing's resampled worlds, Table 15's per-query cost).
 ///
 /// Replicas hand generations to each other one way, as a
-/// `std::shared_ptr<const PreparedGeneration>`:
-/// - BuildPreparedGeneration builds one off-thread (the prebuilder);
-/// - CurrentPreparedGeneration reads one off a prepared replica (a sweep
-///   flight's first preparer, for its stratum thieves);
-/// - AdoptPreparedGeneration installs either kind in O(1).
+/// `std::shared_ptr<const PreparedGeneration>`: CurrentPreparedGeneration
+/// reads one off a prepared replica (a sweep flight's first preparer, for
+/// its stratum thieves), and AdoptPreparedGeneration installs it in O(1).
 ///
 /// Ownership rule: a replica refills its generation in place on its next
 /// inline PrepareForNextQuery only when no other handle references it (the
-/// adopting replica is the last holder); otherwise it moves to a fresh
-/// generation and leaves the shared one untouched. So a generation is never
-/// written while anyone else can read it, and a caller that adopts and then
-/// drops its handle hands the replica in-place ownership.
+/// replica is the last holder); otherwise it moves to a fresh generation and
+/// leaves the shared one untouched. So a generation is never written while
+/// anyone else can read it, and once every other holder drops its handle,
+/// the replica refills in place again.
 class PreparedGeneration {
  public:
   virtual ~PreparedGeneration() = default;
-
-  /// Logical bytes this generation keeps resident (a BFS Sharing generation
-  /// is index-sized: its words per edge times the edges). Lets memory
-  /// reports account prebuilt generations alongside the live index.
-  virtual size_t MemoryBytes() const { return 0; }
 };
 
 /// \brief What an estimator answers beyond the core s-t Estimate. Every
@@ -114,7 +107,7 @@ struct EstimatorCapabilities {
   bool sweep = false;
   /// EstimateDistanceConstrained (MC and RHH).
   bool distance = false;
-  /// Build/Current/AdoptPreparedGeneration (BFS Sharing).
+  /// Current/AdoptPreparedGeneration (BFS Sharing).
   bool prepared_generations = false;
 };
 
@@ -182,29 +175,17 @@ class Estimator {
   /// \name Prepared-generation handoff (see PreparedGeneration)
   /// @{
 
-  /// Builds, without touching this instance's mutable state, the generation
-  /// PrepareForNextQuery(seed) would install — bit-identical by contract.
-  /// Must be safe to call from a background thread while this instance
-  /// concurrently serves queries (it may only read construction-time
-  /// immutable state: the graph and the options). `coins`, when not null,
-  /// is a fresh pass the build runs its coin pass on, so that other threads
-  /// can help through CoinPass::Help (BFS Sharing); a kind with no coin pass
-  /// ignores it, and the caller closes it once the build returns. Default:
-  /// NotSupported.
-  virtual Result<std::shared_ptr<const PreparedGeneration>>
-  BuildPreparedGeneration(uint64_t seed, CoinPass* coins) const;
-
   /// The generation this replica currently reads. Precondition:
   /// PrepareForNextQuery or an adoption ran for the current query.
   /// Serving-thread only. Default: NotSupported.
   virtual Result<std::shared_ptr<const PreparedGeneration>>
   CurrentPreparedGeneration() const;
 
-  /// Installs `generation` — built by BuildPreparedGeneration or read by
-  /// CurrentPreparedGeneration on *any* replica bound to the same graph and
-  /// options (replicas are interchangeable) — in O(1): bit-identical to
-  /// having run PrepareForNextQuery with its seed. Serving-thread only.
-  /// Default: NotSupported.
+  /// Installs `generation` — read by CurrentPreparedGeneration on *any*
+  /// replica bound to the same graph and options (replicas are
+  /// interchangeable) — in O(1): bit-identical to having run
+  /// PrepareForNextQuery with its seed. Serving-thread only. Default:
+  /// NotSupported.
   virtual Status AdoptPreparedGeneration(
       std::shared_ptr<const PreparedGeneration> generation);
 

@@ -146,8 +146,7 @@ TEST(BfsSharing, IndexMemoryScalesWithL) {
 TEST(BfsSharing, SaveLoadRoundTripPreservesAnswers) {
   const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 34);
   auto est = Make(g, 500);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_bfs_index.bin").string();
+  const std::string path = testing::ScratchPath("relcomp_bfs_index.bin");
   ASSERT_TRUE(est->SaveToFile(path).ok());
 
   Result<std::unique_ptr<BfsSharingEstimator>> loaded =
@@ -163,9 +162,7 @@ TEST(BfsSharing, SaveLoadRoundTripPreservesAnswers) {
 TEST(BfsSharing, LoadRejectsMismatchedGraph) {
   const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 35);
   auto est = Make(g, 100);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_bfs_mismatch.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_bfs_mismatch.bin");
   ASSERT_TRUE(est->SaveToFile(path).ok());
   const UncertainGraph other = RandomSmallGraph(15, 44, 0.2, 0.8, 36);
   EXPECT_FALSE(BfsSharingEstimator::LoadFromFile(other, path).ok());
@@ -175,9 +172,7 @@ TEST(BfsSharing, LoadRejectsMismatchedGraph) {
 TEST(BfsSharing, LoadRejectsHostileWorldCount) {
   const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 35);
   auto est = Make(g, 100);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_bfs_hostile.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_bfs_hostile.bin");
   // L = 2^32 - 1 right after the magic: ceil(L / 64) words per edge must be
   // in the file, however the 32-bit L + 63 would wrap.
   constexpr uint32_t kHugeL = 0xFFFFFFFFu;
@@ -225,9 +220,7 @@ TEST(BfsSharing, ReplicaWithoutAGenerationRefusesEveryReader) {
 
   EstimateOptions opts;
   opts.num_samples = 300;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_bfs_empty.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_bfs_empty.bin");
   std::filesystem::remove(path);
   const auto expect_refused = [](const Status& status, const char* reader) {
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << reader;
@@ -306,9 +299,7 @@ TEST(BfsSharing, GenerationSwapLeavesSharingReplicasIntact) {
 TEST(BfsSharing, SaveLoadRoundTripProducesShareableIndex) {
   const UncertainGraph g = RandomSmallGraph(15, 45, 0.2, 0.8, 42);
   auto est = Make(g, 500);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_bfs_shared.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_bfs_shared.bin");
   ASSERT_TRUE(est->SaveToFile(path).ok());
 
   auto loaded = BfsSharingIndex::LoadFromFile(g, path).MoveValue();
@@ -569,9 +560,7 @@ TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(narrowed->EstimateSweepStratumHits(0, 0, 4, past).status().code(),
             StatusCode::kInvalidArgument);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_bfs_narrowed.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_bfs_narrowed.bin");
   std::filesystem::remove(path);
   EXPECT_FALSE(narrowed->SaveToFile(path).ok());
   EXPECT_FALSE(std::filesystem::exists(path));
@@ -579,7 +568,7 @@ TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
   EXPECT_FALSE(narrowed->shared_index()->AppendBlock(&block).ok());
 
   // Adoption: a generation of another width is refused both ways; one a
-  // replica of the same budget built is taken.
+  // replica of the same budget prepared is taken.
   EXPECT_FALSE(narrowed
                    ->AdoptPreparedGeneration(
                        whole->CurrentPreparedGeneration().MoveValue())
@@ -590,9 +579,10 @@ TEST(BfsSharing, NarrowedReplicaAnswersLikeAWholeWidthEstimator) {
                    .ok());
   auto sibling =
       BfsSharingEstimator::CreateReplica(g, options, 300).MoveValue();
+  ASSERT_TRUE(sibling->PrepareForNextQuery(13).ok());
   ASSERT_TRUE(narrowed
                   ->AdoptPreparedGeneration(
-                      sibling->BuildPreparedGeneration(13, nullptr).MoveValue())
+                      sibling->CurrentPreparedGeneration().MoveValue())
                   .ok());
   ASSERT_TRUE(whole->PrepareForNextQuery(13).ok());
   expect_same_answers();

@@ -1,27 +1,24 @@
 // The coin pass of BFS Sharing's world fill and the threads that join it:
-// CoinPass helpers next to a build, GenerationPrebuilder::Take helping the
-// build of the seed it waits for, and the prebuilder's idle builders helping
-// an inline prepare that Take handed a pass. Whoever tosses the coins, the
-// words must equal a fill on one thread. Every case runs under a watchdog,
-// so a lost wake-up fails fast instead of hanging the suite, and a case that
-// needs a helper inside a pass waits until the helper has claimed a block
-// there instead of sleeping.
+// CoinPass helpers next to a build, and the engine's CoinPassHelpers threads
+// helping an inline prepare that refills its replica's generation in place.
+// Whoever tosses the coins, the words must equal a fill on one thread. Every
+// case runs under a watchdog, so a lost wake-up fails fast instead of hanging
+// the suite, and a case that needs a helper inside a pass waits until the
+// helper has claimed a block there instead of sleeping.
 
 #include "common/coin_pass.h"
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bitvector.h"
-#include "engine/generation_prebuilder.h"
+#include "engine/coin_pass_helpers.h"
 #include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "reliability/bfs_sharing.h"
@@ -272,177 +269,40 @@ TEST(CoinPassTest, CloseWithoutBeginReleasesWaitingHelpers) {
   EXPECT_EQ(coins.Help(), 0u);
 }
 
-/// Delegates BuildPreparedGeneration to a BFS Sharing estimator once the
-/// test opens its gate, so that the test can call Take while the seed is
-/// building.
-class GatedBuilds : public Estimator {
- public:
-  explicit GatedBuilds(const BfsSharingEstimator& inner) : inner_(inner) {}
-
-  std::string_view name() const override { return "GatedBuilds"; }
-  const UncertainGraph& graph() const override { return inner_.graph(); }
-
-  Result<std::shared_ptr<const PreparedGeneration>> BuildPreparedGeneration(
-      uint64_t seed, CoinPass* coins) const override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      started_ = coins;
-      changed_.notify_all();
-      changed_.wait(lock, [this] { return open_; });
-    }
-    return inner_.BuildPreparedGeneration(seed, coins);
-  }
-
-  /// Waits until a build reaches the gate, and returns its coin pass, which
-  /// stays alive until the gate opens.
-  const CoinPass& AwaitStarted() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    changed_.wait(lock, [this] { return started_ != nullptr; });
-    return *started_;
-  }
-
-  void Open() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    open_ = true;
-    changed_.notify_all();
-  }
-
- protected:
-  Result<double> DoEstimate(const ReliabilityQuery&, const EstimateOptions&,
-                            MemoryTracker*) override {
-    return Status::NotSupported("GatedBuilds answers no query");
-  }
-
- private:
-  const BfsSharingEstimator& inner_;
-  mutable std::mutex mutex_;
-  mutable std::condition_variable changed_;
-  mutable const CoinPass* started_ = nullptr;
-  bool open_ = false;
-};
-
-TEST(GenerationPrebuilderTest, TakeHelpsTheBuildItWaitsFor) {
+TEST(CoinPassHelpersTest, HelpersHelpAnInlinePrepareRefillInPlace) {
   Watchdog watchdog(std::chrono::seconds(120));
   for (const Mix mix : kMixes) {
     const UncertainGraph graph = CycleGraph(mix);
     for (const Shape& shape : kShapes) {
       SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << shape.l
                                         << ", budget " << shape.budget);
-      const auto prototype = MakeReplica(graph, shape);
-      GatedBuilds gated(*prototype);
-      obs::MetricsRegistry metrics;
-      GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
-      constexpr uint64_t kSeed = 0x5EED;
-      ASSERT_TRUE(prebuilder.Request(kSeed));
-      const CoinPass& build_coins = gated.AwaitStarted();
-      // The seed is building and cannot finish before the gate opens, so
-      // this Take joins the build instead of finding it queued or ready, and
-      // it claims the pass's first block before the gate opens.
-      std::shared_ptr<const PreparedGeneration> taken;
-      GenerationPrebuilder::InlinePass inline_pass;
-      std::thread taker(
-          [&] { taken = prebuilder.Take(kSeed, &inline_pass); });
-      AwaitHelpers(build_coins, 1);
-      gated.Open();
-      taker.join();
-      ASSERT_NE(taken, nullptr);
-      EXPECT_EQ(inline_pass.coins(), nullptr);
-      const auto* index = dynamic_cast<const BfsSharingIndex*>(taken.get());
-      ASSERT_NE(index, nullptr);
-
-      auto inline_replica = MakeReplica(graph, shape);
-      ASSERT_TRUE(inline_replica->PrepareForNextQuery(kSeed).ok());
-      EXPECT_EQ(Words(*index), Words(*inline_replica->shared_index()));
-      EXPECT_EQ(Words(*index), PrefixOfWholeGeneration(graph, shape, kSeed));
-
-      const uint64_t helped =
-          CounterValue(metrics, "prebuilder_helped_fills_total");
-      EXPECT_LE(helped, CoinEdges(graph));
-      if (mix == Mix::kNoCoinEdges) {
-        EXPECT_EQ(helped, 0u);
-      } else {
-        EXPECT_GT(helped, 0u);
-      }
-    }
-  }
-}
-
-TEST(GenerationPrebuilderTest, TakeOfAQueuedOrUnknownSeedOpensAnInlinePass) {
-  Watchdog watchdog(std::chrono::seconds(60));
-  const UncertainGraph graph = CycleGraph(Mix::kMixed);
-  BfsSharingOptions options;
-  options.index_samples = 64;
-  const auto prototype =
-      BfsSharingEstimator::Create(graph, options, 1).MoveValue();
-  GatedBuilds gated(*prototype);
-  obs::MetricsRegistry metrics;
-  {
-    GenerationPrebuilder prebuilder(gated, metrics, /*max_pending=*/4);
-    constexpr uint64_t kBusy = 1;
-    constexpr uint64_t kQueued = 2;
-    constexpr uint64_t kUnknown = 3;
-    ASSERT_TRUE(prebuilder.Request(kBusy));
-    gated.AwaitStarted();
-    // The one builder is held at the gate with kBusy, so kQueued stays
-    // queued until Take cancels it.
-    ASSERT_TRUE(prebuilder.Request(kQueued));
-    GenerationPrebuilder::InlinePass queued_pass;
-    EXPECT_EQ(prebuilder.Take(kQueued, &queued_pass), nullptr);
-    ASSERT_NE(queued_pass.coins(), nullptr);
-    EXPECT_FALSE(CoinPassTestPeer::Closed(*queued_pass.coins()));
-    GenerationPrebuilder::InlinePass unknown_pass;
-    EXPECT_EQ(prebuilder.Take(kUnknown, &unknown_pass), nullptr);
-    ASSERT_NE(unknown_pass.coins(), nullptr);
-    EXPECT_FALSE(CoinPassTestPeer::Closed(*unknown_pass.coins()));
-    EXPECT_NE(unknown_pass.coins(), queued_pass.coins());
-    gated.Open();
-    // A seed that was building still hands over its generation, and no pass.
-    GenerationPrebuilder::InlinePass busy_pass;
-    EXPECT_NE(prebuilder.Take(kBusy, &busy_pass), nullptr);
-    EXPECT_EQ(busy_pass.coins(), nullptr);
-    // The passes close here, before the prebuilder joins its builder, which
-    // may be helping one of them.
-  }
-  // kQueued was cancelled, so only kBusy was ever built.
-  EXPECT_EQ(CounterValue(metrics, "prebuilder_built_total"), 1u);
-}
-
-TEST(GenerationPrebuilderTest, BuildersHelpAnInlinePrepareRefillInPlace) {
-  Watchdog watchdog(std::chrono::seconds(120));
-  for (const Mix mix : kMixes) {
-    const UncertainGraph graph = CycleGraph(mix);
-    for (const Shape& shape : kShapes) {
-      SCOPED_TRACE(::testing::Message() << MixName(mix) << ", L = " << shape.l
-                                        << ", budget " << shape.budget);
-      const auto prototype = MakeReplica(graph, shape);
       // A first prepare gives the replica a generation of its own, of its
       // budget's width, which it then refills in place.
       auto replica = MakeReplica(graph, shape);
       ASSERT_TRUE(replica->PrepareForNextQuery(0xF1257).ok());
       const void* identity = replica->SharedIndexIdentity();
       obs::MetricsRegistry metrics;
-      GenerationPrebuilder prebuilder(*prototype, metrics, /*max_pending=*/4);
+      CoinPassHelpers helpers(metrics, /*num_helpers=*/1);
       constexpr uint64_t kSeed = 0x1A7E;
       {
-        GenerationPrebuilder::InlinePass inline_pass;
-        ASSERT_EQ(prebuilder.Take(kSeed, &inline_pass), nullptr);
+        CoinPassHelpers::InlinePass inline_pass(&helpers);
         ASSERT_NE(inline_pass.coins(), nullptr);
-        // The gate: the prepare starts only once the builder has claimed
-        // the pass's first block, so the builder fills that block.
+        // The gate: the prepare starts only once the helper has claimed the
+        // pass's first block, so the helper fills that block.
         AwaitHelpers(*inline_pass.coins(), 1);
         ASSERT_TRUE(
             replica->PrepareForNextQuery(kSeed, inline_pass.coins()).ok());
       }
-      // The builder counts its fills once its Help returns; joining it makes
+      // The helper counts its fills once its Help returns; joining it makes
       // the count final.
-      prebuilder.Shutdown();
+      helpers.Shutdown();
 
       EXPECT_EQ(Words(*replica->shared_index()),
                 PrefixOfWholeGeneration(graph, shape, kSeed));
       EXPECT_EQ(replica->SharedIndexIdentity(), identity);
 
       const uint64_t helped =
-          CounterValue(metrics, "prebuilder_helped_fills_total");
+          CounterValue(metrics, "coin_pass_helped_fills_total");
       EXPECT_LE(helped, CoinEdges(graph));
       if (mix == Mix::kNoCoinEdges) {
         EXPECT_EQ(helped, 0u);
@@ -453,25 +313,23 @@ TEST(GenerationPrebuilderTest, BuildersHelpAnInlinePrepareRefillInPlace) {
   }
 }
 
-TEST(GenerationPrebuilderTest, AnInlinePassClosedUnbegunReleasesItsBuilder) {
+TEST(CoinPassHelpersTest, AnInlinePassClosedUnbegunReleasesItsHelper) {
   Watchdog watchdog(std::chrono::seconds(60));
-  const UncertainGraph graph = CycleGraph(Mix::kMixed);
-  BfsSharingOptions options;
-  options.index_samples = 64;
-  const auto prototype =
-      BfsSharingEstimator::Create(graph, options, 1).MoveValue();
   obs::MetricsRegistry metrics;
-  GenerationPrebuilder prebuilder(*prototype, metrics, /*max_pending=*/4);
+  CoinPassHelpers helpers(metrics, /*num_helpers=*/1);
+  EXPECT_EQ(helpers.num_helpers(), 1u);
+  // With no helpers, the handle opens no pass: the prepare fills alone.
+  EXPECT_EQ(CoinPassHelpers::InlinePass(nullptr).coins(), nullptr);
   {
-    GenerationPrebuilder::InlinePass inline_pass;
-    ASSERT_EQ(prebuilder.Take(7, &inline_pass), nullptr);
+    CoinPassHelpers::InlinePass inline_pass(&helpers);
     ASSERT_NE(inline_pass.coins(), nullptr);
+    EXPECT_FALSE(CoinPassTestPeer::Closed(*inline_pass.coins()));
     AwaitHelpers(*inline_pass.coins(), 1);
-    // The builder waits in the pass; the prepare fails before Begin, and the
+    // The helper waits in the pass; the prepare fails before Begin, and the
     // handle closes the pass as it goes.
   }
-  prebuilder.Shutdown();  // returns: the builder left the pass
-  EXPECT_EQ(CounterValue(metrics, "prebuilder_helped_fills_total"), 0u);
+  helpers.Shutdown();  // returns: the helper left the pass
+  EXPECT_EQ(CounterValue(metrics, "coin_pass_helped_fills_total"), 0u);
 }
 
 }  // namespace

@@ -315,12 +315,11 @@ TEST(EngineWorkloadTest, UnsupportedWorkloadFailsPerQueryNotPerBatch) {
   EXPECT_EQ(CounterValue(engine->metrics(), "engine_failures_total"), 1u);
 }
 
-TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
+TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepare) {
   // A (kind, workload) pair the kind cannot answer fails NotSupported before
-  // the engine pays for anything: no generation is requested from the
-  // prebuilder and no replica is prepared. BFS Sharing has no distance
-  // support (and would otherwise resample a whole generation per query);
-  // RSS has no sweep support. The statuses are DispatchWorkload's.
+  // the engine pays for anything: no replica is prepared. BFS Sharing has no
+  // distance support (and would otherwise resample a whole generation per
+  // query); RSS has no sweep support. The statuses are DispatchWorkload's.
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.2, 0.9, 46);
   for (const EstimatorKind kind :
        {EstimatorKind::kBfsSharing, EstimatorKind::kRecursiveStratified}) {
@@ -352,7 +351,6 @@ TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
         EXPECT_EQ(results[i].status.ToString(), expected.ToString());
       }
       obs::MetricsRegistry& metrics = engine->metrics();
-      EXPECT_EQ(CounterValue(metrics, "prebuilder_requested_total"), 0u);
       EXPECT_EQ(metrics.GetHistogram("engine_stage_latency_ns", "stage",
                                      "prepare")
                     ->Snapshot()
@@ -362,7 +360,7 @@ TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
                 queries.size());
 
       // Failures are never cached: a repeat fails again, still before any
-      // prepare or prebuild.
+      // prepare.
       const std::vector<EngineResult> again =
           engine->RunBatch(queries).MoveValue();
       for (const EngineResult& r : again) {
@@ -370,7 +368,6 @@ TEST(EngineWorkloadTest, UnsupportedPairsFailBeforeAnyPrepareOrPrebuild) {
         EXPECT_FALSE(r.cache_hit);
       }
       EXPECT_EQ(CounterValue(metrics, "result_cache_insertions_total"), 0u);
-      EXPECT_EQ(CounterValue(metrics, "prebuilder_requested_total"), 0u);
       EXPECT_EQ(metrics.GetHistogram("engine_stage_latency_ns", "stage",
                                      "prepare")
                     ->Snapshot()

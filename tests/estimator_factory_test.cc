@@ -76,8 +76,9 @@ TEST(Factory, CapabilitiesMatchDispatchForEachOfTheSix) {
     EXPECT_EQ(distance.ok(), row.distance) << distance.status();
     EXPECT_EQ(distance.status().code() == StatusCode::kNotSupported,
               !row.distance);
+    ASSERT_TRUE(est->PrepareForNextQuery(1).ok());
     const Result<std::shared_ptr<const PreparedGeneration>> generation =
-        est->BuildPreparedGeneration(1, nullptr);
+        est->CurrentPreparedGeneration();
     EXPECT_EQ(generation.ok(), row.prepared_generations);
     EXPECT_EQ(generation.status().code() == StatusCode::kNotSupported,
               !row.prepared_generations);

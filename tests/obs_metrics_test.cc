@@ -302,8 +302,6 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
             4 * sweep_executed);
   EXPECT_LE(CounterValue(registry, "engine_strata_stolen_total"),
             CounterValue(registry, "engine_strata_executed_total"));
-  // MC has no prepared generations: nothing is adopted from a prebuilder.
-  EXPECT_EQ(CounterValue(registry, "engine_prebuilt_used_total"), 0u);
   // Every query rode the pool exactly once, and the executed ones went
   // through cache probe + stratum + publish.
   EXPECT_EQ(registry.GetHistogram("engine_stage_latency_ns", "stage",
@@ -331,6 +329,37 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
   EXPECT_NE(json.find("engine_stage_latency_ns"), std::string::npos);
   EXPECT_NE(json.find("result_cache_hits_total"), std::string::npos);
   EXPECT_NE(json.find("sweep_cache_bytes"), std::string::npos);
+}
+
+TEST(EngineScrapeTest, EstimateStageTimesEveryComputedStAndDistanceQuery) {
+  // Every computed s-t or distance query records one `estimate` stage
+  // sample, around its estimator call. The queries are distinct, so none is
+  // a cache hit or coalesced, and the stage's count equals
+  // engine_executed_total.
+  const UncertainGraph graph = RandomSmallGraph(20, 50, 0.2, 0.9, 11);
+  EngineOptions options;
+  options.num_threads = 4;
+  options.num_samples = 200;
+  options.seed = 17;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+
+  std::vector<EngineQuery> queries;
+  for (NodeId t = 1; t < 12; ++t) {
+    queries.push_back(EngineQuery::St(0, t));
+    queries.push_back(EngineQuery::Distance(t, 0, 3));
+  }
+  auto results = engine->RunBatch(queries);
+  ASSERT_TRUE(results.ok()) << results.status().message();
+  for (const EngineResult& r : *results) ASSERT_TRUE(r.ok()) << r.status;
+
+  MetricsRegistry& registry = engine->metrics();
+  const uint64_t executed = CounterValue(registry, "engine_executed_total");
+  EXPECT_EQ(executed, queries.size());
+  EXPECT_EQ(registry.GetHistogram("engine_stage_latency_ns", "stage",
+                                  "estimate")
+                ->Snapshot()
+                .count,
+            executed);
 }
 
 TEST(EngineScrapeTest, OutcomeCountersPartitionTheQueries) {

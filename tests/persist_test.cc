@@ -30,11 +30,11 @@ namespace fs = std::filesystem;
 using ::relcomp::testing::CounterValue;
 using ::relcomp::testing::RandomSmallGraph;
 
-/// Fresh scratch directory per test; removed on destruction.
+/// Fresh scratch directory per test and process; removed on destruction.
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& name)
-      : path_((fs::temp_directory_path() / name).string()) {
+      : path_(testing::ScratchPath(name)) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }

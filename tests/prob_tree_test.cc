@@ -145,8 +145,7 @@ TEST(ProbTreeIndex, QueryGraphNearLosslessOnGeneralGraphs) {
 TEST(ProbTreeIndex, SaveLoadRoundTrip) {
   const UncertainGraph g = RandomSmallGraph(30, 80, 0.2, 0.8, 24);
   const ProbTreeIndex index = BuildIndex(g);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_probtree.bin").string();
+  const std::string path = testing::ScratchPath("relcomp_probtree.bin");
   ASSERT_TRUE(index.SaveToFile(path).ok());
   const Result<ProbTreeIndex> loaded = ProbTreeIndex::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -165,9 +164,7 @@ TEST(ProbTreeIndex, LoadFromFileRejectsHugeNodeCount) {
   // used to size the covered-bag table.
   const UncertainGraph g = RandomSmallGraph(30, 80, 0.2, 0.8, 24);
   const ProbTreeIndex index = BuildIndex(g);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_probtree_huge.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_probtree_huge.bin");
   ASSERT_TRUE(index.SaveToFile(path).ok());
   testing::PatchFile(path, /*offset=*/8, uint64_t{1} << 62);
   EXPECT_FALSE(ProbTreeIndex::LoadFromFile(path).ok());
@@ -202,9 +199,7 @@ TEST(ProbTreeIndex, LoadFromFileRejectsBagReferencesOutOfRange) {
                    {kFirstBag + 4, -2},
                    {first_origin, past_end},
                    {first_origin, -7}};
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_probtree_bags.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_probtree_bags.bin");
   for (const auto& forged : forgeries) {
     SCOPED_TRACE(::testing::Message() << "offset " << forged.offset
                                       << " := " << forged.value);
@@ -257,9 +252,7 @@ TEST(ProbTreeIndex, LoadFromFileRejectsNodeIdsOutOfRange) {
                    {first_boundary, num_nodes + 100000},
                    {first_tail, num_nodes},
                    {first_tail + 4, 0xFFFFFFFFu}};
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "relcomp_probtree_nodes.bin")
-          .string();
+  const std::string path = testing::ScratchPath("relcomp_probtree_nodes.bin");
   for (const auto& forged : forgeries) {
     SCOPED_TRACE(::testing::Message() << "offset " << forged.offset
                                       << " := " << forged.value);

@@ -3,9 +3,8 @@
 // serial stratified calls; BFS Sharing slice-invariance), the engine's
 // stratum scheduler (bit-identical at 1/2/8 threads x S in {1, 4, 16},
 // stealing-vs-blocking parity, steal counters), stratified-vs-unstratified
-// accuracy, the one generation handoff (its ownership rule, and a stratum
-// thief adopting its leader's generation inside the engine), and the
-// multi-threaded generation prebuilder.
+// accuracy, and the one generation handoff (its ownership rule, and a
+// stratum thief adopting its leader's generation inside the engine).
 
 #include <cstring>
 #include <thread>
@@ -15,7 +14,6 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
-#include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
 #include "graph/graph_builder.h"
 #include "reliability/bfs_sharing.h"
@@ -338,7 +336,7 @@ TEST(StratifiedSweepTest, SharedPreparedStateReproducesSweepBitwise) {
   ASSERT_TRUE(thief->capabilities().prepared_generations);
   std::shared_ptr<const PreparedGeneration> state =
       leader->CurrentPreparedGeneration().MoveValue();
-  EXPECT_GT(state->MemoryBytes(), 0u);
+  ASSERT_NE(state, nullptr);
   ASSERT_TRUE(thief->AdoptPreparedGeneration(state).ok());
   // Literally the same generation object, not a bit-identical rebuild.
   EXPECT_EQ(thief->SharedIndexIdentity(), leader->SharedIndexIdentity());
@@ -368,19 +366,22 @@ std::vector<uint64_t> WorldWords(const BfsSharingIndex& index) {
 }
 
 TEST(StratifiedSweepTest, AdoptedGenerationRefillsInPlaceOnceHandleDropped) {
-  // The prebuilt case: the engine adopts a BuildPreparedGeneration result
-  // and drops its handle, so the replica is the generation's last holder.
-  // Its next inline prepare must refill that generation in place — same
-  // object, no build — with the worlds a fresh replica draws for the seed.
+  // A stratum thief adopts the generation its leader prepared, and the
+  // leader then drops it, so the thief is the generation's last holder. Its
+  // next inline prepare must refill that generation in place — same object,
+  // no build — with the worlds a fresh replica draws for the seed.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 85);
   BfsSharingOptions bfs;
   bfs.index_samples = 128;
   auto replica = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  ASSERT_TRUE(
-      replica
-          ->AdoptPreparedGeneration(
-              replica->BuildPreparedGeneration(0xA11CE, nullptr).MoveValue())
-          .ok());
+  {
+    auto leader = BfsSharingEstimator::Create(graph, bfs, 2).MoveValue();
+    ASSERT_TRUE(leader->PrepareForNextQuery(0xA11CE).ok());
+    ASSERT_TRUE(replica
+                    ->AdoptPreparedGeneration(
+                        leader->CurrentPreparedGeneration().MoveValue())
+                    .ok());
+  }
   const void* adopted = replica->SharedIndexIdentity();
   const uint64_t builds = BfsSharingIndex::BuildCount();
   ASSERT_TRUE(replica->PrepareForNextQuery(0xB0B).ok());
@@ -405,11 +406,7 @@ TEST(StratifiedSweepTest, GenerationAnotherReplicaHoldsIsNeverRefilledInPlace) {
     SCOPED_TRACE(leader_moves_first);
     auto leader = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
     auto thief = BfsSharingEstimator::Create(graph, bfs, 99).MoveValue();
-    ASSERT_TRUE(
-        leader
-            ->AdoptPreparedGeneration(
-                leader->BuildPreparedGeneration(0xBEEF, nullptr).MoveValue())
-            .ok());
+    ASSERT_TRUE(leader->PrepareForNextQuery(0xBEEF).ok());
     ASSERT_TRUE(thief
                     ->AdoptPreparedGeneration(
                         leader->CurrentPreparedGeneration().MoveValue())
@@ -442,10 +439,9 @@ TEST(StratifiedSweepTest, EngineStratumThiefAdoptsTheLeadersGeneration) {
   // top-k(0, 5)'s sweep; the other first runs an s-t query, which leaves it
   // a generation of its own, then joins the sweep with top-k(0, 10) and
   // steals strata. Induced latency on every stratum and on the s-t query
-  // makes the leader prepare long before the thief arrives. The prebuilder
-  // hands a prepare seed's generation out at most once, so a thief that
-  // did not adopt would resample one of its own. Afterwards both replicas
-  // must read the leader's generation.
+  // makes the leader prepare long before the thief arrives. A thief that
+  // did not adopt would resample a generation of its own inline. Afterwards
+  // both replicas must read the leader's generation.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 87);
   const std::vector<EngineQuery> queries = {
       EngineQuery::TopK(0, 5), EngineQuery::St(1, 2), EngineQuery::TopK(0, 10)};
@@ -536,43 +532,6 @@ TEST(StratifiedSweepTest, FlightPeakMemoryReachesEveryParticipant) {
   const size_t derive_only = graph.num_nodes() * sizeof(double);
   EXPECT_GT(engine->metrics().GetGauge("engine_peak_memory_bytes")->Value(),
             static_cast<double>(derive_only));
-}
-
-TEST(StratifiedSweepTest, PrebuilderFansSeedsAcrossBuilders) {
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 81);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  obs::MetricsRegistry metrics;
-  GenerationPrebuilder prebuilder(*estimator, metrics, /*max_pending=*/8,
-                                  /*num_builders=*/3);
-  EXPECT_EQ(prebuilder.num_builders(), 3u);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    EXPECT_TRUE(prebuilder.Request(seed));
-  }
-  while (CounterValue(metrics, "prebuilder_built_total") < 6) {
-    std::this_thread::yield();
-  }
-  // Every seed built exactly once and adoptable; the ready pool accounts
-  // index-sized bytes until the takes drain it.
-  EXPECT_GT(prebuilder.ReadyBytes(), 0u);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    GenerationPrebuilder::InlinePass inline_pass;
-    std::shared_ptr<const PreparedGeneration> generation =
-        prebuilder.Take(seed, &inline_pass);
-    ASSERT_NE(generation, nullptr) << "seed " << seed;
-    EXPECT_GT(generation->MemoryBytes(), 0u);
-  }
-  EXPECT_EQ(prebuilder.ReadyBytes(), 0u);
-  EXPECT_EQ(CounterValue(metrics, "prebuilder_taken_total"), 6u);
-}
-
-TEST(StratifiedSweepTest, IndexMemoryReportCountsPrebuiltPool) {
-  IndexMemoryReport report;
-  report.shared_bytes = 100;
-  report.replica_bytes = 10;
-  report.prebuilt_bytes = 50;
-  EXPECT_EQ(report.total_bytes(), 160u);
 }
 
 }  // namespace

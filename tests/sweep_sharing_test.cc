@@ -2,16 +2,15 @@
 // batch executes exactly one EstimateFromSource per distinct source
 // (stats-verified), derived top-k / reliable-set answers are bit-identical to
 // the standalone APIs, the SweepCache evicts under byte pressure without
-// changing answers, and every answer at 1/2/8 threads, with the background
-// generation prebuilder running, equals a bare estimator's.
+// changing answers, every answer at 1/2/8 threads, with the coin-pass
+// helpers filling inline prepares, equals a bare estimator's, and a BFS
+// Sharing engine holds at most one generation per worker.
 
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "engine/generation_prebuilder.h"
 #include "engine/query_engine.h"
 #include "reliability/bfs_sharing.h"
 #include "reliability/reliable_set.h"
@@ -191,8 +190,8 @@ TEST(SweepSharingTest, SweepSeedIgnoresParametersButNotSourceOrBudget) {
 
 TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
   // Every answer — derived from the sweep memo or a sweep flight (led or
-  // stolen), for BFS Sharing over a prebuilt or flight-handed generation —
-  // equals the bare estimator's.
+  // stolen), for BFS Sharing over an inline-prepared or flight-handed
+  // generation — equals the bare estimator's.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 54);
   const std::vector<EngineQuery> queries = SameSourceMix({1, 6, 13}, 3);
 
@@ -214,15 +213,17 @@ TEST(SweepSharingTest, DeterministicAcrossThreadsCachesAndSweepToggles) {
 
 TEST(SweepSharingTest, ReplicasPrepareGenerationsAsWideAsTheBudget) {
   // K = 300 of L = 1500 worlds. Create builds no generation; every
-  // generation a replica prepares, and every one the prebuilder holds
-  // ready, holds ceil(300 / 64) = 5 words per edge. The answers (s-t,
-  // top-k and reliable-set, with S = 4 strata starting at 0, 75, 150 and
-  // 225, led or stolen) equal a bare whole-width estimator's. The graph
-  // has geometric edges (p < 0.25) as well as coin edges.
+  // generation a replica prepares holds ceil(300 / 64) = 5 words per edge,
+  // and a worker holds at most one. With one worker the batch builds exactly
+  // one generation, at the first prepare, and every later prepare refills
+  // it in place. The answers (s-t, top-k and reliable-set, with S = 4
+  // strata starting at 0, 75, 150 and 225, led or stolen) equal a bare
+  // whole-width estimator's. The graph has geometric edges (p < 0.25) as
+  // well as coin edges.
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.05, 0.9, 88);
   const size_t narrowed_bytes = graph.num_edges() * 5 * sizeof(uint64_t);
   const std::vector<EngineQuery> queries = SameSourceMix({2, 8, 15}, 2);
-  for (const size_t threads : {1u, 2u}) {
+  for (const size_t threads : {1u, 2u, 4u}) {
     for (const uint32_t strata : {1u, 4u}) {
       SCOPED_TRACE(::testing::Message() << threads << " threads, S = "
                                         << strata);
@@ -232,16 +233,20 @@ TEST(SweepSharingTest, ReplicasPrepareGenerationsAsWideAsTheBudget) {
       ASSERT_EQ(options.factory.bfs_sharing.index_samples, 1500u);
       auto engine = QueryEngine::Create(graph, options).MoveValue();
       EXPECT_EQ(engine->IndexMemory().total_bytes(), 0u);
+      const uint64_t builds = BfsSharingIndex::BuildCount();
       const std::vector<EngineResult> results =
           engine->RunBatch(queries).MoveValue();
+      const uint64_t batch_builds = BfsSharingIndex::BuildCount() - builds;
       const IndexMemoryReport after = engine->IndexMemory();
-      // The one worker's generation is its own, not shared. With two, one
+      // The one worker's generation is its own, not shared. With more, one
       // may still hold none, and they may share one through a sweep flight.
       if (threads == 1) {
+        EXPECT_EQ(batch_builds, 1u);
+        EXPECT_EQ(after.total_bytes(), narrowed_bytes);
         EXPECT_EQ(after.replica_bytes, narrowed_bytes);
         EXPECT_EQ(after.shared_bytes, 0u);
       }
-      EXPECT_EQ(after.prebuilt_bytes % narrowed_bytes, 0u);
+      EXPECT_LE(after.total_bytes(), threads * narrowed_bytes);
       for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
       ExpectBitIdentical(BareEstimatorAnswers(*engine, graph, queries),
                          results);
@@ -307,58 +312,18 @@ TEST(SweepSharingTest, ConcurrentDistinctParamsCoalesceAtSweepLevel) {
   EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 64u);
 }
 
-TEST(SweepSharingTest, PrebuilderAdoptsBackgroundGenerations) {
+TEST(SweepSharingTest, OnlyKindsWithPreparedGenerationsRunCoinPassHelpers) {
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 57);
-  EngineOptions options = BaseOptions(2, EstimatorKind::kBfsSharing);
-  options.factory.bfs_sharing.index_samples = 256;
-  auto engine = QueryEngine::Create(graph, options).MoveValue();
-  ASSERT_NE(engine->prebuilder(), nullptr);
-
-  std::vector<EngineQuery> queries;
-  for (NodeId s = 0; s < 12; ++s) {
-    queries.push_back(EngineQuery::St(s, (s + 4) % 20));
-  }
-  const std::vector<EngineResult> results =
-      engine->RunBatch(queries).MoveValue();
-  for (const EngineResult& r : results) ASSERT_TRUE(r.ok()) << r.status;
-  obs::MetricsRegistry& metrics = engine->metrics();
-  // Some generations were adopted from the background builder (the first
-  // query may race ahead of the builder and resample inline; later ones
-  // overlap). Requested/built/taken counters stay consistent.
-  const uint64_t taken = CounterValue(metrics, "prebuilder_taken_total");
-  EXPECT_GT(CounterValue(metrics, "prebuilder_requested_total"), 0u);
-  EXPECT_EQ(CounterValue(metrics, "engine_prebuilt_used_total"), taken);
-  EXPECT_LE(taken, CounterValue(metrics, "prebuilder_built_total"));
-
-  // MC has no prepared-generation surface: no prebuilder is spun up.
+  auto bfs_engine =
+      QueryEngine::Create(graph, BaseOptions(2, EstimatorKind::kBfsSharing))
+          .MoveValue();
+  ASSERT_NE(bfs_engine->coin_pass_helpers(), nullptr);
+  EXPECT_EQ(bfs_engine->coin_pass_helpers()->num_helpers(), 2u);
+  // MC has no prepared-generation surface: no helper thread is spun up.
   auto mc_engine =
       QueryEngine::Create(graph, BaseOptions(2, EstimatorKind::kMonteCarlo))
           .MoveValue();
-  EXPECT_EQ(mc_engine->prebuilder(), nullptr);
-}
-
-TEST(SweepSharingTest, PrebuilderEvictsStrandedReadyGenerations) {
-  // Stranded ready generations (built for queries that were then served
-  // from the result cache) must not wedge the builder shut at the pending
-  // bound: the oldest ready entry is evicted to make room.
-  const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 60);
-  BfsSharingOptions bfs;
-  bfs.index_samples = 64;
-  auto estimator = BfsSharingEstimator::Create(graph, bfs, 1).MoveValue();
-  obs::MetricsRegistry metrics;
-  GenerationPrebuilder prebuilder(*estimator, metrics, /*max_pending=*/2);
-  EXPECT_TRUE(prebuilder.Request(101));
-  EXPECT_TRUE(prebuilder.Request(102));
-  while (CounterValue(metrics, "prebuilder_built_total") < 2) {
-    std::this_thread::yield();
-  }
-  // At the bound with both slots ready: a new request evicts the oldest.
-  EXPECT_TRUE(prebuilder.Request(103));
-  EXPECT_EQ(CounterValue(metrics, "prebuilder_evicted_total"), 1u);
-  GenerationPrebuilder::InlinePass pass_101;
-  GenerationPrebuilder::InlinePass pass_102;
-  EXPECT_EQ(prebuilder.Take(101, &pass_101), nullptr);  // the evicted one
-  EXPECT_NE(prebuilder.Take(102, &pass_102), nullptr);  // survivor, adoptable
+  EXPECT_EQ(mc_engine->coin_pass_helpers(), nullptr);
 }
 
 TEST(SweepSharingTest, SweepAndDistanceQueriesReportPeakMemory) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "engine/query_engine.h"
@@ -57,6 +59,15 @@ class Watchdog {
   bool disarmed_ = false;
   std::thread thread_;
 };
+
+/// A path named `name` in the system temp directory, prefixed with this
+/// process's id: two test processes running at once (say an ASan and a TSan
+/// build side by side) never write, read or remove each other's files.
+inline std::string ScratchPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 /// Overwrites sizeof(T) bytes of the file at `path` at `offset` with `value`
 /// (host byte order): forges one header field of a binary file.
@@ -170,7 +181,7 @@ inline uint64_t QueriesRecorded(obs::MetricsRegistry& registry) {
 /// sweep kind through EstimateFromSource with the plan's S and then
 /// DeriveFromSweep. A (kind, workload) pair the kind cannot answer gets the
 /// estimator's own NotSupported. Every engine answer, however the engine
-/// served it (computed, cached, coalesced, from stolen strata or a prebuilt
+/// served it (computed, cached, coalesced, from stolen strata or a flight's
 /// generation), must equal this one: status code, payload bits,
 /// num_samples and seed.
 inline std::vector<EngineResult> BareEstimatorAnswers(
