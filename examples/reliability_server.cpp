@@ -23,14 +23,15 @@
 //   dataset  : lastfm | nethept | astopo | dblp02 | dblp005 | biomine
 //   threads  : worker threads (default 4)
 //   requests : total stream length (default 2000)
-//   kind     : mc | bfs | probtree (default mc; bfs also exercises the
-//              coin-pass helpers of its inline prepares, probtree the index
-//              snapshot under --persist-dir)
-//   strata   : stratified-partition width S of every sweep (default 8).
-//              Deliberately NOT tied to the thread count: results are a
+//   kind     : mc | bfs | probtree (default mc; mc with S > 1 exercises the
+//              helper threads on s-t and sweep strata, bfs on the coin
+//              passes of its inline prepares, probtree the index snapshot
+//              under --persist-dir)
+//   strata   : stratified-partition width S of every MC estimate (default
+//              8). Deliberately NOT tied to the thread count: results are a
 //              canonical function of (query content, S), so the same S at
 //              any thread count answers bit-identically — the threads only
-//              decide how many workers steal strata of a hot sweep.
+//              decide how many workers and helpers claim strata.
 //
 //   --stats-json <path>   : write one MetricsRegistry::ExportJson() scrape —
 //                           every engine counter, gauge, and latency
@@ -129,6 +130,19 @@ const char* IndexSource(obs::MetricsRegistry& registry) {
   return Count(registry, "persist_recovered_total", "source", "snapshot") > 0
              ? "index restored from snapshot"
              : "index rebuilt from source, snapshot published";
+}
+
+/// What the engine's helper threads help, for the startup line.
+std::string HelperPoolSummary(const QueryEngine& engine) {
+  const HelperPool* helpers = engine.helper_pool();
+  if (helpers == nullptr) {
+    return "none (no coin passes to fill, and no strata to claim: S = 1 or "
+           "no stratified s-t core)";
+  }
+  return StrFormat("%zu threads on %s", helpers->num_helpers(),
+                   engine.options().kind == EstimatorKind::kBfsSharing
+                       ? "coin passes of inline prepares"
+                       : "s-t and sweep strata");
 }
 
 }  // namespace
@@ -241,17 +255,11 @@ int main(int argc, char** argv) {
                 persist_dir.c_str(), EstimatorKindName(kind));
   }
   std::printf(
-      "engine up: %s estimator, %zu workers, S=%u strata per sweep, cache "
-      "%zu entries / %zu MB, sweep cache %zu MB, coin-pass helpers %s, "
-      "K=%u\n\n",
+      "engine up: %s estimator, %zu workers, S=%u strata, cache "
+      "%zu entries / %zu MB, sweep cache %zu MB, helper pool %s, K=%u\n\n",
       EstimatorKindName(kind), engine->num_threads(), options.num_strata,
       options.cache_capacity, options.cache_max_bytes >> 20,
-      options.sweep_cache_max_bytes >> 20,
-      engine->coin_pass_helpers() != nullptr
-          ? StrFormat("%zu threads",
-                      engine->coin_pass_helpers()->num_helpers())
-                .c_str()
-          : "none (kind has no prepared generations)",
+      options.sweep_cache_max_bytes >> 20, HelperPoolSummary(*engine).c_str(),
       options.num_samples);
 
   // Replay: popularity ~ 1/rank over the catalogue, like repeated users
@@ -336,21 +344,23 @@ int main(int argc, char** argv) {
   const obs::HistogramSnapshot sweep_latency =
       metrics.GetHistogram("engine_sweep_latency_ns")->Snapshot();
   std::printf(
-      "stratified sweeps: %llu strata executed (%llu stolen by coalesced "
-      "waiters), per-sweep p50/p95 %.2f/%.2f ms\n",
+      "strata: %llu executed, %llu stolen by coalesced "
+      "waiters or helpers, %llu run by helpers; per-sweep p50/p95 "
+      "%.2f/%.2f ms\n",
       Count(metrics, "engine_strata_executed_total"),
       Count(metrics, "engine_strata_stolen_total"),
+      Count(metrics, "engine_strata_helped_total"),
       static_cast<double>(sweep_latency.Quantile(0.50)) * 1e-6,
       static_cast<double>(sweep_latency.Quantile(0.95)) * 1e-6);
   std::printf("fault tolerance: %llu deadline-exceeded, %llu failed\n",
               Count(metrics, "engine_deadline_exceeded_total"),
               Count(metrics, "engine_failures_total"));
-  if (engine->coin_pass_helpers() != nullptr) {
+  if (kind == EstimatorKind::kBfsSharing) {
     std::printf(
         "inline prepares: %llu coin fills tossed by %zu helper threads, "
         "%zu KB of generations resident\n",
         Count(metrics, "coin_pass_helped_fills_total"),
-        engine->coin_pass_helpers()->num_helpers(),
+        engine->helper_pool()->num_helpers(),
         engine->IndexMemory().total_bytes() >> 10);
   }
 

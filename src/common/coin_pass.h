@@ -29,7 +29,7 @@ namespace relcomp {
 /// time, before Begin included: it claims blocks in order, waits for each to
 /// be published, and returns once the pass is closed and nothing is left to
 /// claim. A helper must keep the pass alive until Help returns (the
-/// engine's CoinPassHelpers share it through a shared_ptr). One pass serves
+/// engine's HelperPool shares it through a shared_ptr). One pass serves
 /// one fill.
 class CoinPass {
  public:

@@ -21,6 +21,7 @@ EngineStats::EngineStats(obs::MetricsRegistry& registry) {
   sweep_coalesced_ = registry.GetCounter("engine_sweep_coalesced_total");
   strata_executed_ = registry.GetCounter("engine_strata_executed_total");
   strata_stolen_ = registry.GetCounter("engine_strata_stolen_total");
+  strata_helped_ = registry.GetCounter("engine_strata_helped_total");
   wall_seconds_ = registry.GetGauge("engine_wall_seconds");
   span_seconds_ = registry.GetGauge("engine_span_seconds");
   peak_memory_bytes_ = registry.GetGauge("engine_peak_memory_bytes");
@@ -52,9 +53,10 @@ void EngineStats::RecordSweepHit() { sweep_hits_->Inc(); }
 
 void EngineStats::RecordSweepCoalesced() { sweep_coalesced_->Inc(); }
 
-void EngineStats::RecordStratum(bool stolen) {
+void EngineStats::RecordStratum(bool stolen, bool helper) {
   strata_executed_->Inc();
   if (stolen) strata_stolen_->Inc();
+  if (helper) strata_helped_->Inc();
 }
 
 void EngineStats::RecordSweepLatency(double seconds) {
@@ -105,6 +107,7 @@ void EngineStats::Reset() {
   sweep_coalesced_->Reset();
   strata_executed_->Reset();
   strata_stolen_->Reset();
+  strata_helped_->Reset();
   wall_seconds_->Reset();
   span_seconds_->Reset();
   peak_memory_bytes_->Reset();

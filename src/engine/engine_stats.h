@@ -45,10 +45,11 @@ class EngineStats {
   void RecordSweepHit();
   void RecordSweepCoalesced();
 
-  /// Records one executed sweep stratum; `stolen` when the executing worker
-  /// was not the sweep's leader (a coalesced waiter working instead of
-  /// blocking).
-  void RecordStratum(bool stolen);
+  /// Records one executed stratum of a work-list (an s-t estimate's or a
+  /// sweep flight's); `stolen` when the thread that ran it does not own the
+  /// list (a sweep's coalesced waiter working instead of blocking, or a
+  /// helper), `helper` when a helper thread ran it.
+  void RecordStratum(bool stolen, bool helper);
 
   /// Records one executed sweep's wall-clock (leader start to publish), the
   /// sample behind the per-sweep latency quantiles.
@@ -88,6 +89,7 @@ class EngineStats {
   obs::Counter* sweep_coalesced_;
   obs::Counter* strata_executed_;
   obs::Counter* strata_stolen_;
+  obs::Counter* strata_helped_;
   obs::Gauge* wall_seconds_;
   obs::Gauge* span_seconds_;
   obs::Gauge* peak_memory_bytes_;

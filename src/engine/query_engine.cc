@@ -21,8 +21,17 @@ constexpr uint64_t kSweepSeedTag = 0x73776570ULL;  // "swep"
 /// Result-cache shards: concurrent lookups of different keys mostly take
 /// different locks.
 constexpr size_t kResultCacheShards = 8;
-/// Threads that help fill inline prepares' coin passes.
-constexpr size_t kCoinPassHelpers = 2;
+/// Helper threads of an engine that has any (QueryEngine::helper_pool).
+constexpr size_t kHelpers = 2;
+
+/// Whether an engine's helpers claim strata: the kind runs its s-t estimate
+/// one stratum at a time (MC), and S > 1 gives them strata to claim. Such
+/// strata, s-t and sweep, need no prepared generation, so each helper runs
+/// them on a replica of its own.
+bool HelpersRunStrata(const EstimatorCapabilities& capabilities,
+                      uint32_t num_strata) {
+  return capabilities.st_strata && num_strata > 1;
+}
 
 /// True when `status` is the deadline/cancellation family — the failures
 /// that also count in engine_deadline_exceeded_total.
@@ -85,6 +94,7 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       store_(std::move(store)),
       replicas_(std::move(replicas)),
       capabilities_(replicas_.front()->capabilities()),
+      strata_helpers_(HelpersRunStrata(capabilities_, options_.num_strata)),
       cache_(options_.cache_capacity, kResultCacheShards,
              options_.cache_max_bytes, registry_.get()),
       sweep_cache_(SweepCache::kNoEntryLimit, /*num_shards=*/1,
@@ -106,9 +116,8 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "derive");
   stage_sweep_wait_ =
       registry_->GetHistogram("engine_stage_latency_ns", "stage", "sweep_wait");
-  if (capabilities_.prepared_generations) {
-    coin_pass_helpers_ =
-        std::make_unique<CoinPassHelpers>(*registry_, kCoinPassHelpers);
+  if (capabilities_.prepared_generations || strata_helpers_) {
+    helpers_ = std::make_unique<HelperPool>(*registry_, kHelpers);
   }
   pool_ = std::make_unique<ThreadPool>(
       options_.num_threads, options_.queue_capacity,
@@ -128,7 +137,12 @@ QueryEngine::QueryEngine(const UncertainGraph& graph, EngineOptions options,
                       static_cast<double>(graph_.num_edges()));
 }
 
-QueryEngine::~QueryEngine() { pool_->Shutdown(); }
+QueryEngine::~QueryEngine() {
+  pool_->Shutdown();
+  // After the workers: a helper may still be finishing the strata of a sweep
+  // flight whose workers all abandoned it, and it publishes into the caches.
+  if (helpers_ != nullptr) helpers_->Shutdown();
+}
 
 Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     const UncertainGraph& graph, const EngineOptions& options) {
@@ -178,6 +192,16 @@ Result<std::unique_ptr<QueryEngine>> QueryEngine::Create(
       std::vector<std::unique_ptr<Estimator>> replicas,
       MakeEstimatorReplicas(opts.kind, graph, opts.num_threads, opts.factory,
                             opts.num_samples));
+  // Helpers that run strata run them on replicas of their own.
+  if (HelpersRunStrata(replicas.front()->capabilities(), opts.num_strata)) {
+    RELCOMP_ASSIGN_OR_RETURN(
+        std::vector<std::unique_ptr<Estimator>> helper_replicas,
+        MakeEstimatorReplicas(opts.kind, graph, kHelpers, opts.factory,
+                              opts.num_samples));
+    for (std::unique_ptr<Estimator>& replica : helper_replicas) {
+      replicas.push_back(std::move(replica));
+    }
+  }
   // The preloaded index was consumed by the replica build; the engine keeps
   // its options free of it.
   opts.factory.preloaded_prob_tree.reset();
@@ -344,52 +368,130 @@ Status QueryEngine::PrepareReplica(
     return Status::OK();
   }
   // Nothing to adopt, or adoption refused (shape mismatch — cannot happen
-  // for replicas of this engine): the inline prepare is bit-identical. Its
-  // coin pass runs on a pass the idle helpers help fill, which closes once
-  // the prepare returns.
-  CoinPassHelpers::InlinePass inline_pass(coin_pass_helpers_.get());
+  // for replicas of this engine): the inline prepare is bit-identical. A
+  // kind with prepared generations runs its coin pass on a pass the idle
+  // helpers help fill, which closes once the prepare returns; any other
+  // kind has no coin pass to list.
+  HelperPool::InlinePass inline_pass(
+      capabilities_.prepared_generations ? helpers_.get() : nullptr);
   return estimator.PrepareForNextQuery(prepare_seed, inline_pass.coins());
 }
 
-Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
-                                   const std::shared_ptr<SweepFlight>& flight,
-                                   bool leader, const CancelToken* cancel,
+void QueryEngine::SweepFlight::Help(size_t helper) {
+  (void)engine->RunSweepFlight(engine->HelperReplica(helper), *this,
+                               Claimant::kHelper, /*cancel=*/nullptr,
+                               /*trace=*/nullptr, obs::TraceBuffer::kNone);
+}
+
+void QueryEngine::StStrata::Help(size_t helper) {
+  engine->RunStStrata(*this, engine->HelperReplica(helper), Claimant::kHelper,
+                      /*trace=*/nullptr, obs::TraceBuffer::kNone);
+}
+
+void QueryEngine::RunStStrata(StStrata& strata, Estimator& estimator,
+                              Claimant claimant, obs::TraceBuffer* trace,
+                              uint32_t parent) {
+  MemoryTracker tracker;
+  EstimateOptions options = strata.options;
+  options.memory = &tracker;
+  options.trace = trace;
+  const uint32_t num_strata = options.num_strata;
+  for (;;) {
+    uint32_t stratum = 0;
+    {
+      std::lock_guard<std::mutex> lock(strata.mutex);
+      if (!strata.status.ok() || strata.next_stratum >= num_strata) return;
+      stratum = strata.next_stratum++;
+      ++strata.active;
+    }
+    Result<uint32_t> hits;
+    {
+      StageTimer stratum_stage(stage_stratum_, trace, obs::SpanKind::kStratum,
+                               parent, stratum);
+      options.trace_parent = stratum_stage.id();
+      hits = estimator.EstimateStStratumHits(strata.query, stratum, num_strata,
+                                             options);
+    }
+    stats_.RecordStratum(/*stolen=*/claimant != Claimant::kOwner,
+                         /*helper=*/claimant == Claimant::kHelper);
+    std::lock_guard<std::mutex> lock(strata.mutex);
+    if (hits.ok()) {
+      strata.hits += *hits;
+      strata.peak_memory_bytes =
+          std::max(strata.peak_memory_bytes, tracker.peak_bytes());
+    } else if (strata.status.ok()) {
+      // First failure wins and stops further claims.
+      strata.status = hits.status();
+    }
+    if (--strata.active == 0) strata.released.notify_all();
+  }
+}
+
+Result<WorkloadResult> QueryEngine::EstimateStOnHelpers(
+    Estimator& estimator, const ReliabilityQuery& query,
+    const EstimateOptions& options) {
+  EstimateOptions shared = options;
+  shared.memory = nullptr;
+  shared.trace = nullptr;
+  shared.trace_parent = obs::TraceBuffer::kNone;
+  const auto strata = std::make_shared<StStrata>(this, query, shared);
+  helpers_->Open(strata);
+  RunStStrata(*strata, estimator, Claimant::kOwner, options.trace,
+              options.trace_parent);
+  helpers_->Close(*strata);
+  // Every stratum is claimed, or one failed and stopped the claims. The
+  // helpers' strata read this worker's cancel token: wait until each is
+  // released.
+  std::unique_lock<std::mutex> lock(strata->mutex);
+  strata->released.wait(lock, [&strata] { return strata->active == 0; });
+  RELCOMP_RETURN_NOT_OK(strata->status);
+  WorkloadResult result;
+  result.reliability = static_cast<double>(strata->hits) /
+                       static_cast<double>(options.num_samples);
+  result.num_samples = options.num_samples;
+  result.peak_memory_bytes = strata->peak_memory_bytes;
+  return result;
+}
+
+Status QueryEngine::RunSweepFlight(Estimator& estimator, SweepFlight& flight,
+                                   Claimant claimant, const CancelToken* cancel,
                                    obs::TraceBuffer* trace, uint32_t parent) {
-  Estimator& estimator = *replicas_[worker_id];
+  const SweepCacheKey& key = flight.key;
   const uint64_t sweep_seed = key.seed;
   FaultInjector& injector = FaultInjector::Global();
   MemoryTracker tracker;
   bool prepared = false;
   bool abandoned = false;
-  // Claim loop: leader and coalesced joiners alike pull unclaimed strata off
-  // the shared work-list. Each stratum is a pure function of (sweep seed,
-  // stratum index, S), so it does not matter who runs what.
+  // Claim loop: leader, coalesced joiners and helpers alike pull unclaimed
+  // strata off the shared work-list. Each stratum is a pure function of
+  // (sweep seed, stratum index, S), so it does not matter who runs what.
   for (;;) {
     uint32_t stratum = 0;
     {
-      std::lock_guard<std::mutex> lock(flight->mutex);
-      if (cancel != nullptr && cancel->Cancelled() && flight->status.ok() &&
-          !flight->ready) {
+      std::lock_guard<std::mutex> lock(flight.mutex);
+      if (cancel != nullptr && cancel->Cancelled() && flight.status.ok() &&
+          !flight.ready) {
         // This participant's deadline fired mid-flight. If it is the only
         // participant and strata remain unclaimed, nobody else will drain
         // the flight: fail it as a unit (first failure wins; joiners get the
         // transient status and recompute deterministically later). If other
-        // participants are active — or every stratum is already claimed —
-        // the flight can finish without us: abandon it, leaving its state
-        // untouched, and fail only this query.
-        if (flight->active == 0 && flight->next_stratum < flight->num_strata) {
-          flight->status = cancel->ToStatus();
-        } else {
+        // participants still hold strata, the flight can finish without us:
+        // abandon it, leaving its state untouched, and fail only this query.
+        // If every stratum is deposited (this participant ran the last one),
+        // nobody else would finalize: finalize below.
+        if (flight.active == 0 && flight.next_stratum < flight.num_strata) {
+          flight.status = cancel->ToStatus();
+        } else if (flight.completed < flight.num_strata) {
           abandoned = true;
         }
         break;
       }
-      if (!flight->status.ok() ||
-          flight->next_stratum >= flight->num_strata) {
+      if (!flight.status.ok() ||
+          flight.next_stratum >= flight.num_strata) {
         break;
       }
-      stratum = flight->next_stratum++;
-      ++flight->active;
+      stratum = flight.next_stratum++;
+      ++flight.active;
     }
     Status run = Status::OK();
     if (injector.enabled()) {
@@ -397,7 +499,7 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
       // any thread count and for any claimant, so the set of injected
       // strata is deterministic per sweep.
       const uint64_t stratum_key =
-          StratumSeed(sweep_seed, stratum, flight->num_strata);
+          StratumSeed(sweep_seed, stratum, flight.num_strata);
       injector.MaybeDelay(stratum_key);
       run = injector.MaybeFail(FaultSite::kEstimatorFailure, stratum_key,
                                "sweep stratum");
@@ -413,8 +515,8 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
                                parent);
       std::shared_ptr<const PreparedGeneration> generation;
       {
-        std::lock_guard<std::mutex> lock(flight->mutex);
-        generation = flight->generation;
+        std::lock_guard<std::mutex> lock(flight.mutex);
+        generation = flight.generation;
       }
       const bool first_preparer = generation == nullptr;
       run = PrepareReplica(estimator,
@@ -424,9 +526,9 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
           estimator.capabilities().prepared_generations) {
         Result<std::shared_ptr<const PreparedGeneration>> current =
             estimator.CurrentPreparedGeneration();
-        std::lock_guard<std::mutex> lock(flight->mutex);
-        if (current.ok() && flight->generation == nullptr) {
-          flight->generation = current.MoveValue();
+        std::lock_guard<std::mutex> lock(flight.mutex);
+        if (current.ok() && flight.generation == nullptr) {
+          flight.generation = current.MoveValue();
         }
       }
       prepared = run.ok();
@@ -436,16 +538,16 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
       StageTimer stratum_stage(stage_stratum_, trace, obs::SpanKind::kStratum,
                                parent, stratum);
       EstimateOptions estimate_options;
-      estimate_options.num_samples = flight->num_samples;
+      estimate_options.num_samples = flight.num_samples;
       estimate_options.seed = sweep_seed;
-      estimate_options.num_strata = flight->num_strata;
+      estimate_options.num_strata = flight.num_strata;
       estimate_options.memory = &tracker;
       estimate_options.cancel = cancel;
       estimate_options.trace = trace;
       estimate_options.trace_parent = stratum_stage.id();
       Result<std::vector<uint32_t>> stratum_hits =
           estimator.EstimateSweepStratumHits(key.source, stratum,
-                                             flight->num_strata,
+                                             flight.num_strata,
                                              estimate_options);
       if (stratum_hits.ok()) {
         hits = stratum_hits.MoveValue();
@@ -453,29 +555,30 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
         run = stratum_hits.status();
       }
     }
-    stats_.RecordStratum(/*stolen=*/!leader);
+    stats_.RecordStratum(/*stolen=*/claimant != Claimant::kOwner,
+                         /*helper=*/claimant == Claimant::kHelper);
     {
-      std::lock_guard<std::mutex> lock(flight->mutex);
-      --flight->active;
-      ++flight->completed;
+      std::lock_guard<std::mutex> lock(flight.mutex);
+      --flight.active;
+      ++flight.completed;
       if (run.ok()) {
-        flight->stratum_hits[stratum] = std::move(hits);
-        if (tracker.peak_bytes() > flight->peak_memory_bytes) {
-          flight->peak_memory_bytes = tracker.peak_bytes();
+        flight.stratum_hits[stratum] = std::move(hits);
+        if (tracker.peak_bytes() > flight.peak_memory_bytes) {
+          flight.peak_memory_bytes = tracker.peak_bytes();
         }
-      } else if (flight->status.ok()) {
+      } else if (flight.status.ok()) {
         // First failure wins; it also stops further claims, so the flight
         // drains to a deterministic failure for every participant.
-        flight->status = run;
+        flight.status = run;
       }
     }
     if (!run.ok()) break;
   }
 
   if (abandoned) {
-    // The flight can drain without us (someone else is active, or every
-    // stratum is claimed): leave it untouched — its eventual finalizer
-    // publishes for the remaining participants — and fail only this query.
+    // The flight can drain without us (someone else holds strata): leave it
+    // untouched — its eventual finalizer publishes for the remaining
+    // participants — and fail only this query.
     // Deliberately skips the finalize check below: an abandoning
     // participant taking the finalizing token and then returning would
     // strand the real participants waiting forever.
@@ -484,20 +587,21 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
 
   // Whoever observes the flight drained — all strata deposited, or failed
   // with no stratum still in execution — finalizes: merges, publishes, and
-  // wakes everyone. That may be the leader or any thief; the merge itself is
-  // order-fixed, so the finalizer's identity is invisible in the result.
+  // wakes everyone. That may be the leader, any thief or a helper; the merge
+  // itself is order-fixed, so the finalizer's identity is invisible in the
+  // result.
   SweepVector vector;
   Status status;
   bool finalize = false;
   {
-    std::lock_guard<std::mutex> lock(flight->mutex);
+    std::lock_guard<std::mutex> lock(flight.mutex);
     const bool drained =
-        flight->active == 0 &&
-        (!flight->status.ok() || flight->completed == flight->num_strata);
-    if (drained && !flight->ready && !flight->finalizing) {
-      flight->finalizing = true;
+        flight.active == 0 &&
+        (!flight.status.ok() || flight.completed == flight.num_strata);
+    if (drained && !flight.ready && !flight.finalizing) {
+      flight.finalizing = true;
       finalize = true;
-      status = flight->status;
+      status = flight.status;
       if (status.ok()) {
         // Deterministic merge in stratum order: per-node hit totals over the
         // fixed stratum slices, divided by the full budget K — bit-identical
@@ -509,12 +613,12 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
             std::make_shared<std::vector<double>>(graph_.num_nodes(), 0.0);
         std::vector<uint32_t> totals(graph_.num_nodes(), 0);
         for (const std::vector<uint32_t>& stratum_hits :
-             flight->stratum_hits) {
+             flight.stratum_hits) {
           for (size_t v = 0; v < stratum_hits.size(); ++v) {
             totals[v] += stratum_hits[v];
           }
         }
-        const double k = static_cast<double>(flight->num_samples);
+        const double k = static_cast<double>(flight.num_samples);
         for (size_t v = 0; v < totals.size(); ++v) {
           (*merged)[v] = static_cast<double>(totals[v]) / k;
         }
@@ -523,13 +627,15 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
     }
   }
   if (finalize) {
+    // Nothing is left to claim: no stale listing pins the flight.
+    if (strata_helpers_) helpers_->Close(flight);
     // Sweeps are published immortal and leave the SweepCache only by
     // byte-budget LRU eviction.
     sweep_flights_.Finish(
-        key, *flight,
+        key, flight,
         [&] {
           if (status.ok()) sweep_cache_.Insert(key, vector);
-          stats_.RecordSweepLatency(flight->timer.ElapsedSeconds());
+          stats_.RecordSweepLatency(flight.timer.ElapsedSeconds());
         },
         [&](SweepFlight& settled) {
           settled.vector = std::move(vector);
@@ -538,13 +644,15 @@ Status QueryEngine::RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
     return Status::OK();
   }
   // Not the finalizer: some other participant is still executing a stratum
-  // (or merging); wait for the publish. This terminates — the flight always
-  // has at least one active participant until ready. A participant whose
-  // token trips abandons the flight (same contract as above: the flight
-  // itself is untouched).
+  // (or merging), and finalizes once it drains the flight. A helper goes on
+  // to other passes; a worker waits for the publish. This terminates — the
+  // flight always has at least one active participant until ready. A
+  // participant whose token trips abandons the flight (same contract as
+  // above: the flight itself is untouched).
+  if (claimant == Claimant::kHelper) return Status::OK();
   StageTimer wait_stage(stage_sweep_wait_, trace, obs::SpanKind::kSweepWait,
                         parent);
-  if (!sweep_flights_.Await(*flight, cancel)) return cancel->ToStatus();
+  if (!sweep_flights_.Await(flight, cancel)) return cancel->ToStatus();
   return Status::OK();
 }
 
@@ -563,7 +671,7 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
     return SweepShare{std::move(*hit), 0};
   }
   auto joined = sweep_flights_.JoinOrCreate(
-      key, sweep_cache_, options_.num_strata, options_.num_samples);
+      key, sweep_cache_, this, key, options_.num_strata, options_.num_samples);
   if (joined.cached) {
     // The sweep finished between our fast-path miss and the re-probe: this
     // query shared its work (accounted as sweep_coalesced, not a hit — the
@@ -576,12 +684,16 @@ Result<QueryEngine::SweepShare> QueryEngine::GetSweepVector(
   // One sweep_executed per sweep, recorded by its leader: the "<= 1
   // EstimateFromSource per distinct (source, generation)" gate currency.
   if (leader) stats_.RecordSweepExecuted();
+  // The leader lists its flight for the idle helpers; the finalizer takes it
+  // off the list.
+  if (leader && strata_helpers_) helpers_->Open(flight);
   {
     obs::ScopedSpan flight_span(trace, obs::SpanKind::kSweepFlight, parent,
                                 leader ? 1 : 0);
-    const Status flight_status =
-        RunSweepFlight(worker_id, key, flight, leader, cancel, trace,
-                       flight_span.id());
+    const Status flight_status = RunSweepFlight(
+        *replicas_[worker_id], *flight,
+        leader ? Claimant::kOwner : Claimant::kJoiner, cancel, trace,
+        flight_span.id());
     // Abandoned mid-flight (deadline): the flight publishes without us; do
     // not read its fields — fail this query with the transient status.
     if (!flight_status.ok()) return flight_status;
@@ -657,6 +769,11 @@ Result<WorkloadResult> QueryEngine::ComputeWorkload(
                             parent);
   estimate_options.trace = trace;
   estimate_options.trace_parent = estimate_stage.id();
+  // s = t is 1 with no sampling, so it claims no stratum.
+  if (strata_helpers_ && query.workload == WorkloadKind::kSt &&
+      query.source != query.target) {
+    return EstimateStOnHelpers(estimator, query.AsSt(), estimate_options);
+  }
   return DispatchWorkload(estimator, query, estimate_options);
 }
 

@@ -8,8 +8,8 @@
 
 #include "common/cancel.h"
 #include "common/timer.h"
-#include "engine/coin_pass_helpers.h"
 #include "engine/engine_stats.h"
+#include "engine/helper_pool.h"
 #include "engine/single_flight.h"
 #include "engine/thread_pool.h"
 #include "engine/lru_cache.h"
@@ -25,9 +25,11 @@ namespace relcomp {
 
 /// \brief Construction knobs for QueryEngine::Create.
 struct EngineOptions {
-  /// Worker threads; one estimator replica is built per worker. Replicas of
-  /// index-carrying estimators share one immutable index (built once), so
-  /// Create cost and index memory are O(1) in num_threads.
+  /// Worker threads; one estimator replica is built per worker, plus one
+  /// per helper thread when helpers run strata (see num_strata). ProbTree
+  /// replicas share one immutable index, built once, so a ProbTree engine's
+  /// Create cost and index memory are O(1) in num_threads; each BFS Sharing
+  /// replica prepares and holds a generation of its own.
   size_t num_threads = 4;
   /// Bounded work-queue depth; Submit() blocks while it is full
   /// (backpressure), its only overload behaviour.
@@ -43,15 +45,18 @@ struct EngineOptions {
   /// Stratified sample partitioning S: the budget K of every MC estimate is
   /// split into S fixed strata, each seeded from the query's content seed
   /// and its stratum index — so a result is a canonical function of (query
-  /// content, S), never of thread count or scheduling. In a sweep flight,
-  /// coalesced waiters *steal unclaimed strata* of the
-  /// in-flight sweep instead of blocking: one hot sweep uses the whole
-  /// machine, bit-identically to running its strata back-to-back on one
-  /// worker. S = 1 (the default) is the legacy unstratified path; serving
-  /// deployments chasing tail latency set S to a small multiple of
-  /// num_threads. Changing S changes MC results (by design — it is part of
-  /// the query's sampling plan); BFS Sharing sweeps are stratified by world
-  /// slices of one generation and are bit-identical for every S.
+  /// content, S), never of thread count or scheduling. The strata of one
+  /// query are a work-list that several threads claim from: in a sweep
+  /// flight, coalesced waiters *steal unclaimed strata* instead of blocking,
+  /// and with S > 1 an MC engine's helper threads claim the strata of its
+  /// s-t estimates and sweep flights, each on a replica of its own. Every
+  /// answer is bit-identical to running its strata back-to-back on one
+  /// thread. S = 1 (the default) is the legacy unstratified path and starts
+  /// no MC helper; serving deployments chasing tail latency set S to a small
+  /// multiple of num_threads. Changing S changes MC results (by design — it
+  /// is part of the query's sampling plan); BFS Sharing sweeps are
+  /// stratified by world slices of one generation and are bit-identical for
+  /// every S.
   uint32_t num_strata = 1;
   /// Master seed. Per-query seeds are derived from it and the query content
   /// (see README.md), so results are independent of thread count and
@@ -149,8 +154,9 @@ struct EngineResult {
 /// Executes batches (RunBatch) or a stream (Submit/Drain) of EngineQuerys —
 /// s-t reliability, top-k, reliable-set, and distance-constrained queries in
 /// one mixed pipeline — on a fixed thread pool. Each worker owns a private
-/// estimator replica (Estimator instances are not thread-safe);
-/// index-carrying replicas share one immutable index. Every query's seed is
+/// estimator replica (Estimator instances are not thread-safe), and so does
+/// each helper thread that runs strata; ProbTree replicas share one
+/// immutable index. Every query's seed is
 /// derived from the master seed and the query's content (workload tag
 /// included) — so a batch returns bit-identical results whether it runs on 1
 /// thread or 16, and engine top-k / reliable-set answers match the standalone TopKReliableTargets* /
@@ -162,10 +168,12 @@ struct EngineResult {
 /// estimator failure never discards the rest of a batch or stream cycle.
 class QueryEngine {
  public:
-  /// Builds the pool and one estimator replica per worker. Index-carrying
-  /// kinds build their index exactly once and share it across replicas
-  /// (deterministic, so replicas are interchangeable). InvalidArgument for
-  /// num_samples = 0, or above a BFS Sharing index's L worlds.
+  /// Builds the pool, one estimator replica per worker, and the helper
+  /// threads with a replica each when they run strata. ProbTree kinds build
+  /// their index exactly once and share it across replicas (deterministic,
+  /// so replicas are interchangeable); BFS Sharing replicas start with no
+  /// generation. InvalidArgument for num_samples = 0, or above a BFS Sharing
+  /// index's L worlds.
   static Result<std::unique_ptr<QueryEngine>> Create(
       const UncertainGraph& graph, const EngineOptions& options);
 
@@ -237,11 +245,11 @@ class QueryEngine {
   const ResultCache* cache() const { return &cache_; }
   /// Never null.
   const SweepCache* sweep_cache() const { return &sweep_cache_; }
-  /// The threads that help fill inline prepares' coin passes; nullptr when
-  /// the estimator kind has no prepared generations.
-  const CoinPassHelpers* coin_pass_helpers() const {
-    return coin_pass_helpers_.get();
-  }
+  /// The helper threads: they help fill inline prepares' coin passes when
+  /// the kind has prepared generations (BFS Sharing), and claim the strata
+  /// of s-t estimates and sweep flights when it runs its s-t estimate one
+  /// stratum at a time and S > 1 (MC). nullptr when neither holds.
+  const HelperPool* helper_pool() const { return helpers_.get(); }
   /// Deduplicated resident index footprint of the replica set (a shared
   /// index is counted once, not once per replica).
   IndexMemoryReport IndexMemory() const { return ReportIndexMemory(replicas_); }
@@ -250,7 +258,7 @@ class QueryEngine {
 
   /// Engine-wide instrument registry, the engine's only stats account: the
   /// stats recorder, both caches, the pool, the stage histograms, the store
-  /// and the coin-pass helpers all record into it, cumulatively
+  /// and the helper pool all record into it, cumulatively
   /// since construction, so one ExportJson() / ExportText() scrape reports
   /// everything the engine measures.
   obs::MetricsRegistry& metrics() const { return *registry_; }
@@ -287,20 +295,34 @@ class QueryEngine {
     ResultCacheValue value;  ///< carries the Status, non-OK on failure
   };
 
+  /// Who runs a stratum of a work-list: the worker that owns it (an s-t
+  /// estimate's worker, a sweep flight's leader), a worker that joined a
+  /// sweep flight, or a helper thread.
+  enum class Claimant { kOwner, kJoiner, kHelper };
+
   /// A sweep-level flight, run as a *stratum scheduler*: the first worker to
   /// need a source's sweep leads, but the sweep's S strata are a shared
   /// work-list — workers needing the same sweep under *different* query keys
   /// (other k, other eta, other workload kind) steal unclaimed strata instead
-  /// of blocking on the leader. Each stratum is a canonical function of
-  /// (sweep seed, stratum index), and the per-stratum hit counts merge in
-  /// stratum order once every stratum has deposited, so the merged vector is
-  /// bit-identical however the strata were distributed.
-  struct SweepFlight : FlightState {
-    /// The engine's S and K, fixed for the flight's lifetime.
-    SweepFlight(uint32_t num_strata, uint32_t num_samples)
-        : num_strata(num_strata),
+  /// of blocking on the leader, and so do idle helpers when they run strata
+  /// (the leader lists the flight with the helper pool). Each stratum is a
+  /// canonical function of (sweep seed, stratum index), and the per-stratum
+  /// hit counts merge in stratum order once every stratum has deposited, so
+  /// the merged vector is bit-identical however the strata were distributed.
+  struct SweepFlight : FlightState, HelperPool::Pass {
+    /// The flight of `key` in `engine`, under the engine's S and K, fixed
+    /// for the flight's lifetime.
+    SweepFlight(QueryEngine* engine, const SweepCacheKey& key,
+                uint32_t num_strata, uint32_t num_samples)
+        : engine(engine),
+          key(key),
+          num_strata(num_strata),
           num_samples(num_samples),
           stratum_hits(num_strata) {}
+    /// A helper claims strata on its own replica (RunSweepFlight).
+    void Help(size_t helper) override;
+    QueryEngine* const engine;
+    const SweepCacheKey key;
     const uint32_t num_strata;
     const uint32_t num_samples;  ///< the total budget K: the merge divisor
     uint32_t next_stratum = 0;   ///< next unclaimed stratum
@@ -308,7 +330,8 @@ class QueryEngine {
     uint32_t completed = 0;      ///< deposited strata (ok or failed)
     bool finalizing = false;     ///< one participant merges and publishes
     Timer timer;                 ///< leader start -> publish (sweep latency)
-    /// Per-stratum hit counts, deposited by whichever worker ran each.
+    /// Per-stratum hit counts, deposited by whichever thread ran each (empty
+    /// for a stratum with no samples).
     std::vector<std::vector<uint32_t>> stratum_hits;
     /// The first preparer's generation (Estimator::CurrentPreparedGeneration)
     /// when the replica kind has prepared generations: later thieves adopt
@@ -319,6 +342,31 @@ class QueryEngine {
     Status status;  ///< first stratum / prepare failure wins
     size_t peak_memory_bytes = 0;
     SweepVector vector;
+  };
+
+  /// The strata of one s-t estimate as a work-list: the worker computing the
+  /// query and any idle helper claim strata, each on its own replica, and
+  /// their hit counts sum in any order. Helpers read the worker's cancel
+  /// token through `options`, so the worker returns only once every claimed
+  /// stratum is released (EstimateStOnHelpers).
+  struct StStrata : HelperPool::Pass {
+    StStrata(QueryEngine* engine, const ReliabilityQuery& query,
+             const EstimateOptions& options)
+        : engine(engine), query(query), options(options) {}
+    /// A helper claims strata on its own replica (RunStStrata).
+    void Help(size_t helper) override;
+    QueryEngine* const engine;
+    const ReliabilityQuery query;
+    /// K, the query seed, S and the worker's cancel token; no trace (a trace
+    /// buffer belongs to its worker) and no memory sink.
+    const EstimateOptions options;
+    std::mutex mutex;
+    std::condition_variable released;  ///< signalled when `active` hits 0
+    uint32_t next_stratum = 0;         ///< next unclaimed stratum
+    uint32_t active = 0;               ///< claimed but not yet released
+    uint32_t hits = 0;                 ///< sum over the released strata
+    Status status;                     ///< first stratum failure wins
+    size_t peak_memory_bytes = 0;      ///< max over the claimants
   };
 
   /// How a worker obtained a per-source sweep vector.
@@ -362,30 +410,52 @@ class QueryEngine {
                                     const CancelToken* cancel,
                                     obs::TraceBuffer* trace, uint32_t parent);
 
-  /// Participates in `flight`: claims and executes unclaimed strata on this
-  /// worker's replica (preparing it once, on the first claim), deposits
-  /// their hit counts, and — if this worker drains the last stratum —
-  /// merges in stratum order, publishes to the SweepCache, retires the
-  /// flight entry, and wakes everyone. `leader` controls the strata_stolen
-  /// accounting.
+  /// Participates in `flight`: claims and executes unclaimed strata on
+  /// `estimator`, the claimant's own replica (preparing it once, on the
+  /// first claim), deposits their hit counts, and — if this claimant drains
+  /// the last stratum — merges in stratum order, publishes to the
+  /// SweepCache, retires the flight entry, and wakes everyone. `claimant`
+  /// controls the strata_stolen / strata_helped accounting. A helper
+  /// (kHelper: no token, no trace) returns once nothing is left to claim
+  /// instead of waiting for the publish.
   ///
-  /// Cancellation (`cancel` non-null and tripped) has two deterministic
+  /// Cancellation (`cancel` non-null and tripped) has three deterministic
   /// shapes, decided under the flight lock:
-  /// - other participants are still executing (or all strata are claimed):
-  ///   this participant *abandons* — returns its token's transient status
+  /// - other participants (workers or helpers) still hold strata: this
+  ///   participant *abandons* — returns its token's transient status
   ///   without waiting; the flight lives on and completes normally for
   ///   everyone else.
   /// - this participant is the last active one and unclaimed strata remain:
   ///   without it the flight could stall on waiters with no workers, so it
-  ///   fails the flight *as a unit* (flight->status = the token's status)
+  ///   fails the flight *as a unit* (flight.status = the token's status)
   ///   and drains it through the normal finalize path — every waiter wakes
   ///   with the same transient status, no torn vector is ever published.
-  /// OK means the flight reached `ready` (flight->status tells how it
+  /// - every stratum is deposited: nobody else would finalize, so this
+  ///   participant finalizes the complete sweep as usual.
+  /// OK means the flight reached `ready` (flight.status tells how it
   /// ended); non-OK is the abandoning participant's own transient status.
-  Status RunSweepFlight(size_t worker_id, const SweepCacheKey& key,
-                        const std::shared_ptr<SweepFlight>& flight, bool leader,
-                        const CancelToken* cancel, obs::TraceBuffer* trace,
-                        uint32_t parent);
+  Status RunSweepFlight(Estimator& estimator, SweepFlight& flight,
+                        Claimant claimant, const CancelToken* cancel,
+                        obs::TraceBuffer* trace, uint32_t parent);
+
+  /// The stratified s-t estimate of `query` (s != t) under `options`, its
+  /// strata claimed by this worker on `estimator` and by idle helpers on
+  /// theirs: bit-identical to Estimate on one replica. Returns once every
+  /// claimed stratum is released.
+  Result<WorkloadResult> EstimateStOnHelpers(Estimator& estimator,
+                                             const ReliabilityQuery& query,
+                                             const EstimateOptions& options);
+
+  /// Claims and runs strata of `strata` on `estimator` until none is left
+  /// (or one failed), adding their hits. `trace` / `parent` are the owner's
+  /// (nullptr / kNone for a helper).
+  void RunStStrata(StStrata& strata, Estimator& estimator, Claimant claimant,
+                   obs::TraceBuffer* trace, uint32_t parent);
+
+  /// Helper `helper`'s own replica, after the workers' ones.
+  Estimator& HelperReplica(size_t helper) {
+    return *replicas_[options_.num_threads + helper];
+  }
 
   /// The cache keys `query` (and `source`'s sweep) are stored under: the
   /// plan's kind and budget plus the derived seed.
@@ -394,8 +464,9 @@ class QueryEngine {
 
   /// Re-arms `estimator` for a query with `prepare_seed`, bit-identically
   /// either way: adopts `generation` (a sweep flight's, prepared for the
-  /// same seed) when given, else runs the inline PrepareForNextQuery on a
-  /// coin pass the idle helpers help fill (CoinPassHelpers::InlinePass).
+  /// same seed) when given, else runs the inline PrepareForNextQuery, for a
+  /// kind with prepared generations on a coin pass the idle helpers help
+  /// fill (HelperPool::InlinePass).
   Status PrepareReplica(
       Estimator& estimator, uint64_t prepare_seed,
       std::shared_ptr<const PreparedGeneration> generation = nullptr);
@@ -430,6 +501,7 @@ class QueryEngine {
   static void AwaitCall(CallState& state);
 
   const UncertainGraph& graph_;
+  /// num_threads and num_strata are at least 1.
   const EngineOptions options_;
   /// Declared before every component that records into it (stats, caches,
   /// pool, coin-pass helpers), so it is destroyed last: workers may still
@@ -439,9 +511,13 @@ class QueryEngine {
   /// Snapshot store; nullptr when persist_dir is empty or the kind has no
   /// shared index. Declared after the registry, which holds its counters.
   std::unique_ptr<PersistentStore> store_;
+  /// One per worker (by worker id), then one per helper when helpers run
+  /// strata (HelperReplica).
   std::vector<std::unique_ptr<Estimator>> replicas_;
   /// What the replicas' estimator kind answers beyond s-t.
   const EstimatorCapabilities capabilities_;
+  /// Whether the helpers claim strata of s-t estimates and sweep flights.
+  const bool strata_helpers_;
   ResultCache cache_;
   /// Memoized per-source sweeps.
   SweepCache sweep_cache_;
@@ -466,11 +542,13 @@ class QueryEngine {
   FlightTable<ResultCacheKey, QueryFlight> query_flights_;
   FlightTable<SweepCacheKey, SweepFlight> sweep_flights_;
 
-  /// Coin-pass helper threads; nullptr when the kind has no prepared
-  /// generations. A helper writes into a replica's generation only inside an
-  /// open pass, whose prepare waits out every claimed block before it
-  /// returns (CoinPass::Finish).
-  std::unique_ptr<CoinPassHelpers> coin_pass_helpers_;
+  /// The helper threads (see helper_pool()); nullptr when they would have
+  /// nothing to help. A helper writes into a replica's generation only
+  /// inside an open coin pass, whose prepare waits out every claimed block
+  /// before it returns (CoinPass::Finish), and reads a worker's cancel token
+  /// only inside an s-t work-list the worker waits out. Declared after
+  /// everything a helper touches, so it is destroyed first.
+  std::unique_ptr<HelperPool> helpers_;
 
   std::mutex stream_mutex_;
   std::vector<std::unique_ptr<EngineResult>> stream_results_;

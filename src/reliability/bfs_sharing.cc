@@ -373,19 +373,23 @@ Result<std::vector<uint32_t>> BfsSharingEstimator::EstimateSweepStratumHits(
                   options.num_samples, index->stored_worlds(),
                   index->words_per_edge(), index->num_samples()));
   }
+  // Stratum j owns the world slice [offset, offset + count) of the budget's
+  // [0, K) range; slice counts sum exactly to the whole-range counts. An
+  // empty slice (S > K) reaches nothing: the merge reads its empty vector as
+  // all zeros.
+  const uint32_t count =
+      StratumSampleCount(options.num_samples, num_strata, stratum);
+  if (count == 0) return std::vector<uint32_t>{};
   // Cancellation point: one poll per world slice (the stratum boundary the
   // engine's scheduler also polls at).
   if (options.cancel != nullptr && options.cancel->Cancelled()) {
     return options.cancel->ToStatus();
   }
-  // Stratum j owns the world slice [offset, offset + count) of the budget's
-  // [0, K) range; slice counts sum exactly to the whole-range counts.
   obs::ScopedSpan bfs_span(options.trace, obs::SpanKind::kBfs,
                            options.trace_parent, stratum);
   return SourceHitCountsInWorldRange(
       source, StratumSampleOffset(options.num_samples, num_strata, stratum),
-      StratumSampleCount(options.num_samples, num_strata, stratum),
-      options.memory);
+      count, options.memory);
 }
 
 template <typename Collect>

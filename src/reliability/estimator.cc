@@ -71,6 +71,18 @@ Result<std::vector<uint32_t>> Estimator::EstimateSweepStratumHits(
                 static_cast<int>(name().size()), name().data()));
 }
 
+Result<uint32_t> Estimator::EstimateStStratumHits(
+    const ReliabilityQuery& query, uint32_t stratum, uint32_t num_strata,
+    const EstimateOptions& options) {
+  (void)query;
+  (void)stratum;
+  (void)num_strata;
+  (void)options;
+  return Status::NotSupported(
+      StrFormat("%.*s has no stratified s-t core (use MC)",
+                static_cast<int>(name().size()), name().data()));
+}
+
 Result<double> Estimator::EstimateDistanceConstrained(
     const ReliabilityQuery& query, uint32_t max_hops,
     const EstimateOptions& options) {

@@ -32,13 +32,13 @@ struct EstimateOptions {
   /// fixed strata, stratum j drawing from StratumSeed(seed, j, num_strata).
   /// The result is a canonical function of (query content, num_strata) —
   /// NOT of thread count or execution order — so an engine may run the
-  /// strata of one call on many workers (EstimateSweepStratumHits) and merge
-  /// bit-identically to a serial call with the same num_strata. num_strata
-  /// <= 1 is the legacy unstratified path, bit-identical to pre-strata
-  /// behaviour. Honored by the MC cores (sweeps and s-t DoEstimate); BFS
-  /// Sharing sweeps are stratified by world *slices* of one generation, so
-  /// their results are identical for every num_strata; estimators without a
-  /// stratified core ignore it.
+  /// strata of one call on many threads (EstimateSweepStratumHits,
+  /// EstimateStStratumHits) and merge bit-identically to a serial call with
+  /// the same num_strata. num_strata <= 1 is the legacy unstratified path,
+  /// bit-identical to pre-strata behaviour. Honored by the MC cores (sweeps
+  /// and s-t DoEstimate); BFS Sharing sweeps are stratified by world
+  /// *slices* of one generation, so their results are identical for every
+  /// num_strata; estimators without a stratified core ignore it.
   uint32_t num_strata = 1;
   /// Optional sink for the call's working-set accounting (the paper's
   /// "online memory usage" metric). Consulted by the dispatch-surface calls
@@ -109,6 +109,8 @@ struct EstimatorCapabilities {
   bool distance = false;
   /// Current/AdoptPreparedGeneration (BFS Sharing).
   bool prepared_generations = false;
+  /// EstimateStStratumHits, the s-t estimate one stratum at a time (MC).
+  bool st_strata = false;
 };
 
 /// \brief Common interface of the six s-t reliability estimators.
@@ -212,10 +214,24 @@ class Estimator {
   /// slice via StratumSampleCount / StratumSampleOffset) and options.seed is
   /// the sweep seed (the callee derives its stratum seed). Strata of one
   /// sweep may run on different replicas; each replica must be prepared
-  /// identically first (same PrepareForNextQuery seed). Default:
+  /// identically first (same PrepareForNextQuery seed). A stratum with no
+  /// samples returns an empty vector, which merges as all zeros. Default:
   /// NotSupported.
   virtual Result<std::vector<uint32_t>> EstimateSweepStratumHits(
       NodeId source, uint32_t stratum, uint32_t num_strata,
+      const EstimateOptions& options);
+
+  /// Runs stratum `stratum` of the `num_strata`-way partition of the s-t
+  /// estimate defined by (query, options.num_samples, options.seed): the
+  /// number of this stratum's sampled worlds in which the target is
+  /// reached. The s-t counterpart of EstimateSweepStratumHits, under the
+  /// same contract: summing every stratum's hits and dividing by
+  /// options.num_samples is bit-identical to Estimate with
+  /// options.num_strata == num_strata, on any replica and in any order. A
+  /// stratum with no samples returns 0 and samples nothing; s == t counts
+  /// every sampled world. Default: NotSupported.
+  virtual Result<uint32_t> EstimateStStratumHits(
+      const ReliabilityQuery& query, uint32_t stratum, uint32_t num_strata,
       const EstimateOptions& options);
 
   /// Distance-constrained reliability R_d(s, t): reachable within at most

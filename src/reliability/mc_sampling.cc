@@ -94,21 +94,54 @@ Result<std::vector<uint32_t>> MonteCarloEstimator::EstimateSweepStratumHits(
   if (num_strata == 0 || stratum >= num_strata) {
     return Status::InvalidArgument("sweep stratum: index out of range");
   }
+  const uint32_t samples =
+      StratumSampleCount(options.num_samples, num_strata, stratum);
+  // An empty stratum (S > K) reaches nothing: the merge reads its empty
+  // vector as all zeros.
+  if (samples == 0) return std::vector<uint32_t>{};
   // Working state: sampler scratch plus the hit-count result.
   ScopedAllocation working(options.memory,
                            sampler_.WorkingBytes() +
                                graph_.num_nodes() * sizeof(uint32_t));
   std::vector<uint32_t> hits(graph_.num_nodes(), 0);
+  obs::ScopedSpan sample_span(options.trace, obs::SpanKind::kSample,
+                              options.trace_parent, stratum);
+  Rng rng(StratumSeed(options.seed, stratum, num_strata));
+  RELCOMP_RETURN_NOT_OK(sampler_.AccumulateReached(
+      {.source = source}, samples, rng, hits, options.cancel));
+  return hits;
+}
+
+Result<uint32_t> MonteCarloEstimator::EstimateStStratumHits(
+    const ReliabilityQuery& query, uint32_t stratum, uint32_t num_strata,
+    const EstimateOptions& options) {
+  if (!graph_.HasNode(query.source) || !graph_.HasNode(query.target)) {
+    return Status::InvalidArgument("s-t stratum: query out of range");
+  }
+  if (options.num_samples == 0) {
+    return Status::InvalidArgument("s-t stratum: num_samples must be positive");
+  }
+  if (num_strata == 0 || stratum >= num_strata) {
+    return Status::InvalidArgument("s-t stratum: index out of range");
+  }
   const uint32_t samples =
       StratumSampleCount(options.num_samples, num_strata, stratum);
-  if (samples > 0) {
-    obs::ScopedSpan sample_span(options.trace, obs::SpanKind::kSample,
-                                options.trace_parent, stratum);
-    Rng rng(StratumSeed(options.seed, stratum, num_strata));
-    RELCOMP_RETURN_NOT_OK(sampler_.AccumulateReached(
-        {.source = source}, samples, rng, hits, options.cancel));
-  }
-  return hits;
+  // Every sampled world reaches its own source; an empty stratum samples
+  // nothing.
+  if (query.source == query.target || samples == 0) return samples;
+  ScopedAllocation working(options.memory, sampler_.WorkingBytes());
+  return StStratumHits(query, stratum, num_strata, options);
+}
+
+Result<uint32_t> MonteCarloEstimator::StStratumHits(
+    const ReliabilityQuery& query, uint32_t stratum, uint32_t num_strata,
+    const EstimateOptions& options) {
+  const uint32_t samples =
+      StratumSampleCount(options.num_samples, num_strata, stratum);
+  if (samples == 0) return 0u;
+  Rng rng(StratumSeed(options.seed, stratum, num_strata));
+  return sampler_.CountHits({.source = query.source, .target = query.target},
+                            samples, rng, options.cancel);
 }
 
 Result<double> MonteCarloEstimator::EstimateDistanceConstrained(
@@ -131,21 +164,17 @@ Result<double> MonteCarloEstimator::DoEstimate(const ReliabilityQuery& query,
   // Stratified hit-and-miss: stratum j draws its budget slice from its own
   // derived stream, hits sum across strata — the same canonical-in-(content,
   // S) core as the source sweep (num_strata == 1 is the legacy loop,
-  // bit-identical to the pre-strata path).
-  const uint32_t k = options.num_samples;
+  // bit-identical to the pre-strata path). An engine runs the same strata
+  // on several threads through EstimateStStratumHits.
   const uint32_t num_strata = options.num_strata == 0 ? 1 : options.num_strata;
   uint32_t hits = 0;
   for (uint32_t j = 0; j < num_strata; ++j) {
-    const uint32_t stratum_samples = StratumSampleCount(k, num_strata, j);
-    if (stratum_samples == 0) continue;
-    Rng rng(StratumSeed(options.seed, j, num_strata));
-    RELCOMP_ASSIGN_OR_RETURN(
-        const uint32_t stratum_hits,
-        sampler_.CountHits({.source = query.source, .target = query.target},
-                           stratum_samples, rng, options.cancel));
+    RELCOMP_ASSIGN_OR_RETURN(const uint32_t stratum_hits,
+                             StStratumHits(query, j, num_strata, options));
     hits += stratum_hits;
   }
-  return static_cast<double>(hits) / static_cast<double>(k);
+  return static_cast<double>(hits) /
+         static_cast<double>(options.num_samples);
 }
 
 }  // namespace relcomp

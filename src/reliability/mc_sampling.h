@@ -45,7 +45,7 @@ class MonteCarloEstimator : public Estimator {
   const UncertainGraph& graph() const override { return graph_; }
 
   EstimatorCapabilities capabilities() const override {
-    return {.sweep = true, .distance = true};
+    return {.sweep = true, .distance = true, .st_strata = true};
   }
 
   /// Source sweep for top-k / reliable-set dispatch (the shared
@@ -61,6 +61,13 @@ class MonteCarloEstimator : public Estimator {
       NodeId source, uint32_t stratum, uint32_t num_strata,
       const EstimateOptions& options) override;
 
+  /// One stratum of the s-t estimate, as a hit count: the stratum body
+  /// DoEstimate's serial loop runs. Summing all strata and dividing by K ==
+  /// Estimate with the same num_strata, bit for bit.
+  Result<uint32_t> EstimateStStratumHits(
+      const ReliabilityQuery& query, uint32_t stratum, uint32_t num_strata,
+      const EstimateOptions& options) override;
+
   /// Distance-constrained dispatch via the depth-bounded sampler of
   /// distance_constrained.h (per-replica scratch, reused across queries).
   Result<double> EstimateDistanceConstrained(
@@ -73,6 +80,13 @@ class MonteCarloEstimator : public Estimator {
                             MemoryTracker* memory) override;
 
  private:
+  /// Hits of stratum `stratum` of `num_strata` of the s-t estimate of
+  /// `query` (s != t): StratumSampleCount(K, S, stratum) worlds from
+  /// Rng(StratumSeed(seed, stratum, S)); 0 for an empty stratum.
+  Result<uint32_t> StStratumHits(const ReliabilityQuery& query,
+                                 uint32_t stratum, uint32_t num_strata,
+                                 const EstimateOptions& options);
+
   const UncertainGraph& graph_;
   // The lazy-sampling BFS behind both the s-t estimate and the sweeps.
   LazySamplingBfs sampler_;

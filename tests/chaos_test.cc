@@ -421,6 +421,41 @@ TEST(ChaosTest, CallerCancelMidStreamDrainsCleanly) {
   ExpectPartitionHolds(*engine);
 }
 
+TEST(ChaosTest, DeadlineWhileHelpersHoldStrataReleasesEveryStratum) {
+  // One worker, S = 8, strata of 250,000 samples that nearly all walk most
+  // of the graph: the worker lists an s-t estimate's strata, the two helpers
+  // claim some, and the 20-ms deadline expires while they hold them. Helpers
+  // read the worker's stack-held cancel token, so the worker must return
+  // only once every claimed stratum is released: no stratum may finish
+  // after RunBatch returns. No hang, and the outcome partition holds.
+  Watchdog watchdog(std::chrono::seconds(120));
+  const UncertainGraph graph = ::relcomp::testing::SlowToSearchGraph(29);
+  EngineOptions options = ChaosOptions(1, EstimatorKind::kMonteCarlo);
+  options.num_samples = 2'000'000;
+  options.num_strata = 8;
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  obs::MetricsRegistry& metrics = engine->metrics();
+  constexpr NodeId kQueries = 6;
+  for (NodeId s = 0; s < kQueries; ++s) {
+    EngineQuery query = EngineQuery::St(s, 60);
+    query.deadline_ms = 20.0;
+    // One query per call: the deadline clock starts at submission, so a
+    // query queued behind another would expire before it claims a stratum.
+    const std::vector<EngineResult> results =
+        engine->RunBatch(std::vector<EngineQuery>{query}).MoveValue();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status.code(), StatusCode::kDeadlineExceeded)
+        << results[0].status;
+  }
+  const uint64_t strata = CounterValue(metrics, "engine_strata_executed_total");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(CounterValue(metrics, "engine_strata_executed_total"), strata);
+  EXPECT_GT(CounterValue(metrics, "engine_strata_helped_total"), 0u);
+  EXPECT_EQ(CounterValue(metrics, "engine_deadline_exceeded_total"),
+            kQueries);
+  ExpectPartitionHolds(*engine);
+}
+
 TEST(ChaosTest, EngineDestructionMidStreamNeverHangs) {
   Watchdog watchdog(std::chrono::seconds(120));
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.1, 0.9, 23);

@@ -1,5 +1,5 @@
 // The coin pass of BFS Sharing's world fill and the threads that join it:
-// CoinPass helpers next to a build, and the engine's CoinPassHelpers threads
+// CoinPass helpers next to a build, and the engine's HelperPool threads
 // helping an inline prepare that refills its replica's generation in place.
 // Whoever tosses the coins, the words must equal a fill on one thread. Every
 // case runs under a watchdog, so a lost wake-up fails fast instead of hanging
@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitvector.h"
-#include "engine/coin_pass_helpers.h"
+#include "engine/helper_pool.h"
 #include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "reliability/bfs_sharing.h"
@@ -269,7 +269,7 @@ TEST(CoinPassTest, CloseWithoutBeginReleasesWaitingHelpers) {
   EXPECT_EQ(coins.Help(), 0u);
 }
 
-TEST(CoinPassHelpersTest, HelpersHelpAnInlinePrepareRefillInPlace) {
+TEST(HelperPoolTest, HelpersHelpAnInlinePrepareRefillInPlace) {
   Watchdog watchdog(std::chrono::seconds(120));
   for (const Mix mix : kMixes) {
     const UncertainGraph graph = CycleGraph(mix);
@@ -282,10 +282,10 @@ TEST(CoinPassHelpersTest, HelpersHelpAnInlinePrepareRefillInPlace) {
       ASSERT_TRUE(replica->PrepareForNextQuery(0xF1257).ok());
       const void* identity = replica->SharedIndexIdentity();
       obs::MetricsRegistry metrics;
-      CoinPassHelpers helpers(metrics, /*num_helpers=*/1);
+      HelperPool helpers(metrics, /*num_helpers=*/1);
       constexpr uint64_t kSeed = 0x1A7E;
       {
-        CoinPassHelpers::InlinePass inline_pass(&helpers);
+        HelperPool::InlinePass inline_pass(&helpers);
         ASSERT_NE(inline_pass.coins(), nullptr);
         // The gate: the prepare starts only once the helper has claimed the
         // pass's first block, so the helper fills that block.
@@ -313,15 +313,15 @@ TEST(CoinPassHelpersTest, HelpersHelpAnInlinePrepareRefillInPlace) {
   }
 }
 
-TEST(CoinPassHelpersTest, AnInlinePassClosedUnbegunReleasesItsHelper) {
+TEST(HelperPoolTest, AnInlinePassClosedUnbegunReleasesItsHelper) {
   Watchdog watchdog(std::chrono::seconds(60));
   obs::MetricsRegistry metrics;
-  CoinPassHelpers helpers(metrics, /*num_helpers=*/1);
+  HelperPool helpers(metrics, /*num_helpers=*/1);
   EXPECT_EQ(helpers.num_helpers(), 1u);
   // With no helpers, the handle opens no pass: the prepare fills alone.
-  EXPECT_EQ(CoinPassHelpers::InlinePass(nullptr).coins(), nullptr);
+  EXPECT_EQ(HelperPool::InlinePass(nullptr).coins(), nullptr);
   {
-    CoinPassHelpers::InlinePass inline_pass(&helpers);
+    HelperPool::InlinePass inline_pass(&helpers);
     ASSERT_NE(inline_pass.coins(), nullptr);
     EXPECT_FALSE(CoinPassTestPeer::Closed(*inline_pass.coins()));
     AwaitHelpers(*inline_pass.coins(), 1);

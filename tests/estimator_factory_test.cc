@@ -38,22 +38,23 @@ TEST(Factory, TheSixAreInPaperOrder) {
 
 TEST(Factory, CapabilitiesMatchDispatchForEachOfTheSix) {
   // One capability set per kind, and the dispatch surface agrees with it:
-  // a top-k query (a source sweep) and a distance query fail with
-  // NotSupported exactly where the kind's bit is false.
+  // a top-k query (a source sweep), a distance query and an s-t stratum fail
+  // with NotSupported exactly where the kind's bit is false.
   const UncertainGraph g = testing::RandomSmallGraph(20, 60, 0.2, 0.8, 5);
   struct Row {
     EstimatorKind kind;
     bool sweep;
     bool distance;
     bool prepared_generations;
+    bool st_strata;
   };
   const std::vector<Row> rows = {
-      {EstimatorKind::kMonteCarlo, true, true, false},
-      {EstimatorKind::kBfsSharing, true, false, true},
-      {EstimatorKind::kProbTree, false, false, false},
-      {EstimatorKind::kLazyPropagationPlus, false, false, false},
-      {EstimatorKind::kRecursive, false, true, false},
-      {EstimatorKind::kRecursiveStratified, false, false, false},
+      {EstimatorKind::kMonteCarlo, true, true, false, true},
+      {EstimatorKind::kBfsSharing, true, false, true, false},
+      {EstimatorKind::kProbTree, false, false, false, false},
+      {EstimatorKind::kLazyPropagationPlus, false, false, false, false},
+      {EstimatorKind::kRecursive, false, true, false, false},
+      {EstimatorKind::kRecursiveStratified, false, false, false, false},
   };
   ASSERT_EQ(rows.size(), TheSixEstimators().size());
   for (const Row& row : rows) {
@@ -63,6 +64,7 @@ TEST(Factory, CapabilitiesMatchDispatchForEachOfTheSix) {
     EXPECT_EQ(caps.sweep, row.sweep);
     EXPECT_EQ(caps.distance, row.distance);
     EXPECT_EQ(caps.prepared_generations, row.prepared_generations);
+    EXPECT_EQ(caps.st_strata, row.st_strata);
 
     EstimateOptions options;
     options.num_samples = 64;
@@ -76,6 +78,11 @@ TEST(Factory, CapabilitiesMatchDispatchForEachOfTheSix) {
     EXPECT_EQ(distance.ok(), row.distance) << distance.status();
     EXPECT_EQ(distance.status().code() == StatusCode::kNotSupported,
               !row.distance);
+    const Result<uint32_t> stratum =
+        est->EstimateStStratumHits({0, 1}, 0, 4, options);
+    EXPECT_EQ(stratum.ok(), row.st_strata) << stratum.status();
+    EXPECT_EQ(stratum.status().code() == StatusCode::kNotSupported,
+              !row.st_strata);
     ASSERT_TRUE(est->PrepareForNextQuery(1).ok());
     const Result<std::shared_ptr<const PreparedGeneration>> generation =
         est->CurrentPreparedGeneration();

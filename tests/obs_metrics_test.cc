@@ -285,12 +285,13 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
             queries.size());
   // Sweep partition: every top-k that reached the compute path resolved
   // through exactly one sweep outcome; the one sweep of each source ran its
-  // 4 strata.
+  // 4 strata, and so did every computed s-t estimate.
   uint64_t compute_path_sweeps = 0;
+  uint64_t computed_st = 0;
   for (const EngineResult& r : *results) {
-    if (IsSweepWorkload(r.query.workload) && !r.cache_hit && !r.coalesced) {
-      ++compute_path_sweeps;
-    }
+    if (r.cache_hit || r.coalesced) continue;
+    if (IsSweepWorkload(r.query.workload)) ++compute_path_sweeps;
+    if (r.query.workload == WorkloadKind::kSt) ++computed_st;
   }
   const uint64_t sweep_executed =
       CounterValue(registry, "engine_sweep_executed_total");
@@ -299,7 +300,9 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
                 sweep_executed,
             compute_path_sweeps);
   EXPECT_EQ(CounterValue(registry, "engine_strata_executed_total"),
-            4 * sweep_executed);
+            4 * (sweep_executed + computed_st));
+  EXPECT_LE(CounterValue(registry, "engine_strata_helped_total"),
+            CounterValue(registry, "engine_strata_stolen_total"));
   EXPECT_LE(CounterValue(registry, "engine_strata_stolen_total"),
             CounterValue(registry, "engine_strata_executed_total"));
   // Every query rode the pool exactly once, and the executed ones went

@@ -312,18 +312,26 @@ TEST(SweepSharingTest, ConcurrentDistinctParamsCoalesceAtSweepLevel) {
   EXPECT_EQ(CounterValue(metrics, "engine_executed_total"), 64u);
 }
 
-TEST(SweepSharingTest, OnlyKindsWithPreparedGenerationsRunCoinPassHelpers) {
+TEST(SweepSharingTest, HelpersStartOnlyWithPassesToHelp) {
   const UncertainGraph graph = RandomSmallGraph(20, 60, 0.3, 0.9, 57);
+  // BFS Sharing prepares inline: its helpers fill coin passes.
   auto bfs_engine =
       QueryEngine::Create(graph, BaseOptions(2, EstimatorKind::kBfsSharing))
           .MoveValue();
-  ASSERT_NE(bfs_engine->coin_pass_helpers(), nullptr);
-  EXPECT_EQ(bfs_engine->coin_pass_helpers()->num_helpers(), 2u);
-  // MC has no prepared-generation surface: no helper thread is spun up.
+  ASSERT_NE(bfs_engine->helper_pool(), nullptr);
+  EXPECT_EQ(bfs_engine->helper_pool()->num_helpers(), 2u);
+  // MC has no coin pass, and at S = 1 no stratum for a helper to claim: no
+  // helper thread is spun up.
   auto mc_engine =
       QueryEngine::Create(graph, BaseOptions(2, EstimatorKind::kMonteCarlo))
           .MoveValue();
-  EXPECT_EQ(mc_engine->coin_pass_helpers(), nullptr);
+  EXPECT_EQ(mc_engine->helper_pool(), nullptr);
+  // At S > 1 its helpers claim strata.
+  EngineOptions stratified = BaseOptions(2, EstimatorKind::kMonteCarlo);
+  stratified.num_strata = 4;
+  auto mc_stratified = QueryEngine::Create(graph, stratified).MoveValue();
+  ASSERT_NE(mc_stratified->helper_pool(), nullptr);
+  EXPECT_EQ(mc_stratified->helper_pool()->num_helpers(), 2u);
 }
 
 TEST(SweepSharingTest, SweepAndDistanceQueriesReportPeakMemory) {

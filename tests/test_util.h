@@ -151,6 +151,28 @@ inline UncertainGraph RandomSmallGraph(uint32_t n, uint32_t m, double p_lo,
   return b.Build().MoveValue();
 }
 
+/// A graph whose sampled worlds are slow to search from any node but the
+/// last: 60 nodes joined by 400 random edges with p in [0.5, 0.9], and node
+/// 60, reached only from node 59 with p = 0.02. A sample of an s-t query to
+/// node 60 almost never stops early, so it walks most of the dense part,
+/// and its reliability is small but not 0. Engine tests that need strata
+/// long enough for helper threads to join, or for a deadline to expire
+/// inside them, query it.
+inline UncertainGraph SlowToSearchGraph(uint64_t seed) {
+  constexpr uint32_t kDense = 60;
+  Rng rng(seed);
+  GraphBuilder builder(kDense + 1);
+  for (uint32_t added = 0; added < 400;) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(kDense));
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(kDense));
+    if (u == v) continue;
+    builder.AddEdge(u, v, 0.5 + 0.4 * rng.NextDouble()).CheckOK();
+    ++added;
+  }
+  builder.AddEdge(kDense - 1, kDense, 0.02).CheckOK();
+  return builder.Build().MoveValue();
+}
+
 /// Binomial-style tolerance: z standard errors of a proportion estimate at
 /// `k` samples (used to make oracle assertions tight but non-flaky).
 inline double SamplingTolerance(double truth, uint32_t k, double z = 4.0) {
