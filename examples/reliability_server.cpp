@@ -345,8 +345,7 @@ int main(int argc, char** argv) {
       metrics.GetHistogram("engine_sweep_latency_ns")->Snapshot();
   std::printf(
       "strata: %llu executed, %llu stolen by coalesced "
-      "waiters or helpers, %llu run by helpers; per-sweep p50/p95 "
-      "%.2f/%.2f ms\n",
+      "waiters, %llu run by helpers; per-sweep p50/p95 %.2f/%.2f ms\n",
       Count(metrics, "engine_strata_executed_total"),
       Count(metrics, "engine_strata_stolen_total"),
       Count(metrics, "engine_strata_helped_total"),

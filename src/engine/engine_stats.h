@@ -46,9 +46,8 @@ class EngineStats {
   void RecordSweepCoalesced();
 
   /// Records one executed stratum of a work-list (an s-t estimate's or a
-  /// sweep flight's); `stolen` when the thread that ran it does not own the
-  /// list (a sweep's coalesced waiter working instead of blocking, or a
-  /// helper), `helper` when a helper thread ran it.
+  /// sweep flight's); `stolen` when a sweep's coalesced waiter ran it
+  /// instead of blocking, `helper` when a helper thread ran it (never both).
   void RecordStratum(bool stolen, bool helper);
 
   /// Records one executed sweep's wall-clock (leader start to publish), the

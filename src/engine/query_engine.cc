@@ -412,7 +412,8 @@ void QueryEngine::RunStStrata(StStrata& strata, Estimator& estimator,
       hits = estimator.EstimateStStratumHits(strata.query, stratum, num_strata,
                                              options);
     }
-    stats_.RecordStratum(/*stolen=*/claimant != Claimant::kOwner,
+    // An s-t work-list has no coalesced waiter to steal from it.
+    stats_.RecordStratum(/*stolen=*/false,
                          /*helper=*/claimant == Claimant::kHelper);
     std::lock_guard<std::mutex> lock(strata.mutex);
     if (hits.ok()) {
@@ -555,7 +556,7 @@ Status QueryEngine::RunSweepFlight(Estimator& estimator, SweepFlight& flight,
         run = stratum_hits.status();
       }
     }
-    stats_.RecordStratum(/*stolen=*/claimant != Claimant::kOwner,
+    stats_.RecordStratum(/*stolen=*/claimant == Claimant::kJoiner,
                          /*helper=*/claimant == Claimant::kHelper);
     {
       std::lock_guard<std::mutex> lock(flight.mutex);

@@ -456,6 +456,55 @@ TEST(ChaosTest, DeadlineWhileHelpersHoldStrataReleasesEveryStratum) {
   ExpectPartitionHolds(*engine);
 }
 
+TEST(ChaosTest, SweepLeaderCancelledAfterItsLastStratumStillPublishes) {
+  // BFS Sharing polls the cancel token once per stratum, before the shared
+  // BFS, so a token that trips during the BFS lets the stratum deposit. At
+  // S = 1 the leader has then deposited the flight's last stratum, and no
+  // other participant would finalize: the leader must publish the sweep to
+  // the joiner that waits on the flight with no deadline of its own.
+  // Abandoning the flight would leave the joiner waiting until a later query
+  // joined. The sweep is complete, so the leader answers too. The leader's prepare
+  // is recorded just before its stratum polls the token; the BFS over this
+  // graph then runs for hundreds of milliseconds, long enough for the
+  // joiner to join and the cancel to land inside it.
+  Watchdog watchdog(std::chrono::seconds(90));
+  const UncertainGraph graph = RandomSmallGraph(20000, 60000, 0.5, 0.95, 7);
+  EngineOptions options = ChaosOptions(2, EstimatorKind::kBfsSharing);
+  options.num_samples = 1500;
+  options.num_strata = 1;
+  EngineQuery leader = EngineQuery::TopK(0, 5);
+  const EngineQuery joiner = EngineQuery::TopK(0, 10);
+  const std::vector<EngineResult> expected =
+      RunChaosBatch(graph, options, {leader, joiner}).results;
+  for (const EngineResult& result : expected) {
+    ASSERT_TRUE(result.ok()) << result.status;
+  }
+
+  auto engine = QueryEngine::Create(graph, options).MoveValue();
+  const obs::Histogram* prepare = engine->metrics().GetHistogram(
+      "engine_stage_latency_ns", "stage", "prepare");
+  CancelToken token;
+  leader.cancel = &token;
+  ASSERT_TRUE(engine->Submit(leader).ok());
+  while (prepare->Snapshot().count == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(engine->Submit(joiner).ok());
+  // The joiner finds no stratum left to claim and waits on the flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  token.Cancel();
+  const std::vector<EngineResult> results = engine->Drain().MoveValue();
+  ASSERT_EQ(results.size(), 2u);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "query " << i << ": " << results[i].status;
+    EXPECT_FALSE(results[i].cache_hit) << "query " << i;
+    ExpectSameTargets(results[i], expected[i], i);
+  }
+  EXPECT_EQ(CounterValue(engine->metrics(), "engine_sweep_executed_total"),
+            1u);
+  ExpectPartitionHolds(*engine);
+}
+
 TEST(ChaosTest, EngineDestructionMidStreamNeverHangs) {
   Watchdog watchdog(std::chrono::seconds(120));
   const UncertainGraph graph = RandomSmallGraph(30, 90, 0.1, 0.9, 23);

@@ -301,9 +301,9 @@ TEST(EngineScrapeTest, OneScrapeReportsEveryEngineCounter) {
             compute_path_sweeps);
   EXPECT_EQ(CounterValue(registry, "engine_strata_executed_total"),
             4 * (sweep_executed + computed_st));
-  EXPECT_LE(CounterValue(registry, "engine_strata_helped_total"),
-            CounterValue(registry, "engine_strata_stolen_total"));
-  EXPECT_LE(CounterValue(registry, "engine_strata_stolen_total"),
+  // Coalesced waiters' strata and helpers' strata are disjoint subsets.
+  EXPECT_LE(CounterValue(registry, "engine_strata_stolen_total") +
+                CounterValue(registry, "engine_strata_helped_total"),
             CounterValue(registry, "engine_strata_executed_total"));
   // Every query rode the pool exactly once, and the executed ones went
   // through cache probe + stratum + publish.
